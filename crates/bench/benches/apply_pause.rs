@@ -41,7 +41,7 @@ fn bench(c: &mut Criterion) {
             |(mut kernel, mut ks)| {
                 ks.apply(&mut kernel, &pack, &ApplyOptions::default())
                     .unwrap();
-                ks.undo(&mut kernel, case.id, &ApplyOptions::default())
+                ks.undo_any(&mut kernel, case.id, &ApplyOptions::default())
                     .unwrap();
             },
             criterion::BatchSize::PerIteration,

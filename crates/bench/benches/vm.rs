@@ -65,7 +65,7 @@ fn bench(c: &mut Criterion) {
     ks.apply_traced(&mut kernel, &pack, &ApplyOptions::default(), &mut tracer)
         .expect("apply");
     kernel.call_at_limited(entry, &[1], u64::MAX).expect("post-apply stress");
-    ks.undo_traced(&mut kernel, cve.id, &ApplyOptions::default(), &mut tracer)
+    ks.undo_any_traced(&mut kernel, cve.id, &ApplyOptions::default(), &mut tracer)
         .expect("undo");
     kernel.call_at_limited(entry, &[1], u64::MAX).expect("post-undo stress");
     let flushes = kernel.vm_stats.icache_flushes - flushes0;

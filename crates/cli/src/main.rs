@@ -434,7 +434,7 @@ fn cmd_demo(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
     }
     if do_undo {
         let undo = ks
-            .undo_traced(&mut kernel, case.id, &apply_opts, tracer)
+            .undo_any_traced(&mut kernel, case.id, &apply_opts, tracer)
             .map_err(|e| e.to_string())?;
         print!("{}", undo.render());
     }

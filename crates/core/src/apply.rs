@@ -7,15 +7,19 @@
 //! relocations from the recovered bindings, run `pre_apply` hooks, then
 //! under `stop_machine` perform the stack safety check (retrying a few
 //! times before abandoning, §5.2) and write the trampoline jumps. Undo
-//! restores the saved instruction bytes under the same safety check and
-//! unloads the primary modules.
+//! ([`Ksplice::undo_any_traced`]) reverses any live update under the same
+//! safety check and capture loop: it restores the saved instruction
+//! bytes, or re-points a later update's trampoline chain past the
+//! reversed one, then unloads the primary modules.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
 use ksplice_asm::Instr;
-use ksplice_kernel::{apply_reloc_at, Kernel, LinkError, LoadedModule, SmpConfig};
+use ksplice_kernel::{
+    apply_reloc_at, Kernel, LinkError, LoadedModule, SmpConfig, StopMachineError,
+};
 use ksplice_lang::HookKind;
 use ksplice_object::{Object, RelocKind, SectionKind};
 use ksplice_trace::{Severity, Stage, Tracer, Value};
@@ -281,7 +285,7 @@ impl UndoReport {
 /// Errors from undo.
 #[derive(Debug)]
 pub enum UndoError {
-    /// Unknown update id, or not the most recent live update.
+    /// No live update has this id (unknown, or already reversed).
     NotUndoable {
         /// The id the caller asked to undo.
         id: String,
@@ -717,18 +721,13 @@ impl Ksplice {
             .iter()
             .map(|s| (s.site_addr, s.site_len, s.fn_name.clone()))
             .collect();
-        let mut attempt = 0;
-        let pause;
-        let pause_steps;
-        loop {
-            attempt += 1;
-            let attempt_span = tracer.span_start(
-                Stage::Apply,
-                "apply.attempt",
-                vec![("attempt", attempt.into())],
-            );
-            let evicted_before = kernel.vm_stats.blocks_evicted;
-            let result = kernel.try_stop_machine(|k| -> Result<Vec<[u8; TRAMPOLINE_LEN]>, StopError> {
+        let captured = capture(
+            kernel,
+            tracer,
+            Stage::Apply,
+            &opts.retry,
+            sites.len(),
+            |k| {
                 if let Some((tid, fn_name)) = busy_function(k, &ranges) {
                     return Err(StopError::Busy { tid, fn_name });
                 }
@@ -760,134 +759,53 @@ impl Ksplice {
                     }
                 }
                 Ok(saved)
-            });
-            // A barrier timeout means `f` never ran: flatten it into the
-            // retryable abandon path alongside a busy stack.
-            let result = match result {
-                Ok(inner) => inner,
-                Err(ksplice_kernel::StopMachineError::BarrierTimeout { cpu }) => {
-                    Err(StopError::Barrier { cpu })
-                }
-            };
-            tracer.set_now(kernel.steps);
-            tracer.count("apply.stop_machine_attempts", 1);
-            let pause_us = kernel
-                .last_stop_machine
-                .map(|d| d.as_micros() as u64)
-                .unwrap_or(0);
-            tracer.observe("apply.pause_us", pause_us);
-            match result {
-                Ok(saved) => {
-                    pause = kernel.last_stop_machine.unwrap_or_default();
-                    pause_steps = kernel.last_stop_machine_steps;
-                    tracer.emit(
-                        Stage::Apply,
-                        Severity::Info,
-                        "apply.stop_machine",
-                        vec![
-                            ("attempt", attempt.into()),
-                            ("ok", true.into()),
-                            ("pause_us", pause_us.into()),
-                        ],
-                    );
-                    for (site, buf) in sites.iter_mut().zip(saved) {
-                        site.saved = buf;
-                        tracer.emit(
-                            Stage::Apply,
-                            Severity::Debug,
-                            "apply.trampoline",
-                            vec![
-                                ("function", site.fn_name.as_str().into()),
-                                ("site_addr", site.site_addr.into()),
-                                ("target", site.replacement_addr.into()),
-                            ],
-                        );
-                    }
-                    tracer.count("apply.trampolines_written", sites.len() as u64);
-                    tracer.count("vm.icache_flush", 1);
-                    tracer.emit(
-                        Stage::Apply,
-                        Severity::Debug,
-                        "vm.icache_flush",
-                        vec![
-                            ("sites", sites.len().into()),
-                            ("evicted", (kernel.vm_stats.blocks_evicted - evicted_before).into()),
-                        ],
-                    );
-                    tracer.span_end(attempt_span);
-                    break;
-                }
-                Err(e) => {
-                    let (busy_tid, busy_fn, hook_detail) = match &e {
-                        StopError::Busy { tid, fn_name } => (*tid, fn_name.clone(), None),
-                        StopError::Barrier { cpu } => {
-                            (*cpu as u64, format!("<barrier:cpu{cpu}>"), None)
-                        }
-                        StopError::Hook(detail) => (0, String::new(), Some(detail.clone())),
-                    };
-                    tracer.emit(
-                        Stage::Apply,
-                        Severity::Warn,
-                        "apply.stop_machine",
-                        vec![
-                            ("attempt", attempt.into()),
-                            ("ok", false.into()),
-                            ("pause_us", pause_us.into()),
-                            ("busy_tid", busy_tid.into()),
-                            (
-                                "busy_fn",
-                                hook_detail
-                                    .clone()
-                                    .unwrap_or_else(|| busy_fn.clone())
-                                    .into(),
-                            ),
-                        ],
-                    );
-                    if attempt < opts.retry.max_attempts && hook_detail.is_none() {
-                        // "Ksplice tries again after a short delay" (§5.2):
-                        // the delay follows the configured backoff curve.
-                        let delay = opts.retry.delay_steps(attempt);
-                        tracer.emit(
-                            Stage::Apply,
-                            Severity::Debug,
-                            "apply.retry_delay",
-                            vec![("attempt", attempt.into()), ("steps", delay.into())],
-                        );
-                        kernel.run(delay);
-                        tracer.set_now(kernel.steps);
-                        tracer.span_end(attempt_span);
-                        continue;
-                    }
-                    tracer.span_end(attempt_span);
-                    rollback_modules(kernel);
-                    cooldown(kernel, tracer, Stage::Apply, opts.retry.cooldown_steps);
-                    verify_text_restored(kernel, tracer, Stage::Apply, text_before);
-                    let err = match hook_detail {
-                        Some(detail) => ApplyError::Hook {
-                            kind: "ksplice_apply",
-                            detail,
-                        },
-                        None => ApplyError::NotQuiescent {
-                            fn_name: busy_fn,
-                            tid: busy_tid,
-                            attempts: attempt,
-                        },
-                    };
-                    tracer.emit(
-                        Stage::Apply,
-                        Severity::Error,
-                        "apply.abort",
-                        vec![
-                            ("id", pack.id.as_str().into()),
-                            ("stage", "stop_machine".into()),
-                            ("attempts", attempt.into()),
-                            ("msg", err.to_string().into()),
-                        ],
-                    );
-                    return Err(err);
-                }
+            },
+        );
+        let captured = match captured {
+            Ok(captured) => captured,
+            Err(Abandoned { attempts, error }) => {
+                rollback_modules(kernel);
+                cooldown(kernel, tracer, Stage::Apply, opts.retry.cooldown_steps);
+                verify_text_restored(kernel, tracer, Stage::Apply, text_before);
+                let err = match error {
+                    StopError::Hook(detail) => ApplyError::Hook {
+                        kind: "ksplice_apply",
+                        detail,
+                    },
+                    StopError::Busy { tid, fn_name } => ApplyError::NotQuiescent {
+                        fn_name,
+                        tid,
+                        attempts,
+                    },
+                };
+                tracer.emit(
+                    Stage::Apply,
+                    Severity::Error,
+                    "apply.abort",
+                    vec![
+                        ("id", pack.id.as_str().into()),
+                        ("stage", "stop_machine".into()),
+                        ("attempts", attempts.into()),
+                        ("msg", err.to_string().into()),
+                    ],
+                );
+                return Err(err);
             }
+        };
+        for (site, buf) in sites.iter_mut().zip(captured.value) {
+            site.saved = buf;
+            tracer.emit(
+                Stage::Apply,
+                Severity::Debug,
+                "apply.trampoline",
+                vec![
+                    ("function", site.fn_name.as_str().into()),
+                    ("site_addr", site.site_addr.into()),
+                    ("target", site.replacement_addr.into()),
+                ],
+            );
         }
+        tracer.count("apply.trampolines_written", sites.len() as u64);
         stage_steps.push(("stop_machine", kernel.steps - stage_start));
         stage_start = kernel.steps;
 
@@ -912,9 +830,9 @@ impl Ksplice {
         let report = ApplyReport {
             index: self.updates.len(),
             id: pack.id.clone(),
-            attempts: attempt,
-            pause,
-            pause_steps,
+            attempts: captured.attempts,
+            pause: captured.pause,
+            pause_steps: captured.pause_steps,
             sites: sites.len(),
             stage_steps,
         };
@@ -940,26 +858,33 @@ impl Ksplice {
         Ok(report)
     }
 
-    /// `ksplice-undo`: reverses the most recent live update.
-    ///
-    /// Only the top of the live stack may be reversed — an older update's
-    /// replacement code may be the *site* of a newer one's trampoline.
-    /// [`Ksplice::undo_any_traced`] lifts that restriction by re-pointing
-    /// trampoline chains.
-    pub fn undo(
+    /// `ksplice-undo`: reverses any live update by id — newest or not.
+    pub fn undo_any(
         &mut self,
         kernel: &mut Kernel,
         id: &str,
         opts: &ApplyOptions,
     ) -> Result<(), UndoError> {
-        self.undo_traced(kernel, id, opts, &mut Tracer::disabled())
+        self.undo_any_traced(kernel, id, opts, &mut Tracer::disabled())
             .map(|_| ())
     }
 
-    /// [`Ksplice::undo`] with per-attempt events on `tracer`. Returns an
-    /// [`UndoReport`] pairing the reversal's attempt count with the pause
-    /// of its successful stop_machine window.
-    pub fn undo_traced(
+    /// [`Ksplice::undo_any`] with per-attempt events on `tracer`. Returns
+    /// an [`UndoReport`] pairing the reversal's attempt count with the
+    /// pause of its successful stop_machine window.
+    ///
+    /// Reversing the newest live update restores each site's saved
+    /// bytes. An older one is reversed by *re-pointing*: for each of its
+    /// patch sites with a direct chain successor (a later update whose
+    /// site is this update's replacement code for the same function, the
+    /// §5.4 stacking shape), the trampoline at this update's site is
+    /// rewritten to jump straight to the successor's replacement, and the
+    /// successor's undo bookkeeping inherits this site's address and
+    /// saved bytes; sites without a successor restore their saved bytes.
+    /// A dependency check first refuses reversals where a later live
+    /// update holds other references into this update's loaded code
+    /// ([`UndoError::Entangled`]).
+    pub fn undo_any_traced(
         &mut self,
         kernel: &mut Kernel,
         id: &str,
@@ -990,15 +915,26 @@ impl Ksplice {
             Err(e) => {
                 let mut fields: Vec<(&str, Value)> =
                     vec![("id", id.into()), ("msg", e.to_string().into())];
-                if let UndoError::NotQuiescent {
-                    fn_name,
-                    tid,
-                    attempts,
-                } = e
-                {
-                    fields.push(("busy_fn", fn_name.as_str().into()));
-                    fields.push(("busy_tid", (*tid).into()));
-                    fields.push(("attempts", (*attempts).into()));
+                match e {
+                    UndoError::NotQuiescent {
+                        fn_name,
+                        tid,
+                        attempts,
+                    } => {
+                        fields.push(("busy_fn", fn_name.as_str().into()));
+                        fields.push(("busy_tid", (*tid).into()));
+                        fields.push(("attempts", (*attempts).into()));
+                    }
+                    UndoError::Entangled {
+                        dependent,
+                        functions,
+                        ..
+                    } => {
+                        fields.push(("dependent", dependent.as_str().into()));
+                        fields.push(("functions", functions.join(",").into()));
+                        tracer.count("undo.entangled_refusals", 1);
+                    }
+                    _ => {}
                 }
                 tracer.emit(Stage::Undo, Severity::Error, "undo.abort", fields);
             }
@@ -1016,22 +952,25 @@ impl Ksplice {
         // The abandon paths below must leave the trampolines (and all
         // other mapped text) exactly as they found them.
         let text_before = kernel.mem.text_checksum();
-        let Some(latest_live) = self.updates.iter().rposition(|u| !u.reversed) else {
+        // The newest live update with this id, should a raw caller have
+        // applied one id twice.
+        let Some(idx) = self.updates.iter().rposition(|u| !u.reversed && u.id == id) else {
             return Err(UndoError::NotUndoable {
                 id: id.to_string(),
-                reason: "no live updates".to_string(),
+                reason: "no live update with this id".to_string(),
             });
         };
-        if self.updates[latest_live].id != id {
-            return Err(UndoError::NotUndoable {
-                id: id.to_string(),
-                reason: format!(
-                    "only the most recent update ({}) can be reversed",
-                    self.updates[latest_live].id
-                ),
-            });
-        }
-        let update = self.updates[latest_live].clone();
+        self.check_not_entangled(kernel, idx)?;
+        let update = self.updates[idx].clone();
+
+        // Per-site plan: re-point to the chain successor's replacement,
+        // or restore the saved bytes when the chain ends here (always,
+        // for the newest live update).
+        let successors: Vec<Option<Successor>> = update
+            .sites
+            .iter()
+            .map(|s| self.successor_of(idx, s))
+            .collect();
 
         run_hooks(kernel, &update.hooks, HookKind::PreReverse).map_err(|e| match e {
             ApplyError::Hook { kind, detail } => UndoError::Hook { kind, detail },
@@ -1042,7 +981,7 @@ impl Ksplice {
         })?;
 
         // Reversal is safe only when no thread runs *replacement* code —
-        // and, because restoring the first bytes of the original function
+        // and, because rewriting the first bytes of the original function
         // matters to threads inside it, the original ranges get the same
         // check the paper applies on the apply side.
         let mut ranges: Vec<(u64, u64, String)> = update
@@ -1056,180 +995,371 @@ impl Ksplice {
                 .iter()
                 .map(|s| (s.site_addr, s.site_len, format!("{} (original)", s.fn_name))),
         );
-        let mut attempt = 0;
-        let pause;
-        loop {
-            attempt += 1;
-            let attempt_span = tracer.span_start(
-                Stage::Undo,
-                "undo.attempt",
-                vec![("attempt", attempt.into())],
-            );
-            let result = kernel.try_stop_machine(|k| -> Result<(), StopError> {
+        let captured = capture(
+            kernel,
+            tracer,
+            Stage::Undo,
+            &opts.retry,
+            update.sites.len(),
+            |k| {
                 if let Some((tid, fn_name)) = busy_function(k, &ranges) {
                     return Err(StopError::Busy { tid, fn_name });
                 }
-                // Save the trampoline bytes so a reverse-hook failure can
+                // Save the current site bytes so a reverse-hook failure can
                 // re-install them — the same all-or-nothing discipline the
                 // apply side uses for its stopped-machine hooks.
-                let mut tramps = Vec::with_capacity(update.sites.len());
-                for site in &update.sites {
+                let mut prev = Vec::with_capacity(update.sites.len());
+                for (site, succ) in update.sites.iter().zip(&successors) {
                     let mut buf = [0u8; TRAMPOLINE_LEN];
                     buf.copy_from_slice(
                         k.mem
                             .peek(site.site_addr, TRAMPOLINE_LEN as u64)
                             .expect("mapped"),
                     );
-                    tramps.push(buf);
-                    k.mem.poke(site.site_addr, &site.saved).expect("mapped");
+                    prev.push(buf);
+                    match succ {
+                        Some(su) => write_trampoline(k, site.site_addr, su.target),
+                        None => k.mem.poke(site.site_addr, &site.saved).expect("mapped"),
+                    }
                 }
-                // The original text is live again: evict every decoded
-                // block that still routes through the trampolines.
+                // The new routing is live on resume: evict every decoded
+                // block that still caches the old one.
                 k.flush_icache();
                 for &h in update.hooks.of(HookKind::Reverse) {
                     if let Err(detail) = call_hook(k, h) {
-                        for (site, tramp) in update.sites.iter().zip(&tramps) {
-                            k.mem.poke(site.site_addr, tramp).expect("mapped");
+                        for (site, buf) in update.sites.iter().zip(&prev) {
+                            k.mem.poke(site.site_addr, buf).expect("mapped");
                         }
                         k.flush_icache();
                         return Err(StopError::Hook(format!("reverse hook: {detail}")));
                     }
                 }
                 Ok(())
-            });
-            let result = match result {
-                Ok(inner) => inner,
-                Err(ksplice_kernel::StopMachineError::BarrierTimeout { cpu }) => {
-                    Err(StopError::Barrier { cpu })
-                }
-            };
-            tracer.set_now(kernel.steps);
-            tracer.count("undo.stop_machine_attempts", 1);
-            let pause_us = kernel
-                .last_stop_machine
-                .map(|d| d.as_micros() as u64)
-                .unwrap_or(0);
-            tracer.observe("undo.pause_us", pause_us);
-            match result {
-                Ok(()) => {
-                    pause = kernel.last_stop_machine.unwrap_or_default();
-                    tracer.emit(
-                        Stage::Undo,
-                        Severity::Info,
-                        "undo.stop_machine",
-                        vec![
-                            ("attempt", attempt.into()),
-                            ("ok", true.into()),
-                            ("pause_us", pause_us.into()),
-                        ],
-                    );
-                    for site in &update.sites {
-                        tracer.emit(
-                            Stage::Undo,
-                            Severity::Debug,
-                            "undo.restored",
-                            vec![
-                                ("function", site.fn_name.as_str().into()),
-                                ("site_addr", site.site_addr.into()),
-                            ],
-                        );
-                    }
-                    tracer.count("vm.icache_flush", 1);
-                    tracer.emit(
-                        Stage::Undo,
-                        Severity::Debug,
-                        "vm.icache_flush",
-                        vec![("sites", update.sites.len().into())],
-                    );
-                    tracer.span_end(attempt_span);
-                    break;
-                }
-                Err(e) => {
-                    let (busy_tid, busy_fn, hook_detail) = match e {
-                        StopError::Busy { tid, fn_name } => (tid, fn_name, None),
-                        StopError::Barrier { cpu } => {
-                            (cpu as u64, format!("<barrier:cpu{cpu}>"), None)
-                        }
-                        StopError::Hook(detail) => (0, String::new(), Some(detail)),
-                    };
-                    tracer.emit(
-                        Stage::Undo,
-                        Severity::Warn,
-                        "undo.stop_machine",
-                        vec![
-                            ("attempt", attempt.into()),
-                            ("ok", false.into()),
-                            ("pause_us", pause_us.into()),
-                            ("busy_tid", busy_tid.into()),
-                            (
-                                "busy_fn",
-                                hook_detail
-                                    .clone()
-                                    .unwrap_or_else(|| busy_fn.clone())
-                                    .into(),
-                            ),
-                        ],
-                    );
-                    if attempt < opts.retry.max_attempts && hook_detail.is_none() {
-                        let delay = opts.retry.delay_steps(attempt);
-                        tracer.emit(
-                            Stage::Undo,
-                            Severity::Debug,
-                            "undo.retry_delay",
-                            vec![("attempt", attempt.into()), ("steps", delay.into())],
-                        );
-                        kernel.run(delay);
-                        tracer.set_now(kernel.steps);
-                        tracer.span_end(attempt_span);
-                        continue;
-                    }
-                    tracer.span_end(attempt_span);
-                    cooldown(kernel, tracer, Stage::Undo, opts.retry.cooldown_steps);
-                    verify_text_restored(kernel, tracer, Stage::Undo, text_before);
-                    return Err(match hook_detail {
-                        Some(detail) => UndoError::Hook {
-                            kind: "ksplice_reverse",
-                            detail,
-                        },
-                        None => UndoError::NotQuiescent {
-                            fn_name: busy_fn,
-                            tid: busy_tid,
-                            attempts: attempt,
-                        },
-                    });
-                }
+            },
+        );
+        let captured = match captured {
+            Ok(captured) => captured,
+            Err(Abandoned { attempts, error }) => {
+                cooldown(kernel, tracer, Stage::Undo, opts.retry.cooldown_steps);
+                verify_text_restored(kernel, tracer, Stage::Undo, text_before);
+                return Err(match error {
+                    StopError::Hook(detail) => UndoError::Hook {
+                        kind: "ksplice_reverse",
+                        detail,
+                    },
+                    StopError::Busy { tid, fn_name } => UndoError::NotQuiescent {
+                        fn_name,
+                        tid,
+                        attempts,
+                    },
+                });
             }
+        };
+
+        // Commit the bookkeeping: each successor inherits the reversed
+        // site's address, length and saved original bytes, so a later
+        // undo of the successor restores the true original function.
+        let mut repointed = 0u64;
+        for (site, succ) in update.sites.iter().zip(&successors) {
+            let Some(su) = succ else {
+                tracer.emit(
+                    Stage::Undo,
+                    Severity::Debug,
+                    "undo.restored",
+                    vec![
+                        ("function", site.fn_name.as_str().into()),
+                        ("site_addr", site.site_addr.into()),
+                    ],
+                );
+                continue;
+            };
+            repointed += 1;
+            tracer.emit(
+                Stage::Undo,
+                Severity::Debug,
+                "undo.repointed",
+                vec![
+                    ("function", site.fn_name.as_str().into()),
+                    ("site_addr", site.site_addr.into()),
+                    ("target", su.target.into()),
+                    ("successor", self.updates[su.update].id.as_str().into()),
+                ],
+            );
+            let t = &mut self.updates[su.update].sites[su.site];
+            t.site_addr = site.site_addr;
+            t.site_len = site.site_len;
+            t.saved = site.saved;
+        }
+        if repointed > 0 {
+            tracer.count("undo.sites_repointed", repointed);
         }
         run_hooks(kernel, &update.hooks, HookKind::PostReverse).ok();
         for name in &update.primary_modules {
             kernel.rmmod(name);
         }
-        self.updates[latest_live].reversed = true;
+        self.updates[idx].reversed = true;
         Ok(UndoReport {
             id: id.to_string(),
-            attempts: attempt,
-            pause,
+            attempts: captured.attempts,
+            pause: captured.pause,
             sites_restored: update.sites.len(),
         })
     }
+
+    /// Dependency check for reversing `self.updates[idx]`: a later live
+    /// update may sit *on* its replacement code only as a direct chain
+    /// successor (same function, site == our replacement). Any other
+    /// reference into its modules — a patch site, a fulfilled relocation
+    /// target, a hook — makes the reversal unsafe.
+    fn check_not_entangled(&self, kernel: &Kernel, idx: usize) -> Result<(), UndoError> {
+        let update = &self.updates[idx];
+        let mut later = self.updates[idx + 1..]
+            .iter()
+            .filter(|u| !u.reversed)
+            .peekable();
+        if later.peek().is_none() {
+            // The newest live update: nothing can depend on it.
+            return Ok(());
+        }
+        // This update's loaded code: the memory regions of its primary
+        // modules.
+        let prefixes: Vec<String> = update
+            .primary_modules
+            .iter()
+            .map(|m| format!("{m}:"))
+            .collect();
+        let owned: Vec<(u64, u64)> = kernel
+            .mem
+            .regions()
+            .iter()
+            .filter(|r| prefixes.iter().any(|p| r.name.starts_with(p.as_str())))
+            .map(|r| (r.start, r.size))
+            .collect();
+        let within = |addr: u64| owned.iter().any(|(s, l)| addr >= *s && addr < s + l);
+        for later in later {
+            let mut tied: Vec<String> = Vec::new();
+            for t in &later.sites {
+                let successor = update
+                    .sites
+                    .iter()
+                    .any(|s| t.site_addr == s.replacement_addr && t.fn_name == s.fn_name);
+                if !successor && within(t.site_addr) {
+                    tied.push(t.fn_name.clone());
+                }
+            }
+            for (symbol, addr) in &later.fulfilled_relocs {
+                if within(*addr) {
+                    tied.push(symbol.clone());
+                }
+            }
+            for kind in HookKind::ALL {
+                if later.hooks.of(kind).iter().any(|&h| within(h)) {
+                    tied.push(format!("{} hook", kind.macro_name()));
+                }
+            }
+            tied.sort();
+            tied.dedup();
+            if !tied.is_empty() {
+                return Err(UndoError::Entangled {
+                    id: update.id.clone(),
+                    dependent: later.id.clone(),
+                    functions: tied,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The first later live update whose site for the same function is
+    /// `site`'s replacement code — the §5.4 chain successor that
+    /// inherits `site` when `self.updates[idx]` is reversed.
+    fn successor_of(&self, idx: usize, site: &PatchSite) -> Option<Successor> {
+        self.updates
+            .iter()
+            .enumerate()
+            .skip(idx + 1)
+            .filter(|(_, later)| !later.reversed)
+            .find_map(|(update, later)| {
+                let pos = later.sites.iter().position(|t| {
+                    t.site_addr == site.replacement_addr && t.fn_name == site.fn_name
+                })?;
+                Some(Successor {
+                    update,
+                    site: pos,
+                    target: later.sites[pos].replacement_addr,
+                })
+            })
+    }
+}
+
+/// A chain successor of a site being reversed: `updates[update].sites[site]`,
+/// whose replacement code at `target` the reversed site's trampoline is
+/// re-pointed to.
+struct Successor {
+    update: usize,
+    site: usize,
+    target: u64,
 }
 
 /// Why one stop_machine capture window was abandoned.
-pub(crate) enum StopError {
-    /// The §5.2 stack check found `fn_name` on thread `tid`'s stack.
+enum StopError {
+    /// Thread `tid` is inside `fn_name`: the §5.2 stack check failed, or
+    /// vCPU `tid` missed the barrier rendezvous (`fn_name` is then
+    /// `<barrier:cpuN>`). Retryable — the next attempt captures from
+    /// scratch.
     Busy { tid: u64, fn_name: String },
-    /// The barrier rendezvous timed out: vCPU `cpu` never checked in
-    /// (fault-injected). Retryable, like `Busy` — the next capture
-    /// attempt rendezvouses from scratch.
-    Barrier { cpu: u32 },
-    /// A stopped-machine hook failed.
+    /// A stopped-machine hook failed. Not retried.
     Hook(String),
+}
+
+/// A stop_machine window that succeeded.
+struct Captured<T> {
+    /// What the window returned.
+    value: T,
+    /// Capture attempts it took (1 = first try).
+    attempts: u32,
+    /// Wall-clock pause of the successful window.
+    pause: Duration,
+    /// Simulated pause of the successful window, in VM steps.
+    pause_steps: u64,
+}
+
+/// A capture loop that gave up, with the last attempt's failure.
+struct Abandoned {
+    attempts: u32,
+    error: StopError,
+}
+
+/// The §5.2 capture loop shared by apply and undo. Each attempt opens a
+/// stop_machine window and runs `window` on the stopped machine. A busy
+/// stack or a missed barrier retries after the policy's delay until the
+/// attempts run out; a failed hook gives up at once. Emits one
+/// `<stage>.attempt` span and one `<stage>.stop_machine` event per
+/// attempt; `sites` (the text sites the window rewrites) goes on the
+/// `vm.icache_flush` event of the successful window.
+fn capture<T>(
+    kernel: &mut Kernel,
+    tracer: &mut Tracer,
+    stage: Stage,
+    retry: &RetryPolicy,
+    sites: usize,
+    mut window: impl FnMut(&mut Kernel) -> Result<T, StopError>,
+) -> Result<Captured<T>, Abandoned> {
+    let (attempt_span, attempts_counter, pause_histogram, stop_event, delay_event) = match stage {
+        Stage::Undo => (
+            "undo.attempt",
+            "undo.stop_machine_attempts",
+            "undo.pause_us",
+            "undo.stop_machine",
+            "undo.retry_delay",
+        ),
+        _ => (
+            "apply.attempt",
+            "apply.stop_machine_attempts",
+            "apply.pause_us",
+            "apply.stop_machine",
+            "apply.retry_delay",
+        ),
+    };
+    let mut attempt = 0;
+    loop {
+        attempt += 1;
+        let span = tracer.span_start(stage, attempt_span, vec![("attempt", attempt.into())]);
+        let evicted_before = kernel.vm_stats.blocks_evicted;
+        let result = kernel.stop_machine(&mut window).unwrap_or_else(
+            // A barrier timeout means `window` never ran: flatten it into
+            // the retryable busy path.
+            |StopMachineError::BarrierTimeout { cpu }| {
+                Err(StopError::Busy {
+                    tid: cpu as u64,
+                    fn_name: format!("<barrier:cpu{cpu}>"),
+                })
+            },
+        );
+        tracer.set_now(kernel.steps);
+        tracer.count(attempts_counter, 1);
+        let pause_us = kernel
+            .last_stop_machine
+            .map(|d| d.as_micros() as u64)
+            .unwrap_or(0);
+        tracer.observe(pause_histogram, pause_us);
+        let error = match result {
+            Ok(value) => {
+                tracer.emit(
+                    stage,
+                    Severity::Info,
+                    stop_event,
+                    vec![
+                        ("attempt", attempt.into()),
+                        ("ok", true.into()),
+                        ("pause_us", pause_us.into()),
+                    ],
+                );
+                tracer.count("vm.icache_flush", 1);
+                tracer.emit(
+                    stage,
+                    Severity::Debug,
+                    "vm.icache_flush",
+                    vec![
+                        ("sites", sites.into()),
+                        (
+                            "evicted",
+                            (kernel.vm_stats.blocks_evicted - evicted_before).into(),
+                        ),
+                    ],
+                );
+                tracer.span_end(span);
+                return Ok(Captured {
+                    value,
+                    attempts: attempt,
+                    pause: kernel.last_stop_machine.unwrap_or_default(),
+                    pause_steps: kernel.last_stop_machine_steps,
+                });
+            }
+            Err(error) => error,
+        };
+        let (busy_tid, busy_fn) = match &error {
+            StopError::Busy { tid, fn_name } => (*tid, fn_name.as_str()),
+            StopError::Hook(detail) => (0, detail.as_str()),
+        };
+        tracer.emit(
+            stage,
+            Severity::Warn,
+            stop_event,
+            vec![
+                ("attempt", attempt.into()),
+                ("ok", false.into()),
+                ("pause_us", pause_us.into()),
+                ("busy_tid", busy_tid.into()),
+                ("busy_fn", busy_fn.into()),
+            ],
+        );
+        if matches!(error, StopError::Hook(_)) || attempt >= retry.max_attempts {
+            tracer.span_end(span);
+            return Err(Abandoned {
+                attempts: attempt,
+                error,
+            });
+        }
+        // "Ksplice tries again after a short delay" (§5.2): the delay
+        // follows the configured backoff curve.
+        let delay = retry.delay_steps(attempt);
+        tracer.emit(
+            stage,
+            Severity::Debug,
+            delay_event,
+            vec![("attempt", attempt.into()), ("steps", delay.into())],
+        );
+        kernel.run(delay);
+        tracer.set_now(kernel.steps);
+        tracer.span_end(span);
+    }
 }
 
 /// Runs the abandon-path cooldown, if the policy asks for one: gives
 /// blocked threads `steps` instructions to drain after the rollback,
 /// before the failure is reported.
-pub(crate) fn cooldown(kernel: &mut Kernel, tracer: &mut Tracer, stage: Stage, steps: u64) {
+fn cooldown(kernel: &mut Kernel, tracer: &mut Tracer, stage: Stage, steps: u64) {
     if steps == 0 {
         return;
     }
@@ -1279,10 +1409,7 @@ pub(crate) fn verify_text_restored(
 /// if any — the §5.2 safety condition over instruction pointers and
 /// return addresses. An armed stack-busy fault reports a synthetic
 /// occupant first, exercising the retry/abandon machinery on demand.
-pub(crate) fn busy_function(
-    kernel: &mut Kernel,
-    ranges: &[(u64, u64, String)],
-) -> Option<(u64, String)> {
+fn busy_function(kernel: &mut Kernel, ranges: &[(u64, u64, String)]) -> Option<(u64, String)> {
     if kernel.num_cpus() > 1 {
         // At N ≥ 2 an armed stack-busy fault is realized *physically*:
         // a vCPU thread is parked at the target's entry (and released
@@ -1310,7 +1437,7 @@ pub(crate) fn busy_function(
 }
 
 /// Writes the redirecting jump at a replaced function's entry.
-pub(crate) fn write_trampoline(kernel: &mut Kernel, site: u64, target: u64) {
+fn write_trampoline(kernel: &mut Kernel, site: u64, target: u64) {
     let rel = target.wrapping_sub(site + TRAMPOLINE_LEN as u64) as i64;
     let rel = i32::try_from(rel).expect("arena spans < 2 GiB");
     let mut bytes = Vec::with_capacity(TRAMPOLINE_LEN);
@@ -1364,11 +1491,7 @@ fn resolve_hooks(
 }
 
 /// Runs all hooks of a kind; a non-zero return or an oops aborts.
-pub(crate) fn run_hooks(
-    kernel: &mut Kernel,
-    hooks: &ResolvedHooks,
-    kind: HookKind,
-) -> Result<(), ApplyError> {
+fn run_hooks(kernel: &mut Kernel, hooks: &ResolvedHooks, kind: HookKind) -> Result<(), ApplyError> {
     for &addr in hooks.of(kind) {
         call_hook(kernel, addr).map_err(|detail| ApplyError::Hook {
             kind: kind.macro_name(),
@@ -1378,7 +1501,7 @@ pub(crate) fn run_hooks(
     Ok(())
 }
 
-pub(crate) fn call_hook(kernel: &mut Kernel, addr: u64) -> Result<(), String> {
+fn call_hook(kernel: &mut Kernel, addr: u64) -> Result<(), String> {
     match kernel.call_at(addr, &[]) {
         Ok(0) => Ok(()),
         Ok(code) => Err(format!("hook returned {code}")),

@@ -63,7 +63,6 @@ pub mod package;
 pub mod rebase;
 pub mod retry;
 pub mod runpre;
-pub mod stream;
 
 pub use apply::{
     AppliedUpdate, ApplyError, ApplyOptions, ApplyReport, Ksplice, PatchSite, ResolvedHooks,
@@ -93,7 +92,6 @@ pub use runpre::{
     match_function, match_function_traced, match_unit, match_unit_traced, FnMatch, MatchError,
     UnitMatch,
 };
-pub use stream::{replay_sources, StreamError, Subscriber, UpdateStream};
 // Re-exported so callers configuring `ApplyOptions::smp` need not depend
 // on `ksplice-kernel` directly.
 pub use ksplice_kernel::{SmpConfig, StopMachineError};

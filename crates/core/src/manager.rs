@@ -32,13 +32,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use ksplice_kernel::{native_addr, Kernel};
-use ksplice_lang::HookKind;
 use ksplice_trace::{Severity, Stage, Tracer};
 
 use crate::apply::{
-    busy_function, call_hook, cooldown, run_hooks, verify_text_restored, write_trampoline,
-    ApplyError, ApplyOptions, ApplyReport, Ksplice, StopError, UndoError, UndoReport,
-    TRAMPOLINE_LEN,
+    verify_text_restored, ApplyError, ApplyOptions, ApplyReport, Ksplice, UndoError, UndoReport,
 };
 use crate::package::UpdatePack;
 
@@ -739,7 +736,7 @@ impl UpdateManager {
                             ("round", round.into()),
                         ],
                     );
-                    let undo = match self.ks.undo_traced(kernel, &pack.id, opts, tracer) {
+                    let undo = match self.ks.undo_any_traced(kernel, &pack.id, opts, tracer) {
                         Ok(undo) => undo,
                         Err(e) => {
                             tracer.set_now(kernel.steps);
@@ -826,382 +823,5 @@ fn run_probe(kernel: &mut Kernel, probe: &mut HealthProbe) -> Result<(), String>
             Err(e) => Err(e.to_string()),
         },
         HealthProbe::Custom { check, .. } => check(kernel),
-    }
-}
-
-impl Ksplice {
-    /// Reverses any live update by id, not just the newest
-    /// ([`Ksplice::undo`]'s LIFO restriction).
-    pub fn undo_any(
-        &mut self,
-        kernel: &mut Kernel,
-        id: &str,
-        opts: &ApplyOptions,
-    ) -> Result<(), UndoError> {
-        self.undo_any_traced(kernel, id, opts, &mut Tracer::disabled())
-            .map(|_| ())
-    }
-
-    /// Reverses any live update by id. The newest live update takes the
-    /// ordinary LIFO path. An older one is reversed by *re-pointing*: for
-    /// each of its patch sites with a direct chain successor (a later
-    /// update whose site is this update's replacement code for the same
-    /// function, the §5.4 stacking shape), the trampoline at this
-    /// update's site is rewritten to jump straight to the successor's
-    /// replacement, and the successor's undo bookkeeping inherits this
-    /// site's address and saved bytes; sites without a successor restore
-    /// their saved bytes. A dependency check first refuses reversals
-    /// where a later live update holds other references into this
-    /// update's loaded code ([`UndoError::Entangled`]).
-    pub fn undo_any_traced(
-        &mut self,
-        kernel: &mut Kernel,
-        id: &str,
-        opts: &ApplyOptions,
-        tracer: &mut Tracer,
-    ) -> Result<UndoReport, UndoError> {
-        // Fast path: the newest live update reverses the ordinary way.
-        if let Some(latest_live) = self.updates.iter().rposition(|u| !u.reversed) {
-            if self.updates[latest_live].id == id {
-                return self.undo_traced(kernel, id, opts, tracer);
-            }
-        }
-        tracer.set_now(kernel.steps);
-        tracer.emit(
-            Stage::Undo,
-            Severity::Info,
-            "undo.start",
-            vec![("id", id.into()), ("mode", "repoint".into())],
-        );
-        let result = self.undo_repoint_inner(kernel, id, opts, tracer);
-        tracer.set_now(kernel.steps);
-        match &result {
-            Ok(report) => {
-                tracer.emit(
-                    Stage::Undo,
-                    Severity::Info,
-                    "undo.committed",
-                    vec![
-                        ("id", id.into()),
-                        ("mode", "repoint".into()),
-                        ("attempts", report.attempts.into()),
-                    ],
-                );
-                tracer.count("undo.updates_reversed", 1);
-            }
-            Err(e) => {
-                let mut fields: Vec<(&str, ksplice_trace::Value)> =
-                    vec![("id", id.into()), ("msg", e.to_string().into())];
-                if let UndoError::Entangled {
-                    dependent,
-                    functions,
-                    ..
-                } = e
-                {
-                    fields.push(("dependent", dependent.as_str().into()));
-                    fields.push(("functions", functions.join(",").into()));
-                    tracer.count("undo.entangled_refusals", 1);
-                }
-                tracer.emit(Stage::Undo, Severity::Error, "undo.abort", fields);
-            }
-        }
-        result
-    }
-
-    fn undo_repoint_inner(
-        &mut self,
-        kernel: &mut Kernel,
-        id: &str,
-        opts: &ApplyOptions,
-        tracer: &mut Tracer,
-    ) -> Result<UndoReport, UndoError> {
-        let text_before = kernel.mem.text_checksum();
-        let Some(idx) = self.updates.iter().position(|u| !u.reversed && u.id == id) else {
-            return Err(UndoError::NotUndoable {
-                id: id.to_string(),
-                reason: "no live update with this id".to_string(),
-            });
-        };
-        let update = self.updates[idx].clone();
-
-        // This update's loaded code: the memory regions of its primary
-        // modules.
-        let prefixes: Vec<String> = update
-            .primary_modules
-            .iter()
-            .map(|m| format!("{m}:"))
-            .collect();
-        let owned: Vec<(u64, u64)> = kernel
-            .mem
-            .regions()
-            .iter()
-            .filter(|r| prefixes.iter().any(|p| r.name.starts_with(p.as_str())))
-            .map(|r| (r.start, r.size))
-            .collect();
-        let within = |addr: u64| owned.iter().any(|(s, l)| addr >= *s && addr < s + l);
-
-        // Dependency check: a later live update may sit *on* this one's
-        // replacement code only as a direct chain successor (same
-        // function, site == our replacement). Any other reference into
-        // our modules — a patch site, a fulfilled relocation target, a
-        // hook — makes the reversal unsafe.
-        for later in self.updates[idx + 1..].iter().filter(|u| !u.reversed) {
-            let mut tied: Vec<String> = Vec::new();
-            for t in &later.sites {
-                let successor = update
-                    .sites
-                    .iter()
-                    .any(|s| t.site_addr == s.replacement_addr && t.fn_name == s.fn_name);
-                if !successor && within(t.site_addr) {
-                    tied.push(t.fn_name.clone());
-                }
-            }
-            for (symbol, addr) in &later.fulfilled_relocs {
-                if within(*addr) {
-                    tied.push(symbol.clone());
-                }
-            }
-            for kind in HookKind::ALL {
-                if later.hooks.of(kind).iter().any(|&h| within(h)) {
-                    tied.push(format!("{} hook", kind.macro_name()));
-                }
-            }
-            tied.sort();
-            tied.dedup();
-            if !tied.is_empty() {
-                return Err(UndoError::Entangled {
-                    id: id.to_string(),
-                    dependent: later.id.clone(),
-                    functions: tied,
-                });
-            }
-        }
-
-        // Per-site plan: re-point to the chain successor's replacement,
-        // or restore the saved bytes when the chain ends here.
-        struct Successor {
-            update: usize,
-            site: usize,
-            target: u64,
-        }
-        let mut plans: Vec<(usize, Option<Successor>)> = Vec::new();
-        for (si, s) in update.sites.iter().enumerate() {
-            let mut succ = None;
-            for (bi, later) in self.updates.iter().enumerate().skip(idx + 1) {
-                if later.reversed {
-                    continue;
-                }
-                if let Some(ti) = later
-                    .sites
-                    .iter()
-                    .position(|t| t.site_addr == s.replacement_addr && t.fn_name == s.fn_name)
-                {
-                    succ = Some(Successor {
-                        update: bi,
-                        site: ti,
-                        target: later.sites[ti].replacement_addr,
-                    });
-                    break;
-                }
-            }
-            plans.push((si, succ));
-        }
-
-        run_hooks(kernel, &update.hooks, HookKind::PreReverse).map_err(|e| match e {
-            ApplyError::Hook { kind, detail } => UndoError::Hook { kind, detail },
-            other => UndoError::Hook {
-                kind: "ksplice_pre_reverse",
-                detail: other.to_string(),
-            },
-        })?;
-
-        // Same quiescence condition as the LIFO path: no thread may be
-        // inside the replacement code being unloaded, nor inside the
-        // original functions whose entry bytes get rewritten.
-        let mut ranges: Vec<(u64, u64, String)> = update
-            .sites
-            .iter()
-            .map(|s| (s.replacement_addr, s.replacement_len, s.fn_name.clone()))
-            .collect();
-        ranges.extend(
-            update
-                .sites
-                .iter()
-                .map(|s| (s.site_addr, s.site_len, format!("{} (original)", s.fn_name))),
-        );
-        let mut attempt = 0;
-        let pause;
-        loop {
-            attempt += 1;
-            let result = kernel.stop_machine(|k| -> Result<(), StopError> {
-                if let Some((tid, fn_name)) = busy_function(k, &ranges) {
-                    return Err(StopError::Busy { tid, fn_name });
-                }
-                // Save the current site bytes so a reverse-hook failure
-                // can re-install them in-window.
-                let mut prev = Vec::with_capacity(update.sites.len());
-                for site in &update.sites {
-                    let mut buf = [0u8; TRAMPOLINE_LEN];
-                    buf.copy_from_slice(
-                        k.mem
-                            .peek(site.site_addr, TRAMPOLINE_LEN as u64)
-                            .expect("mapped"),
-                    );
-                    prev.push(buf);
-                }
-                for (si, succ) in &plans {
-                    let site = &update.sites[*si];
-                    match succ {
-                        Some(su) => write_trampoline(k, site.site_addr, su.target),
-                        None => k.mem.poke(site.site_addr, &site.saved).expect("mapped"),
-                    }
-                }
-                // Repointed chains are live on resume: drop any decoded
-                // block still caching the old routing.
-                k.flush_icache();
-                for &h in update.hooks.of(HookKind::Reverse) {
-                    if let Err(detail) = call_hook(k, h) {
-                        for (site, buf) in update.sites.iter().zip(&prev) {
-                            k.mem.poke(site.site_addr, buf).expect("mapped");
-                        }
-                        k.flush_icache();
-                        return Err(StopError::Hook(format!("reverse hook: {detail}")));
-                    }
-                }
-                Ok(())
-            });
-            tracer.set_now(kernel.steps);
-            tracer.count("undo.stop_machine_attempts", 1);
-            let pause_us = kernel
-                .last_stop_machine
-                .map(|d| d.as_micros() as u64)
-                .unwrap_or(0);
-            tracer.observe("undo.pause_us", pause_us);
-            match result {
-                Ok(()) => {
-                    pause = kernel.last_stop_machine.unwrap_or_default();
-                    tracer.emit(
-                        Stage::Undo,
-                        Severity::Info,
-                        "undo.stop_machine",
-                        vec![
-                            ("attempt", attempt.into()),
-                            ("ok", true.into()),
-                            ("pause_us", pause_us.into()),
-                        ],
-                    );
-                    tracer.count("vm.icache_flush", 1);
-                    break;
-                }
-                Err(e) => {
-                    let (busy_tid, busy_fn, hook_detail) = match e {
-                        StopError::Busy { tid, fn_name } => (tid, fn_name, None),
-                        // Unreachable here: this site uses the infallible
-                        // stop_machine, which never consults the barrier
-                        // fault — but the match must stay exhaustive.
-                        StopError::Barrier { cpu } => {
-                            (cpu as u64, format!("<barrier:cpu{cpu}>"), None)
-                        }
-                        StopError::Hook(detail) => (0, String::new(), Some(detail)),
-                    };
-                    tracer.emit(
-                        Stage::Undo,
-                        Severity::Warn,
-                        "undo.stop_machine",
-                        vec![
-                            ("attempt", attempt.into()),
-                            ("ok", false.into()),
-                            ("pause_us", pause_us.into()),
-                            ("busy_tid", busy_tid.into()),
-                            (
-                                "busy_fn",
-                                hook_detail
-                                    .clone()
-                                    .unwrap_or_else(|| busy_fn.clone())
-                                    .into(),
-                            ),
-                        ],
-                    );
-                    if attempt < opts.retry.max_attempts && hook_detail.is_none() {
-                        let delay = opts.retry.delay_steps(attempt);
-                        tracer.emit(
-                            Stage::Undo,
-                            Severity::Debug,
-                            "undo.retry_delay",
-                            vec![("attempt", attempt.into()), ("steps", delay.into())],
-                        );
-                        kernel.run(delay);
-                        tracer.set_now(kernel.steps);
-                        continue;
-                    }
-                    cooldown(kernel, tracer, Stage::Undo, opts.retry.cooldown_steps);
-                    verify_text_restored(kernel, tracer, Stage::Undo, text_before);
-                    return Err(match hook_detail {
-                        Some(detail) => UndoError::Hook {
-                            kind: "ksplice_reverse",
-                            detail,
-                        },
-                        None => UndoError::NotQuiescent {
-                            fn_name: busy_fn,
-                            tid: busy_tid,
-                            attempts: attempt,
-                        },
-                    });
-                }
-            }
-        }
-
-        // Commit the bookkeeping: each successor inherits the reversed
-        // site's address, length and saved original bytes, so a later
-        // undo of the successor restores the true original function.
-        let mut repointed = 0u64;
-        for (si, succ) in &plans {
-            let site = &update.sites[*si];
-            match succ {
-                Some(su) => {
-                    repointed += 1;
-                    tracer.emit(
-                        Stage::Undo,
-                        Severity::Debug,
-                        "undo.repointed",
-                        vec![
-                            ("function", site.fn_name.as_str().into()),
-                            ("site_addr", site.site_addr.into()),
-                            ("target", su.target.into()),
-                            ("successor", self.updates[su.update].id.as_str().into()),
-                        ],
-                    );
-                    let t = &mut self.updates[su.update].sites[su.site];
-                    t.site_addr = site.site_addr;
-                    t.site_len = site.site_len;
-                    t.saved = site.saved;
-                }
-                None => {
-                    tracer.emit(
-                        Stage::Undo,
-                        Severity::Debug,
-                        "undo.restored",
-                        vec![
-                            ("function", site.fn_name.as_str().into()),
-                            ("site_addr", site.site_addr.into()),
-                        ],
-                    );
-                }
-            }
-        }
-        if repointed > 0 {
-            tracer.count("undo.sites_repointed", repointed);
-        }
-        run_hooks(kernel, &update.hooks, HookKind::PostReverse).ok();
-        for name in &update.primary_modules {
-            kernel.rmmod(name);
-        }
-        self.updates[idx].reversed = true;
-        Ok(UndoReport {
-            id: id.to_string(),
-            attempts: attempt,
-            pause,
-            sites_restored: update.sites.len(),
-        })
     }
 }

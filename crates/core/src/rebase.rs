@@ -901,7 +901,7 @@ fn verify_pack(
     let mut ks = Ksplice::new();
     ks.apply_traced(&mut kernel, pack, apply_opts, tracer)
         .map_err(|e| format!("apply: {e}"))?;
-    ks.undo_traced(&mut kernel, id, apply_opts, tracer)
+    ks.undo_any_traced(&mut kernel, id, apply_opts, tracer)
         .map_err(|e| format!("undo: {e}"))?;
     if kernel.mem.text_checksum() != before {
         return Err("undo left the text image altered".to_string());

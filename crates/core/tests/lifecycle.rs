@@ -5,7 +5,7 @@
 use ksplice_core::trace::{RingSink, Tracer};
 use ksplice_core::{
     create_update, ApplyOptions, CreateOptions, HealthProbe, Ksplice, LifecycleError,
-    PreflightError, UndoError, UpdateManager, UpdateState, WatchPolicy,
+    PreflightError, RetryPolicy, UndoError, UpdateManager, UpdateState, WatchPolicy,
 };
 use ksplice_kernel::{Fault, Kernel};
 use ksplice_lang::{Options, SourceTree};
@@ -322,13 +322,8 @@ fn non_lifo_undo_repoints_the_chain() {
         .unwrap();
     assert_eq!(kernel.call_function("version", &[]).unwrap(), 3);
 
-    // Plain undo still refuses (LIFO contract unchanged)…
-    let err = ks
-        .undo(&mut kernel, "up1", &ApplyOptions::default())
-        .unwrap_err();
-    assert!(err.to_string().contains("most recent"), "{err}");
-
-    // …but undo_any re-points up2's chain onto the original site.
+    // Reversing the older update re-points up2's chain onto the
+    // original site.
     let ring = RingSink::new(256);
     let events = ring.handle();
     let mut tracer = Tracer::new().with_sink(Box::new(ring));
@@ -344,6 +339,77 @@ fn non_lifo_undo_repoints_the_chain() {
     assert!(!kernel.modules.iter().any(|m| m.name.contains("up1")));
 
     // Reversing the survivor restores the original kernel text exactly.
+    ks.undo_any(&mut kernel, "up2", &ApplyOptions::default())
+        .unwrap();
+    assert_eq!(kernel.call_function("version", &[]).unwrap(), 1);
+    assert_eq!(kernel.mem.text_checksum(), text_baseline);
+}
+
+/// Mid-stack reversal opens its window through the same `stop_machine`
+/// as apply and top-of-stack undo: a missed barrier is retried (one
+/// traced `undo.attempt` span per window), and a window that never
+/// captures abandons with the chain and the text image untouched.
+#[test]
+fn non_lifo_undo_retries_missed_barriers_and_aborts_clean() {
+    let v0 = "int version() {\n    if (jiffies_now() < 0) {\n        return 0 - 1;\n    }\n    return 1;\n}\n";
+    let v1 = v0.replace("return 1;", "return 2;");
+    let v2 = v1.replace("return 2;", "return 3;");
+    let src = tree(&[("m.kc", v0)]);
+    let mut kernel = Kernel::boot(&src, &Options::distro()).unwrap();
+    let text_baseline = kernel.mem.text_checksum();
+
+    let mut ks = Ksplice::new();
+    let (pack1, patched) = create_update(
+        "up1",
+        &src,
+        &diff_for(&src, "m.kc", &v1),
+        &CreateOptions::default(),
+    )
+    .unwrap();
+    ks.apply(&mut kernel, &pack1, &ApplyOptions::default())
+        .unwrap();
+    let patch2 = diff_for(&patched, "m.kc", &v2);
+    let (pack2, _) = create_update("up2", &patched, &patch2, &CreateOptions::default()).unwrap();
+    ks.apply(&mut kernel, &pack2, &ApplyOptions::default())
+        .unwrap();
+
+    // Two stalled rendezvous, then a capture: the re-point lands on the
+    // third attempt.
+    kernel
+        .arm_fault(Fault::parse("barrier-stall:2").unwrap())
+        .unwrap();
+    let mut tracer = Tracer::new();
+    let report = ks
+        .undo_any_traced(&mut kernel, "up1", &ApplyOptions::default(), &mut tracer)
+        .unwrap();
+    assert_eq!(report.attempts, 3);
+    let attempts = tracer
+        .spans()
+        .iter()
+        .filter(|s| s.name == "undo.attempt")
+        .count();
+    assert_eq!(attempts, 3, "one span per capture window");
+    assert_eq!(kernel.call_function("version", &[]).unwrap(), 3);
+
+    // More stalls than attempts: the reversal abandons cleanly.
+    let text_before = kernel.mem.text_checksum();
+    kernel
+        .arm_fault(Fault::parse("barrier-stall:2").unwrap())
+        .unwrap();
+    let opts = ApplyOptions::with_retry(RetryPolicy::fixed(2, 100));
+    match ks.undo_any(&mut kernel, "up2", &opts).unwrap_err() {
+        UndoError::NotQuiescent {
+            fn_name, attempts, ..
+        } => {
+            assert!(fn_name.starts_with("<barrier:cpu"), "{fn_name}");
+            assert_eq!(attempts, 2);
+        }
+        other => panic!("expected NotQuiescent, got {other}"),
+    }
+    assert_eq!(kernel.mem.text_checksum(), text_before);
+    assert_eq!(kernel.call_function("version", &[]).unwrap(), 3);
+
+    // The fault is spent: the survivor reverses onto the original text.
     ks.undo_any(&mut kernel, "up2", &ApplyOptions::default())
         .unwrap();
     assert_eq!(kernel.call_function("version", &[]).unwrap(), 1);

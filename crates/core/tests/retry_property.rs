@@ -258,7 +258,7 @@ fn undo_abandon_restores_the_exact_memory_image() {
 
         let before = kernel.mem.image_checksum();
         let err = ks
-            .undo(
+            .undo_any(
                 &mut kernel,
                 "prop",
                 &ApplyOptions::with_retry(policy.clone()),

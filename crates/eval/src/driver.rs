@@ -189,7 +189,7 @@ fn run_cve_with(
     let stress_ok = run_stress(&mut kernel, stress_entry, stress_rounds).is_ok();
     let exploit_after = run_exploit(&mut kernel, case);
 
-    let undo_report = ks.undo_traced(&mut kernel, case.id, apply_opts, tracer);
+    let undo_report = ks.undo_any_traced(&mut kernel, case.id, apply_opts, tracer);
     let undo_ok = undo_report.is_ok();
     let undo_attempts = undo_report.map(|r| r.attempts).unwrap_or(0);
 

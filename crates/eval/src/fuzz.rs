@@ -892,7 +892,7 @@ impl FuzzContext {
             // Tainted mutant: its behavior depends on layout or step
             // budgets, so the full-state comparison is meaningless. The
             // update still has to reverse cleanly, though (checked below).
-            if let Err(e) = ks.undo_traced(&mut subject, id, &self.apply_opts, tracer) {
+            if let Err(e) = ks.undo_any_traced(&mut subject, id, &self.apply_opts, tracer) {
                 return Outcome::Aborted {
                     class: undo_abort_class(&e),
                     detail: e.to_string(),
@@ -954,7 +954,7 @@ impl FuzzContext {
         }
 
         // Stage 7: reversal restores the original text exactly.
-        if let Err(e) = ks.undo_traced(&mut subject, id, &self.apply_opts, tracer) {
+        if let Err(e) = ks.undo_any_traced(&mut subject, id, &self.apply_opts, tracer) {
             return Outcome::Aborted {
                 class: undo_abort_class(&e),
                 detail: e.to_string(),

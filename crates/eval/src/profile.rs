@@ -539,7 +539,7 @@ pub fn quiescence_correlation(
                 Ok(_) => {
                     // Nothing ran since the apply window, so the ranges
                     // are still clear and the undo cannot be refused.
-                    ks.undo_traced(&mut k, case.id, &single, tracer)
+                    ks.undo_any_traced(&mut k, case.id, &single, tracer)
                         .map_err(|e| format!("{}: undo: {e}", case.id))?;
                 }
                 Err(ApplyError::NotQuiescent { .. }) => real_aborts += 1,

@@ -388,7 +388,7 @@ fn chaos_undo_is_clean_too() {
         let policy = RetryPolicy::fixed(2 + rng.below(3) as u32, 150);
         let text_before = kernel.mem.text_checksum();
 
-        match ks.undo(&mut kernel, id, &ApplyOptions::with_retry(policy)) {
+        match ks.undo_any(&mut kernel, id, &ApplyOptions::with_retry(policy)) {
             Ok(()) => assert_eq!(ks.live_updates().count(), 0, "seed {seed}"),
             Err(e) => {
                 assert!(

@@ -1,9 +1,9 @@
 //! The counter-namespace contract: every counter the pipeline emits is
 //! registered here, spelled `stage.noun_verb` (three segments only for
-//! the fuzz outcome/kill families), and the retired legacy spellings
-//! fold into their canonical names via the registry and never reappear.
+//! the fuzz outcome/kill families), and the retired pre-registry
+//! spellings never reappear.
 
-use ksplice_core::trace::{canonical_name, Tracer, COUNTER_RENAMES};
+use ksplice_core::trace::Tracer;
 use ksplice_core::{
     create_update_cached_traced, preflight, ApplyOptions, CreateOptions, HealthProbe, Ksplice,
     UpdateManager, WatchPolicy,
@@ -107,7 +107,6 @@ const KNOWN_COUNTERS: &[&str] = &[
     "runpre.symbols_recovered",
     "runpre.units_aborted",
     "runpre.units_matched",
-    "stream.packs_applied",
     "undo.entangled_refusals",
     "undo.rollbacks_mismatched",
     "undo.sites_repointed",
@@ -119,10 +118,23 @@ const KNOWN_COUNTERS: &[&str] = &[
     "vm.icache_flush",
 ];
 
+/// Pre-registry spellings, retired in favour of the `stage.noun_verb`
+/// names on the right. Nothing may emit the old names again.
+const RETIRED_COUNTERS: &[(&str, &str)] = &[
+    ("rollback.text_mismatch", "undo.rollbacks_mismatched"),
+    ("watch.auto_rollbacks", "watch.rollbacks_triggered"),
+    ("watch.probe_failures", "watch.probes_failed"),
+    ("preflight.rejects", "apply.packs_rejected"),
+    ("build.cache_hit", "build.cache_hits"),
+    ("build.cache_miss", "build.cache_misses"),
+    ("build.cache_evict", "build.cache_evictions"),
+    ("eval.cases", "eval.cases_run"),
+];
+
 /// Stage prefixes a counter may start with.
 const STAGE_PREFIXES: &[&str] = &[
-    "create", "differ", "runpre", "apply", "watch", "undo", "stream", "build", "eval", "fuzz",
-    "bench", "profile", "vm", "fleet", "rebase",
+    "create", "differ", "runpre", "apply", "watch", "undo", "build", "eval", "fuzz", "bench",
+    "profile", "vm", "fleet", "rebase",
 ];
 
 /// `stage.noun_verb` — lowercase segments, an underscore in the tail,
@@ -162,22 +174,20 @@ const PATCH: &str = "\
 fn registry_is_consistent() {
     for name in KNOWN_COUNTERS {
         assert!(conforms(name), "registered counter `{name}` breaks the convention");
-        assert_eq!(
-            canonical_name(name),
-            *name,
-            "registered counter `{name}` is itself a legacy spelling"
-        );
     }
     // The dynamic fuzz families pass too.
     assert!(conforms("fuzz.outcome.pass"));
     assert!(conforms("fuzz.kill.differ"));
-    // Every retired spelling folds into a registered canonical name.
-    for (legacy, canonical) in COUNTER_RENAMES {
-        assert_ne!(legacy, canonical);
-        assert_eq!(canonical_name(legacy), *canonical);
+    // Every retired spelling has a registered successor and is not
+    // itself registered.
+    for (retired, successor) in RETIRED_COUNTERS {
         assert!(
-            KNOWN_COUNTERS.contains(canonical),
-            "rename target `{canonical}` is not registered"
+            !KNOWN_COUNTERS.contains(retired),
+            "retired counter `{retired}` is registered again"
+        );
+        assert!(
+            KNOWN_COUNTERS.contains(successor),
+            "successor `{successor}` is not registered"
         );
     }
 }
@@ -259,11 +269,11 @@ fn full_lifecycle_emits_only_registered_counters() {
         );
         assert!(conforms(name), "counter `{name}` breaks the convention");
     }
-    // The legacy spellings never surface.
-    for (legacy, _) in COUNTER_RENAMES {
+    // The retired spellings never surface.
+    for (retired, _) in RETIRED_COUNTERS {
         assert!(
-            !names.contains(legacy),
-            "legacy counter `{legacy}` observed"
+            !names.contains(retired),
+            "retired counter `{retired}` observed"
         );
     }
     // Spot-check the expected families all fired.

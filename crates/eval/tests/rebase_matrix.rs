@@ -129,7 +129,7 @@ fn auto_ported_packs_restore_drifted_image_on_undo() {
                 "{} @ {level}: apply must change the text image",
                 case.id
             );
-            ks.undo_traced(&mut kernel, case.id, &ApplyOptions::default(), &mut Tracer::disabled())
+            ks.undo_any_traced(&mut kernel, case.id, &ApplyOptions::default(), &mut Tracer::disabled())
                 .unwrap_or_else(|e| panic!("{} @ {level}: undo: {e}", case.id));
             assert_eq!(
                 kernel.mem.text_checksum(),

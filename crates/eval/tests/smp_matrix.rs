@@ -54,7 +54,7 @@ fn corpus_cycle_is_invariant_across_the_matrix() {
         outcomes.push((report.attempts, report.sites));
         kernel.run(5_000);
         assert!(kernel.oopses.is_empty(), "cpus={cpus}: oops under load");
-        ks.undo_traced(&mut kernel, case.id, &opts, &mut Tracer::disabled())
+        ks.undo_any_traced(&mut kernel, case.id, &opts, &mut Tracer::disabled())
             .unwrap_or_else(|e| panic!("cpus={cpus}: undo failed: {e}"));
         assert_eq!(ks.live_updates().count(), 0, "cpus={cpus}");
     }

@@ -35,7 +35,7 @@
 //!   report failure regardless of what the probed kernel actually
 //!   returns, as if a canary regressed after apply. Forces the update
 //!   lifecycle manager's automatic-rollback path.
-//! * [`Fault::BarrierStall`] — the next *n* `try_stop_machine` barrier
+//! * [`Fault::BarrierStall`] — the next *n* `stop_machine` barrier
 //!   rendezvous fail: a seed-chosen vCPU never checks in, as if an
 //!   interrupt-disabled spin kept it from the stop handler. Forces the
 //!   barrier-timeout abort path (retryable, like `NotQuiescent`).
@@ -74,7 +74,7 @@ pub enum Fault {
         /// How many consecutive probes report failure.
         count: u32,
     },
-    /// Fail the next `count` `try_stop_machine` barrier rendezvous: a
+    /// Fail the next `count` `stop_machine` barrier rendezvous: a
     /// seed-chosen vCPU never checks in.
     BarrierStall {
         /// How many consecutive rendezvous time out.
@@ -257,7 +257,7 @@ impl FaultPlan {
         self.stack_busy_windows
     }
 
-    /// Consulted by `Kernel::try_stop_machine` after the rendezvous.
+    /// Consulted by `Kernel::stop_machine` after the rendezvous.
     /// Returns the seed-chosen vCPU (`0..ncpus`) that failed to check
     /// in, burning one armed stall; `None` when nothing is armed.
     pub fn barrier_stall(&mut self, ncpus: u32) -> Option<u32> {

@@ -599,48 +599,26 @@ impl Kernel {
     }
 
     /// `stop_machine`: captures all CPUs and runs `f` with the machine
-    /// stopped (paper §5.2). Returns `f`'s result and records the pause
-    /// duration, which [`Kernel::last_stop_machine`] exposes for the
-    /// evaluation's "about 0.7 ms" measurement.
+    /// stopped (paper §5.2). At N ≥ 2 it first performs the barrier
+    /// rendezvous (every vCPU's current thread runs up to one more
+    /// quantum — "finish what you're doing and park in the stop
+    /// handler"). Returns `f`'s result and records the pause, which
+    /// [`Kernel::last_stop_machine`] exposes for the evaluation's "about
+    /// 0.7 ms" measurement.
     ///
-    /// This infallible form never consults the `barrier-stall` fault —
-    /// callers that need the failure path (the update pipeline) use
-    /// [`Kernel::try_stop_machine`].
-    pub fn stop_machine<R>(&mut self, f: impl FnOnce(&mut Kernel) -> R) -> R {
-        match self.stop_machine_inner(f, false) {
-            Ok(r) => r,
-            Err(_) => unreachable!("no fault consulted ⇒ infallible"),
-        }
-    }
-
-    /// Fallible `stop_machine`: performs the barrier rendezvous at
-    /// N ≥ 2 (every vCPU's current thread runs up to one more quantum —
-    /// "finish what you're doing and park in the stop handler") before
-    /// running `f` on the captured machine. Fails with
-    /// [`StopMachineError::BarrierTimeout`] when an armed
+    /// Fails with [`StopMachineError::BarrierTimeout`] when an armed
     /// `barrier-stall` fault makes a vCPU miss the rendezvous; the
     /// machine is released untouched (`f` never runs, no text written).
-    pub fn try_stop_machine<R>(
+    pub fn stop_machine<R>(
         &mut self,
         f: impl FnOnce(&mut Kernel) -> R,
     ) -> Result<R, StopMachineError> {
-        self.stop_machine_inner(f, true)
-            .map_err(|cpu| StopMachineError::BarrierTimeout { cpu })
-    }
-
-    /// Shared capture path. The error is the stalled cpu id; it can
-    /// only occur when `consult_faults` is true.
-    fn stop_machine_inner<R>(
-        &mut self,
-        f: impl FnOnce(&mut Kernel) -> R,
-        consult_faults: bool,
-    ) -> Result<R, u32> {
         let start = Instant::now();
         let steps_before = self.steps;
-        // Capture. On a uniprocessor (or for the historical infallible
-        // callers) no other thread can run while `f` executes; we model
-        // the per-CPU check-in cost by spinning briefly per vCPU, as
-        // the real stop_machine busy-waits for every CPU.
+        // Capture. On a uniprocessor no other thread can run while `f`
+        // executes; we model the per-CPU check-in cost by spinning
+        // briefly per vCPU, as the real stop_machine busy-waits for
+        // every CPU.
         for _ in 0..self.smp.cpus {
             std::hint::black_box(0u64);
         }
@@ -659,14 +637,12 @@ impl Kernel {
                 }
             }
         }
-        if consult_faults {
-            if let Some(cpu) = self.faults.barrier_stall(self.smp.cpus) {
-                // The stalled vCPU never checked in: release the
-                // machine without running `f`. The pause still counted.
-                self.last_stop_machine = Some(start.elapsed());
-                self.last_stop_machine_steps = self.steps - steps_before;
-                return Err(cpu);
-            }
+        if let Some(cpu) = self.faults.barrier_stall(self.smp.cpus) {
+            // The stalled vCPU never checked in: release the machine
+            // without running `f`. The pause still counted.
+            self.last_stop_machine = Some(start.elapsed());
+            self.last_stop_machine_steps = self.steps - steps_before;
+            return Err(StopMachineError::BarrierTimeout { cpu });
         }
         let r = f(self);
         self.last_stop_machine = Some(start.elapsed());

@@ -20,7 +20,7 @@
 //!   thread for one quantum. The interleaving is a pure function of
 //!   ([`SmpConfig::sched_seed`], the workload), so a failing schedule
 //!   replays exactly.
-//! * [`crate::Kernel::try_stop_machine`] performs a **barrier
+//! * [`crate::Kernel::stop_machine`] performs a **barrier
 //!   rendezvous** at N ≥ 2: every vCPU's current thread runs up to one
 //!   more quantum (the model of "finish what you're doing and park in
 //!   the stop handler") before the machine is considered captured.
@@ -116,7 +116,7 @@ impl Cpu {
     }
 }
 
-/// Why a [`crate::Kernel::try_stop_machine`] capture failed.
+/// Why a [`crate::Kernel::stop_machine`] capture failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StopMachineError {
     /// vCPU `cpu` never checked in at the rendezvous barrier within the

@@ -102,7 +102,7 @@ fn rendezvous_runs_each_busy_vcpu_one_quantum() {
     }
     k.run(1_000);
     let quantum = k.smp.quantum;
-    let r = k.try_stop_machine(|_| 99).expect("honest rendezvous");
+    let r = k.stop_machine(|_| 99).expect("honest rendezvous");
     assert_eq!(r, 99);
     // Both vCPUs ran their busy thread for exactly one quantum before
     // parking — that is the whole simulated capture cost.
@@ -115,7 +115,7 @@ fn uniprocessor_capture_is_instant() {
     let mut k = boot_smp(1);
     k.spawn("spin", &[]).unwrap();
     k.run(1_000);
-    k.try_stop_machine(|_| ()).expect("capture");
+    k.stop_machine(|_| ()).expect("capture");
     assert_eq!(k.last_stop_machine_steps, 0, "N=1 needs no rendezvous");
 }
 
@@ -130,27 +130,30 @@ fn barrier_stall_times_out_without_running_the_closure() {
         .unwrap();
     let text_before = k.mem.text_checksum();
     let mut ran = false;
-    let err = k.try_stop_machine(|_| ran = true).unwrap_err();
+    let err = k.stop_machine(|_| ran = true).unwrap_err();
     let StopMachineError::BarrierTimeout { cpu } = err;
     assert!(cpu < 4, "stalled cpu is one of ours: {cpu}");
     assert!(!ran, "the machine was never captured");
     assert_eq!(k.mem.text_checksum(), text_before, "no text written");
     assert_eq!(k.stop_machine_count, 0, "a timed-out capture doesn't count");
     // The fault had one window; the next capture succeeds.
-    k.try_stop_machine(|_| ()).expect("window exhausted");
+    k.stop_machine(|_| ()).expect("window exhausted");
     assert_eq!(k.stop_machine_count, 1);
 }
 
 #[test]
-fn plain_stop_machine_never_consults_the_barrier_fault() {
+fn every_capture_consumes_one_armed_barrier_window() {
     let mut k = boot_smp(2);
-    k.arm_fault(Fault::parse("barrier-stall:1").unwrap())
+    k.arm_fault(Fault::parse("barrier-stall:2").unwrap())
         .unwrap();
-    // The infallible form (module loads, undo bookkeeping) ignores the
-    // armed stall entirely — and leaves its window for try_stop_machine.
-    assert_eq!(k.stop_machine(|_| 7), 7);
-    let err = k.try_stop_machine(|_| ()).unwrap_err();
-    assert!(matches!(err, StopMachineError::BarrierTimeout { .. }));
+    // There is one stop_machine: each capture consults the armed stall,
+    // so two windows time out and the third captures.
+    for _ in 0..2 {
+        let err = k.stop_machine(|_| 7).unwrap_err();
+        assert!(matches!(err, StopMachineError::BarrierTimeout { .. }));
+    }
+    assert_eq!(k.stop_machine(|_| 7).unwrap(), 7);
+    assert_eq!(k.stop_machine_count, 1);
 }
 
 #[test]

@@ -8,8 +8,8 @@ use crate::json::{self, parse_json_object, JsonValue};
 ///
 /// The taxonomy follows the paper's workflow: `ksplice-create` builds and
 /// diffs (§3), run-pre matching verifies and resolves (§4), apply/undo
-/// redirect under `stop_machine` (§5), streams deliver (§8). `Cli` and
-/// `Bench` cover the tooling around the pipeline.
+/// redirect under `stop_machine` (§5). `Cli` and `Bench` cover the
+/// tooling around the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
     /// `ksplice-create`: patch → update pack (§5.1).
@@ -26,8 +26,6 @@ pub enum Stage {
     Watch,
     /// Reversing a live update.
     Undo,
-    /// Update-stream packaging and delivery (§8).
-    Stream,
     /// Command-line tooling around the pipeline.
     Cli,
     /// Benchmark and evaluation harnesses.
@@ -44,14 +42,13 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in taxonomy order.
-    pub const ALL: [Stage; 12] = [
+    pub const ALL: [Stage; 11] = [
         Stage::Create,
         Stage::Differ,
         Stage::RunPre,
         Stage::Apply,
         Stage::Watch,
         Stage::Undo,
-        Stage::Stream,
         Stage::Cli,
         Stage::Bench,
         Stage::Fuzz,
@@ -68,7 +65,6 @@ impl Stage {
             Stage::Apply => "apply",
             Stage::Watch => "watch",
             Stage::Undo => "undo",
-            Stage::Stream => "stream",
             Stage::Cli => "cli",
             Stage::Bench => "bench",
             Stage::Fuzz => "fuzz",

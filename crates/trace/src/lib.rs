@@ -22,8 +22,8 @@
 //!   into a tree renderable as a Chrome trace
 //!   ([`chrome_trace_json`]).
 //!
-//! Every pipeline entry point (`differ`, `runpre`, `apply`, `create`,
-//! `stream`) has a `_traced` variant taking `&mut Tracer`; the untraced
+//! Every pipeline entry point (`differ`, `runpre`, `apply`, `undo_any`,
+//! `create`) has a `_traced` variant taking `&mut Tracer`; the untraced
 //! names delegate with [`Tracer::disabled`], which short-circuits to
 //! nothing so the hot paths pay one branch.
 
@@ -39,9 +39,7 @@ mod span;
 pub use event::{Event, Severity, Stage, Value, EVENT_SCHEMA_VERSION};
 pub use json::{escape as json_escape, parse_json_object, JsonValue};
 pub use metrics::{Counters, Histogram};
-pub use registry::{
-    canonical_name, series_key, Registry, Snapshot, SnapshotDiff, COUNTER_RENAMES,
-};
+pub use registry::{series_key, Registry, Snapshot, SnapshotDiff};
 pub use sink::{HumanSink, JsonlSink, RingHandle, RingSink, Sink};
 pub use span::{chrome_trace_json, render_span_tree, Span, SpanId};
 
@@ -136,9 +134,7 @@ impl Tracer {
         }
     }
 
-    /// Adds `n` to a named monotonic counter. Legacy counter names are
-    /// folded into their canonical `stage.noun_verb` spellings by the
-    /// registry (see [`COUNTER_RENAMES`]).
+    /// Adds `n` to a named monotonic counter.
     pub fn count(&mut self, name: &str, n: u64) {
         if self.enabled {
             self.registry.inc(name, n);
@@ -407,10 +403,10 @@ mod tests {
     #[test]
     fn absorb_merges_worker_tracers() {
         let mut main = Tracer::new();
-        main.count("build.cache_hit", 1);
+        main.count("build.cache_hits", 1);
         main.set_now(50);
         let mut w1 = Tracer::new();
-        w1.count("build.cache_hit", 4);
+        w1.count("build.cache_hits", 4);
         w1.observe("apply.pause_us", 700);
         w1.set_now(900);
         let mut w2 = Tracer::new();
@@ -418,7 +414,7 @@ mod tests {
         w2.observe("apply.pause_us", 300);
         main.absorb(&w1);
         main.absorb(&w2);
-        assert_eq!(main.counter("build.cache_hit"), 5);
+        assert_eq!(main.counter("build.cache_hits"), 5);
         assert_eq!(main.counter("build.units_compiled"), 2);
         let h = main.histogram("apply.pause_us").unwrap();
         assert_eq!((h.count(), h.min(), h.max()), (2, 300, 700));
@@ -426,7 +422,7 @@ mod tests {
         // A disabled tracer absorbs nothing.
         let mut off = Tracer::disabled();
         off.absorb(&w1);
-        assert_eq!(off.counter("build.cache_hit"), 0);
+        assert_eq!(off.counter("build.cache_hits"), 0);
     }
 
     #[test]

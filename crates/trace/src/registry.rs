@@ -5,45 +5,17 @@
 //! Every series is stored under a canonical **series key**:
 //! `name{k="v",k2="v2"}` with labels sorted by key (a bare `name` when
 //! unlabeled). Metric names follow the `stage.noun_verb` convention
-//! (`apply.trampolines_written`, `watch.probes_failed`); the registry
-//! also owns the rename table that folds the pre-registry legacy
-//! spellings into their canonical names, so old call sites and replayed
-//! v1 traces aggregate into the same series.
+//! (`apply.trampolines_written`, `watch.probes_failed`).
 
 use std::collections::BTreeMap;
 
 use crate::json;
 use crate::metrics::{Counters, Histogram};
 
-/// Legacy counter names and their canonical `stage.noun_verb`
-/// replacements. Applied on every write path ([`Registry::inc`] and
-/// friends), so a stray emitter using the old spelling still lands in
-/// the canonical series.
-pub const COUNTER_RENAMES: &[(&str, &str)] = &[
-    ("rollback.text_mismatch", "undo.rollbacks_mismatched"),
-    ("watch.auto_rollbacks", "watch.rollbacks_triggered"),
-    ("watch.probe_failures", "watch.probes_failed"),
-    ("preflight.rejects", "apply.packs_rejected"),
-    ("build.cache_hit", "build.cache_hits"),
-    ("build.cache_miss", "build.cache_misses"),
-    ("build.cache_evict", "build.cache_evictions"),
-    ("eval.cases", "eval.cases_run"),
-];
-
-/// Maps a (possibly legacy) metric name to its canonical name.
-pub fn canonical_name(name: &str) -> &str {
-    COUNTER_RENAMES
-        .iter()
-        .find(|(old, _)| *old == name)
-        .map(|(_, new)| *new)
-        .unwrap_or(name)
-}
-
 /// Encodes a name plus label pairs into the canonical series key.
 /// Labels are sorted by key; values are JSON-escaped, so any byte is
 /// representable and the encoding is unambiguous.
 pub fn series_key(name: &str, labels: &[(&str, &str)]) -> String {
-    let name = canonical_name(name);
     if labels.is_empty() {
         return name.to_string();
     }
@@ -72,7 +44,7 @@ impl Registry {
 
     /// Adds `n` to an unlabeled counter.
     pub fn inc(&mut self, name: &str, n: u64) {
-        self.counters.add(canonical_name(name), n);
+        self.counters.add(name, n);
     }
 
     /// Adds `n` to a labeled counter series.
@@ -82,7 +54,7 @@ impl Registry {
 
     /// Reads a counter series by its exact key (0 when absent).
     pub fn counter(&self, key: &str) -> u64 {
-        self.counters.get(canonical_name(key))
+        self.counters.get(key)
     }
 
     /// Reads a labeled counter series.
@@ -113,7 +85,7 @@ impl Registry {
     /// Records one observation into an unlabeled histogram.
     pub fn observe(&mut self, name: &str, value: u64) {
         self.histograms
-            .entry(canonical_name(name).to_string())
+            .entry(name.to_string())
             .or_default()
             .record(value);
     }
@@ -128,7 +100,7 @@ impl Registry {
 
     /// A histogram series by exact key.
     pub fn histogram(&self, key: &str) -> Option<&Histogram> {
-        self.histograms.get(canonical_name(key))
+        self.histograms.get(key)
     }
 
     /// All histograms in series-key order.
@@ -327,17 +299,6 @@ mod tests {
             series_key("a.b", &[("z", "1"), ("a", "x\"y")]),
             "a.b{a=\"x\\\"y\",z=\"1\"}"
         );
-    }
-
-    #[test]
-    fn legacy_names_fold_into_canonical_series() {
-        let mut r = Registry::new();
-        r.inc("rollback.text_mismatch", 1);
-        r.inc("undo.rollbacks_mismatched", 2);
-        assert_eq!(r.counter("undo.rollbacks_mismatched"), 3);
-        // Reading through the legacy name sees the same series.
-        assert_eq!(r.counter("rollback.text_mismatch"), 3);
-        assert_eq!(r.counters().len(), 1);
     }
 
     #[test]

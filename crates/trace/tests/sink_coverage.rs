@@ -96,17 +96,3 @@ fn absorb_is_order_independent_across_workers() {
     // Gauges merge by max: deterministic regardless of join order.
     assert_eq!(forward.registry().gauge("watch.packs_active", &[]), Some(3));
 }
-
-#[test]
-fn absorb_folds_legacy_counter_spellings() {
-    // A worker still emitting the pre-registry names merges into the
-    // canonical series of the main tracer.
-    let mut legacy = Tracer::new();
-    legacy.count("watch.auto_rollbacks", 2);
-    legacy.count("build.cache_hit", 4);
-    let mut main = Tracer::new();
-    main.count("watch.rollbacks_triggered", 1);
-    main.absorb(&legacy);
-    assert_eq!(main.counter("watch.rollbacks_triggered"), 3);
-    assert_eq!(main.counter("build.cache_hits"), 4);
-}

@@ -63,7 +63,7 @@ int store(int i, int v) {\n\
     );
 
     println!("[4/4] ksplice-undo: restoring the original code...");
-    ks.undo(&mut kernel, "off-by-one", &ApplyOptions::default())
+    ks.undo_any(&mut kernel, "off-by-one", &ApplyOptions::default())
         .expect("undo");
     println!(
         "      store(8, 1) = {} (vulnerable again)",

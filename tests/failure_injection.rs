@@ -86,15 +86,15 @@ fn undo_is_idempotent_and_ordered() {
     let mut ks = Ksplice::new();
     ks.apply(&mut kernel, &pack, &ApplyOptions::default())
         .unwrap();
-    ks.undo(&mut kernel, "only", &ApplyOptions::default())
+    ks.undo_any(&mut kernel, "only", &ApplyOptions::default())
         .unwrap();
     // Second undo fails cleanly.
     assert!(ks
-        .undo(&mut kernel, "only", &ApplyOptions::default())
+        .undo_any(&mut kernel, "only", &ApplyOptions::default())
         .is_err());
     // Unknown id fails cleanly.
     assert!(ks
-        .undo(&mut kernel, "nope", &ApplyOptions::default())
+        .undo_any(&mut kernel, "nope", &ApplyOptions::default())
         .is_err());
     // The kernel still works and can be re-patched.
     assert_eq!(kernel.call_function("guard", &[10]).unwrap(), 10);

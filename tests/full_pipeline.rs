@@ -71,7 +71,7 @@ fn multi_unit_patch_replaces_functions_in_both_units() {
         kernel.call_function("dst_attach", &[2120]).unwrap() as i64,
         -22
     );
-    ks.undo(&mut kernel, "multi", &ApplyOptions::default())
+    ks.undo_any(&mut kernel, "multi", &ApplyOptions::default())
         .unwrap();
     assert!(kernel.call_function("dst_attach", &[2120]).unwrap() as i64 > 0);
 }
