@@ -350,7 +350,7 @@ impl fmt::Display for UndoError {
 impl std::error::Error for UndoError {}
 
 /// The Ksplice core state for one kernel.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Ksplice {
     /// Applied updates, oldest first (reversed ones remain, flagged).
     pub updates: Vec<AppliedUpdate>,

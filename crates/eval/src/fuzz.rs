@@ -34,14 +34,13 @@ use ksplice_core::{
     Ksplice, Tracer, UndoError,
 };
 use ksplice_kernel::{
-    diff_images, diff_traces, normalize_call, traced_call, DiffOptions, Kernel, SmpConfig,
-    TraceEntry,
+    diff_images, diff_traces, normalize_call, traced_call, DiffOptions, Kernel, KernelSnapshot,
+    SmpConfig, TraceEntry,
 };
 use ksplice_lang::{
     apply_mutation, build_tree_cached, generate_mutant, parse_unit, pretty_unit, FuzzRng, Mutation,
     MutatorKind, Options, SourceTree, Type, Unit,
 };
-use ksplice_object::ObjectSet;
 
 use crate::corpus::{corpus, diff_trees, Cve};
 use crate::driver::{default_eval_jobs, distro_image};
@@ -437,6 +436,14 @@ impl RegressionCase {
     }
 }
 
+/// Applies the campaign vCPU topology to a freshly booted kernel,
+/// gated on N > 1 so uniprocessor campaigns never re-home threads.
+fn configure_kernel(kernel: &mut Kernel, cpus: u32) {
+    if cpus > 1 {
+        kernel.configure_smp(SmpConfig::with_cpus(cpus));
+    }
+}
+
 /// Loads every `*.fuzz` case under `dir`, sorted by file name.
 pub fn load_regression_dir(dir: &std::path::Path) -> Result<Vec<RegressionCase>, String> {
     let mut cases = Vec::new();
@@ -478,13 +485,17 @@ pub fn canonical_base_tree() -> SourceTree {
 }
 
 /// Everything a campaign shares across mutants: the canonical pre tree
-/// and its parsed units, the pre boot image, the build cache, the fixed
-/// workload script, and the exploit case used as a behavioral probe.
+/// and its parsed units, the booted pre kernel every subject forks, the
+/// build cache, the fixed workload script, and the exploit case used as
+/// a behavioral probe.
 pub struct FuzzContext {
     /// The canonical (pretty-printed) pre source tree.
     pub canon: SourceTree,
     units: Vec<(String, Unit)>,
-    pre_image: ObjectSet,
+    /// The pre kernel, booted once in the campaign topology. Only the
+    /// subject forks it: the reference and calibration images change
+    /// with every mutant, so those kernels boot cold.
+    subject: KernelSnapshot,
     cache: BuildCache,
     apply_opts: ApplyOptions,
     diff_opts: DiffOptions,
@@ -501,8 +512,8 @@ const STRESS_ROUNDS: u64 = 2;
 
 impl FuzzContext {
     /// Builds the shared campaign state: canonicalizes the base tree,
-    /// compiles the pre boot image once, and derives the deterministic
-    /// cross-tree call sweep.
+    /// compiles and boots the pre image once, and derives the
+    /// deterministic cross-tree call sweep.
     pub fn new(cfg: &FuzzConfig) -> Result<FuzzContext, String> {
         let canon = canonical_base_tree();
         let mut units = Vec::new();
@@ -514,6 +525,8 @@ impl FuzzContext {
         }
         let cache = BuildCache::new();
         let pre_image = distro_image(&canon, &cache)?;
+        let mut subject = Kernel::boot_image(&pre_image).map_err(|e| format!("pre boot: {e}"))?;
+        configure_kernel(&mut subject, cfg.cpus);
         let prctl = corpus()
             .into_iter()
             .find(|c| c.id == "CVE-2006-2451")
@@ -557,7 +570,7 @@ impl FuzzContext {
         Ok(FuzzContext {
             canon,
             units,
-            pre_image,
+            subject: subject.snapshot(),
             cache,
             apply_opts,
             diff_opts: DiffOptions::default(),
@@ -567,14 +580,6 @@ impl FuzzContext {
             call_limit: cfg.call_limit,
             cpus: cfg.cpus,
         })
-    }
-
-    /// Applies the campaign vCPU topology to a freshly booted kernel,
-    /// gated on N > 1 so uniprocessor campaigns never re-home threads.
-    fn configure_kernel(&self, kernel: &mut Kernel) {
-        if self.cpus > 1 {
-            kernel.configure_smp(SmpConfig::with_cpus(self.cpus));
-        }
     }
 
     /// The mutable `.kc` unit paths, in canonical order.
@@ -704,7 +709,7 @@ impl FuzzContext {
                 }
             }
         };
-        self.configure_kernel(&mut reference);
+        configure_kernel(&mut reference, self.cpus);
         let mut calib = match Kernel::boot_image(&calib_image) {
             Ok(k) => k,
             Err(e) => {
@@ -714,18 +719,10 @@ impl FuzzContext {
                 }
             }
         };
-        self.configure_kernel(&mut calib);
+        configure_kernel(&mut calib, self.cpus);
 
         // Stage 3: the subject kernel, hot-patched from pre.
-        let mut subject = match Kernel::boot_image(&self.pre_image) {
-            Ok(k) => k,
-            Err(e) => {
-                return Outcome::Infra {
-                    detail: format!("pre boot: {e}"),
-                }
-            }
-        };
-        self.configure_kernel(&mut subject);
+        let mut subject = self.subject.fork();
 
         // Both kernels load the stress module *before* the subject is
         // patched, mirroring live operation (the workload exists first,

@@ -10,9 +10,9 @@
 //!
 //! Nodes are cheap when idle: a [`FleetNode`] holds only compact state
 //! (version, committed ids, checksums, its pack cache) and *materializes*
-//! a kernel runtime on contact — boot from the per-version cached image,
-//! optional multi-vCPU workload threads, seeded settle — then drops it
-//! again unless the fleet is configured resident. Rollback of a
+//! a kernel runtime on contact — a fork of the per-version post-boot
+//! snapshot, optional multi-vCPU workload threads, seeded settle — then
+//! drops it again unless the fleet is configured resident. Rollback of a
 //! non-resident node rehydrates deterministically (same seeds, same op
 //! order), re-applies its committed updates from the pack cache, and
 //! reverses the target checksum-verified.
@@ -26,12 +26,11 @@ use ksplice_core::{
 };
 use ksplice_eval::smp::SMP_LOAD_SRC;
 use ksplice_eval::{base_tree, diff_trees};
-use ksplice_kernel::Kernel;
+use ksplice_kernel::{Kernel, KernelSnapshot};
 use ksplice_lang::{
     build_tree_image_cached, compile_unit, options_fingerprint, BuildCache, Fingerprint, Options,
     SourceTree,
 };
-use ksplice_object::ObjectSet;
 use ksplice_trace::Tracer;
 
 use crate::transport::{fnv1a, NodeId, Payload, Verdict};
@@ -239,24 +238,44 @@ fn xorshift(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545_f491_4f6c_dd1d)
 }
 
-/// Shared, thread-safe build context: per-version boot images plus the
-/// build cache the load module compiles through.
+/// One base version, booted once: every node of the version forks it.
+struct VersionBase {
+    /// The kernel right after boot — plus the load workload module when
+    /// the fleet runs load threads. Inserting a module touches no
+    /// scheduler state, so it commutes with each node's seeded SMP setup.
+    snapshot: KernelSnapshot,
+    /// The load workload's entry point, when it is loaded.
+    load_entry: Option<u64>,
+}
+
+/// Shared, thread-safe build context: per-version post-boot kernel
+/// snapshots plus the build cache they were compiled through.
 pub struct FleetContext {
-    images: Vec<ObjectSet>,
+    bases: Vec<VersionBase>,
     cache: BuildCache,
 }
 
 impl FleetContext {
     fn new(cfg: &FleetConfig) -> Result<FleetContext, String> {
         let cache = BuildCache::new();
-        let mut images = Vec::new();
+        let mut bases = Vec::new();
         for v in 0..cfg.versions.clamp(1, VERSION_NAMES.len()) {
             let tree = version_tree(v);
             let (image, _) = build_tree_image_cached(&tree, &Options::distro(), &cache)
                 .map_err(|e| format!("version {v} image: {e}"))?;
-            images.push(image);
+            let mut kernel =
+                Kernel::boot_image(&image).map_err(|e| format!("version {v} boot: {e}"))?;
+            let load_entry = if cfg.load_threads > 0 {
+                Some(load_workload(&mut kernel, &cache)?)
+            } else {
+                None
+            };
+            bases.push(VersionBase {
+                snapshot: kernel.snapshot(),
+                load_entry,
+            });
         }
-        Ok(FleetContext { images, cache })
+        Ok(FleetContext { bases, cache })
     }
 
     /// The shared build cache (pack builds can reuse it).
@@ -323,6 +342,11 @@ impl FleetNode {
         self.runtime.as_ref().map(|rt| rt.kernel.mem.text_checksum())
     }
 
+    /// The resident kernel, if the node holds one.
+    pub fn resident_kernel(&self) -> Option<&Kernel> {
+        self.runtime.as_ref().map(|rt| &rt.kernel)
+    }
+
     /// The pre-apply text checksum recorded for a committed update.
     pub fn pre_apply_checksum(&self, update: &str) -> Option<u64> {
         self.applied
@@ -331,8 +355,9 @@ impl FleetNode {
             .map(|(_, _, pre)| *pre)
     }
 
-    /// Boots (or rehydrates) the node's kernel: per-version cached
-    /// image, SMP topology, seeded workload threads and settle skid,
+    /// Materializes (or rehydrates) the node's kernel: a fork of the
+    /// per-version snapshot, SMP topology, seeded workload threads and
+    /// settle skid,
     /// then re-application of every committed update from the local
     /// pack cache. The op order and all seeds are pure functions of the
     /// node, so a rehydrated kernel is byte-identical in text to the
@@ -342,13 +367,12 @@ impl FleetNode {
             return Ok(());
         }
         let mut rng = self.seed;
-        let mut kernel = Kernel::boot_image(&cx.images[self.version])
-            .map_err(|e| format!("node {}: boot: {e}", self.id))?;
+        let base = &cx.bases[self.version];
+        let mut kernel = base.snapshot.fork();
         if cfg.cpus > 1 {
             kernel.configure_smp(SmpConfig::with_cpus(cfg.cpus).with_seed(xorshift(&mut rng)));
         }
-        if cfg.load_threads > 0 {
-            let entry = load_workload(&mut kernel, &cx.cache)?;
+        if let Some(entry) = base.load_entry {
             for _ in 0..cfg.load_threads {
                 kernel
                     .spawn_at(entry, &[1_000_000_000], "fleet-load")
@@ -604,7 +628,8 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Builds the fleet: per-version images once, then `cfg.nodes`
+    /// Builds the fleet: per-version kernels booted and snapshotted
+    /// once, then `cfg.nodes`
     /// compact nodes with versions assigned round-robin and per-node
     /// seeds derived from the master seed.
     pub fn new(cfg: FleetConfig) -> Result<Fleet, String> {

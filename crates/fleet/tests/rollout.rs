@@ -3,8 +3,9 @@
 //! report determinism.
 
 use ksplice_fleet::{
-    build_packset, Fleet, FleetConfig, NetFaults, Outcome, RolloutOrchestrator, RolloutPolicy,
-    SimTransport, VERSION_NAMES,
+    build_packset, fnv1a, Endpoint, Envelope, Fleet, FleetConfig, NetFaults, Outcome, Payload,
+    RolloutOrchestrator, RolloutPolicy, SimTransport, Transport, TransportStats, Verdict,
+    VERSION_NAMES,
 };
 use ksplice_trace::Tracer;
 
@@ -202,4 +203,100 @@ fn worker_count_does_not_change_the_outcome() {
         orch.run(&mut fleet, &mut transport, &mut tracer).render()
     };
     assert_eq!(run(1), run(8), "sharding is an implementation detail");
+}
+
+/// A transport that records every node report it hands the orchestrator,
+/// in delivery order.
+struct Recording {
+    inner: SimTransport,
+    reports: Vec<(u32, Verdict)>,
+}
+
+impl Transport for Recording {
+    fn send(&mut self, env: Envelope) {
+        self.inner.send(env)
+    }
+
+    fn poll(&mut self, now: u64) -> Vec<Envelope> {
+        let out = self.inner.poll(now);
+        for env in &out {
+            if let (Endpoint::Node(id), Payload::Report { verdict, .. }) = (env.from, &env.payload)
+            {
+                self.reports.push((id, verdict.clone()));
+            }
+        }
+        out
+    }
+
+    fn in_flight(&self) -> usize {
+        self.inner.in_flight()
+    }
+
+    fn stats(&self) -> TransportStats {
+        self.inner.stats()
+    }
+}
+
+/// The node-level outcome of one fixed-seed rollout over loaded 2-vCPU
+/// nodes, pinned across commits: every report's verdict (with the
+/// apply's stop_machine attempts and pause steps), then each node's
+/// committed set, boot baseline text checksum, and its resident
+/// kernel's whole-image checksum, step clock and tick count. Changing
+/// how a node kernel comes to life (boot, SMP setup, load threads,
+/// settle) must not move a single step of this.
+#[test]
+fn loaded_smp_rollout_matches_the_pinned_digest() {
+    let mut fleet = Fleet::new(FleetConfig {
+        nodes: 12,
+        cpus: 2,
+        load_threads: 2,
+        resident: true,
+        seed: 0x5eed_f1ee,
+        ..FleetConfig::default()
+    })
+    .expect("fleet boots");
+    let packset = build_packset(
+        "cve-2006-2451",
+        VERSION_NAMES.len(),
+        &[],
+        fleet.context().cache(),
+    )
+    .expect("packset builds");
+    let faults = NetFaults::parse("drop:100,dup:100,delay:1..2").unwrap();
+    let mut transport = Recording {
+        inner: SimTransport::with_faults(41, faults),
+        reports: Vec::new(),
+    };
+    let orch = RolloutOrchestrator::new(RolloutPolicy::default(), packset, &fleet);
+    let report = orch.run(&mut fleet, &mut transport, &mut Tracer::disabled());
+    assert_eq!(report.outcome, Outcome::Committed, "{}", report.render());
+
+    let mut text = String::new();
+    for (id, verdict) in &transport.reports {
+        let detail = match verdict {
+            Verdict::Committed {
+                attempts,
+                pause_steps,
+            } => format!("{attempts}/{pause_steps}"),
+            _ => String::new(),
+        };
+        text.push_str(&format!("{id}:{}:{detail};", verdict.name()));
+    }
+    for id in 0..fleet.len() as u32 {
+        let node = fleet.node(id);
+        let kernel = node.resident_kernel().expect("resident fleet");
+        text.push_str(&format!(
+            "node{id}:{}:{:#x}:{:#x}:{}:{};",
+            node.committed.join(","),
+            node.baseline_text,
+            kernel.mem.image_checksum(),
+            kernel.steps,
+            kernel.ticks
+        ));
+    }
+    let digest = fnv1a(text.as_bytes());
+    assert_eq!(
+        digest, 0xd5b7_a716_6140_a009,
+        "rollout digest moved ({digest:#018x}):\n{text}"
+    );
 }

@@ -19,8 +19,10 @@
 //!   from it on the subject side only), and regions present on only one
 //!   side (update modules, workload modules loaded asymmetrically).
 
+use std::collections::HashMap;
+
 use crate::kernel::{CallError, Kernel};
-use crate::mem::{KBASE, MEM_SIZE};
+use crate::mem::{Region, KBASE, MEM_SIZE};
 
 /// True for values that look like arena addresses: the two kernels'
 /// images legitimately differ in layout, so raw pointers never compare.
@@ -193,6 +195,11 @@ impl ImageDiffReport {
 /// always skipped — they are scratch space).
 pub fn diff_images(reference: &Kernel, subject: &Kernel, opts: &DiffOptions) -> ImageDiffReport {
     let mut report = ImageDiffReport::default();
+    // The subject's first non-executable region of each name.
+    let mut partners: HashMap<&str, &Region> = HashMap::new();
+    for r in subject.mem.regions().iter().filter(|r| !r.perms.exec) {
+        partners.entry(r.name.as_str()).or_insert(r);
+    }
     for r_ref in reference.mem.regions() {
         if r_ref.perms.exec
             || r_ref.name.starts_with("stack:")
@@ -200,12 +207,7 @@ pub fn diff_images(reference: &Kernel, subject: &Kernel, opts: &DiffOptions) -> 
         {
             continue;
         }
-        let Some(r_sub) = subject
-            .mem
-            .regions()
-            .iter()
-            .find(|r| r.name == r_ref.name && !r.perms.exec)
-        else {
+        let Some(&r_sub) = partners.get(r_ref.name.as_str()) else {
             continue;
         };
         if r_sub.size != r_ref.size {

@@ -11,6 +11,7 @@
 //! kallsyms has no such column.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One symbol table entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,11 +30,39 @@ pub struct KSym {
     pub unit: String,
 }
 
-/// The kernel's symbol table.
+/// Symbols in insertion order plus a name index into them.
 #[derive(Debug, Clone, Default)]
-pub struct Kallsyms {
+struct Table {
     syms: Vec<KSym>,
     by_name: BTreeMap<String, Vec<usize>>,
+}
+
+impl Table {
+    fn insert(&mut self, sym: KSym) {
+        let idx = self.syms.len();
+        self.by_name.entry(sym.name.clone()).or_default().push(idx);
+        self.syms.push(sym);
+    }
+
+    fn named(&self, name: &str) -> impl Iterator<Item = &KSym> {
+        self.by_name
+            .get(name)
+            .into_iter()
+            .flatten()
+            .map(|&i| &self.syms[i])
+    }
+}
+
+/// The kernel's symbol table.
+///
+/// Logically one insertion-ordered list. Physically it is a `frozen`
+/// prefix, shared between a kernel snapshot and every kernel forked from
+/// it, followed by the entries this kernel added since (`own`), so a fork
+/// never copies the boot image's symbols.
+#[derive(Debug, Clone, Default)]
+pub struct Kallsyms {
+    frozen: Arc<Table>,
+    own: Table,
 }
 
 impl Kallsyms {
@@ -42,27 +71,43 @@ impl Kallsyms {
         Kallsyms::default()
     }
 
+    /// The same table with every entry in the shared prefix, so clones
+    /// of the result share all of it.
+    pub(crate) fn freeze(&self) -> Kallsyms {
+        if self.own.syms.is_empty() {
+            return self.clone();
+        }
+        let mut all = Table::default();
+        for sym in self.iter() {
+            all.insert(sym.clone());
+        }
+        Kallsyms {
+            frozen: Arc::new(all),
+            own: Table::default(),
+        }
+    }
+
     /// Adds a symbol.
     pub fn insert(&mut self, sym: KSym) {
-        let idx = self.syms.len();
-        self.by_name.entry(sym.name.clone()).or_default().push(idx);
-        self.syms.push(sym);
+        self.own.insert(sym);
     }
 
     /// All symbols with the given name (possibly several — local symbols
     /// collide across units).
     pub fn lookup_name(&self, name: &str) -> Vec<&KSym> {
-        self.by_name
-            .get(name)
-            .map(|v| v.iter().map(|&i| &self.syms[i]).collect())
-            .unwrap_or_default()
+        self.named(name).collect()
+    }
+
+    /// Symbols with the given name, in insertion order.
+    fn named(&self, name: &str) -> impl Iterator<Item = &KSym> {
+        self.frozen.named(name).chain(self.own.named(name))
     }
 
     /// The unique *global* symbol with this name, if exactly one exists —
     /// the analogue of `kallsyms_lookup_name` for exported symbols, used
     /// by the ordinary module loader.
     pub fn lookup_global(&self, name: &str) -> Option<&KSym> {
-        let mut globals = self.lookup_name(name).into_iter().filter(|s| s.global);
+        let mut globals = self.named(name).filter(|s| s.global);
         let first = globals.next()?;
         if globals.next().is_some() {
             return None;
@@ -72,45 +117,55 @@ impl Kallsyms {
 
     /// The symbol covering `addr`, if any (ties broken by closest start).
     pub fn lookup_addr(&self, addr: u64) -> Option<&KSym> {
-        self.syms
-            .iter()
+        self.iter()
             .filter(|s| addr >= s.addr && (s.size == 0 || addr < s.addr + s.size))
             .max_by_key(|s| s.addr)
     }
 
     /// Removes every symbol belonging to `unit` (module unload).
     pub fn remove_unit(&mut self, unit: &str) {
-        self.syms.retain(|s| s.unit != unit);
-        self.by_name.clear();
-        let mut by_name = BTreeMap::new();
-        for (i, s) in self.syms.iter().enumerate() {
-            by_name
-                .entry(s.name.clone())
-                .or_insert_with(Vec::new)
-                .push(i);
+        let mut kept = Table::default();
+        if self.frozen.syms.iter().any(|s| s.unit == unit) {
+            for sym in self.iter().filter(|s| s.unit != unit) {
+                kept.insert(sym.clone());
+            }
+            self.frozen = Arc::default();
+        } else {
+            for sym in self.own.syms.drain(..).filter(|s| s.unit != unit) {
+                kept.insert(sym);
+            }
         }
-        self.by_name = by_name;
+        self.own = kept;
     }
 
     /// Iterates all symbols.
     pub fn iter(&self) -> impl Iterator<Item = &KSym> {
-        self.syms.iter()
+        self.frozen.syms.iter().chain(&self.own.syms)
     }
 
     /// Total number of symbols.
     pub fn len(&self) -> usize {
-        self.syms.len()
+        self.frozen.syms.len() + self.own.syms.len()
     }
 
     /// True if the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.syms.is_empty()
+        self.len() == 0
+    }
+
+    /// Symbols grouped by name, for the ambiguity statistics.
+    fn groups(&self) -> BTreeMap<&str, Vec<&KSym>> {
+        let mut groups: BTreeMap<&str, Vec<&KSym>> = BTreeMap::new();
+        for sym in self.iter() {
+            groups.entry(sym.name.as_str()).or_default().push(sym);
+        }
+        groups
     }
 
     /// Evaluation statistic: how many symbols share their name with at
     /// least one other symbol (the paper's "6,164 symbols … 7.9 %").
     pub fn ambiguous_symbol_count(&self) -> usize {
-        self.by_name
+        self.groups()
             .values()
             .filter(|v| v.len() > 1)
             .map(|v| v.len())
@@ -121,10 +176,10 @@ impl Kallsyms {
     /// name is shared (the paper's "21.1 % of the compilation units").
     pub fn units_with_ambiguous_symbols(&self) -> Vec<&str> {
         let mut units: Vec<&str> = self
-            .by_name
-            .values()
+            .groups()
+            .into_values()
             .filter(|v| v.len() > 1)
-            .flat_map(|v| v.iter().map(|&i| self.syms[i].unit.as_str()))
+            .flat_map(|v| v.into_iter().map(|s| s.unit.as_str()))
             .collect();
         units.sort_unstable();
         units.dedup();
@@ -189,5 +244,33 @@ mod tests {
         k.insert(sym("y", 0x4000, true, "c.kc"));
         assert_eq!(k.ambiguous_symbol_count(), 2);
         assert_eq!(k.units_with_ambiguous_symbols(), vec!["a.kc", "b.kc"]);
+    }
+
+    #[test]
+    fn frozen_prefix_keeps_order_and_unit_removal() {
+        let mut k = Kallsyms::new();
+        k.insert(sym("debug", 0x1000, false, "a.kc"));
+        k.insert(sym("f", 0x2000, true, "b.kc"));
+        let base = k.freeze();
+        let mut fork = base.clone();
+        fork.insert(sym("debug", 0x3000, false, "mod"));
+        fork.insert(sym("g", 0x4000, true, "mod"));
+        let addrs = |k: &Kallsyms, n: &str| -> Vec<u64> {
+            k.lookup_name(n).iter().map(|s| s.addr).collect()
+        };
+        assert_eq!(addrs(&fork, "debug"), vec![0x1000, 0x3000]);
+        assert_eq!(fork.len(), 4);
+        assert_eq!(fork.ambiguous_symbol_count(), 2);
+        // Removing an added unit leaves the shared prefix alone...
+        fork.remove_unit("mod");
+        assert_eq!(addrs(&fork, "debug"), vec![0x1000]);
+        assert!(Arc::ptr_eq(&fork.frozen, &base.frozen));
+        // ...removing a frozen one drops it from this table only.
+        fork.insert(sym("h", 0x5000, true, "mod"));
+        fork.remove_unit("a.kc");
+        let names: Vec<&str> = fork.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, vec!["f", "h"]);
+        assert_eq!(base.len(), 2);
+        assert_eq!(fork.lookup_global("h").unwrap().addr, 0x5000);
     }
 }

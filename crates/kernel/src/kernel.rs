@@ -1,6 +1,7 @@
 //! The simulated kernel: boot, threads, scheduling, `stop_machine`.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ksplice_lang::{build_tree, Options, SourceTree};
@@ -110,8 +111,9 @@ pub struct Kernel {
     pub steps: u64,
     /// All oopses so far (the kernel limps on, like a real one).
     pub oopses: Vec<Oops>,
-    /// Loaded boot-image units and run-time modules.
-    pub modules: Vec<LoadedModule>,
+    /// Loaded boot-image units and run-time modules. Shared, because
+    /// a loaded module never changes: forks of a snapshot copy pointers.
+    pub modules: Vec<Arc<LoadedModule>>,
     /// kmalloc free list: (addr, size).
     pub(crate) free_list: Vec<(u64, u64)>,
     /// Shadow data structures: (object addr, key) → shadow addr
@@ -227,7 +229,7 @@ impl Kernel {
             ticks: 0,
             steps: 0,
             oopses: Vec::new(),
-            modules,
+            modules: modules.into_iter().map(Arc::new).collect(),
             free_list: vec![(heap_base, 8 * 1024 * 1024)],
             shadows: HashMap::new(),
             rng: 0x2545_f491_4f6c_dd1d,
@@ -246,6 +248,51 @@ impl Kernel {
             icache_clock: mem_text_gen,
             vm_stats: crate::vm::VmStats::default(),
         })
+    }
+
+    /// Takes an immutable snapshot of the whole kernel: memory, symbol
+    /// table, modules, threads, clocks, allocator, PRNG, scheduler and
+    /// fault state. See [`KernelSnapshot`].
+    pub fn snapshot(&self) -> KernelSnapshot {
+        KernelSnapshot {
+            frozen: self.copy(),
+        }
+    }
+
+    /// A copy of this kernel with an empty icache. Memory copies only
+    /// the pages ever written; the symbol table is frozen, so copies of
+    /// the copy share it.
+    fn copy(&self) -> Kernel {
+        let mem = self.mem.fork();
+        let icache_clock = mem.text_generation();
+        Kernel {
+            mem,
+            syms: self.syms.freeze(),
+            threads: self.threads.clone(),
+            next_tid: self.next_tid,
+            klog: self.klog.clone(),
+            ticks: self.ticks,
+            steps: self.steps,
+            oopses: self.oopses.clone(),
+            modules: self.modules.clone(),
+            free_list: self.free_list.clone(),
+            shadows: self.shadows.clone(),
+            rng: self.rng,
+            syscall_entry: self.syscall_entry,
+            free_stacks: self.free_stacks.clone(),
+            last_stop_machine: self.last_stop_machine,
+            last_stop_machine_steps: self.last_stop_machine_steps,
+            stop_machine_count: self.stop_machine_count,
+            smp: self.smp.clone(),
+            cpus: self.cpus.clone(),
+            sched_rng: self.sched_rng,
+            fault_parker: self.fault_parker,
+            faults: self.faults.clone(),
+            profiler: self.profiler.clone(),
+            block_cache: crate::vm::AddrMap::default(),
+            icache_clock,
+            vm_stats: self.vm_stats,
+        }
     }
 
     /// Spawns a kernel thread at the function named `entry` with up to six
@@ -763,7 +810,7 @@ impl Kernel {
                 });
             }
         }
-        self.modules.push(m.clone());
+        self.modules.push(Arc::new(m.clone()));
         Ok(m)
     }
 
@@ -864,6 +911,33 @@ impl Kernel {
             let size = size.max(8).div_ceil(16) * 16;
             self.free_list.push((addr, size));
         }
+    }
+}
+
+/// An immutable copy of a kernel, taken by [`Kernel::snapshot`]: boot
+/// an image once, then [`KernelSnapshot::fork`] it per fleet node or
+/// fuzz subject instead of linking and loading the image again.
+///
+/// A fork is observably identical to the kernel the snapshot was taken
+/// from — same bytes, regions, text generations, symbols, modules, free
+/// lists, threads, clocks, PRNG and scheduler state — so forking a
+/// never-run kernel is the same as a fresh [`Kernel::boot_image`] of its
+/// image. Only the icache starts empty: decoded blocks are a cache, and
+/// a fork that runs little would pay more to copy them than to decode
+/// what it needs.
+///
+/// Forks are independent of the snapshot and of each other. The
+/// snapshot is `Send + Sync`, so worker threads fork one shared copy.
+pub struct KernelSnapshot {
+    frozen: Kernel,
+}
+
+impl KernelSnapshot {
+    /// A new, independent kernel in the snapshot's state. Its memory is
+    /// a fresh arena holding copies of the pages the snapshotted kernel
+    /// ever wrote; the boot-time symbol table is shared, not copied.
+    pub fn fork(&self) -> Kernel {
+        self.frozen.copy()
     }
 }
 

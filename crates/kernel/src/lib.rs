@@ -54,8 +54,8 @@ pub use differential::{
 pub use fault::{Fault, FaultPlan, FiredFault};
 pub use kallsyms::{KSym, Kallsyms};
 pub use kernel::{
-    BootError, CallError, Kernel, Oops, RunExit, SpawnError, Thread, ThreadState, QUANTUM,
-    STACK_SIZE,
+    BootError, CallError, Kernel, KernelSnapshot, Oops, RunExit, SpawnError, Thread, ThreadState,
+    QUANTUM, STACK_SIZE,
 };
 pub use loader::{
     apply_reloc_at, load_kernel_image, load_module, LinkError, LoadedModule, PendingReloc,

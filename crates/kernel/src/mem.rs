@@ -8,6 +8,7 @@
 //! briefly lifting write protection on its own text.
 
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Base virtual address of kernel memory. Chosen to echo the paper's
 /// worked example addresses (`0xf0000000`, §4.3 Figure 2).
@@ -116,10 +117,20 @@ impl fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
+/// Granule of the dirty-page map: [`Memory::fork`] copies whole pages.
+const PAGE_SHIFT: u32 = 12;
+
+/// Pages in the arena.
+const PAGES: usize = (MEM_SIZE >> PAGE_SHIFT) as usize;
+
 /// The kernel's memory arena.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Memory {
     bytes: Vec<u8>,
+    /// One bit per page ever written by [`Memory::store`] or
+    /// [`Memory::poke`]. Every other page is still zero, so a fork
+    /// copies only these.
+    dirty: Vec<u64>,
     regions: Vec<Region>,
     /// Bump cursor for region allocation.
     cursor: u64,
@@ -138,7 +149,9 @@ pub struct Memory {
     /// time. Correctness does not depend on it: a stale index either
     /// still contains the address (regions never overlap, so it is THE
     /// answer) or fails the containment check and we fall through.
-    last_hit: std::cell::Cell<usize>,
+    /// Atomic only so a kernel snapshot can be shared across threads;
+    /// `Relaxed` suffices because the hint publishes no other data.
+    last_hit: AtomicUsize,
 }
 
 impl Default for Memory {
@@ -152,11 +165,48 @@ impl Memory {
     pub fn new() -> Memory {
         Memory {
             bytes: vec![0u8; MEM_SIZE as usize],
+            dirty: vec![0; PAGES / 64],
             regions: Vec::new(),
             cursor: KBASE,
             text_gen: 0,
             gens: std::collections::HashMap::new(),
-            last_hit: std::cell::Cell::new(usize::MAX),
+            last_hit: AtomicUsize::new(usize::MAX),
+        }
+    }
+
+    /// An independent copy of the arena: same bytes, regions, bump
+    /// cursor and text generations. The copy starts from a fresh zeroed
+    /// arena and copies only the pages ever written, so its cost is the
+    /// written footprint, never the 64 MiB arena.
+    pub(crate) fn fork(&self) -> Memory {
+        let mut bytes = vec![0u8; MEM_SIZE as usize];
+        for (w, &word) in self.dirty.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let page = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let range = page << PAGE_SHIFT..(page + 1) << PAGE_SHIFT;
+                bytes[range.clone()].copy_from_slice(&self.bytes[range]);
+            }
+        }
+        Memory {
+            bytes,
+            dirty: self.dirty.clone(),
+            regions: self.regions.clone(),
+            cursor: self.cursor,
+            text_gen: self.text_gen,
+            gens: self.gens.clone(),
+            last_hit: AtomicUsize::new(usize::MAX),
+        }
+    }
+
+    /// Marks the pages under `i..i + len` (arena offsets) written.
+    fn mark_dirty(&mut self, i: usize, len: usize) {
+        if len == 0 {
+            return;
+        }
+        for page in i >> PAGE_SHIFT..=(i + len - 1) >> PAGE_SHIFT {
+            self.dirty[page / 64] |= 1 << (page % 64);
         }
     }
 
@@ -238,7 +288,7 @@ impl Memory {
     /// This is the single hottest lookup in the simulator (every VM
     /// fetch, load and store lands here).
     pub fn region_at(&self, addr: u64, len: u64) -> Option<&Region> {
-        if let Some(r) = self.regions.get(self.last_hit.get()) {
+        if let Some(r) = self.regions.get(self.last_hit.load(Ordering::Relaxed)) {
             if r.contains(addr, len) {
                 return Some(r);
             }
@@ -246,7 +296,7 @@ impl Memory {
         let i = self.regions.partition_point(|r| r.start <= addr);
         let r = self.regions[..i].last()?;
         if r.contains(addr, len) {
-            self.last_hit.set(i - 1);
+            self.last_hit.store(i - 1, Ordering::Relaxed);
             Some(r)
         } else {
             None
@@ -335,6 +385,7 @@ impl Memory {
         };
         let i = self.index(addr, len)?;
         self.bytes[i..i + data.len()].copy_from_slice(data);
+        self.mark_dirty(i, data.len());
         if exec {
             // Self-modifying code through a writable+executable region:
             // the icache analogue must notice.
@@ -377,6 +428,7 @@ impl Memory {
         };
         let i = self.index(addr, len)?;
         self.bytes[i..i + data.len()].copy_from_slice(data);
+        self.mark_dirty(i, data.len());
         if exec {
             // A trampoline (or fault-injected corruption) just landed
             // in text: advance the write generation so cached decoded

@@ -126,43 +126,48 @@ fn record_call(k: &mut Kernel, writes: &[TextWrite]) -> CallRecord {
     }
 }
 
+/// One to three random writes over live text: real code fragments
+/// spliced from elsewhere in the image, or garbage. All boots of the
+/// same tree lay text out identically, so `probe` may be any of them.
+fn random_writes(rng: &mut u64, probe: &Kernel) -> Vec<TextWrite> {
+    let text: Vec<(u64, u64)> = probe
+        .mem
+        .regions()
+        .iter()
+        .filter(|r| r.perms.exec && r.size >= 16)
+        .map(|r| (r.start, r.size))
+        .collect();
+    assert!(!text.is_empty(), "no executable regions to write into");
+    let n_writes = 1 + (xorshift(rng) % 3) as usize;
+    let mut writes = Vec::new();
+    for _ in 0..n_writes {
+        let (start, size) = text[(xorshift(rng) as usize) % text.len()];
+        let off = xorshift(rng) % (size - 8);
+        let bytes = if xorshift(rng).is_multiple_of(2) {
+            // Splice a real code fragment from another text offset.
+            let (s2, z2) = text[(xorshift(rng) as usize) % text.len()];
+            let o2 = xorshift(rng) % (z2 - 8);
+            probe.mem.peek(s2 + o2, 8).unwrap().to_vec()
+        } else {
+            xorshift(rng).to_le_bytes().to_vec()
+        };
+        writes.push(TextWrite {
+            addr: start + off,
+            bytes,
+            via_store: xorshift(rng).is_multiple_of(2),
+            region_start: start,
+        });
+    }
+    writes
+}
+
 #[test]
 fn random_text_writes_match_fresh_kernel() {
     let mut rng = 0x9e3779b97f4a7c15u64;
     let mut saw_oops = false;
     let mut saw_clean = false;
     for round in 0..24 {
-        // Pick this round's writes against a throwaway boot (all boots
-        // of the same tree lay text out identically).
-        let probe = boot();
-        let text: Vec<(u64, u64)> = probe
-            .mem
-            .regions()
-            .iter()
-            .filter(|r| r.perms.exec && r.size >= 16)
-            .map(|r| (r.start, r.size))
-            .collect();
-        assert!(!text.is_empty(), "no executable regions to write into");
-        let n_writes = 1 + (xorshift(&mut rng) % 3) as usize;
-        let mut writes = Vec::new();
-        for _ in 0..n_writes {
-            let (start, size) = text[(xorshift(&mut rng) as usize) % text.len()];
-            let off = xorshift(&mut rng) % (size - 8);
-            let bytes = if xorshift(&mut rng).is_multiple_of(2) {
-                // Splice a real code fragment from another text offset.
-                let (s2, z2) = text[(xorshift(&mut rng) as usize) % text.len()];
-                let o2 = xorshift(&mut rng) % (z2 - 8);
-                probe.mem.peek(s2 + o2, 8).unwrap().to_vec()
-            } else {
-                xorshift(&mut rng).to_le_bytes().to_vec()
-            };
-            writes.push(TextWrite {
-                addr: start + off,
-                bytes,
-                via_store: xorshift(&mut rng).is_multiple_of(2),
-                region_start: start,
-            });
-        }
+        let writes = random_writes(&mut rng, &boot());
 
         // Warm kernel: populate the block cache on the original bytes,
         // then write over live text and call again through the icache.
@@ -195,4 +200,56 @@ fn random_text_writes_match_fresh_kernel() {
     // garbage-decode paths, or the property is vacuous.
     assert!(saw_oops, "no round oopsed — writes too tame to test parity");
     assert!(saw_clean || saw_oops, "no rounds ran");
+}
+
+/// Forks of one snapshot each own their icache: text one fork writes
+/// must never run, stale or fresh, on a warm sibling, and the next fork
+/// of the snapshot must still see the original bytes. Each fork is
+/// checked against a kernel that was never forked but made the same
+/// calls (a thread's stack is recycled between calls, so history, not
+/// just the text, decides what garbage code reads).
+#[test]
+fn a_fork_writing_text_never_leaves_a_sibling_running_stale_blocks() {
+    let mut rng = 0x5eed_1cac_4e00_0001u64;
+    let call = |k: &mut Kernel| {
+        k.call_function_limited("work", &[9], CALL_LIMIT)
+            .expect("call on pristine text")
+    };
+    let mut warm = boot();
+    call(&mut warm);
+    let snapshot = warm.snapshot();
+    let first_fork = record_call(&mut snapshot.fork(), &[]);
+    let mut sibling = snapshot.fork();
+    let mut twin = boot();
+    call(&mut twin);
+    for round in 0..16 {
+        let writes = random_writes(&mut rng, &warm);
+        let mut writer = snapshot.fork();
+        call(&mut writer);
+        let got = record_call(&mut writer, &writes);
+        let mut unforked = boot();
+        call(&mut unforked);
+        call(&mut unforked);
+        let want = record_call(&mut unforked, &writes);
+        assert_eq!(got, want, "round {round}: the writer runs its own bytes");
+
+        call(&mut sibling);
+        call(&mut twin);
+        assert!(sibling.vm_stats.block_hits > 0, "sibling icache is warm");
+        let flushes = sibling.vm_stats.icache_flushes;
+        assert_eq!(
+            record_call(&mut sibling, &[]),
+            record_call(&mut twin, &[]),
+            "round {round}: the sibling ran the writer's text"
+        );
+        assert_eq!(
+            sibling.vm_stats.icache_flushes, flushes,
+            "round {round}: the writer's text write reached the sibling"
+        );
+        assert_eq!(
+            record_call(&mut snapshot.fork(), &[]),
+            first_fork,
+            "round {round}: the snapshot changed"
+        );
+    }
 }

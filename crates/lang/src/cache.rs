@@ -23,7 +23,7 @@
 //! the least-recently-used entry is evicted when full.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use ksplice_object::{Object, ObjectSet};
 
@@ -122,13 +122,15 @@ impl BuildStats {
     }
 }
 
+// Entries are shared so a hit clones the value after the lock is
+// released: workers sharing the cache never queue behind a deep copy.
 struct Entry {
-    object: Object,
+    object: Arc<Object>,
     last_used: u64,
 }
 
 struct ImageEntry {
-    set: ObjectSet,
+    set: Arc<ObjectSet>,
     last_used: u64,
 }
 
@@ -192,18 +194,14 @@ impl BuildCache {
         let clock = inner.clock;
         let found = inner.map.get_mut(&key).map(|entry| {
             entry.last_used = clock;
-            entry.object.clone()
+            Arc::clone(&entry.object)
         });
         match found {
-            Some(object) => {
-                inner.totals.hits += 1;
-                Some(object)
-            }
-            None => {
-                inner.totals.misses += 1;
-                None
-            }
+            Some(_) => inner.totals.hits += 1,
+            None => inner.totals.misses += 1,
         }
+        drop(inner);
+        found.map(|object| (*object).clone())
     }
 
     /// Stores a compiled object, evicting the least-recently-used entry
@@ -228,7 +226,7 @@ impl BuildCache {
         inner.map.insert(
             key,
             Entry {
-                object,
+                object: Arc::new(object),
                 last_used: clock,
             },
         );
@@ -244,10 +242,12 @@ impl BuildCache {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
-        inner.images.get_mut(&key).map(|entry| {
+        let found = inner.images.get_mut(&key).map(|entry| {
             entry.last_used = clock;
-            entry.set.clone()
-        })
+            Arc::clone(&entry.set)
+        });
+        drop(inner);
+        found.map(|set| (*set).clone())
     }
 
     /// Stores a finished image, evicting the least-recently-used one at
@@ -269,7 +269,7 @@ impl BuildCache {
         inner.images.insert(
             key,
             ImageEntry {
-                set,
+                set: Arc::new(set),
                 last_used: clock,
             },
         );
