@@ -4,6 +4,7 @@
 //! Run-pre matching "needs to be able to recognize these sequences so that
 //! they can be skipped during the run-pre matching process" (paper §4.3).
 
+use crate::encode::{OP_NOP1, OP_NOPN};
 use crate::instr::Instr;
 
 /// The longest single canonical no-op instruction, in bytes.
@@ -18,14 +19,13 @@ pub const MAX_NOP_LEN: usize = 9;
 /// matcher treats it as ordinary code.
 pub fn nop_len_at(code: &[u8], at: usize) -> Option<usize> {
     let rest = code.get(at..)?;
-    match crate::decode(rest) {
-        Ok((Instr::Nop1, len)) => Some(len),
-        Ok((Instr::NopN(n), len)) => {
-            if rest[2..n as usize].iter().all(|&b| b == 0) {
-                Some(len)
-            } else {
-                None
-            }
+    // Run-pre matching asks this before every instruction, so it looks
+    // at the opcode only and never decodes ordinary instructions.
+    match *rest.first()? {
+        OP_NOP1 => Some(1),
+        OP_NOPN => {
+            let len = crate::decode_len(rest).ok()?;
+            rest[2..len].iter().all(|&b| b == 0).then_some(len)
         }
         _ => None,
     }

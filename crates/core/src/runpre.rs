@@ -421,13 +421,13 @@ pub fn match_function_traced(
         bytes: None,
         reason,
     };
-    // Relocations indexed by the offset of their field.
-    let reloc_at = |off_range: std::ops::Range<u64>| -> Vec<&Reloc> {
-        pre.relocs
-            .iter()
-            .filter(|r| r.offset >= off_range.start && r.offset < off_range.end)
-            .collect()
-    };
+    // Relocations sorted by field offset. The walk's offsets only grow,
+    // so one forward cursor hands each instruction the relocations whose
+    // field starts inside it; the section index restores table order
+    // among them.
+    let mut relocs: Vec<(usize, &Reloc)> = pre.relocs.iter().enumerate().collect();
+    relocs.sort_by_key(|&(_, r)| r.offset);
+    let mut next_reloc = 0;
 
     // Read a window of run bytes generously sized: branch-form shrinkage
     // can only make run code smaller; nops can make it bigger. 2x + slack.
@@ -441,8 +441,8 @@ pub fn match_function_traced(
     let mut recovered: Vec<(String, u64)> = Vec::new();
     let mut pre_off = 0usize;
     let mut run_off = 0usize;
-    // pre instruction-start offset → run offset.
-    let mut offset_map: BTreeMap<u64, u64> = BTreeMap::new();
+    // (pre instruction-start offset, run offset), in increasing order.
+    let mut offset_map: Vec<(u64, u64)> = Vec::new();
     // (pre-relative branch target, absolute run target) to verify later.
     let mut pending: Vec<(u64, u64, u64)> = Vec::new(); // (pre_target, run_target, at)
     let pre_len = pre.data.len();
@@ -463,7 +463,7 @@ pub fn match_function_traced(
             run_off += n;
             tracer.count("runpre.nops_skipped", 1);
         }
-        offset_map.insert(pre_off as u64, run_off as u64);
+        offset_map.push((pre_off as u64, run_off as u64));
 
         let pre_instr_len = decode_len(&pre.data[pre_off..])
             .map_err(|e| mismatch(pre_off as u64, format!("undecodable pre byte: {e}")))?;
@@ -475,6 +475,21 @@ pub fn match_function_traced(
         let run_branch = branch_info(&run_bytes[run_off..], run_addr + run_off as u64)
             .map_err(|e| mismatch(pre_off as u64, e.to_string()))?;
 
+        // This instruction's relocation fields.
+        while relocs
+            .get(next_reloc)
+            .is_some_and(|(_, r)| r.offset < pre_off as u64)
+        {
+            next_reloc += 1;
+        }
+        let first = next_reloc;
+        let end = (pre_off + pre_instr_len) as u64;
+        while relocs.get(next_reloc).is_some_and(|(_, r)| r.offset < end) {
+            next_reloc += 1;
+        }
+        relocs[first..next_reloc].sort_unstable_by_key(|&(i, _)| i);
+        let field = &relocs[first..next_reloc];
+
         match (pre_branch, run_branch) {
             (Some(pb), Some(rb)) => {
                 tracer.count("runpre.pcrel_checks", 1);
@@ -484,13 +499,12 @@ pub fn match_function_traced(
                         "branch kind/condition differs".to_string(),
                     ));
                 }
-                let field = reloc_at(pre_off as u64..(pre_off + pre_instr_len) as u64);
-                match field.as_slice() {
+                match field {
                     [] => {
                         // Intra-section branch: targets must correspond.
                         pending.push((pb.target, rb.target, pre_off as u64));
                     }
-                    [r] => {
+                    [(_, r)] => {
                         // Cross-section branch: the run target *is* the
                         // symbol value, modulo a non-conventional addend:
                         // S = target − (A − REL32_ADDEND).
@@ -514,16 +528,17 @@ pub fn match_function_traced(
                     ));
                 }
                 // Compare bytes outside relocation fields; recover inside.
-                let relocs = reloc_at(pre_off as u64..(pre_off + pre_instr_len) as u64);
-                let mut field_mask = vec![false; pre_instr_len];
-                for r in &relocs {
+                // Bit i set: byte i of the instruction (at most 10 long)
+                // lies in a relocation field.
+                let mut in_field = 0u16;
+                for (_, r) in field {
                     let start = (r.offset as usize) - pre_off;
-                    for b in field_mask.iter_mut().skip(start).take(r.kind.width()) {
-                        *b = true;
+                    for i in start..(start + r.kind.width()).min(pre_instr_len) {
+                        in_field |= 1 << i;
                     }
                 }
                 for i in 0..pre_instr_len {
-                    if !field_mask[i] && pre.data[pre_off + i] != run_bytes[run_off + i] {
+                    if in_field & 1 << i == 0 && pre.data[pre_off + i] != run_bytes[run_off + i] {
                         return Err(MatchError::Mismatch {
                             unit: pre_obj.name.clone(),
                             function: fn_name.clone(),
@@ -538,7 +553,7 @@ pub fn match_function_traced(
                         });
                     }
                 }
-                for r in relocs {
+                for (_, r) in field {
                     let field_run_off = run_off as u64 + (r.offset - pre_off as u64);
                     let val = read_field(r.kind, run_bytes, field_run_off)
                         .map_err(|e| mismatch(r.offset, e.to_string()))?;
@@ -558,21 +573,27 @@ pub fn match_function_traced(
         run_off += run_instr_len;
     }
     // End-of-function marker for branches that target the very end.
-    offset_map.insert(pre_off as u64, run_off as u64);
+    offset_map.push((pre_off as u64, run_off as u64));
 
     // Verify intra-section branch correspondence.
     for (pre_target, run_target, at) in pending {
-        let Some(&mapped) = offset_map.get(&pre_target) else {
+        let Ok(i) = offset_map.binary_search_by_key(&pre_target, |&(pre, _)| pre) else {
             return Err(mismatch(
                 at,
                 format!("branch targets pre+{pre_target:#x}, not an instruction boundary"),
             ));
         };
+        let mapped = offset_map[i].1;
         // The run target may point at alignment nops that precede the
         // mapped instruction; walking run nops forward must land on it.
+        // A target before the function has no nops to walk: it simply
+        // does not correspond.
         let mut t = run_target;
         while t < run_addr + mapped {
-            match nop_len_at(run_bytes, (t - run_addr) as usize) {
+            match t
+                .checked_sub(run_addr)
+                .and_then(|off| nop_len_at(run_bytes, off as usize))
+            {
                 Some(n) => t += n as u64,
                 None => break,
             }

@@ -71,20 +71,23 @@ impl Kallsyms {
         Kallsyms::default()
     }
 
-    /// The same table with every entry in the shared prefix, so clones
-    /// of the result share all of it.
-    pub(crate) fn freeze(&self) -> Kallsyms {
+    /// Moves every entry into the shared prefix, so clones of the table
+    /// share all of it and a later [`Kallsyms::remove_unit`] of an
+    /// entry added since re-indexes only those. Order is unchanged.
+    pub(crate) fn freeze(&mut self) {
         if self.own.syms.is_empty() {
-            return self.clone();
+            return;
+        }
+        let own = std::mem::take(&mut self.own);
+        if self.frozen.syms.is_empty() {
+            self.frozen = Arc::new(own);
+            return;
         }
         let mut all = Table::default();
-        for sym in self.iter() {
+        for sym in self.frozen.syms.iter().chain(&own.syms) {
             all.insert(sym.clone());
         }
-        Kallsyms {
-            frozen: Arc::new(all),
-            own: Table::default(),
-        }
+        self.frozen = Arc::new(all);
     }
 
     /// Adds a symbol.
@@ -248,10 +251,10 @@ mod tests {
 
     #[test]
     fn frozen_prefix_keeps_order_and_unit_removal() {
-        let mut k = Kallsyms::new();
-        k.insert(sym("debug", 0x1000, false, "a.kc"));
-        k.insert(sym("f", 0x2000, true, "b.kc"));
-        let base = k.freeze();
+        let mut base = Kallsyms::new();
+        base.insert(sym("debug", 0x1000, false, "a.kc"));
+        base.insert(sym("f", 0x2000, true, "b.kc"));
+        base.freeze();
         let mut fork = base.clone();
         fork.insert(sym("debug", 0x3000, false, "mod"));
         fork.insert(sym("g", 0x4000, true, "mod"));
@@ -261,6 +264,11 @@ mod tests {
         assert_eq!(addrs(&fork, "debug"), vec![0x1000, 0x3000]);
         assert_eq!(fork.len(), 4);
         assert_eq!(fork.ambiguous_symbol_count(), 2);
+        // Freezing a table with a prefix and added entries keeps order.
+        let mut merged = fork.clone();
+        merged.freeze();
+        assert!(merged.own.syms.is_empty());
+        assert_eq!(addrs(&merged, "debug"), vec![0x1000, 0x3000]);
         // Removing an added unit leaves the shared prefix alone...
         fork.remove_unit("mod");
         assert_eq!(addrs(&fork, "debug"), vec![0x1000]);
@@ -272,5 +280,51 @@ mod tests {
         assert_eq!(names, vec!["f", "h"]);
         assert_eq!(base.len(), 2);
         assert_eq!(fork.lookup_global("h").unwrap().addr, 0x5000);
+    }
+
+    #[test]
+    fn rmmod_keeps_the_boot_table_shared() {
+        use crate::Kernel;
+        use ksplice_lang::{build_tree, Options, SourceTree};
+
+        let mut tree = SourceTree::new();
+        tree.insert(
+            "a.kc",
+            "static int debug;\nint f(int x) { debug = x; return x + 1; }\n",
+        );
+        tree.insert(
+            "b.kc",
+            "static int debug;\nint g(int x) { debug = x; return x * 2; }\n",
+        );
+        let mut kernel = Kernel::boot(&tree, &Options::distro()).unwrap();
+        let boot = Arc::clone(&kernel.syms.frozen);
+        assert!(
+            kernel.syms.own.syms.is_empty(),
+            "boot moves the image into the prefix"
+        );
+        let order = |k: &Kernel| -> Vec<(u64, String)> {
+            k.syms
+                .lookup_name("debug")
+                .iter()
+                .map(|s| (s.addr, s.unit.clone()))
+                .collect()
+        };
+        let booted = order(&kernel);
+        assert_eq!(booted.len(), 2);
+
+        let mut module_tree = SourceTree::new();
+        module_tree.insert(
+            "m.kc",
+            "static int debug;\nint h(int x) { debug = x; return x; }\n",
+        );
+        let module = build_tree(&module_tree, &Options::distro()).unwrap();
+        let mut obj = module.get("m.kc").unwrap().clone();
+        obj.name = "mod".to_string();
+        kernel.insmod(&obj, false).unwrap();
+        assert_eq!(order(&kernel).len(), 3);
+        assert!(kernel.rmmod("mod"));
+        assert!(Arc::ptr_eq(&kernel.syms.frozen, &boot));
+        assert_eq!(order(&kernel), booted);
+        assert!(kernel.syms.own.syms.is_empty());
     }
 }

@@ -212,6 +212,9 @@ impl Kernel {
         let mut syms = Kallsyms::new();
         let modules = load_kernel_image(&mut mem, &mut syms, set, &|n| native_addr(n))
             .map_err(BootError::Link)?;
+        // The image's symbols form the shared prefix: forks share them
+        // and unloading a module never re-indexes them.
+        syms.freeze();
         // Heap arena for kmalloc.
         let heap_base = mem
             .alloc_region("kheap", 8 * 1024 * 1024, 16, Perms::DATA)
@@ -254,9 +257,10 @@ impl Kernel {
     /// table, modules, threads, clocks, allocator, PRNG, scheduler and
     /// fault state. See [`KernelSnapshot`].
     pub fn snapshot(&self) -> KernelSnapshot {
-        KernelSnapshot {
-            frozen: self.copy(),
-        }
+        let frozen = self.copy();
+        // Hash the text here once, so no fork hashes it again.
+        frozen.mem.text_checksum();
+        KernelSnapshot { frozen }
     }
 
     /// A copy of this kernel with an empty icache. Memory copies only
@@ -265,9 +269,11 @@ impl Kernel {
     fn copy(&self) -> Kernel {
         let mem = self.mem.fork();
         let icache_clock = mem.text_generation();
+        let mut syms = self.syms.clone();
+        syms.freeze();
         Kernel {
             mem,
-            syms: self.syms.freeze(),
+            syms,
             threads: self.threads.clone(),
             next_tid: self.next_tid,
             klog: self.klog.clone(),

@@ -9,6 +9,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Base virtual address of kernel memory. Chosen to echo the paper's
 /// worked example addresses (`0xf0000000`, §4.3 Figure 2).
@@ -152,6 +153,11 @@ pub struct Memory {
     /// Atomic only so a kernel snapshot can be shared across threads;
     /// `Relaxed` suffices because the hint publishes no other data.
     last_hit: AtomicUsize,
+    /// The last [`Memory::text_checksum`] value, valid until the text
+    /// changes. Every change to executable bytes, to the set of
+    /// executable regions or to their permissions empties it (see
+    /// [`Memory::text_changed`]), so an unchanged text is hashed once.
+    text_memo: OnceLock<u64>,
 }
 
 impl Default for Memory {
@@ -171,13 +177,15 @@ impl Memory {
             text_gen: 0,
             gens: std::collections::HashMap::new(),
             last_hit: AtomicUsize::new(usize::MAX),
+            text_memo: OnceLock::new(),
         }
     }
 
     /// An independent copy of the arena: same bytes, regions, bump
-    /// cursor and text generations. The copy starts from a fresh zeroed
-    /// arena and copies only the pages ever written, so its cost is the
-    /// written footprint, never the 64 MiB arena.
+    /// cursor, text generations and remembered text checksum. The copy
+    /// starts from a fresh zeroed arena and copies only the pages ever
+    /// written, so its cost is the written footprint, never the 64 MiB
+    /// arena.
     pub(crate) fn fork(&self) -> Memory {
         let mut bytes = vec![0u8; MEM_SIZE as usize];
         for (w, &word) in self.dirty.iter().enumerate() {
@@ -197,6 +205,7 @@ impl Memory {
             text_gen: self.text_gen,
             gens: self.gens.clone(),
             last_hit: AtomicUsize::new(usize::MAX),
+            text_memo: self.text_memo.clone(),
         }
     }
 
@@ -227,6 +236,14 @@ impl Memory {
     fn bump_text(&mut self, start: u64) {
         self.text_gen += 1;
         *self.gens.entry(start).or_insert(0) += 1;
+        self.text_changed();
+    }
+
+    /// Forgets the remembered text checksum: the text just changed.
+    /// Unlike [`Memory::bump_text`] this leaves the icache clock alone,
+    /// so mapping a new executable region costs the VM no flush sweep.
+    fn text_changed(&mut self) {
+        self.text_memo.take();
     }
 
     /// Allocates a fresh region, returning its start address.
@@ -243,6 +260,7 @@ impl Memory {
         self.cursor = end;
         if perms.exec {
             self.gens.insert(start, 0);
+            self.text_changed();
         }
         self.regions.push(Region {
             name: name.to_string(),
@@ -328,6 +346,7 @@ impl Memory {
                 self.gens.remove(start);
             }
             self.text_gen += 1;
+            self.text_changed();
         }
         before - self.regions.len()
     }
@@ -469,8 +488,14 @@ impl Memory {
     /// every byte of mapped text untouched: no half-written trampolines,
     /// no leftover module code. This is the checksum the apply/undo
     /// abort paths verify.
+    ///
+    /// The value is remembered until the text changes, so repeated
+    /// checks of unchanged text (and of a fork's, which inherits the
+    /// value) hash nothing.
     pub fn text_checksum(&self) -> u64 {
-        self.checksum_where(|r| r.perms.exec)
+        *self
+            .text_memo
+            .get_or_init(|| self.checksum_where(|r| r.perms.exec))
     }
 
     fn checksum_where(&self, keep: impl Fn(&Region) -> bool) -> u64 {
@@ -613,6 +638,96 @@ mod tests {
         m.unmap_prefix("mod:");
         assert_eq!(m.image_checksum(), image);
         assert_eq!(m.text_checksum(), text);
+    }
+
+    /// The remembered text checksum never goes stale. Seeded sequences
+    /// of every mutation path — code and data allocation, stores into
+    /// writable text and data, pokes into text and data, unmapping,
+    /// permission changes — run on an arena and its forks, with every
+    /// arena's checksum read after each op, so each op meets a warm
+    /// memo. After every op each arena's value must equal a fresh pass.
+    #[test]
+    fn text_checksum_memo_tracks_every_text_change() {
+        const RWX: Perms = Perms {
+            read: true,
+            write: true,
+            exec: true,
+        };
+        const PERMS: [Perms; 4] = [Perms::TEXT, Perms::DATA, Perms::RO, RWX];
+        // xorshift64*: `below(n)` is uniform in `0..n`.
+        struct Rng(u64);
+        impl Rng {
+            fn below(&mut self, n: usize) -> usize {
+                self.0 ^= self.0 >> 12;
+                self.0 ^= self.0 << 25;
+                self.0 ^= self.0 >> 27;
+                (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n.max(1) as u64) as usize
+            }
+        }
+        let (mut text_ops, mut forks) = (0, 0);
+        for seed in 1..=48u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let mut mems = vec![Memory::new()];
+            for step in 0..120 {
+                let i = rng.below(mems.len());
+                let m = &mut mems[i];
+                let picked =
+                    (!m.regions.is_empty()).then(|| m.regions[rng.below(m.regions.len())].clone());
+                let text_before = m.checksum_where(|r| r.perms.exec);
+                match rng.below(8) {
+                    0 => {
+                        let name = format!("m{}:code{step}", rng.below(4));
+                        let perms = PERMS[[0, 3][rng.below(2)]];
+                        m.alloc_region(&name, 1 + rng.below(96) as u64, 8, perms);
+                    }
+                    1 => {
+                        let name = format!("m{}:data{step}", rng.below(4));
+                        m.alloc_region(&name, 1 + rng.below(96) as u64, 8, PERMS[1 + rng.below(2)]);
+                    }
+                    2 | 3 => {
+                        if let Some(r) = picked {
+                            let at = r.start + rng.below(r.size as usize) as u64;
+                            let len = (1 + rng.below(8) as u64).min(r.start + r.size - at);
+                            let data: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+                            if rng.below(2) == 0 {
+                                let _ = m.store(at, &data);
+                            } else {
+                                m.poke(at, &data).unwrap();
+                            }
+                        }
+                    }
+                    4 => {
+                        m.unmap_prefix(&format!("m{}:", rng.below(4)));
+                    }
+                    5 => {
+                        if let Some(r) = picked {
+                            m.set_region_perms(r.start, PERMS[rng.below(4)]);
+                        }
+                    }
+                    6 if mems.len() < 4 => {
+                        let fork = mems[i].fork();
+                        assert_eq!(fork.text_memo.get(), mems[i].text_memo.get());
+                        mems.push(fork);
+                        forks += 1;
+                    }
+                    _ => {}
+                }
+                if mems[i].checksum_where(|r| r.perms.exec) != text_before {
+                    text_ops += 1;
+                }
+                for (k, m) in mems.iter().enumerate() {
+                    assert_eq!(
+                        m.text_checksum(),
+                        m.checksum_where(|r| r.perms.exec),
+                        "seed {seed} step {step}: arena {k} remembered a stale checksum"
+                    );
+                }
+            }
+        }
+        assert!(
+            text_ops > 1000 && forks > 48,
+            "{text_ops} text changes, {forks} forks"
+        );
     }
 
     #[test]
