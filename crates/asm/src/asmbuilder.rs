@@ -184,11 +184,6 @@ impl Assembler {
         self.items.push(Item::Align(alignment));
     }
 
-    /// Number of items queued so far (used by tests).
-    pub fn item_count(&self) -> usize {
-        self.items.len()
-    }
-
     /// Resolves labels (relaxing branches if enabled) and produces the
     /// final code.
     pub fn finish(self) -> Result<Assembled, AsmError> {

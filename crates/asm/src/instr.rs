@@ -231,11 +231,6 @@ impl Instr {
     pub fn is_empty(&self) -> bool {
         false
     }
-
-    /// True for any no-op form.
-    pub fn is_nop(&self) -> bool {
-        matches!(self, Instr::Nop1 | Instr::NopN(_))
-    }
 }
 
 #[cfg(test)]

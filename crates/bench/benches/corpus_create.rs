@@ -17,14 +17,20 @@
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ksplice_core::{create_update_cached_traced, BuildCache, CreateOptions, Tracer};
-use ksplice_eval::{base_tree, corpus, default_eval_jobs, run_full_evaluation_jobs};
+use ksplice_core::{create_update_cached_traced, ApplyOptions, BuildCache, CreateOptions, Tracer};
+use ksplice_eval::{base_tree, corpus, default_eval_jobs, run_full_evaluation};
 
 const STRESS_ROUNDS: u64 = 2;
 
 fn eval_wall_ms(jobs: usize) -> u128 {
     let t = Instant::now();
-    run_full_evaluation_jobs(STRESS_ROUNDS, jobs).expect("evaluation failed");
+    run_full_evaluation(
+        STRESS_ROUNDS,
+        jobs,
+        &ApplyOptions::default(),
+        &mut Tracer::disabled(),
+    )
+    .expect("evaluation failed");
     t.elapsed().as_millis()
 }
 

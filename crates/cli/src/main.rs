@@ -34,8 +34,8 @@ use ksplice_core::trace::{
     Value,
 };
 use ksplice_core::{
-    create_update_traced, ApplyOptions, CreateOptions, HealthProbe, Ksplice, RetryPolicy,
-    SmpConfig, UpdateManager, UpdatePack, WatchPolicy,
+    create_update_cached_traced, ApplyOptions, BuildCache, CreateOptions, HealthProbe, Ksplice,
+    RetryPolicy, SmpConfig, UpdateManager, UpdatePack, WatchPolicy,
 };
 use ksplice_eval::{base_tree, corpus, quiescence_correlation, run_exploit, run_profile, ProfileConfig};
 use ksplice_fleet::{
@@ -238,7 +238,8 @@ fn cmd_create(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
         ..CreateOptions::default()
     };
     let (pack, _) =
-        create_update_traced(id, &tree, &patch, &opts, tracer).map_err(|e| e.to_string())?;
+        create_update_cached_traced(id, &tree, &patch, &opts, &BuildCache::new(), tracer)
+            .map_err(|e| e.to_string())?;
     std::fs::write(&out, pack.to_bytes()).map_err(|e| format!("{}: {e}", out.display()))?;
     note(
         tracer,
@@ -327,8 +328,15 @@ fn cmd_demo(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
     } else {
         case.patch_text()
     };
-    let (pack, _) = create_update_traced(case.id, &base_tree(), &patch, &opts, tracer)
-        .map_err(|e| e.to_string())?;
+    let (pack, _) = create_update_cached_traced(
+        case.id,
+        &base_tree(),
+        &patch,
+        &opts,
+        &BuildCache::new(),
+        tracer,
+    )
+    .map_err(|e| e.to_string())?;
     // Faults target the hot-update pipeline, so arm them only now —
     // arming before the exploit demonstration would fire them on the
     // exploit module's load instead of the update's.
@@ -483,8 +491,15 @@ fn cmd_status(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
         } else {
             case.patch_text()
         };
-        let (pack, _) = create_update_traced(case.id, &base_tree(), &patch, &opts, tracer)
-            .map_err(|e| e.to_string())?;
+        let (pack, _) = create_update_cached_traced(
+            case.id,
+            &base_tree(),
+            &patch,
+            &opts,
+            &BuildCache::new(),
+            tracer,
+        )
+        .map_err(|e| e.to_string())?;
         let mut probes: Vec<HealthProbe> = probe_specs
             .iter()
             .map(|s| HealthProbe::parse(s))
@@ -527,7 +542,7 @@ fn cmd_eval(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
         return Err("bad --jobs value".to_string());
     }
     let apply_opts = retry_policy_arg(args)?;
-    let report = ksplice_eval::run_full_evaluation_opts(rounds, jobs, &apply_opts, tracer)?;
+    let report = ksplice_eval::run_full_evaluation(rounds, jobs, &apply_opts, tracer)?;
     tracer.count("eval.cases_run", report.outcomes.len() as u64);
     println!("{}", report.render());
     Ok(())

@@ -241,18 +241,6 @@ impl fmt::Display for ApplyError {
 
 impl std::error::Error for ApplyError {}
 
-impl From<LinkError> for ApplyError {
-    fn from(e: LinkError) -> ApplyError {
-        ApplyError::Link(e)
-    }
-}
-
-impl From<MatchError> for ApplyError {
-    fn from(e: MatchError) -> ApplyError {
-        ApplyError::Match(e)
-    }
-}
-
 /// What a successful undo did — the reversal mirror of [`ApplyReport`].
 ///
 /// `attempts` and `pause` come from the *same* stop_machine window, so
@@ -418,50 +406,48 @@ impl Ksplice {
                 ("units", pack.units.len().into()),
             ],
         );
+        // The clean-abort invariant: an abort must leave the kernel's
+        // mapped text byte-identical to this pre-apply image (no
+        // half-written trampolines, no leftover module code).
+        let mut unwind = Unwind {
+            stage: "load_helpers",
+            text_before: kernel.mem.text_checksum(),
+            helpers: Vec::new(),
+            primaries: Vec::new(),
+        };
+        self.apply_stages(kernel, pack, opts, &tag, &mut unwind, tracer)
+            .map_err(|abort| unwind.abort(kernel, tracer, &pack.id, opts, abort))
+    }
+
+    /// The §5 sequence proper. Each stage names itself in `unwind` and
+    /// records the modules it loads there, so a failure anywhere returns
+    /// to [`Unwind::abort`] with everything it needs to roll back.
+    fn apply_stages(
+        &mut self,
+        kernel: &mut Kernel,
+        pack: &UpdatePack,
+        opts: &ApplyOptions,
+        tag: &str,
+        unwind: &mut Unwind,
+        tracer: &mut Tracer,
+    ) -> Result<ApplyReport, Abort> {
         let mut stage_steps: Vec<(&'static str, u64)> = Vec::new();
         let mut stage_start = kernel.steps;
-        // The clean-abort invariant: every abort path below must leave
-        // the kernel's mapped text byte-identical to this pre-apply
-        // image (no half-written trampolines, no leftover module code).
-        let text_before = kernel.mem.text_checksum();
 
         // 1. Load helper modules (pre code; invisible to kallsyms so the
         //    matcher cannot mistake them for run code). Kept loaded until
         //    the update is committed, then unloaded to save memory (§5.1).
-        let mut helper_names: Vec<String> = Vec::new();
         for up in &pack.units {
             let mut helper = up.helper.clone();
             helper.name = format!("{tag}_helper_{}", sanitize(&up.unit));
-            if let Err(e) = kernel.insmod_with(&helper, true, false) {
-                // Unload the helpers already in: a partial set must not
-                // outlive the abort.
-                for name in &helper_names {
-                    kernel.rmmod(name);
-                }
-                verify_text_restored(kernel, tracer, Stage::Apply, text_before);
-                tracer.emit(
-                    Stage::Apply,
-                    Severity::Error,
-                    "apply.abort",
-                    vec![
-                        ("id", pack.id.as_str().into()),
-                        ("stage", "load_helpers".into()),
-                        ("msg", e.to_string().into()),
-                    ],
-                );
-                return Err(e.into());
-            }
-            helper_names.push(helper.name);
+            kernel.insmod_with(&helper, true, false)?;
+            unwind.helpers.push(helper.name);
         }
-        let unload_helpers = |kernel: &mut Kernel| {
-            for name in &helper_names {
-                kernel.rmmod(name);
-            }
-        };
         stage_steps.push(("load_helpers", kernel.steps - stage_start));
         stage_start = kernel.steps;
 
         // 2. Run-pre match every affected unit.
+        unwind.stage = "runpre";
         let mut matches: BTreeMap<String, UnitMatch> = BTreeMap::new();
         for up in &pack.units {
             // §5.4: every function of this unit previously patched by a
@@ -475,69 +461,24 @@ impl Ksplice {
                     overrides.insert(s.fn_name.clone(), s.replacement_addr);
                 }
             }
-            match match_unit_traced(kernel, &up.helper, &overrides, tracer) {
-                Ok(m) => {
-                    matches.insert(up.unit.clone(), m);
-                }
-                Err(e) => {
-                    unload_helpers(kernel);
-                    verify_text_restored(kernel, tracer, Stage::Apply, text_before);
-                    tracer.emit(
-                        Stage::Apply,
-                        Severity::Error,
-                        "apply.abort",
-                        vec![
-                            ("id", pack.id.as_str().into()),
-                            ("stage", "runpre".into()),
-                            ("msg", e.to_string().into()),
-                        ],
-                    );
-                    return Err(e.into());
-                }
-            }
+            let m = match_unit_traced(kernel, &up.helper, &overrides, tracer)?;
+            matches.insert(up.unit.clone(), m);
         }
         stage_steps.push(("runpre", kernel.steps - stage_start));
         stage_start = kernel.steps;
 
         // 3. Load primary modules and fulfil their deferred relocations
         //    from the recovered bindings.
+        unwind.stage = "load_primaries";
         let mut primaries: Vec<(String, LoadedModule, &Object)> = Vec::new();
-        let mut primary_names: Vec<String> = Vec::new();
         for up in &pack.units {
             let mut primary = up.primary.clone();
             primary.name = format!("{tag}_primary_{}", sanitize(&up.unit));
-            let loaded = match kernel.insmod_with(&primary, true, true) {
-                Ok(m) => m,
-                Err(e) => {
-                    for n in &primary_names {
-                        kernel.rmmod(n);
-                    }
-                    unload_helpers(kernel);
-                    verify_text_restored(kernel, tracer, Stage::Apply, text_before);
-                    tracer.emit(
-                        Stage::Apply,
-                        Severity::Error,
-                        "apply.abort",
-                        vec![
-                            ("id", pack.id.as_str().into()),
-                            ("stage", "load_primaries".into()),
-                            ("msg", e.to_string().into()),
-                        ],
-                    );
-                    return Err(e.into());
-                }
-            };
-            primary_names.push(primary.name.clone());
+            let loaded = kernel.insmod_with(&primary, true, true)?;
+            unwind.primaries.push(primary.name);
             primaries.push((up.unit.clone(), loaded, &up.primary));
         }
-        let rollback_modules = |kernel: &mut Kernel| {
-            for n in &primary_names {
-                kernel.rmmod(n);
-            }
-            for n in &helper_names {
-                kernel.rmmod(n);
-            }
-        };
+        unwind.stage = "resolve";
         let mut fulfilled_relocs: Vec<(String, u64)> = Vec::new();
         for (unit, loaded, _) in &primaries {
             let um = &matches[unit];
@@ -549,46 +490,25 @@ impl Ksplice {
                     .copied()
                     .or_else(|| kernel.syms.lookup_global(&pending.symbol).map(|s| s.addr));
                 let Some(s) = s else {
-                    rollback_modules(kernel);
-                    verify_text_restored(kernel, tracer, Stage::Apply, text_before);
-                    tracer.emit(
-                        Stage::Apply,
-                        Severity::Error,
-                        "apply.abort",
-                        vec![
-                            ("id", pack.id.as_str().into()),
-                            ("stage", "resolve".into()),
+                    return Err(Abort {
+                        fields: vec![
                             ("unit", unit.as_str().into()),
                             ("symbol", pending.symbol.as_str().into()),
                             ("msg", "unresolved symbol".into()),
                         ],
-                    );
-                    return Err(ApplyError::Unresolved {
-                        unit: unit.clone(),
-                        symbol: pending.symbol.clone(),
+                        error: ApplyError::Unresolved {
+                            unit: unit.clone(),
+                            symbol: pending.symbol.clone(),
+                        },
                     });
                 };
-                if let Err(e) = apply_reloc_at(
+                apply_reloc_at(
                     &mut kernel.mem,
                     pending.kind,
                     pending.addr,
                     s,
                     pending.addend,
-                ) {
-                    rollback_modules(kernel);
-                    verify_text_restored(kernel, tracer, Stage::Apply, text_before);
-                    tracer.emit(
-                        Stage::Apply,
-                        Severity::Error,
-                        "apply.abort",
-                        vec![
-                            ("id", pack.id.as_str().into()),
-                            ("stage", "resolve".into()),
-                            ("msg", e.to_string().into()),
-                        ],
-                    );
-                    return Err(ApplyError::Link(e));
-                }
+                )?;
                 fulfilled_relocs.push((pending.symbol.clone(), s));
                 fulfilled += 1;
             }
@@ -604,65 +524,34 @@ impl Ksplice {
         stage_start = kernel.steps;
 
         // 4. Resolve hooks from the primary objects' .ksplice.* sections.
+        unwind.stage = "resolve_hooks";
         let mut hooks = ResolvedHooks::default();
         for (unit, loaded, obj) in &primaries {
-            if let Err(e) = resolve_hooks(kernel, unit, loaded, obj, &matches, &mut hooks) {
-                rollback_modules(kernel);
-                verify_text_restored(kernel, tracer, Stage::Apply, text_before);
-                tracer.emit(
-                    Stage::Apply,
-                    Severity::Error,
-                    "apply.abort",
-                    vec![
-                        ("id", pack.id.as_str().into()),
-                        ("stage", "resolve_hooks".into()),
-                        ("msg", e.to_string().into()),
-                    ],
-                );
-                return Err(e);
-            }
+            resolve_hooks(kernel, unit, loaded, obj, &matches, &mut hooks)?;
         }
 
         // 5. Build the patch sites.
+        unwind.stage = "sites";
         let mut sites = Vec::new();
         for (up, (_, loaded, _)) in pack.units.iter().zip(&primaries) {
             let um = &matches[&up.unit];
             for (sec_name, fn_name) in &up.replaced_fns {
+                let function = ("function", Value::from(fn_name.as_str()));
                 let Some(m) = um.fn_addrs.get(fn_name) else {
-                    rollback_modules(kernel);
-                    verify_text_restored(kernel, tracer, Stage::Apply, text_before);
-                    tracer.emit(
-                        Stage::Apply,
-                        Severity::Error,
-                        "apply.abort",
-                        vec![
-                            ("id", pack.id.as_str().into()),
-                            ("stage", "sites".into()),
-                            ("function", fn_name.as_str().into()),
-                            ("msg", "no match entry".into()),
-                        ],
-                    );
-                    return Err(ApplyError::MissingMatch {
-                        fn_name: fn_name.clone(),
+                    return Err(Abort {
+                        fields: vec![function, ("msg", "no match entry".into())],
+                        error: ApplyError::MissingMatch {
+                            fn_name: fn_name.clone(),
+                        },
                     });
                 };
                 if m.run_len < TRAMPOLINE_LEN as u64 {
-                    rollback_modules(kernel);
-                    verify_text_restored(kernel, tracer, Stage::Apply, text_before);
-                    tracer.emit(
-                        Stage::Apply,
-                        Severity::Error,
-                        "apply.abort",
-                        vec![
-                            ("id", pack.id.as_str().into()),
-                            ("stage", "sites".into()),
-                            ("function", fn_name.as_str().into()),
-                            ("msg", "too short for trampoline".into()),
-                        ],
-                    );
-                    return Err(ApplyError::TooShort {
-                        fn_name: fn_name.clone(),
-                        len: m.run_len,
+                    return Err(Abort {
+                        fields: vec![function, ("msg", "too short for trampoline".into())],
+                        error: ApplyError::TooShort {
+                            fn_name: fn_name.clone(),
+                            len: m.run_len,
+                        },
                     });
                 }
                 let replacement_addr = loaded.symbol_addr(fn_name).unwrap_or_else(|| {
@@ -685,6 +574,7 @@ impl Ksplice {
         }
 
         // 6. pre_apply hooks (ordinary context, may sleep).
+        unwind.stage = "pre_apply_hooks";
         if !hooks.of(HookKind::PreApply).is_empty() {
             tracer.emit(
                 Stage::Apply,
@@ -696,30 +586,20 @@ impl Ksplice {
                 ],
             );
         }
-        if let Err(e) = run_hooks(kernel, &hooks, HookKind::PreApply) {
-            rollback_modules(kernel);
-            tracer.set_now(kernel.steps);
-            verify_text_restored(kernel, tracer, Stage::Apply, text_before);
-            tracer.emit(
-                Stage::Apply,
-                Severity::Error,
-                "apply.abort",
-                vec![
-                    ("id", pack.id.as_str().into()),
-                    ("stage", "pre_apply_hooks".into()),
-                    ("msg", e.to_string().into()),
-                ],
-            );
-            return Err(e);
-        }
+        run_hooks(kernel, &hooks, HookKind::PreApply)?;
         tracer.set_now(kernel.steps);
         stage_steps.push(("pre_apply_hooks", kernel.steps - stage_start));
         stage_start = kernel.steps;
 
         // 7. stop_machine + safety check + trampolines, with retries.
+        unwind.stage = "stop_machine";
         let ranges: Vec<(u64, u64, String)> = sites
             .iter()
             .map(|s| (s.site_addr, s.site_len, s.fn_name.clone()))
+            .collect();
+        let writes: Vec<(u64, [u8; TRAMPOLINE_LEN])> = sites
+            .iter()
+            .map(|s| (s.site_addr, trampoline(s.site_addr, s.replacement_addr)))
             .collect();
         let captured = capture(
             kernel,
@@ -727,71 +607,28 @@ impl Ksplice {
             Stage::Apply,
             &opts.retry,
             sites.len(),
-            |k| {
-                if let Some((tid, fn_name)) = busy_function(k, &ranges) {
-                    return Err(StopError::Busy { tid, fn_name });
-                }
-                // Safe: write every trampoline.
-                let mut saved = Vec::with_capacity(sites.len());
-                for site in &sites {
-                    let mut buf = [0u8; TRAMPOLINE_LEN];
-                    buf.copy_from_slice(
-                        k.mem
-                            .peek(site.site_addr, TRAMPOLINE_LEN as u64)
-                            .expect("matched code is mapped"),
-                    );
-                    saved.push(buf);
-                    write_trampoline(k, site.site_addr, site.replacement_addr);
-                }
-                // The patched text is live the instant the machine
-                // resumes: flush stale decoded blocks while it is still
-                // stopped, as flush_icache_range would after a text poke.
-                k.flush_icache();
-                // Apply hooks run while the machine is stopped (§5.3).
-                for &h in hooks.of(HookKind::Apply) {
-                    if let Err(detail) = call_hook(k, h) {
-                        // Roll the trampolines back before reporting.
-                        for (site, orig) in sites.iter().zip(&saved) {
-                            k.mem.poke(site.site_addr, orig).expect("mapped");
-                        }
-                        k.flush_icache();
-                        return Err(StopError::Hook(format!("apply hook: {detail}")));
-                    }
-                }
-                Ok(saved)
-            },
-        );
-        let captured = match captured {
-            Ok(captured) => captured,
-            Err(Abandoned { attempts, error }) => {
-                rollback_modules(kernel);
-                cooldown(kernel, tracer, Stage::Apply, opts.retry.cooldown_steps);
-                verify_text_restored(kernel, tracer, Stage::Apply, text_before);
-                let err = match error {
-                    StopError::Hook(detail) => ApplyError::Hook {
-                        kind: "ksplice_apply",
-                        detail,
-                    },
-                    StopError::Busy { tid, fn_name } => ApplyError::NotQuiescent {
-                        fn_name,
-                        tid,
-                        attempts,
-                    },
-                };
-                tracer.emit(
-                    Stage::Apply,
-                    Severity::Error,
-                    "apply.abort",
-                    vec![
-                        ("id", pack.id.as_str().into()),
-                        ("stage", "stop_machine".into()),
-                        ("attempts", attempts.into()),
-                        ("msg", err.to_string().into()),
-                    ],
-                );
-                return Err(err);
+            |k| patch_window(k, &ranges, &writes, hooks.of(HookKind::Apply), "apply hook"),
+        )
+        .map_err(|Abandoned { attempts, error }| {
+            let error = match error {
+                StopError::Hook(detail) => ApplyError::Hook {
+                    kind: "ksplice_apply",
+                    detail,
+                },
+                StopError::Busy { tid, fn_name } => ApplyError::NotQuiescent {
+                    fn_name,
+                    tid,
+                    attempts,
+                },
+            };
+            Abort {
+                fields: vec![
+                    ("attempts", attempts.into()),
+                    ("msg", error.to_string().into()),
+                ],
+                error,
             }
-        };
+        })?;
         for (site, buf) in sites.iter_mut().zip(captured.value) {
             site.saved = buf;
             tracer.emit(
@@ -823,7 +660,9 @@ impl Ksplice {
                 vec![("msg", e.to_string().into())],
             );
         }
-        unload_helpers(kernel);
+        for name in &unwind.helpers {
+            kernel.rmmod(name);
+        }
         tracer.set_now(kernel.steps);
         stage_steps.push(("commit", kernel.steps - stage_start));
 
@@ -850,7 +689,7 @@ impl Ksplice {
         self.updates.push(AppliedUpdate {
             id: pack.id.clone(),
             sites,
-            primary_modules: primary_names,
+            primary_modules: std::mem::take(&mut unwind.primaries),
             hooks,
             fulfilled_relocs,
             reversed: false,
@@ -995,6 +834,18 @@ impl Ksplice {
                 .iter()
                 .map(|s| (s.site_addr, s.site_len, format!("{} (original)", s.fn_name))),
         );
+        let writes: Vec<(u64, [u8; TRAMPOLINE_LEN])> = update
+            .sites
+            .iter()
+            .zip(&successors)
+            .map(|(site, succ)| {
+                let bytes = match succ {
+                    Some(su) => trampoline(site.site_addr, su.target),
+                    None => site.saved,
+                };
+                (site.site_addr, bytes)
+            })
+            .collect();
         let captured = capture(
             kernel,
             tracer,
@@ -1002,39 +853,13 @@ impl Ksplice {
             &opts.retry,
             update.sites.len(),
             |k| {
-                if let Some((tid, fn_name)) = busy_function(k, &ranges) {
-                    return Err(StopError::Busy { tid, fn_name });
-                }
-                // Save the current site bytes so a reverse-hook failure can
-                // re-install them — the same all-or-nothing discipline the
-                // apply side uses for its stopped-machine hooks.
-                let mut prev = Vec::with_capacity(update.sites.len());
-                for (site, succ) in update.sites.iter().zip(&successors) {
-                    let mut buf = [0u8; TRAMPOLINE_LEN];
-                    buf.copy_from_slice(
-                        k.mem
-                            .peek(site.site_addr, TRAMPOLINE_LEN as u64)
-                            .expect("mapped"),
-                    );
-                    prev.push(buf);
-                    match succ {
-                        Some(su) => write_trampoline(k, site.site_addr, su.target),
-                        None => k.mem.poke(site.site_addr, &site.saved).expect("mapped"),
-                    }
-                }
-                // The new routing is live on resume: evict every decoded
-                // block that still caches the old one.
-                k.flush_icache();
-                for &h in update.hooks.of(HookKind::Reverse) {
-                    if let Err(detail) = call_hook(k, h) {
-                        for (site, buf) in update.sites.iter().zip(&prev) {
-                            k.mem.poke(site.site_addr, buf).expect("mapped");
-                        }
-                        k.flush_icache();
-                        return Err(StopError::Hook(format!("reverse hook: {detail}")));
-                    }
-                }
-                Ok(())
+                patch_window(
+                    k,
+                    &ranges,
+                    &writes,
+                    update.hooks.of(HookKind::Reverse),
+                    "reverse hook",
+                )
             },
         );
         let captured = match captured {
@@ -1199,6 +1024,81 @@ struct Successor {
     update: usize,
     site: usize,
     target: u64,
+}
+
+/// What an apply has done so far that an abort must undo.
+struct Unwind {
+    /// The stage running now, reported by the `apply.abort` event.
+    stage: &'static str,
+    /// Text checksum of the pre-apply kernel, which an abort restores.
+    text_before: u64,
+    /// Helper modules loaded so far, in load order.
+    helpers: Vec<String>,
+    /// Primary modules loaded so far, in load order.
+    primaries: Vec<String>,
+}
+
+impl Unwind {
+    /// The one apply abort path: unloads the primaries and then the
+    /// helpers, each in load order, gives blocked threads the retry
+    /// policy's cooldown when the stop_machine stage gave up, checks that
+    /// the text is restored, and emits the `apply.abort` event.
+    fn abort(
+        self,
+        kernel: &mut Kernel,
+        tracer: &mut Tracer,
+        id: &str,
+        opts: &ApplyOptions,
+        abort: Abort,
+    ) -> ApplyError {
+        for name in self.primaries.iter().chain(&self.helpers) {
+            kernel.rmmod(name);
+        }
+        if self.stage == "stop_machine" {
+            cooldown(kernel, tracer, Stage::Apply, opts.retry.cooldown_steps);
+        }
+        // Hooks may have run the kernel since the last stamp.
+        tracer.set_now(kernel.steps);
+        verify_text_restored(kernel, tracer, Stage::Apply, self.text_before);
+        let mut fields = vec![("id", id.into()), ("stage", self.stage.into())];
+        fields.extend(abort.fields);
+        tracer.emit(Stage::Apply, Severity::Error, "apply.abort", fields);
+        abort.error
+    }
+}
+
+/// A failed apply stage on its way to [`Unwind::abort`]: the error the
+/// caller gets and the `apply.abort` fields that follow `id` and `stage`.
+struct Abort {
+    error: ApplyError,
+    fields: Vec<(&'static str, Value)>,
+}
+
+impl From<LinkError> for Abort {
+    fn from(e: LinkError) -> Abort {
+        Abort {
+            fields: vec![("msg", e.to_string().into())],
+            error: ApplyError::Link(e),
+        }
+    }
+}
+
+impl From<MatchError> for Abort {
+    fn from(e: MatchError) -> Abort {
+        Abort {
+            fields: vec![("msg", e.to_string().into())],
+            error: ApplyError::Match(e),
+        }
+    }
+}
+
+impl From<ApplyError> for Abort {
+    fn from(error: ApplyError) -> Abort {
+        Abort {
+            fields: vec![("msg", error.to_string().into())],
+            error,
+        }
+    }
 }
 
 /// Why one stop_machine capture window was abandoned.
@@ -1436,17 +1336,52 @@ fn busy_function(kernel: &mut Kernel, ranges: &[(u64, u64, String)]) -> Option<(
     None
 }
 
-/// Writes the redirecting jump at a replaced function's entry.
-fn write_trampoline(kernel: &mut Kernel, site: u64, target: u64) {
+/// The redirecting jump written at a replaced function's entry `site`.
+fn trampoline(site: u64, target: u64) -> [u8; TRAMPOLINE_LEN] {
     let rel = target.wrapping_sub(site + TRAMPOLINE_LEN as u64) as i64;
     let rel = i32::try_from(rel).expect("arena spans < 2 GiB");
     let mut bytes = Vec::with_capacity(TRAMPOLINE_LEN);
     Instr::Jmp32(rel).encode(&mut bytes);
-    debug_assert_eq!(bytes.len(), TRAMPOLINE_LEN);
-    kernel
-        .mem
-        .poke(site, &bytes)
-        .expect("matched code is mapped");
+    bytes.try_into().expect("a jmp32 is TRAMPOLINE_LEN bytes")
+}
+
+/// The stopped-machine body apply and undo share: the §5.2 safety check
+/// over `ranges`, then each `(site, bytes)` write with the overwritten
+/// bytes saved, an icache flush (the new routing is live the instant the
+/// machine resumes, as after flush_icache_range), and the stopped-machine
+/// `hooks` (§5.3). A failing hook puts the saved bytes back and flushes
+/// again before the window reports it, so a window either rewrites every
+/// site or none. Returns the saved bytes in site order.
+fn patch_window(
+    kernel: &mut Kernel,
+    ranges: &[(u64, u64, String)],
+    writes: &[(u64, [u8; TRAMPOLINE_LEN])],
+    hooks: &[u64],
+    hook_label: &str,
+) -> Result<Vec<[u8; TRAMPOLINE_LEN]>, StopError> {
+    if let Some((tid, fn_name)) = busy_function(kernel, ranges) {
+        return Err(StopError::Busy { tid, fn_name });
+    }
+    let mut saved = Vec::with_capacity(writes.len());
+    for (site, bytes) in writes {
+        let old = kernel
+            .mem
+            .peek(*site, TRAMPOLINE_LEN as u64)
+            .expect("site is mapped");
+        saved.push(<[u8; TRAMPOLINE_LEN]>::try_from(old).expect("peeked TRAMPOLINE_LEN bytes"));
+        kernel.mem.poke(*site, bytes).expect("site is mapped");
+    }
+    kernel.flush_icache();
+    for &h in hooks {
+        if let Err(detail) = call_hook(kernel, h) {
+            for ((site, _), old) in writes.iter().zip(&saved) {
+                kernel.mem.poke(*site, old).expect("site is mapped");
+            }
+            kernel.flush_icache();
+            return Err(StopError::Hook(format!("{hook_label}: {detail}")));
+        }
+    }
+    Ok(saved)
 }
 
 /// Resolves one unit's hook entries to loaded addresses.

@@ -108,18 +108,7 @@ pub fn create_update(
     patch_text: &str,
     opts: &CreateOptions,
 ) -> Result<(UpdatePack, SourceTree), CreateError> {
-    create_update_traced(id, source, patch_text, opts, &mut Tracer::disabled())
-}
-
-/// [`create_update`] with build/diff/package events on `tracer`.
-pub fn create_update_traced(
-    id: &str,
-    source: &SourceTree,
-    patch_text: &str,
-    opts: &CreateOptions,
-    tracer: &mut Tracer,
-) -> Result<(UpdatePack, SourceTree), CreateError> {
-    create_update_cached_traced(id, source, patch_text, opts, &BuildCache::new(), tracer)
+    create_update_cached(id, source, patch_text, opts, &BuildCache::new())
 }
 
 /// [`create_update`] through a shared [`BuildCache`]: the pre build of an

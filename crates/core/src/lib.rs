@@ -75,7 +75,7 @@ pub use manager::{
 pub use retry::{Backoff, RetryPolicy};
 pub use create::{
     apply_patch_to_tree, create_update, create_update_cached, create_update_cached_traced,
-    create_update_traced, CreateError, CreateOptions,
+    CreateError, CreateOptions,
 };
 // Re-exported so callers driving the cached create path need not depend
 // on `ksplice-lang` directly.
@@ -89,8 +89,7 @@ pub use rebase::{
     RebaseStatus,
 };
 pub use runpre::{
-    match_function, match_function_traced, match_unit, match_unit_traced, FnMatch, MatchError,
-    UnitMatch,
+    match_function_traced, match_unit, match_unit_traced, FnMatch, MatchError, UnitMatch,
 };
 // Re-exported so callers configuring `ApplyOptions::smp` need not depend
 // on `ksplice-kernel` directly.

@@ -560,15 +560,6 @@ impl UpdateManager {
         &self.ks
     }
 
-    /// Mutable access to the underlying core state, for callers mixing
-    /// managed and raw applies. Raw applies show up in [`status`] as
-    /// committed (live) or reversed.
-    ///
-    /// [`status`]: UpdateManager::status
-    pub fn ksplice_mut(&mut self) -> &mut Ksplice {
-        &mut self.ks
-    }
-
     /// The active watch policy.
     pub fn watch(&self) -> &WatchPolicy {
         &self.watch

@@ -44,8 +44,16 @@ use crate::apply::{ApplyOptions, Ksplice};
 use crate::create::{create_update_cached_traced, CreateError, CreateOptions};
 use crate::package::UpdatePack;
 
+/// Minimum normalized-AST similarity (percent) for a fuzzy function
+/// match to be trusted.
+const SIMILARITY_MIN: u32 = 55;
+
+/// The best candidate must beat the runner-up by at least this many
+/// points, or the match is declared ambiguous and the hunk refuses.
+const AMBIGUITY_MARGIN: u32 = 8;
+
 /// Policy knobs for a rebase.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RebaseOptions {
     /// Passed through to `ksplice-create` for both the original and the
     /// rebased pack builds.
@@ -53,23 +61,6 @@ pub struct RebaseOptions {
     /// Apply options for the reuse gate and the final verification
     /// (retry schedule, SMP topology of the verification kernel).
     pub apply: ApplyOptions,
-    /// Minimum normalized-AST similarity (percent) for a fuzzy function
-    /// match to be trusted.
-    pub similarity_min: u32,
-    /// The best candidate must beat the runner-up by at least this many
-    /// points, or the match is declared ambiguous and the hunk refuses.
-    pub ambiguity_margin: u32,
-}
-
-impl Default for RebaseOptions {
-    fn default() -> RebaseOptions {
-        RebaseOptions {
-            create: CreateOptions::default(),
-            apply: ApplyOptions::default(),
-            similarity_min: 55,
-            ambiguity_margin: 8,
-        }
-    }
 }
 
 /// The rebase verdict for one update.
@@ -402,12 +393,7 @@ enum MatchOutcome {
 /// same-name same-unit matches win if they clear the similarity bar
 /// (the split-wrapper case must *not* win on name alone); otherwise the
 /// whole tree is ranked by similarity.
-fn find_counterpart(
-    base_fn: &Function,
-    base_unit: &str,
-    index: &[IndexedFn],
-    opts: &RebaseOptions,
-) -> MatchOutcome {
+fn find_counterpart(base_fn: &Function, base_unit: &str, index: &[IndexedFn]) -> MatchOutcome {
     let base_grams = bigrams(&shape_stream(base_fn));
     let score_of = |ix: &IndexedFn| -> u32 {
         let total: u32 = base_grams.values().sum::<u32>() + ix.grams.values().sum::<u32>();
@@ -428,7 +414,7 @@ fn find_counterpart(
         .find(|ix| ix.unit == base_unit && ix.func.name == base_fn.name)
     {
         let s = score_of(ix);
-        if s >= opts.similarity_min {
+        if s >= SIMILARITY_MIN {
             return MatchOutcome::Matched(FuzzyMatch {
                 unit: ix.unit.clone(),
                 name: ix.func.name.clone(),
@@ -452,14 +438,14 @@ fn find_counterpart(
     let Some((best_score, best)) = scored.first().map(|(s, ix)| (*s, *ix)) else {
         return MatchOutcome::NotFound { best: 0 };
     };
-    if best_score < opts.similarity_min {
+    if best_score < SIMILARITY_MIN {
         return MatchOutcome::NotFound { best: best_score };
     }
     if let Some((second_score, second)) = scored.get(1).map(|(s, ix)| (*s, *ix)) {
         // A runner-up within the margin makes the match unsafe — unless
         // it is the same function name (statics duplicated across units
         // rank together; the same-unit instance already sorted first).
-        if best_score.saturating_sub(second_score) < opts.ambiguity_margin
+        if best_score.saturating_sub(second_score) < AMBIGUITY_MARGIN
             && second.func.name != best.func.name
         {
             return MatchOutcome::Ambiguous(
@@ -652,7 +638,7 @@ pub fn rebase_update(
                 // can need it.
                 continue;
             }
-            match find_counterpart(f, unit_path, &index, opts) {
+            match find_counterpart(f, unit_path, &index) {
                 MatchOutcome::Matched(m) => {
                     if m.name != f.name {
                         renames.push((f.name.clone(), m.name.clone()));
@@ -680,8 +666,8 @@ pub fn rebase_update(
                         f.name.clone(),
                         format!(
                             "{unit_path}: {}: deleted or rewritten beyond recognition \
-                             (best similarity {best}% < {}%)",
-                            f.name, opts.similarity_min
+                             (best similarity {best}% < {SIMILARITY_MIN}%)",
+                            f.name
                         ),
                     );
                 }

@@ -385,22 +385,13 @@ fn match_unit_inner(
     Ok(out)
 }
 
-/// Walks one pre function against run memory at `run_addr`.
+/// Walks one pre function against run memory at `run_addr`, recording
+/// walk metrics on `tracer`: bytes walked, alignment no-ops skipped on
+/// either side, PC-relative equivalence checks performed, and relocation
+/// values recovered.
 ///
 /// Returns the run length walked and the `(symbol, value)` pairs
 /// recovered from relocation fields.
-pub fn match_function(
-    kernel: &Kernel,
-    pre_obj: &Object,
-    pre: &Section,
-    run_addr: u64,
-) -> Result<(u64, Vec<(String, u64)>), MatchError> {
-    match_function_traced(kernel, pre_obj, pre, run_addr, &mut Tracer::disabled())
-}
-
-/// [`match_function`] recording walk metrics on `tracer`: bytes walked,
-/// alignment no-ops skipped on either side, PC-relative equivalence
-/// checks performed, and relocation values recovered.
 pub fn match_function_traced(
     kernel: &Kernel,
     pre_obj: &Object,

@@ -10,8 +10,8 @@ use std::collections::BTreeMap;
 
 use ksplice_core::trace::{RingSink, Severity, Tracer};
 use ksplice_core::{
-    create_update, create_update_traced, match_unit, ApplyError, ApplyOptions, CreateError,
-    CreateOptions, Ksplice, MatchError,
+    create_update, create_update_cached_traced, match_unit, ApplyError, ApplyOptions, BuildCache,
+    CreateError, CreateOptions, Ksplice, MatchError,
 };
 use ksplice_kernel::{Kernel, ThreadState};
 use ksplice_lang::{build_tree, Options, SourceTree};
@@ -111,11 +111,12 @@ fn clean_apply_traces_the_pipeline_without_warnings() {
     let mut tracer = Tracer::new().with_sink(Box::new(ring));
 
     let patch = diff_for(&src, "kernel/sys.kc", SYS_FIXED);
-    let (pack, _) = create_update_traced(
+    let (pack, _) = create_update_cached_traced(
         "cve-off-by-one",
         &src,
         &patch,
         &CreateOptions::default(),
+        &BuildCache::new(),
         &mut tracer,
     )
     .unwrap();

@@ -10,15 +10,13 @@
 //! The driver is built for corpus throughput: one [`BuildCache`] is
 //! shared across every CVE so the base tree (both the distro boot image
 //! and the pre build) is compiled exactly once per process and each post
-//! build recompiles only the patched units, and
-//! [`run_full_evaluation_jobs`] fans the corpus out over
-//! `std::thread::scope` workers — each CVE gets its own [`Kernel`], each
-//! worker its own [`Tracer`] merged back via [`Tracer::absorb`] after
-//! join, and outcome ordering is deterministic regardless of worker
-//! interleaving.
+//! build recompiles only the patched units, and [`run_full_evaluation`]
+//! fans the corpus out over the shared worker pool ([`par_map`]) — each
+//! CVE gets its own [`Kernel`], each worker its own [`Tracer`] merged
+//! back via [`Tracer::absorb`] after join, and outcome ordering is
+//! deterministic regardless of worker interleaving.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use ksplice_core::{create_update_cached_traced, ApplyOptions, BuildCache, CreateOptions, Ksplice, Tracer};
@@ -29,6 +27,7 @@ use ksplice_patch::Patch;
 
 use crate::corpus::{corpus, CustomReason, Cve};
 use crate::exploits::run_exploit;
+use crate::pool::par_map;
 use crate::stats::{corpus_stats, figure3_buckets, symbol_stats, CorpusStats, SymbolStats};
 use crate::stress::{load_stress_cached, run_stress};
 use crate::tree::base_tree;
@@ -73,14 +72,9 @@ pub struct CveOutcome {
     pub primary_bytes: usize,
 }
 
-/// Runs one corpus entry end to end (fresh cache, no tracing).
-pub fn run_cve(case: &Cve, stress_rounds: u64) -> Result<CveOutcome, String> {
-    run_cve_cached(case, stress_rounds, &BuildCache::new(), &mut Tracer::disabled())
-}
-
-/// [`run_cve`] through a shared [`BuildCache`], with cache and apply
-/// counters on `tracer`.
-pub fn run_cve_cached(
+/// Runs one corpus entry end to end through `cache`, with cache and
+/// apply counters on `tracer`.
+pub fn run_cve(
     case: &Cve,
     stress_rounds: u64,
     cache: &BuildCache,
@@ -367,43 +361,15 @@ impl EvalReport {
     }
 }
 
-/// Worker count used when the caller does not specify `--jobs`: one per
-/// available hardware thread.
-pub fn default_eval_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Runs the whole corpus with [`default_eval_jobs`] workers.
-/// `stress_rounds` trades coverage for time (the test suite uses a small
-/// number; the bench uses more).
-pub fn run_full_evaluation(stress_rounds: u64) -> Result<EvalReport, String> {
-    run_full_evaluation_jobs(stress_rounds, default_eval_jobs())
-}
-
-/// [`run_full_evaluation`] with an explicit worker count (the CLI's
-/// `--jobs N`). `jobs = 1` runs serially on the calling thread.
-pub fn run_full_evaluation_jobs(stress_rounds: u64, jobs: usize) -> Result<EvalReport, String> {
-    run_full_evaluation_traced(stress_rounds, jobs, &mut Tracer::disabled())
-}
-
-/// [`run_full_evaluation_jobs`] with cache/apply counters and histograms
-/// merged onto `tracer`. Workers trace into private [`Tracer`]s absorbed
-/// after join, so the merged metrics are identical for any `jobs` value;
-/// outcome order always matches corpus order.
-pub fn run_full_evaluation_traced(
-    stress_rounds: u64,
-    jobs: usize,
-    tracer: &mut Tracer,
-) -> Result<EvalReport, String> {
-    run_full_evaluation_opts(stress_rounds, jobs, &ApplyOptions::default(), tracer)
-}
-
-/// [`run_full_evaluation_traced`] with an explicit apply-time policy
-/// (the CLI's `--retry-policy` reaches every per-CVE apply and undo
-/// through here).
-pub fn run_full_evaluation_opts(
+/// Runs the whole corpus over `jobs` workers (`jobs = 1` runs serially
+/// on the calling thread; the CLI's `--jobs N`) under `apply_opts` (the
+/// CLI's `--retry-policy` and `--cpus` reach every per-CVE apply and undo
+/// through here). `stress_rounds` trades coverage for time (the test
+/// suite uses a small number; the bench uses more). Cache and apply
+/// counters and histograms land on `tracer`; workers trace into private
+/// [`Tracer`]s absorbed after join, so the merged metrics are identical
+/// for any `jobs` value, and outcome order always matches corpus order.
+pub fn run_full_evaluation(
     stress_rounds: u64,
     jobs: usize,
     apply_opts: &ApplyOptions,
@@ -420,75 +386,21 @@ pub fn run_full_evaluation_opts(
     // check covers them all.
     baseline_stress_check(&image, &cache, stress_rounds)?;
 
-    let jobs = jobs.clamp(1, cases.len().max(1));
-    let mut results: Vec<Option<Result<CveOutcome, String>>> = Vec::new();
-    results.resize_with(cases.len(), || None);
-    if jobs == 1 {
-        for (case, slot) in cases.iter().zip(results.iter_mut()) {
-            *slot = Some(run_cve_with(
-                case,
-                stress_rounds,
-                &base,
-                &image,
-                &cache,
-                apply_opts,
-                tracer,
-            ));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let trace_workers = tracer.is_enabled();
-        let worker_outputs = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = if trace_workers {
-                            Tracer::new()
-                        } else {
-                            Tracer::disabled()
-                        };
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= cases.len() {
-                                break;
-                            }
-                            done.push((
-                                i,
-                                run_cve_with(
-                                    &cases[i],
-                                    stress_rounds,
-                                    &base,
-                                    &image,
-                                    &cache,
-                                    apply_opts,
-                                    &mut local,
-                                ),
-                            ));
-                        }
-                        (done, local)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("evaluation worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (done, local) in worker_outputs {
-            tracer.absorb(&local);
-            for (i, result) in done {
-                results[i] = Some(result);
-            }
-        }
-    }
-
     // Deterministic error semantics: the failure at the lowest corpus
     // index wins, exactly as the serial loop would have reported it.
-    let mut outcomes = Vec::with_capacity(cases.len());
-    for result in results {
-        outcomes.push(result.expect("every corpus index was claimed")?);
-    }
+    let outcomes = par_map(cases.iter().collect(), jobs, tracer, |case, tracer| {
+        run_cve_with(
+            case,
+            stress_rounds,
+            &base,
+            &image,
+            &cache,
+            apply_opts,
+            tracer,
+        )
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
 
     // The stats kernel boots from the same image — the base tree is built
     // once per evaluation, not twice more after the CVE loop.
@@ -509,7 +421,7 @@ mod tests {
     fn one_exploit_cve_end_to_end() {
         let cases = corpus();
         let prctl = cases.iter().find(|c| c.id == "CVE-2006-2451").unwrap();
-        let o = run_cve(prctl, 10).unwrap();
+        let o = run_cve(prctl, 10, &BuildCache::new(), &mut Tracer::disabled()).unwrap();
         assert!(o.plain_applied);
         assert!(o.applied && o.stress_ok && o.undo_ok);
         assert_eq!(o.exploit_before, Some(true));
@@ -521,7 +433,7 @@ mod tests {
     fn one_custom_code_cve_end_to_end() {
         let cases = corpus();
         let shadow = cases.iter().find(|c| c.id == "CVE-2005-2709").unwrap();
-        let o = run_cve(shadow, 10).unwrap();
+        let o = run_cve(shadow, 10, &BuildCache::new(), &mut Tracer::disabled()).unwrap();
         // The plain patch for the Table-1 init-changers fails create; for
         // the shadow case the plain patch builds but lacks the migration.
         assert!(o.applied && o.stress_ok && o.undo_ok);
@@ -532,7 +444,7 @@ mod tests {
     fn a_data_init_cve_needs_signoff() {
         let cases = corpus();
         let brk = cases.iter().find(|c| c.id == "CVE-2008-0007").unwrap();
-        let o = run_cve(brk, 5).unwrap();
+        let o = run_cve(brk, 5, &BuildCache::new(), &mut Tracer::disabled()).unwrap();
         assert!(
             !o.plain_applied,
             "init change must be refused without sign-off"

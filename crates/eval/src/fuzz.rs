@@ -26,7 +26,6 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ksplice_core::trace::{Severity, Stage};
 use ksplice_core::{
@@ -38,13 +37,14 @@ use ksplice_kernel::{
     SmpConfig, TraceEntry,
 };
 use ksplice_lang::{
-    apply_mutation, build_tree_cached, generate_mutant, parse_unit, pretty_unit, FuzzRng, Mutation,
-    MutatorKind, Options, SourceTree, Type, Unit,
+    apply_mutation, build_tree_cached, fnv1a, generate_mutant, parse_unit, pretty_unit, FuzzRng,
+    Mutation, MutatorKind, Options, SourceTree, Type, Unit, FNV_OFFSET,
 };
 
 use crate::corpus::{corpus, diff_trees, Cve};
-use crate::driver::{default_eval_jobs, distro_image};
+use crate::driver::distro_image;
 use crate::exploits::run_exploit;
+use crate::pool::{default_eval_jobs, par_map};
 use crate::stress::load_stress_cached;
 use crate::tree::base_tree;
 
@@ -105,10 +105,6 @@ pub struct FuzzConfig {
     pub max_mutations: usize,
     /// Workload both kernels run.
     pub workload: Workload,
-    /// Per-workload-call interpreter step budget. Deliberately far below
-    /// the interactive default: a mutant that loops forever should cost
-    /// milliseconds, and both kernels hit the same limit deterministically.
-    pub call_limit: u64,
     /// vCPU count for every kernel in the differential harness (the
     /// reference, calibration and subject all run the same topology, so
     /// the oracle compares like with like). 1 = the historical
@@ -124,7 +120,6 @@ impl Default for FuzzConfig {
             jobs: default_eval_jobs(),
             max_mutations: 3,
             workload: Workload::Syscalls,
-            call_limit: 2_000_000,
             cpus: 1,
         }
     }
@@ -180,11 +175,6 @@ impl Outcome {
             Outcome::Diverged { class, .. } => format!("diverged:{class}"),
             Outcome::Infra { .. } => "infra".to_string(),
         }
-    }
-
-    /// True for outcomes that fail the campaign (oracle or harness bugs).
-    pub fn is_failure(&self) -> bool {
-        matches!(self, Outcome::Diverged { .. } | Outcome::Infra { .. })
     }
 
     /// The free-text detail, if any.
@@ -502,9 +492,13 @@ pub struct FuzzContext {
     prctl: Cve,
     sweep: Vec<(String, Vec<u64>)>,
     workload: Workload,
-    call_limit: u64,
     cpus: u32,
 }
+
+/// Per-workload-call interpreter step budget. Deliberately far below the
+/// interactive default: a mutant that loops forever should cost
+/// milliseconds, and both kernels hit the same limit deterministically.
+const CALL_LIMIT: u64 = 2_000_000;
 
 const SWEEP_CAP: usize = 48;
 const STRESS_LIMIT: u64 = 30_000_000;
@@ -577,14 +571,8 @@ impl FuzzContext {
             prctl,
             sweep,
             workload: cfg.workload,
-            call_limit: cfg.call_limit,
             cpus: cfg.cpus,
         })
-    }
-
-    /// The mutable `.kc` unit paths, in canonical order.
-    pub fn unit_paths(&self) -> impl Iterator<Item = &str> {
-        self.units.iter().map(|(p, _)| p.as_str())
     }
 
     fn unit(&self, path: &str) -> Option<&Unit> {
@@ -816,22 +804,22 @@ impl FuzzContext {
             // stamps later trace events and must read exactly as if the
             // whole lockstep sweep had run.
             if first_taint.is_some() {
-                let _ = traced_call(&mut subject, name, args, self.call_limit);
+                let _ = traced_call(&mut subject, name, args, CALL_LIMIT);
                 continue;
             }
-            let r = traced_call(&mut reference, name, args, self.call_limit);
+            let r = traced_call(&mut reference, name, args, CALL_LIMIT);
             if hit(&r) {
                 first_taint = Some((i, "truncated"));
-                let _ = traced_call(&mut subject, name, args, self.call_limit);
+                let _ = traced_call(&mut subject, name, args, CALL_LIMIT);
                 continue;
             }
-            let c = traced_call(&mut calib, name, args, self.call_limit);
+            let c = traced_call(&mut calib, name, args, CALL_LIMIT);
             if hit(&c) {
                 first_taint = Some((i, "truncated"));
-                let _ = traced_call(&mut subject, name, args, self.call_limit);
+                let _ = traced_call(&mut subject, name, args, CALL_LIMIT);
                 continue;
             }
-            let s = traced_call(&mut subject, name, args, self.call_limit);
+            let s = traced_call(&mut subject, name, args, CALL_LIMIT);
             if hit(&s) {
                 first_taint = Some((i, "truncated"));
             } else if r != c
@@ -1083,61 +1071,14 @@ pub fn run_campaign(cfg: &FuzzConfig, tracer: &mut Tracer) -> Result<CampaignRep
         ],
     );
 
-    let jobs = cfg.jobs.clamp(1, cfg.mutants.max(1));
-    let mut records: Vec<Option<MutantRecord>> = Vec::new();
-    records.resize_with(cfg.mutants, || None);
-    if jobs == 1 {
-        for (i, slot) in records.iter_mut().enumerate() {
-            *slot = Some(run_mutant(&cx, cfg, i, tracer));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let trace_workers = tracer.is_enabled();
-        let worker_outputs = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = if trace_workers {
-                            Tracer::new()
-                        } else {
-                            Tracer::disabled()
-                        };
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= cfg.mutants {
-                                break;
-                            }
-                            done.push((i, run_mutant(&cx, cfg, i, &mut local)));
-                        }
-                        (done, local)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fuzz worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (done, local) in worker_outputs {
-            tracer.absorb(&local);
-            for (i, record) in done {
-                records[i] = Some(record);
-            }
-        }
-    }
+    let records = par_map((0..cfg.mutants).collect(), cfg.jobs, tracer, |i, tracer| {
+        run_mutant(&cx, cfg, i, tracer)
+    });
 
     // Hash the records in campaign (index) order before tallying, so
     // the fingerprint is identical no matter how many workers ran.
-    fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
-    }
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    for record in records.iter().flatten() {
+    let mut digest = FNV_OFFSET;
+    for record in &records {
         digest = fnv1a(digest, &record.index.to_le_bytes());
         digest = fnv1a(digest, record.unit.as_bytes());
         digest = fnv1a(digest, record.class.as_bytes());
@@ -1152,7 +1093,7 @@ pub fn run_campaign(cfg: &FuzzConfig, tracer: &mut Tracer) -> Result<CampaignRep
     let mut failures = Vec::new();
     let mut panics = 0usize;
     let mut first_of_class: BTreeMap<String, MutantRecord> = BTreeMap::new();
-    for record in records.into_iter().flatten() {
+    for record in records {
         *by_class.entry(record.class.clone()).or_default() += 1;
         tracer.count(&format!("fuzz.outcome.{}", record.class), 1);
         let mut kinds: Vec<MutatorKind> = record.mutations.iter().map(|m| m.kind).collect();

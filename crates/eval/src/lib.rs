@@ -7,6 +7,7 @@ pub mod driver;
 pub mod exploits;
 pub mod fuzz;
 pub mod lifecycle;
+pub mod pool;
 pub mod profile;
 pub mod rebase;
 pub mod smp;
@@ -18,16 +19,14 @@ pub use corpus::{corpus, diff_trees, CustomCode, CustomReason, Cve, Edit, VulnCl
 pub use lifecycle::{
     lifecycle_corpus_sweep, non_lifo_reversal_sweep, LifecycleOutcome, DISJOINT_STACK,
 };
-pub use driver::{
-    default_eval_jobs, run_cve, run_cve_cached, run_full_evaluation, run_full_evaluation_jobs,
-    run_full_evaluation_opts, run_full_evaluation_traced, CveOutcome, EvalReport,
-};
+pub use driver::{run_cve, run_full_evaluation, CveOutcome, EvalReport};
 pub use exploits::run_exploit;
 pub use fuzz::{
     canonical_base_tree, load_regression_dir, run_campaign, CampaignReport, FuzzConfig,
     FuzzContext, MutantRecord, MutatorStats, Outcome, RegressionCase, Workload,
 };
 pub use stats::{corpus_stats, figure3_buckets, symbol_stats, CorpusStats, SymbolStats};
+pub use pool::{default_eval_jobs, par_map};
 pub use profile::{
     quiescence_correlation, run_profile, ProfileConfig, ProfilePhase, ProfileReport,
     QuiesceCorrelation, TargetAborts, QUIESCE_TARGET_CVES,

@@ -158,7 +158,10 @@ pub fn lifecycle_corpus_sweep(
 /// compilation units — they stack and reverse independently.
 pub const DISJOINT_STACK: [&str; 3] = ["CVE-2006-2451", "CVE-2005-0750", "CVE-2005-4605"];
 
-/// A tiny deterministic xorshift64* generator for reversal orders.
+/// A tiny deterministic generator for reversal orders: xorshift64 with
+/// the 13/7/17 shifts and a multiplicative output scramble (not the
+/// 12/25/27 xorshift64* of `FuzzRng`; the sweep's orders are pinned to
+/// this one).
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;

@@ -428,8 +428,9 @@ impl QuiesceCorrelation {
     }
 }
 
-/// A tiny deterministic PRNG (xorshift64*) for the jittered attempt
-/// schedule; the VM forbids wall-clock randomness by design.
+/// A tiny deterministic PRNG (plain xorshift64, 13/7/17 shifts, no
+/// output multiplier) for the jittered attempt schedule; the VM forbids
+/// wall-clock randomness by design.
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;

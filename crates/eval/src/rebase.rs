@@ -17,7 +17,6 @@
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ksplice_core::{
     rebase_update, BuildCache, CreateOptions, RebaseOptions, RebaseStatus, Tracer,
@@ -28,8 +27,8 @@ use ksplice_lang::{
 };
 
 use crate::corpus::{corpus, diff_trees, Cve};
-use crate::driver::default_eval_jobs;
 use crate::fuzz::canonical_base_tree;
+use crate::pool::{default_eval_jobs, par_map};
 
 /// Shape of one matrix run.
 #[derive(Debug, Clone)]
@@ -322,18 +321,14 @@ pub fn run_rebase_matrix(
         })
         .collect();
 
-    // Fan the (level, cve) cells out over workers, driver-style:
-    // private tracers absorbed after join, index-ordered reassembly.
+    // Fan the (level, cve) cells out over the shared worker pool; the
+    // first failing cell in index order is the one reported.
     let total = cfg.levels.len() * cases.len();
     let jobs = if cfg.jobs == 0 {
         default_eval_jobs()
     } else {
         cfg.jobs
-    }
-    .clamp(1, total.max(1));
-    let mut results: Vec<Option<Result<RebaseCell, String>>> = Vec::new();
-    results.resize_with(total, || None);
-
+    };
     let run_one = |i: usize, tracer: &mut Tracer| -> Result<RebaseCell, String> {
         let (li, ci) = (i / cases.len(), i % cases.len());
         let case = &cases[ci];
@@ -352,51 +347,9 @@ pub fn run_rebase_matrix(
         )
     };
 
-    if jobs == 1 {
-        for (i, slot) in results.iter_mut().enumerate() {
-            *slot = Some(run_one(i, tracer));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let trace_workers = tracer.is_enabled();
-        let worker_outputs = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = if trace_workers {
-                            Tracer::new()
-                        } else {
-                            Tracer::disabled()
-                        };
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= total {
-                                break;
-                            }
-                            done.push((i, run_one(i, &mut local)));
-                        }
-                        (done, local)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rebase matrix worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (done, local) in worker_outputs {
-            tracer.absorb(&local);
-            for (i, result) in done {
-                results[i] = Some(result);
-            }
-        }
-    }
-
-    let mut cells = Vec::with_capacity(total);
-    for result in results {
-        cells.push(result.expect("every cell index was claimed")?);
-    }
+    let cells = par_map((0..total).collect(), jobs, tracer, run_one)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(RebaseMatrix {
         seed: cfg.seed,
         levels: cfg.levels.clone(),

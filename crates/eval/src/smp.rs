@@ -31,9 +31,7 @@ use ksplice_core::{
     SmpConfig,
 };
 use ksplice_kernel::Kernel;
-use ksplice_lang::BuildCache;
-
-use ksplice_lang::{compile_unit, options_fingerprint, Fingerprint, Options};
+use ksplice_lang::{compile_unit, options_fingerprint, BuildCache, Fingerprint, FuzzRng, Options};
 
 use crate::corpus::corpus;
 use crate::driver::distro_image;
@@ -202,16 +200,6 @@ impl QuiescenceReport {
     }
 }
 
-/// xorshift64* — the repo's standard seeded generator.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-}
-
 /// Runs the quiescence-under-load sweep. Emits `bench.smp_*` metrics on
 /// `tracer` — counters per load level plus a labeled `pause_steps`
 /// histogram — which `cargo bench -p ksplice-bench --bench smp` dumps
@@ -262,14 +250,15 @@ pub fn run_quiescence_load(
 
     let mut rows = Vec::new();
     for &load in &cfg.load_levels {
-        let mut rng = cfg.seed ^ (load as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut rng =
+            FuzzRng::from_state(cfg.seed ^ (load as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let mut aborts = 0u64;
         let mut drain_attempts = 0u64;
         let mut pause_steps = Vec::new();
         let label = load.to_string();
         for _ in 0..cfg.probes {
             let mut k = Kernel::boot_image(&image).map_err(|e| format!("boot: {e}"))?;
-            k.configure_smp(SmpConfig::with_cpus(cfg.cpus).with_seed(xorshift(&mut rng)));
+            k.configure_smp(SmpConfig::with_cpus(cfg.cpus).with_seed(rng.next_u64()));
             let entry = load_smp_load(&mut k, &cache)?;
             for _ in 0..load {
                 // A workload that outlives every capture attempt.
@@ -279,11 +268,11 @@ pub fn run_quiescence_load(
                 // share a run queue advance in quantum lockstep, so
                 // without the skid every thread parks at the *same*
                 // loop phase and the abort odds stop compounding.
-                k.run(257 + xorshift(&mut rng) % 509);
+                k.run(257 + rng.below(509));
             }
             // Settle into a seeded phase of the workload loop, so each
             // probe's capture window lands somewhere different.
-            k.run(10_000 + xorshift(&mut rng) % 10_007);
+            k.run(10_000 + rng.below(10_007));
 
             let mut ks = Ksplice::new();
             match ks.apply_traced(&mut k, &pack, &single, &mut Tracer::disabled()) {

@@ -259,9 +259,8 @@ fn full_lifecycle_emits_only_registered_counters() {
     )
     .unwrap();
 
-    let counters = tracer.counters();
-    assert!(!counters.is_empty());
-    let names: Vec<&str> = counters.iter().map(|(name, _)| name).collect();
+    let names: Vec<&str> = tracer.counters().map(|(name, _)| name).collect();
+    assert!(!names.is_empty());
     for name in &names {
         assert!(
             KNOWN_COUNTERS.contains(name),

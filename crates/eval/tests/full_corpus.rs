@@ -1,10 +1,17 @@
 //! The paper's full evaluation: all 64 CVEs end to end (§6.3).
 
-use ksplice_eval::{run_full_evaluation, VulnClass};
+use ksplice_core::{ApplyOptions, Tracer};
+use ksplice_eval::{default_eval_jobs, run_full_evaluation, VulnClass};
 
 #[test]
 fn all_64_cves_hot_patch_successfully() {
-    let report = run_full_evaluation(8).expect("evaluation infrastructure");
+    let report = run_full_evaluation(
+        8,
+        default_eval_jobs(),
+        &ApplyOptions::default(),
+        &mut Tracer::disabled(),
+    )
+    .expect("evaluation infrastructure");
     println!("{}", report.render());
 
     // Headline numbers (paper §6.3).

@@ -2,9 +2,19 @@
 //! whatever `jobs` is, the rendered report — outcome order, per-CVE
 //! verdicts, aggregate statistics — is identical to the serial run.
 
-use ksplice_eval::{default_eval_jobs, run_full_evaluation_jobs};
+use ksplice_core::{ApplyOptions, Tracer};
+use ksplice_eval::{default_eval_jobs, run_full_evaluation, EvalReport};
 
 const ROUNDS: u64 = 2;
+
+fn run_full_evaluation_jobs(stress_rounds: u64, jobs: usize) -> Result<EvalReport, String> {
+    run_full_evaluation(
+        stress_rounds,
+        jobs,
+        &ApplyOptions::default(),
+        &mut Tracer::disabled(),
+    )
+}
 
 /// The rendered report minus wall-clock measurements: the stop_machine
 /// pause is real measured time and jitters between *any* two runs

@@ -93,7 +93,7 @@ fn fold_match(kernel: &Kernel, helper: &Object, h: &mut Fnv) -> Result<UnitMatch
         }
         Err(e) => h.str(&e.to_string()),
     }
-    for (name, n) in tracer.counters().iter() {
+    for (name, n) in tracer.counters() {
         if name.starts_with("runpre.") {
             h.str(name);
             h.u64(n);

@@ -28,6 +28,6 @@ pub use node::{
 };
 pub use orchestrator::{Outcome, RolloutOrchestrator, RolloutPolicy, RolloutReport, WaveRow};
 pub use transport::{
-    fnv1a, Endpoint, Envelope, NetFaults, NodeId, Partition, Payload, SimTransport, Transport,
+    Endpoint, Envelope, NetFaults, NodeId, Partition, Payload, SimTransport, Transport,
     TransportStats, Verdict,
 };

@@ -17,23 +17,20 @@
 //! order), re-applies its committed updates from the pack cache, and
 //! reverses the target checksum-verified.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use ksplice_core::{
     create_update_cached_traced, ApplyOptions, CreateOptions, HealthProbe, LifecycleError,
     RetryPolicy, SmpConfig, UpdateManager, UpdatePack, WatchPolicy,
 };
 use ksplice_eval::smp::SMP_LOAD_SRC;
-use ksplice_eval::{base_tree, diff_trees};
+use ksplice_eval::{base_tree, diff_trees, par_map};
 use ksplice_kernel::{Kernel, KernelSnapshot};
 use ksplice_lang::{
-    build_tree_image_cached, compile_unit, options_fingerprint, BuildCache, Fingerprint, Options,
-    SourceTree,
+    build_tree_image_cached, compile_unit, fnv1a, options_fingerprint, BuildCache, Fingerprint,
+    FuzzRng, Options, SourceTree, FNV_OFFSET,
 };
 use ksplice_trace::Tracer;
 
-use crate::transport::{fnv1a, NodeId, Payload, Verdict};
+use crate::transport::{NodeId, Payload, Verdict};
 
 /// The base versions the fleet is heterogeneous across, oldest first.
 ///
@@ -129,7 +126,7 @@ impl PackSet {
     /// of a fresh same-tree build. Checksums are computed here.
     pub fn from_packs(update_id: &str, canaries: Vec<String>, packs: Vec<Vec<u8>>) -> Self {
         assert!(!packs.is_empty(), "a packset needs at least one pack");
-        let checksums = packs.iter().map(|p| fnv1a(p)).collect();
+        let checksums = packs.iter().map(|p| fnv1a(FNV_OFFSET, p)).collect();
         PackSet {
             update_id: update_id.to_string(),
             canaries,
@@ -175,7 +172,7 @@ pub fn build_packset(
         )
         .map_err(|e| format!("{update_id} v{v}: create: {e}"))?;
         let bytes = pack.to_bytes();
-        checksums.push(fnv1a(&bytes));
+        checksums.push(fnv1a(FNV_OFFSET, &bytes));
         packs.push(bytes);
     }
     Ok(PackSet {
@@ -226,16 +223,6 @@ impl Default for FleetConfig {
             retry: RetryPolicy::fixed(10, 2_000),
         }
     }
-}
-
-/// xorshift64* — the repo's standard seeded generator.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545_f491_4f6c_dd1d)
 }
 
 /// One base version, booted once: every node of the version forks it.
@@ -332,11 +319,6 @@ impl FleetNode {
         FleetNode::new(u32::MAX, 0, 1)
     }
 
-    /// Whether the node currently holds a live kernel.
-    pub fn is_resident(&self) -> bool {
-        self.runtime.is_some()
-    }
-
     /// Text checksum of the resident kernel (None when not resident).
     pub fn resident_text_checksum(&self) -> Option<u64> {
         self.runtime.as_ref().map(|rt| rt.kernel.mem.text_checksum())
@@ -366,11 +348,11 @@ impl FleetNode {
         if self.runtime.is_some() {
             return Ok(());
         }
-        let mut rng = self.seed;
+        let mut rng = FuzzRng::from_state(self.seed);
         let base = &cx.bases[self.version];
         let mut kernel = base.snapshot.fork();
         if cfg.cpus > 1 {
-            kernel.configure_smp(SmpConfig::with_cpus(cfg.cpus).with_seed(xorshift(&mut rng)));
+            kernel.configure_smp(SmpConfig::with_cpus(cfg.cpus).with_seed(rng.next_u64()));
         }
         if let Some(entry) = base.load_entry {
             for _ in 0..cfg.load_threads {
@@ -379,10 +361,10 @@ impl FleetNode {
                     .map_err(|e| format!("node {}: load spawn: {e}", self.id))?;
                 // Seeded skid so threads sharing a run queue don't park
                 // in phase lockstep (same trick as the SMP sweep).
-                kernel.run(257 + xorshift(&mut rng) % 509);
+                kernel.run(257 + rng.below(509));
             }
         }
-        kernel.run(1_000 + xorshift(&mut rng) % 1_009);
+        kernel.run(1_000 + rng.below(1_009));
         if self.baseline_text == 0 {
             self.baseline_text = kernel.mem.text_checksum();
         }
@@ -456,7 +438,7 @@ impl FleetNode {
         if self.committed.contains(&update) {
             return report(update, Verdict::AlreadyApplied);
         }
-        if fnv1a(&pack_bytes) != checksum {
+        if fnv1a(FNV_OFFSET, &pack_bytes) != checksum {
             return report(
                 update,
                 Verdict::Rejected {
@@ -640,11 +622,12 @@ impl Fleet {
         let cx = FleetContext::new(&cfg)?;
         let nodes = (0..cfg.nodes)
             .map(|id| {
-                let mut seed = cfg
-                    .seed
-                    .wrapping_add((id as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                xorshift(&mut seed);
-                FleetNode::new(id, id as usize % cfg.versions, seed | 1)
+                let mut rng = FuzzRng::from_state(
+                    cfg.seed
+                        .wrapping_add((id as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+                );
+                rng.next_u64();
+                FleetNode::new(id, id as usize % cfg.versions, rng.state() | 1)
             })
             .collect();
         Ok(Fleet { cfg, cx, nodes })
@@ -675,52 +658,38 @@ impl Fleet {
         self.nodes.iter().map(|n| n.version).collect()
     }
 
-    /// Processes one tick's node-bound messages, sharded across `jobs`
-    /// worker threads (the eval-driver pattern: an atomic work queue
-    /// over owned slots, results re-assembled in input order so the
-    /// outcome is byte-identical regardless of `jobs`).
+    /// Processes one tick's node-bound messages over `jobs` workers of
+    /// the shared pool ([`par_map`]). Replies come back in batch order,
+    /// so the outcome is byte-identical regardless of `jobs`.
     pub fn handle_batch(
         &mut self,
         batch: Vec<(NodeId, Vec<Payload>)>,
         jobs: usize,
     ) -> Vec<(NodeId, Vec<Payload>)> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
         // Take each contacted node out of the fleet so workers own them.
-        type Slot = Mutex<Option<(NodeId, FleetNode, Vec<Payload>)>>;
-        let tasks: Vec<Slot> = batch
+        let tasks: Vec<_> = batch
             .into_iter()
             .map(|(id, msgs)| {
                 let node = std::mem::replace(&mut self.nodes[id as usize], FleetNode::tombstone());
-                Mutex::new(Some((id, node, msgs)))
+                (id, node, msgs)
             })
             .collect();
-        let results: Vec<Slot> = tasks.iter().map(|_| Mutex::new(None)).collect();
-        let cx = &self.cx;
-        let cfg = &self.cfg;
-        let jobs = jobs.clamp(1, tasks.len());
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= tasks.len() {
-                        break;
-                    }
-                    let (id, mut node, msgs) =
-                        tasks[i].lock().unwrap().take().expect("task taken once");
-                    let replies = node.handle(msgs, cx, cfg);
-                    *results[i].lock().unwrap() = Some((id, node, replies));
-                });
-            }
-        });
-        let mut out = Vec::new();
-        for slot in results {
-            let (id, node, replies) = slot.into_inner().unwrap().expect("worker filled slot");
-            self.nodes[id as usize] = node;
-            out.push((id, replies));
-        }
-        out
+        let (cx, cfg) = (&self.cx, &self.cfg);
+        let handled = par_map(
+            tasks,
+            jobs,
+            &mut Tracer::disabled(),
+            |(id, mut node, msgs), _| {
+                let replies = node.handle(msgs, cx, cfg);
+                (id, node, replies)
+            },
+        );
+        handled
+            .into_iter()
+            .map(|(id, node, replies)| {
+                self.nodes[id as usize] = node;
+                (id, replies)
+            })
+            .collect()
     }
 }

@@ -120,16 +120,6 @@ pub struct Envelope {
     pub payload: Payload,
 }
 
-/// FNV-1a over a byte string — the pack-integrity checksum.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Seeded network-fault plan for [`SimTransport`], the `NetFaults`
 /// counterpart of the kernel's `FaultPlan`. Rates are per-mille per
 /// message; delays are uniform in `[delay_min, delay_max]` ticks.

@@ -3,10 +3,11 @@
 //! report determinism.
 
 use ksplice_fleet::{
-    build_packset, fnv1a, Endpoint, Envelope, Fleet, FleetConfig, NetFaults, Outcome, Payload,
+    build_packset, Endpoint, Envelope, Fleet, FleetConfig, NetFaults, Outcome, Payload,
     RolloutOrchestrator, RolloutPolicy, SimTransport, Transport, TransportStats, Verdict,
     VERSION_NAMES,
 };
+use ksplice_lang::{fnv1a, FNV_OFFSET};
 use ksplice_trace::Tracer;
 
 fn small_fleet(nodes: u32, resident: bool) -> Fleet {
@@ -294,7 +295,7 @@ fn loaded_smp_rollout_matches_the_pinned_digest() {
             kernel.ticks
         ));
     }
-    let digest = fnv1a(text.as_bytes());
+    let digest = fnv1a(FNV_OFFSET, text.as_bytes());
     assert_eq!(
         digest, 0xd5b7_a716_6140_a009,
         "rollout digest moved ({digest:#018x}):\n{text}"

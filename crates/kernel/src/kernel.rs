@@ -389,10 +389,11 @@ impl Kernel {
         }
     }
 
-    /// The historical uniprocessor scheduler (`cpus == 1`): a plain
-    /// round-robin over all threads in spawn order. Kept verbatim so
-    /// every single-CPU artifact (fuzz digests, trace timestamps)
-    /// stays byte-identical.
+    /// The uniprocessor scheduler (`cpus == 1`): a plain round-robin
+    /// over all threads in spawn order, every runnable thread each tick.
+    /// `run_smp` at N = 1 is a different schedule (one thread per tick,
+    /// rotation kept across calls), so every single-CPU artifact (fuzz
+    /// digests, trace timestamps) is pinned to this one (DESIGN §14).
     fn run_uni(&mut self, max_steps: u64) -> RunExit {
         let mut budget = self.faults.jitter_budget(max_steps);
         loop {

@@ -11,6 +11,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
+use ksplice_lang::{fnv1a, FNV_OFFSET};
+
 /// Base virtual address of kernel memory. Chosen to echo the paper's
 /// worked example addresses (`0xf0000000`, §4.3 Figure 2).
 pub const KBASE: u64 = 0xf000_0000;
@@ -499,27 +501,16 @@ impl Memory {
     }
 
     fn checksum_where(&self, keep: impl Fn(&Region) -> bool) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = FNV_OFFSET;
-        let mut byte = |b: u8| {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        };
         for r in self.regions.iter().filter(|r| keep(r)) {
-            for b in r.name.as_bytes() {
-                byte(*b);
-            }
-            for word in [r.start, r.size] {
-                for b in word.to_le_bytes() {
-                    byte(b);
-                }
-            }
-            byte(u8::from(r.perms.read) | u8::from(r.perms.write) << 1 | u8::from(r.perms.exec) << 2);
+            let perms =
+                u8::from(r.perms.read) | u8::from(r.perms.write) << 1 | u8::from(r.perms.exec) << 2;
             let lo = (r.start - KBASE) as usize;
-            for b in &self.bytes[lo..lo + r.size as usize] {
-                byte(*b);
-            }
+            h = fnv1a(h, r.name.as_bytes());
+            h = fnv1a(h, &r.start.to_le_bytes());
+            h = fnv1a(h, &r.size.to_le_bytes());
+            h = fnv1a(h, &[perms]);
+            h = fnv1a(h, &self.bytes[lo..lo + r.size as usize]);
         }
         h
     }

@@ -151,10 +151,9 @@ impl Kernel {
     }
 
     /// Executes one instruction through the block cache. Falls back to
-    /// the legacy [`Kernel::step`] for everything that is not ordinary
-    /// mapped text (dead threads, the return sentinel, native calls,
-    /// unfetchable or undecodable addresses) so every fault message
-    /// and exit path stays byte-identical.
+    /// [`Kernel::step`] for everything that is not ordinary mapped text
+    /// (dead threads, the return sentinel, native calls, unfetchable or
+    /// undecodable addresses), which words every fault message and exit.
     fn step_cached(&mut self, ti: usize, tid: u64, cursor: &mut Cursor) -> Step {
         if let Some((code, idx)) = cursor {
             let (instr, _) = code[*idx];
@@ -190,7 +189,7 @@ impl Kernel {
 
     /// The cached block starting at `ip`, decoding (and caching) it on
     /// a miss. `None` when `ip` is not fetchable/decodable text — the
-    /// caller falls back to the legacy path for the exact oops.
+    /// caller falls back to [`Kernel::step`] for the exact oops.
     fn block_at(&mut self, ip: u64) -> Option<Arc<[(Instr, u8)]>> {
         if let Some(b) = self.block_cache.get(&ip) {
             self.vm_stats.block_hits += 1;
@@ -246,8 +245,9 @@ impl Kernel {
     }
 
     /// Executes one instruction (or native call) for `tid`, fetching
-    /// and decoding it from memory — the legacy slow path, kept for
-    /// everything the block cache does not cover.
+    /// and decoding it from memory: the return sentinel, native calls
+    /// and faults. Ordinary instructions go to the same
+    /// [`Kernel::exec_instr`] the block cursor uses.
     fn step(&mut self, tid: u64) -> Step {
         let Some(ti) = self.threads.iter().position(|t| t.tid == tid) else {
             return Step::Stopped;
@@ -319,7 +319,7 @@ impl Kernel {
 
     /// Executes one already-decoded ordinary instruction for the
     /// runnable thread at index `ti` (tid `tid`). The architectural
-    /// core shared by the cached dispatcher and the legacy path.
+    /// core shared by the cached dispatcher and [`Kernel::step`].
     ///
     /// Effects are applied *fault-first*: every instruction has at most
     /// one faulting operation (a load, a store, or a divide check), and

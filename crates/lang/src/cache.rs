@@ -29,8 +29,19 @@ use ksplice_object::{Object, ObjectSet};
 
 use crate::Options;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The 64-bit FNV-1a offset basis: the hash of no bytes, where every
+/// [`fnv1a`] fold starts.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds `bytes` into the 64-bit FNV-1a state `h`: the one FNV-1a loop
+/// behind build-cache keys, kernel memory checksums, fleet pack
+/// checksums and the fuzz campaign digest.
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
 
 /// An incremental 64-bit FNV-1a hasher over length-prefixed fields.
 ///
@@ -47,12 +58,7 @@ impl Fingerprint {
 
     /// Folds raw bytes into the hash.
     fn write_bytes(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.0 = h;
+        self.0 = fnv1a(self.0, bytes);
     }
 
     /// Folds one length-prefixed field.
@@ -275,11 +281,6 @@ impl BuildCache {
         );
     }
 
-    /// Number of cached whole images.
-    pub fn image_count(&self) -> usize {
-        self.lock().images.len()
-    }
-
     /// Number of cached objects.
     pub fn len(&self) -> usize {
         self.lock().map.len()
@@ -342,6 +343,19 @@ mod tests {
         let mut fp = Fingerprint::new();
         fp.write_bytes(b"foobar");
         assert_eq!(fp.finish(), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn fnv1a_folds_slices_like_one_stream() {
+        // Checksums fold field by field; any split of a byte stream must
+        // hash like the whole stream.
+        let bytes = b"ksplice:.text\x00\x01\x02\xff";
+        let whole = fnv1a(FNV_OFFSET, bytes);
+        for cut in 0..=bytes.len() {
+            let (a, b) = bytes.split_at(cut);
+            assert_eq!(fnv1a(fnv1a(FNV_OFFSET, a), b), whole, "cut at {cut}");
+        }
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

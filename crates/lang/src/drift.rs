@@ -229,11 +229,6 @@ impl DriftLog {
         FnFate::Present { unit, name }
     }
 
-    /// Ops whose primary unit is `unit`, for per-cell attribution.
-    pub fn ops_in_unit<'a>(&'a self, unit: &'a str) -> impl Iterator<Item = &'a DriftOp> {
-        self.ops.iter().filter(move |o| o.unit == unit)
-    }
-
     /// Deterministic one-op-per-line rendering.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;

@@ -68,7 +68,7 @@ pub use build::{
     parse_headers,
     tree_function_index, tree_inline_report, SourceTree,
 };
-pub use cache::{options_fingerprint, BuildCache, BuildStats, Fingerprint};
+pub use cache::{fnv1a, options_fingerprint, BuildCache, BuildStats, Fingerprint, FNV_OFFSET};
 pub use drift::{
     canonicalize_tree, generate_drift, DriftClass, DriftLevel, DriftLog, DriftOp, FnFate,
 };

@@ -151,8 +151,9 @@ impl std::fmt::Display for MutateError {
 
 impl std::error::Error for MutateError {}
 
-/// The deterministic xorshift64* generator used across the fuzzer
-/// (same recurrence as the kernel's fault plan and the chaos suite).
+/// The deterministic xorshift64* generator used across the fuzzer, the
+/// SMP load sweep and the fleet (same recurrence as the kernel's fault
+/// plan and the chaos suite).
 #[derive(Debug, Clone)]
 pub struct FuzzRng {
     state: u64,
@@ -161,9 +162,22 @@ pub struct FuzzRng {
 impl FuzzRng {
     /// Seeds the generator; a zero seed is remapped (xorshift fixpoint).
     pub fn new(seed: u64) -> FuzzRng {
-        FuzzRng {
-            state: if seed == 0 { 0x9e37_79b9_7f4a_7c15 } else { seed },
-        }
+        FuzzRng::from_state(if seed == 0 {
+            0x9e37_79b9_7f4a_7c15
+        } else {
+            seed
+        })
+    }
+
+    /// Starts the generator at exactly `state`, with no remap: a zero
+    /// state stays at the xorshift fixpoint and draws only zeros.
+    pub fn from_state(state: u64) -> FuzzRng {
+        FuzzRng { state }
+    }
+
+    /// The raw state, which the next draw advances.
+    pub fn state(&self) -> u64 {
+        self.state
     }
 
     /// Next raw value.
@@ -632,6 +646,22 @@ mod tests {
     use super::*;
     use crate::parser::parse_unit;
     use crate::pretty::pretty_unit;
+
+    #[test]
+    fn from_state_is_new_without_the_zero_remap() {
+        for seed in [1, 42, 0x9e37_79b9_7f4a_7c15, u64::MAX] {
+            let (mut a, mut b) = (FuzzRng::new(seed), FuzzRng::from_state(seed));
+            for _ in 0..8 {
+                assert_eq!(a.next_u64(), b.next_u64());
+                assert_eq!(a.state(), b.state());
+            }
+        }
+        // Zero is the xorshift fixpoint: `new` remaps it, `from_state`
+        // keeps it.
+        let mut zero = FuzzRng::from_state(0);
+        assert_eq!((zero.next_u64(), zero.state()), (0, 0));
+        assert_ne!(FuzzRng::new(0).next_u64(), 0);
+    }
 
     const SRC: &str = "static int debug;\n\
         int table[3] = {10, 20, 30};\n\

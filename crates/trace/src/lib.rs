@@ -22,10 +22,9 @@
 //!   into a tree renderable as a Chrome trace
 //!   ([`chrome_trace_json`]).
 //!
-//! Every pipeline entry point (`differ`, `runpre`, `apply`, `undo_any`,
-//! `create`) has a `_traced` variant taking `&mut Tracer`; the untraced
-//! names delegate with [`Tracer::disabled`], which short-circuits to
-//! nothing so the hot paths pay one branch.
+//! Pipeline entry points take `&mut Tracer`; their untraced conveniences
+//! delegate with [`Tracer::disabled`], which short-circuits to nothing
+//! so the hot paths pay one branch.
 
 #![deny(missing_docs)]
 
@@ -38,8 +37,8 @@ mod span;
 
 pub use event::{Event, Severity, Stage, Value, EVENT_SCHEMA_VERSION};
 pub use json::{escape as json_escape, parse_json_object, JsonValue};
-pub use metrics::{Counters, Histogram};
-pub use registry::{series_key, Registry, Snapshot, SnapshotDiff};
+pub use metrics::Histogram;
+pub use registry::{series_key, Registry};
 pub use sink::{HumanSink, JsonlSink, RingHandle, RingSink, Sink};
 pub use span::{chrome_trace_json, render_span_tree, Span, SpanId};
 
@@ -188,8 +187,8 @@ impl Tracer {
         self.now_steps = self.now_steps.max(other.now_steps);
     }
 
-    /// The counter table (series key → value).
-    pub fn counters(&self) -> &Counters {
+    /// Every counter series in key order (series key, value).
+    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.registry.counters()
     }
 
@@ -198,15 +197,9 @@ impl Tracer {
         self.registry.histogram(name)
     }
 
-    /// The full metrics registry (labeled series, gauges, exports).
+    /// The full metrics registry (labeled series and gauges).
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// A point-in-time snapshot of every metric series, for
-    /// [`Snapshot::diff`].
-    pub fn snapshot(&self) -> Snapshot {
-        self.registry.snapshot()
     }
 
     /// Opens a span: subsequent spans nest under it until it ends.
@@ -281,25 +274,6 @@ impl Tracer {
         );
     }
 
-    /// Runs `f` inside a span, closing it on the way out.
-    pub fn in_span<R>(
-        &mut self,
-        stage: Stage,
-        name: &str,
-        fields: Vec<(&str, Value)>,
-        f: impl FnOnce(&mut Tracer) -> R,
-    ) -> R {
-        let id = self.span_start(stage, name, fields);
-        let r = f(self);
-        self.span_end(id);
-        r
-    }
-
-    /// The id of the innermost open span (0 when none).
-    pub fn current_span(&self) -> u64 {
-        self.span_stack.last().copied().unwrap_or(0)
-    }
-
     /// Every span recorded by this tracer, in open order.
     pub fn spans(&self) -> &[Span] {
         &self.spans
@@ -309,7 +283,7 @@ impl Tracer {
     /// the payload of the `BENCH_*.json` metric dumps.
     pub fn metrics_json(&self) -> String {
         let mut s = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.registry.counters().iter().enumerate() {
+        for (i, (k, v)) in self.registry.counters().enumerate() {
             if i > 0 {
                 s.push(',');
             }
@@ -423,6 +397,46 @@ mod tests {
         let mut off = Tracer::disabled();
         off.absorb(&w1);
         assert_eq!(off.counter("build.cache_hits"), 0);
+    }
+
+    #[test]
+    fn metrics_json_is_pinned() {
+        // Counters, labeled series, gauges and histograms, one worker
+        // absorbed: the exact bytes the BENCH_*.json dumps carry.
+        let mut t = Tracer::new();
+        t.count("runpre.bytes_matched", 100);
+        t.count("apply.trampolines_written", 2);
+        t.count_labeled(
+            "apply.trampolines_written",
+            &[("cve", "CVE-1"), ("arch", "k64")],
+            3,
+        );
+        t.count("build.cache_hits", 0);
+        t.gauge("watch.packs_active", &[], 3);
+        t.gauge("fleet.nodes", &[("version", "2.6.17")], -2);
+        for v in [0, 700, 900] {
+            t.observe("apply.pause_us", v);
+        }
+        t.observe_labeled("runpre.steps", &[("unit", "kernel/sys.kc")], 1 << 40);
+        let mut w = Tracer::new();
+        w.count("runpre.bytes_matched", 5);
+        w.observe("apply.pause_us", 3);
+        w.gauge("watch.packs_active", &[], 7);
+        t.absorb(&w);
+        assert_eq!(
+            t.metrics_json(),
+            concat!(
+                r#"{"counters":{"apply.trampolines_written":2,"#,
+                r#""apply.trampolines_written{arch=\"k64\",cve=\"CVE-1\"}":3,"#,
+                r#""build.cache_hits":0,"runpre.bytes_matched":105},"#,
+                r#""gauges":{"fleet.nodes{version=\"2.6.17\"}":-2,"watch.packs_active":7},"#,
+                r#""histograms":{"apply.pause_us":{"count":4,"sum":1603,"min":0,"max":900,"#,
+                r#""mean":400.8,"buckets":"[0,1] [2,1] [512,2]"},"#,
+                r#""runpre.steps{unit=\"kernel/sys.kc\"}":{"count":1,"sum":1099511627776,"#,
+                r#""min":1099511627776,"max":1099511627776,"mean":1099511627776.0,"#,
+                r#""buckets":"[1099511627776,1]"}}}"#,
+            )
+        );
     }
 
     #[test]

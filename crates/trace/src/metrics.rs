@@ -1,51 +1,4 @@
-//! Counters and power-of-two histograms.
-
-use std::collections::BTreeMap;
-
-/// Named monotonic counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Counters {
-    table: BTreeMap<String, u64>,
-}
-
-impl Counters {
-    /// An empty counter table.
-    pub fn new() -> Counters {
-        Counters::default()
-    }
-
-    /// Adds `n` to the named counter, creating it at zero first.
-    pub fn add(&mut self, name: &str, n: u64) {
-        *self.table.entry(name.to_string()).or_insert(0) += n;
-    }
-
-    /// Reads a counter; absent names read as zero.
-    pub fn get(&self, name: &str) -> u64 {
-        self.table.get(name).copied().unwrap_or(0)
-    }
-
-    /// Adds every counter of `other` into this table.
-    pub fn absorb(&mut self, other: &Counters) {
-        for (name, n) in other.iter() {
-            self.add(name, n);
-        }
-    }
-
-    /// All counters in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.table.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// How many distinct counters exist.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// True when no counter has been touched.
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-}
+//! Power-of-two histograms.
 
 /// A histogram over u64 observations with power-of-two buckets: bucket
 /// `i` counts values whose bit length is `i` (bucket 0 holds zeros).
@@ -182,18 +135,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_independently() {
-        let mut c = Counters::new();
-        c.add("x", 2);
-        c.add("x", 3);
-        c.add("y", 1);
-        assert_eq!(c.get("x"), 5);
-        assert_eq!(c.get("y"), 1);
-        assert_eq!(c.get("absent"), 0);
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
     fn histogram_buckets_by_bit_length() {
         let mut h = Histogram::new();
         for v in [0, 1, 2, 3, 4, 1000] {
@@ -225,18 +166,6 @@ mod tests {
         a.absorb(&Histogram::new());
         assert_eq!(a.occupied(), before);
         assert_eq!(a.count(), 4);
-    }
-
-    #[test]
-    fn counters_absorb_each_other() {
-        let mut a = Counters::new();
-        a.add("x", 2);
-        let mut b = Counters::new();
-        b.add("x", 3);
-        b.add("y", 1);
-        a.absorb(&b);
-        assert_eq!(a.get("x"), 5);
-        assert_eq!(a.get("y"), 1);
     }
 
     #[test]

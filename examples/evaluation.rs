@@ -8,7 +8,8 @@
 //! update, and prints the paper's tables: the headline 56-of-64 /
 //! 64-of-64 numbers, Figure 3, Table 1, and the §6.3 statistics.
 
-use ksplice::eval::run_full_evaluation;
+use ksplice::core::{ApplyOptions, Tracer};
+use ksplice::eval::{default_eval_jobs, run_full_evaluation};
 
 fn main() {
     let rounds = std::env::args()
@@ -16,7 +17,13 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(8);
     eprintln!("running all 64 CVEs end to end (stress rounds per CVE: {rounds})...");
-    match run_full_evaluation(rounds) {
+    let evaluation = run_full_evaluation(
+        rounds,
+        default_eval_jobs(),
+        &ApplyOptions::default(),
+        &mut Tracer::disabled(),
+    );
+    match evaluation {
         Ok(report) => println!("{}", report.render()),
         Err(e) => {
             eprintln!("evaluation failed: {e}");
