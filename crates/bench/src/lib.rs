@@ -7,8 +7,8 @@
 use std::path::Path;
 
 use ksplice_core::trace::{parse_json_object, JsonValue};
-use ksplice_core::{create_update, CreateOptions, UpdatePack};
-use ksplice_eval::{base_tree, corpus, Cve};
+use ksplice_core::{BuildCache, Tracer, UpdatePack};
+use ksplice_eval::{base_tree, corpus, shippable_update, Cve};
 use ksplice_kernel::Kernel;
 use ksplice_lang::{Options, SourceTree};
 
@@ -170,18 +170,9 @@ pub fn small_cve() -> Cve {
         .expect("corpus entry")
 }
 
-/// Builds the update pack for a CVE against the base tree.
+/// Builds the shippable update pack for a CVE against the base tree.
 pub fn pack_for(case: &Cve) -> (UpdatePack, SourceTree) {
-    let opts = CreateOptions {
-        accept_data_changes: case.needs_custom_code(),
-        ..CreateOptions::default()
-    };
-    let patch = if case.needs_custom_code() {
-        case.full_patch_text()
-    } else {
-        case.patch_text()
-    };
-    create_update(case.id, &base_tree(), &patch, &opts).expect("create")
+    shippable_update(case, &BuildCache::new(), &mut Tracer::disabled()).expect("create")
 }
 
 #[cfg(test)]

@@ -37,7 +37,10 @@ use ksplice_core::{
     create_update_cached_traced, ApplyOptions, BuildCache, CreateOptions, HealthProbe, Ksplice,
     RetryPolicy, SmpConfig, UpdateManager, UpdatePack, WatchPolicy,
 };
-use ksplice_eval::{base_tree, corpus, quiescence_correlation, run_exploit, run_profile, ProfileConfig};
+use ksplice_eval::{
+    base_tree, corpus, exploit_probe, quiescence_correlation, run_exploit, run_profile,
+    shippable_update, ProfileConfig,
+};
 use ksplice_fleet::{
     build_packset, Fleet, FleetConfig, NetFaults, Outcome, Partition, RolloutOrchestrator,
     RolloutPolicy, SimTransport, VERSION_NAMES,
@@ -319,24 +322,8 @@ fn cmd_demo(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
             ),
         );
     }
-    let opts = CreateOptions {
-        accept_data_changes: case.needs_custom_code(),
-        ..CreateOptions::default()
-    };
-    let patch = if case.needs_custom_code() {
-        case.full_patch_text()
-    } else {
-        case.patch_text()
-    };
-    let (pack, _) = create_update_cached_traced(
-        case.id,
-        &base_tree(),
-        &patch,
-        &opts,
-        &BuildCache::new(),
-        tracer,
-    )
-    .map_err(|e| e.to_string())?;
+    let (pack, _) =
+        shippable_update(&case, &BuildCache::new(), tracer).map_err(|e| e.to_string())?;
     // Faults target the hot-update pipeline, so arm them only now —
     // arming before the exploit demonstration would fire them on the
     // exploit module's load instead of the update's.
@@ -364,14 +351,7 @@ fn cmd_demo(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
         if case.exploit.is_some() {
             // The exploit itself doubles as a health probe: a healthy
             // patched kernel must defeat it every round.
-            let c = case.clone();
-            probes.push(HealthProbe::Custom {
-                name: format!("exploit:{id}"),
-                check: Box::new(move |k: &mut Kernel| match run_exploit(k, &c) {
-                    Some(true) => Err("exploit still succeeds".to_string()),
-                    _ => Ok(()),
-                }),
-            });
+            probes.push(exploit_probe(&case));
         }
         let mut mgr = UpdateManager::with_watch(WatchPolicy {
             rounds: watch_rounds.unwrap_or(3),
@@ -482,37 +462,14 @@ fn cmd_status(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
             .into_iter()
             .find(|c| c.id == *id)
             .ok_or_else(|| format!("unknown CVE `{id}` (try `ksplice list`)"))?;
-        let opts = CreateOptions {
-            accept_data_changes: case.needs_custom_code(),
-            ..CreateOptions::default()
-        };
-        let patch = if case.needs_custom_code() {
-            case.full_patch_text()
-        } else {
-            case.patch_text()
-        };
-        let (pack, _) = create_update_cached_traced(
-            case.id,
-            &base_tree(),
-            &patch,
-            &opts,
-            &BuildCache::new(),
-            tracer,
-        )
-        .map_err(|e| e.to_string())?;
+        let (pack, _) =
+            shippable_update(&case, &BuildCache::new(), tracer).map_err(|e| e.to_string())?;
         let mut probes: Vec<HealthProbe> = probe_specs
             .iter()
             .map(|s| HealthProbe::parse(s))
             .collect::<Result<_, _>>()?;
         if case.exploit.is_some() {
-            let c = case.clone();
-            probes.push(HealthProbe::Custom {
-                name: format!("exploit:{id}"),
-                check: Box::new(move |k: &mut Kernel| match run_exploit(k, &c) {
-                    Some(true) => Err("exploit still succeeds".to_string()),
-                    _ => Ok(()),
-                }),
-            });
+            probes.push(exploit_probe(&case));
         }
         if let Err(e) = mgr.apply_watched(&mut kernel, &pack, &mut probes, &apply_opts, tracer) {
             print!("{}", mgr.render_status());

@@ -15,6 +15,8 @@
 
 use std::fmt;
 
+use ksplice_lang::FuzzRng;
+
 /// How the delay between safety-check attempts grows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backoff {
@@ -124,12 +126,12 @@ impl RetryPolicy {
         if span == 0 {
             return base;
         }
-        // xorshift64* of (seed ⊕ attempt·φ) — deterministic per attempt.
-        let mut x = (self.jitter_seed ^ (attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)).max(1);
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        let r = x.wrapping_mul(0x2545_f491_4f6c_dd1d);
+        // One xorshift64* draw from (seed ⊕ attempt·φ) — deterministic per
+        // attempt.
+        let r = FuzzRng::from_state(
+            (self.jitter_seed ^ (attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)).max(1),
+        )
+        .next_u64();
         let offset = (r % (2 * span + 1)) as i64 - span as i64;
         (base as i64 + offset).max(1) as u64
     }

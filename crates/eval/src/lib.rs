@@ -17,7 +17,8 @@ pub mod tree;
 
 pub use corpus::{corpus, diff_trees, CustomCode, CustomReason, Cve, Edit, VulnClass};
 pub use lifecycle::{
-    lifecycle_corpus_sweep, non_lifo_reversal_sweep, LifecycleOutcome, DISJOINT_STACK,
+    exploit_probe, lifecycle_corpus_sweep, non_lifo_reversal_sweep, shippable_update,
+    LifecycleOutcome, DISJOINT_STACK,
 };
 pub use driver::{run_cve, run_full_evaluation, CveOutcome, EvalReport};
 pub use exploits::run_exploit;

@@ -14,10 +14,12 @@
 //!   kernel image comes back byte-for-byte.
 
 use ksplice_core::{
-    create_update_cached_traced, preflight, ApplyOptions, BuildCache, CreateOptions, HealthProbe,
-    Ksplice, LifecycleError, Tracer, UpdateManager, UpdatePack, UpdateState, WatchPolicy,
+    create_update_cached_traced, preflight, ApplyOptions, BuildCache, CreateError, CreateOptions,
+    HealthProbe, Ksplice, LifecycleError, Tracer, UpdateManager, UpdatePack, UpdateState,
+    WatchPolicy,
 };
 use ksplice_kernel::Kernel;
+use ksplice_lang::SourceTree;
 use ksplice_object::ObjectSet;
 
 use crate::corpus::{corpus, Cve};
@@ -40,29 +42,31 @@ pub struct LifecycleOutcome {
     pub rollback_clean: Option<bool>,
 }
 
-/// Builds the shippable pack for one corpus entry through a shared
-/// build cache.
-fn pack_for(
+/// Builds a corpus entry's shippable update against the base tree
+/// through a shared build cache: the security fix plus its custom code,
+/// with data-semantics changes accepted exactly when custom code handles
+/// them (paper §5.3). Returns the pack and the patched tree.
+pub fn shippable_update(
     case: &Cve,
     cache: &BuildCache,
     tracer: &mut Tracer,
-) -> Result<UpdatePack, String> {
+) -> Result<(UpdatePack, SourceTree), CreateError> {
     let opts = CreateOptions {
         accept_data_changes: case.needs_custom_code(),
         ..CreateOptions::default()
     };
-    let patch = if case.needs_custom_code() {
-        case.full_patch_text()
-    } else {
-        case.patch_text()
-    };
-    create_update_cached_traced(case.id, &base_tree(), &patch, &opts, cache, tracer)
-        .map(|(pack, _)| pack)
-        .map_err(|e| format!("{}: create: {e}", case.id))
+    create_update_cached_traced(
+        case.id,
+        &base_tree(),
+        &case.full_patch_text(),
+        &opts,
+        cache,
+        tracer,
+    )
 }
 
 /// An exploit-backed health probe: healthy means the exploit is dead.
-fn exploit_probe(case: &Cve) -> HealthProbe {
+pub fn exploit_probe(case: &Cve) -> HealthProbe {
     let c = case.clone();
     HealthProbe::Custom {
         name: format!("exploit:{}", c.id),
@@ -83,7 +87,8 @@ fn lifecycle_one(
     watch: &WatchPolicy,
     tracer: &mut Tracer,
 ) -> Result<LifecycleOutcome, String> {
-    let pack = pack_for(case, cache, tracer)?;
+    let (pack, _) =
+        shippable_update(case, cache, tracer).map_err(|e| format!("{}: create: {e}", case.id))?;
 
     // Leg 1: the healthy path. The exploit (when present) doubles as the
     // health probe — a committed update means it was dead every round.
@@ -188,7 +193,8 @@ pub fn non_lifo_reversal_sweep(seed: u64) -> Result<Vec<&'static str>, String> {
     let mut ks = Ksplice::new();
     for id in DISJOINT_STACK {
         let case = cases.iter().find(|c| c.id == id).expect("corpus entry");
-        let pack = pack_for(case, &cache, &mut tracer)?;
+        let (pack, _) = shippable_update(case, &cache, &mut tracer)
+            .map_err(|e| format!("{}: create: {e}", case.id))?;
         ks.apply_traced(&mut kernel, &pack, &ApplyOptions::default(), &mut tracer)
             .map_err(|e| format!("{id}: apply: {e}"))?;
     }

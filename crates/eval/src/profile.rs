@@ -32,6 +32,7 @@ use ksplice_lang::BuildCache;
 
 use crate::corpus::{corpus, Cve};
 use crate::driver::distro_image;
+use crate::lifecycle::shippable_update;
 use crate::stress::{load_stress_cached, run_stress, spawn_stress};
 use crate::tree::base_tree;
 
@@ -260,17 +261,8 @@ pub fn run_profile(
         .collect();
 
     // Apply the update.
-    let opts = if case.needs_custom_code() {
-        CreateOptions {
-            accept_data_changes: true,
-            ..CreateOptions::default()
-        }
-    } else {
-        CreateOptions::default()
-    };
     let (pack, _) =
-        create_update_cached_traced(case.id, &base, &case.full_patch_text(), &opts, &cache, tracer)
-            .map_err(|e| format!("{cve_id}: create: {e}"))?;
+        shippable_update(&case, &cache, tracer).map_err(|e| format!("{cve_id}: create: {e}"))?;
     let mut ks = Ksplice::new();
     let report = ks
         .apply_traced(&mut kernel, &pack, &ApplyOptions::default(), tracer)

@@ -31,7 +31,7 @@ use ksplice_core::{
     SmpConfig,
 };
 use ksplice_kernel::Kernel;
-use ksplice_lang::{compile_unit, options_fingerprint, BuildCache, Fingerprint, FuzzRng, Options};
+use ksplice_lang::{compile_unit_cached, BuildCache, FuzzRng, Options};
 
 use crate::corpus::corpus;
 use crate::driver::distro_image;
@@ -63,21 +63,8 @@ int smp_load_main(int rounds) {\n\
 /// Loads the SMP load module through the shared build cache, returning
 /// the `smp_load_main` entry address.
 fn load_smp_load(kernel: &mut Kernel, cache: &BuildCache) -> Result<u64, String> {
-    let opt = Options::pre_post();
-    let mut fp = Fingerprint::new();
-    fp.u64_field(options_fingerprint(&opt))
-        .str_field("smp/load.kc")
-        .str_field(SMP_LOAD_SRC);
-    let key = fp.finish();
-    let obj = match cache.lookup(key) {
-        Some(obj) => obj,
-        None => {
-            let obj = compile_unit("smp/load.kc", SMP_LOAD_SRC, &opt)
-                .map_err(|e| format!("smp load compile: {e}"))?;
-            cache.store(key, obj.clone());
-            obj
-        }
-    };
+    let obj = compile_unit_cached("smp/load.kc", SMP_LOAD_SRC, &Options::pre_post(), cache)
+        .map_err(|e| format!("smp load compile: {e}"))?;
     let module = kernel
         .insmod(&obj, false)
         .map_err(|e| format!("smp load insmod: {e}"))?;

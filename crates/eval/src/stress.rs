@@ -11,7 +11,7 @@
 //! not a vibe.
 
 use ksplice_kernel::{CallError, Kernel};
-use ksplice_lang::{compile_unit, options_fingerprint, BuildCache, Fingerprint, Options};
+use ksplice_lang::{compile_unit_cached, BuildCache, Options};
 
 /// The stress workload module source.
 pub const STRESS_SRC: &str = "\
@@ -84,21 +84,8 @@ pub fn load_stress(kernel: &mut Kernel) -> Result<u64, String> {
 /// [`load_stress`] through a shared [`BuildCache`]: the evaluation
 /// driver loads this module into 64 kernels but compiles it once.
 pub fn load_stress_cached(kernel: &mut Kernel, cache: &BuildCache) -> Result<u64, String> {
-    let opt = Options::pre_post();
-    let mut fp = Fingerprint::new();
-    fp.u64_field(options_fingerprint(&opt))
-        .str_field("stress/stress.kc")
-        .str_field(STRESS_SRC);
-    let key = fp.finish();
-    let obj = match cache.lookup(key) {
-        Some(obj) => obj,
-        None => {
-            let obj = compile_unit("stress/stress.kc", STRESS_SRC, &opt)
-                .map_err(|e| format!("stress compile: {e}"))?;
-            cache.store(key, obj.clone());
-            obj
-        }
-    };
+    let obj = compile_unit_cached("stress/stress.kc", STRESS_SRC, &Options::pre_post(), cache)
+        .map_err(|e| format!("stress compile: {e}"))?;
     let module = kernel
         .insmod(&obj, false)
         .map_err(|e| format!("stress load: {e}"))?;

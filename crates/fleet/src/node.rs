@@ -25,8 +25,8 @@ use ksplice_eval::smp::SMP_LOAD_SRC;
 use ksplice_eval::{base_tree, diff_trees, par_map};
 use ksplice_kernel::{Kernel, KernelSnapshot};
 use ksplice_lang::{
-    build_tree_image_cached, compile_unit, fnv1a, options_fingerprint, BuildCache, Fingerprint,
-    FuzzRng, Options, SourceTree, FNV_OFFSET,
+    build_tree_image_cached, compile_unit_cached, fnv1a, BuildCache, FuzzRng, Options, SourceTree,
+    FNV_OFFSET,
 };
 use ksplice_trace::Tracer;
 
@@ -578,21 +578,8 @@ fn report(update: String, verdict: Verdict) -> Payload {
 /// `SMP_LOAD_SRC`: `sys_open`/read/write/close hammering with no
 /// cross-thread invariants, so N copies run indefinitely.
 fn load_workload(kernel: &mut Kernel, cache: &BuildCache) -> Result<u64, String> {
-    let opt = Options::pre_post();
-    let mut fp = Fingerprint::new();
-    fp.u64_field(options_fingerprint(&opt))
-        .str_field("fleet/load.kc")
-        .str_field(SMP_LOAD_SRC);
-    let key = fp.finish();
-    let obj = match cache.lookup(key) {
-        Some(obj) => obj,
-        None => {
-            let obj = compile_unit("fleet/load.kc", SMP_LOAD_SRC, &opt)
-                .map_err(|e| format!("fleet load compile: {e}"))?;
-            cache.store(key, obj.clone());
-            obj
-        }
-    };
+    let obj = compile_unit_cached("fleet/load.kc", SMP_LOAD_SRC, &Options::pre_post(), cache)
+        .map_err(|e| format!("fleet load compile: {e}"))?;
     let module = kernel
         .insmod(&obj, false)
         .map_err(|e| format!("fleet load insmod: {e}"))?;

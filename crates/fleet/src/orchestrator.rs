@@ -31,6 +31,7 @@
 use std::collections::BTreeMap;
 
 use ksplice_core::RetryPolicy;
+use ksplice_lang::FuzzRng;
 use ksplice_trace::{Severity, Stage, Tracer, Value};
 
 use crate::node::{Fleet, PackSet};
@@ -743,14 +744,9 @@ impl RolloutOrchestrator {
 fn plan_waves(policy: &RolloutPolicy, versions: &[usize], seed: u64) -> Vec<Vec<NodeId>> {
     let n = versions.len();
     let mut order: Vec<NodeId> = (0..n as NodeId).collect();
-    let mut rng = (seed ^ 0x77a9_5e1f_0c3d_2b47) | 1;
+    let mut rng = FuzzRng::from_state((seed ^ 0x77a9_5e1f_0c3d_2b47) | 1);
     for i in (1..n).rev() {
-        let mut x = rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        rng = x;
-        let j = (x.wrapping_mul(0x2545_f491_4f6c_dd1d) % (i as u64 + 1)) as usize;
+        let j = rng.below(i as u64 + 1) as usize;
         order.swap(i, j);
     }
     if policy.stratify && n > 0 {

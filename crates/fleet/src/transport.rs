@@ -12,6 +12,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use ksplice_lang::FuzzRng;
+
 /// A fleet node id. Node ids are dense: node `i` is `nodes[i]`.
 pub type NodeId = u32;
 
@@ -292,7 +294,7 @@ pub trait Transport {
 /// injection, scripted partitions with parked-message heal.
 #[derive(Debug)]
 pub struct SimTransport {
-    rng: u64,
+    rng: FuzzRng,
     faults: NetFaults,
     partitions: Vec<Partition>,
     /// In-flight messages keyed `(due_tick, seq)` — FIFO per tick.
@@ -315,7 +317,9 @@ impl SimTransport {
         SimTransport {
             // Splash the seed so adjacent seeds (which `| 1` alone would
             // alias) produce unrelated fault streams.
-            rng: (seed ^ 0x9e37_79b9_7f4a_7c15).wrapping_mul(0x2545_f491_4f6c_dd1d) | 1,
+            rng: FuzzRng::from_state(
+                (seed ^ 0x9e37_79b9_7f4a_7c15).wrapping_mul(0x2545_f491_4f6c_dd1d) | 1,
+            ),
             faults,
             partitions: Vec::new(),
             queue: BTreeMap::new(),
@@ -331,22 +335,13 @@ impl SimTransport {
         self.partitions.push(p);
     }
 
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
     fn roll_pm(&mut self, pm: u32) -> bool {
-        pm > 0 && self.next_rand() % 1000 < pm as u64
+        pm > 0 && self.rng.below(1000) < pm as u64
     }
 
     fn delay(&mut self) -> u64 {
         let span = self.faults.delay_max - self.faults.delay_min + 1;
-        self.faults.delay_min + self.next_rand() % span
+        self.faults.delay_min + self.rng.below(span)
     }
 
     fn blocked(&self, endpoint: Endpoint, now: u64) -> bool {
@@ -370,7 +365,7 @@ impl Transport for SimTransport {
         let mut env = env;
         if let Payload::Deliver { pack, .. } = &mut env.payload {
             if !pack.is_empty() && self.roll_pm(self.faults.corrupt_pm) {
-                let at = (self.next_rand() % pack.len() as u64) as usize;
+                let at = self.rng.below(pack.len() as u64) as usize;
                 pack[at] ^= 0x5a;
                 self.stats.corrupted += 1;
             }

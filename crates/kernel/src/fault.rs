@@ -42,6 +42,8 @@
 
 use std::fmt;
 
+use ksplice_lang::FuzzRng;
+
 /// One armed perturbation (see the module docs for the forced outcomes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
@@ -161,7 +163,7 @@ pub struct FiredFault {
 /// clears everything armed but keeps the fired log.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    rng: u64,
+    rng: FuzzRng,
     stack_busy_windows: u32,
     module_load_failures: u32,
     step_jitter_max: u64,
@@ -180,7 +182,7 @@ impl FaultPlan {
     /// An inert plan whose seeded generator starts from `seed`.
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
-            rng: seed.max(1),
+            rng: FuzzRng::from_state(seed.max(1)),
             stack_busy_windows: 0,
             module_load_failures: 0,
             step_jitter_max: 0,
@@ -193,7 +195,7 @@ impl FaultPlan {
     /// Re-seeds the plan's generator (chaos schedules do this so every
     /// schedule replays from its own seed regardless of arming order).
     pub fn reseed(&mut self, seed: u64) {
-        self.rng = seed.max(1);
+        self.rng = FuzzRng::from_state(seed.max(1));
     }
 
     /// True when nothing is armed.
@@ -217,17 +219,6 @@ impl FaultPlan {
     /// Every fault that fired so far, in firing order.
     pub fn fired(&self) -> &[FiredFault] {
         &self.fired
-    }
-
-    /// xorshift64* step — the same generator the rest of the repo's
-    /// deterministic tests use.
-    fn next(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
 
     pub(crate) fn arm_stack_busy(&mut self, windows: u32) {
@@ -265,7 +256,7 @@ impl FaultPlan {
             return None;
         }
         self.barrier_stalls -= 1;
-        let cpu = (self.next() % ncpus.max(1) as u64) as u32;
+        let cpu = self.rng.below(ncpus.max(1) as u64) as u32;
         self.fired.push(FiredFault {
             site: "barrier-stall",
             detail: format!("cpu{cpu}"),
@@ -328,7 +319,7 @@ impl FaultPlan {
             return budget;
         }
         let span = 2 * self.step_jitter_max + 1;
-        let offset = (self.next() % span) as i64 - self.step_jitter_max as i64;
+        let offset = self.rng.below(span) as i64 - self.step_jitter_max as i64;
         let jittered = (budget as i64 + offset).max(1) as u64;
         self.fired.push(FiredFault {
             site: "step-jitter",
@@ -344,7 +335,7 @@ impl FaultPlan {
         if total == 0 {
             return None;
         }
-        let mut at = self.next() % total;
+        let mut at = self.rng.below(total);
         for (start, len) in exec_ranges {
             if at < *len {
                 return Some(start + at);

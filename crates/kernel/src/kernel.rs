@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ksplice_lang::{build_tree, Options, SourceTree};
+use ksplice_lang::{build_tree, FuzzRng, Options, SourceTree};
 use ksplice_object::{Object, ObjectSet};
 
 use crate::fault::{Fault, FaultPlan};
@@ -119,8 +119,8 @@ pub struct Kernel {
     /// Shadow data structures: (object addr, key) → shadow addr
     /// (paper §5.3 / DynAMOS).
     pub(crate) shadows: HashMap<(u64, u64), u64>,
-    /// Deterministic PRNG state for the `random` native.
-    pub(crate) rng: u64,
+    /// Deterministic PRNG for the `random` native.
+    pub(crate) rng: FuzzRng,
     /// Cached address of the kernel's `do_syscall`, if it exports one.
     pub(crate) syscall_entry: Option<u64>,
     /// Recycled thread stacks: (low, high) pairs ready for reuse (the
@@ -142,8 +142,8 @@ pub struct Kernel {
     pub smp: SmpConfig,
     /// The vCPUs, each with its own run queue (`smp.cpus` entries).
     pub cpus: Vec<Cpu>,
-    /// Seeded state for the per-round rotation draw (`cpus > 1` only).
-    sched_rng: u64,
+    /// Seeded generator for the per-round rotation draw (`cpus > 1` only).
+    sched_rng: FuzzRng,
     /// The physically parked fault thread realizing an armed stack-busy
     /// fault at N ≥ 2 (see [`Kernel::park_fault_vcpu`]).
     fault_parker: Option<u64>,
@@ -188,7 +188,7 @@ impl Kernel {
     pub fn configure_smp(&mut self, mut smp: SmpConfig) {
         smp.cpus = smp.cpus.max(1);
         smp.quantum = smp.quantum.max(1);
-        self.sched_rng = smp.sched_seed.max(1);
+        self.sched_rng = FuzzRng::from_state(smp.sched_seed.max(1));
         self.cpus = (0..smp.cpus).map(Cpu::new).collect();
         let n = smp.cpus as u64;
         self.smp = smp;
@@ -235,7 +235,7 @@ impl Kernel {
             modules: modules.into_iter().map(Arc::new).collect(),
             free_list: vec![(heap_base, 8 * 1024 * 1024)],
             shadows: HashMap::new(),
-            rng: 0x2545_f491_4f6c_dd1d,
+            rng: FuzzRng::from_state(0x2545_f491_4f6c_dd1d),
             syscall_entry,
             free_stacks: Vec::new(),
             last_stop_machine: None,
@@ -243,7 +243,7 @@ impl Kernel {
             stop_machine_count: 0,
             smp: SmpConfig::default(),
             cpus: vec![Cpu::new(0)],
-            sched_rng: crate::smp::DEFAULT_SCHED_SEED,
+            sched_rng: FuzzRng::from_state(crate::smp::DEFAULT_SCHED_SEED),
             fault_parker: None,
             faults: FaultPlan::default(),
             profiler: None,
@@ -283,7 +283,7 @@ impl Kernel {
             modules: self.modules.clone(),
             free_list: self.free_list.clone(),
             shadows: self.shadows.clone(),
-            rng: self.rng,
+            rng: self.rng.clone(),
             syscall_entry: self.syscall_entry,
             free_stacks: self.free_stacks.clone(),
             last_stop_machine: self.last_stop_machine,
@@ -291,7 +291,7 @@ impl Kernel {
             stop_machine_count: self.stop_machine_count,
             smp: self.smp.clone(),
             cpus: self.cpus.clone(),
-            sched_rng: self.sched_rng,
+            sched_rng: self.sched_rng.clone(),
             fault_parker: self.fault_parker,
             faults: self.faults.clone(),
             profiler: self.profiler.clone(),
@@ -465,7 +465,7 @@ impl Kernel {
         let ncpus = self.cpus.len();
         loop {
             let mut progressed = false;
-            let lead = (self.sched_next() % ncpus as u64) as usize;
+            let lead = self.sched_rng.below(ncpus as u64) as usize;
             for i in 0..ncpus {
                 let cpu = (lead + i) % ncpus;
                 let Some(tid) = self.pick_next(cpu) else {
@@ -528,16 +528,6 @@ impl Kernel {
         }
         self.cpus[cpu].current = None;
         None
-    }
-
-    /// xorshift64* draw for the scheduler rotation.
-    fn sched_next(&mut self) -> u64 {
-        let mut x = self.sched_rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.sched_rng = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
 
     /// Runs a single thread synchronously until it exits, oopses, or the
@@ -682,7 +672,7 @@ impl Kernel {
         // threads in and out of patch targets between retry attempts.
         if self.smp.cpus > 1 {
             let ncpus = self.cpus.len();
-            let lead = (self.sched_next() % ncpus as u64) as usize;
+            let lead = self.sched_rng.below(ncpus as u64) as usize;
             for i in 0..ncpus {
                 let cpu = (lead + i) % ncpus;
                 if let Some(tid) = self.pick_next(cpu) {

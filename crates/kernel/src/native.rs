@@ -188,15 +188,7 @@ impl Kernel {
                 }
                 NativeOutcome::Return(0)
             }
-            Native::Krandom => {
-                // xorshift64*.
-                let mut x = self.rng;
-                x ^= x >> 12;
-                x ^= x << 25;
-                x ^= x >> 27;
-                self.rng = x;
-                NativeOutcome::Return(x.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 1)
-            }
+            Native::Krandom => NativeOutcome::Return(self.rng.next_u64() >> 1),
             Native::CurrentTid => NativeOutcome::Return(tid),
             Native::Jiffies => NativeOutcome::Return(self.ticks),
         }

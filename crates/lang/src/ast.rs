@@ -178,6 +178,24 @@ pub enum Init {
     List(Vec<Expr>),
 }
 
+impl Init {
+    /// The initialiser's expressions, in source order.
+    pub(crate) fn exprs(&self) -> &[Expr] {
+        match self {
+            Init::Scalar(e) => std::slice::from_ref(e),
+            Init::List(es) => es,
+        }
+    }
+
+    /// [`Init::exprs`], mutably.
+    pub(crate) fn exprs_mut(&mut self) -> &mut [Expr] {
+        match self {
+            Init::Scalar(e) => std::slice::from_mut(e),
+            Init::List(es) => es,
+        }
+    }
+}
+
 /// A file-scope variable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Global {

@@ -203,6 +203,24 @@ pub fn build_tree_cached(
     Ok((set, stats))
 }
 
+/// [`compile_unit`] through a shared [`BuildCache`], keyed like a tree
+/// unit that sees no headers: a module loaded into many kernels compiles
+/// once.
+pub fn compile_unit_cached(
+    name: &str,
+    src: &str,
+    opt: &Options,
+    cache: &BuildCache,
+) -> Result<Object, CompileError> {
+    let key = unit_fingerprint(name, src, options_fingerprint(opt), None);
+    if let Some(obj) = cache.lookup(key) {
+        return Ok(obj);
+    }
+    let obj = compile_unit(name, src, opt)?;
+    cache.store(key, obj.clone());
+    Ok(obj)
+}
+
 /// The whole-image cache key: the build [`Options`] plus the
 /// fingerprint of every source file, folded in sorted path order. Two
 /// trees with identical contents under identical options key the same
@@ -265,7 +283,7 @@ pub fn tree_inline_report(
         if opt.opt_level >= 1 {
             fold_unit(&mut unit, &sema);
         }
-        out.insert(path.to_string(), crate::inline::inline_report(&unit, opt));
+        out.insert(path.to_string(), inline_unit(&mut unit, opt));
     }
     Ok(out)
 }

@@ -27,7 +27,8 @@ use ksplice_object::{
 };
 
 use crate::ast::*;
-use crate::sema::{const_eval_with, round_up, ConstVal, Sema, WORD};
+use crate::sema::{decay, round_up, ConstVal, Locals, Sema, WORD};
+use crate::visit::{walk_stmts, Node};
 use crate::{CompileError, Options};
 
 /// Generates the object for a checked, optimised unit.
@@ -172,7 +173,7 @@ impl<'a> Gen<'a> {
         match (ty, init) {
             (Type::Array(elem, _), Init::Scalar(e)) if **elem == Type::Byte => {
                 // `byte msg[n] = "...";`
-                let Some(ConstVal::Str(s)) = self.const_eval(e) else {
+                let Some(ConstVal::Str(s)) = self.sema.const_eval(e) else {
                     return Err(self.err(line, "byte array initialiser must be a string"));
                 };
                 if s.len() + 1 > buf.len() - at as usize {
@@ -218,7 +219,7 @@ impl<'a> Gen<'a> {
         if !ty.is_scalar() {
             return Err(self.err(line, "aggregate field initialisers are not supported"));
         }
-        match self.const_eval(e) {
+        match self.sema.const_eval(e) {
             Some(ConstVal::Int(v)) => {
                 let w = if *ty == Type::Byte { 1 } else { 8 };
                 buf[at as usize..at as usize + w].copy_from_slice(&v.to_le_bytes()[..w]);
@@ -235,20 +236,6 @@ impl<'a> Gen<'a> {
             }
             None => Err(self.err(line, "initialiser is not a link-time constant")),
         }
-    }
-
-    fn const_eval(&self, e: &Expr) -> Option<ConstVal> {
-        let sema = self.sema;
-        const_eval_with(e, &|name| {
-            if sema.functions.contains_key(name)
-                || sema.global_type(name).is_some()
-                || sema.externs.contains(name)
-            {
-                Some(())
-            } else {
-                None
-            }
-        })
     }
 
     /// Adds a string literal to rodata, returning its symbol name.
@@ -613,6 +600,12 @@ struct FuncGen<'a, 'b> {
     exit: Option<Label>,
 }
 
+impl Locals for FuncGen<'_, '_> {
+    fn local_type(&self, name: &str) -> Option<&Type> {
+        self.lookup(name).map(|v| &v.ty)
+    }
+}
+
 impl FuncGen<'_, '_> {
     fn err(&self, line: u32, msg: impl Into<String>) -> CompileError {
         CompileError::new(&self.g.unit_name, line, msg)
@@ -655,43 +648,21 @@ impl FuncGen<'_, '_> {
 
     /// Total frame bytes needed by every declaration in the function.
     fn compute_frame_size(&self) -> i32 {
-        fn walk(g: &Gen<'_>, body: &[Stmt], total: &mut u64) {
-            for s in body {
-                match &s.kind {
+        let mut total = self.func.params.len() as u64 * WORD;
+        walk_stmts(&self.func.body, &mut |n| {
+            if let Node::Stmt(Stmt {
+                kind:
                     StmtKind::Decl {
                         ty,
                         is_static: false,
                         ..
-                    } => {
-                        *total += round_up(g.sema.size_of(ty).max(WORD), WORD);
-                    }
-                    StmtKind::If {
-                        then_body,
-                        else_body,
-                        ..
-                    } => {
-                        walk(g, then_body, total);
-                        walk(g, else_body, total);
-                    }
-                    StmtKind::While { body, .. } => walk(g, body, total),
-                    StmtKind::For {
-                        init, step, body, ..
-                    } => {
-                        if let Some(i) = init {
-                            walk(g, std::slice::from_ref(i), total);
-                        }
-                        if let Some(st) = step {
-                            walk(g, std::slice::from_ref(st), total);
-                        }
-                        walk(g, body, total);
-                    }
-                    StmtKind::Block(b) => walk(g, b, total),
-                    _ => {}
-                }
+                    },
+                ..
+            }) = n
+            {
+                total += round_up(self.g.sema.size_of(ty).max(WORD), WORD);
             }
-        }
-        let mut total = self.func.params.len() as u64 * WORD;
-        walk(self.g, &self.func.body, &mut total);
+        });
         total as i32
     }
 
@@ -802,7 +773,7 @@ impl FuncGen<'_, '_> {
                 Ok(())
             }
             StmtKind::Assign { target, value } => {
-                let tty = self.type_of(target)?;
+                let tty = self.g.sema.type_of(target, self)?;
                 self.eval_lvalue(target)?;
                 self.asm.emit(Instr::Push(Reg::R0));
                 self.eval(value)?;
@@ -915,68 +886,6 @@ impl FuncGen<'_, '_> {
         }
     }
 
-    // ---- expression typing (mirrors sema's rules) ---------------------------
-
-    fn type_of(&self, e: &Expr) -> Result<Type, CompileError> {
-        Ok(match &e.kind {
-            ExprKind::Num(_) | ExprKind::Sizeof(_) => Type::Int,
-            ExprKind::Str(_) => Type::ptr(Type::Byte),
-            ExprKind::Ident(name) => {
-                if let Some(v) = self.lookup(name) {
-                    v.ty.clone()
-                } else if let Some(t) = self.g.sema.global_type(name) {
-                    t.clone()
-                } else {
-                    Type::Int
-                }
-            }
-            ExprKind::Unary(op, inner) => match op {
-                UnaryOp::Deref => match decay(self.type_of(inner)?) {
-                    Type::Ptr(elem) => *elem,
-                    _ => Type::Int,
-                },
-                UnaryOp::Addr => Type::ptr(self.type_of(inner)?),
-                _ => Type::Int,
-            },
-            ExprKind::Binary(op, l, r) => {
-                let lt = decay(self.type_of(l)?);
-                let rt = decay(self.type_of(r)?);
-                match op {
-                    BinaryOp::Add | BinaryOp::Sub => {
-                        if matches!(lt, Type::Ptr(_)) {
-                            lt
-                        } else if matches!(rt, Type::Ptr(_)) {
-                            rt
-                        } else {
-                            Type::Int
-                        }
-                    }
-                    _ => Type::Int,
-                }
-            }
-            ExprKind::Call { .. } => Type::Int,
-            ExprKind::Index(base, _) => match decay(self.type_of(base)?) {
-                Type::Ptr(elem) => *elem,
-                _ => Type::Int,
-            },
-            ExprKind::Field(base, fname) => {
-                let Type::Struct(sname) = self.type_of(base)? else {
-                    return Err(self.err(e.line, "`.` on non-struct"));
-                };
-                self.field(&sname, fname, e.line)?.1
-            }
-            ExprKind::PField(base, fname) => {
-                let Type::Ptr(inner) = decay(self.type_of(base)?) else {
-                    return Err(self.err(e.line, "`->` on non-pointer"));
-                };
-                let Type::Struct(sname) = *inner else {
-                    return Err(self.err(e.line, "`->` on non-struct-pointer"));
-                };
-                self.field(&sname, fname, e.line)?.1
-            }
-        })
-    }
-
     fn field(&self, sname: &str, fname: &str, line: u32) -> Result<(u64, Type), CompileError> {
         self.g
             .sema
@@ -1023,7 +932,7 @@ impl FuncGen<'_, '_> {
             ExprKind::Binary(op, l, r) => self.eval_binary(*op, l, r),
             ExprKind::Call { callee, args } => self.eval_call(callee, args, e.line),
             ExprKind::Index(..) | ExprKind::Field(..) | ExprKind::PField(..) => {
-                let ty = self.type_of(e)?;
+                let ty = self.g.sema.type_of(e, self)?;
                 self.eval_lvalue(e)?;
                 self.load_from_address(e, &ty);
                 Ok(())
@@ -1114,7 +1023,7 @@ impl FuncGen<'_, '_> {
                 self.emit_bool(Cond::Z);
             }
             UnaryOp::Deref => {
-                let ity = decay(self.type_of(inner)?);
+                let ity = decay(self.g.sema.type_of(inner, self)?);
                 self.eval(inner)?;
                 match ity {
                     Type::Ptr(elem) => match *elem {
@@ -1182,8 +1091,8 @@ impl FuncGen<'_, '_> {
             self.asm.bind(done);
             return Ok(());
         }
-        let lt = decay(self.type_of(l)?);
-        let rt = decay(self.type_of(r)?);
+        let lt = decay(self.g.sema.type_of(l, self)?);
+        let rt = decay(self.g.sema.type_of(r, self)?);
         // Pointer arithmetic scaling: swap `int + ptr` into `ptr + int`.
         let (l, r, lt, rt) =
             if op == BinaryOp::Add && !matches!(lt, Type::Ptr(_)) && matches!(rt, Type::Ptr(_)) {
@@ -1330,7 +1239,7 @@ impl FuncGen<'_, '_> {
             }
             ExprKind::Unary(UnaryOp::Deref, inner) => self.eval(inner),
             ExprKind::Index(base, idx) => {
-                let bt = decay(self.type_of(base)?);
+                let bt = decay(self.g.sema.type_of(base, self)?);
                 let elem_size = match &bt {
                     Type::Ptr(elem) => self.g.sema.size_of(elem),
                     _ => WORD,
@@ -1351,7 +1260,7 @@ impl FuncGen<'_, '_> {
                 Ok(())
             }
             ExprKind::Field(base, fname) => {
-                let Type::Struct(sname) = self.type_of(base)? else {
+                let Type::Struct(sname) = self.g.sema.type_of(base, self)? else {
                     return Err(self.err(e.line, "`.` on non-struct"));
                 };
                 let (off, _) = self.field(&sname, fname, e.line)?;
@@ -1362,7 +1271,7 @@ impl FuncGen<'_, '_> {
                 Ok(())
             }
             ExprKind::PField(base, fname) => {
-                let Type::Ptr(inner) = decay(self.type_of(base)?) else {
+                let Type::Ptr(inner) = decay(self.g.sema.type_of(base, self)?) else {
                     return Err(self.err(e.line, "`->` on non-pointer"));
                 };
                 let Type::Struct(sname) = *inner else {
@@ -1388,13 +1297,5 @@ impl FuncGen<'_, '_> {
             }
             _ => self.asm.emit(Instr::Ld(Reg::R0, Reg::R0, 0)),
         }
-    }
-}
-
-/// Arrays decay to pointers as values.
-fn decay(t: Type) -> Type {
-    match t {
-        Type::Array(elem, _) => Type::Ptr(elem),
-        other => other,
     }
 }

@@ -39,7 +39,7 @@ use crate::build::SourceTree;
 use crate::mutate::{apply_mutation, FuzzRng, Mutation, MutatorKind};
 use crate::parser::parse_unit;
 use crate::pretty::pretty_unit;
-use crate::visit::{walk_expr_mut, walk_stmts_exprs_mut};
+use crate::visit::{rename_symbol, walk_expr_mut, walk_stmts, walk_stmts_exprs_mut, Node};
 
 /// How far the tree has evolved from the patch's base version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -381,10 +381,14 @@ pub fn generate_drift(
 
     // D2: exported renames (tree-wide), then static renames (unit-local).
     for _ in 0..budget.rename_exported {
-        if let Some((unit, old)) = pick_exported(&units, &anchored, &touched, &mut rng) {
+        // An exported, unanchored, unclaimed function.
+        let picked = pick_fn(&units, &mut rng, |_, f| {
+            !f.is_static && !anchored.contains(&f.name) && !touched.contains(&f.name)
+        });
+        if let Some((unit, old)) = picked {
             let new = fresh_name(&units, &old, &mut rng);
             for u in units.values_mut() {
-                rename_in_unit(u, &old, &new);
+                rename_symbol(u, &old, &new);
             }
             touched.insert(old.clone());
             touched.insert(new.clone());
@@ -398,9 +402,14 @@ pub fn generate_drift(
         }
     }
     for _ in 0..budget.rename_static {
-        if let Some((unit, old)) = pick_static(&units, &anchored, &touched, &mut rng) {
+        // A static function: statics whose name collides across units
+        // are fine, the rename stays inside one unit.
+        let picked = pick_fn(&units, &mut rng, |_, f| {
+            f.is_static && !anchored.contains(&f.name) && !touched.contains(&f.name)
+        });
+        if let Some((unit, old)) = picked {
             let new = fresh_name(&units, &old, &mut rng);
-            rename_in_unit(units.get_mut(&unit).expect("static unit"), &old, &new);
+            rename_symbol(units.get_mut(&unit).expect("static unit"), &old, &new);
             touched.insert(old.clone());
             touched.insert(new.clone());
             log.ops.push(DriftOp {
@@ -417,7 +426,11 @@ pub fn generate_drift(
     // flips and callers' object code drifts without any source change in
     // the callers themselves.
     for _ in 0..budget.inline_shift {
-        if let Some((unit, func)) = pick_small_callee(&units, &touched, &mut rng) {
+        // A small function: at most 3 top-level statements.
+        let picked = pick_fn(&units, &mut rng, |_, f| {
+            f.body.len() <= 3 && !f.body.is_empty() && !touched.contains(&f.name)
+        });
+        if let Some((unit, func)) = picked {
             let salt = rng.below(1 << 16);
             pad_function(units.get_mut(&unit).expect("callee unit"), &func, salt, 3);
             touched.insert(func.clone());
@@ -513,17 +526,18 @@ fn anchored_names(units: &BTreeMap<String, Unit>, passthrough: &[(String, String
     for unit in units.values() {
         for item in &unit.items {
             if let FileItem::Func(f) = item {
-                let mut scan = |e: &Expr| {
-                    if let ExprKind::Str(bytes) = &e.kind {
+                walk_stmts(&f.body, &mut |n| {
+                    if let Node::Expr(Expr {
+                        kind: ExprKind::Str(bytes),
+                        ..
+                    }) = n
+                    {
                         if let Ok(s) = std::str::from_utf8(bytes) {
                             words.push_str(s);
                             words.push('\n');
                         }
                     }
-                };
-                for s in &f.body {
-                    walk_stmt_exprs(s, &mut scan);
-                }
+                });
             }
         }
     }
@@ -557,89 +571,6 @@ fn contains_word(haystack: &str, word: &str) -> bool {
     false
 }
 
-/// Read-only pre-order expression walk over one statement.
-fn walk_stmt_exprs(stmt: &Stmt, f: &mut impl FnMut(&Expr)) {
-    fn walk_e(e: &Expr, f: &mut impl FnMut(&Expr)) {
-        f(e);
-        match &e.kind {
-            ExprKind::Unary(_, x) => walk_e(x, f),
-            ExprKind::Binary(_, l, r) => {
-                walk_e(l, f);
-                walk_e(r, f);
-            }
-            ExprKind::Call { callee, args } => {
-                walk_e(callee, f);
-                for a in args {
-                    walk_e(a, f);
-                }
-            }
-            ExprKind::Index(b, i) => {
-                walk_e(b, f);
-                walk_e(i, f);
-            }
-            ExprKind::Field(b, _) | ExprKind::PField(b, _) => walk_e(b, f),
-            ExprKind::Num(_) | ExprKind::Str(_) | ExprKind::Ident(_) | ExprKind::Sizeof(_) => {}
-        }
-    }
-    match &stmt.kind {
-        StmtKind::Decl { init, .. } => {
-            if let Some(e) = init {
-                walk_e(e, f)
-            }
-        }
-        StmtKind::Expr(e) => walk_e(e, f),
-        StmtKind::Assign { target, value } => {
-            walk_e(target, f);
-            walk_e(value, f);
-        }
-        StmtKind::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            walk_e(cond, f);
-            for s in then_body {
-                walk_stmt_exprs(s, f);
-            }
-            for s in else_body {
-                walk_stmt_exprs(s, f);
-            }
-        }
-        StmtKind::While { cond, body } => {
-            walk_e(cond, f);
-            for s in body {
-                walk_stmt_exprs(s, f);
-            }
-        }
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            if let Some(s) = init {
-                walk_stmt_exprs(s, f);
-            }
-            if let Some(e) = cond {
-                walk_e(e, f);
-            }
-            if let Some(s) = step {
-                walk_stmt_exprs(s, f);
-            }
-            for s in body {
-                walk_stmt_exprs(s, f);
-            }
-        }
-        StmtKind::Return(Some(e)) => walk_e(e, f),
-        StmtKind::Block(body) => {
-            for s in body {
-                walk_stmt_exprs(s, f);
-            }
-        }
-        StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => {}
-    }
-}
-
 /// The function whose body differs between `before` and `after`, if any.
 fn changed_function(before: &Unit, after: &Unit) -> Option<String> {
     for (b, a) in before.functions().zip(after.functions()) {
@@ -671,7 +602,8 @@ fn fresh_name(units: &BTreeMap<String, Unit>, old: &str, rng: &mut FuzzRng) -> S
 }
 
 /// Picks a victim from the pool: a function that exists, is not anchored
-/// in assembly/strings, and is not already claimed by another op.
+/// in assembly/strings, is not hooked, and is not already claimed by
+/// another op.
 fn pick_victim(
     units: &BTreeMap<String, Unit>,
     pool: &[String],
@@ -679,16 +611,26 @@ fn pick_victim(
     touched: &BTreeSet<String>,
     rng: &mut FuzzRng,
 ) -> Option<(String, String)> {
+    pick_fn(units, rng, |u, f| {
+        pool.contains(&f.name)
+            && !anchored.contains(&f.name)
+            && !touched.contains(&f.name)
+            && !is_hooked(u, &f.name)
+    })
+}
+
+/// Picks `(unit, function)` uniformly among the tree's functions that
+/// `keep` accepts, in unit then item order.
+fn pick_fn(
+    units: &BTreeMap<String, Unit>,
+    rng: &mut FuzzRng,
+    keep: impl Fn(&Unit, &Function) -> bool,
+) -> Option<(String, String)> {
     let candidates: Vec<(String, String)> = units
         .iter()
         .flat_map(|(path, u)| {
             u.functions()
-                .filter(|f| {
-                    pool.iter().any(|v| v == &f.name)
-                        && !anchored.contains(&f.name)
-                        && !touched.contains(&f.name)
-                        && !is_hooked(u, &f.name)
-                })
+                .filter(|f| keep(u, f))
                 .map(move |f| (path.clone(), f.name.clone()))
         })
         .collect();
@@ -704,165 +646,30 @@ fn is_hooked(unit: &Unit, name: &str) -> bool {
         .any(|i| matches!(i, FileItem::Hook { func, .. } if func == name))
 }
 
-/// Picks an exported, unanchored, unclaimed function for a tree-wide
-/// rename.
-fn pick_exported(
-    units: &BTreeMap<String, Unit>,
-    anchored: &BTreeSet<String>,
-    touched: &BTreeSet<String>,
-    rng: &mut FuzzRng,
-) -> Option<(String, String)> {
-    let candidates: Vec<(String, String)> = units
-        .iter()
-        .flat_map(|(path, u)| {
-            u.functions()
-                .filter(|f| {
-                    !f.is_static && !anchored.contains(&f.name) && !touched.contains(&f.name)
-                })
-                .map(move |f| (path.clone(), f.name.clone()))
-        })
-        .collect();
-    if candidates.is_empty() {
-        return None;
-    }
-    Some(candidates[rng.below(candidates.len() as u64) as usize].clone())
-}
-
-/// Picks a static function for a unit-local rename. Statics whose name
-/// collides across units are fine — the rename stays inside one unit,
-/// exactly like the PR 5 mutator.
-fn pick_static(
-    units: &BTreeMap<String, Unit>,
-    anchored: &BTreeSet<String>,
-    touched: &BTreeSet<String>,
-    rng: &mut FuzzRng,
-) -> Option<(String, String)> {
-    let candidates: Vec<(String, String)> = units
-        .iter()
-        .flat_map(|(path, u)| {
-            u.functions()
-                .filter(|f| {
-                    f.is_static && !anchored.contains(&f.name) && !touched.contains(&f.name)
-                })
-                .map(move |f| (path.clone(), f.name.clone()))
-        })
-        .collect();
-    if candidates.is_empty() {
-        return None;
-    }
-    Some(candidates[rng.below(candidates.len() as u64) as usize].clone())
-}
-
-/// Picks a small function (≤ 3 top-level statements) for inline-shift
-/// padding.
-fn pick_small_callee(
-    units: &BTreeMap<String, Unit>,
-    touched: &BTreeSet<String>,
-    rng: &mut FuzzRng,
-) -> Option<(String, String)> {
-    let candidates: Vec<(String, String)> = units
-        .iter()
-        .flat_map(|(path, u)| {
-            u.functions()
-                .filter(|f| f.body.len() <= 3 && !f.body.is_empty() && !touched.contains(&f.name))
-                .map(move |f| (path.clone(), f.name.clone()))
-        })
-        .collect();
-    if candidates.is_empty() {
-        return None;
-    }
-    Some(candidates[rng.below(candidates.len() as u64) as usize].clone())
-}
-
-/// Renames `old` to `new` inside one unit: definition, call sites,
-/// identifier references (ops tables), hooks and extern declarations.
-/// Mirrors the PR 5 rename mutator, extended to `extern` items.
-fn rename_in_unit(unit: &mut Unit, old: &str, new: &str) {
-    let mut rename = |e: &mut Expr| {
-        if let ExprKind::Ident(n) = &mut e.kind {
-            if n == old {
-                *n = new.to_string();
-            }
-        }
-    };
-    for item in &mut unit.items {
-        match item {
-            FileItem::Func(func) => {
-                if func.name == old {
-                    func.name = new.to_string();
-                }
-                walk_stmts_exprs_mut(&mut func.body, &mut rename);
-            }
-            FileItem::Global(g) => match &mut g.init {
-                Some(Init::Scalar(e)) => walk_expr_mut(e, &mut rename),
-                Some(Init::List(items)) => {
-                    for e in items {
-                        walk_expr_mut(e, &mut rename);
-                    }
-                }
-                None => {}
-            },
-            FileItem::Hook { func, .. } => {
-                if func == old {
-                    *func = new.to_string();
-                }
-            }
-            FileItem::Extern { name, .. } => {
-                if name == old {
-                    *name = new.to_string();
-                }
-            }
-            FileItem::Struct(_) => {}
-        }
-    }
-}
-
 /// Free names referenced by a function body (identifiers that are not
 /// parameters or locals declared anywhere in the body — conservative:
 /// nested scopes are flattened).
 fn free_names(f: &Function) -> BTreeSet<String> {
-    let mut bound: BTreeSet<String> = f.params.iter().map(|(n, _)| n.clone()).collect();
-    let mut decls: Vec<String> = Vec::new();
-    collect_decls(&f.body, &mut decls);
-    bound.extend(decls);
-    let mut free = BTreeSet::new();
-    for s in &f.body {
-        walk_stmt_exprs(s, &mut |e| {
-            if let ExprKind::Ident(n) = &e.kind {
-                if !bound.contains(n) {
-                    free.insert(n.clone());
-                }
-            }
-        });
-    }
-    free
-}
-
-fn collect_decls(stmts: &[Stmt], out: &mut Vec<String>) {
-    for s in stmts {
-        match &s.kind {
-            StmtKind::Decl { name, .. } => out.push(name.clone()),
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                collect_decls(then_body, out);
-                collect_decls(else_body, out);
-            }
-            StmtKind::While { body, .. } => collect_decls(body, out),
-            StmtKind::For { init, body, .. } => {
-                if let Some(s) = init {
-                    if let StmtKind::Decl { name, .. } = &s.kind {
-                        out.push(name.clone());
-                    }
-                }
-                collect_decls(body, out);
-            }
-            StmtKind::Block(body) => collect_decls(body, out),
-            _ => {}
+    let mut bound: BTreeSet<&str> = f.params.iter().map(|(n, _)| n.as_str()).collect();
+    let mut idents = Vec::new();
+    walk_stmts(&f.body, &mut |n| match n {
+        Node::Stmt(Stmt {
+            kind: StmtKind::Decl { name, .. },
+            ..
+        }) => {
+            bound.insert(name.as_str());
         }
-    }
+        Node::Expr(Expr {
+            kind: ExprKind::Ident(name),
+            ..
+        }) => idents.push(name),
+        _ => {}
+    });
+    idents
+        .into_iter()
+        .filter(|n| !bound.contains(n.as_str()))
+        .cloned()
+        .collect()
 }
 
 /// Where a name is defined, tree-wide: `(unit, is_static, is_func)`.
@@ -1027,15 +834,11 @@ fn delete_fn(units: &mut BTreeMap<String, Unit>, unit: &str, func: &str) {
         for item in &mut u.items {
             match item {
                 FileItem::Func(f) => walk_stmts_exprs_mut(&mut f.body, erase),
-                FileItem::Global(g) => match &mut g.init {
-                    Some(Init::Scalar(e)) => walk_expr_mut(e, erase),
-                    Some(Init::List(items)) => {
-                        for e in items {
-                            walk_expr_mut(e, erase);
-                        }
+                FileItem::Global(g) => {
+                    for e in g.init.iter_mut().flat_map(Init::exprs_mut) {
+                        walk_expr_mut(e, erase);
                     }
-                    None => {}
-                },
+                }
                 _ => {}
             }
         }

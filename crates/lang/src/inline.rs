@@ -27,6 +27,7 @@
 use std::collections::BTreeMap;
 
 use crate::ast::*;
+use crate::visit::{walk_expr, walk_expr_mut, walk_stmts, Node};
 use crate::Options;
 
 /// Maximum transitive inlining depth.
@@ -55,7 +56,7 @@ pub fn inline_unit(unit: &mut Unit, opt: &Options) -> InlineReport {
         let FileItem::Func(f) = item else { continue };
         let caller = f.name.clone();
         let mut body = std::mem::take(&mut f.body);
-        for depth in 0..MAX_DEPTH {
+        for _ in 0..MAX_DEPTH {
             let mut any = false;
             body = inline_block(
                 body,
@@ -65,7 +66,6 @@ pub fn inline_unit(unit: &mut Unit, opt: &Options) -> InlineReport {
                 &mut any,
                 &mut report,
             );
-            let _ = depth;
             if !any {
                 break;
             }
@@ -76,12 +76,6 @@ pub fn inline_unit(unit: &mut Unit, opt: &Options) -> InlineReport {
     report
 }
 
-/// Computes the inline report without mutating the unit.
-pub fn inline_report(unit: &Unit, opt: &Options) -> InlineReport {
-    let mut clone = unit.clone();
-    inline_unit(&mut clone, opt)
-}
-
 fn is_candidate(f: &Function, opt: &Options) -> bool {
     let budget = match (opt.opt_level, f.is_inline) {
         (0, _) => return false,
@@ -90,127 +84,32 @@ fn is_candidate(f: &Function, opt: &Options) -> bool {
         (_, false) => 20,
         (_, true) => 48,
     };
-    f.params.len() <= 6
-        && body_ok_for_inline(&f.body)
-        && body_size(&f.body) <= budget
-        && !calls_function(&f.body, &f.name)
-}
-
-/// Candidates may not contain loops, loop-control or static locals.
-fn body_ok_for_inline(body: &[Stmt]) -> bool {
-    body.iter().all(|s| match &s.kind {
-        StmtKind::While { .. } | StmtKind::For { .. } | StmtKind::Break | StmtKind::Continue => {
-            false
-        }
-        StmtKind::Decl { is_static, .. } => !is_static,
-        StmtKind::If {
-            then_body,
-            else_body,
-            ..
-        } => body_ok_for_inline(then_body) && body_ok_for_inline(else_body),
-        StmtKind::Block(b) => body_ok_for_inline(b),
-        _ => true,
-    })
-}
-
-/// AST size metric: statements plus expression nodes.
-fn body_size(body: &[Stmt]) -> usize {
-    body.iter().map(stmt_size).sum()
-}
-
-fn stmt_size(s: &Stmt) -> usize {
-    1 + match &s.kind {
-        StmtKind::Decl { init, .. } => init.as_ref().map_or(0, expr_size),
-        StmtKind::Expr(e) => expr_size(e),
-        StmtKind::Assign { target, value } => expr_size(target) + expr_size(value),
-        StmtKind::If {
-            cond,
-            then_body,
-            else_body,
-        } => expr_size(cond) + body_size(then_body) + body_size(else_body),
-        StmtKind::While { cond, body } => expr_size(cond) + body_size(body),
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            init.as_ref().map_or(0, |s| stmt_size(s))
-                + cond.as_ref().map_or(0, expr_size)
-                + step.as_ref().map_or(0, |s| stmt_size(s))
-                + body_size(body)
-        }
-        StmtKind::Return(e) => e.as_ref().map_or(0, expr_size),
-        StmtKind::Block(b) => body_size(b),
-        StmtKind::Break | StmtKind::Continue => 0,
-    }
-}
-
-fn expr_size(e: &Expr) -> usize {
-    1 + match &e.kind {
-        ExprKind::Unary(_, i) => expr_size(i),
-        ExprKind::Binary(_, l, r) => expr_size(l) + expr_size(r),
-        ExprKind::Call { callee, args } => {
-            expr_size(callee) + args.iter().map(expr_size).sum::<usize>()
-        }
-        ExprKind::Index(b, i) => expr_size(b) + expr_size(i),
-        ExprKind::Field(b, _) | ExprKind::PField(b, _) => expr_size(b),
-        _ => 0,
-    }
-}
-
-fn calls_function(body: &[Stmt], name: &str) -> bool {
-    fn in_expr(e: &Expr, name: &str) -> bool {
-        match &e.kind {
-            ExprKind::Call { callee, args } => {
-                if let ExprKind::Ident(n) = &callee.kind {
-                    if n == name {
-                        return true;
+    // Size is statements plus expression nodes. Candidates may not
+    // contain loops, loop control, static locals or a call to themselves.
+    let mut size = 0;
+    let mut ok = f.params.len() <= 6;
+    walk_stmts(&f.body, &mut |n| {
+        size += 1;
+        ok &= match n {
+            Node::Stmt(s) => !matches!(
+                s.kind,
+                StmtKind::While { .. }
+                    | StmtKind::For { .. }
+                    | StmtKind::Break
+                    | StmtKind::Continue
+                    | StmtKind::Decl {
+                        is_static: true,
+                        ..
                     }
-                }
-                in_expr(callee, name) || args.iter().any(|a| in_expr(a, name))
-            }
-            ExprKind::Unary(_, i) => in_expr(i, name),
-            ExprKind::Binary(_, l, r) => in_expr(l, name) || in_expr(r, name),
-            ExprKind::Index(b, i) => in_expr(b, name) || in_expr(i, name),
-            ExprKind::Field(b, _) | ExprKind::PField(b, _) => in_expr(b, name),
-            _ => false,
-        }
-    }
-    fn in_stmt(s: &Stmt, name: &str) -> bool {
-        match &s.kind {
-            StmtKind::Decl { init, .. } => init.as_ref().is_some_and(|e| in_expr(e, name)),
-            StmtKind::Expr(e) => in_expr(e, name),
-            StmtKind::Assign { target, value } => in_expr(target, name) || in_expr(value, name),
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                in_expr(cond, name)
-                    || then_body.iter().any(|s| in_stmt(s, name))
-                    || else_body.iter().any(|s| in_stmt(s, name))
-            }
-            StmtKind::While { cond, body } => {
-                in_expr(cond, name) || body.iter().any(|s| in_stmt(s, name))
-            }
-            StmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                init.as_ref().is_some_and(|s| in_stmt(s, name))
-                    || cond.as_ref().is_some_and(|e| in_expr(e, name))
-                    || step.as_ref().is_some_and(|s| in_stmt(s, name))
-                    || body.iter().any(|s| in_stmt(s, name))
-            }
-            StmtKind::Return(e) => e.as_ref().is_some_and(|e| in_expr(e, name)),
-            StmtKind::Block(b) => b.iter().any(|s| in_stmt(s, name)),
-            StmtKind::Break | StmtKind::Continue => false,
-        }
-    }
-    body.iter().any(|s| in_stmt(s, name))
+            ),
+            Node::Expr(e) => !matches!(
+                &e.kind,
+                ExprKind::Call { callee, .. }
+                    if matches!(&callee.kind, ExprKind::Ident(n) if *n == f.name)
+            ),
+        };
+    });
+    ok && size <= budget
 }
 
 /// Inlines eligible calls in a statement list, returning the new list.
@@ -502,40 +401,16 @@ fn rename_stmt(s: &mut Stmt, pfx: &str, renames: &mut BTreeMap<String, String>, 
     }
 }
 
+/// Renames every identifier in `renames`, direct callees included (an
+/// indirect call through a renamed local must follow it).
 fn rename_expr(e: &mut Expr, renames: &BTreeMap<String, String>) {
-    match &mut e.kind {
-        ExprKind::Ident(n) => {
+    walk_expr_mut(e, &mut |e| {
+        if let ExprKind::Ident(n) = &mut e.kind {
             if let Some(new) = renames.get(n) {
                 *n = new.clone();
             }
         }
-        ExprKind::Unary(_, i) => rename_expr(i, renames),
-        ExprKind::Binary(_, l, r) => {
-            rename_expr(l, renames);
-            rename_expr(r, renames);
-        }
-        ExprKind::Call { callee, args } => {
-            // Do not rename a direct callee name: function names are not
-            // locals (candidates cannot shadow function names with params
-            // because sema forbids calling through shadowed locals here).
-            if !matches!(callee.kind, ExprKind::Ident(_)) {
-                rename_expr(callee, renames);
-            } else if let ExprKind::Ident(n) = &mut callee.kind {
-                if let Some(new) = renames.get(n) {
-                    *n = new.clone(); // indirect call through a renamed local
-                }
-            }
-            for a in args {
-                rename_expr(a, renames);
-            }
-        }
-        ExprKind::Index(b, i) => {
-            rename_expr(b, renames);
-            rename_expr(i, renames);
-        }
-        ExprKind::Field(b, _) | ExprKind::PField(b, _) => rename_expr(b, renames),
-        _ => {}
-    }
+    });
 }
 
 /// Drops `static` functions that were inlined at every call site and are
@@ -550,16 +425,23 @@ fn drop_dead_statics(unit: &mut Unit, report: &InlineReport) {
         if !f.is_static {
             continue;
         }
-        let referenced = unit.items.iter().any(|item| match item {
-            FileItem::Func(g) => g.name != *name && calls_or_mentions(&g.body, name),
-            FileItem::Hook { func, .. } => func == name,
-            FileItem::Global(g) => match &g.init {
-                Some(Init::Scalar(e)) => mentions_expr(e, name),
-                Some(Init::List(es)) => es.iter().any(|e| mentions_expr(e, name)),
-                None => false,
-            },
-            _ => false,
-        });
+        let mut referenced = false;
+        for item in &unit.items {
+            let mut mentions = |n: Node<'_>| {
+                referenced |=
+                    matches!(n, Node::Expr(Expr { kind: ExprKind::Ident(id), .. }) if id == name);
+            };
+            match item {
+                FileItem::Func(g) if g.name != *name => walk_stmts(&g.body, &mut mentions),
+                FileItem::Global(g) => {
+                    for e in g.init.iter().flat_map(Init::exprs) {
+                        walk_expr(e, &mut mentions);
+                    }
+                }
+                FileItem::Hook { func, .. } => referenced |= func == name,
+                _ => {}
+            }
+        }
         if !referenced {
             dead.push(name.clone());
         }
@@ -568,59 +450,6 @@ fn drop_dead_statics(unit: &mut Unit, report: &InlineReport) {
         FileItem::Func(f) => !dead.contains(&f.name),
         _ => true,
     });
-}
-
-fn calls_or_mentions(body: &[Stmt], name: &str) -> bool {
-    fn stmt(s: &Stmt, name: &str) -> bool {
-        match &s.kind {
-            StmtKind::Decl { init, .. } => init.as_ref().is_some_and(|e| mentions_expr(e, name)),
-            StmtKind::Expr(e) => mentions_expr(e, name),
-            StmtKind::Assign { target, value } => {
-                mentions_expr(target, name) || mentions_expr(value, name)
-            }
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                mentions_expr(cond, name)
-                    || then_body.iter().any(|s| stmt(s, name))
-                    || else_body.iter().any(|s| stmt(s, name))
-            }
-            StmtKind::While { cond, body } => {
-                mentions_expr(cond, name) || body.iter().any(|s| stmt(s, name))
-            }
-            StmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                init.as_ref().is_some_and(|s| stmt(s, name))
-                    || cond.as_ref().is_some_and(|e| mentions_expr(e, name))
-                    || step.as_ref().is_some_and(|s| stmt(s, name))
-                    || body.iter().any(|s| stmt(s, name))
-            }
-            StmtKind::Return(e) => e.as_ref().is_some_and(|e| mentions_expr(e, name)),
-            StmtKind::Block(b) => b.iter().any(|s| stmt(s, name)),
-            StmtKind::Break | StmtKind::Continue => false,
-        }
-    }
-    body.iter().any(|s| stmt(s, name))
-}
-
-fn mentions_expr(e: &Expr, name: &str) -> bool {
-    match &e.kind {
-        ExprKind::Ident(n) => n == name,
-        ExprKind::Unary(_, i) => mentions_expr(i, name),
-        ExprKind::Binary(_, l, r) => mentions_expr(l, name) || mentions_expr(r, name),
-        ExprKind::Call { callee, args } => {
-            mentions_expr(callee, name) || args.iter().any(|a| mentions_expr(a, name))
-        }
-        ExprKind::Index(b, i) => mentions_expr(b, name) || mentions_expr(i, name),
-        ExprKind::Field(b, _) | ExprKind::PField(b, _) => mentions_expr(b, name),
-        _ => false,
-    }
 }
 
 #[cfg(test)]

@@ -64,15 +64,14 @@ pub use ast::{
     StructDef, Type, UnaryOp, Unit,
 };
 pub use build::{
-    build_tree, build_tree_cached, build_tree_image_cached, compile_unit, compile_unit_with,
-    parse_headers,
-    tree_function_index, tree_inline_report, SourceTree,
+    build_tree, build_tree_cached, build_tree_image_cached, compile_unit, compile_unit_cached,
+    compile_unit_with, parse_headers, tree_function_index, tree_inline_report, SourceTree,
 };
 pub use cache::{fnv1a, options_fingerprint, BuildCache, BuildStats, Fingerprint, FNV_OFFSET};
 pub use drift::{
     canonicalize_tree, generate_drift, DriftClass, DriftLevel, DriftLog, DriftOp, FnFate,
 };
-pub use inline::{inline_report, InlineReport};
+pub use inline::InlineReport;
 pub use lexer::lex;
 pub use mutate::{apply_mutation, generate_mutant, FuzzRng, MutateError, Mutation, MutatorKind};
 pub use parser::parse_unit;

@@ -8,7 +8,9 @@
 //! the campaign shrinker and the checked-in regression cases rely on.
 
 use crate::ast::*;
-use crate::visit::{walk_expr_mut, walk_unit_blocks_mut, walk_unit_fn_exprs_mut};
+use crate::visit::{
+    rename_symbol, walk_stmts_exprs_mut, walk_unit_blocks_mut, walk_unit_fn_exprs_mut,
+};
 
 /// The seven mutation operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -151,9 +153,10 @@ impl std::fmt::Display for MutateError {
 
 impl std::error::Error for MutateError {}
 
-/// The deterministic xorshift64* generator used across the fuzzer, the
-/// SMP load sweep and the fleet (same recurrence as the kernel's fault
-/// plan and the chaos suite).
+/// The deterministic xorshift64* generator: the fuzzer, the drift
+/// generator, the SMP load sweep, the kernel's scheduler rotation, fault
+/// plan and `random` native, the fleet's transport and wave planner, and
+/// retry jitter all draw from it.
 #[derive(Debug, Clone)]
 pub struct FuzzRng {
     state: u64,
@@ -514,7 +517,7 @@ fn clone_fn(unit: &mut Unit, m: &Mutation) -> Result<(), MutateError> {
             break;
         }
         if let FileItem::Func(f) = item {
-            crate::visit::walk_stmts_exprs_mut(&mut f.body, &mut |e| {
+            walk_stmts_exprs_mut(&mut f.body, &mut |e| {
                 if retargeted {
                     return;
                 }
@@ -552,41 +555,7 @@ fn rename_fn(unit: &mut Unit, m: &Mutation) -> Result<(), MutateError> {
     };
     let old = f.name.clone();
     let new = format!("{old}_r{}", m.payload.rem_euclid(90) + 10);
-    let mut rename = |e: &mut Expr| {
-        if let ExprKind::Ident(n) = &mut e.kind {
-            if *n == old {
-                *n = new.clone();
-            }
-        }
-    };
-    for item in &mut unit.items {
-        match item {
-            FileItem::Func(func) => {
-                if func.name == old {
-                    func.name = new.clone();
-                }
-                crate::visit::walk_stmts_exprs_mut(&mut func.body, &mut rename);
-            }
-            FileItem::Global(g) => {
-                // Ops tables hold function addresses in initialisers.
-                match &mut g.init {
-                    Some(Init::Scalar(e)) => walk_expr_mut(e, &mut rename),
-                    Some(Init::List(items)) => {
-                        for e in items {
-                            walk_expr_mut(e, &mut rename);
-                        }
-                    }
-                    None => {}
-                }
-            }
-            FileItem::Hook { func, .. } => {
-                if *func == old {
-                    *func = new.clone();
-                }
-            }
-            FileItem::Struct(_) | FileItem::Extern { .. } => {}
-        }
-    }
+    rename_symbol(unit, &old, &new);
     Ok(())
 }
 

@@ -105,6 +105,225 @@ impl Sema {
             .get(name)
             .or_else(|| self.header_globals.get(name))
     }
+
+    fn err(&self, line: u32, message: impl Into<String>) -> CompileError {
+        CompileError::new(&self.unit, line, message)
+    }
+
+    fn check_type(&self, ty: &Type, line: u32) -> Result<(), CompileError> {
+        match ty {
+            Type::Int | Type::Byte => Ok(()),
+            Type::Ptr(t) => self.check_type(t, line),
+            Type::Struct(name) => {
+                if self.structs.contains_key(name) {
+                    Ok(())
+                } else {
+                    Err(self.err(line, format!("unknown struct `{name}`")))
+                }
+            }
+            Type::Array(t, _) => self.check_type(t, line),
+        }
+    }
+
+    fn require_scalar(&self, t: &Type, line: u32) -> Result<(), CompileError> {
+        // Arrays decay to pointers when used as values.
+        if t.is_scalar() || matches!(t, Type::Array(..)) {
+            Ok(())
+        } else {
+            Err(self.err(line, format!("expected a scalar value, found {t:?}")))
+        }
+    }
+
+    /// Types an expression. Weak typing: `int` and pointers interconvert;
+    /// `byte` reads widen to `int`. Locals resolve through the caller's
+    /// scope stack — the checker's while it checks, codegen's while it
+    /// emits — so both passes type every expression by this one rule.
+    pub(crate) fn type_of(&self, e: &Expr, locals: &dyn Locals) -> Result<Type, CompileError> {
+        match &e.kind {
+            ExprKind::Num(_) => Ok(Type::Int),
+            ExprKind::Str(_) => Ok(Type::ptr(Type::Byte)),
+            ExprKind::Sizeof(ty) => {
+                self.check_type(ty, e.line)?;
+                Ok(Type::Int)
+            }
+            ExprKind::Ident(name) => {
+                if let Some(t) = locals.local_type(name) {
+                    return Ok(t.clone());
+                }
+                if let Some(t) = self.global_type(name) {
+                    return Ok(t.clone());
+                }
+                // Function designators and declared externals are
+                // address-valued; an implicit (C89-style) external is an
+                // int-shaped symbol.
+                Ok(Type::Int)
+            }
+            ExprKind::Unary(op, inner) => {
+                let t = self.type_of(inner, locals)?;
+                match op {
+                    UnaryOp::Neg | UnaryOp::BitNot | UnaryOp::LNot => {
+                        self.require_scalar(&t, inner.line)?;
+                        Ok(Type::Int)
+                    }
+                    UnaryOp::Deref => match t {
+                        Type::Ptr(elem) => Ok(*elem),
+                        // Deref of a plain int: word pointer semantics.
+                        Type::Int => Ok(Type::Int),
+                        other => Err(self.err(
+                            inner.line,
+                            format!("cannot dereference a value of type {other:?}"),
+                        )),
+                    },
+                    UnaryOp::Addr => {
+                        // A function's name is an lvalue too: `&f` is its
+                        // address.
+                        if !is_lvalue(inner) {
+                            return Err(self.err(inner.line, "cannot take address of rvalue"));
+                        }
+                        Ok(Type::ptr(t))
+                    }
+                }
+            }
+            ExprKind::Binary(op, l, r) => {
+                let lt = self.type_of(l, locals)?;
+                let rt = self.type_of(r, locals)?;
+                // Arrays decay to pointers in arithmetic.
+                let lt = decay(lt);
+                let rt = decay(rt);
+                self.require_scalar(&lt, l.line)?;
+                self.require_scalar(&rt, r.line)?;
+                match op {
+                    BinaryOp::Add | BinaryOp::Sub => {
+                        if let Type::Ptr(_) = lt {
+                            Ok(lt)
+                        } else if let Type::Ptr(_) = rt {
+                            Ok(rt)
+                        } else {
+                            Ok(Type::Int)
+                        }
+                    }
+                    _ => Ok(Type::Int),
+                }
+            }
+            ExprKind::Call { callee, args } => {
+                // Direct calls: an identifier that is not a local variable.
+                if let ExprKind::Ident(name) = &callee.kind {
+                    if locals.local_type(name).is_none() {
+                        if let Some(&arity) = self.functions.get(name) {
+                            if arity != args.len() {
+                                return Err(self.err(
+                                    e.line,
+                                    format!(
+                                        "`{name}` takes {arity} argument(s), {} given",
+                                        args.len()
+                                    ),
+                                ));
+                            }
+                        }
+                        for a in args {
+                            let t = self.type_of(a, locals)?;
+                            self.require_scalar(&decay(t), a.line)?;
+                        }
+                        if args.len() > 6 {
+                            return Err(self.err(e.line, "calls support at most 6 arguments"));
+                        }
+                        return Ok(Type::Int);
+                    }
+                }
+                // Indirect call through a scalar value.
+                let ct = self.type_of(callee, locals)?;
+                self.require_scalar(&decay(ct), callee.line)?;
+                if args.len() > 6 {
+                    return Err(self.err(e.line, "calls support at most 6 arguments"));
+                }
+                for a in args {
+                    let t = self.type_of(a, locals)?;
+                    self.require_scalar(&decay(t), a.line)?;
+                }
+                Ok(Type::Int)
+            }
+            ExprKind::Index(base, idx) => {
+                let bt = self.type_of(base, locals)?;
+                let it = self.type_of(idx, locals)?;
+                self.require_scalar(&it, idx.line)?;
+                match bt {
+                    Type::Array(elem, _) | Type::Ptr(elem) => Ok(*elem),
+                    Type::Int => Ok(Type::Int),
+                    other => {
+                        Err(self.err(base.line, format!("cannot index a value of type {other:?}")))
+                    }
+                }
+            }
+            ExprKind::Field(base, fname) => {
+                let bt = self.type_of(base, locals)?;
+                let Type::Struct(sname) = bt else {
+                    return Err(self.err(base.line, "`.` requires a struct value"));
+                };
+                self.field_type(&sname, fname, e.line)
+            }
+            ExprKind::PField(base, fname) => {
+                let bt = self.type_of(base, locals)?;
+                let Type::Ptr(inner) = decay(bt) else {
+                    return Err(self.err(base.line, "`->` requires a struct pointer"));
+                };
+                let Type::Struct(sname) = *inner else {
+                    return Err(self.err(base.line, "`->` requires a struct pointer"));
+                };
+                self.field_type(&sname, fname, e.line)
+            }
+        }
+    }
+
+    /// Evaluates a link-time constant expression, if it is one: the rule
+    /// behind global and static-local initialisers, for checking and for
+    /// emitting them.
+    pub(crate) fn const_eval(&self, e: &Expr) -> Option<ConstVal> {
+        // A bare function / global name in a const context denotes its
+        // address (function pointers in ops tables).
+        let sym_addr = |name: &String| {
+            (self.functions.contains_key(name)
+                || self.global_type(name).is_some()
+                || self.externs.contains(name))
+            .then(|| ConstVal::SymAddr(name.clone(), 0))
+        };
+        match &e.kind {
+            ExprKind::Num(v) => Some(ConstVal::Int(*v)),
+            ExprKind::Str(s) => Some(ConstVal::Str(s.clone())),
+            ExprKind::Ident(name) => sym_addr(name),
+            ExprKind::Unary(UnaryOp::Addr, inner) => match &inner.kind {
+                ExprKind::Ident(name) => sym_addr(name),
+                _ => None,
+            },
+            ExprKind::Unary(op, inner) => {
+                let ConstVal::Int(v) = self.const_eval(inner)? else {
+                    return None;
+                };
+                Some(ConstVal::Int(match op {
+                    UnaryOp::Neg => v.wrapping_neg(),
+                    UnaryOp::BitNot => !v,
+                    UnaryOp::LNot => (v == 0) as i64,
+                    _ => return None,
+                }))
+            }
+            ExprKind::Binary(op, l, r) => match (self.const_eval(l)?, self.const_eval(r)?) {
+                (ConstVal::Int(a), ConstVal::Int(b)) => eval_binop(*op, a, b).map(ConstVal::Int),
+                (ConstVal::SymAddr(s, off), ConstVal::Int(b)) => match op {
+                    BinaryOp::Add => Some(ConstVal::SymAddr(s, off.wrapping_add(b))),
+                    BinaryOp::Sub => Some(ConstVal::SymAddr(s, off.wrapping_sub(b))),
+                    _ => None,
+                },
+                _ => None,
+            },
+            // sizeof needs layout context; fold replaced it earlier.
+            _ => None,
+        }
+    }
+
+    fn field_type(&self, sname: &str, fname: &str, line: u32) -> Result<Type, CompileError> {
+        self.field(sname, fname)
+            .map(|(_, t)| t.clone())
+            .ok_or_else(|| self.err(line, format!("struct `{sname}` has no field `{fname}`")))
+    }
 }
 
 /// Shared declarations parsed from `include/*.kh` headers.
@@ -165,17 +384,15 @@ pub fn check_unit(unit: &Unit) -> Result<Sema, CompileError> {
 
 /// Checks a unit against shared header declarations.
 pub fn check_unit_with(unit: &Unit, headers: &HeaderContext) -> Result<Sema, CompileError> {
-    let mut checker = Checker::new(unit, headers)?;
-    checker.run(unit)?;
-    Ok(checker.sema)
+    let sema = Sema::new(unit, headers)?;
+    sema.check(unit)?;
+    Ok(sema)
 }
 
-struct Checker {
-    sema: Sema,
-}
-
-impl Checker {
-    fn new(unit: &Unit, headers: &HeaderContext) -> Result<Checker, CompileError> {
+impl Sema {
+    /// Collects the unit's layouts and names; [`Sema::check`] then checks
+    /// its items against them.
+    fn new(unit: &Unit, headers: &HeaderContext) -> Result<Sema, CompileError> {
         let uname = unit.name.clone();
         // Collect struct definitions: headers first, then the unit's own.
         let mut defs: BTreeMap<String, StructDef> = BTreeMap::new();
@@ -235,16 +452,16 @@ impl Checker {
                 _ => {}
             }
         }
-        Ok(Checker { sema })
+        Ok(sema)
     }
 
-    fn run(&mut self, unit: &Unit) -> Result<(), CompileError> {
+    fn check(&self, unit: &Unit) -> Result<(), CompileError> {
         for item in &unit.items {
             match item {
                 FileItem::Global(g) => self.check_global(g)?,
                 FileItem::Func(f) => self.check_function(f)?,
                 FileItem::Hook { func, line, .. } => {
-                    if !self.sema.functions.contains_key(func) {
+                    if !self.functions.contains_key(func) {
                         return Err(
                             self.err(*line, format!("hook references unknown function `{func}`"))
                         );
@@ -256,30 +473,11 @@ impl Checker {
         Ok(())
     }
 
-    fn err(&self, line: u32, message: impl Into<String>) -> CompileError {
-        CompileError::new(&self.sema.unit, line, message)
-    }
-
-    fn check_type(&self, ty: &Type, line: u32) -> Result<(), CompileError> {
-        match ty {
-            Type::Int | Type::Byte => Ok(()),
-            Type::Ptr(t) => self.check_type(t, line),
-            Type::Struct(name) => {
-                if self.sema.structs.contains_key(name) {
-                    Ok(())
-                } else {
-                    Err(self.err(line, format!("unknown struct `{name}`")))
-                }
-            }
-            Type::Array(t, _) => self.check_type(t, line),
-        }
-    }
-
     fn check_global(&self, g: &Global) -> Result<(), CompileError> {
         self.check_type(&g.ty, g.line)?;
         // A unit definition may repeat a header declaration only at the
         // same type.
-        if let Some(hty) = self.sema.header_globals.get(&g.name) {
+        if let Some(hty) = self.header_globals.get(&g.name) {
             if *hty != g.ty {
                 return Err(self.err(
                     g.line,
@@ -303,7 +501,7 @@ impl Checker {
             Some(Init::List(items)) => {
                 let max = match &g.ty {
                     Type::Array(_, n) => *n,
-                    Type::Struct(name) => self.sema.structs[name].fields.len() as u64,
+                    Type::Struct(name) => self.structs[name].fields.len() as u64,
                     _ => return Err(self.err(g.line, "list initialiser on scalar global")),
                 };
                 if items.len() as u64 > max {
@@ -320,20 +518,6 @@ impl Checker {
     fn require_const(&self, e: &Expr) -> Result<ConstVal, CompileError> {
         self.const_eval(e)
             .ok_or_else(|| self.err(e.line, "initialiser is not a link-time constant"))
-    }
-
-    /// Evaluates a link-time constant expression, if it is one.
-    pub(crate) fn const_eval(&self, e: &Expr) -> Option<ConstVal> {
-        const_eval_with(e, &|name| {
-            if self.sema.functions.contains_key(name)
-                || self.sema.global_type(name).is_some()
-                || self.sema.externs.contains(name)
-            {
-                Some(())
-            } else {
-                None
-            }
-        })
     }
 
     fn check_function(&self, f: &Function) -> Result<(), CompileError> {
@@ -462,173 +646,10 @@ impl Checker {
             StmtKind::Block(body) => self.check_block(body, scopes, loop_depth),
         }
     }
-
-    fn require_scalar(&self, t: &Type, line: u32) -> Result<(), CompileError> {
-        // Arrays decay to pointers when used as values.
-        if t.is_scalar() || matches!(t, Type::Array(..)) {
-            Ok(())
-        } else {
-            Err(self.err(line, format!("expected a scalar value, found {t:?}")))
-        }
-    }
-
-    /// Types an expression. Weak typing: `int` and pointers interconvert;
-    /// `byte` reads widen to `int`.
-    fn type_of(&self, e: &Expr, scopes: &Scopes) -> Result<Type, CompileError> {
-        match &e.kind {
-            ExprKind::Num(_) => Ok(Type::Int),
-            ExprKind::Str(_) => Ok(Type::ptr(Type::Byte)),
-            ExprKind::Sizeof(ty) => {
-                self.check_type(ty, e.line)?;
-                Ok(Type::Int)
-            }
-            ExprKind::Ident(name) => {
-                if let Some(t) = scopes.lookup(name) {
-                    return Ok(t.clone());
-                }
-                if let Some(t) = self.sema.global_type(name) {
-                    return Ok(t.clone());
-                }
-                if self.sema.functions.contains_key(name) || self.sema.externs.contains(name) {
-                    // Function designators and declared externals are
-                    // address-valued.
-                    return Ok(Type::Int);
-                }
-                // Implicit external (C89-style): an int-shaped symbol.
-                Ok(Type::Int)
-            }
-            ExprKind::Unary(op, inner) => {
-                let t = self.type_of(inner, scopes)?;
-                match op {
-                    UnaryOp::Neg | UnaryOp::BitNot | UnaryOp::LNot => {
-                        self.require_scalar(&t, inner.line)?;
-                        Ok(Type::Int)
-                    }
-                    UnaryOp::Deref => match t {
-                        Type::Ptr(elem) => Ok(*elem),
-                        // Deref of a plain int: word pointer semantics.
-                        Type::Int => Ok(Type::Int),
-                        other => Err(self.err(
-                            inner.line,
-                            format!("cannot dereference a value of type {other:?}"),
-                        )),
-                    },
-                    UnaryOp::Addr => {
-                        if !is_lvalue(inner) {
-                            // Taking a function's address is allowed.
-                            if let ExprKind::Ident(n) = &inner.kind {
-                                if self.sema.functions.contains_key(n)
-                                    || self.sema.externs.contains(n)
-                                {
-                                    return Ok(Type::Int);
-                                }
-                            }
-                            return Err(self.err(inner.line, "cannot take address of rvalue"));
-                        }
-                        Ok(Type::ptr(t))
-                    }
-                }
-            }
-            ExprKind::Binary(op, l, r) => {
-                let lt = self.type_of(l, scopes)?;
-                let rt = self.type_of(r, scopes)?;
-                // Arrays decay to pointers in arithmetic.
-                let lt = decay(lt);
-                let rt = decay(rt);
-                self.require_scalar(&lt, l.line)?;
-                self.require_scalar(&rt, r.line)?;
-                match op {
-                    BinaryOp::Add | BinaryOp::Sub => {
-                        if let Type::Ptr(_) = lt {
-                            Ok(lt)
-                        } else if let Type::Ptr(_) = rt {
-                            Ok(rt)
-                        } else {
-                            Ok(Type::Int)
-                        }
-                    }
-                    _ => Ok(Type::Int),
-                }
-            }
-            ExprKind::Call { callee, args } => {
-                // Direct calls: an identifier that is not a local variable.
-                if let ExprKind::Ident(name) = &callee.kind {
-                    if scopes.lookup(name).is_none() {
-                        if let Some(&arity) = self.sema.functions.get(name) {
-                            if arity != args.len() {
-                                return Err(self.err(
-                                    e.line,
-                                    format!(
-                                        "`{name}` takes {arity} argument(s), {} given",
-                                        args.len()
-                                    ),
-                                ));
-                            }
-                        }
-                        for a in args {
-                            let t = self.type_of(a, scopes)?;
-                            self.require_scalar(&decay(t), a.line)?;
-                        }
-                        if args.len() > 6 {
-                            return Err(self.err(e.line, "calls support at most 6 arguments"));
-                        }
-                        return Ok(Type::Int);
-                    }
-                }
-                // Indirect call through a scalar value.
-                let ct = self.type_of(callee, scopes)?;
-                self.require_scalar(&decay(ct), callee.line)?;
-                if args.len() > 6 {
-                    return Err(self.err(e.line, "calls support at most 6 arguments"));
-                }
-                for a in args {
-                    let t = self.type_of(a, scopes)?;
-                    self.require_scalar(&decay(t), a.line)?;
-                }
-                Ok(Type::Int)
-            }
-            ExprKind::Index(base, idx) => {
-                let bt = self.type_of(base, scopes)?;
-                let it = self.type_of(idx, scopes)?;
-                self.require_scalar(&it, idx.line)?;
-                match bt {
-                    Type::Array(elem, _) | Type::Ptr(elem) => Ok(*elem),
-                    Type::Int => Ok(Type::Int),
-                    other => {
-                        Err(self.err(base.line, format!("cannot index a value of type {other:?}")))
-                    }
-                }
-            }
-            ExprKind::Field(base, fname) => {
-                let bt = self.type_of(base, scopes)?;
-                let Type::Struct(sname) = bt else {
-                    return Err(self.err(base.line, "`.` requires a struct value"));
-                };
-                self.field_type(&sname, fname, e.line)
-            }
-            ExprKind::PField(base, fname) => {
-                let bt = self.type_of(base, scopes)?;
-                let Type::Ptr(inner) = decay(bt) else {
-                    return Err(self.err(base.line, "`->` requires a struct pointer"));
-                };
-                let Type::Struct(sname) = *inner else {
-                    return Err(self.err(base.line, "`->` requires a struct pointer"));
-                };
-                self.field_type(&sname, fname, e.line)
-            }
-        }
-    }
-
-    fn field_type(&self, sname: &str, fname: &str, line: u32) -> Result<Type, CompileError> {
-        self.sema
-            .field(sname, fname)
-            .map(|(_, t)| t.clone())
-            .ok_or_else(|| self.err(line, format!("struct `{sname}` has no field `{fname}`")))
-    }
 }
 
 /// Arrays decay to pointers when used as values.
-fn decay(t: Type) -> Type {
+pub(crate) fn decay(t: Type) -> Type {
     match t {
         Type::Array(elem, _) => Type::Ptr(elem),
         other => other,
@@ -645,52 +666,6 @@ pub(crate) fn is_lvalue(e: &Expr) -> bool {
             | ExprKind::Field(..)
             | ExprKind::PField(..)
     )
-}
-
-/// Const-evaluates `e`; `known_symbol` reports whether a name is a symbol
-/// whose address may be taken at link time.
-pub(crate) fn const_eval_with(
-    e: &Expr,
-    known_symbol: &dyn Fn(&str) -> Option<()>,
-) -> Option<ConstVal> {
-    match &e.kind {
-        ExprKind::Num(v) => Some(ConstVal::Int(*v)),
-        ExprKind::Str(s) => Some(ConstVal::Str(s.clone())),
-        ExprKind::Ident(name) => {
-            // A bare function / global name in a const context denotes its
-            // address (function pointers in ops tables).
-            known_symbol(name).map(|_| ConstVal::SymAddr(name.clone(), 0))
-        }
-        ExprKind::Unary(UnaryOp::Addr, inner) => match &inner.kind {
-            ExprKind::Ident(name) => known_symbol(name).map(|_| ConstVal::SymAddr(name.clone(), 0)),
-            _ => None,
-        },
-        ExprKind::Unary(op, inner) => {
-            let v = const_eval_with(inner, known_symbol)?;
-            let ConstVal::Int(v) = v else { return None };
-            Some(ConstVal::Int(match op {
-                UnaryOp::Neg => v.wrapping_neg(),
-                UnaryOp::BitNot => !v,
-                UnaryOp::LNot => (v == 0) as i64,
-                _ => return None,
-            }))
-        }
-        ExprKind::Binary(op, l, r) => {
-            let lv = const_eval_with(l, known_symbol)?;
-            let rv = const_eval_with(r, known_symbol)?;
-            match (lv, rv) {
-                (ConstVal::Int(a), ConstVal::Int(b)) => eval_binop(*op, a, b).map(ConstVal::Int),
-                (ConstVal::SymAddr(s, off), ConstVal::Int(b)) => match op {
-                    BinaryOp::Add => Some(ConstVal::SymAddr(s, off.wrapping_add(b))),
-                    BinaryOp::Sub => Some(ConstVal::SymAddr(s, off.wrapping_sub(b))),
-                    _ => None,
-                },
-                _ => None,
-            }
-        }
-        ExprKind::Sizeof(_) => None, // sizeof needs layout context; folded earlier.
-        _ => None,
-    }
 }
 
 /// Integer constant arithmetic; division by zero is not a constant.
@@ -755,8 +730,16 @@ impl Scopes {
         top.push((name.to_string(), ty));
         true
     }
+}
 
-    fn lookup(&self, name: &str) -> Option<&Type> {
+/// A scope stack that [`Sema::type_of`] resolves local names through.
+pub(crate) trait Locals {
+    /// The type of the innermost local called `name`, if one is in scope.
+    fn local_type(&self, name: &str) -> Option<&Type>;
+}
+
+impl Locals for Scopes {
+    fn local_type(&self, name: &str) -> Option<&Type> {
         self.stack
             .iter()
             .rev()

@@ -1,13 +1,110 @@
-//! In-place AST traversal used by the fuzzer's mutators.
+//! The AST traversals: the one place that knows each node's children and
+//! the order they are visited in.
 //!
 //! Every walker visits nodes in a single canonical order (item order,
 //! then statement order, then left-to-right inside expressions), so a
 //! "site index" — the N-th visited node of some kind — identifies the
 //! same node on every walk of the same unit. Mutation descriptors are
 //! serialized as site indices and replayed deterministically on top of
-//! this guarantee.
+//! this guarantee. The inliner, the drift generator and codegen's frame
+//! sizing read the tree through [`walk_stmts`]; the mutators and the
+//! drift generator rewrite it through the `_mut` walkers and
+//! [`rename_symbol`].
 
 use crate::ast::*;
+
+/// One node of a read-only walk.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Node<'a> {
+    Stmt(&'a Stmt),
+    Expr(&'a Expr),
+}
+
+/// Visits every statement (a `for` loop's init and step included) and
+/// every expression in a statement list, read-only, each node before its
+/// children and in the order of [`walk_stmts_exprs_mut`].
+pub(crate) fn walk_stmts<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(Node<'a>)) {
+    for s in stmts {
+        walk_stmt(s, f);
+    }
+}
+
+fn walk_stmt<'a>(stmt: &'a Stmt, f: &mut impl FnMut(Node<'a>)) {
+    f(Node::Stmt(stmt));
+    match &stmt.kind {
+        StmtKind::Decl { init, .. } => {
+            if let Some(e) = init {
+                walk_expr(e, f);
+            }
+        }
+        StmtKind::Expr(e) => walk_expr(e, f),
+        StmtKind::Assign { target, value } => {
+            walk_expr(target, f);
+            walk_expr(value, f);
+        }
+        StmtKind::If {
+            cond,
+            then_body,
+            else_body,
+        } => {
+            walk_expr(cond, f);
+            walk_stmts(then_body, f);
+            walk_stmts(else_body, f);
+        }
+        StmtKind::While { cond, body } => {
+            walk_expr(cond, f);
+            walk_stmts(body, f);
+        }
+        StmtKind::For {
+            init,
+            cond,
+            step,
+            body,
+        } => {
+            if let Some(s) = init {
+                walk_stmt(s, f);
+            }
+            if let Some(c) = cond {
+                walk_expr(c, f);
+            }
+            if let Some(s) = step {
+                walk_stmt(s, f);
+            }
+            walk_stmts(body, f);
+        }
+        StmtKind::Return(e) => {
+            if let Some(e) = e {
+                walk_expr(e, f);
+            }
+        }
+        StmtKind::Break | StmtKind::Continue => {}
+        StmtKind::Block(body) => walk_stmts(body, f),
+    }
+}
+
+/// Visits an expression tree in pre-order, read-only.
+pub(crate) fn walk_expr<'a>(e: &'a Expr, f: &mut impl FnMut(Node<'a>)) {
+    f(Node::Expr(e));
+    match &e.kind {
+        ExprKind::Unary(_, operand) => walk_expr(operand, f),
+        ExprKind::Binary(_, l, r) => {
+            walk_expr(l, f);
+            walk_expr(r, f);
+        }
+        ExprKind::Call { callee, args } => {
+            walk_expr(callee, f);
+            for a in args {
+                walk_expr(a, f);
+            }
+        }
+        ExprKind::Index(base, idx) => {
+            walk_expr(base, f);
+            walk_expr(idx, f);
+        }
+        ExprKind::Field(base, _) | ExprKind::PField(base, _) => walk_expr(base, f),
+        ExprKind::Num(_) | ExprKind::Str(_) | ExprKind::Ident(_) | ExprKind::Sizeof(_) => {}
+    }
+}
 
 /// Visits every expression in a statement list in pre-order (each node
 /// before its children), mutably.
@@ -100,6 +197,41 @@ pub fn walk_unit_fn_exprs_mut(unit: &mut Unit, f: &mut impl FnMut(&mut Expr)) {
     for item in &mut unit.items {
         if let FileItem::Func(func) = item {
             walk_stmts_exprs_mut(&mut func.body, f);
+        }
+    }
+}
+
+/// Renames the symbol `old` to `new` throughout one unit: its function
+/// definition, every identifier reference (direct calls, address-takes,
+/// ops tables in global initialisers), hook registrations and `extern`
+/// declarations.
+pub(crate) fn rename_symbol(unit: &mut Unit, old: &str, new: &str) {
+    let mut rename = |e: &mut Expr| {
+        if let ExprKind::Ident(n) = &mut e.kind {
+            if n == old {
+                *n = new.to_string();
+            }
+        }
+    };
+    for item in &mut unit.items {
+        match item {
+            FileItem::Func(func) => {
+                if func.name == old {
+                    func.name = new.to_string();
+                }
+                walk_stmts_exprs_mut(&mut func.body, &mut rename);
+            }
+            FileItem::Global(g) => {
+                for e in g.init.iter_mut().flat_map(Init::exprs_mut) {
+                    walk_expr_mut(e, &mut rename);
+                }
+            }
+            FileItem::Hook { func: name, .. } | FileItem::Extern { name, .. } => {
+                if name == old {
+                    *name = new.to_string();
+                }
+            }
+            FileItem::Struct(_) => {}
         }
     }
 }
@@ -200,6 +332,46 @@ mod tests {
             }
         });
         assert_eq!(nums, vec![1, 2, 3, 1]);
+    }
+
+    #[test]
+    fn read_only_walk_sees_for_headers_in_mut_walk_order() {
+        let src = "int g(int n) { int s; s = 0; for (n = n + 1; n > 2; n = n - 3) { s = s + 4; } return s; }";
+        let mut u = parse_unit("t.kc", src).unwrap();
+        let (mut stmts, mut nums) = (0, Vec::new());
+        walk_stmts(&u.function("g").unwrap().body, &mut |n| match n {
+            Node::Stmt(_) => stmts += 1,
+            Node::Expr(Expr {
+                kind: ExprKind::Num(v),
+                ..
+            }) => nums.push(*v),
+            Node::Expr(_) => {}
+        });
+        // decl, assign, for (with its init and step), body assign, return.
+        assert_eq!(stmts, 7);
+        assert_eq!(nums, vec![0, 1, 2, 3, 4]);
+        let mut mut_nums = Vec::new();
+        walk_unit_fn_exprs_mut(&mut u, &mut |e| {
+            if let ExprKind::Num(v) = e.kind {
+                mut_nums.push(v);
+            }
+        });
+        assert_eq!(nums, mut_nums);
+    }
+
+    #[test]
+    fn rename_symbol_reaches_every_reference() {
+        let unit = |f: &str, h: &str| {
+            let src = format!(
+                "extern int {h}(); static int {f}() {{ return {h}(); }} int ops = &{f};\
+                 int g() {{ return {f}() + {h}(); }} ksplice_apply({f});"
+            );
+            parse_unit("t.kc", &src).unwrap()
+        };
+        let mut u = unit("f", "h");
+        rename_symbol(&mut u, "f", "f2");
+        rename_symbol(&mut u, "h", "h2");
+        assert_eq!(u, unit("f2", "h2"));
     }
 
     #[test]

@@ -5,10 +5,15 @@
 //!
 //! Runs unconditionally — randomness comes from a hand-rolled xorshift64*
 //! generator with fixed seeds, so the suite is deterministic and needs no
-//! registry-only dependency. A proptest twin with shrinking lives in
-//! `proptest_cache.rs` behind the `proptest-tests` feature.
+//! registry-only dependency.
 
 use ksplice_lang::{build_tree, build_tree_cached, BuildCache, Options, SourceTree};
+use ksplice_object::ObjectSet;
+
+/// Every object's KELF bytes, in the set's sorted unit order.
+fn kelf_bytes(set: &ObjectSet) -> Vec<Vec<u8>> {
+    set.iter().map(|(_, obj)| obj.to_bytes()).collect()
+}
 
 /// xorshift64* — tiny deterministic PRNG, good enough for tree shapes.
 struct Rng(u64);
@@ -122,8 +127,8 @@ fn cached_rebuild_matches_cold_build_for_random_edit_sequences() {
         // Warm the cache on the initial tree.
         let (warm0, _) = build_tree_cached(&tree, &opt, &cache).expect("initial build");
         assert_eq!(
-            warm0.to_bytes(),
-            build_tree(&tree, &opt).expect("cold").to_bytes(),
+            kelf_bytes(&warm0),
+            kelf_bytes(&build_tree(&tree, &opt).expect("cold")),
             "seed {seed}: initial cached build diverged"
         );
         // Apply 1–4 edits, rebuilding through the same cache each time.
@@ -132,8 +137,8 @@ fn cached_rebuild_matches_cold_build_for_random_edit_sequences() {
             let (warm, stats) = build_tree_cached(&tree, &opt, &cache).expect("cached rebuild");
             let cold = build_tree(&tree, &opt).expect("cold rebuild");
             assert_eq!(
-                warm.to_bytes(),
-                cold.to_bytes(),
+                kelf_bytes(&warm),
+                kelf_bytes(&cold),
                 "seed {seed} step {step}: cached rebuild diverged from cold build"
             );
             assert!(
@@ -155,6 +160,6 @@ fn shared_cache_across_distinct_trees_never_cross_contaminates() {
         let tree = gen_tree(&mut rng);
         let (warm, _) = build_tree_cached(&tree, &opt, &cache).expect("cached");
         let cold = build_tree(&tree, &opt).expect("cold");
-        assert_eq!(warm.to_bytes(), cold.to_bytes(), "seed {seed} diverged");
+        assert_eq!(kelf_bytes(&warm), kelf_bytes(&cold), "seed {seed} diverged");
     }
 }

@@ -8,15 +8,12 @@
 
 use std::collections::BTreeMap;
 
-use crate::io::{ParseError, Reader};
 use crate::model::Object;
-
-const MAGIC: &[u8; 4] = b"KSET";
 
 /// A build's worth of object files, keyed by compilation-unit name.
 ///
 /// Iteration order is the sorted unit name order (a `BTreeMap`), so
-/// serialisations and diffs are deterministic.
+/// diffs are deterministic.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ObjectSet {
     objects: BTreeMap<String, Object>,
@@ -68,40 +65,6 @@ impl ObjectSet {
             .map(|(name, _)| name.as_str())
             .collect()
     }
-
-    /// Serializes the whole archive.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(self.objects.len() as u32).to_le_bytes());
-        for obj in self.objects.values() {
-            let body = obj.to_bytes();
-            out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            out.extend_from_slice(&body);
-        }
-        out
-    }
-
-    /// Parses an archive produced by [`ObjectSet::to_bytes`].
-    pub fn parse(bytes: &[u8]) -> Result<ObjectSet, ParseError> {
-        if bytes.len() < 4 {
-            return Err(ParseError::Truncated);
-        }
-        if &bytes[..4] != MAGIC {
-            return Err(ParseError::BadMagic);
-        }
-        let mut r = Reader::new(&bytes[4..]);
-        let mut set = ObjectSet::new();
-        let count = r.u32()?;
-        for _ in 0..count {
-            let body = r.blob()?;
-            set.insert(Object::parse(body)?);
-        }
-        if r.remaining() != 0 {
-            return Err(ParseError::TrailingBytes(r.remaining()));
-        }
-        Ok(set)
-    }
 }
 
 impl FromIterator<Object> for ObjectSet {
@@ -130,12 +93,9 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip() {
+    fn iter_is_sorted_by_name() {
         let set: ObjectSet = [obj("b.kc", 1), obj("a.kc", 2)].into_iter().collect();
-        let back = ObjectSet::parse(&set.to_bytes()).unwrap();
-        assert_eq!(back, set);
-        // Deterministic order: sorted by name.
-        let names: Vec<&str> = back.iter().map(|(n, _)| n).collect();
+        let names: Vec<&str> = set.iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["a.kc", "b.kc"]);
     }
 
@@ -153,16 +113,5 @@ mod tests {
         let pre: ObjectSet = [obj("a.kc", 1)].into_iter().collect();
         let post: ObjectSet = [obj("a.kc", 1), obj("new.kc", 9)].into_iter().collect();
         assert_eq!(post.changed_units(&pre), vec!["new.kc"]);
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(ObjectSet::parse(b"XXXX").is_err());
-        assert!(ObjectSet::parse(b"KS").is_err());
-        let set: ObjectSet = [obj("a.kc", 1)].into_iter().collect();
-        let bytes = set.to_bytes();
-        for cut in 0..bytes.len() {
-            assert!(ObjectSet::parse(&bytes[..cut]).is_err());
-        }
     }
 }

@@ -101,17 +101,17 @@ impl Writer {
     }
 }
 
-pub(crate) struct Reader<'a> {
+struct Reader<'a> {
     data: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(data: &'a [u8]) -> Reader<'a> {
+    fn new(data: &'a [u8]) -> Reader<'a> {
         Reader { data, pos: 0 }
     }
 
-    pub(crate) fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
 
@@ -128,7 +128,7 @@ impl<'a> Reader<'a> {
     fn u16(&mut self) -> Result<u16, ParseError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
-    pub(crate) fn u32(&mut self) -> Result<u32, ParseError> {
+    fn u32(&mut self) -> Result<u32, ParseError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
     fn u64(&mut self) -> Result<u64, ParseError> {
@@ -137,7 +137,7 @@ impl<'a> Reader<'a> {
     fn i64(&mut self) -> Result<i64, ParseError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    pub(crate) fn blob(&mut self) -> Result<&'a [u8], ParseError> {
+    fn blob(&mut self) -> Result<&'a [u8], ParseError> {
         let len = self.u32()? as usize;
         self.take(len)
     }
@@ -244,7 +244,7 @@ impl Object {
         Ok(obj)
     }
 
-    pub(crate) fn parse_from(r: &mut Reader<'_>) -> Result<Object, ParseError> {
+    fn parse_from(r: &mut Reader<'_>) -> Result<Object, ParseError> {
         if r.take(4)? != MAGIC {
             return Err(ParseError::BadMagic);
         }

@@ -6,8 +6,8 @@
 #![cfg(feature = "proptest-tests")]
 
 use ksplice_object::{
-    Binding, Object, ObjectSet, Reloc, RelocKind, Section, SectionFlags, SectionKind, SymKind,
-    Symbol, SymbolDef,
+    Binding, Object, Reloc, RelocKind, Section, SectionFlags, SectionKind, SymKind, Symbol,
+    SymbolDef,
 };
 use proptest::prelude::*;
 
@@ -131,7 +131,6 @@ proptest! {
     #[test]
     fn parser_total(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = Object::parse(&bytes);
-        let _ = ObjectSet::parse(&bytes);
     }
 
     /// Corrupting any single byte of a serialised object either fails to
@@ -144,12 +143,5 @@ proptest! {
             bytes[i] ^= 1 << bit;
             let _ = Object::parse(&bytes);
         }
-    }
-
-    /// Archive roundtrip with several objects.
-    #[test]
-    fn set_roundtrip(objs in proptest::collection::vec(arb_object(), 0..4)) {
-        let set: ObjectSet = objs.into_iter().collect();
-        prop_assert_eq!(ObjectSet::parse(&set.to_bytes()).unwrap(), set);
     }
 }
