@@ -10,8 +10,10 @@
 //! semantics (and typically added custom hook code to migrate live
 //! instances, §5.3).
 
+use std::collections::BTreeSet;
+
 use ksplice_lang::{build_tree_cached, build_tree_image_cached, BuildCache, Options, SourceTree};
-use ksplice_patch::Patch;
+use ksplice_patch::{make_multi_diff, Patch};
 use ksplice_trace::{Severity, Stage, Tracer};
 
 use crate::differ::{diff_builds_traced, DataChange};
@@ -95,6 +97,20 @@ pub fn apply_patch_to_tree(tree: &SourceTree, patch: &Patch) -> Result<SourceTre
         }
     }
     Ok(out)
+}
+
+/// The reverse of [`apply_patch_to_tree`]: renders the unified diff that
+/// turns `old` into `new`, one file patch per changed, added or removed
+/// path, in path order.
+pub fn diff_trees(old: &SourceTree, new: &SourceTree) -> String {
+    let paths: BTreeSet<&str> = old.iter().chain(new.iter()).map(|(path, _)| path).collect();
+    let mut files: Vec<(&str, &str, &str)> = Vec::new();
+    for path in paths {
+        let (a, b) = (old.get(path).unwrap_or(""), new.get(path).unwrap_or(""));
+        files.push((path, a, b));
+    }
+    // Unchanged paths render to nothing.
+    make_multi_diff(&files).unwrap_or_default()
 }
 
 /// `ksplice-create`: builds pre and post and packages the update.

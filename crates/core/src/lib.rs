@@ -75,7 +75,7 @@ pub use manager::{
 pub use retry::{Backoff, RetryPolicy};
 pub use create::{
     apply_patch_to_tree, create_update, create_update_cached, create_update_cached_traced,
-    CreateError, CreateOptions,
+    diff_trees, CreateError, CreateOptions,
 };
 // Re-exported so callers driving the cached create path need not depend
 // on `ksplice-lang` directly.

@@ -37,11 +37,11 @@ use ksplice_kernel::Kernel;
 use ksplice_lang::{
     build_tree_image_cached, parse_unit, BuildCache, Function, Options, SourceTree, Unit,
 };
-use ksplice_patch::{make_multi_diff, Hunk, HunkLine, Patch};
+use ksplice_patch::{Hunk, HunkLine, Patch};
 use ksplice_trace::{Severity, Stage, Tracer};
 
 use crate::apply::{ApplyOptions, Ksplice};
-use crate::create::{create_update_cached_traced, CreateError, CreateOptions};
+use crate::create::{create_update_cached_traced, diff_trees, CreateError, CreateOptions};
 use crate::package::UpdatePack;
 
 /// Minimum normalized-AST similarity (percent) for a fuzzy function
@@ -58,9 +58,6 @@ pub struct RebaseOptions {
     /// Passed through to `ksplice-create` for both the original and the
     /// rebased pack builds.
     pub create: CreateOptions,
-    /// Apply options for the reuse gate and the final verification
-    /// (retry schedule, SMP topology of the verification kernel).
-    pub apply: ApplyOptions,
 }
 
 /// The rebase verdict for one update.
@@ -592,7 +589,7 @@ pub fn rebase_update(
     // Stage 1: reuse gate — run-pre matching decides whether the stale
     // pack still fits the drifted kernel.
     tracer.count("rebase.reuse_attempts", 1);
-    match verify_pack(&image, &orig_pack, id, &opts.apply, tracer) {
+    match verify_pack(&image, &orig_pack, id, tracer) {
         Ok(()) => {
             tracer.count("rebase.packs_reused", 1);
             tracer.count("rebase.auto_ported", 1);
@@ -784,7 +781,7 @@ pub fn rebase_update(
     }
 
     // Stage 3: rebuild against the drifted layout and verify.
-    let rebased_text = diff_trees_text(drifted, &ported);
+    let rebased_text = diff_trees(drifted, &ported);
     if rebased_text.is_empty() {
         report
             .reasons
@@ -836,7 +833,7 @@ pub fn rebase_update(
             }
         };
 
-    match verify_pack(&image, &rebased_pack, id, &opts.apply, tracer) {
+    match verify_pack(&image, &rebased_pack, id, tracer) {
         Ok(()) => {
             report.verified = true;
             tracer.count("rebase.auto_ported", 1);
@@ -871,23 +868,22 @@ fn finish(tracer: &mut Tracer, id: &str, report: &mut RebaseReport, status: Reba
 
 /// Boots a kernel from the drifted image, applies the pack, then undoes
 /// it, requiring byte-identical text restoration — run-pre matching and
-/// the PR 3 checksum contract as one gate.
+/// the clean-abort checksum contract as one gate. Both the reuse gate
+/// and the final verification run it on one vCPU with the default
+/// [`ApplyOptions`].
 fn verify_pack(
     image: &ksplice_object::ObjectSet,
     pack: &UpdatePack,
     id: &str,
-    apply_opts: &ApplyOptions,
     tracer: &mut Tracer,
 ) -> Result<(), String> {
+    let opts = ApplyOptions::default();
     let mut kernel = Kernel::boot_image(image).map_err(|e| format!("boot: {e}"))?;
-    if apply_opts.smp.cpus > 1 {
-        kernel.configure_smp(apply_opts.smp.clone());
-    }
     let before = kernel.mem.text_checksum();
     let mut ks = Ksplice::new();
-    ks.apply_traced(&mut kernel, pack, apply_opts, tracer)
+    ks.apply_traced(&mut kernel, pack, &opts, tracer)
         .map_err(|e| format!("apply: {e}"))?;
-    ks.undo_any_traced(&mut kernel, id, apply_opts, tracer)
+    ks.undo_any_traced(&mut kernel, id, &opts, tracer)
         .map_err(|e| format!("undo: {e}"))?;
     if kernel.mem.text_checksum() != before {
         return Err("undo left the text image altered".to_string());
@@ -1238,25 +1234,6 @@ fn write_back(tree: &mut SourceTree, path: &str, lines: &[String]) {
     tree.insert(path, &out);
 }
 
-/// Unified diff of every changed file between two trees (paths present
-/// in either side).
-fn diff_trees_text(old: &SourceTree, new: &SourceTree) -> String {
-    let mut files: Vec<(&str, &str, &str)> = Vec::new();
-    for (path, old_c) in old.iter() {
-        let new_c = new.get(path).unwrap_or("");
-        if old_c != new_c {
-            files.push((path, old_c, new_c));
-        }
-    }
-    for (path, new_c) in new.iter() {
-        if old.get(path).is_none() {
-            files.push((path, "", new_c));
-        }
-    }
-    files.sort();
-    make_multi_diff(&files).unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1277,14 +1254,6 @@ mod tests {
         tree(&[("m.kc", BASE_A)])
     }
 
-    fn patch_for(base: &SourceTree, edited: &SourceTree) -> String {
-        let files: Vec<(&str, &str, &str)> = base
-            .iter()
-            .filter_map(|(p, old)| edited.get(p).map(|new| (p, old, new)))
-            .collect();
-        make_multi_diff(&files).unwrap_or_default()
-    }
-
     #[test]
     fn identical_trees_reuse_the_pack() {
         let b = base();
@@ -1293,7 +1262,7 @@ mod tests {
             "m.kc",
             &b.get("m.kc").unwrap().replace("v - 10", "v - 11"),
         );
-        let patch = patch_for(&b, &edited_raw);
+        let patch = diff_trees(&b, &edited_raw);
         let cache = BuildCache::new();
         let mut tracer = Tracer::disabled();
         let (report, pack) = rebase_update(
@@ -1320,7 +1289,7 @@ mod tests {
             "m.kc",
             &b.get("m.kc").unwrap().replace("v - 10", "v - 99"),
         );
-        let patch = patch_for(&b, &edited);
+        let patch = diff_trees(&b, &edited);
         // Drift renames helper -> helper_util everywhere; the hunk's
         // context line `v = helper(a);` no longer matches verbatim, so
         // the port must go through the learned rename map.
@@ -1359,7 +1328,7 @@ mod tests {
             "m.kc",
             &b.get("m.kc").unwrap().replace("v - 10", "v - 99"),
         );
-        let patch = patch_for(&b, &edited);
+        let patch = diff_trees(&b, &edited);
         // Drift deletes entry outright.
         let d = tree(&[(
             "m.kc",

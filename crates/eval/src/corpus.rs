@@ -15,8 +15,8 @@
 //! rendered to a standard unified diff, so the whole corpus flows through
 //! the same `ksplice-create` path a real patch would.
 
+use ksplice_core::diff_trees;
 use ksplice_lang::SourceTree;
-use ksplice_patch::make_multi_diff;
 
 use crate::tree::base_tree;
 
@@ -136,18 +136,6 @@ impl Cve {
     pub fn needs_custom_code(&self) -> bool {
         self.custom.is_some()
     }
-}
-
-/// Renders the unified diff between two trees.
-pub fn diff_trees(old: &SourceTree, new: &SourceTree) -> String {
-    let files: Vec<(&str, &str, &str)> = old
-        .iter()
-        .filter_map(|(path, old_c)| {
-            let new_c = new.get(path)?;
-            Some((path, old_c, new_c))
-        })
-        .collect();
-    make_multi_diff(&files).unwrap_or_default()
 }
 
 fn cve(

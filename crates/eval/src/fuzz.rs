@@ -23,30 +23,27 @@
 //! (§2, §4.3). The campaign counts them per mutator as "kills" and the
 //! report shows which pipeline gate killed what.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
 use std::panic::AssertUnwindSafe;
 
 use ksplice_core::trace::{Severity, Stage};
 use ksplice_core::{
-    create_update_cached_traced, ApplyError, ApplyOptions, BuildCache, CreateError, CreateOptions,
-    Ksplice, Tracer, UndoError,
+    create_update_cached_traced, diff_trees, ApplyError, ApplyOptions, BuildCache, CreateError,
+    CreateOptions, Ksplice, Tracer, UndoError,
 };
-use ksplice_kernel::{
-    diff_images, diff_traces, normalize_call, traced_call, DiffOptions, Kernel, KernelSnapshot,
-    SmpConfig, TraceEntry,
-};
+use ksplice_kernel::{diff_images, normalize_call, Kernel, KernelSnapshot, SmpConfig, TraceEntry};
 use ksplice_lang::{
-    apply_mutation, build_tree_cached, fnv1a, generate_mutant, parse_unit, pretty_unit, FuzzRng,
-    Mutation, MutatorKind, Options, SourceTree, Type, Unit, FNV_OFFSET,
+    apply_mutation, build_tree_cached, fnv1a, generate_mutant, parse_unit, pretty_unit, Function,
+    FuzzRng, Mutation, MutatorKind, Options, SourceTree, Type, Unit, FNV_OFFSET,
 };
 
-use crate::corpus::{corpus, diff_trees, Cve};
+use crate::corpus::{corpus, Cve};
 use crate::driver::distro_image;
 use crate::exploits::run_exploit;
 use crate::pool::{default_eval_jobs, par_map};
 use crate::stress::load_stress_cached;
-use crate::tree::base_tree;
+use crate::tree::canonical_base_tree;
 
 /// Which workload both kernels run between apply and comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,6 +159,11 @@ pub enum Outcome {
         /// What broke.
         detail: String,
     },
+    /// A host panic escaped the oracle: as fatal as a divergence.
+    Panicked {
+        /// The panic message.
+        detail: String,
+    },
 }
 
 impl Outcome {
@@ -174,6 +176,7 @@ impl Outcome {
             Outcome::Aborted { class, .. } => format!("aborted:{class}"),
             Outcome::Diverged { class, .. } => format!("diverged:{class}"),
             Outcome::Infra { .. } => "infra".to_string(),
+            Outcome::Panicked { .. } => "panicked".to_string(),
         }
     }
 
@@ -183,8 +186,9 @@ impl Outcome {
             Outcome::Killed { detail, .. }
             | Outcome::Aborted { detail, .. }
             | Outcome::Diverged { detail, .. }
-            | Outcome::Infra { detail } => detail,
-            _ => "",
+            | Outcome::Infra { detail }
+            | Outcome::Panicked { detail } => detail,
+            Outcome::Survived | Outcome::NoMutation => "",
         }
     }
 }
@@ -203,8 +207,47 @@ fn is_memory_oops(e: &TraceEntry) -> bool {
     }
 }
 
-fn apply_abort_class(e: &ApplyError) -> &'static str {
+fn killed(class: &'static str, detail: impl ToString) -> Outcome {
+    Outcome::Killed {
+        class,
+        detail: detail.to_string(),
+    }
+}
+
+fn diverged(class: &'static str, detail: impl ToString) -> Outcome {
+    Outcome::Diverged {
+        class,
+        detail: detail.to_string(),
+    }
+}
+
+/// Sorts a `ksplice-create` rejection. A gate doing its job is a kill.
+/// Anything else means the harness itself is broken: the pre tree is the
+/// canonical tree, known to compile, and the patch came from
+/// `diff_trees`.
+fn create_outcome(e: CreateError) -> Outcome {
     match e {
+        CreateError::Compile {
+            phase: "post",
+            error,
+        } => killed("compile-post", error),
+        CreateError::DataSemantics { changes } => killed(
+            "data-semantics",
+            changes
+                .iter()
+                .map(|(u, c)| format!("{u}:{}", c.section))
+                .collect::<Vec<_>>()
+                .join(", "),
+        ),
+        CreateError::NoEffect => killed("no-effect", "no object-code change"),
+        e => Outcome::Infra {
+            detail: format!("create: {e}"),
+        },
+    }
+}
+
+fn apply_aborted(e: ApplyError) -> Outcome {
+    let class = match e {
         ApplyError::Link(_) => "link",
         ApplyError::Match(_) => "run-pre-match",
         ApplyError::Unresolved { .. } => "unresolved",
@@ -212,16 +255,30 @@ fn apply_abort_class(e: &ApplyError) -> &'static str {
         ApplyError::TooShort { .. } => "too-short",
         ApplyError::Hook { .. } => "hook",
         ApplyError::MissingMatch { .. } => "missing-match",
+    };
+    Outcome::Aborted {
+        class,
+        detail: e.to_string(),
     }
 }
 
-fn undo_abort_class(e: &UndoError) -> &'static str {
-    match e {
+fn undo_aborted(e: UndoError) -> Outcome {
+    let class = match e {
         UndoError::NotUndoable { .. } => "undo-not-undoable",
         UndoError::NotQuiescent { .. } => "undo-not-quiescent",
         UndoError::Hook { .. } => "undo-hook",
         UndoError::Entangled { .. } => "undo-entangled",
+    };
+    Outcome::Aborted {
+        class,
+        detail: e.to_string(),
     }
+}
+
+/// True for an exported function whose parameters are at most `max`
+/// ints: the workload can call it with plain numbers.
+fn int_entry(f: &Function, max: usize) -> bool {
+    !f.is_static && f.params.len() <= max && f.params.iter().all(|(_, ty)| *ty == Type::Int)
 }
 
 /// One campaign row: the mutant and what happened to it.
@@ -233,10 +290,8 @@ pub struct MutantRecord {
     pub unit: String,
     /// The applied mutation sequence.
     pub mutations: Vec<Mutation>,
-    /// Stable outcome class key.
-    pub class: String,
-    /// Free-text detail.
-    pub detail: String,
+    /// What the oracle said.
+    pub outcome: Outcome,
 }
 
 /// Per-mutator tallies. A multi-mutation mutant counts once in the row
@@ -338,7 +393,10 @@ impl CampaignReport {
             let _ = writeln!(
                 out,
                 "\nFAILURE mutant #{} ({}): {}\n  {}",
-                f.index, f.unit, f.class, f.detail
+                f.index,
+                f.unit,
+                f.outcome.class_key(),
+                f.outcome.detail()
             );
         }
         let _ = writeln!(
@@ -426,14 +484,6 @@ impl RegressionCase {
     }
 }
 
-/// Applies the campaign vCPU topology to a freshly booted kernel,
-/// gated on N > 1 so uniprocessor campaigns never re-home threads.
-fn configure_kernel(kernel: &mut Kernel, cpus: u32) {
-    if cpus > 1 {
-        kernel.configure_smp(SmpConfig::with_cpus(cpus));
-    }
-}
-
 /// Loads every `*.fuzz` case under `dir`, sorted by file name.
 pub fn load_regression_dir(dir: &std::path::Path) -> Result<Vec<RegressionCase>, String> {
     let mut cases = Vec::new();
@@ -455,23 +505,12 @@ pub fn load_regression_dir(dir: &std::path::Path) -> Result<Vec<RegressionCase>,
     Ok(cases)
 }
 
-/// Returns the base tree with every `.kc` unit replaced by its canonical
-/// pretty-printed form. Mutants are generated from — and diffed against —
-/// this tree, so a one-node mutation produces a few-line unified diff
-/// instead of a whole-file rewrite.
-pub fn canonical_base_tree() -> SourceTree {
-    let base = base_tree();
-    let mut canon = SourceTree::new();
-    for (path, src) in base.iter() {
-        if path.ends_with(".kc") {
-            let unit = parse_unit(path, src)
-                .unwrap_or_else(|e| panic!("base tree unit {path} must parse: {e}"));
-            canon.insert(path, &pretty_unit(&unit));
-        } else {
-            canon.insert(path, src);
-        }
+/// Applies the campaign vCPU topology to a freshly booted kernel, gated
+/// on N > 1 so uniprocessor campaigns never re-home threads.
+fn configure_kernel(kernel: &mut Kernel, opts: &ApplyOptions) {
+    if opts.smp.cpus > 1 {
+        kernel.configure_smp(opts.smp.clone());
     }
-    canon
 }
 
 /// Everything a campaign shares across mutants: the canonical pre tree
@@ -487,12 +526,12 @@ pub struct FuzzContext {
     /// with every mutant, so those kernels boot cold.
     subject: KernelSnapshot,
     cache: BuildCache,
+    /// Carries the campaign vCPU topology (`FuzzConfig::cpus`) through
+    /// the stop_machine path of every apply and undo.
     apply_opts: ApplyOptions,
-    diff_opts: DiffOptions,
     prctl: Cve,
     sweep: Vec<(String, Vec<u64>)>,
     workload: Workload,
-    cpus: u32,
 }
 
 /// Per-workload-call interpreter step budget. Deliberately far below the
@@ -503,6 +542,111 @@ const CALL_LIMIT: u64 = 2_000_000;
 const SWEEP_CAP: usize = 48;
 const STRESS_LIMIT: u64 = 30_000_000;
 const STRESS_ROUNDS: u64 = 2;
+
+/// The oracle's kernels, in lockstep order: the two cold-booted
+/// references (the distro compiler and `cc_version` 2), then the
+/// hot-patched subject.
+const KERNELS: [&str; 3] = ["reference", "calibration", "subject"];
+const SUBJECT: usize = 2;
+
+/// Where a lockstep call enters each kernel.
+enum Entry<'a> {
+    /// An exported function, looked up by name.
+    Symbol(&'a str),
+    /// A loaded module's entry, one address per kernel of [`KERNELS`].
+    Addr([u64; KERNELS.len()]),
+}
+
+/// One entry of the lockstep call plan.
+struct Call<'a> {
+    entry: Entry<'a>,
+    args: Vec<u64>,
+    limit: u64,
+}
+
+impl Call<'_> {
+    /// Makes the call on `kernel`, kernel `k` of [`KERNELS`].
+    fn run(&self, kernel: &mut Kernel, k: usize) -> TraceEntry {
+        normalize_call(match self.entry {
+            Entry::Symbol(name) => kernel.call_function_limited(name, &self.args, self.limit),
+            Entry::Addr(at) => kernel.call_at_limited(at[k], &self.args, self.limit),
+        })
+    }
+}
+
+/// Stage 4: runs the call plan on every kernel in lockstep and compares
+/// the subject with the reference call by call, for the calls the two
+/// references agree on. Returns the first tainted call and its cause.
+///
+/// UB taint: the oracle only speaks about *defined* behavior. A call is
+/// tainted when (a) any kernel hit its step budget — the execution was
+/// cut off mid-flight, and where exactly the budget expires depends on
+/// instruction counts the contract leaves free (the subject pays
+/// trampoline overhead) — (b) the two references themselves disagree —
+/// the result is decided by memory layout, which the hot-patch contract
+/// explicitly leaves free — or (c) the kernels disagree and at least one
+/// saw a memory-fault oops (a wild pointer landed in a region that
+/// happens to differ between layouts). Once a call taints, downstream
+/// kernel *state* has legitimately diverged, so nothing at or after it
+/// is compared: a budget-blown reference call need not run on the next
+/// reference, and after the taint the references stop. Only the subject
+/// finishes the plan, because its step clock stamps later trace events
+/// and must read exactly as if the whole lockstep sweep had run.
+fn lockstep(
+    kernels: &mut [Kernel],
+    plan: &[Call],
+) -> Result<Option<(usize, &'static str)>, Outcome> {
+    let mut taint = None;
+    for (i, call) in plan.iter().enumerate() {
+        let mut row = Vec::with_capacity(KERNELS.len());
+        for (k, kernel) in kernels.iter_mut().enumerate() {
+            if k != SUBJECT && (taint.is_some() || row.contains(&TraceEntry::StepLimit)) {
+                continue;
+            }
+            row.push(call.run(kernel, k));
+        }
+        if taint.is_some() {
+            continue;
+        }
+        if row.contains(&TraceEntry::StepLimit) {
+            taint = Some((i, "truncated"));
+        } else if row[0] != row[1] || (row[0] != row[SUBJECT] && row.iter().any(is_memory_oops)) {
+            taint = Some((i, "wild-memory"));
+        } else if row[0] != row[SUBJECT] {
+            return Err(diverged(
+                "trace",
+                format!(
+                    "workload call #{i}: reference {} vs subject {}",
+                    row[0], row[SUBJECT]
+                ),
+            ));
+        }
+    }
+    Ok(taint)
+}
+
+/// Stage 6: final memory images must agree outside patched text. Words
+/// the two references themselves disagree on (layout-derived values a
+/// wild-but-undetected store left behind) are dropped before the subject
+/// is judged; every delta that remains counts.
+fn compare_images(kernels: &[Kernel]) -> Result<(), Outcome> {
+    let unstable = diff_images(&kernels[0], &kernels[1]);
+    let unstable: HashSet<(&str, u64)> = unstable
+        .iter()
+        .map(|d| (d.region.as_str(), d.offset))
+        .collect();
+    let real: Vec<_> = diff_images(&kernels[0], &kernels[SUBJECT])
+        .into_iter()
+        .filter(|d| !unstable.contains(&(d.region.as_str(), d.offset)))
+        .collect();
+    match real.first() {
+        None => Ok(()),
+        Some(first) => Err(diverged(
+            "image",
+            format!("{} delta(s), first: {first}", real.len()),
+        )),
+    }
+}
 
 impl FuzzContext {
     /// Builds the shared campaign state: canonicalizes the base tree,
@@ -518,9 +662,10 @@ impl FuzzContext {
             }
         }
         let cache = BuildCache::new();
+        let apply_opts = ApplyOptions::with_smp(SmpConfig::with_cpus(cfg.cpus));
         let pre_image = distro_image(&canon, &cache)?;
         let mut subject = Kernel::boot_image(&pre_image).map_err(|e| format!("pre boot: {e}"))?;
-        configure_kernel(&mut subject, cfg.cpus);
+        configure_kernel(&mut subject, &apply_opts);
         let prctl = corpus()
             .into_iter()
             .find(|c| c.id == "CVE-2006-2451")
@@ -529,18 +674,12 @@ impl FuzzContext {
         // The fixed sweep: every exported int-only function with at most
         // two parameters, in sorted order, with small deterministic
         // arguments. Both kernels run exactly this script.
-        let mut sweep = Vec::new();
-        for (_, unit) in &units {
-            for f in unit.functions() {
-                if f.is_static
-                    || f.params.len() > 2
-                    || !f.params.iter().all(|(_, ty)| matches!(ty, Type::Int))
-                {
-                    continue;
-                }
-                sweep.push(f.name.clone());
-            }
-        }
+        let mut sweep: Vec<String> = units
+            .iter()
+            .flat_map(|(_, unit)| unit.functions())
+            .filter(|f| int_entry(f, 2))
+            .map(|f| f.name.clone())
+            .collect();
         sweep.sort();
         sweep.dedup();
         sweep.truncate(SWEEP_CAP);
@@ -553,25 +692,15 @@ impl FuzzContext {
             })
             .collect();
 
-        // N > 1 threads the vCPU topology through the stop_machine path
-        // of every apply/undo; the default stays on the historical
-        // uniprocessor options so N = 1 campaigns are byte-identical.
-        let apply_opts = if cfg.cpus > 1 {
-            ApplyOptions::with_smp(SmpConfig::with_cpus(cfg.cpus))
-        } else {
-            ApplyOptions::default()
-        };
         Ok(FuzzContext {
             canon,
             units,
             subject: subject.snapshot(),
             cache,
             apply_opts,
-            diff_opts: DiffOptions::default(),
             prctl,
             sweep,
             workload: cfg.workload,
-            cpus: cfg.cpus,
         })
     }
 
@@ -596,362 +725,176 @@ impl FuzzContext {
             .ok_or_else(|| format!("{unit_path}: not a mutable unit"))?;
         let mut mutant = base.clone();
         for m in mutations {
-            if let Err(e) = apply_mutation(&mut mutant, m) {
-                return Err(format!("{unit_path}: {m}: {e}"));
-            }
+            apply_mutation(&mut mutant, m).map_err(|e| format!("{unit_path}: {m}: {e}"))?;
         }
         Ok(self.oracle(unit_path, &mutant, tracer))
     }
 
     /// The differential oracle for one already-mutated unit.
     fn oracle(&self, unit_path: &str, mutant: &Unit, tracer: &mut Tracer) -> Outcome {
+        match self.differential(unit_path, mutant, tracer) {
+            Ok(()) => Outcome::Survived,
+            Err(outcome) => outcome,
+        }
+    }
+
+    /// The oracle's one pass over the [`KERNELS`]: every gate that
+    /// stops a mutant returns its verdict as the `Err`.
+    fn differential(
+        &self,
+        unit_path: &str,
+        mutant: &Unit,
+        tracer: &mut Tracer,
+    ) -> Result<(), Outcome> {
         let id = "fuzz-mutant";
-        let post_src = pretty_unit(mutant);
         let mut post_tree = self.canon.clone();
-        post_tree.set(unit_path, post_src);
+        post_tree.set(unit_path, pretty_unit(mutant));
         let patch = diff_trees(&self.canon, &post_tree);
         if patch.is_empty() {
-            return Outcome::Killed {
-                class: "no-effect",
-                detail: "mutation produced identical source".into(),
-            };
+            return Err(killed("no-effect", "mutation produced identical source"));
         }
 
         // Stage 1: ksplice-create. Rejections here are pipeline gates
         // doing their job — kills, not failures.
-        let pack = match create_update_cached_traced(
+        let (pack, _) = create_update_cached_traced(
             id,
             &self.canon,
             &patch,
             &CreateOptions::default(),
             &self.cache,
             tracer,
-        ) {
-            Ok((pack, _)) => pack,
-            Err(CreateError::Compile { phase: "post", error }) => {
-                return Outcome::Killed {
-                    class: "compile-post",
-                    detail: error.to_string(),
-                }
-            }
-            Err(CreateError::DataSemantics { changes }) => {
-                return Outcome::Killed {
-                    class: "data-semantics",
-                    detail: changes
-                        .iter()
-                        .map(|(u, c)| format!("{u}:{}", c.section))
-                        .collect::<Vec<_>>()
-                        .join(", "),
-                }
-            }
-            Err(CreateError::NoEffect) => {
-                return Outcome::Killed {
-                    class: "no-effect",
-                    detail: "no object-code change".into(),
-                }
-            }
-            // The pre tree is the canonical tree (known to compile) and
-            // the patch came from diff_trees — these can only mean the
-            // harness itself is broken.
-            Err(e) => {
-                return Outcome::Infra {
-                    detail: format!("create: {e}"),
-                }
-            }
-        };
+        )
+        .map_err(create_outcome)?;
+
         // Stage 2: two reference kernels, cold-booted from post source
         // with *different compiler versions*. Ksplice only promises the
         // hot-patched kernel matches a cold boot up to the freedoms the
         // compiler already has (layout, alignment, register choice) — so
         // any behavior the two references themselves disagree on (an
         // out-of-bounds-read mutant, say) is layout-defined, not
-        // semantics, and is excluded from the subject comparison.
-        let calib_options = Options {
-            cc_version: 2,
-            ..Options::distro()
-        };
-        let ref_image = match build_tree_cached(&post_tree, &Options::distro(), &self.cache) {
-            Ok((set, _)) => set,
-            Err(e) => {
-                return Outcome::Killed {
-                    class: "post-distro-build",
-                    detail: e.to_string(),
-                }
-            }
-        };
-        let calib_image = match build_tree_cached(&post_tree, &calib_options, &self.cache) {
-            Ok((set, _)) => set,
-            Err(e) => {
-                return Outcome::Killed {
-                    class: "post-distro-build",
-                    detail: format!("cc2: {e}"),
-                }
-            }
-        };
-        let mut reference = match Kernel::boot_image(&ref_image) {
-            Ok(k) => k,
-            Err(e) => {
-                return Outcome::Killed {
-                    class: "post-boot",
-                    detail: e.to_string(),
-                }
-            }
-        };
-        configure_kernel(&mut reference, self.cpus);
-        let mut calib = match Kernel::boot_image(&calib_image) {
-            Ok(k) => k,
-            Err(e) => {
-                return Outcome::Killed {
-                    class: "post-boot",
-                    detail: format!("cc2: {e}"),
-                }
-            }
-        };
-        configure_kernel(&mut calib, self.cpus);
-
+        // semantics, and is excluded from the subject comparison. Both
+        // build before either boots.
+        let references = [
+            (Options::distro(), ""),
+            (
+                Options {
+                    cc_version: 2,
+                    ..Options::distro()
+                },
+                "cc2: ",
+            ),
+        ];
+        let mut images = Vec::new();
+        for (options, tag) in &references {
+            let (image, _) = build_tree_cached(&post_tree, options, &self.cache)
+                .map_err(|e| killed("post-distro-build", format!("{tag}{e}")))?;
+            images.push(image);
+        }
+        let mut kernels = Vec::with_capacity(KERNELS.len());
+        for (image, (_, tag)) in images.iter().zip(&references) {
+            let mut kernel =
+                Kernel::boot_image(image).map_err(|e| killed("post-boot", format!("{tag}{e}")))?;
+            configure_kernel(&mut kernel, &self.apply_opts);
+            kernels.push(kernel);
+        }
         // Stage 3: the subject kernel, hot-patched from pre.
-        let mut subject = self.subject.fork();
+        kernels.push(self.subject.fork());
 
-        // Both kernels load the stress module *before* the subject is
+        // Every kernel loads the stress module *before* the subject is
         // patched, mirroring live operation (the workload exists first,
-        // the update arrives later).
-        let mut stress_entries = None;
+        // the update arrives later). Its one call ends the plan.
+        let mut plan = self.call_plan(unit_path);
         if self.workload.includes_stress() {
-            let re = match load_stress_cached(&mut reference, &self.cache) {
-                Ok(e) => e,
-                Err(e) => {
-                    return Outcome::Infra {
-                        detail: format!("reference stress load: {e}"),
-                    }
-                }
-            };
-            let ce = match load_stress_cached(&mut calib, &self.cache) {
-                Ok(e) => e,
-                Err(e) => {
-                    return Outcome::Infra {
-                        detail: format!("calibration stress load: {e}"),
-                    }
-                }
-            };
-            let se = match load_stress_cached(&mut subject, &self.cache) {
-                Ok(e) => e,
-                Err(e) => {
-                    return Outcome::Infra {
-                        detail: format!("subject stress load: {e}"),
-                    }
-                }
-            };
-            stress_entries = Some((re, ce, se));
+            let mut at = [0; KERNELS.len()];
+            for (k, kernel) in kernels.iter_mut().enumerate() {
+                at[k] = load_stress_cached(kernel, &self.cache).map_err(|e| Outcome::Infra {
+                    detail: format!("{} stress load: {e}", KERNELS[k]),
+                })?;
+            }
+            plan.push(Call {
+                entry: Entry::Addr(at),
+                args: vec![STRESS_ROUNDS],
+                limit: STRESS_LIMIT,
+            });
         }
-        let text_before = subject.mem.text_checksum();
+        let text_before = kernels[SUBJECT].mem.text_checksum();
         let mut ks = Ksplice::new();
-        if let Err(e) = ks.apply_traced(&mut subject, &pack, &self.apply_opts, tracer) {
-            return Outcome::Aborted {
-                class: apply_abort_class(&e),
-                detail: e.to_string(),
-            };
+        ks.apply_traced(&mut kernels[SUBJECT], &pack, &self.apply_opts, tracer)
+            .map_err(apply_aborted)?;
+
+        let taint = lockstep(&mut kernels, &plan)?;
+        if taint.is_none() {
+            self.compare_state(&mut kernels)?;
         }
-        // Stage 4: identical workloads on all three kernels, lockstep
-        // comparison of the entries the two references agree on.
-        //
-        // UB taint: the oracle only speaks about *defined* behavior. An
-        // entry is tainted when (a) any kernel hit its step budget — the
-        // execution was cut off mid-flight, and where exactly the budget
-        // expires depends on instruction counts the contract leaves free
-        // (the subject pays trampoline overhead) — (b) the two references
-        // themselves disagree — the result is decided by memory layout,
-        // which the hot-patch contract explicitly leaves free — or (c)
-        // the kernels disagree and at least one saw a memory-fault oops
-        // (a wild pointer landed in a region that happens to differ
-        // between layouts). Once any entry is tainted, downstream kernel
-        // *state* has legitimately diverged, so only the trace prefix
-        // before the first taint is comparable — which also means the
-        // sweep can stop issuing calls the moment an entry taints (and a
-        // budget-blown reference call need not even run on the other two
-        // kernels): nothing at or after the taint index is ever read.
-        // The full call plan, in lockstep order. Targeted probes: the
-        // mutated unit's own exported functions, with two argument
-        // patterns each. Derived from the canonical unit so every
-        // kernel defines every probed symbol.
-        let mut plan: Vec<(&str, Vec<u64>)> = Vec::new();
-        if self.workload.includes_syscalls() {
-            for (name, args) in &self.sweep {
-                plan.push((name, args.clone()));
-            }
-            if let Some(base) = self.unit(unit_path) {
-                for f in base.functions() {
-                    if f.is_static
-                        || f.params.len() > 3
-                        || !f.params.iter().all(|(_, ty)| matches!(ty, Type::Int))
-                    {
-                        continue;
-                    }
-                    for pattern in [[2u64, 3, 5], [7, 1, 4]] {
-                        plan.push((&f.name, pattern[..f.params.len()].to_vec()));
-                    }
-                }
-            }
+
+        // Stage 7: reversal restores the original text exactly. A tainted
+        // mutant skips the state comparison (its behavior depends on
+        // layout or step budgets) but must reverse cleanly all the same.
+        ks.undo_any_traced(&mut kernels[SUBJECT], id, &self.apply_opts, tracer)
+            .map_err(undo_aborted)?;
+        if kernels[SUBJECT].mem.text_checksum() != text_before {
+            return Err(diverged(
+                "undo-text",
+                "text checksum after undo differs from pre-apply",
+            ));
         }
-        let mut ref_trace = Vec::new();
-        let mut calib_trace = Vec::new();
-        let mut subj_trace = Vec::new();
-        let mut first_taint: Option<(usize, &'static str)> = None;
-        let hit = |e: &TraceEntry| matches!(e, TraceEntry::StepLimit);
-        for (i, (name, args)) in plan.iter().enumerate() {
-            // Once an entry taints, nothing at or after it is ever
-            // compared, so the two reference kernels stop running — only
-            // the subject finishes the plan, because its step clock
-            // stamps later trace events and must read exactly as if the
-            // whole lockstep sweep had run.
-            if first_taint.is_some() {
-                let _ = traced_call(&mut subject, name, args, CALL_LIMIT);
-                continue;
-            }
-            let r = traced_call(&mut reference, name, args, CALL_LIMIT);
-            if hit(&r) {
-                first_taint = Some((i, "truncated"));
-                let _ = traced_call(&mut subject, name, args, CALL_LIMIT);
-                continue;
-            }
-            let c = traced_call(&mut calib, name, args, CALL_LIMIT);
-            if hit(&c) {
-                first_taint = Some((i, "truncated"));
-                let _ = traced_call(&mut subject, name, args, CALL_LIMIT);
-                continue;
-            }
-            let s = traced_call(&mut subject, name, args, CALL_LIMIT);
-            if hit(&s) {
-                first_taint = Some((i, "truncated"));
-            } else if r != c
-                || (r != s && (is_memory_oops(&r) || is_memory_oops(&c) || is_memory_oops(&s)))
-            {
-                first_taint = Some((i, "wild-memory"));
-            }
-            ref_trace.push(r);
-            calib_trace.push(c);
-            subj_trace.push(s);
-        }
-        if let Some((re, ce, se)) = stress_entries {
-            if first_taint.is_some() {
-                let _ = subject.call_at_limited(se, &[STRESS_ROUNDS], STRESS_LIMIT);
-            } else {
-                let i = ref_trace.len();
-                let r = normalize_call(reference.call_at_limited(re, &[STRESS_ROUNDS], STRESS_LIMIT));
-                if hit(&r) {
-                    first_taint = Some((i, "truncated"));
-                    let _ = subject.call_at_limited(se, &[STRESS_ROUNDS], STRESS_LIMIT);
+        match taint {
+            None => Ok(()),
+            Some((at, cause)) => {
+                let what = if cause == "truncated" {
+                    "step-budget truncation"
                 } else {
-                    let c = normalize_call(calib.call_at_limited(ce, &[STRESS_ROUNDS], STRESS_LIMIT));
-                    if hit(&c) {
-                        first_taint = Some((i, "truncated"));
-                        let _ = subject.call_at_limited(se, &[STRESS_ROUNDS], STRESS_LIMIT);
-                    } else {
-                        let s = normalize_call(subject.call_at_limited(
-                            se,
-                            &[STRESS_ROUNDS],
-                            STRESS_LIMIT,
-                        ));
-                        if hit(&s) {
-                            first_taint = Some((i, "truncated"));
-                        } else if r != c
-                            || (r != s
-                                && (is_memory_oops(&r) || is_memory_oops(&c) || is_memory_oops(&s)))
-                        {
-                            first_taint = Some((i, "wild-memory"));
-                        }
-                        ref_trace.push(r);
-                        calib_trace.push(c);
-                        subj_trace.push(s);
-                    }
-                }
-            }
-        }
-        let prefix = first_taint.map_or(ref_trace.len(), |(i, _)| i);
-        if let Some((i, r, s)) = diff_traces(&ref_trace[..prefix], &subj_trace[..prefix]) {
-            return Outcome::Diverged {
-                class: "trace",
-                detail: format!("workload call #{i}: reference {r} vs subject {s}"),
-            };
-        }
-        if let Some((at, cause)) = first_taint {
-            // Tainted mutant: its behavior depends on layout or step
-            // budgets, so the full-state comparison is meaningless. The
-            // update still has to reverse cleanly, though (checked below).
-            if let Err(e) = ks.undo_any_traced(&mut subject, id, &self.apply_opts, tracer) {
-                return Outcome::Aborted {
-                    class: undo_abort_class(&e),
-                    detail: e.to_string(),
+                    "layout-dependent behavior"
                 };
+                Err(killed(cause, format!("{what} from workload call #{at} on")))
             }
-            if subject.mem.text_checksum() != text_before {
-                return Outcome::Diverged {
-                    class: "undo-text",
-                    detail: "text checksum after undo differs from pre-apply".into(),
-                };
+        }
+    }
+
+    /// The syscall part of the lockstep call plan: the fixed sweep, then
+    /// targeted probes of the mutated unit's own exported functions,
+    /// with two argument patterns each. Derived from the canonical unit
+    /// so every kernel defines every probed symbol.
+    fn call_plan(&self, unit_path: &str) -> Vec<Call<'_>> {
+        let mut plan = Vec::new();
+        if !self.workload.includes_syscalls() {
+            return plan;
+        }
+        let call = |name, args| Call {
+            entry: Entry::Symbol(name),
+            args,
+            limit: CALL_LIMIT,
+        };
+        for (name, args) in &self.sweep {
+            plan.push(call(name, args.clone()));
+        }
+        let probes = self.unit(unit_path).into_iter().flat_map(Unit::functions);
+        for f in probes.filter(|f| int_entry(f, 3)) {
+            for pattern in [[2u64, 3, 5], [7, 1, 4]] {
+                plan.push(call(&f.name, pattern[..f.params.len()].to_vec()));
             }
-            let what = if cause == "truncated" {
-                "step-budget truncation"
-            } else {
-                "layout-dependent behavior"
-            };
-            return Outcome::Killed {
-                class: cause,
-                detail: format!("{what} from workload call #{at} on"),
-            };
         }
+        plan
+    }
 
-        // Stage 5: the exploit probe — privilege-escalation behavior must
-        // match (all kernels implement post semantics), again only when
-        // the two references agree on it.
-        let ref_exploit = run_exploit(&mut reference, &self.prctl);
-        let calib_exploit = run_exploit(&mut calib, &self.prctl);
-        let subj_exploit = run_exploit(&mut subject, &self.prctl);
-        if ref_exploit == calib_exploit && ref_exploit != subj_exploit {
-            return Outcome::Diverged {
-                class: "exploit",
-                detail: format!("reference {ref_exploit:?} vs subject {subj_exploit:?}"),
-            };
-        }
-
-        // Stage 6: final memory images must agree outside patched text.
-        // Words the two references themselves disagree on (layout-derived
-        // values a wild-but-undetected store left behind) are masked the
-        // same way.
-        let mut wide = self.diff_opts.clone();
-        wide.max_deltas = usize::MAX;
-        let unstable: std::collections::BTreeSet<(String, u64)> =
-            diff_images(&reference, &calib, &wide)
-                .deltas
-                .into_iter()
-                .map(|d| (d.region, d.offset))
-                .collect();
-        let image = diff_images(&reference, &subject, &self.diff_opts);
-        let real: Vec<_> = image
-            .deltas
-            .iter()
-            .filter(|d| !unstable.contains(&(d.region.clone(), d.offset)))
+    /// Stages 5 and 6, for an untainted mutant: the exploit probe and the
+    /// final memory images must match wherever the two references agree.
+    fn compare_state(&self, kernels: &mut [Kernel]) -> Result<(), Outcome> {
+        // Stage 5: privilege-escalation behavior must match (all kernels
+        // implement post semantics).
+        let exploits: Vec<_> = kernels
+            .iter_mut()
+            .map(|k| run_exploit(k, &self.prctl))
             .collect();
-        if !real.is_empty() {
-            return Outcome::Diverged {
-                class: "image",
-                detail: format!("{} delta(s), first: {}", real.len(), real[0]),
-            };
+        let (reference, subject) = (exploits[0], exploits[SUBJECT]);
+        if reference == exploits[1] && reference != subject {
+            return Err(diverged(
+                "exploit",
+                format!("reference {reference:?} vs subject {subject:?}"),
+            ));
         }
 
-        // Stage 7: reversal restores the original text exactly.
-        if let Err(e) = ks.undo_any_traced(&mut subject, id, &self.apply_opts, tracer) {
-            return Outcome::Aborted {
-                class: undo_abort_class(&e),
-                detail: e.to_string(),
-            };
-        }
-        if subject.mem.text_checksum() != text_before {
-            return Outcome::Diverged {
-                class: "undo-text",
-                detail: "text checksum after undo differs from pre-apply".into(),
-            };
-        }
-        Outcome::Survived
+        compare_images(kernels)
     }
 
     /// Delta-debugs a failing mutation sequence down to a minimal
@@ -1007,7 +950,7 @@ impl FuzzContext {
 
 /// Generates and runs one mutant: derive its RNG from `(seed, index)`,
 /// pick a unit, mutate, run the oracle. Host panics are caught and
-/// reported as records with class `panicked`.
+/// reported as [`Outcome::Panicked`].
 fn run_mutant(cx: &FuzzContext, cfg: &FuzzConfig, index: usize, tracer: &mut Tracer) -> MutantRecord {
     // Distinct, well-mixed stream per mutant; independent of job count.
     let mut rng = FuzzRng::new(
@@ -1015,42 +958,27 @@ fn run_mutant(cx: &FuzzContext, cfg: &FuzzConfig, index: usize, tracer: &mut Tra
     );
     let unit_idx = rng.below(cx.units.len() as u64) as usize;
     let (unit_path, base_unit) = &cx.units[unit_idx];
-    let generated = generate_mutant(base_unit, &mut rng, cfg.max_mutations);
-    let Some((mutant, mutations)) = generated else {
-        return MutantRecord {
-            index,
-            unit: unit_path.clone(),
-            mutations: Vec::new(),
-            class: Outcome::NoMutation.class_key(),
-            detail: String::new(),
-        };
-    };
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        cx.oracle(unit_path, &mutant, tracer)
-    }));
-    let outcome = match result {
-        Ok(o) => o,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            return MutantRecord {
-                index,
-                unit: unit_path.clone(),
-                mutations,
-                class: "panicked".to_string(),
-                detail: msg,
-            };
+    let (mutations, outcome) = match generate_mutant(base_unit, &mut rng, cfg.max_mutations) {
+        None => (Vec::new(), Outcome::NoMutation),
+        Some((mutant, mutations)) => {
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                cx.oracle(unit_path, &mutant, tracer)
+            }));
+            let outcome = result.unwrap_or_else(|payload| Outcome::Panicked {
+                detail: payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_string()),
+            });
+            (mutations, outcome)
         }
     };
     MutantRecord {
         index,
         unit: unit_path.clone(),
         mutations,
-        class: outcome.class_key(),
-        detail: outcome.detail().to_string(),
+        outcome,
     }
 }
 
@@ -1081,8 +1009,8 @@ pub fn run_campaign(cfg: &FuzzConfig, tracer: &mut Tracer) -> Result<CampaignRep
     for record in &records {
         digest = fnv1a(digest, &record.index.to_le_bytes());
         digest = fnv1a(digest, record.unit.as_bytes());
-        digest = fnv1a(digest, record.class.as_bytes());
-        digest = fnv1a(digest, record.detail.as_bytes());
+        digest = fnv1a(digest, record.outcome.class_key().as_bytes());
+        digest = fnv1a(digest, record.outcome.detail().as_bytes());
         for m in &record.mutations {
             digest = fnv1a(digest, m.to_string().as_bytes());
         }
@@ -1094,32 +1022,33 @@ pub fn run_campaign(cfg: &FuzzConfig, tracer: &mut Tracer) -> Result<CampaignRep
     let mut panics = 0usize;
     let mut first_of_class: BTreeMap<String, MutantRecord> = BTreeMap::new();
     for record in records {
-        *by_class.entry(record.class.clone()).or_default() += 1;
-        tracer.count(&format!("fuzz.outcome.{}", record.class), 1);
+        let class = record.outcome.class_key();
+        *by_class.entry(class.clone()).or_default() += 1;
+        tracer.count(&format!("fuzz.outcome.{class}"), 1);
         let mut kinds: Vec<MutatorKind> = record.mutations.iter().map(|m| m.kind).collect();
         kinds.sort_by_key(|k| k.name());
         kinds.dedup();
         for kind in kinds {
             let s = by_mutator.entry(kind.name()).or_default();
             s.used += 1;
-            if record.class.starts_with("killed:") {
-                s.killed += 1;
-                tracer.count(&format!("fuzz.kill.{}", kind.name()), 1);
-            } else if record.class == "survived" {
-                s.survived += 1;
-            } else if record.class.starts_with("aborted:") {
-                s.aborted += 1;
-            } else if record.class.starts_with("diverged:") {
-                s.diverged += 1;
+            match record.outcome {
+                Outcome::Killed { .. } => {
+                    s.killed += 1;
+                    tracer.count(&format!("fuzz.kill.{}", kind.name()), 1);
+                }
+                Outcome::Survived => s.survived += 1,
+                Outcome::Aborted { .. } => s.aborted += 1,
+                Outcome::Diverged { .. } => s.diverged += 1,
+                Outcome::NoMutation | Outcome::Infra { .. } | Outcome::Panicked { .. } => {}
             }
         }
-        if record.class == "panicked" {
-            panics += 1;
-        }
-        let failed = record.class.starts_with("diverged:")
-            || record.class == "infra"
-            || record.class == "panicked";
-        if failed {
+        let panicked = matches!(record.outcome, Outcome::Panicked { .. });
+        panics += usize::from(panicked);
+        let failed = matches!(
+            record.outcome,
+            Outcome::Diverged { .. } | Outcome::Infra { .. }
+        );
+        if panicked || failed {
             tracer.emit(
                 Stage::Fuzz,
                 Severity::Error,
@@ -1127,27 +1056,24 @@ pub fn run_campaign(cfg: &FuzzConfig, tracer: &mut Tracer) -> Result<CampaignRep
                 vec![
                     ("index", record.index.into()),
                     ("unit", record.unit.as_str().into()),
-                    ("class", record.class.as_str().into()),
-                    ("detail", record.detail.as_str().into()),
+                    ("class", class.as_str().into()),
+                    ("detail", record.outcome.detail().into()),
                 ],
             );
             failures.push(record.clone());
         }
-        if record.class != "survived"
-            && record.class != "no-mutation"
-            && !record.mutations.is_empty()
-        {
-            first_of_class.entry(record.class.clone()).or_insert(record);
+        // Panicked mutants are not re-run (the panic already poisoned
+        // determinism guarantees).
+        let shrinkable =
+            !panicked && !matches!(record.outcome, Outcome::Survived | Outcome::NoMutation);
+        if shrinkable && !record.mutations.is_empty() {
+            first_of_class.entry(class).or_insert(record);
         }
     }
 
-    // Shrink one exemplar per interesting class. Panicked mutants are
-    // not re-run (the panic already poisoned determinism guarantees).
+    // Shrink one exemplar per interesting class.
     let mut exemplars = Vec::new();
     for (class, record) in &first_of_class {
-        if class == "panicked" {
-            continue;
-        }
         let minimal = cx.shrink(&record.unit, &record.mutations, class, tracer);
         exemplars.push(RegressionCase {
             name: format!("{}-{}", class.replace(':', "-"), record.index),
@@ -1185,4 +1111,132 @@ pub fn run_campaign(cfg: &FuzzConfig, tracer: &mut Tracer) -> Result<CampaignRep
         ],
     );
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every lockstep kernel shares these: `tick` and `spin` bump
+    /// `count`, which `ticks` reads back; `f` is appended per kernel.
+    const COMMON: &str = "int count;\n\
+        int tick() { count = count + 1; return count; }\n\
+        int spin() { count = count + 1; while (1) { } return 0; }\n\
+        int ticks() { return count; }\n";
+
+    fn boot(src: &str) -> Kernel {
+        let mut tree = SourceTree::new();
+        tree.insert("m.kc", src);
+        Kernel::boot(&tree, &Options::distro()).unwrap()
+    }
+
+    /// `[reference, calibration, subject]`, each with its own `f`.
+    fn kernels(f: [&str; 3]) -> Vec<Kernel> {
+        f.iter().map(|f| boot(&format!("{COMMON}{f}"))).collect()
+    }
+
+    fn plan<'a>(calls: &[(&'a str, &[u64])]) -> Vec<Call<'a>> {
+        calls
+            .iter()
+            .map(|&(name, args)| Call {
+                entry: Entry::Symbol(name),
+                args: args.to_vec(),
+                limit: 10_000,
+            })
+            .collect()
+    }
+
+    fn ticks(kernels: &mut [Kernel]) -> Vec<u64> {
+        let read = |k: &mut Kernel| k.call_function("ticks", &[]).unwrap();
+        kernels.iter_mut().map(read).collect()
+    }
+
+    const IDENTITY: &str = "int f(int a) { return a; }";
+
+    #[test]
+    fn trace_diff_reports_first_mismatch() {
+        let off_by_one = "int f(int a) { return a + 1; }";
+        let mut ks = kernels([IDENTITY, IDENTITY, off_by_one]);
+        let calls = plan(&[("tick", &[]), ("f", &[5]), ("tick", &[])]);
+        assert_eq!(
+            lockstep(&mut ks, &calls),
+            Err(diverged(
+                "trace",
+                "workload call #1: reference ret:5 vs subject ret:6"
+            ))
+        );
+        // A divergence ends the sweep on every kernel.
+        assert_eq!(ticks(&mut ks), [1, 1, 1]);
+
+        let mut ks = kernels([IDENTITY; 3]);
+        assert_eq!(lockstep(&mut ks, &calls), Ok(None));
+        assert_eq!(ticks(&mut ks), [2, 2, 2]);
+    }
+
+    #[test]
+    fn disagreeing_references_taint_and_only_the_subject_runs_on() {
+        let plus_two = "int f(int a) { return a + 2; }";
+        let mut ks = kernels([IDENTITY, plus_two, IDENTITY]);
+        let calls = plan(&[("tick", &[]), ("f", &[5]), ("tick", &[]), ("tick", &[])]);
+        assert_eq!(lockstep(&mut ks, &calls), Ok(Some((1, "wild-memory"))));
+        assert_eq!(ticks(&mut ks), [1, 1, 3]);
+    }
+
+    #[test]
+    fn a_memory_fault_on_one_side_is_wild_memory_not_a_divergence() {
+        let null_read = "int f(int a) { int *p; p = 0; return *p + a; }";
+        let mut ks = kernels([IDENTITY, IDENTITY, null_read]);
+        assert_eq!(
+            lockstep(&mut ks, &plan(&[("f", &[5])])),
+            Ok(Some((0, "wild-memory")))
+        );
+
+        // A deterministic trap is behavior, not layout: it diverges.
+        let divide = "int f(int a) { return a / (a - 5); }";
+        let mut ks = kernels([IDENTITY, IDENTITY, divide]);
+        let got = lockstep(&mut ks, &plan(&[("f", &[5])]));
+        assert!(
+            matches!(got, Err(Outcome::Diverged { class: "trace", .. })),
+            "{got:?}"
+        );
+    }
+
+    #[test]
+    fn a_step_limit_truncates_and_skips_the_next_reference() {
+        let mut ks = kernels([IDENTITY; 3]);
+        let calls = plan(&[("tick", &[]), ("spin", &[]), ("tick", &[])]);
+        assert_eq!(lockstep(&mut ks, &calls), Ok(Some((1, "truncated"))));
+        // The reference's spin hit the budget, so the calibration kernel
+        // never ran it; only the subject ran the last tick.
+        assert_eq!(ticks(&mut ks), [2, 1, 3]);
+    }
+
+    fn poke_table(kernel: &mut Kernel, word: u64, value: u64) {
+        let regions = kernel.mem.regions();
+        let bss = regions.iter().find(|r| r.name == "m.kc:.bss").unwrap();
+        let addr = bss.start + word * 8;
+        kernel.mem.poke(addr, &value.to_le_bytes()).unwrap();
+    }
+
+    #[test]
+    fn image_deltas_behind_unstable_words_are_reported() {
+        let mut ks: Vec<Kernel> = (0..3).map(|_| boot("int table[32];\n")).collect();
+        // Ten words the references disagree on: more than a region's
+        // first eight deltas.
+        for word in 0..10 {
+            poke_table(&mut ks[1], word, 100 + word);
+            poke_table(&mut ks[SUBJECT], word, 200 + word);
+        }
+        assert_eq!(compare_images(&ks), Ok(()));
+
+        poke_table(&mut ks[SUBJECT], 10, 42);
+        assert_eq!(
+            compare_images(&ks),
+            Err(diverged(
+                "image",
+                "1 delta(s), first: m.kc:.bss+0x50: \
+                 ref 0x0000000000000000 vs subj 0x000000000000002a"
+            ))
+        );
+    }
 }

@@ -15,7 +15,7 @@ pub mod stats;
 pub mod stress;
 pub mod tree;
 
-pub use corpus::{corpus, diff_trees, CustomCode, CustomReason, Cve, Edit, VulnClass};
+pub use corpus::{corpus, CustomCode, CustomReason, Cve, Edit, VulnClass};
 pub use lifecycle::{
     exploit_probe, lifecycle_corpus_sweep, non_lifo_reversal_sweep, shippable_update,
     LifecycleOutcome, DISJOINT_STACK,
@@ -23,9 +23,10 @@ pub use lifecycle::{
 pub use driver::{run_cve, run_full_evaluation, CveOutcome, EvalReport};
 pub use exploits::run_exploit;
 pub use fuzz::{
-    canonical_base_tree, load_regression_dir, run_campaign, CampaignReport, FuzzConfig,
-    FuzzContext, MutantRecord, MutatorStats, Outcome, RegressionCase, Workload,
+    load_regression_dir, run_campaign, CampaignReport, FuzzConfig, FuzzContext, MutantRecord,
+    MutatorStats, Outcome, RegressionCase, Workload,
 };
+pub use ksplice_core::diff_trees;
 pub use stats::{corpus_stats, figure3_buckets, symbol_stats, CorpusStats, SymbolStats};
 pub use pool::{default_eval_jobs, par_map};
 pub use profile::{
@@ -35,4 +36,4 @@ pub use profile::{
 pub use rebase::{run_rebase_matrix, RebaseCell, RebaseMatrix, RebaseMatrixConfig};
 pub use smp::{run_quiescence_load, LoadRow, QuiescenceReport, SmpLoadConfig};
 pub use stress::{load_stress, run_stress, spawn_stress, STRESS_SRC};
-pub use tree::{base_tree, BASE_FILES};
+pub use tree::{base_tree, canonical_base_tree, BASE_FILES};

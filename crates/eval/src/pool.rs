@@ -15,17 +15,18 @@ pub fn default_eval_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `work` on every item over up to `jobs` scoped worker threads and
-/// returns the results in item order.
+/// Runs `work` on every item over up to `jobs` workers and returns the
+/// results in item order.
 ///
-/// Workers claim items through one atomic index, so which thread runs
+/// Workers claim items through one atomic index, so which worker runs
 /// which item varies from run to run but the returned order does not.
-/// `jobs == 1` (or a single item) runs serially on the calling thread
-/// with the caller's `tracer`, events and all. With more workers, each
-/// traces into a private [`Tracer`] (enabled when `tracer` is) that is
-/// absorbed into `tracer` after join: metrics and the step clock carry
-/// over, events and spans do not ([`Tracer::absorb`]). A worker's panic
-/// is resumed on the calling thread.
+/// `jobs == 1` (or a single item) runs the one worker on the calling
+/// thread and spawns none; more workers run on scoped threads. Every
+/// worker traces into a private [`Tracer`] (enabled when `tracer` is)
+/// that is absorbed into `tracer` after the run: metrics and the step
+/// clock carry over, events and spans do not ([`Tracer::absorb`]),
+/// whatever `jobs` is. A worker's panic is resumed on the calling
+/// thread.
 pub fn par_map<I: Send, T: Send>(
     items: Vec<I>,
     jobs: usize,
@@ -33,43 +34,41 @@ pub fn par_map<I: Send, T: Send>(
     work: impl Fn(I, &mut Tracer) -> T + Sync,
 ) -> Vec<T> {
     let jobs = jobs.clamp(1, items.len().max(1));
-    if jobs == 1 {
-        return items.into_iter().map(|item| work(item, tracer)).collect();
-    }
+    let enabled = tracer.is_enabled();
     let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
     let next = AtomicUsize::new(0);
-    let trace_workers = tracer.is_enabled();
-    let outputs = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = if trace_workers {
-                        Tracer::new()
-                    } else {
-                        Tracer::disabled()
-                    };
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(slot) = slots.get(i) else {
-                            break;
-                        };
-                        let item = slot.lock().expect("pool slot lock").take();
-                        let item = item.expect("each index is claimed once");
-                        done.push((i, work(item, &mut local)));
-                    }
-                    (done, local)
+    let worker = || {
+        let mut local = if enabled {
+            Tracer::new()
+        } else {
+            Tracer::disabled()
+        };
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = slots.get(i) else {
+                break;
+            };
+            let item = slot.lock().expect("pool slot lock").take();
+            let item = item.expect("each index is claimed once");
+            done.push((i, work(item, &mut local)));
+        }
+        (done, local)
+    };
+    let outputs = if jobs == 1 {
+        vec![worker()]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..jobs).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .collect::<Vec<_>>()
-    });
+                .collect()
+        })
+    };
     let mut results: Vec<Option<T>> = Vec::new();
     results.resize_with(slots.len(), || None);
     for (done, local) in outputs {
@@ -101,5 +100,26 @@ mod tests {
         }
         let none: Vec<u64> = par_map(Vec::new(), 4, &mut Tracer::disabled(), |i: u64, _| i);
         assert!(none.is_empty());
+    }
+
+    #[test]
+    fn events_stay_private_at_every_job_count() {
+        use ksplice_core::trace::{RingSink, Severity, Stage};
+        for jobs in [1, 3] {
+            let ring = RingSink::new(64);
+            let events = ring.handle();
+            let mut tracer = Tracer::new().with_sink(Box::new(ring));
+            par_map((0..6u64).collect(), jobs, &mut tracer, |i, t| {
+                t.emit(
+                    Stage::Bench,
+                    Severity::Error,
+                    "pool.item",
+                    vec![("i", i.into())],
+                );
+                t.count("pool.items", 1);
+            });
+            assert!(events.events().is_empty(), "jobs = {jobs}");
+            assert_eq!(tracer.counter("pool.items"), 6, "jobs = {jobs}");
+        }
     }
 }

@@ -19,15 +19,15 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use ksplice_core::{
-    rebase_update, BuildCache, CreateOptions, RebaseOptions, RebaseStatus, Tracer,
+    diff_trees, rebase_update, BuildCache, CreateOptions, RebaseOptions, RebaseStatus, Tracer,
 };
 use ksplice_lang::{
     build_tree_image_cached, canonicalize_tree, generate_drift, DriftClass, DriftLevel, DriftLog,
     Options, SourceTree,
 };
 
-use crate::corpus::{corpus, diff_trees, Cve};
-use crate::fuzz::canonical_base_tree;
+use crate::corpus::{corpus, Cve};
+use crate::tree::canonical_base_tree;
 use crate::pool::{default_eval_jobs, par_map};
 
 /// Shape of one matrix run.
@@ -374,7 +374,6 @@ fn run_cell(
 ) -> Result<RebaseCell, String> {
     let opts = RebaseOptions {
         create: create_opts.clone(),
-        ..RebaseOptions::default()
     };
     let (report, _pack) = rebase_update(case.id, canon, patch_text, tree, &opts, cache, tracer)
         .map_err(|e| format!("{} @ {level}: {e}", case.id))?;

@@ -8,7 +8,7 @@
 //! `inline` keyword), ops tables of function pointers, and the seeded
 //! vulnerabilities the CVE corpus patches.
 
-use ksplice_lang::SourceTree;
+use ksplice_lang::{canonicalize_tree, SourceTree};
 
 /// `(path, contents)` of every file in the base tree.
 pub const BASE_FILES: &[(&str, &str)] = &[
@@ -59,6 +59,14 @@ pub fn base_tree() -> SourceTree {
         .iter()
         .map(|(p, s)| (p.to_string(), s.to_string()))
         .collect()
+}
+
+/// The base tree with every `.kc` unit replaced by its canonical
+/// pretty-printed form. Fuzz mutants and rebase drift are generated from
+/// — and diffed against — this tree, so a one-node mutation produces a
+/// few-line unified diff instead of a whole-file rewrite.
+pub fn canonical_base_tree() -> SourceTree {
+    canonicalize_tree(&base_tree())
 }
 
 #[cfg(test)]

@@ -102,7 +102,6 @@ fn auto_ported_packs_restore_drifted_image_on_undo() {
                     accept_data_changes: case.needs_custom_code(),
                     ..Default::default()
                 },
-                ..RebaseOptions::default()
             };
             let (report, pack) = rebase_update(
                 case.id,

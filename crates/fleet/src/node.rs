@@ -200,8 +200,6 @@ pub struct FleetConfig {
     /// Keep node kernels resident after contact. Tests assert on
     /// resident kernels; large fleets stay non-resident to bound memory.
     pub resident: bool,
-    /// The quarantine watch window each node runs post-apply.
-    pub watch: WatchPolicy,
     /// The node-local stop_machine retry schedule (drains quiescence
     /// contention from the workload threads).
     pub retry: RetryPolicy,
@@ -216,14 +214,16 @@ impl Default for FleetConfig {
             load_threads: 0,
             seed: 0xf1ee_7001,
             resident: false,
-            watch: WatchPolicy {
-                rounds: 2,
-                steps_per_round: 500,
-            },
             retry: RetryPolicy::fixed(10, 2_000),
         }
     }
 }
+
+/// The quarantine watch window each node runs post-apply.
+const WATCH: WatchPolicy = WatchPolicy {
+    rounds: 2,
+    steps_per_round: 500,
+};
 
 /// One base version, booted once: every node of the version forks it.
 struct VersionBase {
@@ -371,7 +371,7 @@ impl FleetNode {
         // Rehydration: re-apply the committed stack probe-free (each
         // update already survived quarantine the first time, and an
         // empty probe set passes every watch round trivially).
-        let mut mgr = UpdateManager::with_watch(cfg.watch.clone());
+        let mut mgr = UpdateManager::with_watch(WATCH);
         let opts = self.apply_options(cfg);
         for (id, bytes, _) in &self.applied {
             let pack = UpdatePack::parse(bytes)

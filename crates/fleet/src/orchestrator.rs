@@ -20,17 +20,16 @@
 //! is never read as health.
 //!
 //! Delivery runs over the fault-injectable [`Transport`]: unacknowledged
-//! sends are re-sent on a [`RetryPolicy`] schedule (delays read as
-//! ticks); nodes that exhaust the schedule become *stragglers* and keep
-//! receiving slow periodic resends so they re-converge when the network
-//! heals rather than diverging forever. A halt orders rollback not just
+//! sends are re-sent every `RESEND_TICKS`; nodes still silent after
+//! `SEND_ATTEMPTS` sends become *stragglers* and keep receiving a resend
+//! every `STRAGGLER_TICKS` so they re-converge when the network heals
+//! rather than diverging forever. A halt orders rollback not just
 //! to nodes that reported `Committed` but to every member still in
 //! flight — a node whose commit report was dropped is reversed anyway
 //! (rollback is idempotent and sticky node-side).
 
 use std::collections::BTreeMap;
 
-use ksplice_core::RetryPolicy;
 use ksplice_lang::FuzzRng;
 use ksplice_trace::{Severity, Stage, Tracer, Value};
 
@@ -50,12 +49,6 @@ pub struct RolloutPolicy {
     /// `(quarantined + failed) / members` exceeds this triggers fleet
     /// rollback instead of expansion.
     pub halt_per_mille: u32,
-    /// Resend schedule for unacknowledged messages, delays read as
-    /// transport ticks.
-    pub resend: RetryPolicy,
-    /// Slow resend cadence (ticks) once a node exhausts the schedule —
-    /// the straggler drip that lets partitioned nodes re-converge.
-    pub straggler_ticks: u64,
     /// Stratify cohorts round-robin across base versions so the canary
     /// wave samples every version. Off = plain shuffled cohorts.
     pub stratify: bool,
@@ -71,14 +64,21 @@ impl Default for RolloutPolicy {
             canary: 4,
             growth: 4,
             halt_per_mille: 200,
-            resend: RetryPolicy::fixed(5, 8),
-            straggler_ticks: 32,
             stratify: true,
             max_ticks: 10_000,
             jobs: 4,
         }
     }
 }
+
+/// Sends of one message (the first plus resends) before its node becomes
+/// a straggler.
+const SEND_ATTEMPTS: u32 = 5;
+/// Ticks between resends of an unacknowledged message.
+const RESEND_TICKS: u64 = 8;
+/// Slow resend cadence (ticks) once a node exhausts [`SEND_ATTEMPTS`] —
+/// the straggler drip that lets partitioned nodes re-converge.
+const STRAGGLER_TICKS: u64 = 32;
 
 /// How a rollout ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -414,10 +414,7 @@ impl RolloutOrchestrator {
     /// in-flight, a resend schedules the next attempt, an exhausted
     /// schedule degrades to the straggler drip.
     fn bump_contact(&mut self, id: NodeId, rollback: bool) {
-        let max_attempts = self.policy.resend.max_attempts.max(1);
-        let drip = self.policy.straggler_ticks.max(1);
         let now = self.now;
-        let resend = self.policy.resend.clone();
         let member = &mut self.members[id as usize];
         let contact = if rollback {
             member.rollback.get_or_insert(Contact::Pending)
@@ -429,15 +426,15 @@ impl RolloutOrchestrator {
             Contact::InFlight { attempt, .. } => (attempt + 1, true),
             Contact::Done(_) => return,
         };
-        let straggler = attempt >= max_attempts;
-        let next_send = if straggler {
-            now + drip
+        let straggler = attempt >= SEND_ATTEMPTS;
+        let delay = if straggler {
+            STRAGGLER_TICKS
         } else {
-            now + resend.delay_steps(attempt).max(1)
+            RESEND_TICKS
         };
         *contact = Contact::InFlight {
             attempt,
-            next_send,
+            next_send: now + delay,
             straggler,
         };
         if is_resend {

@@ -5,19 +5,20 @@
 //! update, then demands they behave identically. This module supplies
 //! the two comparisons that definition needs:
 //!
-//! * **Lockstep call traces** ([`traced_call`] / [`diff_traces`]): both
-//!   kernels run the same workload call sequence; each outcome is
-//!   normalized (arena addresses masked — the two images legitimately
-//!   lay memory out differently — and oops reasons stripped of hex) and
-//!   compared entry by entry.
+//! * **Lockstep call traces** ([`normalize_call`]): the kernels run the
+//!   same workload call sequence; each outcome is normalized (arena
+//!   addresses masked — the two images legitimately lay memory out
+//!   differently — and oops reasons stripped of hex) so the oracle can
+//!   compare them entry by entry.
 //! * **Image diff** ([`diff_images`]): after the workload, all
 //!   same-named, same-sized, non-executable regions must agree
-//!   word-for-word outside of masked pointer words. Executable regions
-//!   are excluded by construction — the subject's patched text contains
-//!   trampolines and the two images' code layouts differ legitimately —
-//!   as are stacks (scratch), the heap (the apply machinery allocates
-//!   from it on the subject side only), and regions present on only one
-//!   side (update modules, workload modules loaded asymmetrically).
+//!   word-for-word outside of masked pointer words; every differing word
+//!   is reported. Executable regions are excluded by construction — the
+//!   subject's patched text contains trampolines and the two images'
+//!   code layouts differ legitimately — as are stacks (scratch), the
+//!   heap (the apply machinery allocates from it on the subject side
+//!   only), and regions present on only one side (update modules,
+//!   workload modules loaded asymmetrically).
 
 use std::collections::HashMap;
 
@@ -99,54 +100,6 @@ pub fn normalize_call(result: Result<u64, CallError>) -> TraceEntry {
     }
 }
 
-/// Calls `entry(args)` under a step budget and normalizes the outcome.
-pub fn traced_call(kernel: &mut Kernel, entry: &str, args: &[u64], limit: u64) -> TraceEntry {
-    normalize_call(kernel.call_function_limited(entry, args, limit))
-}
-
-/// First trace mismatch, as `(index, reference entry, subject entry)`.
-pub fn diff_traces(
-    reference: &[TraceEntry],
-    subject: &[TraceEntry],
-) -> Option<(usize, String, String)> {
-    let n = reference.len().max(subject.len());
-    for i in 0..n {
-        let a = reference.get(i);
-        let b = subject.get(i);
-        if a != b {
-            return Some((
-                i,
-                a.map(|e| e.to_string()).unwrap_or_else(|| "<missing>".into()),
-                b.map(|e| e.to_string()).unwrap_or_else(|| "<missing>".into()),
-            ));
-        }
-    }
-    None
-}
-
-/// Image-diff policy.
-#[derive(Debug, Clone)]
-pub struct DiffOptions {
-    /// Region names skipped outright (default: `kheap` — the subject's
-    /// apply machinery allocates from it, shifting later allocations).
-    pub skip_regions: Vec<String>,
-    /// Mask 8-byte words whose value on either side is an arena address.
-    pub mask_arena_words: bool,
-    /// Cap on reported deltas per region (the first mismatches matter;
-    /// thousands of follow-on words do not).
-    pub max_deltas: usize,
-}
-
-impl Default for DiffOptions {
-    fn default() -> DiffOptions {
-        DiffOptions {
-            skip_regions: vec!["kheap".to_string()],
-            mask_arena_words: true,
-            max_deltas: 8,
-        }
-    }
-}
-
 /// One differing word in a compared region.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionDelta {
@@ -170,41 +123,23 @@ impl std::fmt::Display for RegionDelta {
     }
 }
 
-/// The outcome of an image comparison.
-#[derive(Debug, Clone, Default)]
-pub struct ImageDiffReport {
-    /// Differing words (empty means the images agree).
-    pub deltas: Vec<RegionDelta>,
-    /// Number of regions actually compared.
-    pub regions_compared: usize,
-    /// Words skipped by arena-pointer masking.
-    pub words_masked: u64,
-}
-
-impl ImageDiffReport {
-    /// True when no divergence was found.
-    pub fn clean(&self) -> bool {
-        self.deltas.is_empty()
-    }
-}
-
-/// Compares the writable memory images of two kernels under `opts`.
+/// Compares the writable memory images of two kernels and returns
+/// every differing word.
 ///
 /// Regions are matched by name; only pairs that exist on both sides
-/// with equal sizes and no-exec permissions are compared (stacks are
-/// always skipped — they are scratch space).
-pub fn diff_images(reference: &Kernel, subject: &Kernel, opts: &DiffOptions) -> ImageDiffReport {
-    let mut report = ImageDiffReport::default();
+/// with equal sizes are compared. Executable regions, stacks (scratch
+/// space) and `kheap` (the subject's apply machinery allocates from it,
+/// shifting later allocations) are skipped, and a word whose value on
+/// either side is an arena address is masked.
+pub fn diff_images(reference: &Kernel, subject: &Kernel) -> Vec<RegionDelta> {
+    let mut deltas = Vec::new();
     // The subject's first non-executable region of each name.
     let mut partners: HashMap<&str, &Region> = HashMap::new();
     for r in subject.mem.regions().iter().filter(|r| !r.perms.exec) {
         partners.entry(r.name.as_str()).or_insert(r);
     }
     for r_ref in reference.mem.regions() {
-        if r_ref.perms.exec
-            || r_ref.name.starts_with("stack:")
-            || opts.skip_regions.contains(&r_ref.name)
-        {
+        if r_ref.perms.exec || r_ref.name.starts_with("stack:") || r_ref.name == "kheap" {
             continue;
         }
         let Some(&r_sub) = partners.get(r_ref.name.as_str()) else {
@@ -219,11 +154,9 @@ pub fn diff_images(reference: &Kernel, subject: &Kernel, opts: &DiffOptions) -> 
         ) else {
             continue;
         };
-        report.regions_compared += 1;
         if a == b {
             continue;
         }
-        let mut region_deltas = 0usize;
         for (i, (ca, cb)) in a.chunks(8).zip(b.chunks(8)).enumerate() {
             if ca == cb {
                 continue;
@@ -234,22 +167,18 @@ pub fn diff_images(reference: &Kernel, subject: &Kernel, opts: &DiffOptions) -> 
             wb[..cb.len()].copy_from_slice(cb);
             let va = u64::from_le_bytes(wa);
             let vb = u64::from_le_bytes(wb);
-            if opts.mask_arena_words && (is_arena_addr(va) || is_arena_addr(vb)) {
-                report.words_masked += 1;
+            if is_arena_addr(va) || is_arena_addr(vb) {
                 continue;
             }
-            if region_deltas < opts.max_deltas {
-                report.deltas.push(RegionDelta {
-                    region: r_ref.name.clone(),
-                    offset: (i * 8) as u64,
-                    reference: va,
-                    subject: vb,
-                });
-            }
-            region_deltas += 1;
+            deltas.push(RegionDelta {
+                region: r_ref.name.clone(),
+                offset: (i * 8) as u64,
+                reference: va,
+                subject: vb,
+            });
         }
     }
-    report
+    deltas
 }
 
 #[cfg(test)]
@@ -271,16 +200,5 @@ mod tests {
         assert_eq!(normalize_call(Ok(7)), TraceEntry::Ret(7));
         assert_eq!(normalize_call(Ok(KBASE + 64)), TraceEntry::Arena);
         assert_eq!(normalize_call(Err(CallError::StepLimit)), TraceEntry::StepLimit);
-    }
-
-    #[test]
-    fn trace_diff_reports_first_mismatch() {
-        let a = vec![TraceEntry::Ret(1), TraceEntry::Ret(2)];
-        let b = vec![TraceEntry::Ret(1), TraceEntry::Ret(3)];
-        let (i, ra, rb) = diff_traces(&a, &b).unwrap();
-        assert_eq!((i, ra.as_str(), rb.as_str()), (1, "ret:2", "ret:3"));
-        assert!(diff_traces(&a, &a).is_none());
-        // Length mismatches diverge too.
-        assert!(diff_traces(&a, &a[..1]).is_some());
     }
 }

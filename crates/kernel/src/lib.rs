@@ -48,8 +48,7 @@ mod smp;
 mod vm;
 
 pub use differential::{
-    diff_images, diff_traces, is_arena_addr, normalize_call, normalize_diag, traced_call,
-    DiffOptions, ImageDiffReport, RegionDelta, TraceEntry,
+    diff_images, is_arena_addr, normalize_call, normalize_diag, RegionDelta, TraceEntry,
 };
 pub use fault::{Fault, FaultPlan, FiredFault};
 pub use kallsyms::{KSym, Kallsyms};

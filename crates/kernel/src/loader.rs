@@ -334,7 +334,9 @@ pub fn load_kernel_image(
 
 /// Loads one module at run time. Undefined references resolve against
 /// unique exported kallsyms entries and the native API; with
-/// `defer_unresolved` anything else becomes a [`PendingReloc`].
+/// `defer_unresolved` anything else becomes a [`PendingReloc`]. A load
+/// that fails unmaps the `<module>:` regions it placed, so the error
+/// leaves the region table as it found it.
 pub fn load_module(
     mem: &mut Memory,
     syms: &Kallsyms,
@@ -342,19 +344,24 @@ pub fn load_module(
     natives: &dyn Fn(&str) -> Option<u64>,
     defer_unresolved: bool,
 ) -> Result<LoadedModule, LinkError> {
-    let (sections, symbols) = place_object(mem, obj)?;
     let resolve = |name: &str| {
         syms.lookup_global(name)
             .map(|s| s.addr)
             .or_else(|| natives(name))
     };
-    let pending = relocate_object(mem, obj, &sections, &resolve, defer_unresolved)?;
-    Ok(LoadedModule {
-        name: obj.name.clone(),
-        sections,
-        symbols,
-        pending,
-    })
+    let loaded = place_object(mem, obj).and_then(|(sections, symbols)| {
+        let pending = relocate_object(mem, obj, &sections, &resolve, defer_unresolved)?;
+        Ok(LoadedModule {
+            name: obj.name.clone(),
+            sections,
+            symbols,
+            pending,
+        })
+    });
+    if loaded.is_err() {
+        mem.unmap_prefix(&format!("{}:", obj.name));
+    }
+    loaded
 }
 
 #[cfg(test)]

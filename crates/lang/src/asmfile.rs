@@ -27,9 +27,10 @@
 //! in assembly too); without it the whole file is one `.text`.
 
 use ksplice_asm::{Assembler, BinOp, Cond, Instr, Label, Reg, REL32_ADDEND};
-use ksplice_object::{Binding, Object, Reloc, RelocKind, Section, SectionFlags, SymKind, Symbol};
+use ksplice_object::Object;
 use std::collections::BTreeMap;
 
+use crate::codegen::{assemble_text, place_text, TextFn};
 use crate::{CompileError, Options};
 
 /// One maximal run of code under a single non-local label.
@@ -84,130 +85,22 @@ pub fn assemble_unit(name: &str, src: &str, opt: &Options) -> Result<Object, Com
         }
     }
 
-    let block_names: Vec<String> = blocks.iter().map(|b| b.name.clone()).collect();
+    let funcs: Vec<TextFn> = blocks
+        .iter()
+        .map(|b| TextFn {
+            name: &b.name,
+            global: b.global,
+            line: 0,
+        })
+        .collect();
+    let text = assemble_text(name, &funcs, opt, 16, |i, asm, entries| {
+        emit_block_into(name, &blocks[i], asm, entries)
+    })?;
     let mut obj = Object::new(name);
-    if opt.function_sections {
-        for block in &blocks {
-            let (code, patches) =
-                assemble_block(name, block, &block_names, /* local_calls: */ None, opt)?;
-            let sec_name = format!(".text.{}", block.name);
-            let mut sec = Section::progbits(&sec_name, SectionFlags::text(), code);
-            sec.align = 16;
-            let idx = obj.add_section(sec);
-            let size = obj.sections[idx].size;
-            obj.add_symbol(Symbol::defined(
-                &block.name,
-                if block.global {
-                    Binding::Global
-                } else {
-                    Binding::Local
-                },
-                SymKind::Func,
-                idx,
-                0,
-                size,
-            ));
-            for (off, width, sym, addend, pcrel) in patches {
-                let symbol = obj.intern_symbol(&sym);
-                obj.sections[idx].relocs.push(Reloc {
-                    offset: off,
-                    kind: if pcrel {
-                        RelocKind::Pcrel32
-                    } else {
-                        RelocKind::Abs64
-                    },
-                    symbol,
-                    addend,
-                });
-                let _ = width;
-            }
-        }
-    } else {
-        // Monolithic: one assembler, entry labels shared across blocks.
-        let mut asm = if opt.relax_branches() {
-            Assembler::new_relaxed()
-        } else {
-            Assembler::new()
-        };
-        let mut entries: BTreeMap<String, Label> = BTreeMap::new();
-        for b in &blocks {
-            entries.insert(b.name.clone(), asm.new_label());
-        }
-        let mut placements = Vec::new();
-        for block in &blocks {
-            asm.align(16);
-            let entry = entries[&block.name];
-            asm.bind(entry);
-            placements.push((block.name.clone(), block.global, entry));
-            emit_block_into(name, block, &mut asm, &entries, opt)?;
-        }
-        let out = asm
-            .finish()
-            .map_err(|e| err(0, format!("assembly failed: {e}")))?;
-        let mut sec = Section::progbits(".text", SectionFlags::text(), out.code);
-        sec.align = 16;
-        let idx = obj.add_section(sec);
-        let end = obj.sections[idx].size;
-        let mut offsets: Vec<(String, bool, u64)> = placements
-            .into_iter()
-            .map(|(n, g, l)| (n, g, out.label_offsets[&l] as u64))
-            .collect();
-        offsets.sort_by_key(|(_, _, o)| *o);
-        for i in 0..offsets.len() {
-            let (n, g, off) = offsets[i].clone();
-            let next = offsets.get(i + 1).map(|(_, _, o)| *o).unwrap_or(end);
-            obj.add_symbol(Symbol::defined(
-                &n,
-                if g { Binding::Global } else { Binding::Local },
-                SymKind::Func,
-                idx,
-                off,
-                next - off,
-            ));
-        }
-        for p in out.patches {
-            let symbol = obj.intern_symbol(&p.name);
-            obj.sections[idx].relocs.push(Reloc {
-                offset: p.offset as u64,
-                kind: if p.pcrel {
-                    RelocKind::Pcrel32
-                } else {
-                    RelocKind::Abs64
-                },
-                symbol,
-                addend: p.addend,
-            });
-        }
-    }
+    place_text(&mut obj, text);
     obj.validate()
         .map_err(|e| err(0, format!("internal: invalid object: {e}")))?;
     Ok(obj)
-}
-
-type Patch = (u64, usize, String, i64, bool);
-
-/// Assembles one block standalone (function-sections mode).
-fn assemble_block(
-    unit: &str,
-    block: &Block,
-    block_names: &[String],
-    _local: Option<()>,
-    opt: &Options,
-) -> Result<(Vec<u8>, Vec<Patch>), CompileError> {
-    let mut asm = Assembler::new(); // function-sections: never relaxed
-    let entries = BTreeMap::new();
-    let _ = block_names;
-    emit_block_into(unit, block, &mut asm, &entries, opt)?;
-    let out = asm
-        .finish()
-        .map_err(|e| CompileError::new(unit, 0, format!("assembly failed: {e}")))?;
-    Ok((
-        out.code,
-        out.patches
-            .into_iter()
-            .map(|p| (p.offset as u64, p.width, p.name, p.addend, p.pcrel))
-            .collect(),
-    ))
 }
 
 /// Emits a block's instructions into `asm`. `entries` maps same-unit
@@ -217,7 +110,6 @@ fn emit_block_into(
     block: &Block,
     asm: &mut Assembler,
     entries: &BTreeMap<String, Label>,
-    _opt: &Options,
 ) -> Result<(), CompileError> {
     // Collect local labels first.
     let mut locals: BTreeMap<String, Label> = BTreeMap::new();
@@ -451,6 +343,7 @@ fn int(ops: &[String], i: usize) -> Option<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ksplice_object::{Binding, RelocKind};
 
     const ENTRY: &str = "\
 .global entry_32

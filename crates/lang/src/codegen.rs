@@ -34,9 +34,9 @@ use crate::{CompileError, Options};
 /// Generates the object for a checked, optimised unit.
 pub fn gen_unit(unit: &Unit, sema: &Sema, opt: &Options) -> Result<Object, CompileError> {
     let mut g = Gen::new(unit, sema, opt);
-    g.gen_functions(unit)?;
+    let text = g.gen_functions(unit)?;
     g.gen_hooks(unit)?;
-    g.finish()
+    g.finish(text)
 }
 
 /// Where a datum lives, before sections are finalised.
@@ -53,14 +53,6 @@ struct DataItem {
     relocs: Vec<(u64, String, i64)>,
     /// Read-only (rodata) vs writable.
     readonly: bool,
-}
-
-/// A function's generated code, pending section placement.
-struct CodeItem {
-    name: String,
-    binding: Binding,
-    code: Vec<u8>,
-    patches: Vec<PatchPoint>,
 }
 
 /// A local variable's storage.
@@ -88,15 +80,12 @@ struct Gen<'a> {
     /// Function alignment, also version-dependent.
     func_align: u32,
     data: Vec<DataItem>,
-    code: Vec<CodeItem>,
     /// Counter for string literal symbols.
     str_counter: u32,
     /// Counter for static local symbol suffixes (gcc's `name.NNNN`).
     static_counter: u32,
     /// Hook entries: (section, function symbol).
     hooks: Vec<(&'static str, String)>,
-    /// Monolithic-mode function placements: (name, is_static, offset).
-    mono_funcs: Vec<(String, bool, u64)>,
     unit_name: String,
 }
 
@@ -112,11 +101,9 @@ impl<'a> Gen<'a> {
             },
             func_align: if opt.cc_version >= 2 { 32 } else { 16 },
             data: Vec::new(),
-            code: Vec::new(),
             str_counter: 0,
             static_counter: 0,
             hooks: Vec::new(),
-            mono_funcs: Vec::new(),
             unit_name: unit.name.clone(),
         }
     }
@@ -258,7 +245,7 @@ impl<'a> Gen<'a> {
 
     // ---- functions ---------------------------------------------------------
 
-    fn gen_functions(&mut self, unit: &Unit) -> Result<(), CompileError> {
+    fn gen_functions(&mut self, unit: &Unit) -> Result<Vec<TextSection>, CompileError> {
         // Emit globals first so static-local counters follow gcc-like
         // ordering (file scope before function bodies).
         for item in &unit.items {
@@ -266,70 +253,19 @@ impl<'a> Gen<'a> {
                 self.emit_global(g)?;
             }
         }
-        if self.opt.function_sections {
-            for item in &unit.items {
-                if let FileItem::Func(f) = item {
-                    let mut asm = Assembler::new();
-                    let labels = BTreeMap::new();
-                    self.gen_function(f, &mut asm, &labels, None)?;
-                    let out = asm
-                        .finish()
-                        .map_err(|e| self.err(f.line, format!("assembly failed: {e}")))?;
-                    self.code.push(CodeItem {
-                        name: f.name.clone(),
-                        binding: if f.is_static {
-                            Binding::Local
-                        } else {
-                            Binding::Global
-                        },
-                        code: out.code,
-                        patches: out.patches,
-                    });
-                }
-            }
-        } else {
-            // Monolithic `.text`: one assembler, entry labels per function,
-            // intra-unit calls resolved at assembly time.
-            let mut asm = if self.opt.relax_branches() {
-                Assembler::new_relaxed()
-            } else {
-                Assembler::new()
-            };
-            let mut entries: BTreeMap<String, Label> = BTreeMap::new();
-            for item in &unit.items {
-                if let FileItem::Func(f) = item {
-                    entries.insert(f.name.clone(), asm.new_label());
-                }
-            }
-            let mut order = Vec::new();
-            for item in &unit.items {
-                if let FileItem::Func(f) = item {
-                    asm.align(self.func_align);
-                    let entry = entries[&f.name];
-                    asm.bind(entry);
-                    self.gen_function(f, &mut asm, &entries, Some(entry))?;
-                    order.push((f.name.clone(), f.is_static, entry));
-                }
-            }
-            let out = asm
-                .finish()
-                .map_err(|e| self.err(0, format!("assembly failed: {e}")))?;
-            // One CodeItem per function, carved out of the shared text by
-            // label offsets; the final Object keeps them as symbols into a
-            // single `.text` section. We keep the monolithic bytes in a
-            // sentinel CodeItem and record per-function symbol offsets.
-            self.code.push(CodeItem {
-                name: MONOLITHIC.to_string(),
-                binding: Binding::Local,
-                code: out.code,
-                patches: out.patches,
-            });
-            self.mono_funcs = order
-                .into_iter()
-                .map(|(name, is_static, entry)| (name, is_static, out.label_offsets[&entry] as u64))
-                .collect();
-        }
-        Ok(())
+        let funcs: Vec<&Function> = unit.functions().collect();
+        let layout: Vec<TextFn> = funcs
+            .iter()
+            .map(|f| TextFn {
+                name: &f.name,
+                global: !f.is_static,
+                line: f.line,
+            })
+            .collect();
+        let (opt, align, unit_name) = (self.opt, self.func_align, self.unit_name.clone());
+        assemble_text(&unit_name, &layout, opt, align, |i, asm, entries| {
+            self.gen_function(funcs[i], asm, entries)
+        })
     }
 
     fn gen_hooks(&mut self, unit: &Unit) -> Result<(), CompileError> {
@@ -346,7 +282,6 @@ impl<'a> Gen<'a> {
         f: &Function,
         asm: &mut Assembler,
         entries: &BTreeMap<String, Label>,
-        _entry: Option<Label>,
     ) -> Result<(), CompileError> {
         let mut fg = FuncGen {
             g: self,
@@ -363,7 +298,7 @@ impl<'a> Gen<'a> {
 
     // ---- finalisation ------------------------------------------------------
 
-    fn finish(mut self) -> Result<Object, CompileError> {
+    fn finish(mut self, text: Vec<TextSection>) -> Result<Object, CompileError> {
         let mut obj = Object::new(&self.unit_name);
         // Data sections.
         let data_items = std::mem::take(&mut self.data);
@@ -374,77 +309,7 @@ impl<'a> Gen<'a> {
         } else {
             self.place_data_merged(&mut obj, data_items);
         }
-        // Text sections.
-        let code_items = std::mem::take(&mut self.code);
-        if self.opt.function_sections {
-            for item in code_items {
-                let name = format!(".text.{}", item.name);
-                let mut sec = Section::progbits(&name, SectionFlags::text(), item.code);
-                sec.align = self.func_align;
-                let sec_idx = obj.add_section(sec);
-                let size = obj.sections[sec_idx].size;
-                obj.add_symbol(Symbol::defined(
-                    &item.name,
-                    item.binding,
-                    SymKind::Func,
-                    sec_idx,
-                    0,
-                    size,
-                ));
-                for p in item.patches {
-                    let symbol = obj.intern_symbol(&p.name);
-                    obj.sections[sec_idx].relocs.push(Reloc {
-                        offset: p.offset as u64,
-                        kind: if p.pcrel {
-                            RelocKind::Pcrel32
-                        } else {
-                            RelocKind::Abs64
-                        },
-                        symbol,
-                        addend: p.addend,
-                    });
-                }
-            }
-        } else if let Some(item) = code_items.into_iter().next() {
-            debug_assert_eq!(item.name, MONOLITHIC);
-            let mut sec = Section::progbits(".text", SectionFlags::text(), item.code);
-            sec.align = self.func_align;
-            let sec_idx = obj.add_section(sec);
-            // Per-function symbols at their offsets; sizes run to the next
-            // function (or section end).
-            let mut funcs = std::mem::take(&mut self.mono_funcs);
-            funcs.sort_by_key(|(_, _, off)| *off);
-            let end = obj.sections[sec_idx].size;
-            for i in 0..funcs.len() {
-                let (name, is_static, off) = funcs[i].clone();
-                let next = funcs.get(i + 1).map(|(_, _, o)| *o).unwrap_or(end);
-                obj.add_symbol(Symbol::defined(
-                    &name,
-                    if is_static {
-                        Binding::Local
-                    } else {
-                        Binding::Global
-                    },
-                    SymKind::Func,
-                    sec_idx,
-                    off,
-                    next - off,
-                ));
-            }
-            for p in item.patches {
-                let symbol = obj.intern_symbol(&p.name);
-                obj.sections[sec_idx].relocs.push(Reloc {
-                    offset: p.offset as u64,
-                    kind: if p.pcrel {
-                        RelocKind::Pcrel32
-                    } else {
-                        RelocKind::Abs64
-                    },
-                    symbol,
-                    addend: p.addend,
-                });
-            }
-        }
+        place_text(&mut obj, text);
         // Hook note sections.
         let hooks = std::mem::take(&mut self.hooks);
         for (section_name, func) in hooks {
@@ -582,7 +447,132 @@ impl<'a> Gen<'a> {
     }
 }
 
-const MONOLITHIC: &str = "__unit_text__";
+/// One function of a unit's text, as [`assemble_text`] lays it out.
+pub(crate) struct TextFn<'a> {
+    pub name: &'a str,
+    pub global: bool,
+    /// Line reported when the function's own assembly fails.
+    pub line: u32,
+}
+
+/// One assembled text section, not yet placed into an object.
+pub(crate) struct TextSection {
+    section: Section,
+    patches: Vec<PatchPoint>,
+    /// The section's functions (name, global, offset), by offset.
+    funcs: Vec<(String, bool, u64)>,
+}
+
+/// Assembles a unit's functions in the layout `opt` selects — the one
+/// text emitter behind `.kc` and `.ks` units. `emit(i, asm, entries)`
+/// emits function `i` into `asm`; `entries` maps the unit's function
+/// names to entry labels when calls between them resolve at assembly
+/// time.
+///
+/// * Under `function_sections` each function is assembled alone, by a
+///   fresh, unrelaxed [`Assembler`], into its own `.text.<fn>` (and
+///   `entries` is empty); a failing assembly reports the function's
+///   `line`.
+/// * Otherwise one assembler, relaxed when the options relax branches,
+///   lays every function out in one `.text`, each bound to its entry
+///   label.
+///
+/// Functions and sections are aligned to `align`.
+pub(crate) fn assemble_text(
+    unit: &str,
+    funcs: &[TextFn],
+    opt: &Options,
+    align: u32,
+    mut emit: impl FnMut(usize, &mut Assembler, &BTreeMap<String, Label>) -> Result<(), CompileError>,
+) -> Result<Vec<TextSection>, CompileError> {
+    let failed = |line, e| CompileError::new(unit, line, format!("assembly failed: {e}"));
+    let section = |name: &str, code| {
+        let mut sec = Section::progbits(name, SectionFlags::text(), code);
+        sec.align = align;
+        sec
+    };
+    if opt.function_sections {
+        let mut sections = Vec::new();
+        for (i, f) in funcs.iter().enumerate() {
+            let mut asm = Assembler::new();
+            emit(i, &mut asm, &BTreeMap::new())?;
+            let out = asm.finish().map_err(|e| failed(f.line, e))?;
+            sections.push(TextSection {
+                section: section(&format!(".text.{}", f.name), out.code),
+                patches: out.patches,
+                funcs: vec![(f.name.to_string(), f.global, 0)],
+            });
+        }
+        return Ok(sections);
+    }
+    let mut asm = if opt.relax_branches() {
+        Assembler::new_relaxed()
+    } else {
+        Assembler::new()
+    };
+    let entries: BTreeMap<String, Label> = funcs
+        .iter()
+        .map(|f| (f.name.to_string(), asm.new_label()))
+        .collect();
+    for (i, f) in funcs.iter().enumerate() {
+        asm.align(align);
+        asm.bind(entries[f.name]);
+        emit(i, &mut asm, &entries)?;
+    }
+    let out = asm.finish().map_err(|e| failed(0, e))?;
+    let mut placed: Vec<_> = funcs
+        .iter()
+        .map(|f| {
+            let off = out.label_offsets[&entries[f.name]] as u64;
+            (f.name.to_string(), f.global, off)
+        })
+        .collect();
+    placed.sort_by_key(|&(_, _, off)| off);
+    Ok(vec![TextSection {
+        section: section(".text", out.code),
+        patches: out.patches,
+        funcs: placed,
+    }])
+}
+
+/// Places [`assemble_text`]'s sections into `obj`: one `Func` symbol per
+/// function, sized to the next function or the section end, and every
+/// patch point as a `Pcrel32` or `Abs64` relocation.
+pub(crate) fn place_text(obj: &mut Object, text: Vec<TextSection>) {
+    for sec in text {
+        let idx = obj.add_section(sec.section);
+        let end = obj.sections[idx].size;
+        for (i, (name, global, off)) in sec.funcs.iter().enumerate() {
+            let next = sec.funcs.get(i + 1).map_or(end, |&(_, _, o)| o);
+            let binding = if *global {
+                Binding::Global
+            } else {
+                Binding::Local
+            };
+            obj.add_symbol(Symbol::defined(
+                name,
+                binding,
+                SymKind::Func,
+                idx,
+                *off,
+                next - off,
+            ));
+        }
+        for p in sec.patches {
+            let symbol = obj.intern_symbol(&p.name);
+            obj.sections[idx].relocs.push(Reloc {
+                offset: p.offset as u64,
+                kind: if p.pcrel {
+                    RelocKind::Pcrel32
+                } else {
+                    RelocKind::Abs64
+                },
+                symbol,
+                addend: p.addend,
+            });
+        }
+    }
+}
 
 /// Per-function code generation state.
 struct FuncGen<'a, 'b> {

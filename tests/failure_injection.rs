@@ -11,13 +11,14 @@
 //! stream, timestamps included, so the abort path cannot change what it
 //! reports without this test noticing.
 //!
-//! Stages no row reaches:
+//! The `load_primaries` row cannot use a fault: one armed with
+//! `module-load:N` fails the *next* N loads, which are the helper loads.
+//! It sabotages the primary instead, with a relocation the loader
+//! rejects after it has placed the module's sections; the loader unmaps
+//! them again, so the row holds the same contract as the others.
 //!
-//! * `load_primaries` — a fault armed with `module-load:N` fails the
-//!   *next* N loads, which are the helper loads, so no fault reaches
-//!   it. A primary whose relocation cannot be linked does reach it, but
-//!   the loader leaves that module's already placed sections mapped, so
-//!   the abort reports `restored = false` (ROADMAP item 4).
+//! The one stage no row reaches:
+//!
 //! * `sites` with no match entry (`ApplyError::MissingMatch`) — run-pre
 //!   matching records every function of a matched unit, so a replaced
 //!   function always has an entry.
@@ -161,6 +162,35 @@ fn runpre_row() -> (ApplyError, u64) {
         &ApplyOptions::default(),
         |e| matches!(e, ApplyError::Match(_)),
     )
+}
+
+fn load_primaries_row() -> (ApplyError, u64) {
+    // A relocation whose symbol index lies past the symbol table: the
+    // primary's sections are placed before relocation rejects it.
+    let mut kernel = boot(&simple_tree());
+    let mut pack = simple_pack("badreloc");
+    let primary = &mut pack.units[0].primary;
+    let symbol = primary.symbols.len() + 5;
+    let (sec_idx, _) = primary
+        .section_by_name(".text.guard")
+        .expect("replacement section");
+    primary.sections[sec_idx]
+        .relocs
+        .push(ksplice::object::Reloc {
+            offset: 2,
+            kind: ksplice::object::RelocKind::Abs64,
+            symbol,
+            addend: 0,
+        });
+    let out = abort_at(
+        "load_primaries",
+        &mut kernel,
+        &pack,
+        &ApplyOptions::default(),
+        |e| matches!(e, ApplyError::Link(_)),
+    );
+    assert_eq!(kernel.call_function("guard", &[10]).unwrap(), 10);
+    out
 }
 
 fn resolve_row() -> (ApplyError, u64) {
@@ -309,9 +339,10 @@ fn stop_machine_hook_row() -> (ApplyError, u64) {
 #[test]
 fn abort_stage_table() {
     type Row = (&'static str, fn() -> (ApplyError, u64), u64);
-    let rows: [Row; 8] = [
+    let rows: [Row; 9] = [
         ("load_helpers", load_helpers_row, 0xe062e093ee1ce1ba),
         ("runpre", runpre_row, 0x7f21bbd6bb0f6503),
+        ("load_primaries", load_primaries_row, 0x161d840b6612109c),
         ("resolve", resolve_row, 0xae6c5c1dbc58b9b8),
         ("resolve_hooks", resolve_hooks_row, 0xd5dec295261eeb34),
         ("sites", sites_row, 0xaa2cea777304dba5),
