@@ -85,8 +85,7 @@ pub use differ::{
 };
 pub use package::{build_packs, extract_primary, UnitPack, UpdatePack};
 pub use rebase::{
-    rebase_update, shape_similarity, FuzzyMatch, HunkPort, RebaseOptions, RebaseReport,
-    RebaseStatus,
+    rebase_update, shape_similarity, HunkPort, RebaseOptions, RebaseReport, RebaseStatus,
 };
 pub use runpre::{
     match_function_traced, match_unit, match_unit_traced, FnMatch, MatchError, UnitMatch,

@@ -35,7 +35,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ksplice_kernel::Kernel;
 use ksplice_lang::{
-    build_tree_image_cached, parse_unit, BuildCache, Function, Options, SourceTree, Unit,
+    build_tree_image_cached, identifier_words, parse_unit, BuildCache, Function, Options,
+    SourceTree, Unit,
 };
 use ksplice_patch::{Hunk, HunkLine, Patch};
 use ksplice_trace::{Severity, Stage, Tracer};
@@ -92,7 +93,9 @@ pub struct HunkPort {
     pub path: String,
     /// Hunk index within its original file patch.
     pub hunk: usize,
-    /// Enclosing drifted function (empty at file scope).
+    /// The drifted function holding the hunk's first changed line (empty
+    /// at file scope) — the rule the base side uses to name the function
+    /// a hunk edits.
     pub func: String,
     /// Which ladder rung matched: `"exact"`, `"rename"`, `"refresh"`,
     /// or `"move"`.
@@ -292,9 +295,12 @@ fn shape_stream(f: &Function) -> Vec<u16> {
     out
 }
 
-/// Bigram multiset of a shape stream.
-fn bigrams(stream: &[u16]) -> BTreeMap<(u16, u16), u32> {
-    let mut g = BTreeMap::new();
+/// Bigram multiset of a function's shape stream.
+type Grams = BTreeMap<(u16, u16), u32>;
+
+fn shape_grams(f: &Function) -> Grams {
+    let stream = shape_stream(f);
+    let mut g = Grams::new();
     for w in stream.windows(2) {
         *g.entry((w[0], w[1])).or_insert(0) += 1;
     }
@@ -304,21 +310,25 @@ fn bigrams(stream: &[u16]) -> BTreeMap<(u16, u16), u32> {
     g
 }
 
-/// Dice similarity (percent) of two bigram multisets — the
-/// "normalized-AST similarity" of the rebase pipeline's fuzzy matcher.
-pub fn shape_similarity(a: &Function, b: &Function) -> u32 {
-    let (ga, gb) = (bigrams(&shape_stream(a)), bigrams(&shape_stream(b)));
-    let total: u32 = ga.values().sum::<u32>() + gb.values().sum::<u32>();
+/// Dice similarity (percent) of two bigram multisets.
+fn dice(a: &Grams, b: &Grams) -> u32 {
+    let total: u32 = a.values().sum::<u32>() + b.values().sum::<u32>();
     if total == 0 {
         return 100;
     }
     let mut inter = 0u32;
-    for (k, va) in &ga {
-        if let Some(vb) = gb.get(k) {
+    for (k, va) in a {
+        if let Some(vb) = b.get(k) {
             inter += (*va).min(*vb);
         }
     }
     (200 * inter) / total
+}
+
+/// Normalized-AST similarity (percent) of two functions — the score of
+/// the rebase pipeline's fuzzy matcher.
+pub fn shape_similarity(a: &Function, b: &Function) -> u32 {
+    dice(&shape_grams(a), &shape_grams(b))
 }
 
 // ---------------------------------------------------------------------------
@@ -327,15 +337,30 @@ pub fn shape_similarity(a: &Function, b: &Function) -> u32 {
 
 struct IndexedFn {
     unit: String,
-    func: Function,
-    grams: BTreeMap<(u16, u16), u32>,
+    name: String,
+    arity: usize,
+    grams: Grams,
     /// Line span [start, end) of the function in its drifted unit.
     start: usize,
     end: usize,
 }
 
+/// A unit's functions in line order, each with its line span
+/// `[start, end)`: up to the next function, or past EOF for the last.
+fn fn_spans<'u>(unit: &'u Unit, src: &str) -> Vec<(&'u Function, usize, usize)> {
+    let mut fns: Vec<&Function> = unit.functions().collect();
+    fns.sort_by_key(|f| f.line);
+    let past_eof = src.lines().count() + 1;
+    (0..fns.len())
+        .map(|i| {
+            let end = fns.get(i + 1).map_or(past_eof, |n| n.line as usize);
+            (fns[i], fns[i].line as usize, end)
+        })
+        .collect()
+}
+
 /// Parses every `.kc` unit of a tree and indexes its functions with
-/// line spans (the span runs to the start of the next item or EOF).
+/// their [`fn_spans`].
 fn index_tree(tree: &SourceTree) -> Result<Vec<IndexedFn>, String> {
     let mut out = Vec::new();
     for (path, src) in tree.iter() {
@@ -343,46 +368,29 @@ fn index_tree(tree: &SourceTree) -> Result<Vec<IndexedFn>, String> {
             continue;
         }
         let unit = parse_unit(path, src).map_err(|e| format!("rebase parse {path}: {e}"))?;
-        let total = src.lines().count();
-        out.extend(index_unit(path, &unit, total));
+        for (f, start, end) in fn_spans(&unit, src) {
+            out.push(IndexedFn {
+                unit: path.to_string(),
+                name: f.name.clone(),
+                arity: f.params.len(),
+                grams: shape_grams(f),
+                start,
+                end,
+            });
+        }
     }
     Ok(out)
 }
 
-fn index_unit(path: &str, unit: &Unit, total_lines: usize) -> Vec<IndexedFn> {
-    let mut fns: Vec<&Function> = unit.functions().collect();
-    fns.sort_by_key(|f| f.line);
-    let mut out = Vec::new();
-    for (i, f) in fns.iter().enumerate() {
-        let end = fns
-            .get(i + 1)
-            .map(|n| n.line as usize)
-            .unwrap_or(total_lines + 1);
-        out.push(IndexedFn {
-            unit: path.to_string(),
-            func: (*f).clone(),
-            grams: bigrams(&shape_stream(f)),
-            start: f.line as usize,
-            end,
-        });
-    }
-    out
+/// One fuzzy-match candidate and its similarity score, percent.
+struct FuzzyMatch<'a> {
+    ix: &'a IndexedFn,
+    score: u32,
 }
 
-/// One fuzzy-match candidate.
-#[derive(Debug, Clone)]
-pub struct FuzzyMatch {
-    /// Drifted unit the match lives in.
-    pub unit: String,
-    /// Matched function name.
-    pub name: String,
-    /// Similarity score, percent.
-    pub score: u32,
-}
-
-enum MatchOutcome {
-    Matched(FuzzyMatch),
-    Ambiguous(FuzzyMatch, FuzzyMatch),
+enum MatchOutcome<'a> {
+    Matched(FuzzyMatch<'a>),
+    Ambiguous(FuzzyMatch<'a>, FuzzyMatch<'a>),
     NotFound { best: u32 },
 }
 
@@ -390,80 +398,58 @@ enum MatchOutcome {
 /// same-name same-unit matches win if they clear the similarity bar
 /// (the split-wrapper case must *not* win on name alone); otherwise the
 /// whole tree is ranked by similarity.
-fn find_counterpart(base_fn: &Function, base_unit: &str, index: &[IndexedFn]) -> MatchOutcome {
-    let base_grams = bigrams(&shape_stream(base_fn));
-    let score_of = |ix: &IndexedFn| -> u32 {
-        let total: u32 = base_grams.values().sum::<u32>() + ix.grams.values().sum::<u32>();
-        if total == 0 {
-            return 100;
-        }
-        let mut inter = 0u32;
-        for (k, va) in &base_grams {
-            if let Some(vb) = ix.grams.get(k) {
-                inter += (*va).min(*vb);
-            }
-        }
-        (200 * inter) / total
-    };
+fn find_counterpart<'a>(
+    base_fn: &Function,
+    base_unit: &str,
+    index: &'a [IndexedFn],
+) -> MatchOutcome<'a> {
+    let grams = shape_grams(base_fn);
     // Identity fast path.
     if let Some(ix) = index
         .iter()
-        .find(|ix| ix.unit == base_unit && ix.func.name == base_fn.name)
+        .find(|ix| ix.unit == base_unit && ix.name == base_fn.name)
     {
-        let s = score_of(ix);
-        if s >= SIMILARITY_MIN {
-            return MatchOutcome::Matched(FuzzyMatch {
-                unit: ix.unit.clone(),
-                name: ix.func.name.clone(),
-                score: s,
-            });
+        let score = dice(&grams, &ix.grams);
+        if score >= SIMILARITY_MIN {
+            return MatchOutcome::Matched(FuzzyMatch { ix, score });
         }
     }
     // Global ranking, deterministic tie-break: score desc, same unit
     // first, then name/unit order.
-    let mut scored: Vec<(u32, &IndexedFn)> = index
+    let mut scored: Vec<FuzzyMatch> = index
         .iter()
-        .filter(|ix| ix.func.params.len() == base_fn.params.len())
-        .map(|ix| (score_of(ix), ix))
+        .filter(|ix| ix.arity == base_fn.params.len())
+        .map(|ix| FuzzyMatch {
+            ix,
+            score: dice(&grams, &ix.grams),
+        })
         .collect();
-    scored.sort_by(|(sa, a), (sb, b)| {
-        sb.cmp(sa)
-            .then_with(|| (b.unit == base_unit).cmp(&(a.unit == base_unit)))
-            .then_with(|| a.func.name.cmp(&b.func.name))
-            .then_with(|| a.unit.cmp(&b.unit))
+    scored.sort_by(|a, b| {
+        b.score
+            .cmp(&a.score)
+            .then_with(|| (b.ix.unit == base_unit).cmp(&(a.ix.unit == base_unit)))
+            .then_with(|| a.ix.name.cmp(&b.ix.name))
+            .then_with(|| a.ix.unit.cmp(&b.ix.unit))
     });
-    let Some((best_score, best)) = scored.first().map(|(s, ix)| (*s, *ix)) else {
+    let mut ranked = scored.into_iter();
+    let Some(best) = ranked.next() else {
         return MatchOutcome::NotFound { best: 0 };
     };
-    if best_score < SIMILARITY_MIN {
-        return MatchOutcome::NotFound { best: best_score };
+    if best.score < SIMILARITY_MIN {
+        return MatchOutcome::NotFound { best: best.score };
     }
-    if let Some((second_score, second)) = scored.get(1).map(|(s, ix)| (*s, *ix)) {
+    match ranked.next() {
         // A runner-up within the margin makes the match unsafe — unless
         // it is the same function name (statics duplicated across units
         // rank together; the same-unit instance already sorted first).
-        if best_score.saturating_sub(second_score) < AMBIGUITY_MARGIN
-            && second.func.name != best.func.name
+        Some(second)
+            if best.score.saturating_sub(second.score) < AMBIGUITY_MARGIN
+                && second.ix.name != best.ix.name =>
         {
-            return MatchOutcome::Ambiguous(
-                FuzzyMatch {
-                    unit: best.unit.clone(),
-                    name: best.func.name.clone(),
-                    score: best_score,
-                },
-                FuzzyMatch {
-                    unit: second.unit.clone(),
-                    name: second.func.name.clone(),
-                    score: second_score,
-                },
-            );
+            MatchOutcome::Ambiguous(best, second)
         }
+        _ => MatchOutcome::Matched(best),
     }
-    MatchOutcome::Matched(FuzzyMatch {
-        unit: best.unit.clone(),
-        name: best.func.name.clone(),
-        score: best_score,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -530,14 +516,6 @@ fn nearest(occurrences: &[usize], near: usize) -> Option<usize> {
 // The pipeline
 // ---------------------------------------------------------------------------
 
-/// What the per-hunk ladder produced.
-struct PortedHunk {
-    port: HunkPort,
-    /// The function (by drifted name) the hunk landed in, for the
-    /// ported-function ledger ("" at file scope).
-    func: String,
-}
-
 /// Ports `patch_text` (written against `base`) onto `drifted`.
 ///
 /// Both trees should be canonical (see
@@ -585,6 +563,8 @@ pub fn rebase_update(
             .map_err(|e| format!("{id}: original update does not build: {e}"))?;
     let (image, _) = build_tree_image_cached(drifted, &Options::distro(), cache)
         .map_err(|e| format!("{id}: drifted tree does not build: {e}"))?;
+    let patch = Patch::parse(patch_text).map_err(|e| format!("{id}: bad patch: {e}"))?;
+    let base_units = parse_patched_base_units(base, &patch)?;
 
     // Stage 1: reuse gate — run-pre matching decides whether the stale
     // pack still fits the drifted kernel.
@@ -602,7 +582,7 @@ pub fn rebase_update(
             report.status = RebaseStatus::AutoPorted;
             report.reused_pack = true;
             report.verified = true;
-            report.ported_fns = touched_base_fns(base, patch_text)?;
+            report.ported_fns = touched_base_fns(base, &patch, &base_units);
             return Ok((report, Some(orig_pack)));
         }
         Err(why) => {
@@ -616,16 +596,14 @@ pub fn rebase_update(
     }
 
     // Stage 2: source-level port.
-    let patch = Patch::parse(patch_text).map_err(|e| format!("{id}: bad patch: {e}"))?;
     let index = index_tree(drifted)?;
-    let base_units = parse_patched_base_units(base, &patch)?;
 
     // Learn the rename/move maps: every function defined in a patched
     // base unit, or mentioned by name anywhere in the patch text, that
     // no longer exists by name in the drifted tree gets fuzzy-matched.
-    let drifted_names: BTreeSet<&str> = index.iter().map(|ix| ix.func.name.as_str()).collect();
+    let drifted_names: BTreeSet<&str> = index.iter().map(|ix| ix.name.as_str()).collect();
     let mut renames: Vec<(String, String)> = Vec::new(); // (old, new), unit-agnostic rewrite map
-    let mut fn_targets: BTreeMap<String, FuzzyMatch> = BTreeMap::new(); // base fn -> drifted site
+    let mut fn_targets: BTreeMap<String, &IndexedFn> = BTreeMap::new(); // base fn -> drifted site
     let mut fn_failures: BTreeMap<String, String> = BTreeMap::new(); // base fn -> reason
     let patch_words = identifier_words(patch_text);
     for (unit_path, unit) in &base_units {
@@ -636,25 +614,25 @@ pub fn rebase_update(
                 continue;
             }
             match find_counterpart(f, unit_path, &index) {
-                MatchOutcome::Matched(m) => {
-                    if m.name != f.name {
-                        renames.push((f.name.clone(), m.name.clone()));
+                MatchOutcome::Matched(FuzzyMatch { ix, .. }) => {
+                    if ix.name != f.name {
+                        renames.push((f.name.clone(), ix.name.clone()));
                         tracer.count("rebase.renames_learned", 1);
                     }
-                    if m.unit != *unit_path {
+                    if ix.unit != *unit_path {
                         tracer.count("rebase.moves_learned", 1);
                         report
                             .moves
-                            .push((f.name.clone(), unit_path.clone(), m.unit.clone()));
+                            .push((f.name.clone(), unit_path.clone(), ix.unit.clone()));
                     }
-                    fn_targets.insert(f.name.clone(), m);
+                    fn_targets.insert(f.name.clone(), ix);
                 }
                 MatchOutcome::Ambiguous(a, b) => {
                     fn_failures.insert(
                         f.name.clone(),
                         format!(
                             "{unit_path}: {}: ambiguous drift match — {}:{} ({}%) vs {}:{} ({}%)",
-                            f.name, a.unit, a.name, a.score, b.unit, b.name, b.score
+                            f.name, a.ix.unit, a.ix.name, a.score, b.ix.unit, b.ix.name, b.score
                         ),
                     );
                 }
@@ -681,7 +659,7 @@ pub fn rebase_update(
     // Port every hunk. Failures accumulate (one refusal already means
     // manual, but naming every responsible unit beats stopping early).
     let mut ported = drifted.clone();
-    let mut ported_hunks: Vec<PortedHunk> = Vec::new();
+    let mut ports: Vec<HunkPort> = Vec::new();
     for file in &patch.files {
         if file.creates {
             // Brand-new file: port verbatim unless drift already created
@@ -692,17 +670,12 @@ pub fn rebase_update(
                     .push(format!("{}: patch creates a file drift already has", file.path));
             } else if let Ok(content) = patch.apply_to("", &file.path) {
                 ported.insert(&file.path, &content);
-                for (i, _) in file.hunks.iter().enumerate() {
-                    ported_hunks.push(PortedHunk {
-                        port: HunkPort {
-                            path: file.path.clone(),
-                            hunk: i,
-                            func: String::new(),
-                            strategy: "exact",
-                        },
-                        func: String::new(),
-                    });
-                }
+                ports.extend((0..file.hunks.len()).map(|hunk| HunkPort {
+                    path: file.path.clone(),
+                    hunk,
+                    func: String::new(),
+                    strategy: "exact",
+                }));
             }
             continue;
         }
@@ -724,14 +697,12 @@ pub fn rebase_update(
         // Reverse order so earlier hunks' positions stay meaningful in
         // the base file; resolution is content-based anyway.
         for (hi, hunk) in file.hunks.iter().enumerate().rev() {
-            let enclosing = base_unit
-                .and_then(|u| enclosing_function(u, base_src, hunk))
-                .cloned();
+            let enclosing = base_unit.and_then(|u| enclosing_function(u, base_src, hunk));
             let outcome = port_hunk(
                 hunk,
                 hi,
                 &file.path,
-                enclosing.as_ref(),
+                enclosing,
                 &renames,
                 &fn_targets,
                 &fn_failures,
@@ -739,9 +710,9 @@ pub fn rebase_update(
                 &mut ported,
             );
             match outcome {
-                Ok(ph) => {
+                Ok(port) => {
                     tracer.count("rebase.hunks_ported", 1);
-                    ported_hunks.push(ph);
+                    ports.push(port);
                 }
                 Err(reason) => {
                     tracer.count("rebase.hunks_failed", 1);
@@ -761,10 +732,9 @@ pub fn rebase_update(
             }
         }
     }
-    ported_hunks.sort_by(|a, b| (&a.port.path, a.port.hunk).cmp(&(&b.port.path, b.port.hunk)));
-    report.ports = ported_hunks.iter().map(|p| p.port.clone()).collect();
+    ports.sort_by(|a, b| (&a.path, a.hunk).cmp(&(&b.path, b.hunk)));
     report.ported_fns = {
-        let mut fns: Vec<String> = ported_hunks
+        let mut fns: Vec<String> = ports
             .iter()
             .map(|p| p.func.clone())
             .filter(|f| !f.is_empty())
@@ -773,6 +743,7 @@ pub fn rebase_update(
         fns.dedup();
         fns
     };
+    report.ports = ports;
 
     if !report.reasons.is_empty() {
         tracer.count("rebase.manual_needed", 1);
@@ -910,11 +881,13 @@ fn parse_patched_base_units(
     Ok(out)
 }
 
-/// The functions the original patch textually modifies, by scanning
-/// each hunk's enclosing function in the base tree.
-fn touched_base_fns(base: &SourceTree, patch_text: &str) -> Result<Vec<String>, String> {
-    let patch = Patch::parse(patch_text).map_err(|e| format!("bad patch: {e}"))?;
-    let units = parse_patched_base_units(base, &patch)?;
+/// The functions the original patch textually modifies: each hunk's
+/// enclosing function in the base tree.
+fn touched_base_fns(
+    base: &SourceTree,
+    patch: &Patch,
+    units: &BTreeMap<String, Unit>,
+) -> Vec<String> {
     let mut fns = Vec::new();
     for file in &patch.files {
         let (Some(unit), Some(src)) = (units.get(&file.path), base.get(&file.path)) else {
@@ -928,58 +901,37 @@ fn touched_base_fns(base: &SourceTree, patch_text: &str) -> Result<Vec<String>, 
     }
     fns.sort();
     fns.dedup();
-    Ok(fns)
+    fns
+}
+
+/// Old-side offset of a hunk's first changed line: its first removed
+/// line, or for an addition the line before it (the hunk's first line
+/// when the addition leads). `None` when the hunk changes nothing.
+fn first_change(hunk: &Hunk) -> Option<usize> {
+    let lead = hunk
+        .lines
+        .iter()
+        .take_while(|l| matches!(l, HunkLine::Context(_)))
+        .count();
+    match hunk.lines.get(lead)? {
+        HunkLine::Remove(_) => Some(lead),
+        _ => Some(lead.saturating_sub(1)),
+    }
 }
 
 /// The base function enclosing a hunk's first changed line.
 fn enclosing_function<'u>(unit: &'u Unit, src: &str, hunk: &Hunk) -> Option<&'u Function> {
-    // Line (1-based, old side) of the first Remove; pure additions
-    // anchor on the context line before the first Add.
-    let mut old_line = hunk.old_start;
-    let mut change_line = None;
-    for l in &hunk.lines {
-        match l {
-            HunkLine::Remove(_) => {
-                change_line = Some(old_line);
-                break;
-            }
-            HunkLine::Add(_) => {
-                change_line = Some(old_line.saturating_sub(1).max(hunk.old_start));
-                break;
-            }
-            HunkLine::Context(_) => old_line += 1,
-        }
-    }
-    let target = change_line?;
-    let total = src.lines().count();
-    index_unit(&unit.name, unit, total)
+    let line = hunk.old_start + first_change(hunk)?;
+    fn_spans(unit, src)
         .into_iter()
-        .find(|ix| ix.start <= target && target < ix.end)
-        .and_then(|ix| unit.functions().find(|f| f.name == ix.func.name))
-}
-
-/// Identifier-shaped words in a text blob.
-fn identifier_words(text: &str) -> BTreeSet<String> {
-    let mut words = BTreeSet::new();
-    let mut cur = String::new();
-    for ch in text.chars() {
-        if ch.is_ascii_alphanumeric() || ch == '_' {
-            cur.push(ch);
-        } else if !cur.is_empty() {
-            if !cur.as_bytes()[0].is_ascii_digit() {
-                words.insert(std::mem::take(&mut cur));
-            } else {
-                cur.clear();
-            }
-        }
-    }
-    if !cur.is_empty() && !cur.as_bytes()[0].is_ascii_digit() {
-        words.insert(cur);
-    }
-    words
+        .find(|&(_, start, end)| start <= line && line < end)
+        .map(|(f, _, _)| f)
 }
 
 /// Ports one hunk onto the drifted tree through the escalation ladder.
+/// Each rung only chooses a landing — replace `cut` lines at `at` with
+/// `insert`, credit the drifted function holding line `owner`, name the
+/// `strategy` — and one tail applies it.
 #[allow(clippy::too_many_arguments)]
 fn port_hunk(
     hunk: &Hunk,
@@ -987,222 +939,133 @@ fn port_hunk(
     base_path: &str,
     enclosing: Option<&Function>,
     renames: &[(String, String)],
-    fn_targets: &BTreeMap<String, FuzzyMatch>,
+    fn_targets: &BTreeMap<String, &IndexedFn>,
     fn_failures: &BTreeMap<String, String>,
     index: &[IndexedFn],
     ported: &mut SourceTree,
-) -> Result<PortedHunk, String> {
-    // Resolve the target file and the drifted function (when any).
-    let (target_path, target_fn, moved) = match enclosing {
-        Some(f) => {
-            if let Some(reason) = fn_failures.get(&f.name) {
-                return Err(reason.clone());
-            }
-            match fn_targets.get(&f.name) {
-                Some(m) => (m.unit.clone(), Some(m.clone()), m.unit != base_path),
-                // Same-name function still present; targets map only
-                // holds entries for names the patch mentions.
-                None => (base_path.to_string(), None, false),
-            }
+) -> Result<HunkPort, String> {
+    // Resolve the drifted function: the learned match, else the
+    // same-name function still in the base unit (the targets map only
+    // holds entries for names the patch mentions).
+    let mut target = None;
+    if let Some(f) = enclosing {
+        if let Some(reason) = fn_failures.get(&f.name) {
+            return Err(reason.clone());
         }
-        None => (base_path.to_string(), None, false),
-    };
+        target = fn_targets.get(&f.name).copied().or_else(|| {
+            index
+                .iter()
+                .find(|ix| ix.unit == base_path && ix.name == f.name)
+        });
+    }
+    let target_path = target.map_or(base_path, |ix| ix.unit.as_str());
+    let moved = target_path != base_path;
     let fn_label = enclosing.map(|f| f.name.as_str()).unwrap_or("<file scope>");
-    let Some(content) = ported.get(&target_path) else {
+    let Some(content) = ported.get(target_path) else {
         return Err(format!("{target_path}: {fn_label}: drifted tree lacks the target file"));
     };
     let mut lines: Vec<String> = content.lines().map(|s| s.to_string()).collect();
 
     // The drifted function's line span, for disambiguation and stated
-    // position. Recompute from the *current* ported content lazily —
-    // spans from the index are close enough for proximity ranking.
-    let fn_span = target_fn
-        .as_ref()
-        .and_then(|m| {
-            index
-                .iter()
-                .find(|ix| ix.unit == m.unit && ix.func.name == m.name)
-                .map(|ix| (ix.start, ix.end))
-        })
-        .or_else(|| {
-            enclosing.and_then(|f| {
-                index
-                    .iter()
-                    .find(|ix| ix.unit == target_path && ix.func.name == f.name)
-                    .map(|ix| (ix.start, ix.end))
-            })
-        });
+    // position. Spans come from the index, not the *current* ported
+    // content — close enough for proximity ranking.
+    let fn_span = target.map(|ix| (ix.start, ix.end));
     let near = fn_span
         .map(|(s, _)| s.saturating_sub(1))
         .unwrap_or(hunk.old_start.saturating_sub(1));
 
-    let rewritten_old: Vec<String> = hunk
+    // The hunk's rename-rewritten views, in one pass.
+    let (mut old, mut new, mut removes, mut adds) = (vec![], vec![], vec![], vec![]);
+    let mut renamed = false;
+    for l in &hunk.lines {
+        let s = rewrite_line(l.text(), renames);
+        renamed |= s != l.text();
+        match l {
+            HunkLine::Context(_) => {
+                old.push(s.clone());
+                new.push(s);
+            }
+            HunkLine::Remove(_) => {
+                old.push(s.clone());
+                removes.push(s);
+            }
+            HunkLine::Add(_) => {
+                new.push(s.clone());
+                adds.push(s);
+            }
+        }
+    }
+    let lead = hunk
         .lines
         .iter()
-        .filter_map(|l| match l {
-            HunkLine::Context(s) | HunkLine::Remove(s) => Some(rewrite_line(s, renames)),
-            HunkLine::Add(_) => None,
-        })
-        .collect();
-    let rewritten_new: Vec<String> = hunk
-        .lines
-        .iter()
-        .filter_map(|l| match l {
-            HunkLine::Context(s) | HunkLine::Add(s) => Some(rewrite_line(s, renames)),
-            HunkLine::Remove(_) => None,
-        })
-        .collect();
-    let any_renamed = hunk
-        .lines
-        .iter()
-        .any(|l| rewrite_line(l.text(), renames) != l.text());
+        .take_while(|l| matches!(l, HunkLine::Context(_)))
+        .count();
+    let change = first_change(hunk);
 
-    let resolved_fn = |lines: &[String], at: usize| -> String {
-        // Attribute the landing site to a drifted function by scanning
-        // the indexed spans of the target unit.
-        index
-            .iter()
-            .filter(|ix| ix.unit == target_path)
-            .find(|ix| ix.start <= at + 1 && at + 1 < ix.end)
-            .map(|ix| ix.func.name.clone())
-            .unwrap_or_else(|| {
-                let _ = lines;
-                String::new()
-            })
-    };
-
-    // Rung 1/2: whole old-side match (exact, then rename-rewritten).
-    let occurrences = find_runs(&lines, &rewritten_old);
-    if !rewritten_old.is_empty() {
-        if let Some(at) = nearest(&occurrences, near) {
-            let func = resolved_fn(&lines, at);
-            lines.splice(at..at + rewritten_old.len(), rewritten_new.iter().cloned());
-            write_back(ported, &target_path, &lines);
+    let landing = 'ladder: {
+        // Rung 1/2: whole old-side match (exact, then rename-rewritten).
+        if let Some(at) = nearest(&find_runs(&lines, &old), near) {
             let strategy = if moved {
                 "move"
-            } else if any_renamed {
+            } else if renamed {
                 "rename"
             } else {
                 "exact"
             };
-            return Ok(PortedHunk {
-                port: HunkPort {
-                    path: target_path,
-                    hunk: hunk_idx,
-                    func: func.clone(),
-                    strategy,
-                },
-                func,
-            });
+            break 'ladder Some((at, old.len(), new, change.map(|c| at + c), strategy));
         }
-    }
-
-    // Rung 3: remove-anchored context refresh. Only a single contiguous
-    // remove-run can be re-anchored unambiguously.
-    let removes: Vec<String> = hunk
-        .lines
-        .iter()
-        .filter_map(|l| match l {
-            HunkLine::Remove(s) => Some(rewrite_line(s, renames)),
-            _ => None,
-        })
-        .collect();
-    let adds: Vec<String> = hunk
-        .lines
-        .iter()
-        .filter_map(|l| match l {
-            HunkLine::Add(s) => Some(rewrite_line(s, renames)),
-            _ => None,
-        })
-        .collect();
-    if !removes.is_empty() && remove_run_is_contiguous(hunk) {
-        let occ = find_runs(&lines, &removes);
-        let chosen = match occ.len() {
-            0 => None,
-            1 => Some(occ[0]),
-            _ => {
+        // Rung 3: remove-anchored context refresh. Only a single
+        // contiguous remove-run can be re-anchored unambiguously.
+        if !removes.is_empty() && remove_run_is_contiguous(hunk) {
+            let mut occ = find_runs(&lines, &removes);
+            if occ.len() > 1 {
                 // Several candidates: only trust one inside the matched
                 // function's span.
-                let in_span: Vec<usize> = match fn_span {
-                    Some((s, e)) => occ
-                        .iter()
-                        .copied()
-                        .filter(|&at| at + 1 >= s && at + 1 < e)
-                        .collect(),
-                    None => Vec::new(),
-                };
-                if in_span.len() == 1 {
-                    Some(in_span[0])
-                } else {
-                    None
+                occ.retain(|&at| fn_span.is_some_and(|(s, e)| at + 1 >= s && at + 1 < e));
+            }
+            if let [at] = occ[..] {
+                break 'ladder Some((at, removes.len(), adds, Some(at), "refresh"));
+            }
+        }
+        if removes.is_empty() && !adds.is_empty() {
+            // Pure addition: anchor after the last leading-context line
+            // that still occurs uniquely in the drifted file.
+            for take in (1..=lead).rev() {
+                if let [start] = find_runs(&lines, &old[lead - take..lead])[..] {
+                    let at = start + take;
+                    break 'ladder Some((at, 0, adds, Some(at - 1), "refresh"));
                 }
             }
-        };
-        if let Some(at) = chosen {
-            let func = resolved_fn(&lines, at);
-            lines.splice(at..at + removes.len(), adds.iter().cloned());
-            write_back(ported, &target_path, &lines);
-            return Ok(PortedHunk {
-                port: HunkPort {
-                    path: target_path,
-                    hunk: hunk_idx,
-                    func: func.clone(),
-                    strategy: "refresh",
-                },
-                func,
-            });
-        }
-    }
-    if removes.is_empty() && !adds.is_empty() {
-        // Pure addition: anchor after the last leading-context line that
-        // still occurs uniquely in the drifted file.
-        let prefix: Vec<String> = hunk
-            .lines
-            .iter()
-            .take_while(|l| matches!(l, HunkLine::Context(_)))
-            .map(|l| rewrite_line(l.text(), renames))
-            .collect();
-        for take in (1..=prefix.len()).rev() {
-            let anchor = &prefix[prefix.len() - take..];
-            let occ = find_runs(&lines, anchor);
-            if occ.len() == 1 {
-                let at = occ[0] + take;
-                let func = resolved_fn(&lines, occ[0]);
-                lines.splice(at..at, adds.iter().cloned());
-                write_back(ported, &target_path, &lines);
-                return Ok(PortedHunk {
-                    port: HunkPort {
-                        path: target_path,
-                        hunk: hunk_idx,
-                        func: func.clone(),
-                        strategy: "refresh",
-                    },
-                    func,
-                });
+            // Appending at end-of-file (custom-code blocks) keeps working
+            // even when the trailing context drifted.
+            if hunk.old_start >= lines.len().saturating_sub(hunk.old_count) {
+                break 'ladder Some((lines.len(), 0, adds, None, "refresh"));
             }
         }
-        // Appending at end-of-file (custom-code blocks) keeps working
-        // even when the trailing context drifted.
-        if hunk.old_start >= lines.len().saturating_sub(hunk.old_count) {
-            let at = lines.len();
-            lines.splice(at..at, adds.iter().cloned());
-            write_back(ported, &target_path, &lines);
-            return Ok(PortedHunk {
-                port: HunkPort {
-                    path: target_path,
-                    hunk: hunk_idx,
-                    func: String::new(),
-                    strategy: "refresh",
-                },
-                func: String::new(),
-            });
-        }
-    }
-
-    Err(format!(
-        "{target_path}: {fn_label}: hunk #{} has no unique anchor in the drifted unit",
-        hunk_idx + 1
-    ))
+        None
+    };
+    let Some((at, cut, insert, owner, strategy)) = landing else {
+        return Err(format!(
+            "{target_path}: {fn_label}: hunk #{} has no unique anchor in the drifted unit",
+            hunk_idx + 1
+        ));
+    };
+    lines.splice(at..at + cut, insert);
+    write_back(ported, target_path, &lines);
+    let func = owner
+        .and_then(|line| {
+            index
+                .iter()
+                .find(|ix| ix.unit == target_path && ix.start <= line + 1 && line + 1 < ix.end)
+        })
+        .map(|ix| ix.name.clone())
+        .unwrap_or_default();
+    Ok(HunkPort {
+        path: target_path.to_string(),
+        hunk: hunk_idx,
+        func,
+        strategy,
+    })
 }
 
 /// True when the hunk's Remove lines form one contiguous block (no

@@ -25,6 +25,7 @@ use ksplice_lang::{
     build_tree_image_cached, canonicalize_tree, generate_drift, DriftClass, DriftLevel, DriftLog,
     Options, SourceTree,
 };
+use ksplice_patch::Patch;
 
 use crate::corpus::{corpus, Cve};
 use crate::tree::canonical_base_tree;
@@ -80,10 +81,6 @@ pub struct RebaseCell {
     pub verified: bool,
     /// Ladder strategies used across the cell's hunks (sorted, unique).
     pub strategies: Vec<&'static str>,
-    /// Renames the fuzzy matcher learned for this cell.
-    pub renames: usize,
-    /// Cross-unit moves the fuzzy matcher learned.
-    pub moves: usize,
     /// Classified refusal/rejection reasons (empty when auto-ported).
     pub reasons: Vec<String>,
     /// Drift classes that touched this CVE's patched functions or units
@@ -102,8 +99,6 @@ pub struct RebaseMatrix {
     pub seed: u64,
     /// Levels swept, in order.
     pub levels: Vec<DriftLevel>,
-    /// Ground-truth drift logs, one per level.
-    pub logs: Vec<DriftLog>,
     /// All cells, level-major then corpus order.
     pub cells: Vec<RebaseCell>,
 }
@@ -353,7 +348,6 @@ pub fn run_rebase_matrix(
     Ok(RebaseMatrix {
         seed: cfg.seed,
         levels: cfg.levels.clone(),
-        logs: drifted.into_iter().map(|(_, log)| log).collect(),
         cells,
     })
 }
@@ -380,11 +374,8 @@ fn run_cell(
 
     // Drift-class attribution: ops in this CVE's patched units, plus
     // ops whose victim is one of its edited functions.
-    let patched_paths: BTreeSet<&str> = canon
-        .iter()
-        .filter(|(p, c)| tree_changed(p, c, patch_text))
-        .map(|(p, _)| p)
-        .collect();
+    let patch = Patch::parse(patch_text).map_err(|e| format!("{} @ {level}: {e}", case.id))?;
+    let patched_paths: BTreeSet<&str> = patch.paths().collect();
     let classes: Vec<DriftClass> = {
         let mut set = BTreeSet::new();
         for op in &log.ops {
@@ -432,19 +423,10 @@ fn run_cell(
         reused: report.reused_pack,
         verified: report.verified,
         strategies,
-        renames: report.renames.len(),
-        moves: report.moves.len(),
         reasons: report.reasons,
         classes,
         misport,
     })
-}
-
-/// Whether the canonical patch mentions `path` as a changed file.
-fn tree_changed(path: &str, _content: &str, patch_text: &str) -> bool {
-    patch_text
-        .lines()
-        .any(|l| l.strip_prefix("--- a/").is_some_and(|p| p == path))
 }
 
 #[cfg(test)]

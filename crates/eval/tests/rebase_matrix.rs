@@ -9,7 +9,8 @@ use ksplice_core::{
 use ksplice_eval::{canonical_base_tree, corpus, run_rebase_matrix, RebaseMatrixConfig};
 use ksplice_kernel::Kernel;
 use ksplice_lang::{
-    build_tree_image_cached, generate_drift, DriftLevel, DriftLog, FnFate, Options, SourceTree,
+    build_tree_image_cached, generate_drift, DriftClass, DriftLevel, DriftLog, FnFate, Options,
+    SourceTree,
 };
 
 /// The full 64 × {D1..D4} sweep: deterministic, ≥80% auto-port at D1,
@@ -214,10 +215,10 @@ fn split_patched_function_never_patches_the_wrapper() {
     let (_seed, drifted, log) = seed_with_fate("sys_prctl", false);
     assert_eq!(log.fate("sys_prctl"), FnFate::Split);
     let body_fn = log
-        .split
+        .ops
         .iter()
-        .find(|(_, f, _)| f == "sys_prctl")
-        .map(|(_, _, b)| b.clone())
+        .find(|op| op.class == DriftClass::SplitFn && op.func == "sys_prctl")
+        .map(|op| op.to.clone())
         .unwrap();
     let report = rebase_cve("CVE-2006-2451", &drifted);
     match report.status {
@@ -240,5 +241,40 @@ fn split_patched_function_never_patches_the_wrapper() {
                 report.reasons
             );
         }
+    }
+}
+
+/// A landed hunk is credited to the drifted function holding its first
+/// changed line, the rule the base side uses. At D4 with drift seed 10,
+/// drift splits `cred_of` (its body becomes `cred_of_body_v83`) and
+/// moves `capable` to `ipc/shm.kc`; both hunks of CVE-2006-4093 lead
+/// with context from the function before, which once credited the port
+/// to `cred_of` and `shm_rm` and graded it a split-wrapper misport.
+#[test]
+fn ported_hunks_are_credited_by_their_first_changed_line() {
+    let (drifted, log) = drifted_for(DriftLevel::D4, 10, &all_victims());
+    assert_eq!(log.fate("cred_of"), FnFate::Split);
+    let report = rebase_cve("CVE-2006-4093", &drifted);
+    assert_eq!(
+        report.status,
+        RebaseStatus::AutoPorted,
+        "{}",
+        report.render()
+    );
+    assert_eq!(
+        report.ported_fns,
+        ["capable", "cred_of_body_v83"],
+        "{}",
+        report.render()
+    );
+
+    for seed in [10, 12] {
+        let cfg = RebaseMatrixConfig {
+            seed,
+            levels: vec![DriftLevel::D4],
+            ..RebaseMatrixConfig::default()
+        };
+        let m = run_rebase_matrix(&cfg, &mut Tracer::disabled()).unwrap();
+        assert!(m.misports().is_empty(), "seed {seed}:\n{}", m.render());
     }
 }

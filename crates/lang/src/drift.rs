@@ -163,6 +163,10 @@ pub struct DriftOp {
     pub unit: String,
     /// The function the op touched (empty when not attributable).
     pub func: String,
+    /// Where the op sent `func`: the new name of a rename, the
+    /// destination unit of a move, the body function of a split; empty
+    /// for every other class.
+    pub to: String,
     /// Human-readable specifics, e.g. `"sys_prctl -> sys_prctl_v42"`.
     pub detail: String,
 }
@@ -198,35 +202,50 @@ pub struct DriftLog {
     pub level: String,
     /// Every applied op, in application order.
     pub ops: Vec<DriftOp>,
-    /// `(unit, old, new)` for every rename (static and exported).
-    pub renames: Vec<(String, String, String)>,
-    /// `(func, from_unit, to_unit)` for every cross-unit move.
-    pub moves: Vec<(String, String, String)>,
-    /// `(unit, func)` for every deletion.
-    pub deleted: Vec<(String, String)>,
-    /// `(unit, func, body_fn)` for every split: `func` remains as a
-    /// wrapper delegating to `body_fn`.
-    pub split: Vec<(String, String, String)>,
 }
 
 impl DriftLog {
     /// Resolves what became of `func` under this drift.
     pub fn fate(&self, func: &str) -> FnFate {
-        if self.deleted.iter().any(|(_, f)| f == func) {
+        let op_to = |classes: &[DriftClass]| {
+            self.ops
+                .iter()
+                .find(|op| op.func == func && classes.contains(&op.class))
+                .map(|op| op.to.clone())
+        };
+        if op_to(&[DriftClass::DeleteFn]).is_some() {
             return FnFate::Deleted;
         }
-        if self.split.iter().any(|(_, f, _)| f == func) {
+        if op_to(&[DriftClass::SplitFn]).is_some() {
             return FnFate::Split;
         }
-        let mut name = func.to_string();
-        let mut unit = None;
-        if let Some((_, _, to)) = self.moves.iter().find(|(f, _, _)| *f == func) {
-            unit = Some(to.clone());
+        FnFate::Present {
+            unit: op_to(&[DriftClass::MoveFn]),
+            name: op_to(&[DriftClass::RenameExported, DriftClass::RenameStatic])
+                .unwrap_or_else(|| func.to_string()),
         }
-        if let Some((_, _, new)) = self.renames.iter().find(|(_, old, _)| *old == func) {
-            name = new.clone();
-        }
-        FnFate::Present { unit, name }
+    }
+
+    /// Records one applied op; `to` is as [`DriftOp::to`] describes.
+    fn record(&mut self, class: DriftClass, unit: &str, func: &str, to: &str) {
+        let scope = if func.is_empty() { "file scope" } else { func };
+        let detail = match class {
+            DriftClass::DeleteFn => format!("{func} deleted, call sites constant-folded"),
+            DriftClass::SplitFn => format!("{func} split: wrapper + drifted {to}"),
+            DriftClass::MoveFn => format!("{func}: {unit} -> {to}"),
+            DriftClass::RenameExported => format!("{func} -> {to} (exported, tree-wide)"),
+            DriftClass::RenameStatic => format!("{func} -> {to} (static)"),
+            DriftClass::InlineShift => format!("{func} padded past the inline budget"),
+            DriftClass::ConstTweak => format!("literal nudged in {scope}"),
+            DriftClass::ContextDrift => format!("dead stmt inserted in {scope}"),
+        };
+        self.ops.push(DriftOp {
+            class,
+            unit: unit.to_string(),
+            func: func.to_string(),
+            to: to.to_string(),
+            detail,
+        });
     }
 
     /// Deterministic one-op-per-line rendering.
@@ -339,13 +358,7 @@ pub fn generate_drift(
         if let Some((unit, func)) = pick_victim(&units, &pool, &anchored, &touched, &mut rng) {
             delete_fn(&mut units, &unit, &func);
             touched.insert(func.clone());
-            log.ops.push(DriftOp {
-                class: DriftClass::DeleteFn,
-                unit: unit.clone(),
-                func: func.clone(),
-                detail: format!("{func} deleted, call sites constant-folded"),
-            });
-            log.deleted.push((unit, func));
+            log.record(DriftClass::DeleteFn, &unit, &func, "");
         }
     }
     for i in 0..budget.split_fn {
@@ -354,13 +367,7 @@ pub fn generate_drift(
             split_fn(units.get_mut(&unit).expect("victim unit"), &func, &body_fn, i);
             touched.insert(func.clone());
             touched.insert(body_fn.clone());
-            log.ops.push(DriftOp {
-                class: DriftClass::SplitFn,
-                unit: unit.clone(),
-                func: func.clone(),
-                detail: format!("{func} split: wrapper + drifted {body_fn}"),
-            });
-            log.split.push((unit, func, body_fn));
+            log.record(DriftClass::SplitFn, &unit, &func, &body_fn);
         }
     }
 
@@ -369,56 +376,33 @@ pub fn generate_drift(
         if let Some((from, func, to)) = pick_movable(&units, &anchored, &touched, &mut rng) {
             move_fn(&mut units, &from, &func, &to);
             touched.insert(func.clone());
-            log.ops.push(DriftOp {
-                class: DriftClass::MoveFn,
-                unit: from.clone(),
-                func: func.clone(),
-                detail: format!("{func}: {from} -> {to}"),
-            });
-            log.moves.push((func, from, to));
+            log.record(DriftClass::MoveFn, &from, &func, &to);
         }
     }
 
-    // D2: exported renames (tree-wide), then static renames (unit-local).
-    for _ in 0..budget.rename_exported {
-        // An exported, unanchored, unclaimed function.
-        let picked = pick_fn(&units, &mut rng, |_, f| {
-            !f.is_static && !anchored.contains(&f.name) && !touched.contains(&f.name)
-        });
-        if let Some((unit, old)) = picked {
-            let new = fresh_name(&units, &old, &mut rng);
-            for u in units.values_mut() {
-                rename_symbol(u, &old, &new);
+    // D2: exported renames (tree-wide), then static renames (unit-local:
+    // statics whose name collides across units are fine).
+    for (class, count, is_static) in [
+        (DriftClass::RenameExported, budget.rename_exported, false),
+        (DriftClass::RenameStatic, budget.rename_static, true),
+    ] {
+        for _ in 0..count {
+            let picked = pick_fn(&units, &mut rng, |_, f| {
+                f.is_static == is_static
+                    && !anchored.contains(&f.name)
+                    && !touched.contains(&f.name)
+            });
+            if let Some((unit, old)) = picked {
+                let new = fresh_name(&units, &old, &mut rng);
+                for (path, u) in units.iter_mut() {
+                    if !is_static || *path == unit {
+                        rename_symbol(u, &old, &new);
+                    }
+                }
+                touched.insert(old.clone());
+                touched.insert(new.clone());
+                log.record(class, &unit, &old, &new);
             }
-            touched.insert(old.clone());
-            touched.insert(new.clone());
-            log.ops.push(DriftOp {
-                class: DriftClass::RenameExported,
-                unit: unit.clone(),
-                func: old.clone(),
-                detail: format!("{old} -> {new} (exported, tree-wide)"),
-            });
-            log.renames.push((unit, old, new));
-        }
-    }
-    for _ in 0..budget.rename_static {
-        // A static function: statics whose name collides across units
-        // are fine, the rename stays inside one unit.
-        let picked = pick_fn(&units, &mut rng, |_, f| {
-            f.is_static && !anchored.contains(&f.name) && !touched.contains(&f.name)
-        });
-        if let Some((unit, old)) = picked {
-            let new = fresh_name(&units, &old, &mut rng);
-            rename_symbol(units.get_mut(&unit).expect("static unit"), &old, &new);
-            touched.insert(old.clone());
-            touched.insert(new.clone());
-            log.ops.push(DriftOp {
-                class: DriftClass::RenameStatic,
-                unit: unit.clone(),
-                func: old.clone(),
-                detail: format!("{old} -> {new} (static)"),
-            });
-            log.renames.push((unit, old, new));
         }
     }
 
@@ -434,58 +418,40 @@ pub fn generate_drift(
             let salt = rng.below(1 << 16);
             pad_function(units.get_mut(&unit).expect("callee unit"), &func, salt, 3);
             touched.insert(func.clone());
-            log.ops.push(DriftOp {
-                class: DriftClass::InlineShift,
-                unit: unit.clone(),
-                func: func.clone(),
-                detail: format!("{func} padded past the inline budget"),
-            });
+            log.record(DriftClass::InlineShift, &unit, &func, "");
         }
     }
 
-    // D3: constant tweaks (reuses the PR 5 mutator).
-    for _ in 0..budget.const_tweak {
-        let paths: Vec<String> = units.keys().cloned().collect();
-        let path = paths[rng.below(paths.len() as u64) as usize].clone();
-        let m = Mutation {
-            kind: MutatorKind::TweakConst,
-            site: rng.next_u64(),
-            payload: rng.next_u64() as i64,
-        };
-        let unit = units.get_mut(&path).expect("tweak unit");
-        let before = unit.clone();
-        if apply_mutation(unit, &m).is_ok() {
-            let func = changed_function(&before, unit).unwrap_or_default();
-            log.ops.push(DriftOp {
-                class: DriftClass::ConstTweak,
-                unit: path,
-                func: func.clone(),
-                detail: format!("literal nudged in {}", nonempty(&func)),
-            });
-        }
-    }
-
-    // All levels: hunk-context drift (reuses the PR 5 insert mutator,
-    // whose synthesized statements are dead at runtime but fully
-    // compiled — they shift line layout without changing behaviour).
-    for _ in 0..budget.context {
-        let paths: Vec<String> = units.keys().cloned().collect();
-        let path = paths[rng.below(paths.len() as u64) as usize].clone();
-        let m = Mutation {
-            kind: MutatorKind::InsertStmt,
-            site: rng.next_u64(),
-            payload: rng.next_u64() as i64,
-        };
-        let unit = units.get_mut(&path).expect("context unit");
-        let before = unit.clone();
-        if apply_mutation(unit, &m).is_ok() {
-            let func = changed_function(&before, unit).unwrap_or_default();
-            log.ops.push(DriftOp {
-                class: DriftClass::ContextDrift,
-                unit: path,
-                func: func.clone(),
-                detail: format!("dead stmt inserted in {}", nonempty(&func)),
-            });
+    // D3: constant tweaks, then (all levels) hunk-context drift — both
+    // reuse the fuzzer's mutators. The inserted statements are dead at
+    // runtime but fully compiled: they shift line layout without
+    // changing behaviour.
+    let paths: Vec<String> = units.keys().cloned().collect();
+    for (class, kind, count) in [
+        (
+            DriftClass::ConstTweak,
+            MutatorKind::TweakConst,
+            budget.const_tweak,
+        ),
+        (
+            DriftClass::ContextDrift,
+            MutatorKind::InsertStmt,
+            budget.context,
+        ),
+    ] {
+        for _ in 0..count {
+            let path = &paths[rng.below(paths.len() as u64) as usize];
+            let m = Mutation {
+                kind,
+                site: rng.next_u64(),
+                payload: rng.next_u64() as i64,
+            };
+            let unit = units.get_mut(path).expect("mutated unit");
+            let before = unit.clone();
+            if apply_mutation(unit, &m).is_ok() {
+                let func = changed_function(&before, unit).unwrap_or_default();
+                log.record(class, path, &func, "");
+            }
         }
     }
 
@@ -498,14 +464,6 @@ pub fn generate_drift(
         tree.insert(path, src);
     }
     Ok((tree, log))
-}
-
-fn nonempty(f: &str) -> &str {
-    if f.is_empty() {
-        "file scope"
-    } else {
-        f
-    }
 }
 
 /// Names that must not be structurally drifted: anything mentioned in an
@@ -541,34 +499,24 @@ fn anchored_names(units: &BTreeMap<String, Unit>, passthrough: &[(String, String
             }
         }
     }
-    let names: BTreeSet<&str> = units
-        .values()
-        .flat_map(|u| u.functions().map(|f| f.name.as_str()))
-        .collect();
-    for name in names {
-        if contains_word(&words, name) {
-            anchored.insert(name.to_string());
-        }
+    let words = identifier_words(&words);
+    for u in units.values() {
+        anchored.extend(
+            u.functions()
+                .filter(|f| words.contains(&f.name))
+                .map(|f| f.name.clone()),
+        );
     }
     anchored
 }
 
-fn contains_word(haystack: &str, word: &str) -> bool {
-    let mut start = 0;
-    while let Some(pos) = haystack[start..].find(word) {
-        let at = start + pos;
-        let before_ok = at == 0
-            || !haystack.as_bytes()[at - 1].is_ascii_alphanumeric()
-                && haystack.as_bytes()[at - 1] != b'_';
-        let end = at + word.len();
-        let after_ok = end >= haystack.len()
-            || !haystack.as_bytes()[end].is_ascii_alphanumeric() && haystack.as_bytes()[end] != b'_';
-        if before_ok && after_ok {
-            return true;
-        }
-        start = at + 1;
-    }
-    false
+/// Identifier-shaped words in a text blob: maximal runs of ASCII
+/// letters, digits and `_` that do not start with a digit.
+pub fn identifier_words(text: &str) -> BTreeSet<String> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| w.chars().next().is_some_and(|c| !c.is_ascii_digit()))
+        .map(str::to_string)
+        .collect()
 }
 
 /// The function whose body differs between `before` and `after`, if any.
@@ -1034,12 +982,13 @@ mod tests {
     fn fate_follows_renames() {
         let base = tree();
         let (_, log) = generate_drift(&base, DriftLevel::D2, 5, &[]).unwrap();
-        for (_, old, new) in &log.renames {
+        let renames = [DriftClass::RenameExported, DriftClass::RenameStatic];
+        for op in log.ops.iter().filter(|op| renames.contains(&op.class)) {
             assert_eq!(
-                log.fate(old),
+                log.fate(&op.func),
                 FnFate::Present {
                     unit: None,
-                    name: new.clone()
+                    name: op.to.clone()
                 }
             );
         }

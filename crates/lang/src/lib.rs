@@ -69,7 +69,8 @@ pub use build::{
 };
 pub use cache::{fnv1a, options_fingerprint, BuildCache, BuildStats, Fingerprint, FNV_OFFSET};
 pub use drift::{
-    canonicalize_tree, generate_drift, DriftClass, DriftLevel, DriftLog, DriftOp, FnFate,
+    canonicalize_tree, generate_drift, identifier_words, DriftClass, DriftLevel, DriftLog, DriftOp,
+    FnFate,
 };
 pub use inline::InlineReport;
 pub use lexer::lex;

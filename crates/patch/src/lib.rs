@@ -390,7 +390,9 @@ fn apply_file(file: &FilePatch, content: &str) -> Result<String, ApplyError> {
 /// stated position up to [`MAX_FUZZ_OFFSET`] lines away.
 fn find_hunk(lines: &[String], old: &[&str], stated: usize) -> Option<usize> {
     let matches_at = |at: usize| -> bool {
-        at + old.len() <= lines.len() && old.iter().zip(&lines[at..]).all(|(a, b)| *a == b)
+        lines.get(at..).is_some_and(|rest| {
+            rest.len() >= old.len() && old.iter().zip(rest).all(|(a, b)| *a == b)
+        })
     };
     if old.is_empty() {
         // Pure insertion: position is taken on faith (clamped).
@@ -400,7 +402,8 @@ fn find_hunk(lines: &[String], old: &[&str], stated: usize) -> Option<usize> {
         if stated >= delta && matches_at(stated - delta) {
             return Some(stated - delta);
         }
-        if delta > 0 && matches_at(stated + delta) {
+        // A stated line near `usize::MAX` must not overflow the search.
+        if delta > 0 && stated.checked_add(delta).is_some_and(matches_at) {
             return Some(stated + delta);
         }
     }
