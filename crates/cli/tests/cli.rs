@@ -320,3 +320,25 @@ fn profile_is_deterministic_across_processes() {
     assert!(first.contains("\"migrated\""), "unexpected report: {first}");
     assert_eq!(first, run());
 }
+
+#[test]
+fn report_rejects_a_deeply_nested_trace_line() {
+    // A million unclosed brackets: the parser refuses past its nesting
+    // limit instead of overflowing the stack.
+    let dir = std::env::temp_dir().join(format!("ksplice-cli-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("deep.jsonl");
+    std::fs::write(&path, "[".repeat(1_000_000)).unwrap();
+    let out = ksplice()
+        .args(["report", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let expected = format!(
+        "ksplice: {}:1: nesting deeper than 64 levels",
+        path.display()
+    );
+    assert!(stderr.starts_with(&expected), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

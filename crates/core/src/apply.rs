@@ -1145,18 +1145,16 @@ fn capture<T>(
     sites: usize,
     mut window: impl FnMut(&mut Kernel) -> Result<T, StopError>,
 ) -> Result<Captured<T>, Abandoned> {
-    let (attempt_span, attempts_counter, pause_histogram, stop_event, delay_event) = match stage {
+    let (attempt_span, attempts_counter, stop_event, delay_event) = match stage {
         Stage::Undo => (
             "undo.attempt",
             "undo.stop_machine_attempts",
-            "undo.pause_us",
             "undo.stop_machine",
             "undo.retry_delay",
         ),
         _ => (
             "apply.attempt",
             "apply.stop_machine_attempts",
-            "apply.pause_us",
             "apply.stop_machine",
             "apply.retry_delay",
         ),
@@ -1182,7 +1180,6 @@ fn capture<T>(
             .last_stop_machine
             .map(|d| d.as_micros() as u64)
             .unwrap_or(0);
-        tracer.observe(pause_histogram, pause_us);
         let error = match result {
             Ok(value) => {
                 tracer.emit(

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use ksplice_core::trace::{RingSink, Severity, Tracer};
 use ksplice_core::{
     create_update, create_update_cached_traced, match_unit, ApplyError, ApplyOptions, BuildCache,
-    CreateError, CreateOptions, Ksplice, MatchError,
+    CreateError, CreateOptions, Ksplice, MatchError, UpdatePack,
 };
 use ksplice_kernel::{Kernel, ThreadState};
 use ksplice_lang::{build_tree, Options, SourceTree};
@@ -745,4 +745,73 @@ fn match_unit_directly_reports_bindings() {
     let counter_binding = m.bindings.get("shared_counter").copied().unwrap();
     let counter_sym = kernel.syms.lookup_global("shared_counter").unwrap();
     assert_eq!(counter_binding, counter_sym.addr);
+}
+
+/// A patch that changes only an untaken branch's comparison constant:
+/// the executed instruction sequence is identical before and after, so
+/// the only cost the cycle counter can see is the trampoline's `jmp`.
+const HOT_V1: &str =
+    "int hot(int x) {\n    if (x == 12345) {\n        return 0 - 1;\n    }\n    return x + 1;\n}\n";
+const HOT_V2: &str =
+    "int hot(int x) {\n    if (x == 12346) {\n        return 0 - 1;\n    }\n    return x + 1;\n}\n";
+
+fn hot_kernel_and_pack() -> (Kernel, UpdatePack) {
+    let src = tree(&[("hot.kc", HOT_V1)]);
+    let kernel = Kernel::boot(&src, &Options::distro()).unwrap();
+    let patch = diff_for(&src, "hot.kc", HOT_V2);
+    let (pack, _) = create_update("overhead", &src, &patch, &CreateOptions::default()).unwrap();
+    (kernel, pack)
+}
+
+/// VM cycles one thread spends running `hot(args)` to completion.
+fn hot_call_cycles(kernel: &mut Kernel, args: &[u64]) -> u64 {
+    let addr = kernel.syms.lookup_name("hot")[0].addr;
+    let tid = kernel.spawn_at(addr, args, "probe").unwrap();
+    kernel.run(1_000_000);
+    let t = kernel.thread(tid).unwrap();
+    assert!(matches!(t.state, ThreadState::Exited(_)), "{:?}", t.state);
+    t.cycles
+}
+
+#[test]
+fn trampoline_adds_one_cycle_per_call() {
+    // §2: "calls to the replaced functions will take a few cycles longer
+    // because of the inserted jump instructions" (E8). VM cycles do not
+    // depend on the host, so the figure is exact.
+    let (mut kernel, pack) = hot_kernel_and_pack();
+    let before = hot_call_cycles(&mut kernel, &[5]);
+    Ksplice::new()
+        .apply(&mut kernel, &pack, &ApplyOptions::default())
+        .unwrap();
+    let after = hot_call_cycles(&mut kernel, &[5]);
+    assert_eq!((before, after), (25, 26));
+}
+
+#[test]
+fn apply_and_undo_each_flush_the_icache_once() {
+    // Trampoline writes invalidate cached text the way
+    // `flush_icache_range` would: each capture window sweeps the block
+    // cache once and evicts the blocks it rewrote.
+    let (mut kernel, pack) = hot_kernel_and_pack();
+    let flushed = |k: &Kernel| (k.vm_stats.icache_flushes, k.vm_stats.blocks_evicted);
+    // Warm the entry block so the apply's write has something to evict.
+    assert_eq!(kernel.call_function("hot", &[12346]).unwrap(), 12347);
+
+    let (f0, e0) = flushed(&kernel);
+    let mut ks = Ksplice::new();
+    ks.apply(&mut kernel, &pack, &ApplyOptions::default())
+        .unwrap();
+    let (f1, e1) = flushed(&kernel);
+    assert_eq!(f1 - f0, 1, "apply flushes once");
+    assert!(e1 > e0, "apply evicts the patched entry block");
+    // Runs the trampoline, so the undo's write has a block to evict too.
+    assert_eq!(kernel.call_function("hot", &[12346]).unwrap() as i64, -1);
+
+    let (f2, e2) = flushed(&kernel);
+    ks.undo_any(&mut kernel, "overhead", &ApplyOptions::default())
+        .unwrap();
+    let (f3, e3) = flushed(&kernel);
+    assert_eq!(f3 - f2, 1, "undo flushes once");
+    assert!(e3 > e2, "undo evicts the trampoline block");
+    assert_eq!(kernel.call_function("hot", &[12346]).unwrap(), 12347);
 }

@@ -378,15 +378,17 @@ fn non_lifo_undo_retries_missed_barriers_and_aborts_clean() {
     kernel
         .arm_fault(Fault::parse("barrier-stall:2").unwrap())
         .unwrap();
-    let mut tracer = Tracer::new();
+    let ring = RingSink::new(1024);
+    let events = ring.handle();
+    let mut tracer = Tracer::new().with_sink(Box::new(ring));
     let report = ks
         .undo_any_traced(&mut kernel, "up1", &ApplyOptions::default(), &mut tracer)
         .unwrap();
     assert_eq!(report.attempts, 3);
-    let attempts = tracer
-        .spans()
+    let attempts = events
+        .events()
         .iter()
-        .filter(|s| s.name == "undo.attempt")
+        .filter(|e| e.name == "span.begin" && e.str_field("span") == Some("undo.attempt"))
         .count();
     assert_eq!(attempts, 3, "one span per capture window");
     assert_eq!(kernel.call_function("version", &[]).unwrap(), 3);

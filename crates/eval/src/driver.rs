@@ -268,6 +268,18 @@ impl EvalReport {
         rows
     }
 
+    /// §5.1: every CVE's helper/primary module size ratio, smallest
+    /// first.
+    pub fn module_size_ratios(&self) -> Vec<(&'static str, f64)> {
+        let mut ratios: Vec<(&'static str, f64)> = self
+            .outcomes
+            .iter()
+            .map(|o| (o.id, o.helper_bytes as f64 / o.primary_bytes.max(1) as f64))
+            .collect();
+        ratios.sort_by(|a, b| a.1.total_cmp(&b.1));
+        ratios
+    }
+
     /// Renders the report the way the paper's evaluation section does.
     pub fn render(&self) -> String {
         let mut s = String::new();
@@ -321,6 +333,20 @@ impl EvalReport {
             s,
             "max stop_machine attempts:        {max_attempts} (quiescence retries, §5.2)"
         );
+        let ratios = self.module_size_ratios();
+        if let (Some(min), Some(max)) = (ratios.first(), ratios.last()) {
+            let _ = writeln!(
+                s,
+                "helper larger than primary (§5.1): {} of {}; ratio min {:.2} ({}), median {:.2}, max {:.2} ({})",
+                ratios.iter().filter(|(_, r)| *r > 1.0).count(),
+                ratios.len(),
+                min.1,
+                min.0,
+                ratios[ratios.len() / 2].1,
+                max.1,
+                max.0,
+            );
+        }
         let _ = writeln!(s, "\n-- Figure 3: number of patches by patch length --");
         for (bucket, n) in self.figure3() {
             if n > 0 {
@@ -364,9 +390,8 @@ impl EvalReport {
 /// Runs the whole corpus over `jobs` workers (`jobs = 1` runs serially
 /// on the calling thread; the CLI's `--jobs N`) under `apply_opts` (the
 /// CLI's `--retry-policy` and `--cpus` reach every per-CVE apply and undo
-/// through here). `stress_rounds` trades coverage for time (the test
-/// suite uses a small number; the bench uses more). Cache and apply
-/// counters and histograms land on `tracer`; workers trace into private
+/// through here). `stress_rounds` trades coverage for time. Cache and
+/// apply counters land on `tracer`; workers trace into private
 /// [`Tracer`]s absorbed after join, so the merged metrics are identical
 /// for any `jobs` value, and outcome order always matches corpus order.
 pub fn run_full_evaluation(

@@ -146,8 +146,7 @@ impl ProfileReport {
         out
     }
 
-    /// The report as a JSON object (used by `profile --json` and the
-    /// bench harness).
+    /// The report as a JSON object (used by `profile --json`).
     pub fn to_json(&self) -> String {
         use ksplice_core::trace::json_escape;
         let phase = |p: &ProfilePhase| {

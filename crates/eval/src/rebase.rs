@@ -205,8 +205,8 @@ impl RebaseMatrix {
         s
     }
 
-    /// Deterministic JSON for `BENCH_rebase.json` and the CLI's
-    /// `--json` flag.
+    /// Deterministic JSON for the CLI's `--json` flag (pinned in
+    /// `crates/eval/pins/rebase-matrix.json`).
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");

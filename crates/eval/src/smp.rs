@@ -187,10 +187,9 @@ impl QuiescenceReport {
     }
 }
 
-/// Runs the quiescence-under-load sweep. Emits `bench.smp_*` metrics on
-/// `tracer` — counters per load level plus a labeled `pause_steps`
-/// histogram — which `cargo bench -p ksplice-bench --bench smp` dumps
-/// to `BENCH_smp.json`.
+/// Runs the quiescence-under-load sweep. Emits one `smp.quiescence`
+/// span on `tracer` and one `smp.load_level` event per load level; the
+/// returned [`QuiescenceReport`] carries every measured number.
 pub fn run_quiescence_load(
     cfg: &SmpLoadConfig,
     tracer: &mut Tracer,
@@ -242,7 +241,6 @@ pub fn run_quiescence_load(
         let mut aborts = 0u64;
         let mut drain_attempts = 0u64;
         let mut pause_steps = Vec::new();
-        let label = load.to_string();
         for _ in 0..cfg.probes {
             let mut k = Kernel::boot_image(&image).map_err(|e| format!("boot: {e}"))?;
             k.configure_smp(SmpConfig::with_cpus(cfg.cpus).with_seed(rng.next_u64()));
@@ -263,14 +261,7 @@ pub fn run_quiescence_load(
 
             let mut ks = Ksplice::new();
             match ks.apply_traced(&mut k, &pack, &single, &mut Tracer::disabled()) {
-                Ok(report) => {
-                    pause_steps.push(report.pause_steps);
-                    tracer.observe_labeled(
-                        "bench.smp_pause_steps",
-                        &[("load", &label)],
-                        report.pause_steps,
-                    );
-                }
+                Ok(report) => pause_steps.push(report.pause_steps),
                 Err(ApplyError::NotQuiescent { .. }) => {
                     aborts += 1;
                     // The §5.2 story: the same kernel, the same live
@@ -280,22 +271,10 @@ pub fn run_quiescence_load(
                         .map_err(|e| format!("load {load}: drain apply failed: {e}"))?;
                     drain_attempts += report.attempts as u64;
                     pause_steps.push(report.pause_steps);
-                    tracer.observe_labeled(
-                        "bench.smp_pause_steps",
-                        &[("load", &label)],
-                        report.pause_steps,
-                    );
                 }
                 Err(e) => return Err(format!("load {load}: apply: {e}")),
             }
         }
-        tracer.count_labeled("bench.smp_probes", &[("load", &label)], cfg.probes);
-        tracer.count_labeled("bench.smp_aborts", &[("load", &label)], aborts);
-        tracer.gauge(
-            "bench.smp_abort_permille",
-            &[("load", &label)],
-            (aborts as i64 * 1000) / cfg.probes.max(1) as i64,
-        );
         tracer.emit(
             Stage::Bench,
             Severity::Info,

@@ -20,46 +20,6 @@ const KNOWN_COUNTERS: &[&str] = &[
     "apply.stop_machine_attempts",
     "apply.trampolines_written",
     "apply.updates_committed",
-    "bench.create_cold_ms",
-    "bench.create_warm_ms",
-    "bench.eval_jobs",
-    "bench.eval_parallel_ms",
-    "bench.eval_serial_ms",
-    "bench.fleet_loaded_nodes",
-    "bench.fleet_loaded_sweep_ms",
-    "bench.fleet_loaded_ticks",
-    "bench.fleet_loaded_updates_per_sec",
-    "bench.fleet_nodes",
-    "bench.fleet_sweep_ms",
-    "bench.fleet_ticks",
-    "bench.fleet_updates_committed",
-    "bench.fleet_updates_per_sec",
-    "bench.fuzz_jobs",
-    "bench.fuzz_mutants",
-    "bench.fuzz_mutants_per_sec",
-    "bench.fuzz_parallel_ms",
-    "bench.fuzz_serial_ms",
-    "bench.profile_ms",
-    "bench.rebase_auto_pct_d1",
-    "bench.rebase_auto_pct_d2",
-    "bench.rebase_auto_pct_d3",
-    "bench.rebase_auto_pct_d4",
-    "bench.rebase_auto_ported",
-    "bench.rebase_cells",
-    "bench.rebase_misports",
-    "bench.rebase_reused",
-    "bench.rebase_sweep_ms",
-    "bench.smp_abort_permille",
-    "bench.smp_aborts",
-    "bench.smp_pause_steps",
-    "bench.smp_probes",
-    "bench.smp_sweep_ms",
-    "bench.vm_block_hit_permille",
-    "bench.vm_blocks_decoded",
-    "bench.vm_blocks_evicted",
-    "bench.vm_icache_flushes",
-    "bench.vm_steps_measured",
-    "bench.vm_steps_per_sec",
     "build.cache_evictions",
     "build.cache_hits",
     "build.cache_misses",
@@ -133,8 +93,8 @@ const RETIRED_COUNTERS: &[(&str, &str)] = &[
 
 /// Stage prefixes a counter may start with.
 const STAGE_PREFIXES: &[&str] = &[
-    "create", "differ", "runpre", "apply", "watch", "undo", "build", "eval", "fuzz", "bench",
-    "profile", "vm", "fleet", "rebase",
+    "create", "differ", "runpre", "apply", "watch", "undo", "build", "eval", "fuzz", "profile",
+    "vm", "fleet", "rebase",
 ];
 
 /// `stage.noun_verb` — lowercase segments, an underscore in the tail,
@@ -248,7 +208,7 @@ fn full_lifecycle_emits_only_registered_counters() {
     };
     assert!(preflight(&Ksplice::new(), &kernel, &bad, &mut tracer).is_err());
 
-    // The profiler's counters ride the same registry.
+    // The profiler's counters ride the same tracer.
     run_profile(
         "CVE-2005-1263",
         &ProfileConfig {

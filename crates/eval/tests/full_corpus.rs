@@ -45,6 +45,14 @@ fn all_64_cves_hot_patch_successfully() {
         assert!(o.helper_bytes > 0 && o.primary_bytes > 0, "{}", o.id);
     }
 
+    // §5.1: the helper "can be much larger" than the primary, but is
+    // not always: some Table 1 primaries also carry hook code.
+    let ratios = report.module_size_ratios();
+    assert_eq!(ratios.iter().filter(|(_, r)| *r > 1.0).count(), 55);
+    let extreme = |(id, r): (&str, f64)| format!("{id} {r:.2}");
+    assert_eq!(extreme(ratios[0]), "CVE-2008-0007 0.26");
+    assert_eq!(extreme(ratios[63]), "CVE-2007-3851 7.16");
+
     // Figure 3 shape: most patches are small.
     let fig = report.figure3();
     let small = fig[0].1; // 1–5 lines

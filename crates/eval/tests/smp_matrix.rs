@@ -86,3 +86,23 @@ fn loaded_aborts_are_real_and_drain_to_success() {
     assert!(report.rows[1].pause_steps.iter().all(|&p| p > 0));
     assert!(report.rows[1].drain_attempts > 0);
 }
+
+/// The default sweep reproduces the EXPERIMENTS "Quiescence under load"
+/// table exactly: abort rate monotone in load, the idle level never
+/// aborts, and the pause saturating at `cpus × quantum` steps.
+#[test]
+fn default_sweep_reproduces_the_quiescence_table() {
+    let report = run_quiescence_load(&SmpLoadConfig::default(), &mut Tracer::disabled()).unwrap();
+    assert_eq!(
+        report.render(),
+        concat!(
+            "quiescence under load: CVE-2005-1263 (sys_open) on 4 vCPUs\n",
+            "  LOAD   PROBES  ABORTS  ABORT-RATE      PAUSE min/med/max   DRAIN\n",
+            "  0          20       0          0%              0/0/0       0\n",
+            "  1          20       1          5%             64/64/64       1\n",
+            "  2          20       5         25%            128/128/128       5\n",
+            "  4          20       8         40%            256/256/256      19\n",
+            "  8          20      15         75%            256/256/256      58\n",
+        )
+    );
+}

@@ -301,3 +301,63 @@ fn loaded_smp_rollout_matches_the_pinned_digest() {
         "rollout digest moved ({digest:#018x}):\n{text}"
     );
 }
+
+/// Runs one rollout of the CVE-2006-2451 fix over a lightly faulty
+/// transport and asserts that every node commits.
+fn assert_every_node_commits(cfg: FleetConfig, policy: RolloutPolicy) {
+    let mut fleet = Fleet::new(cfg).expect("fleet boots");
+    let packset = build_packset(
+        "cve-2006-2451",
+        VERSION_NAMES.len(),
+        &[],
+        fleet.context().cache(),
+    )
+    .expect("packset builds");
+    let faults = NetFaults::parse("drop:20,dup:10,delay:1..2").unwrap();
+    let mut transport = SimTransport::with_faults(0xbe9c_4001, faults);
+    let nodes = fleet.len();
+    // The outcome does not depend on the job count, so a fixed one keeps
+    // the test's cost the same on every host.
+    let policy = RolloutPolicy { jobs: 2, ..policy };
+    let orch = RolloutOrchestrator::new(policy, packset, &fleet);
+    let report = orch.run(&mut fleet, &mut transport, &mut Tracer::disabled());
+    assert_eq!(report.outcome, Outcome::Committed, "{}", report.render());
+    let committed: usize = report.waves.iter().map(|w| w.committed).sum();
+    assert_eq!(
+        committed,
+        nodes,
+        "every node must commit\n{}",
+        report.render()
+    );
+}
+
+#[test]
+fn ten_thousand_node_rollout_commits_every_node() {
+    assert_every_node_commits(
+        FleetConfig {
+            nodes: 10_000,
+            ..FleetConfig::default()
+        },
+        RolloutPolicy {
+            canary: 8,
+            growth: 8,
+            max_ticks: 100_000,
+            ..RolloutPolicy::default()
+        },
+    );
+}
+
+#[test]
+fn loaded_two_vcpu_rollout_commits_every_node() {
+    // Waves against kernels with live workload threads contending the
+    // quiescence check on every node.
+    assert_every_node_commits(
+        FleetConfig {
+            nodes: 192,
+            cpus: 2,
+            load_threads: 2,
+            ..FleetConfig::default()
+        },
+        RolloutPolicy::default(),
+    );
+}

@@ -4,7 +4,9 @@
 //! small recursive-descent parser covering exactly what the JSONL sink
 //! emits: objects whose values are strings, integers, booleans, null, or
 //! nested objects/arrays of the same. Floats are parsed to their integer
-//! truncation (the sink never writes them).
+//! truncation (the sink never writes them). Nesting deeper than
+//! [`MAX_DEPTH`] is an error, so a malformed trace file cannot overflow
+//! the stack.
 
 use std::fmt::Write as _;
 
@@ -42,8 +44,7 @@ pub enum JsonValue {
     Str(String),
     /// Objects keep insertion order.
     Object(Vec<(String, JsonValue)>),
-    /// Arrays (the Chrome-trace `traceEvents` list and histogram bucket
-    /// dumps use them).
+    /// Arrays (the Chrome-trace `traceEvents` list uses them).
     Array(Vec<JsonValue>),
 }
 
@@ -83,29 +84,55 @@ impl JsonValue {
     }
 }
 
+/// The deepest object/array nesting the parser accepts. A Chrome trace
+/// nests four levels; anything past this is not a trace file.
+pub(crate) const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON object from a string (whole-input).
 pub fn parse_json_object(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        input,
         at: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.at != p.bytes.len() {
+    if p.at != input.len() {
         return Err(format!("trailing input at byte {}", p.at));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    input: &'a str,
+    /// Byte offset of the next unread character (always a char boundary).
     at: usize,
+    /// Objects and arrays currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
+        self.input.as_bytes().get(self.at).copied()
+    }
+
+    /// Parses a nested object or array, refusing to open one more level
+    /// than [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.at
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn skip_ws(&mut self) {
@@ -131,8 +158,8 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -147,7 +174,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, text: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.at..].starts_with(text.as_bytes()) {
+        if self.input[self.at..].starts_with(text) {
             self.at += text.len();
             Ok(v)
         } else {
@@ -225,14 +252,10 @@ impl Parser<'_> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .input
                                 .get(self.at + 1..self.at + 5)
                                 .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.at += 4;
                         }
@@ -246,12 +269,13 @@ impl Parser<'_> {
                     self.at += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.at..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.at += c.len_utf8();
+                    // Copy the run of plain characters up to the next quote
+                    // or escape in one step: `at` stays on a char boundary,
+                    // and each byte is scanned once.
+                    let rest = &self.input[self.at..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.at += run;
                 }
             }
         }
@@ -266,7 +290,7 @@ impl Parser<'_> {
         {
             self.at += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.at]).map_err(|e| e.to_string())?;
+        let text = &self.input[start..self.at];
         if let Ok(v) = text.parse::<u64>() {
             return Ok(JsonValue::U64(v));
         }
@@ -322,6 +346,28 @@ mod tests {
         assert!(v.get("e").unwrap().as_array().unwrap().is_empty());
         assert!(parse_json_object("[1,2]").is_ok());
         assert!(parse_json_object("[1,").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let arrays = "[".repeat(1_000_000);
+        let err = parse_json_object(&arrays).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        let objects = "{\"a\":".repeat(1_000_000);
+        assert!(parse_json_object(&objects).is_err());
+        // The limit itself still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json_object(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse_json_object(&over).is_err());
+    }
+
+    #[test]
+    fn megabyte_string_round_trips() {
+        let s: String = "naïve \"ksplice\" \\ — ".repeat(50_000);
+        assert!(s.len() > 1_000_000);
+        let v = parse_json_object(&format!("{{\"k\":{}}}", escape(&s))).unwrap();
+        assert_eq!(v.get("k").and_then(JsonValue::as_str), Some(s.as_str()));
     }
 
     #[test]

@@ -14,13 +14,11 @@
 //!   in-memory buffer with a shared read handle), [`JsonlSink`] (one
 //!   JSON object per line), [`HumanSink`] (severity-filtered
 //!   human-readable renderer).
-//! * [`Tracer`] — the bus the pipeline emits into, which also owns the
-//!   labeled metrics [`Registry`] (monotonic counters, gauges, and
-//!   power-of-two [`Histogram`]s) that feeds the `BENCH_*.json` perf
-//!   trajectory, and the causal-[`Span`] stack that turns the update
-//!   lifecycle (preflight → apply attempts → watch → commit/rollback)
-//!   into a tree renderable as a Chrome trace
-//!   ([`chrome_trace_json`]).
+//! * [`Tracer`] — the bus the pipeline emits into. It also keeps named
+//!   monotonic counters, and the stack of open causal spans that turns
+//!   the update lifecycle (preflight → apply attempts → watch →
+//!   commit/rollback) into `span.begin`/`span.end` events, which
+//!   [`render_span_tree`] and [`chrome_trace_json`] rebuild into a tree.
 //!
 //! Pipeline entry points take `&mut Tracer`; their untraced conveniences
 //! delegate with [`Tracer::disabled`], which short-circuits to nothing
@@ -28,22 +26,20 @@
 
 #![deny(missing_docs)]
 
+use std::collections::BTreeMap;
+
 mod event;
 mod json;
-mod metrics;
-mod registry;
 mod sink;
 mod span;
 
 pub use event::{Event, Severity, Stage, Value, EVENT_SCHEMA_VERSION};
 pub use json::{escape as json_escape, parse_json_object, JsonValue};
-pub use metrics::Histogram;
-pub use registry::{series_key, Registry};
 pub use sink::{HumanSink, JsonlSink, RingHandle, RingSink, Sink};
-pub use span::{chrome_trace_json, render_span_tree, Span, SpanId};
+pub use span::{chrome_trace_json, render_span_tree, SpanId};
 
-/// The event bus: sinks plus the pipeline-wide metrics [`Registry`] and
-/// the causal-span stack.
+/// The event bus: sinks plus the pipeline-wide counters and the stack
+/// of open causal spans.
 ///
 /// Single-threaded by design (the simulated kernel is too): emitters
 /// hold `&mut Tracer` for exactly the scope of a pipeline call.
@@ -55,10 +51,19 @@ pub struct Tracer {
     now_steps: u64,
     seq: u64,
     sinks: Vec<Box<dyn Sink>>,
-    registry: Registry,
-    spans: Vec<Span>,
-    span_stack: Vec<u64>,
+    counters: BTreeMap<String, u64>,
+    /// Spans opened and not yet ended, innermost last.
+    open_spans: Vec<OpenSpan>,
     next_span_id: u64,
+}
+
+/// What closing a span needs to emit its `span.end` event.
+struct OpenSpan {
+    id: u64,
+    parent: u64,
+    stage: Stage,
+    name: String,
+    start_steps: u64,
 }
 
 impl Tracer {
@@ -71,7 +76,7 @@ impl Tracer {
     }
 
     /// The no-op tracer the untraced API delegates through. Emitting,
-    /// counting and observing all return immediately.
+    /// counting and opening spans all return immediately.
     pub fn disabled() -> Tracer {
         Tracer::default()
     }
@@ -133,73 +138,36 @@ impl Tracer {
         }
     }
 
-    /// Adds `n` to a named monotonic counter.
+    /// Adds `n` to a named monotonic counter, creating it at zero first.
     pub fn count(&mut self, name: &str, n: u64) {
         if self.enabled {
-            self.registry.inc(name, n);
-        }
-    }
-
-    /// Adds `n` to a labeled counter series.
-    pub fn count_labeled(&mut self, name: &str, labels: &[(&str, &str)], n: u64) {
-        if self.enabled {
-            self.registry.inc_labeled(name, labels, n);
+            *self.counters.entry(name.to_string()).or_insert(0) += n;
         }
     }
 
     /// Reads a counter (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.registry.counter(name)
+        self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Sets a gauge to an absolute value.
-    pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)], value: i64) {
-        if self.enabled {
-            self.registry.set_gauge(name, labels, value);
-        }
-    }
-
-    /// Records one observation into a named histogram (step durations,
-    /// pause microseconds, byte counts — any u64 measure).
-    pub fn observe(&mut self, name: &str, value: u64) {
-        if self.enabled {
-            self.registry.observe(name, value);
-        }
-    }
-
-    /// Records one observation into a labeled histogram series.
-    pub fn observe_labeled(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
-        if self.enabled {
-            self.registry.observe_labeled(name, labels, value);
-        }
-    }
-
-    /// Merges another tracer's metrics registry into this one — how the
-    /// parallel evaluation driver folds per-worker tracers back into the
-    /// caller's after `thread::scope` joins. Events and spans are not
-    /// transferred (workers attach their own sinks if they want them);
-    /// the step clock advances to the furthest worker's reading.
+    /// Adds another tracer's counters into this one — how the parallel
+    /// evaluation driver folds per-worker tracers back into the caller's
+    /// after `thread::scope` joins. Events and spans are not transferred
+    /// (workers attach their own sinks if they want them); the step clock
+    /// advances to the furthest worker's reading.
     pub fn absorb(&mut self, other: &Tracer) {
         if !self.enabled {
             return;
         }
-        self.registry.absorb(&other.registry);
+        for (name, n) in other.counters() {
+            self.count(name, n);
+        }
         self.now_steps = self.now_steps.max(other.now_steps);
     }
 
-    /// Every counter series in key order (series key, value).
+    /// Every counter in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.registry.counters()
-    }
-
-    /// A named histogram, if any observation was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.registry.histogram(name)
-    }
-
-    /// The full metrics registry (labeled series and gauges).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
+        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
     /// Opens a span: subsequent spans nest under it until it ends.
@@ -216,20 +184,14 @@ impl Tracer {
         }
         self.next_span_id += 1;
         let id = self.next_span_id;
-        let parent = self.span_stack.last().copied().unwrap_or(0);
-        self.spans.push(Span {
+        let parent = self.open_spans.last().map_or(0, |s| s.id);
+        self.open_spans.push(OpenSpan {
             id,
             parent,
             stage,
             name: name.to_string(),
             start_steps: self.now_steps,
-            end_steps: None,
-            fields: fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
         });
-        self.span_stack.push(id);
         self.emit(
             stage,
             Severity::Debug,
@@ -246,65 +208,18 @@ impl Tracer {
         if !self.enabled || id.is_none() {
             return;
         }
-        match self.span_stack.iter().rposition(|&s| s == id.0) {
-            Some(pos) => {
-                let popped: Vec<u64> = self.span_stack.drain(pos..).collect();
-                for sid in popped.into_iter().rev() {
-                    self.close_one_span(sid);
-                }
-            }
-            None => self.close_one_span(id.0),
-        }
-    }
-
-    fn close_one_span(&mut self, id: u64) {
-        let now = self.now_steps;
-        let Some(span) = self.spans.iter_mut().find(|s| s.id == id && s.end_steps.is_none())
-        else {
+        let Some(pos) = self.open_spans.iter().rposition(|s| s.id == id.0) else {
             return;
         };
-        span.end_steps = Some(now);
-        let (stage, name, parent, dur) =
-            (span.stage, span.name.clone(), span.parent, span.dur_steps());
-        self.emit(
-            stage,
-            Severity::Debug,
-            "span.end",
-            span::end_fields(&name, id, parent, dur),
-        );
-    }
-
-    /// Every span recorded by this tracer, in open order.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
-    }
-
-    /// Renders every counter, gauge and histogram as one JSON object —
-    /// the payload of the `BENCH_*.json` metric dumps.
-    pub fn metrics_json(&self) -> String {
-        let mut s = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.registry.counters().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("{}:{v}", json::escape(k)));
+        for span in self.open_spans.split_off(pos).into_iter().rev() {
+            let dur = self.now_steps.saturating_sub(span.start_steps);
+            self.emit(
+                span.stage,
+                Severity::Debug,
+                "span.end",
+                span::end_fields(&span.name, span.id, span.parent, dur),
+            );
         }
-        s.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.registry.gauges().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("{}:{v}", json::escape(k)));
-        }
-        s.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.registry.histograms().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("{}:{}", json::escape(k), h.to_json()));
-        }
-        s.push_str("}}");
-        s
     }
 
     /// Flushes every sink (file sinks buffer).
@@ -332,10 +247,8 @@ mod tests {
         let mut t = Tracer::disabled().with_sink(Box::new(ring));
         t.emit(Stage::Apply, Severity::Info, "x", vec![]);
         t.count("c", 3);
-        t.observe("h", 5);
         assert!(handle.events().is_empty());
         assert_eq!(t.counter("c"), 0);
-        assert!(t.histogram("h").is_none());
     }
 
     #[test]
@@ -358,20 +271,19 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_histograms_aggregate() {
+    fn counters_aggregate() {
         let mut t = Tracer::new();
         t.count("runpre.bytes_matched", 100);
         t.count("runpre.bytes_matched", 50);
-        t.observe("apply.pause_us", 700);
-        t.observe("apply.pause_us", 900);
+        t.count("apply.trampolines_written", 0);
         assert_eq!(t.counter("runpre.bytes_matched"), 150);
-        let h = t.histogram("apply.pause_us").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.min(), 700);
-        assert_eq!(h.max(), 900);
-        let json = t.metrics_json();
-        assert!(json.contains("\"runpre.bytes_matched\":150"), "{json}");
-        assert!(json.contains("\"apply.pause_us\""), "{json}");
+        assert_eq!(t.counter("never.touched"), 0);
+        let all: Vec<(&str, u64)> = t.counters().collect();
+        let expected = [
+            ("apply.trampolines_written", 0),
+            ("runpre.bytes_matched", 150),
+        ];
+        assert_eq!(all, expected);
     }
 
     #[test]
@@ -381,73 +293,17 @@ mod tests {
         main.set_now(50);
         let mut w1 = Tracer::new();
         w1.count("build.cache_hits", 4);
-        w1.observe("apply.pause_us", 700);
         w1.set_now(900);
         let mut w2 = Tracer::new();
         w2.count("build.units_compiled", 2);
-        w2.observe("apply.pause_us", 300);
         main.absorb(&w1);
         main.absorb(&w2);
         assert_eq!(main.counter("build.cache_hits"), 5);
         assert_eq!(main.counter("build.units_compiled"), 2);
-        let h = main.histogram("apply.pause_us").unwrap();
-        assert_eq!((h.count(), h.min(), h.max()), (2, 300, 700));
         assert_eq!(main.now(), 900);
         // A disabled tracer absorbs nothing.
         let mut off = Tracer::disabled();
         off.absorb(&w1);
         assert_eq!(off.counter("build.cache_hits"), 0);
-    }
-
-    #[test]
-    fn metrics_json_is_pinned() {
-        // Counters, labeled series, gauges and histograms, one worker
-        // absorbed: the exact bytes the BENCH_*.json dumps carry.
-        let mut t = Tracer::new();
-        t.count("runpre.bytes_matched", 100);
-        t.count("apply.trampolines_written", 2);
-        t.count_labeled(
-            "apply.trampolines_written",
-            &[("cve", "CVE-1"), ("arch", "k64")],
-            3,
-        );
-        t.count("build.cache_hits", 0);
-        t.gauge("watch.packs_active", &[], 3);
-        t.gauge("fleet.nodes", &[("version", "2.6.17")], -2);
-        for v in [0, 700, 900] {
-            t.observe("apply.pause_us", v);
-        }
-        t.observe_labeled("runpre.steps", &[("unit", "kernel/sys.kc")], 1 << 40);
-        let mut w = Tracer::new();
-        w.count("runpre.bytes_matched", 5);
-        w.observe("apply.pause_us", 3);
-        w.gauge("watch.packs_active", &[], 7);
-        t.absorb(&w);
-        assert_eq!(
-            t.metrics_json(),
-            concat!(
-                r#"{"counters":{"apply.trampolines_written":2,"#,
-                r#""apply.trampolines_written{arch=\"k64\",cve=\"CVE-1\"}":3,"#,
-                r#""build.cache_hits":0,"runpre.bytes_matched":105},"#,
-                r#""gauges":{"fleet.nodes{version=\"2.6.17\"}":-2,"watch.packs_active":7},"#,
-                r#""histograms":{"apply.pause_us":{"count":4,"sum":1603,"min":0,"max":900,"#,
-                r#""mean":400.8,"buckets":"[0,1] [2,1] [512,2]"},"#,
-                r#""runpre.steps{unit=\"kernel/sys.kc\"}":{"count":1,"sum":1099511627776,"#,
-                r#""min":1099511627776,"max":1099511627776,"mean":1099511627776.0,"#,
-                r#""buckets":"[1099511627776,1]"}}}"#,
-            )
-        );
-    }
-
-    #[test]
-    fn metrics_json_parses_back() {
-        let mut t = Tracer::new();
-        t.count("a", 1);
-        t.observe("h", 42);
-        let parsed = parse_json_object(&t.metrics_json()).unwrap();
-        let JsonValue::Object(top) = parsed else {
-            panic!("not an object")
-        };
-        assert!(top.iter().any(|(k, _)| k == "counters"));
     }
 }

@@ -28,36 +28,9 @@ impl SpanId {
     }
 }
 
-/// One recorded span.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Span {
-    /// This span's id (1-based, unique per tracer).
-    pub id: u64,
-    /// The enclosing span's id, 0 for roots.
-    pub parent: u64,
-    /// Pipeline stage the span belongs to.
-    pub stage: Stage,
-    /// Span name, e.g. `apply.attempt`.
-    pub name: String,
-    /// Step-clock reading when the span opened.
-    pub start_steps: u64,
-    /// Step-clock reading when the span closed (`None` while open).
-    pub end_steps: Option<u64>,
-    /// Fields captured at `span_start`.
-    pub fields: Vec<(String, Value)>,
-}
-
-impl Span {
-    /// Steps elapsed inside the span (0 while still open).
-    pub fn dur_steps(&self) -> u64 {
-        self.end_steps
-            .map(|e| e.saturating_sub(self.start_steps))
-            .unwrap_or(0)
-    }
-}
-
-/// A span rebuilt from `span.begin`/`span.end` events (the offline view
-/// `report` works from).
+/// A span rebuilt from `span.begin`/`span.end` events — the only span
+/// record there is: the tracer keeps just the open-span stack, and every
+/// view (`report --spans`, `--timeline`) replays the events.
 #[derive(Debug, Clone)]
 struct ReplaySpan {
     id: u64,
@@ -302,11 +275,39 @@ mod tests {
     }
 
     #[test]
+    fn ending_a_parent_closes_open_children_innermost_first() {
+        let ring = RingSink::new(16);
+        let handle = ring.handle();
+        let mut t = Tracer::new().with_sink(Box::new(ring));
+        let outer = t.span_start(Stage::Apply, "outer", vec![]);
+        t.set_now(10);
+        let _mid = t.span_start(Stage::Apply, "mid", vec![]);
+        t.set_now(30);
+        let _inner = t.span_start(Stage::Apply, "inner", vec![]);
+        t.set_now(70);
+        t.span_end(outer);
+        t.span_end(outer); // already closed: no second span.end
+        let ends: Vec<(String, u64)> = handle
+            .events()
+            .iter()
+            .filter(|e| e.name == "span.end")
+            .map(|e| {
+                let name = e.str_field("span").unwrap().to_string();
+                (name, e.u64_field("dur_steps").unwrap())
+            })
+            .collect();
+        let expected = [("inner", 40), ("mid", 60), ("outer", 70)];
+        assert_eq!(ends, expected.map(|(n, d)| (n.to_string(), d)));
+    }
+
+    #[test]
     fn disabled_tracer_hands_out_null_spans() {
-        let mut t = Tracer::disabled();
+        let ring = RingSink::new(4);
+        let handle = ring.handle();
+        let mut t = Tracer::disabled().with_sink(Box::new(ring));
         let id = t.span_start(Stage::Apply, "x", vec![]);
         assert!(id.is_none());
         t.span_end(id); // no-op, no panic
-        assert!(t.spans().is_empty());
+        assert!(handle.events().is_empty());
     }
 }
