@@ -113,8 +113,7 @@ fn main() -> ExitCode {
                  \n  list\
                  \n  report  <trace.jsonl> [--spans] [--timeline <file>]\
                  \n\
-                 \n  retry-policy spec: fixed:ATTEMPTS:DELAY | exp:ATTEMPTS:INITIAL:MAX, with\
-                 \n  optional :jPCT (jitter) and :cSTEPS (abandon cooldown) modifiers\
+                 \n  retry-policy spec: fixed:ATTEMPTS:DELAY (DELAY kernel steps between attempts)\
                  \n  fault sites (dev): stack-busy:N | module-load:N | corrupt-text[:0xADDR] |\
                  \n  step-jitter:N | probe-fail:N | barrier-stall:N\
                  \n  probe spec: canary call + expected result, e.g. sys_getuid()=1000; with\

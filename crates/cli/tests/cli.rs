@@ -342,3 +342,38 @@ fn report_rejects_a_deeply_nested_trace_line() {
     assert!(stderr.starts_with(&expected), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs `ksplice` with `args` and requires exit 1 with a `ksplice:`
+/// error line on stderr (a runtime error, not a panic's 101).
+fn assert_refused(args: &[&str], message: &str) {
+    let out = ksplice().args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(
+        stderr.starts_with("ksplice: ") && stderr.contains(message),
+        "{args:?}: {stderr}"
+    );
+}
+
+#[test]
+fn malformed_retry_policies_are_refused() {
+    for spec in ["fixed:3:100:", "fixed:3:100:é", "exp:3:1:2"] {
+        assert_refused(
+            &["demo", "--retry-policy", spec],
+            "expected fixed:ATTEMPTS:DELAY",
+        );
+    }
+}
+
+#[test]
+fn corrupt_text_outside_the_arena_is_refused() {
+    assert_refused(
+        &["demo", "--fault", "corrupt-text:0xffffffffffffffff"],
+        "corrupt-text at 0xffffffffffffffff",
+    );
+}
+
+#[test]
+fn a_fleet_of_zero_nodes_is_refused() {
+    assert_refused(&["fleet", "--nodes", "0"], "at least one node");
+}

@@ -96,12 +96,12 @@ pub struct AppliedUpdate {
 /// Apply-time policy.
 #[derive(Debug, Clone, Default)]
 pub struct ApplyOptions {
-    /// The retry schedule for the §5.2 safety-check loop (attempts,
-    /// backoff shape, jitter, abandon cooldown). The default reproduces
-    /// the historical fixed 5 × 2 000-step schedule.
+    /// The retry schedule for the §5.2 safety-check loop (attempts and
+    /// the delay between them). The default is 5 attempts 2 000 steps
+    /// apart.
     pub retry: RetryPolicy,
     /// The SMP topology the target kernel should run (vCPU count,
-    /// quantum, scheduling seed). The default — one vCPU — keeps every
+    /// scheduling seed). The default — one vCPU — keeps every
     /// historical artifact byte-identical; at `cpus > 1` the pipeline's
     /// `stop_machine` performs a real barrier rendezvous and the §5.2
     /// stack check races genuinely-running vCPU threads.
@@ -416,7 +416,7 @@ impl Ksplice {
             primaries: Vec::new(),
         };
         self.apply_stages(kernel, pack, opts, &tag, &mut unwind, tracer)
-            .map_err(|abort| unwind.abort(kernel, tracer, &pack.id, opts, abort))
+            .map_err(|abort| unwind.abort(kernel, tracer, &pack.id, abort))
     }
 
     /// The §5 sequence proper. Each stage names itself in `unwind` and
@@ -865,7 +865,6 @@ impl Ksplice {
         let captured = match captured {
             Ok(captured) => captured,
             Err(Abandoned { attempts, error }) => {
-                cooldown(kernel, tracer, Stage::Undo, opts.retry.cooldown_steps);
                 verify_text_restored(kernel, tracer, Stage::Undo, text_before);
                 return Err(match error {
                     StopError::Hook(detail) => UndoError::Hook {
@@ -1040,22 +1039,11 @@ struct Unwind {
 
 impl Unwind {
     /// The one apply abort path: unloads the primaries and then the
-    /// helpers, each in load order, gives blocked threads the retry
-    /// policy's cooldown when the stop_machine stage gave up, checks that
-    /// the text is restored, and emits the `apply.abort` event.
-    fn abort(
-        self,
-        kernel: &mut Kernel,
-        tracer: &mut Tracer,
-        id: &str,
-        opts: &ApplyOptions,
-        abort: Abort,
-    ) -> ApplyError {
+    /// helpers, each in load order, checks that the text is restored,
+    /// and emits the `apply.abort` event.
+    fn abort(self, kernel: &mut Kernel, tracer: &mut Tracer, id: &str, abort: Abort) -> ApplyError {
         for name in self.primaries.iter().chain(&self.helpers) {
             kernel.rmmod(name);
-        }
-        if self.stage == "stop_machine" {
-            cooldown(kernel, tracer, Stage::Apply, opts.retry.cooldown_steps);
         }
         // Hooks may have run the kernel since the last stamp.
         tracer.set_now(kernel.steps);
@@ -1238,9 +1226,8 @@ fn capture<T>(
                 error,
             });
         }
-        // "Ksplice tries again after a short delay" (§5.2): the delay
-        // follows the configured backoff curve.
-        let delay = retry.delay_steps(attempt);
+        // "Ksplice tries again after a short delay" (§5.2).
+        let delay = retry.delay_steps;
         tracer.emit(
             stage,
             Severity::Debug,
@@ -1251,22 +1238,6 @@ fn capture<T>(
         tracer.set_now(kernel.steps);
         tracer.span_end(span);
     }
-}
-
-/// Runs the abandon-path cooldown, if the policy asks for one: gives
-/// blocked threads `steps` instructions to drain after the rollback,
-/// before the failure is reported.
-fn cooldown(kernel: &mut Kernel, tracer: &mut Tracer, stage: Stage, steps: u64) {
-    if steps == 0 {
-        return;
-    }
-    let name = match stage {
-        Stage::Undo => "undo.cooldown",
-        _ => "apply.cooldown",
-    };
-    tracer.emit(stage, Severity::Debug, name, vec![("steps", steps.into())]);
-    kernel.run(steps);
-    tracer.set_now(kernel.steps);
 }
 
 /// Checks the clean-abort invariant after a rollback: mapped kernel text

@@ -72,7 +72,7 @@ pub use manager::{
     preflight, HealthProbe, LifecycleError, PreflightError, ProbeCheck, UpdateManager,
     UpdateState, UpdateStatus, WatchPolicy,
 };
-pub use retry::{Backoff, RetryPolicy};
+pub use retry::RetryPolicy;
 pub use create::{
     apply_patch_to_tree, create_update, create_update_cached, create_update_cached_traced,
     diff_trees, CreateError, CreateOptions,

@@ -38,6 +38,7 @@ use crate::apply::{
     verify_text_restored, ApplyError, ApplyOptions, ApplyReport, Ksplice, UndoError, UndoReport,
 };
 use crate::package::UpdatePack;
+use crate::runpre::pre_functions;
 
 /// Errors from the pre-flight gate. None of these leave any trace in the
 /// kernel: a rejected pack never loads a module.
@@ -218,12 +219,11 @@ fn preflight_inner(
     //    detection within the pack.
     let mut seen: BTreeMap<&str, &str> = BTreeMap::new();
     for up in &pack.units {
+        // The functions run-pre will match: a replaced function outside
+        // them is a certain `MissingMatch` abort mid-apply.
+        let matched = pre_functions(&up.helper).unwrap_or_default();
         for (sec_name, fn_name) in &up.replaced_fns {
-            let defined = up
-                .helper
-                .symbol_by_name(fn_name)
-                .is_some_and(|(_, s)| s.def.is_some());
-            if !defined {
+            if !matched.iter().any(|(name, _)| name == fn_name) {
                 return Err(PreflightError::MissingHelperSymbol {
                     unit: up.unit.clone(),
                     fn_name: fn_name.clone(),

@@ -220,25 +220,33 @@ pub fn match_unit_traced(
     result
 }
 
-fn match_unit_inner(
-    kernel: &Kernel,
-    pre: &Object,
-    overrides: &BTreeMap<String, u64>,
-    tracer: &mut Tracer,
-) -> Result<UnitMatch, MatchError> {
-    // Collect the pre functions: (symbol name, section).
-    let mut functions: Vec<(&str, &Section)> = Vec::new();
+/// The functions run-pre matches in a pre object, as `(name, section)`:
+/// its defined function symbols that live in function text. A name the
+/// object also imports (an undefined symbol, as taking a static
+/// function's address in a data initializer emits) does not count;
+/// preflight asks this same question of a pack's helper.
+pub(crate) fn pre_functions(pre: &Object) -> Result<Vec<(&str, &Section)>, MatchError> {
+    let mut functions = Vec::new();
     for sym in pre.defined_functions() {
         let def = sym.def.expect("defined");
         let sec = pre
             .sections
             .get(def.section)
             .ok_or_else(|| MatchError::BadPreObject(format!("symbol {} section", sym.name)))?;
-        if !sec.is_function_text() {
-            continue;
+        if sec.is_function_text() {
+            functions.push((sym.name.as_str(), sec));
         }
-        functions.push((sym.name.as_str(), sec));
     }
+    Ok(functions)
+}
+
+fn match_unit_inner(
+    kernel: &Kernel,
+    pre: &Object,
+    overrides: &BTreeMap<String, u64>,
+    tracer: &mut Tracer,
+) -> Result<UnitMatch, MatchError> {
+    let functions = pre_functions(pre)?;
 
     // Phase 1: all successful candidate matches per function.
     struct Candidate {

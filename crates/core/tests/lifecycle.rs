@@ -299,6 +299,66 @@ fn preflight_rejects_conflicting_and_malformed_packs() {
     ));
 }
 
+/// A data initializer that takes a static function's address makes the
+/// helper hold two symbols of that name: an undefined one (the
+/// initializer's import) before the defined local. Run-pre matches the
+/// defined one, so preflight must take the pack apply takes.
+#[test]
+fn preflight_accepts_a_static_function_referenced_from_data() {
+    const DBG: &str = "static int dbg_grant() {\n    return 0;\n}\n\
+int dbg_entry = &dbg_grant;\n\
+int dbg_call() {\n    int f;\n    f = dbg_entry;\n    return f();\n}\n";
+    let src = tree(&[("kernel/compat.kc", DBG)]);
+    let mut kernel = Kernel::boot(&src, &Options::distro()).unwrap();
+    let patch = diff_for(
+        &src,
+        "kernel/compat.kc",
+        &DBG.replace("return 0;", "return 24;"),
+    );
+    let (pack, _) = create_update("dbg", &src, &patch, &CreateOptions::default()).unwrap();
+    let defined = |pack: &ksplice_core::UpdatePack| -> Vec<bool> {
+        pack.units[0]
+            .helper
+            .symbols
+            .iter()
+            .filter(|s| s.name == "dbg_grant")
+            .map(|s| s.def.is_some())
+            .collect()
+    };
+    assert_eq!(defined(&pack), vec![false, true]);
+
+    let mut ks = Ksplice::new();
+    assert_eq!(
+        ksplice_core::preflight(&ks, &kernel, &pack, &mut Tracer::disabled()),
+        Ok(())
+    );
+    ks.apply(&mut kernel, &pack, &ApplyOptions::default())
+        .unwrap();
+    assert_eq!(kernel.call_function("dbg_call", &[]).unwrap(), 24);
+
+    // A helper whose only `dbg_grant` is undefined is still refused.
+    let mut undefined = pack.clone();
+    undefined.id = "dbg-undefined".to_string();
+    for sym in &mut undefined.units[0].helper.symbols {
+        if sym.name == "dbg_grant" {
+            sym.def = None;
+        }
+    }
+    assert_eq!(defined(&undefined), vec![false, false]);
+    assert_eq!(
+        ksplice_core::preflight(
+            &Ksplice::new(),
+            &kernel,
+            &undefined,
+            &mut Tracer::disabled()
+        ),
+        Err(PreflightError::MissingHelperSymbol {
+            unit: "kernel/compat.kc".to_string(),
+            fn_name: "dbg_grant".to_string(),
+        })
+    );
+}
+
 /// §5.4 chain v0 → v1 → v2 on one function; reversing the *older* update
 /// while the newer is live must re-point instead of refusing, and a full
 /// unwind must restore the original text image.

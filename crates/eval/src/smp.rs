@@ -180,11 +180,6 @@ impl QuiescenceReport {
         }
         out
     }
-
-    /// Total aborts across all load levels.
-    pub fn total_aborts(&self) -> u64 {
-        self.rows.iter().map(|r| r.aborts).sum()
-    }
 }
 
 /// Runs the quiescence-under-load sweep. Emits one `smp.quiescence`

@@ -10,10 +10,11 @@
 //! byte-identical to its pre-apply state. Never a half-applied update.
 //!
 //! All randomness is a pure function of the schedule seed, so a failing
-//! schedule replays exactly. The smoke test (`chaos_smoke_fixed_seed`,
-//! run by CI) covers 3 CVEs with a fixed seed; the full sweep runs 48
-//! schedules. With `--nocapture`, the sweep prints the fault-site ×
-//! outcome table EXPERIMENTS.md records.
+//! schedule replays exactly. Every test runs at each vCPU count in
+//! [`CPUS`]: the contract must hold at every N. The smoke test
+//! (`chaos_smoke_fixed_seed`) covers 3 CVEs with a fixed seed; the full
+//! sweep runs 48 schedules per N. With `--nocapture`, the sweep prints
+//! the fault-site × outcome table EXPERIMENTS.md records.
 
 use ksplice_core::trace::{RingSink, Tracer};
 use ksplice_core::{
@@ -89,14 +90,17 @@ fn fixture() -> Fixture {
     Fixture { image, packs }
 }
 
-/// The SMP topology the suite runs under: `KSPLICE_SMP_CPUS` (CI's
-/// smoke matrix sets 1, 2, 4), defaulting to the uniprocessor. The §5
-/// clean-success / clean-abort contract must hold at every N.
-fn smp_from_env() -> SmpConfig {
-    match std::env::var("KSPLICE_SMP_CPUS") {
-        Ok(v) => SmpConfig::with_cpus(v.parse().unwrap_or(1)),
-        Err(_) => SmpConfig::default(),
+/// The vCPU counts every test runs at.
+const CPUS: [u32; 3] = [1, 2, 4];
+
+/// A freshly booted kernel on `cpus` vCPUs. At N = 1 the topology is
+/// left as booted.
+fn boot(image: &ObjectSet, cpus: u32) -> Kernel {
+    let mut kernel = Kernel::boot_image(image).unwrap();
+    if cpus > 1 {
+        kernel.configure_smp(SmpConfig::with_cpus(cpus));
     }
+    kernel
 }
 
 /// One armed schedule, described for the summary table.
@@ -110,13 +114,7 @@ struct Schedule {
 /// (windows ≥ attempts) happen across the sweep.
 fn draw_schedule(rng: &mut Rng) -> Schedule {
     let attempts = 2 + rng.below(4) as u32;
-    let delay = 100 + rng.below(1_500);
-    let policy = match rng.below(3) {
-        0 => RetryPolicy::fixed(attempts, delay),
-        1 => RetryPolicy::exponential(attempts, delay, delay * 4),
-        _ => RetryPolicy::exponential(attempts, delay, delay * 8).with_jitter(15, rng.next()),
-    }
-    .with_cooldown(rng.below(2) * 1_000);
+    let policy = RetryPolicy::fixed(attempts, 100 + rng.below(1_500));
     let mut faults = Vec::new();
     for _ in 0..1 + rng.below(2) {
         faults.push(match rng.below(4) {
@@ -139,16 +137,13 @@ fn draw_schedule(rng: &mut Rng) -> Schedule {
 /// clean-abort invariant. Returns `(outcome, attempts)` for the table.
 fn run_schedule(
     image: &ObjectSet,
+    cpus: u32,
     id: &str,
     pack: &UpdatePack,
     seed: u64,
     schedule: &Schedule,
 ) -> (&'static str, u32) {
-    let mut kernel = Kernel::boot_image(image).unwrap();
-    let smp = smp_from_env();
-    if smp.cpus > 1 {
-        kernel.configure_smp(smp.clone());
-    }
+    let mut kernel = boot(image, cpus);
     kernel.faults.reseed(seed);
     for fault in &schedule.faults {
         // Arming can itself fail only for corrupt-text on an empty
@@ -166,7 +161,7 @@ fn run_schedule(
     let mut ks = Ksplice::new();
     let opts = ApplyOptions {
         retry: schedule.policy.clone(),
-        smp,
+        smp: SmpConfig::with_cpus(cpus),
     };
     match ks.apply_traced(&mut kernel, pack, &opts, &mut tracer) {
         Ok(report) => {
@@ -199,7 +194,7 @@ fn run_schedule(
                     .all(|e| e.field("restored").and_then(|v| v.as_bool()) == Some(true)),
                 "seed {seed} {id}: rollback verification failed"
             );
-            // Abandonments must carry the per-attempt backoff trail.
+            // Abandonments must carry the per-attempt delay trail.
             let attempts = events.named("apply.stop_machine").len() as u32;
             if matches!(err, ksplice_core::ApplyError::NotQuiescent { .. }) {
                 let delays = events.named("apply.retry_delay");
@@ -211,7 +206,7 @@ fn run_schedule(
                 for (i, e) in delays.iter().enumerate() {
                     assert_eq!(
                         e.u64_field("steps"),
-                        Some(schedule.policy.delay_steps(i as u32 + 1)),
+                        Some(schedule.policy.delay_steps),
                         "seed {seed} {id}: delay {i} off schedule"
                     );
                 }
@@ -244,42 +239,45 @@ fn fault_sites(schedule: &Schedule) -> String {
 #[test]
 fn chaos_sweep_every_outcome_is_clean() {
     let fx = fixture();
-    let mut rows: Vec<(String, &'static str, u32)> = Vec::new();
-    for seed in 1..=16u64 {
-        let mut rng = Rng::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let schedule = draw_schedule(&mut rng);
-        for (id, pack) in &fx.packs {
-            let (outcome, attempts) = run_schedule(&fx.image, id, pack, seed, &schedule);
-            rows.push((fault_sites(&schedule), outcome, attempts));
+    let mut rows: Vec<(u32, String, &'static str, u32)> = Vec::new();
+    for cpus in CPUS {
+        for seed in 1..=16u64 {
+            let mut rng = Rng::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let schedule = draw_schedule(&mut rng);
+            for (id, pack) in &fx.packs {
+                let (outcome, attempts) = run_schedule(&fx.image, cpus, id, pack, seed, &schedule);
+                rows.push((cpus, fault_sites(&schedule), outcome, attempts));
+            }
         }
+        // The sweep must actually exercise both halves of the contract.
+        let at_n = || rows.iter().filter(|r| r.0 == cpus);
+        assert!(
+            at_n().any(|r| r.2 == "success"),
+            "sweep produced no successes at {cpus} vCPUs"
+        );
+        assert!(
+            at_n().any(|r| r.2.starts_with("abort")),
+            "sweep produced no aborts at {cpus} vCPUs"
+        );
     }
-    // The sweep must actually exercise both halves of the contract.
-    assert!(
-        rows.iter().any(|(_, o, _)| *o == "success"),
-        "sweep produced no successes"
-    );
-    assert!(
-        rows.iter().any(|(_, o, _)| o.starts_with("abort")),
-        "sweep produced no aborts"
-    );
-    // Fault site × outcome × attempts summary (EXPERIMENTS.md's table;
-    // visible with --nocapture).
-    let mut counts: std::collections::BTreeMap<(String, &'static str), (usize, u32)> =
+    // Fault site × outcome summary, runs per vCPU count and max attempts
+    // (EXPERIMENTS.md's table; visible with --nocapture).
+    let mut counts: std::collections::BTreeMap<(String, &'static str), ([usize; 3], u32)> =
         std::collections::BTreeMap::new();
-    for (sites, outcome, attempts) in &rows {
-        let e = counts.entry((sites.clone(), outcome)).or_insert((0, 0));
-        e.0 += 1;
+    for (cpus, sites, outcome, attempts) in &rows {
+        let e = counts.entry((sites.clone(), outcome)).or_default();
+        e.0[CPUS.iter().position(|n| n == cpus).unwrap()] += 1;
         e.1 = (e.1).max(*attempts);
     }
-    println!("| fault schedule | outcome | runs | max attempts |");
+    println!("| fault schedule | outcome | runs at 1 / 2 / 4 vCPUs | max attempts |");
     println!("|---|---|---|---|");
-    for ((sites, outcome), (n, attempts)) in &counts {
-        println!("| `{sites}` | {outcome} | {n} | {attempts} |");
+    for ((sites, outcome), ([one, two, four], attempts)) in &counts {
+        println!("| `{sites}` | {outcome} | {one} / {two} / {four} | {attempts} |");
     }
 }
 
-/// The CI smoke: one fixed seed per CVE in the subset, exercising the
-/// quiescence-abandon, module-load and corruption paths deterministically.
+/// The smoke: one fixed seed per CVE in the subset, exercising the
+/// quiescence-abandon, module-load and recovery paths deterministically.
 #[test]
 fn chaos_smoke_fixed_seed() {
     let fx = fixture();
@@ -297,15 +295,14 @@ fn chaos_smoke_fixed_seed() {
                 Fault::StackBusy { windows: 2 },
                 Fault::StepJitter { max_steps: 100 },
             ],
-            policy: RetryPolicy::exponential(5, 100, 800).with_jitter(10, 7),
+            policy: RetryPolicy::fixed(5, 100),
         },
     ];
-    for (i, ((id, pack), schedule)) in fx.packs.iter().zip(&schedules).enumerate() {
-        let (outcome, _) = run_schedule(&fx.image, id, pack, 42 + i as u64, schedule);
-        match i {
-            0 => assert_eq!(outcome, "abort:not-quiescent"),
-            1 => assert_eq!(outcome, "abort:link"),
-            _ => assert_eq!(outcome, "success"),
+    for cpus in CPUS {
+        for (i, ((id, pack), schedule)) in fx.packs.iter().zip(&schedules).enumerate() {
+            let (outcome, _) = run_schedule(&fx.image, cpus, id, pack, 42 + i as u64, schedule);
+            let expected = ["abort:not-quiescent", "abort:link", "success"][i];
+            assert_eq!(outcome, expected, "{id} at {cpus} vCPUs");
         }
     }
 }
@@ -329,45 +326,59 @@ fn chaos_probe_fault_rolls_back_checksum_clean() {
         check: Box::new(|_k: &mut Kernel| Ok(())),
     };
 
-    let mut kernel = Kernel::boot_image(&fx.image).unwrap();
-    let smp = smp_from_env();
-    if smp.cpus > 1 {
-        kernel.configure_smp(smp);
-    }
-    kernel.faults.reseed(99);
-    kernel.arm_fault(Fault::ProbeFail { count: 1 }).unwrap();
-    let text_before = kernel.mem.text_checksum();
+    for cpus in CPUS {
+        let mut kernel = boot(&fx.image, cpus);
+        kernel.faults.reseed(99);
+        kernel.arm_fault(Fault::ProbeFail { count: 1 }).unwrap();
+        let text_before = kernel.mem.text_checksum();
 
-    let ring = RingSink::new(512);
-    let events = ring.handle();
-    let mut tracer = Tracer::new().with_sink(Box::new(ring));
-    let mut mgr = UpdateManager::with_watch(watch.clone());
-    let mut probes = vec![healthy()];
-    let err = mgr
-        .apply_watched(&mut kernel, pack, &mut probes, &ApplyOptions::default(), &mut tracer)
-        .expect_err("injected probe fault must fail quarantine");
-    assert!(matches!(err, LifecycleError::Quarantine { .. }), "{err}");
-    assert_eq!(mgr.state(id), Some(UpdateState::RolledBack));
-    assert_eq!(
-        kernel.mem.text_checksum(),
-        text_before,
-        "auto-rollback left text modified"
-    );
-    assert!(!events.named("watch.auto_rollback").is_empty());
-    assert!(kernel
-        .faults
-        .fired()
-        .iter()
-        .any(|f| f.site == "probe-fail" && f.detail == "always-healthy"));
+        let ring = RingSink::new(512);
+        let events = ring.handle();
+        let mut tracer = Tracer::new().with_sink(Box::new(ring));
+        let mut mgr = UpdateManager::with_watch(watch.clone());
+        let mut probes = vec![healthy()];
+        let err = mgr
+            .apply_watched(
+                &mut kernel,
+                pack,
+                &mut probes,
+                &ApplyOptions::default(),
+                &mut tracer,
+            )
+            .expect_err("injected probe fault must fail quarantine");
+        assert!(matches!(err, LifecycleError::Quarantine { .. }), "{err}");
+        assert_eq!(mgr.state(id), Some(UpdateState::RolledBack));
+        assert_eq!(
+            kernel.mem.text_checksum(),
+            text_before,
+            "auto-rollback left text modified at {cpus} vCPUs"
+        );
+        assert!(!events.named("watch.auto_rollback").is_empty());
+        assert!(kernel
+            .faults
+            .fired()
+            .iter()
+            .any(|f| f.site == "probe-fail" && f.detail == "always-healthy"));
 
-    // The fault burned itself out; the same pack now applies, survives
-    // its full watch window and commits on the very same kernel.
-    let mut probes = vec![healthy()];
-    mgr.apply_watched(&mut kernel, pack, &mut probes, &ApplyOptions::default(), &mut tracer)
+        // The fault burned itself out; the same pack now applies,
+        // survives its full watch window and commits on the very same
+        // kernel.
+        let mut probes = vec![healthy()];
+        mgr.apply_watched(
+            &mut kernel,
+            pack,
+            &mut probes,
+            &ApplyOptions::default(),
+            &mut tracer,
+        )
         .expect("clean re-apply after rollback");
-    assert_eq!(mgr.state(id), Some(UpdateState::Committed));
-    kernel.run(5_000);
-    assert!(kernel.oopses.is_empty(), "oops after rollback + re-apply");
+        assert_eq!(mgr.state(id), Some(UpdateState::Committed));
+        kernel.run(5_000);
+        assert!(
+            kernel.oopses.is_empty(),
+            "oops after rollback + re-apply at {cpus} vCPUs"
+        );
+    }
 }
 
 /// Undo under chaos: a cleanly applied update, reversed while faults
@@ -376,34 +387,38 @@ fn chaos_probe_fault_rolls_back_checksum_clean() {
 fn chaos_undo_is_clean_too() {
     let fx = fixture();
     let (id, pack) = &fx.packs[0];
-    for seed in 60..=71u64 {
-        let mut rng = Rng::new(seed);
-        let mut kernel = Kernel::boot_image(&fx.image).unwrap();
-        let mut ks = Ksplice::new();
-        ks.apply(&mut kernel, pack, &ApplyOptions::default()).unwrap();
+    for cpus in CPUS {
+        for seed in 60..=71u64 {
+            let mut rng = Rng::new(seed);
+            let mut kernel = boot(&fx.image, cpus);
+            let mut ks = Ksplice::new();
+            ks.apply(&mut kernel, pack, &ApplyOptions::default())
+                .unwrap();
 
-        kernel.faults.reseed(seed);
-        let windows = 1 + rng.below(6) as u32;
-        kernel.arm_fault(Fault::StackBusy { windows }).unwrap();
-        let policy = RetryPolicy::fixed(2 + rng.below(3) as u32, 150);
-        let text_before = kernel.mem.text_checksum();
+            kernel.faults.reseed(seed);
+            let windows = 1 + rng.below(6) as u32;
+            kernel.arm_fault(Fault::StackBusy { windows }).unwrap();
+            let policy = RetryPolicy::fixed(2 + rng.below(3) as u32, 150);
+            let text_before = kernel.mem.text_checksum();
 
-        match ks.undo_any(&mut kernel, id, &ApplyOptions::with_retry(policy)) {
-            Ok(()) => assert_eq!(ks.live_updates().count(), 0, "seed {seed}"),
-            Err(e) => {
-                assert!(
-                    matches!(e, ksplice_core::UndoError::NotQuiescent { .. }),
-                    "seed {seed}: {e}"
-                );
-                assert_eq!(
-                    kernel.mem.text_checksum(),
-                    text_before,
-                    "seed {seed}: undo abandon modified text"
-                );
-                assert_eq!(ks.live_updates().count(), 1, "seed {seed}");
+            let at = format!("seed {seed} at {cpus} vCPUs");
+            match ks.undo_any(&mut kernel, id, &ApplyOptions::with_retry(policy)) {
+                Ok(()) => assert_eq!(ks.live_updates().count(), 0, "{at}"),
+                Err(e) => {
+                    assert!(
+                        matches!(e, ksplice_core::UndoError::NotQuiescent { .. }),
+                        "{at}: {e}"
+                    );
+                    assert_eq!(
+                        kernel.mem.text_checksum(),
+                        text_before,
+                        "{at}: undo abandon modified text"
+                    );
+                    assert_eq!(ks.live_updates().count(), 1, "{at}");
+                }
             }
+            kernel.run(5_000);
+            assert!(kernel.oopses.is_empty(), "{at}");
         }
-        kernel.run(5_000);
-        assert!(kernel.oopses.is_empty(), "seed {seed}");
     }
 }

@@ -1,8 +1,8 @@
 //! The SMP smoke matrix: the update pipeline's contract at N = 1, 2, 4.
 //!
-//! CI runs the chaos suite once per vCPU count via `KSPLICE_SMP_CPUS`;
-//! this test pins the same matrix in-process — one fixed-seed corpus
-//! apply/undo cycle per topology — plus the headline SMP claim: at
+//! The chaos suite runs each of its tests at every vCPU count; this
+//! test pins one fixed-seed corpus apply/undo cycle per topology, plus
+//! the headline SMP claim: at
 //! N ≥ 2 a seeded background load produces a *real* nonzero
 //! `NotQuiescent` abort rate (threads genuinely caught inside
 //! `sys_open` by the §5.2 stack check), and the retry policy drains

@@ -600,8 +600,12 @@ impl Fleet {
     /// Builds the fleet: per-version kernels booted and snapshotted
     /// once, then `cfg.nodes`
     /// compact nodes with versions assigned round-robin and per-node
-    /// seeds derived from the master seed.
+    /// seeds derived from the master seed. A fleet of zero nodes is an
+    /// error: a rollout has no canary to start from.
     pub fn new(cfg: FleetConfig) -> Result<Fleet, String> {
+        if cfg.nodes == 0 {
+            return Err("a fleet needs at least one node".to_string());
+        }
         let cfg = FleetConfig {
             versions: cfg.versions.clamp(1, VERSION_NAMES.len()),
             ..cfg

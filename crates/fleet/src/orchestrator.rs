@@ -49,9 +49,6 @@ pub struct RolloutPolicy {
     /// `(quarantined + failed) / members` exceeds this triggers fleet
     /// rollback instead of expansion.
     pub halt_per_mille: u32,
-    /// Stratify cohorts round-robin across base versions so the canary
-    /// wave samples every version. Off = plain shuffled cohorts.
-    pub stratify: bool,
     /// Give up (outcome `Exhausted`) after this many ticks.
     pub max_ticks: u64,
     /// Worker threads sharding node message handling.
@@ -64,7 +61,6 @@ impl Default for RolloutPolicy {
             canary: 4,
             growth: 4,
             halt_per_mille: 200,
-            stratify: true,
             max_ticks: 10_000,
             jobs: 4,
         }
@@ -262,7 +258,7 @@ pub struct RolloutOrchestrator {
 }
 
 impl RolloutOrchestrator {
-    /// Plans the waves for `fleet` (seeded shuffle + optional version
+    /// Plans the waves for `fleet` (seeded shuffle + version
     /// stratification) without sending anything yet.
     pub fn new(policy: RolloutPolicy, packset: PackSet, fleet: &Fleet) -> RolloutOrchestrator {
         let node_versions = fleet.versions();
@@ -736,8 +732,8 @@ impl RolloutOrchestrator {
     }
 }
 
-/// Seeded Fisher-Yates shuffle of `0..n`, optional version
-/// stratification, then geometric cohort slicing.
+/// Seeded Fisher-Yates shuffle of `0..n`, version stratification, then
+/// geometric cohort slicing.
 fn plan_waves(policy: &RolloutPolicy, versions: &[usize], seed: u64) -> Vec<Vec<NodeId>> {
     let n = versions.len();
     let mut order: Vec<NodeId> = (0..n as NodeId).collect();
@@ -746,33 +742,30 @@ fn plan_waves(policy: &RolloutPolicy, versions: &[usize], seed: u64) -> Vec<Vec<
         let j = rng.below(i as u64 + 1) as usize;
         order.swap(i, j);
     }
-    if policy.stratify && n > 0 {
-        // Regroup round-robin across versions, preserving shuffled order
-        // within each version, so every cohort prefix samples all
-        // versions (the canary especially).
-        let nv = versions.iter().copied().max().unwrap_or(0) + 1;
-        let mut by_version: Vec<Vec<NodeId>> = vec![Vec::new(); nv];
-        for &id in &order {
-            by_version[versions[id as usize]].push(id);
-        }
-        let mut interleaved = Vec::with_capacity(n);
-        let mut cursors = vec![0usize; nv];
-        while interleaved.len() < n {
-            for (v, cursor) in cursors.iter_mut().enumerate() {
-                if *cursor < by_version[v].len() {
-                    interleaved.push(by_version[v][*cursor]);
-                    *cursor += 1;
-                }
+    // Regroup round-robin across versions, preserving shuffled order
+    // within each version, so every cohort prefix samples all versions
+    // (the canary especially).
+    let nv = versions.iter().copied().max().unwrap_or(0) + 1;
+    let mut by_version: Vec<Vec<NodeId>> = vec![Vec::new(); nv];
+    for &id in &order {
+        by_version[versions[id as usize]].push(id);
+    }
+    let mut interleaved = Vec::with_capacity(n);
+    let mut cursors = vec![0usize; nv];
+    while interleaved.len() < n {
+        for (v, cursor) in cursors.iter_mut().enumerate() {
+            if *cursor < by_version[v].len() {
+                interleaved.push(by_version[v][*cursor]);
+                *cursor += 1;
             }
         }
-        order = interleaved;
     }
     let mut waves = Vec::new();
     let mut start = 0usize;
     let mut size = policy.canary.max(1) as usize;
     while start < n {
         let end = (start + size).min(n);
-        waves.push(order[start..end].to_vec());
+        waves.push(interleaved[start..end].to_vec());
         start = end;
         size = size.saturating_mul(policy.growth.max(2) as usize);
     }
@@ -783,10 +776,9 @@ fn plan_waves(policy: &RolloutPolicy, versions: &[usize], seed: u64) -> Vec<Vec<
 mod tests {
     use super::*;
 
-    fn policy(canary: u32, stratify: bool) -> RolloutPolicy {
+    fn policy(canary: u32) -> RolloutPolicy {
         RolloutPolicy {
             canary,
-            stratify,
             ..RolloutPolicy::default()
         }
     }
@@ -794,7 +786,7 @@ mod tests {
     #[test]
     fn waves_grow_geometrically_and_cover_everyone() {
         let versions: Vec<usize> = (0..100).map(|i| i % 3).collect();
-        let waves = plan_waves(&policy(4, false), &versions, 7);
+        let waves = plan_waves(&policy(4), &versions, 7);
         let sizes: Vec<usize> = waves.iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![4, 16, 64, 16]);
         let mut all: Vec<NodeId> = waves.into_iter().flatten().collect();
@@ -805,7 +797,7 @@ mod tests {
     #[test]
     fn stratified_canary_samples_every_version() {
         let versions: Vec<usize> = (0..90).map(|i| i % 3).collect();
-        let waves = plan_waves(&policy(6, true), &versions, 99);
+        let waves = plan_waves(&policy(6), &versions, 99);
         let canary_versions: Vec<usize> =
             waves[0].iter().map(|&id| versions[id as usize]).collect();
         for v in 0..3 {
@@ -820,12 +812,12 @@ mod tests {
     fn plan_is_seeded() {
         let versions: Vec<usize> = (0..64).map(|i| i % 3).collect();
         assert_eq!(
-            plan_waves(&policy(4, true), &versions, 1),
-            plan_waves(&policy(4, true), &versions, 1)
+            plan_waves(&policy(4), &versions, 1),
+            plan_waves(&policy(4), &versions, 1)
         );
         assert_ne!(
-            plan_waves(&policy(4, true), &versions, 1),
-            plan_waves(&policy(4, true), &versions, 2)
+            plan_waves(&policy(4), &versions, 1),
+            plan_waves(&policy(4), &versions, 2)
         );
     }
 }

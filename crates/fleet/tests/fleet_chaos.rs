@@ -7,10 +7,10 @@
 //! 1. **Canary containment** — the poison trips the quarantine canary on
 //!    every version, so wave 0 absorbs the whole blast radius even while
 //!    half the canary cohort is partitioned away mid-rollout.
-//! 2. **Mass rollback** — with stratification off and the poison only in
-//!    the 2.6.17 build, a canary cohort that happens to sample no 2.6.17
-//!    node gates clean, the next wave trips the threshold, and every
-//!    node that committed in the meantime is rolled back checksum-clean.
+//! 2. **Mass rollback** — with the poison only in the 2.6.17 build, a
+//!    canary cohort too small to sample every version gates clean, the
+//!    next wave trips the threshold, and every node that committed in
+//!    the meantime is rolled back checksum-clean.
 
 use ksplice_fleet::{
     build_packset, Fleet, FleetConfig, NetFaults, Outcome, Partition, RolloutOrchestrator,
@@ -108,45 +108,34 @@ fn poisoned_pack_is_confined_to_the_canary_cohort() {
 
 #[test]
 fn missed_canary_triggers_checksum_verified_mass_rollback() {
-    // Version-specific poison (2.6.17 only) with stratification off.
-    // Find a seed whose shuffled canary samples no 2.6.17 node but whose
-    // second wave does — the rollout then commits real nodes before the
-    // threshold trips, and the halt must reverse them all.
+    // Version-specific poison (2.6.17, version 2 of 3). Cohorts are
+    // stratified round-robin across versions, so a canary of 2 samples
+    // versions 0 and 1 only: the poison is first met in wave 1, after
+    // the canary committed real nodes, and the halt must reverse them
+    // all.
     let policy = RolloutPolicy {
-        canary: 4,
-        stratify: false,
+        canary: 2,
         ..RolloutPolicy::default()
     };
-    let mut chosen = None;
-    for seed in 0..64u64 {
-        let fleet = loaded_fleet(24, seed);
-        let packset = build_packset("bad-on-2617", 3, &[2], fleet.context().cache()).unwrap();
-        let orch = RolloutOrchestrator::new(policy.clone(), packset, &fleet);
-        let waves = orch.planned_waves();
-        let has_v2 = |ids: &[u32]| ids.iter().any(|&id| fleet.node(id).version == 2);
-        if !has_v2(&waves[0]) && waves.len() > 1 && has_v2(&waves[1]) {
-            chosen = Some(seed);
-            break;
-        }
-    }
-    let seed = chosen.expect("some seed slips a canary past version 2");
-
-    let mut fleet = loaded_fleet(24, seed);
+    let mut fleet = loaded_fleet(24, 0xf1ee_7001);
     let packset = build_packset("bad-on-2617", 3, &[2], fleet.context().cache()).unwrap();
     let mut transport = SimTransport::new(17);
     let mut tracer = Tracer::new();
     let orch = RolloutOrchestrator::new(policy, packset, &fleet);
+    let waves = orch.planned_waves();
+    let has_v2 = |ids: &[u32]| ids.iter().any(|&id| fleet.node(id).version == 2);
+    assert!(!has_v2(&waves[0]) && has_v2(&waves[1]), "{waves:?}");
     let report = orch.run(&mut fleet, &mut transport, &mut tracer);
 
     assert_eq!(report.outcome, Outcome::Contained, "{}", report.render());
     assert_eq!(report.halted_wave, Some(1), "{}", report.render());
     assert_eq!(
-        report.waves[0].committed, 4,
+        report.waves[0].committed, 2,
         "the canary wave commits clean\n{}",
         report.render()
     );
     assert!(
-        report.rolled_back >= 4,
+        report.rolled_back >= 2,
         "halt must reverse the already-committed nodes\n{}",
         report.render()
     );

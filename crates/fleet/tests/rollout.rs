@@ -20,6 +20,17 @@ fn small_fleet(nodes: u32, resident: bool) -> Fleet {
 }
 
 #[test]
+fn a_fleet_of_zero_nodes_is_refused() {
+    let err = Fleet::new(FleetConfig {
+        nodes: 0,
+        ..FleetConfig::default()
+    })
+    .err()
+    .expect("zero nodes must be refused");
+    assert!(err.contains("at least one node"), "{err}");
+}
+
+#[test]
 fn clean_rollout_commits_the_whole_fleet() {
     let mut fleet = small_fleet(24, true);
     let packset = build_packset(

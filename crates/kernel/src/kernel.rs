@@ -136,7 +136,7 @@ pub struct Kernel {
     pub last_stop_machine_steps: u64,
     /// Count of `stop_machine` invocations.
     pub stop_machine_count: u64,
-    /// The SMP topology: vCPU count, quantum, scheduling seed. The
+    /// The SMP topology: vCPU count and scheduling seed. The
     /// default (1 vCPU) is bit-exact with the historical sequential
     /// scheduler; see [`Kernel::configure_smp`].
     pub smp: SmpConfig,
@@ -170,24 +170,14 @@ impl Kernel {
         Kernel::boot_image(&set)
     }
 
-    /// Boots a prebuilt kernel image with an explicit SMP topology.
-    /// `boot_image_smp(set, &SmpConfig::default())` is identical to
-    /// [`Kernel::boot_image`].
-    pub fn boot_image_smp(set: &ObjectSet, smp: &SmpConfig) -> Result<Kernel, BootError> {
-        let mut k = Kernel::boot_image(set)?;
-        k.configure_smp(smp.clone());
-        Ok(k)
-    }
-
     /// Reconfigures the SMP topology: rebuilds the per-CPU run queues
     /// and re-homes every existing thread round-robin by tid. Typically
     /// called right after boot, before workloads spawn; calling it on a
     /// running kernel re-homes live threads deterministically. `cpus`
-    /// and `quantum` clamp to ≥ 1, and the scheduler rotation restarts
-    /// from `sched_seed`.
+    /// clamps to ≥ 1, and the scheduler rotation restarts from
+    /// `sched_seed`.
     pub fn configure_smp(&mut self, mut smp: SmpConfig) {
         smp.cpus = smp.cpus.max(1);
-        smp.quantum = smp.quantum.max(1);
         self.sched_rng = FuzzRng::from_state(smp.sched_seed.max(1));
         self.cpus = (0..smp.cpus).map(Cpu::new).collect();
         let n = smp.cpus as u64;
@@ -417,7 +407,7 @@ impl Kernel {
                     continue;
                 }
                 progressed = true;
-                let slice = self.smp.quantum.min(budget);
+                let slice = QUANTUM.min(budget);
                 let used = self.run_slice(tid, slice);
                 budget -= used;
                 if budget == 0 {
@@ -472,7 +462,7 @@ impl Kernel {
                     continue;
                 };
                 progressed = true;
-                let slice = self.smp.quantum.min(budget);
+                let slice = QUANTUM.min(budget);
                 let used = self.run_slice(tid, slice);
                 self.cpus[cpu].cycles += used;
                 budget = budget.saturating_sub(used);
@@ -676,7 +666,7 @@ impl Kernel {
             for i in 0..ncpus {
                 let cpu = (lead + i) % ncpus;
                 if let Some(tid) = self.pick_next(cpu) {
-                    let used = self.run_slice(tid, self.smp.quantum);
+                    let used = self.run_slice(tid, QUANTUM);
                     self.cpus[cpu].cycles += used;
                 }
             }

@@ -374,10 +374,10 @@ impl Memory {
     }
 
     fn index(&self, addr: u64, len: u64) -> Result<usize, MemFault> {
-        if addr < KBASE || addr + len > KBASE + MEM_SIZE {
-            return Err(MemFault::Unmapped { addr, len });
+        match addr.checked_add(len) {
+            Some(end) if addr >= KBASE && end <= KBASE + MEM_SIZE => Ok((addr - KBASE) as usize),
+            _ => Err(MemFault::Unmapped { addr, len }),
         }
-        Ok((addr - KBASE) as usize)
     }
 
     /// Checked load for the VM: requires a readable region.
@@ -580,6 +580,22 @@ mod tests {
             m.load(KBASE + 1024, 8),
             Err(MemFault::Unmapped { .. })
         ));
+    }
+
+    #[test]
+    fn access_at_the_top_of_the_address_space_faults() {
+        let mut m = Memory::new();
+        m.alloc_region("text", 64, 16, Perms::TEXT).unwrap();
+        for (addr, len) in [(u64::MAX, 1), (u64::MAX - 3, 8), (KBASE, u64::MAX)] {
+            assert_eq!(m.peek(addr, len), Err(MemFault::Unmapped { addr, len }));
+        }
+        assert_eq!(
+            m.poke(u64::MAX, &[0x90]),
+            Err(MemFault::Unmapped {
+                addr: u64::MAX,
+                len: 1
+            })
+        );
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! * The scheduler is an **interleaved deterministic simulation**: one
 //!   host thread plays all vCPUs, visiting them in a seeded
 //!   round-robin order each scheduling round and running the chosen
-//!   thread for one quantum. The interleaving is a pure function of
-//!   ([`SmpConfig::sched_seed`], the workload), so a failing schedule
-//!   replays exactly.
+//!   thread for one [`crate::QUANTUM`]. The interleaving is a pure
+//!   function of ([`SmpConfig::sched_seed`], the workload), so a
+//!   failing schedule replays exactly.
 //! * [`crate::Kernel::stop_machine`] performs a **barrier
 //!   rendezvous** at N ≥ 2: every vCPU's current thread runs up to one
 //!   more quantum (the model of "finish what you're doing and park in
@@ -38,19 +38,15 @@
 
 use std::collections::VecDeque;
 
-use crate::kernel::QUANTUM;
-
 /// Configuration of the simulated SMP substrate.
 ///
-/// The default — one vCPU, the historical [`QUANTUM`], a fixed seed —
-/// reproduces the uniprocessor kernel exactly.
+/// The default — one vCPU, a fixed seed — reproduces the
+/// uniprocessor kernel exactly. Every slice is one [`crate::QUANTUM`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SmpConfig {
     /// Number of virtual CPUs (clamped to ≥ 1). 1 selects the
     /// historical sequential scheduler unchanged.
     pub cpus: u32,
-    /// Scheduler quantum: instructions per slice before preemption.
-    pub quantum: u64,
     /// Seed for the round-rotation draw that picks which vCPU leads
     /// each scheduling round (only consulted at `cpus > 1`).
     pub sched_seed: u64,
@@ -60,7 +56,6 @@ impl Default for SmpConfig {
     fn default() -> SmpConfig {
         SmpConfig {
             cpus: 1,
-            quantum: QUANTUM,
             sched_seed: DEFAULT_SCHED_SEED,
         }
     }
@@ -71,7 +66,7 @@ impl Default for SmpConfig {
 pub const DEFAULT_SCHED_SEED: u64 = 0x5eed_c0de_ca11_ab1e;
 
 impl SmpConfig {
-    /// A config with `n` vCPUs and default quantum/seed.
+    /// A config with `n` vCPUs and the default seed.
     pub fn with_cpus(n: u32) -> SmpConfig {
         SmpConfig {
             cpus: n.max(1),
@@ -82,12 +77,6 @@ impl SmpConfig {
     /// The same topology with a different scheduling seed.
     pub fn with_seed(mut self, seed: u64) -> SmpConfig {
         self.sched_seed = seed;
-        self
-    }
-
-    /// The same topology with a different quantum (clamped to ≥ 1).
-    pub fn with_quantum(mut self, quantum: u64) -> SmpConfig {
-        self.quantum = quantum.max(1);
         self
     }
 }
@@ -145,15 +134,12 @@ mod tests {
 
     #[test]
     fn default_is_uniprocessor() {
-        let cfg = SmpConfig::default();
-        assert_eq!(cfg.cpus, 1);
-        assert_eq!(cfg.quantum, QUANTUM);
+        assert_eq!(SmpConfig::default().cpus, 1);
     }
 
     #[test]
     fn cpus_clamp_to_one() {
         assert_eq!(SmpConfig::with_cpus(0).cpus, 1);
         assert_eq!(SmpConfig::with_cpus(4).cpus, 4);
-        assert_eq!(SmpConfig::default().with_quantum(0).quantum, 1);
     }
 }

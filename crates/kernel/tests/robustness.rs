@@ -1,6 +1,6 @@
 //! VM and kernel robustness: arithmetic edges, control-flow abuse, W^X.
 
-use ksplice_kernel::{Kernel, Perms};
+use ksplice_kernel::{Fault, Kernel, Perms};
 use ksplice_lang::{Options, SourceTree};
 
 fn boot(src: &str) -> Kernel {
@@ -42,6 +42,20 @@ fn indirect_call_to_garbage_oopses_not_panics() {
     let data = k.mem.alloc_region("trap", 64, 16, Perms::DATA).unwrap();
     let err = k.call_function("f", &[data]).unwrap_err();
     assert!(err.to_string().contains("non-executable"), "{err}");
+}
+
+#[test]
+fn corrupt_text_outside_the_arena_is_refused() {
+    let mut k = boot("int f() { return 1; }");
+    let before = k.mem.text_checksum();
+    for addr in [u64::MAX, u64::MAX - 1, 0] {
+        let err = k
+            .arm_fault(Fault::CorruptText { addr: Some(addr) })
+            .expect_err("an address outside the arena cannot be corrupted");
+        assert!(err.contains("corrupt-text"), "{err}");
+    }
+    assert_eq!(k.mem.text_checksum(), before);
+    assert!(k.faults.fired().is_empty());
 }
 
 #[test]

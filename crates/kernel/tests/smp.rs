@@ -7,7 +7,7 @@
 //! the rendezvous really runs every vCPU before the machine counts as
 //! captured, and a barrier timeout releases the machine untouched.
 
-use ksplice_kernel::{Fault, Kernel, RunExit, SmpConfig, StopMachineError, ThreadState};
+use ksplice_kernel::{Fault, Kernel, RunExit, SmpConfig, StopMachineError, ThreadState, QUANTUM};
 use ksplice_lang::{Options, SourceTree};
 
 const SPIN: &str = "int go = 1;\n\
@@ -101,12 +101,11 @@ fn rendezvous_runs_each_busy_vcpu_one_quantum() {
         k.spawn("spin", &[]).unwrap();
     }
     k.run(1_000);
-    let quantum = k.smp.quantum;
     let r = k.stop_machine(|_| 99).expect("honest rendezvous");
     assert_eq!(r, 99);
     // Both vCPUs ran their busy thread for exactly one quantum before
     // parking — that is the whole simulated capture cost.
-    assert_eq!(k.last_stop_machine_steps, 2 * quantum);
+    assert_eq!(k.last_stop_machine_steps, 2 * QUANTUM);
     assert_eq!(k.stop_machine_count, 1);
 }
 

@@ -161,21 +161,16 @@ const IMAGE_CAPACITY: usize = 32;
 /// per-unit objects. See the module docs for the keying discipline.
 pub struct BuildCache {
     inner: Mutex<Inner>,
-    capacity: usize,
 }
 
-/// Default capacity: comfortably above the whole evaluation working set
-/// (base tree under two option sets plus every patched unit variant).
-const DEFAULT_CAPACITY: usize = 4096;
+/// Unit objects kept (LRU): comfortably above the whole evaluation
+/// working set (base tree under two option sets plus every patched unit
+/// variant).
+const CAPACITY: usize = 4096;
 
 impl BuildCache {
-    /// A cache with the default capacity.
+    /// An empty cache holding at most 4,096 unit objects (`CAPACITY`).
     pub fn new() -> BuildCache {
-        BuildCache::with_capacity(DEFAULT_CAPACITY)
-    }
-
-    /// A cache holding at most `capacity` unit objects (minimum 1).
-    pub fn with_capacity(capacity: usize) -> BuildCache {
         BuildCache {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
@@ -183,7 +178,6 @@ impl BuildCache {
                 clock: 0,
                 totals: BuildStats::default(),
             }),
-            capacity: capacity.max(1),
         }
     }
 
@@ -217,7 +211,7 @@ impl BuildCache {
         inner.clock += 1;
         let clock = inner.clock;
         let mut evicted = 0;
-        if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
+        if !inner.map.contains_key(&key) && inner.map.len() >= CAPACITY {
             if let Some(&victim) = inner
                 .map
                 .iter()
@@ -316,7 +310,6 @@ impl std::fmt::Debug for BuildCache {
         let inner = self.lock();
         f.debug_struct("BuildCache")
             .field("len", &inner.map.len())
-            .field("capacity", &self.capacity)
             .field("totals", &inner.totals)
             .finish()
     }
@@ -404,26 +397,33 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
+    /// A cache filled to [`CAPACITY`] with keys `0..CAPACITY`.
+    fn full_cache() -> BuildCache {
+        let cache = BuildCache::new();
+        for key in 0..CAPACITY as u64 {
+            assert_eq!(cache.store(key, obj("u")), 0);
+        }
+        cache
+    }
+
     #[test]
     fn evicts_least_recently_used_at_capacity() {
-        let cache = BuildCache::with_capacity(2);
-        cache.store(1, obj("a"));
-        cache.store(2, obj("b"));
-        // Touch 1 so 2 becomes the LRU victim.
-        assert!(cache.lookup(1).is_some());
-        assert_eq!(cache.store(3, obj("c")), 1);
-        assert!(cache.lookup(2).is_none(), "LRU entry evicted");
-        assert!(cache.lookup(1).is_some());
-        assert!(cache.lookup(3).is_some());
+        let cache = full_cache();
+        // Touch 0 so 1 becomes the LRU victim.
+        assert!(cache.lookup(0).is_some());
+        let new_key = CAPACITY as u64;
+        assert_eq!(cache.store(new_key, obj("c")), 1);
+        assert!(cache.lookup(1).is_none(), "LRU entry evicted");
+        assert!(cache.lookup(0).is_some());
+        assert!(cache.lookup(new_key).is_some());
         assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.len(), CAPACITY);
     }
 
     #[test]
     fn restore_of_existing_key_does_not_evict() {
-        let cache = BuildCache::with_capacity(2);
-        cache.store(1, obj("a"));
-        cache.store(2, obj("b"));
-        assert_eq!(cache.store(2, obj("b2")), 0);
-        assert_eq!(cache.len(), 2);
+        let cache = full_cache();
+        assert_eq!(cache.store(1, obj("b2")), 0);
+        assert_eq!(cache.len(), CAPACITY);
     }
 }

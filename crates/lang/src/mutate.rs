@@ -155,8 +155,8 @@ impl std::error::Error for MutateError {}
 
 /// The deterministic xorshift64* generator: the fuzzer, the drift
 /// generator, the SMP load sweep, the kernel's scheduler rotation, fault
-/// plan and `random` native, the fleet's transport and wave planner, and
-/// retry jitter all draw from it.
+/// plan and `random` native, and the fleet's transport and wave planner
+/// all draw from it.
 #[derive(Debug, Clone)]
 pub struct FuzzRng {
     state: u64,
