@@ -3,21 +3,29 @@
 //! Mirrors the paper's §5 workflow on the simulated kernel:
 //!
 //! ```text
-//! ksplice create --tree <dir> --patch <file> --id <name> [--accept-data-changes] [--out pack.kupd]
-//! ksplice inspect <pack.kupd>
-//! ksplice demo   [--cve <id>]           # boot, exploit, hot-patch, re-exploit
-//! ksplice eval   [--stress <rounds>] [--jobs <n>]   # the full §6 evaluation
-//! ksplice profile [--cve <id>] [--flame <file>]     # sample the hot path pre/post apply
-//! ksplice list                          # the 64-CVE corpus
-//! ksplice report <trace.jsonl> [--spans] [--timeline <file>]
+//! ksplice create  --tree <dir> --patch <file> --id <name>  # build an update pack
+//! ksplice inspect <pack.kupd>          # list what a pack replaces
+//! ksplice demo    [--cve <id>]         # boot, exploit, hot-patch, re-exploit
+//! ksplice eval    [--stress <rounds>]  # the full §6 evaluation
+//! ksplice profile [--cve <id>]         # sample the hot path pre/post apply
+//! ksplice fuzz    [--seed <n>]         # differential patch fuzzing
+//! ksplice rebase  [--levels D1,D2]     # port the corpus onto drifted trees
+//! ksplice fleet   [--nodes <n>]        # staged rollout across a simulated fleet
+//! ksplice status  [--cve <id>]...      # stack updates, undo one, show their states
+//! ksplice list                         # the 64-CVE corpus
+//! ksplice report  <trace.jsonl>        # summarise a recorded trace
 //! ```
+//!
+//! Each command reads only the flags its usage line in `COMMANDS`
+//! declares, and refuses anything else before it does any work.
 //!
 //! Every command accepts the global flags `--trace <path>` (write the
 //! structured event stream as JSONL), `--verbose` (show Debug events)
-//! and `--quiet` (only Errors). Progress output goes through the
-//! human-readable trace sink, so the verbosity flags govern *all* of it
-//! uniformly; command *products* (pack listings, the corpus table, the
-//! evaluation report) print plainly regardless.
+//! and `--quiet` (only Errors), before or after the command name.
+//! Progress output goes through the human-readable trace sink, so the
+//! verbosity flags govern *all* of it uniformly; command *products*
+//! (pack listings, the corpus table, the evaluation report) print
+//! plainly regardless.
 //!
 //! `create` reads an on-disk source tree (files with `.kc`/`.ks`/`.kh`
 //! suffixes), applies a unified diff, performs the pre and post builds,
@@ -26,51 +34,210 @@
 //! `ksplice-8c4o6u.tar.gz`. Because the "running kernel" here lives
 //! inside a process, `demo`/`eval` boot one and apply updates to it live.
 
-use std::path::{Path, PathBuf};
+use std::collections::BTreeMap;
+use std::fmt::Display;
+use std::num::{NonZeroU32, NonZeroU64, NonZeroUsize};
+use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use ksplice_core::trace::{
     chrome_trace_json, render_span_tree, Event, HumanSink, JsonlSink, Severity, Stage, Tracer,
     Value,
 };
 use ksplice_core::{
-    create_update_cached_traced, ApplyOptions, BuildCache, CreateOptions, HealthProbe, Ksplice,
-    RetryPolicy, SmpConfig, UpdateManager, UpdatePack, WatchPolicy,
+    create_update_cached_traced, ApplyOptions, BuildCache, CreateOptions, HealthProbe, RetryPolicy,
+    SmpConfig, UpdateManager, UpdatePack, WatchPolicy,
 };
 use ksplice_eval::{
-    base_tree, corpus, exploit_probe, quiescence_correlation, run_exploit, run_profile,
-    shippable_update, ProfileConfig,
+    base_tree, corpus, default_eval_jobs, exploit_probe, find_cve, quiescence_correlation,
+    run_exploit, run_profile, shippable_update, Cve, FuzzConfig, ProfileConfig, RebaseMatrixConfig,
+    Workload, DISJOINT_STACK,
 };
 use ksplice_fleet::{
     build_packset, Fleet, FleetConfig, NetFaults, Outcome, Partition, RolloutOrchestrator,
     RolloutPolicy, SimTransport, VERSION_NAMES,
 };
 use ksplice_kernel::{Fault, Kernel};
-use ksplice_lang::{Options, SourceTree};
+use ksplice_lang::{DriftLevel, Options, SourceTree};
+
+type Run = fn(&Args, &mut Tracer) -> Result<(), String>;
+
+/// The flags every command takes, before or after its name.
+const GLOBAL: &str = "[--trace <file>] [--verbose] [--quiet]";
+
+/// Each command's usage line, which is also its flag declaration: `[--f]`
+/// is a switch, `[--f <v>]` takes one value, `[--f <v>]...` may repeat,
+/// `--f <v>` must be given, and a leading `<v>` is the one operand.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, Run, &str)] = &[
+    ("create", cmd_create, "--tree <dir> --patch <file> --id <name> [--accept-data-changes]
+          [--out <file>]"),
+    ("inspect", cmd_inspect, "<pack.kupd>"),
+    ("demo", cmd_demo, "[--cve <id>] [--retry-policy <spec>] [--cpus <n>] [--fault <site>]...
+          [--fault-seed <n>] [--watch-rounds <n>] [--probe <spec>]... [--undo]"),
+    ("eval", cmd_eval, "[--stress <rounds>] [--jobs <n>] [--retry-policy <spec>] [--cpus <n>]"),
+    ("profile", cmd_profile, "[--cve <id>] [--interval <steps>] [--samples <n>] [--rounds <n>]
+          [--seed <n>] [--flame <file>] [--json] [--correlate]"),
+    ("fuzz", cmd_fuzz, "[--seed <n>] [--mutants <n>] [--max-mutations <n>]
+          [--workload <syscalls|stress|both>] [--jobs <n>] [--cpus <n>]
+          [--emit <dir>] [--replay <dir>]"),
+    ("rebase", cmd_rebase, "[--seed <n>] [--levels <D1,D2,...>] [--cves <n>] [--jobs <n>] [--json]
+          [--out <file>]"),
+    ("fleet", cmd_fleet, "[--nodes <n>] [--versions <n>] [--cpus <n>] [--load <threads>]
+          [--canary <n>] [--growth <n>] [--halt-per-mille <n>] [--jobs <n>]
+          [--seed <n>] [--transport-seed <n>] [--max-ticks <n>] [--resident]
+          [--update <id>] [--faults <drop:PM,dup:PM,corrupt:PM,delay:MIN..MAX>]
+          [--partition <FIRST..LAST@FROM..HEAL>]... [--poison-version <v>]..."),
+    ("status", cmd_status, "[--cve <id>]... [--undo <id>] [--retry-policy <spec>] [--cpus <n>]
+          [--watch-rounds <n>] [--probe <spec>]..."),
+    ("list", cmd_list, ""),
+    ("report", cmd_report, "<trace.jsonl> [--spans] [--timeline <file>]"),
+];
+
+fn usage() -> String {
+    let names: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
+    let mut text = format!("usage: ksplice {GLOBAL} <{}> [options]\n", names.join("|"));
+    for (name, _, spec) in COMMANDS {
+        text += format!("\n  {name:<7} {spec}").trim_end();
+    }
+    text + "\n\n  retry-policy spec: fixed:ATTEMPTS:DELAY (DELAY kernel steps between attempts)\
+            \n  fault sites (dev): stack-busy:N | module-load:N | corrupt-text[:0xADDR] |\
+            \n  step-jitter:N | probe-fail:N | barrier-stall:N\
+            \n  probe spec: canary call + expected result, e.g. sys_getuid()=1000; with\
+            \n  --watch-rounds the update is quarantined and auto-rolled-back on failure"
+}
+
+/// How usage line `spec` declares flag `name`: whether it takes a value
+/// and whether it may repeat.
+fn declared(spec: &str, name: &str) -> Option<(bool, bool)> {
+    let words: Vec<&str> = spec.split_whitespace().collect();
+    let at = words
+        .iter()
+        .position(|w| w.trim_matches(['[', ']', '.']) == name)?;
+    let takes_value = words.get(at + 1).is_some_and(|w| w.starts_with('<'));
+    let last = words[at + usize::from(takes_value)];
+    Some((takes_value, last.ends_with("...")))
+}
+
+/// A command line, read against its command's usage line.
+#[derive(Default)]
+struct Args {
+    /// The operand; empty when the command takes none.
+    operand: String,
+    /// Each flag given, with its values in order (none for a switch).
+    given: BTreeMap<String, Vec<String>>,
+}
+
+/// Reads one flag value.
+type Reader<T> = fn(&str) -> Result<T, String>;
+
+impl Args {
+    fn switch(&self, name: &str) -> bool {
+        self.given.contains_key(name)
+    }
+
+    fn value(&self, name: &str) -> Option<&str> {
+        self.given.get(name)?.first().map(String::as_str)
+    }
+
+    /// Every value given for flag `name`, each read by `read`. An error
+    /// names the flag.
+    fn get_all<T>(&self, name: &str, read: Reader<T>) -> Result<Vec<T>, String> {
+        let values = self.given.get(name).map_or(&[][..], Vec::as_slice);
+        values
+            .iter()
+            .map(|v| read(v).map_err(|e| format!("{name}: {e}")))
+            .collect()
+    }
+
+    /// The value given for a flag that may not repeat, read by `read`.
+    fn get<T>(&self, name: &str, read: Reader<T>) -> Result<Option<T>, String> {
+        Ok(self.get_all(name, read)?.pop())
+    }
+}
+
+/// Reads a number, or any other `FromStr` value. The `NonZero` types
+/// refuse zero, so they are the one zero rule for counts that need one.
+fn num<T: FromStr>(s: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    s.parse().map_err(|e| format!("bad value `{s}` ({e})"))
+}
+
+/// Reads `argv` (the command name removed) against the command's usage
+/// line `spec` and the global flags. A value starting with a single `-`
+/// (such as `-` for stdout) is still a value.
+fn read_args(name: &str, spec: &str, argv: &[String]) -> Result<Args, String> {
+    let operand = spec.split(' ').next().filter(|w| w.starts_with('<'));
+    let mut args = Args::default();
+    let mut rest = argv.iter().peekable();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            if operand.is_none() || !args.operand.is_empty() {
+                return Err(format!("{name}: unexpected argument `{arg}`"));
+            }
+            args.operand = arg.clone();
+            continue;
+        }
+        let (takes_value, repeats) = declared(GLOBAL, arg)
+            .or_else(|| declared(spec, arg))
+            .ok_or_else(|| format!("{name}: unknown flag {arg}"))?;
+        if args.switch(arg) && !repeats {
+            return Err(format!("{arg} given more than once"));
+        }
+        let values = args.given.entry(arg.clone()).or_default();
+        if takes_value {
+            let value = rest.next_if(|v| !v.starts_with("--"));
+            values.push(value.ok_or(format!("{arg} needs a value"))?.clone());
+        }
+    }
+    let missing = spec
+        .split_whitespace()
+        .find(|w| w.starts_with("--") && !args.switch(w))
+        .or(operand.filter(|_| args.operand.is_empty()));
+    match missing {
+        Some(what) => Err(format!("{name}: missing {what}")),
+        None => Ok(args),
+    }
+}
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let trace_path = take_flag_value(&mut args, "--trace");
-    if trace_path.is_none() && args.iter().any(|a| a == "--trace") {
-        eprintln!("ksplice: --trace requires a file path");
-        return ExitCode::from(2);
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    // The command is the first argument that is neither a global flag
+    // nor the value of one.
+    let mut at = 0;
+    while let Some((takes_value, _)) = argv.get(at).and_then(|a| declared(GLOBAL, a)) {
+        at += 1 + usize::from(takes_value);
     }
-    let verbose = take_flag(&mut args, "--verbose");
-    let quiet = take_flag(&mut args, "--quiet");
+    let Some(&(name, run, spec)) = argv
+        .get(at)
+        .and_then(|a| COMMANDS.iter().find(|c| c.0 == a))
+    else {
+        eprintln!("{}", usage());
+        return ExitCode::from(2);
+    };
+    argv.remove(at);
+    let args = match read_args(name, spec, &argv) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("ksplice: {e}\nusage: ksplice {name} {spec}");
+            return ExitCode::FAILURE;
+        }
+    };
 
-    let min_severity = if quiet {
+    let min_severity = if args.switch("--quiet") {
         Severity::Error
-    } else if verbose {
+    } else if args.switch("--verbose") {
         Severity::Debug
     } else {
         Severity::Info
     };
     let mut tracer = Tracer::new().with_sink(Box::new(HumanSink::stdout(min_severity)));
-    if let Some(path) = &trace_path {
+    if let Some(path) = args.value("--trace") {
         match JsonlSink::create(Path::new(path)) {
-            Ok(sink) => {
-                tracer.add_sink(Box::new(sink));
-            }
+            Ok(sink) => _ = tracer.add_sink(Box::new(sink)),
             Err(e) => {
                 eprintln!("ksplice: cannot open trace file {path}: {e}");
                 return ExitCode::FAILURE;
@@ -78,50 +245,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let result = match args.first().map(String::as_str) {
-        Some("create") => cmd_create(&args[1..], &mut tracer),
-        Some("inspect") => cmd_inspect(&args[1..]),
-        Some("demo") => cmd_demo(&args[1..], &mut tracer),
-        Some("eval") => cmd_eval(&args[1..], &mut tracer),
-        Some("profile") => cmd_profile(&args[1..], &mut tracer),
-        Some("fuzz") => cmd_fuzz(&args[1..], &mut tracer),
-        Some("rebase") => cmd_rebase(&args[1..], &mut tracer),
-        Some("fleet") => cmd_fleet(&args[1..], &mut tracer),
-        Some("status") => cmd_status(&args[1..], &mut tracer),
-        Some("list") => cmd_list(),
-        Some("report") => cmd_report(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: ksplice [--trace <file>] [--verbose|--quiet] <create|inspect|demo|eval|profile|fuzz|rebase|fleet|status|list|report> [options]\n\
-                 \n  create  --tree <dir> --patch <file> --id <name> [--accept-data-changes] [--out <file>]\
-                 \n  inspect <pack.kupd>\
-                 \n  demo    [--cve <id>] [--retry-policy <spec>] [--cpus <n>] [--fault <site>]...\
-                 \n          [--fault-seed <n>] [--watch-rounds <n>] [--probe <fn(args)=expected>]... [--undo]\
-                 \n  eval    [--stress <rounds>] [--jobs <n>] [--retry-policy <spec>] [--cpus <n>]\
-                 \n  profile [--cve <id>] [--interval <steps>] [--samples <n>] [--rounds <n>]\
-                 \n          [--seed <n>] [--flame <file>] [--json] [--correlate]\
-                 \n  fuzz    [--seed <n>] [--mutants <n>] [--workload syscalls|stress|both]\
-                 \n          [--jobs <n>] [--cpus <n>] [--emit <dir>] [--replay <dir>]\
-                 \n  rebase  [--seed <n>] [--levels D1,D2,...] [--cves <n>] [--jobs <n>]\
-                 \n          [--json] [--out <file>]\
-                 \n  fleet   [--nodes <n>] [--versions <n>] [--cpus <n>] [--load <threads>]\
-                 \n          [--canary <n>] [--growth <n>] [--halt-per-mille <n>] [--jobs <n>]\
-                 \n          [--seed <n>] [--transport-seed <n>] [--max-ticks <n>] [--resident]\
-                 \n          [--faults drop:PM,dup:PM,corrupt:PM,delay:MIN..MAX]\
-                 \n          [--partition FIRST..LAST@FROM..HEAL]... [--poison-version <v>]...\
-                 \n  status  [--cve <id>]... [--undo <id>] [--cpus <n>] [--watch-rounds <n>] [--probe <spec>]...\
-                 \n  list\
-                 \n  report  <trace.jsonl> [--spans] [--timeline <file>]\
-                 \n\
-                 \n  retry-policy spec: fixed:ATTEMPTS:DELAY (DELAY kernel steps between attempts)\
-                 \n  fault sites (dev): stack-busy:N | module-load:N | corrupt-text[:0xADDR] |\
-                 \n  step-jitter:N | probe-fail:N | barrier-stall:N\
-                 \n  probe spec: canary call + expected result, e.g. sys_getuid()=1000; with\
-                 \n  --watch-rounds the update is quarantined and auto-rolled-back on failure"
-            );
-            return ExitCode::from(2);
-        }
-    };
+    let result = run(&args, &mut tracer);
     tracer.flush();
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -132,64 +256,54 @@ fn main() -> ExitCode {
     }
 }
 
-/// Removes a boolean flag, returning whether it was present.
-fn take_flag(args: &mut Vec<String>, name: &str) -> bool {
-    match args.iter().position(|a| a == name) {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
+/// `--jobs`, or one worker per hardware thread.
+fn jobs(args: &Args) -> Result<usize, String> {
+    let jobs = args.get("--jobs", num::<NonZeroUsize>)?;
+    Ok(jobs.map_or_else(default_eval_jobs, NonZeroUsize::get))
+}
+
+/// `--cpus`, or `default` when it is not given.
+fn cpus(args: &Args, default: u32) -> Result<u32, String> {
+    let cpus = args.get("--cpus", num::<NonZeroU32>)?;
+    Ok(cpus.map_or(default, NonZeroU32::get))
+}
+
+/// `--retry-policy` and `--cpus`: the apply schedule and the kernel's
+/// vCPU count.
+fn apply_options(args: &Args) -> Result<ApplyOptions, String> {
+    let retry = args.get("--retry-policy", RetryPolicy::parse)?;
+    Ok(ApplyOptions {
+        retry: retry.unwrap_or_default(),
+        smp: SmpConfig::with_cpus(cpus(args, 1)?),
+    })
+}
+
+/// Boots the base tree's kernel on the vCPUs `opts` asks for.
+fn boot(opts: &ApplyOptions) -> Result<Kernel, String> {
+    let mut kernel = Kernel::boot(&base_tree(), &Options::distro()).map_err(|e| e.to_string())?;
+    if opts.smp.cpus > 1 {
+        kernel.configure_smp(opts.smp.clone());
     }
-}
-
-/// Removes `name <value>`, returning the value.
-fn take_flag_value(args: &mut Vec<String>, name: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == name)?;
-    if i + 1 >= args.len() {
-        return None;
-    }
-    let value = args.remove(i + 1);
-    args.remove(i);
-    Some(value)
-}
-
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-/// All values of a repeatable `name <value>` flag, in order.
-fn flag_values<'a>(args: &'a [String], name: &str) -> Vec<&'a str> {
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| *a == name)
-        .filter_map(|(i, _)| args.get(i + 1))
-        .map(String::as_str)
-        .collect()
-}
-
-/// The `--retry-policy` and `--cpus` flags, or the default schedule on
-/// a uniprocessor kernel.
-fn retry_policy_arg(args: &[String]) -> Result<ApplyOptions, String> {
-    let mut opts = match flag_value(args, "--retry-policy") {
-        Some(spec) => ApplyOptions::with_retry(RetryPolicy::parse(spec)?),
-        None => ApplyOptions::default(),
-    };
-    if let Some(n) = flag_value(args, "--cpus") {
-        let cpus: u32 = n
-            .parse()
-            .map_err(|_| format!("--cpus: expected a number, got `{n}`"))?;
-        opts.smp = SmpConfig::with_cpus(cpus);
-    }
-    Ok(opts)
+    Ok(kernel)
 }
 
 /// Progress note: an Info-severity CLI event carrying one message.
 fn note(tracer: &mut Tracer, name: &str, msg: String) {
     tracer.emit(Stage::Cli, Severity::Info, name, vec![("msg", msg.into())]);
+}
+
+/// Runs `case`'s exploit, if it has one, and notes `worked` or `failed`.
+fn note_exploit(kernel: &mut Kernel, case: &Cve, tracer: &mut Tracer, worked: &str, failed: &str) {
+    if case.exploit.is_some() {
+        let verdict = if run_exploit(kernel, case) == Some(true) {
+            worked
+        } else {
+            failed
+        };
+        tracer.set_now(kernel.steps);
+        let msg = format!("exploit for {}: {verdict}", case.id);
+        note(tracer, "cli.exploit", msg);
+    }
 }
 
 /// Reads a source tree from disk: every `.kc`/`.ks`/`.kh` file under
@@ -224,25 +338,23 @@ fn read_tree(root: &Path) -> Result<SourceTree, String> {
     Ok(tree)
 }
 
-fn cmd_create(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
-    let tree_dir = flag_value(args, "--tree").ok_or("create: missing --tree <dir>")?;
-    let patch_file = flag_value(args, "--patch").ok_or("create: missing --patch <file>")?;
-    let id = flag_value(args, "--id").ok_or("create: missing --id <name>")?;
-    let out: PathBuf = flag_value(args, "--out")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(format!("ksplice-{id}.kupd")));
-    let accept = args.iter().any(|a| a == "--accept-data-changes");
+fn cmd_create(args: &Args, tracer: &mut Tracer) -> Result<(), String> {
+    // `read_args` refuses a command line without these.
+    let [tree_dir, patch_file, id] =
+        ["--tree", "--patch", "--id"].map(|f| args.value(f).unwrap_or_default());
+    let default_out = format!("ksplice-{id}.kupd");
+    let out = Path::new(args.value("--out").unwrap_or(&default_out));
 
     let tree = read_tree(Path::new(tree_dir))?;
     let patch = std::fs::read_to_string(patch_file).map_err(|e| format!("{patch_file}: {e}"))?;
     let opts = CreateOptions {
-        accept_data_changes: accept,
+        accept_data_changes: args.switch("--accept-data-changes"),
         ..CreateOptions::default()
     };
     let (pack, _) =
         create_update_cached_traced(id, &tree, &patch, &opts, &BuildCache::new(), tracer)
             .map_err(|e| e.to_string())?;
-    std::fs::write(&out, pack.to_bytes()).map_err(|e| format!("{}: {e}", out.display()))?;
+    std::fs::write(out, pack.to_bytes()).map_err(|e| format!("{}: {e}", out.display()))?;
     note(
         tracer,
         "cli.pack_written",
@@ -258,8 +370,8 @@ fn cmd_create(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_inspect(args: &[String]) -> Result<(), String> {
-    let file = args.first().ok_or("inspect: missing pack file")?;
+fn cmd_inspect(args: &Args, _: &mut Tracer) -> Result<(), String> {
+    let file = &args.operand;
     let bytes = std::fs::read(file).map_err(|e| format!("{file}: {e}"))?;
     let pack = UpdatePack::parse(&bytes)?;
     println!("update: {}", pack.id);
@@ -275,52 +387,30 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_demo(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
-    let id = flag_value(args, "--cve").unwrap_or("CVE-2006-2451");
-    let apply_opts = retry_policy_arg(args)?;
-    let watch_rounds: Option<u32> = flag_value(args, "--watch-rounds")
-        .map(|s| s.parse().map_err(|_| "bad --watch-rounds value".to_string()))
-        .transpose()?;
-    let probe_specs = flag_values(args, "--probe");
-    let do_undo = args.iter().any(|a| a == "--undo");
-    let watched = watch_rounds.is_some() || !probe_specs.is_empty();
-    let faults: Vec<Fault> = flag_values(args, "--fault")
-        .into_iter()
-        .map(Fault::parse)
-        .collect::<Result<_, _>>()?;
-    let fault_seed: Option<u64> = flag_value(args, "--fault-seed")
-        .map(|s| s.parse().map_err(|_| "bad --fault-seed value".to_string()))
-        .transpose()?;
-    let case = corpus()
-        .into_iter()
-        .find(|c| c.id == id)
-        .ok_or_else(|| format!("unknown CVE `{id}` (try `ksplice list`)"))?;
+/// `ksplice demo`: boots the vulnerable kernel, runs the CVE's exploit,
+/// hot-applies the update through the lifecycle manager, and runs the
+/// exploit again. A watch window or a probe asks for quarantine: three
+/// rounds by default, and the state table at the end.
+fn cmd_demo(args: &Args, tracer: &mut Tracer) -> Result<(), String> {
+    let case = args
+        .get("--cve", find_cve)?
+        .map_or_else(|| find_cve("CVE-2006-2451"), Ok)?;
+    let apply_opts = apply_options(args)?;
+    let watch_rounds: Option<u32> = args.get("--watch-rounds", num)?;
+    let mut probes = args.get_all("--probe", HealthProbe::parse)?;
+    let faults = args.get_all("--fault", Fault::parse)?;
+    let fault_seed: Option<u64> = args.get("--fault-seed", num)?;
+    let watched = watch_rounds.is_some() || !probes.is_empty();
+    let rounds = watch_rounds.unwrap_or(if watched { 3 } else { 0 });
+
     note(
         tracer,
         "cli.boot",
         "booting the vulnerable kernel...".into(),
     );
-    let mut kernel = Kernel::boot(&base_tree(), &Options::distro()).map_err(|e| e.to_string())?;
-    if apply_opts.smp.cpus > 1 {
-        kernel.configure_smp(apply_opts.smp.clone());
-    }
+    let mut kernel = boot(&apply_opts)?;
     tracer.set_now(kernel.steps);
-    if case.exploit.is_some() {
-        let worked = run_exploit(&mut kernel, &case) == Some(true);
-        tracer.set_now(kernel.steps);
-        note(
-            tracer,
-            "cli.exploit",
-            format!(
-                "exploit for {id}: {}",
-                if worked {
-                    "SUCCEEDS (vulnerable)"
-                } else {
-                    "fails"
-                }
-            ),
-        );
-    }
+    note_exploit(&mut kernel, &case, tracer, "SUCCEEDS (vulnerable)", "fails");
     let (pack, _) =
         shippable_update(&case, &BuildCache::new(), tracer).map_err(|e| e.to_string())?;
     // Faults target the hot-update pipeline, so arm them only now —
@@ -340,90 +430,39 @@ fn cmd_demo(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
             },
         );
     }
-    if watched {
-        // Lifecycle path: preflight, apply, quarantine under probes,
-        // auto-rollback on failure — driven by the UpdateManager.
-        let mut probes: Vec<HealthProbe> = probe_specs
-            .iter()
-            .map(|s| HealthProbe::parse(s))
-            .collect::<Result<_, _>>()?;
-        if case.exploit.is_some() {
-            // The exploit itself doubles as a health probe: a healthy
-            // patched kernel must defeat it every round.
-            probes.push(exploit_probe(&case));
-        }
-        let mut mgr = UpdateManager::with_watch(WatchPolicy {
-            rounds: watch_rounds.unwrap_or(3),
-            ..WatchPolicy::default()
-        });
-        let report =
-            match mgr.apply_watched(&mut kernel, &pack, &mut probes, &apply_opts, tracer) {
-                Ok(r) => r,
-                Err(e) => {
-                    kernel.faults.disarm();
-                    print!("{}", mgr.render_status());
-                    return Err(e.to_string());
-                }
-            };
-        kernel.faults.disarm();
-        note(
-            tracer,
-            "cli.applied",
-            format!(
-                "hot update committed after {} healthy watch round(s): {} function(s) \
-                 replaced in {} attempt(s)",
-                mgr.watch().rounds,
-                pack.replaced_fn_count(),
-                report.attempts
-            ),
-        );
-        if do_undo {
-            let undo = mgr
-                .undo_any(&mut kernel, case.id, &apply_opts, tracer)
-                .map_err(|e| e.to_string())?;
-            print!("{}", undo.render());
-        }
-        print!("{}", mgr.render_status());
-        note(tracer, "cli.done", "Done!".into());
-        return Ok(());
-    }
-    let mut ks = Ksplice::new();
-    let report = ks
-        .apply_traced(&mut kernel, &pack, &apply_opts, tracer)
-        .map_err(|e| e.to_string())?;
+    // The exploit itself doubles as a health probe: a healthy patched
+    // kernel must defeat it every round.
+    probes.extend(case.exploit.is_some().then(|| exploit_probe(&case)));
+    let mut mgr = UpdateManager::with_watch(WatchPolicy {
+        rounds,
+        ..WatchPolicy::default()
+    });
+    let applied = mgr.apply_watched(&mut kernel, &pack, &mut probes, &apply_opts, tracer);
     // Leftover armed counts must not sabotage the re-exploit check.
     kernel.faults.disarm();
+    if applied.is_err() && watched {
+        print!("{}", mgr.render_status());
+    }
+    let report = applied.map_err(|e| e.to_string())?;
     note(
         tracer,
         "cli.applied",
         format!(
-            "hot update applied: {} function(s) replaced in {} attempt(s), pause {:?}",
+            "hot update committed after {rounds} healthy watch round(s): {} function(s) \
+             replaced in {} attempt(s)",
             pack.replaced_fn_count(),
-            report.attempts,
-            kernel.last_stop_machine.unwrap_or_default()
+            report.attempts
         ),
     );
-    if case.exploit.is_some() {
-        let worked = run_exploit(&mut kernel, &case) == Some(true);
-        tracer.set_now(kernel.steps);
-        note(
-            tracer,
-            "cli.exploit",
-            format!(
-                "exploit for {id}: {}",
-                if worked {
-                    "still succeeds!?"
-                } else {
-                    "DEFEATED"
-                }
-            ),
-        );
-    }
-    if do_undo {
-        let undo = ks
-            .undo_any_traced(&mut kernel, case.id, &apply_opts, tracer)
+    note_exploit(&mut kernel, &case, tracer, "still succeeds!?", "DEFEATED");
+    if args.switch("--undo") {
+        let undo = mgr
+            .undo_any(&mut kernel, case.id, &apply_opts, tracer)
             .map_err(|e| e.to_string())?;
         print!("{}", undo.render());
+    }
+    if watched {
+        print!("{}", mgr.render_status());
     }
     note(tracer, "cli.done", "Done!".into());
     Ok(())
@@ -433,49 +472,36 @@ fn cmd_demo(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
 /// through the lifecycle manager, optionally reverses one of them (in
 /// any order — non-LIFO reversals re-point trampoline chains), and
 /// prints the lifecycle table.
-fn cmd_status(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
-    let apply_opts = retry_policy_arg(args)?;
-    let mut ids: Vec<&str> = flag_values(args, "--cve");
-    if ids.is_empty() {
-        // Three corpus entries patching disjoint units, so they stack
-        // and reverse independently.
-        ids = vec!["CVE-2006-2451", "CVE-2005-0750", "CVE-2005-4605"];
+fn cmd_status(args: &Args, tracer: &mut Tracer) -> Result<(), String> {
+    let apply_opts = apply_options(args)?;
+    let mut cases = args.get_all("--cve", find_cve)?;
+    if cases.is_empty() {
+        for id in DISJOINT_STACK {
+            cases.push(find_cve(id)?);
+        }
     }
-    let watch_rounds: Option<u32> = flag_value(args, "--watch-rounds")
-        .map(|s| s.parse().map_err(|_| "bad --watch-rounds value".to_string()))
-        .transpose()?;
-    let undo_id = flag_value(args, "--undo");
-    let probe_specs = flag_values(args, "--probe");
+    let rounds = args.get("--watch-rounds", num)?.unwrap_or(1);
+    let mut probes = args.get_all("--probe", HealthProbe::parse)?;
+    let canaries = probes.len();
 
-    let mut kernel = Kernel::boot(&base_tree(), &Options::distro()).map_err(|e| e.to_string())?;
-    if apply_opts.smp.cpus > 1 {
-        kernel.configure_smp(apply_opts.smp.clone());
-    }
+    let mut kernel = boot(&apply_opts)?;
     tracer.set_now(kernel.steps);
     let mut mgr = UpdateManager::with_watch(WatchPolicy {
-        rounds: watch_rounds.unwrap_or(1),
+        rounds,
         ..WatchPolicy::default()
     });
-    for id in &ids {
-        let case = corpus()
-            .into_iter()
-            .find(|c| c.id == *id)
-            .ok_or_else(|| format!("unknown CVE `{id}` (try `ksplice list`)"))?;
+    for case in &cases {
         let (pack, _) =
-            shippable_update(&case, &BuildCache::new(), tracer).map_err(|e| e.to_string())?;
-        let mut probes: Vec<HealthProbe> = probe_specs
-            .iter()
-            .map(|s| HealthProbe::parse(s))
-            .collect::<Result<_, _>>()?;
-        if case.exploit.is_some() {
-            probes.push(exploit_probe(&case));
-        }
+            shippable_update(case, &BuildCache::new(), tracer).map_err(|e| e.to_string())?;
+        // The caller's canaries, then this update's exploit.
+        probes.truncate(canaries);
+        probes.extend(case.exploit.is_some().then(|| exploit_probe(case)));
         if let Err(e) = mgr.apply_watched(&mut kernel, &pack, &mut probes, &apply_opts, tracer) {
             print!("{}", mgr.render_status());
             return Err(e.to_string());
         }
     }
-    if let Some(id) = undo_id {
+    if let Some(id) = args.value("--undo") {
         let undo = mgr
             .undo_any(&mut kernel, id, &apply_opts, tracer)
             .map_err(|e| e.to_string())?;
@@ -485,19 +511,10 @@ fn cmd_status(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_eval(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
-    let rounds: u64 = flag_value(args, "--stress")
-        .map(|s| s.parse().map_err(|_| "bad --stress value".to_string()))
-        .transpose()?
-        .unwrap_or(8);
-    let jobs: usize = flag_value(args, "--jobs")
-        .map(|s| s.parse().map_err(|_| "bad --jobs value".to_string()))
-        .transpose()?
-        .unwrap_or_else(ksplice_eval::default_eval_jobs);
-    if jobs == 0 {
-        return Err("bad --jobs value".to_string());
-    }
-    let apply_opts = retry_policy_arg(args)?;
+fn cmd_eval(args: &Args, tracer: &mut Tracer) -> Result<(), String> {
+    let rounds = args.get("--stress", num)?.unwrap_or(8);
+    let jobs = jobs(args)?;
+    let apply_opts = apply_options(args)?;
     let report = ksplice_eval::run_full_evaluation(rounds, jobs, &apply_opts, tracer)?;
     tracer.count("eval.cases_run", report.outcomes.len() as u64);
     println!("{}", report.render());
@@ -510,38 +527,30 @@ fn cmd_eval(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
 /// patch arena. `--flame` writes the post-apply collapsed stacks;
 /// `--correlate` additionally measures observed stop_machine abort rates
 /// against the profiler's quiescence-risk ranking.
-fn cmd_profile(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
-    let cve = flag_value(args, "--cve").unwrap_or("CVE-2005-1263");
-    let mut cfg = ProfileConfig::default();
-    if let Some(s) = flag_value(args, "--interval") {
-        cfg.interval = s.parse().map_err(|_| "bad --interval value".to_string())?;
-        if cfg.interval == 0 {
-            return Err("bad --interval value".to_string());
-        }
-    }
-    if let Some(s) = flag_value(args, "--samples") {
-        cfg.max_samples = s.parse().map_err(|_| "bad --samples value".to_string())?;
-    }
-    if let Some(s) = flag_value(args, "--rounds") {
-        cfg.rounds = s.parse().map_err(|_| "bad --rounds value".to_string())?;
-    }
-    if let Some(s) = flag_value(args, "--seed") {
-        cfg.seed = s.parse().map_err(|_| "bad --seed value".to_string())?;
-    }
-    let report = run_profile(cve, &cfg, tracer)?;
-    if let Some(path) = flag_value(args, "--flame") {
+fn cmd_profile(args: &Args, tracer: &mut Tracer) -> Result<(), String> {
+    let d = ProfileConfig::default();
+    let interval = args.get("--interval", num::<NonZeroU64>)?;
+    let cfg = ProfileConfig {
+        interval: interval.map_or(d.interval, NonZeroU64::get),
+        max_samples: args.get("--samples", num)?.unwrap_or(d.max_samples),
+        rounds: args.get("--rounds", num)?.unwrap_or(d.rounds),
+        seed: args.get("--seed", num)?.unwrap_or(d.seed),
+    };
+    let cve = args.get("--cve", find_cve)?;
+    let report = run_profile(cve.map_or("CVE-2005-1263", |c| c.id), &cfg, tracer)?;
+    if let Some(path) = args.value("--flame") {
         std::fs::write(path, &report.post.folded).map_err(|e| format!("{path}: {e}"))?;
         println!(
             "wrote {} collapsed stack(s) to {path}",
             report.post.folded.lines().count()
         );
     }
-    if args.iter().any(|a| a == "--json") {
+    if args.switch("--json") {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.render());
     }
-    if args.iter().any(|a| a == "--correlate") {
+    if args.switch("--correlate") {
         let corr = quiescence_correlation(&cfg, 60, 3, tracer)?;
         print!("{}", corr.render());
     }
@@ -551,37 +560,21 @@ fn cmd_profile(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
 /// `ksplice fuzz`: a randomized patch campaign against the differential
 /// oracle, or (`--replay <dir>`) a deterministic re-run of checked-in
 /// regression cases.
-fn cmd_fuzz(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
-    let mut cfg = ksplice_eval::FuzzConfig::default();
-    if let Some(s) = flag_value(args, "--seed") {
-        cfg.seed = s.parse().map_err(|_| "bad --seed value".to_string())?;
-    }
-    if let Some(s) = flag_value(args, "--mutants") {
-        cfg.mutants = s.parse().map_err(|_| "bad --mutants value".to_string())?;
-    }
-    if let Some(s) = flag_value(args, "--jobs") {
-        cfg.jobs = s.parse().map_err(|_| "bad --jobs value".to_string())?;
-        if cfg.jobs == 0 {
-            return Err("bad --jobs value".to_string());
-        }
-    }
-    if let Some(s) = flag_value(args, "--max-mutations") {
-        cfg.max_mutations = s
-            .parse()
-            .map_err(|_| "bad --max-mutations value".to_string())?;
-    }
-    if let Some(s) = flag_value(args, "--workload") {
-        cfg.workload = ksplice_eval::Workload::parse(s)
-            .ok_or("bad --workload: expected syscalls|stress|both")?;
-    }
-    if let Some(s) = flag_value(args, "--cpus") {
-        cfg.cpus = s.parse().map_err(|_| "bad --cpus value".to_string())?;
-        if cfg.cpus == 0 {
-            return Err("bad --cpus value".to_string());
-        }
-    }
+fn cmd_fuzz(args: &Args, tracer: &mut Tracer) -> Result<(), String> {
+    let d = FuzzConfig::default();
+    let workload = args.get("--workload", |s| {
+        Workload::parse(s).ok_or_else(|| format!("bad value `{s}` (expected syscalls|stress|both)"))
+    })?;
+    let cfg = FuzzConfig {
+        seed: args.get("--seed", num)?.unwrap_or(d.seed),
+        mutants: args.get("--mutants", num)?.unwrap_or(d.mutants),
+        jobs: jobs(args)?,
+        max_mutations: args.get("--max-mutations", num)?.unwrap_or(d.max_mutations),
+        workload: workload.unwrap_or(d.workload),
+        cpus: cpus(args, d.cpus)?,
+    };
 
-    if let Some(dir) = flag_value(args, "--replay") {
+    if let Some(dir) = args.value("--replay") {
         let cases = ksplice_eval::load_regression_dir(Path::new(dir))?;
         let cx = ksplice_eval::FuzzContext::new(&cfg)?;
         let mut failed = 0usize;
@@ -606,7 +599,7 @@ fn cmd_fuzz(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
 
     let report = ksplice_eval::run_campaign(&cfg, tracer)?;
     println!("{}", report.render());
-    if let Some(dir) = flag_value(args, "--emit") {
+    if let Some(dir) = args.value("--emit") {
         let dir = Path::new(dir);
         std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
         for case in &report.exemplars {
@@ -629,39 +622,26 @@ fn cmd_fuzz(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
 /// `ksplice rebase`: the drift matrix — port every corpus update onto
 /// seeded-drift variants of the base tree and report auto-port success
 /// per drift level and mutator class.
-fn cmd_rebase(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
-    let mut cfg = ksplice_eval::RebaseMatrixConfig::default();
-    if let Some(s) = flag_value(args, "--seed") {
-        cfg.seed = s.parse().map_err(|_| "bad --seed value".to_string())?;
-    }
-    if let Some(s) = flag_value(args, "--levels") {
-        cfg.levels = s
-            .split(',')
-            .map(|l| {
-                ksplice_lang::DriftLevel::parse(l)
-                    .ok_or_else(|| format!("bad --levels entry `{l}` (expected D1..D4)"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        if cfg.levels.is_empty() {
-            return Err("bad --levels: empty list".to_string());
-        }
-    }
-    if let Some(s) = flag_value(args, "--cves") {
-        cfg.cve_limit = s.parse().map_err(|_| "bad --cves value".to_string())?;
-    }
-    if let Some(s) = flag_value(args, "--jobs") {
-        cfg.jobs = s.parse().map_err(|_| "bad --jobs value".to_string())?;
-        if cfg.jobs == 0 {
-            return Err("bad --jobs value".to_string());
-        }
-    }
+fn cmd_rebase(args: &Args, tracer: &mut Tracer) -> Result<(), String> {
+    let d = RebaseMatrixConfig::default();
+    let levels = args.get("--levels", |s| {
+        let level =
+            |l| DriftLevel::parse(l).ok_or_else(|| format!("bad entry `{l}` (expected D1..D4)"));
+        s.split(',').map(level).collect()
+    })?;
+    let cfg = RebaseMatrixConfig {
+        seed: args.get("--seed", num)?.unwrap_or(d.seed),
+        levels: levels.unwrap_or(d.levels),
+        cve_limit: args.get("--cves", num)?.unwrap_or(d.cve_limit),
+        jobs: jobs(args)?,
+    };
     let matrix = ksplice_eval::run_rebase_matrix(&cfg, tracer)?;
-    let text = if args.iter().any(|a| a == "--json") {
+    let text = if args.switch("--json") {
         matrix.to_json()
     } else {
         matrix.render()
     };
-    if let Some(path) = flag_value(args, "--out") {
+    if let Some(path) = args.value("--out") {
         std::fs::write(path, &text).map_err(|e| format!("{path}: {e}"))?;
     } else {
         print!("{text}");
@@ -679,80 +659,39 @@ fn cmd_rebase(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
 /// `ksplice fleet`: a staged, canary-gated rollout across a simulated
 /// fleet of heterogeneous kernels over a fault-injectable transport —
 /// the Uptrack-style mass-deployment story in one command.
-fn cmd_fleet(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
-    let parse_u32 = |name: &str| -> Result<Option<u32>, String> {
-        flag_value(args, name)
-            .map(|s| s.parse().map_err(|_| format!("bad {name} value `{s}`")))
-            .transpose()
+fn cmd_fleet(args: &Args, tracer: &mut Tracer) -> Result<(), String> {
+    let d = FleetConfig::default();
+    let cfg = FleetConfig {
+        nodes: args.get("--nodes", num)?.unwrap_or(d.nodes),
+        versions: args.get("--versions", num)?.unwrap_or(d.versions),
+        cpus: cpus(args, d.cpus)?,
+        load_threads: args.get("--load", num)?.unwrap_or(d.load_threads),
+        seed: args.get("--seed", num)?.unwrap_or(d.seed),
+        resident: args.switch("--resident"),
+        ..d
     };
-    let parse_u64 = |name: &str| -> Result<Option<u64>, String> {
-        flag_value(args, name)
-            .map(|s| s.parse().map_err(|_| format!("bad {name} value `{s}`")))
-            .transpose()
-    };
-
-    let mut cfg = FleetConfig::default();
-    if let Some(n) = parse_u32("--nodes")? {
-        cfg.nodes = n;
-    }
-    if let Some(n) = parse_u32("--versions")? {
-        cfg.versions = n as usize;
-    }
-    if let Some(n) = parse_u32("--cpus")? {
-        cfg.cpus = n;
-    }
-    if let Some(n) = parse_u32("--load")? {
-        cfg.load_threads = n;
-    }
-    if let Some(n) = parse_u64("--seed")? {
-        cfg.seed = n;
-    }
-    cfg.resident = args.iter().any(|a| a == "--resident");
     let versions = cfg.versions.clamp(1, VERSION_NAMES.len());
-
-    let mut policy = RolloutPolicy {
-        jobs: std::thread::available_parallelism()
-            .map(|n| n.get().saturating_sub(1).max(1))
-            .unwrap_or(4),
-        ..RolloutPolicy::default()
+    let d = RolloutPolicy::default();
+    let policy = RolloutPolicy {
+        canary: args.get("--canary", num)?.unwrap_or(d.canary),
+        growth: args.get("--growth", num)?.unwrap_or(d.growth),
+        halt_per_mille: args
+            .get("--halt-per-mille", num)?
+            .unwrap_or(d.halt_per_mille),
+        max_ticks: args.get("--max-ticks", num)?.unwrap_or(d.max_ticks),
+        jobs: jobs(args)?,
     };
-    if let Some(n) = parse_u32("--canary")? {
-        policy.canary = n;
+    let update = args.value("--update").unwrap_or("cve-2006-2451");
+    let poison: Vec<usize> = args.get_all("--poison-version", num)?;
+    if let Some(v) = poison.iter().find(|&&v| v >= versions) {
+        return Err(format!("--poison-version: the fleet has no version {v}"));
     }
-    if let Some(n) = parse_u32("--growth")? {
-        policy.growth = n;
-    }
-    if let Some(n) = parse_u32("--halt-per-mille")? {
-        policy.halt_per_mille = n;
-    }
-    if let Some(n) = parse_u64("--max-ticks")? {
-        policy.max_ticks = n;
-    }
-    if let Some(n) = parse_u32("--jobs")? {
-        if n == 0 {
-            return Err("bad --jobs value `0`".to_string());
-        }
-        policy.jobs = n as usize;
-    }
-
-    let update = flag_value(args, "--update").unwrap_or("cve-2006-2451");
-    let poison: Vec<usize> = flag_values(args, "--poison-version")
-        .into_iter()
-        .map(|s| {
-            s.parse::<usize>()
-                .ok()
-                .filter(|&v| v < versions)
-                .ok_or_else(|| format!("bad --poison-version `{s}` (fleet has {versions})"))
-        })
-        .collect::<Result<_, _>>()?;
-
-    let transport_seed = parse_u64("--transport-seed")?.unwrap_or(0xf1ee_cafe);
-    let mut transport = match flag_value(args, "--faults") {
-        Some(spec) => SimTransport::with_faults(transport_seed, NetFaults::parse(spec)?),
-        None => SimTransport::new(transport_seed),
-    };
-    for spec in flag_values(args, "--partition") {
-        transport.add_partition(Partition::parse(spec)?);
+    let mut transport = SimTransport::with_faults(
+        args.get("--transport-seed", num)?.unwrap_or(0xf1ee_cafe),
+        args.get("--faults", NetFaults::parse)?.unwrap_or_default(),
+    );
+    for partition in args.get_all("--partition", Partition::parse)? {
+        transport.add_partition(partition);
     }
 
     note(
@@ -790,7 +729,7 @@ fn cmd_fleet(args: &[String], tracer: &mut Tracer) -> Result<(), String> {
     }
 }
 
-fn cmd_list() -> Result<(), String> {
+fn cmd_list(_: &Args, _: &mut Tracer) -> Result<(), String> {
     println!(
         "{:<16} {:>4} {:<12} custom  summary",
         "CVE", "year", "class"
@@ -819,8 +758,8 @@ fn cmd_list() -> Result<(), String> {
 /// renders the causal span tree; `--timeline <file>` exports the trace
 /// as Chrome trace JSON (load in Perfetto or `chrome://tracing`; `-`
 /// writes to stdout).
-fn cmd_report(args: &[String]) -> Result<(), String> {
-    let file = args.first().ok_or("report: missing trace file")?;
+fn cmd_report(args: &Args, _: &mut Tracer) -> Result<(), String> {
+    let file = &args.operand;
     let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
     let mut events = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -870,7 +809,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    if args.iter().any(|a| a == "--spans") {
+    if args.switch("--spans") {
         let tree = render_span_tree(&events);
         if tree.is_empty() {
             println!("no spans recorded");
@@ -879,7 +818,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             print!("{tree}");
         }
     }
-    if let Some(path) = flag_value(args, "--timeline") {
+    if let Some(path) = args.value("--timeline") {
         let json = chrome_trace_json(&events);
         if path == "-" {
             println!("{json}");

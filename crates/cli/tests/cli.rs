@@ -377,3 +377,72 @@ fn corrupt_text_outside_the_arena_is_refused() {
 fn a_fleet_of_zero_nodes_is_refused() {
     assert_refused(&["fleet", "--nodes", "0"], "at least one node");
 }
+
+#[test]
+fn flag_errors_are_refused_before_any_work() {
+    // Each case names the flag the message must name. `--help` is not a
+    // flag of any command, so every command refuses it like a typo.
+    let commands = [
+        "create", "inspect", "demo", "eval", "profile", "fuzz", "rebase", "fleet", "status",
+        "list", "report",
+    ];
+    let mut cases: Vec<(Vec<&str>, &str)> = commands
+        .iter()
+        .map(|&c| (vec![c, "--help"], "--help"))
+        .collect();
+    cases.extend([
+        (vec!["fuzz", "--seed"], "--seed"),
+        (vec!["fuzz", "--seed", "1", "--seed", "2"], "--seed"),
+        (vec!["rebase", "--out", "--json"], "--out"),
+        (vec!["profile", "--interval", "0"], "--interval"),
+        (vec!["demo", "--trace"], "--trace"),
+        (vec!["list", "extra"], "extra"),
+    ]);
+    for command in ["eval", "fuzz", "rebase", "fleet"] {
+        cases.push((vec![command, "--jobs", "0"], "--jobs"));
+    }
+    for command in ["demo", "eval", "status", "fuzz", "fleet"] {
+        cases.push((vec![command, "--cpus", "0"], "--cpus"));
+    }
+    let dir = std::env::temp_dir().join(format!("ksplice-cli-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (args, flag) in &cases {
+        let out = ksplice().args(args).current_dir(&dir).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("ksplice: ") && stderr.contains(flag),
+            "{args:?}: {stderr}"
+        );
+        // Nothing was booted, built or run: no progress note, no report.
+        assert!(out.stdout.is_empty(), "{args:?} did some work");
+    }
+    // No case wrote a file: `rebase --out --json` took no `--json` path.
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn malformed_fault_specs_are_refused() {
+    // A kernel call takes at most six arguments.
+    assert_refused(
+        &[
+            "demo",
+            "--watch-rounds",
+            "1",
+            "--probe",
+            "sys_getuid(1,2,3,4,5,6,7)=0",
+        ],
+        "at most 6 arguments",
+    );
+    // A count past u32::MAX is refused, not wrapped to zero.
+    assert_refused(
+        &["demo", "--fault", "stack-busy:4294967296"],
+        "out of range",
+    );
+    // A reversed delay range is refused, not rewritten to `5..5`.
+    assert_refused(
+        &["fleet", "--nodes", "2", "--faults", "delay:5..1"],
+        "bad delay",
+    );
+}

@@ -353,7 +353,7 @@ impl HealthProbe {
 
     /// Parses a CLI canary spec: `fn=expected` or `fn(arg,arg)=expected`
     /// (decimal integers; `expected` may be negative, stored two's
-    /// complement).
+    /// complement). A kernel call takes at most six arguments.
     pub fn parse(spec: &str) -> Result<HealthProbe, String> {
         let (lhs, rhs) = spec
             .split_once('=')
@@ -385,6 +385,9 @@ impl HealthProbe {
         };
         if fn_name.is_empty() {
             return Err(format!("bad probe `{spec}` (empty function name)"));
+        }
+        if args.len() > 6 {
+            return Err(format!("bad probe `{spec}` (at most 6 arguments)"));
         }
         Ok(HealthProbe::canary(fn_name, &args, expected))
     }

@@ -70,6 +70,9 @@ fn probe_spec_parsing() {
     assert!(HealthProbe::parse("f(1=2").is_err());
     assert!(HealthProbe::parse("f(x)=2").is_err());
     assert!(HealthProbe::parse("=2").is_err());
+    // A kernel call takes at most six arguments.
+    assert!(HealthProbe::parse("f(1,2,3,4,5,6)=0").is_ok());
+    assert!(HealthProbe::parse("f(1,2,3,4,5,6,7)=0").is_err());
 }
 
 #[test]

@@ -166,6 +166,14 @@ fn edit(path: &'static str, find: &'static str, replace: &'static str) -> Edit {
     }
 }
 
+/// The corpus entry with id `id`.
+pub fn find_cve(id: &str) -> Result<Cve, String> {
+    corpus()
+        .into_iter()
+        .find(|c| c.id == id)
+        .ok_or_else(|| format!("unknown CVE `{id}` (try `ksplice list`)"))
+}
+
 /// Builds the full 64-entry corpus.
 pub fn corpus() -> Vec<Cve> {
     let mut v: Vec<Cve> = Vec::with_capacity(64);

@@ -38,7 +38,7 @@ use ksplice_lang::{
     FuzzRng, Mutation, MutatorKind, Options, SourceTree, Type, Unit, FNV_OFFSET,
 };
 
-use crate::corpus::{corpus, Cve};
+use crate::corpus::{find_cve, Cve};
 use crate::driver::distro_image;
 use crate::exploits::run_exploit;
 use crate::pool::{default_eval_jobs, par_map};
@@ -666,10 +666,7 @@ impl FuzzContext {
         let pre_image = distro_image(&canon, &cache)?;
         let mut subject = Kernel::boot_image(&pre_image).map_err(|e| format!("pre boot: {e}"))?;
         configure_kernel(&mut subject, &apply_opts);
-        let prctl = corpus()
-            .into_iter()
-            .find(|c| c.id == "CVE-2006-2451")
-            .ok_or("prctl exploit case missing from corpus")?;
+        let prctl = find_cve("CVE-2006-2451")?;
 
         // The fixed sweep: every exported int-only function with at most
         // two parameters, in sorted order, with small deterministic

@@ -15,7 +15,7 @@ pub mod stats;
 pub mod stress;
 pub mod tree;
 
-pub use corpus::{corpus, CustomCode, CustomReason, Cve, Edit, VulnClass};
+pub use corpus::{corpus, find_cve, CustomCode, CustomReason, Cve, Edit, VulnClass};
 pub use lifecycle::{
     exploit_probe, lifecycle_corpus_sweep, non_lifo_reversal_sweep, shippable_update,
     LifecycleOutcome, DISJOINT_STACK,
@@ -35,5 +35,5 @@ pub use profile::{
 };
 pub use rebase::{run_rebase_matrix, RebaseCell, RebaseMatrix, RebaseMatrixConfig};
 pub use smp::{run_quiescence_load, LoadRow, QuiescenceReport, SmpLoadConfig};
-pub use stress::{load_stress, run_stress, spawn_stress, STRESS_SRC};
+pub use stress::{load_stress, load_workload, run_stress, spawn_stress, STRESS_SRC};
 pub use tree::{base_tree, canonical_base_tree, BASE_FILES};

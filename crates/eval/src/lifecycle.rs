@@ -22,7 +22,7 @@ use ksplice_kernel::Kernel;
 use ksplice_lang::SourceTree;
 use ksplice_object::ObjectSet;
 
-use crate::corpus::{corpus, Cve};
+use crate::corpus::{corpus, find_cve, Cve};
 use crate::driver::distro_image;
 use crate::exploits::run_exploit;
 use crate::tree::base_tree;
@@ -181,10 +181,8 @@ fn xorshift(state: &mut u64) -> u64 {
 /// Asserts (by `Err`) that text and full image checksums return to the
 /// pre-apply values. Returns the reversal order used.
 pub fn non_lifo_reversal_sweep(seed: u64) -> Result<Vec<&'static str>, String> {
-    let cases = corpus();
-    let base = base_tree();
     let cache = BuildCache::new();
-    let image = distro_image(&base, &cache)?;
+    let image = distro_image(&base_tree(), &cache)?;
     let mut kernel = Kernel::boot_image(&image).map_err(|e| format!("boot: {e}"))?;
     let text_before = kernel.mem.text_checksum();
     let image_before = kernel.mem.image_checksum();
@@ -192,8 +190,8 @@ pub fn non_lifo_reversal_sweep(seed: u64) -> Result<Vec<&'static str>, String> {
     let mut tracer = Tracer::disabled();
     let mut ks = Ksplice::new();
     for id in DISJOINT_STACK {
-        let case = cases.iter().find(|c| c.id == id).expect("corpus entry");
-        let (pack, _) = shippable_update(case, &cache, &mut tracer)
+        let case = find_cve(id)?;
+        let (pack, _) = shippable_update(&case, &cache, &mut tracer)
             .map_err(|e| format!("{}: create: {e}", case.id))?;
         ks.apply_traced(&mut kernel, &pack, &ApplyOptions::default(), &mut tracer)
             .map_err(|e| format!("{id}: apply: {e}"))?;

@@ -20,17 +20,14 @@
 use std::collections::BTreeSet;
 
 use ksplice_core::trace::{Severity, Stage, Tracer};
-use ksplice_core::{
-    create_update_cached_traced, ApplyError, ApplyOptions, CreateOptions, Ksplice, RetryPolicy,
-    TRAMPOLINE_LEN,
-};
+use ksplice_core::{ApplyError, ApplyOptions, Ksplice, RetryPolicy, TRAMPOLINE_LEN};
 use ksplice_kernel::{
     collapsed_stacks, hot_functions, quiescence_risk, Fault, HotFunc, Kernel, QuiesceRisk,
     Residency, Sample,
 };
 use ksplice_lang::BuildCache;
 
-use crate::corpus::{corpus, Cve};
+use crate::corpus::find_cve;
 use crate::driver::distro_image;
 use crate::lifecycle::shippable_update;
 use crate::stress::{load_stress_cached, run_stress, spawn_stress};
@@ -196,13 +193,6 @@ impl ProfileReport {
     }
 }
 
-fn find_case(cve_id: &str) -> Result<Cve, String> {
-    corpus()
-        .into_iter()
-        .find(|c| c.id == cve_id)
-        .ok_or_else(|| format!("unknown CVE `{cve_id}` (see `ksplice eval` for the corpus)"))
-}
-
 /// Samples one stress phase: arms the profiler, runs the workload
 /// synchronously, and returns the recorded samples.
 fn sample_phase(
@@ -225,10 +215,9 @@ pub fn run_profile(
     cfg: &ProfileConfig,
     tracer: &mut Tracer,
 ) -> Result<ProfileReport, String> {
-    let case = find_case(cve_id)?;
+    let case = find_cve(cve_id)?;
     let cache = BuildCache::new();
-    let base = base_tree();
-    let image = distro_image(&base, &cache)?;
+    let image = distro_image(&base_tree(), &cache)?;
     let mut kernel = Kernel::boot_image(&image).map_err(|e| format!("boot: {e}"))?;
     let entry = load_stress_cached(&mut kernel, &cache)?;
 
@@ -447,8 +436,7 @@ pub fn quiescence_correlation(
     tracer: &mut Tracer,
 ) -> Result<QuiesceCorrelation, String> {
     let cache = BuildCache::new();
-    let base = base_tree();
-    let image = distro_image(&base, &cache)?;
+    let image = distro_image(&base_tree(), &cache)?;
 
     // Side 1: the profiler's ranking, from a synchronous sampled run.
     let mut kernel = Kernel::boot_image(&image).map_err(|e| format!("boot: {e}"))?;
@@ -457,7 +445,7 @@ pub fn quiescence_correlation(
     let mut cases = Vec::new();
     let mut targets = Vec::new();
     for id in QUIESCE_TARGET_CVES {
-        let case = find_case(id)?;
+        let case = find_cve(id)?;
         let fn_name = case.edited_fns[0];
         let sym = kernel
             .syms
@@ -482,15 +470,8 @@ pub fn quiescence_correlation(
     let mut aborts: Vec<TargetAborts> = Vec::new();
     for (i, case) in cases.iter().enumerate() {
         let fn_name = case.edited_fns[0].to_string();
-        let (pack, _) = create_update_cached_traced(
-            case.id,
-            &base,
-            &case.full_patch_text(),
-            &CreateOptions::default(),
-            &cache,
-            tracer,
-        )
-        .map_err(|e| format!("{}: create: {e}", case.id))?;
+        let (pack, _) = shippable_update(case, &cache, tracer)
+            .map_err(|e| format!("{}: create: {e}", case.id))?;
 
         let mut k = Kernel::boot_image(&image).map_err(|e| format!("boot: {e}"))?;
         let entry = load_stress_cached(&mut k, &cache)?;

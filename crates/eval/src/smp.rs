@@ -26,15 +26,14 @@
 //! Everything is seeded; the same config reproduces the same table.
 
 use ksplice_core::trace::{Severity, Stage, Tracer};
-use ksplice_core::{
-    create_update_cached_traced, ApplyError, ApplyOptions, CreateOptions, Ksplice, RetryPolicy,
-    SmpConfig,
-};
+use ksplice_core::{ApplyError, ApplyOptions, Ksplice, RetryPolicy, SmpConfig};
 use ksplice_kernel::Kernel;
-use ksplice_lang::{compile_unit_cached, BuildCache, FuzzRng, Options};
+use ksplice_lang::{BuildCache, FuzzRng};
 
-use crate::corpus::corpus;
+use crate::corpus::find_cve;
 use crate::driver::distro_image;
+use crate::lifecycle::shippable_update;
+use crate::stress::load_workload;
 use crate::tree::base_tree;
 
 /// The SMP load workload. The POSIX stress module checks cross-thread
@@ -59,19 +58,6 @@ int smp_load_main(int rounds) {\n\
     }\n\
     return 0;\n\
 }\n";
-
-/// Loads the SMP load module through the shared build cache, returning
-/// the `smp_load_main` entry address.
-fn load_smp_load(kernel: &mut Kernel, cache: &BuildCache) -> Result<u64, String> {
-    let obj = compile_unit_cached("smp/load.kc", SMP_LOAD_SRC, &Options::pre_post(), cache)
-        .map_err(|e| format!("smp load compile: {e}"))?;
-    let module = kernel
-        .insmod(&obj, false)
-        .map_err(|e| format!("smp load insmod: {e}"))?;
-    module
-        .symbol_addr("smp_load_main")
-        .ok_or_else(|| "smp_load_main missing".to_string())
-}
 
 /// Parameters of one [`run_quiescence_load`] sweep.
 #[derive(Debug, Clone)]
@@ -189,23 +175,12 @@ pub fn run_quiescence_load(
     cfg: &SmpLoadConfig,
     tracer: &mut Tracer,
 ) -> Result<QuiescenceReport, String> {
-    let case = corpus()
-        .into_iter()
-        .find(|c| c.id == cfg.cve)
-        .ok_or_else(|| format!("unknown CVE `{}`", cfg.cve))?;
+    let case = find_cve(cfg.cve)?;
     let function = case.edited_fns[0].to_string();
     let cache = BuildCache::new();
-    let base = base_tree();
-    let image = distro_image(&base, &cache)?;
-    let (pack, _) = create_update_cached_traced(
-        case.id,
-        &base,
-        &case.full_patch_text(),
-        &CreateOptions::default(),
-        &cache,
-        &mut Tracer::disabled(),
-    )
-    .map_err(|e| format!("{}: create: {e}", case.id))?;
+    let image = distro_image(&base_tree(), &cache)?;
+    let (pack, _) = shippable_update(&case, &cache, &mut Tracer::disabled())
+        .map_err(|e| format!("{}: create: {e}", case.id))?;
 
     let span = tracer.span_start(
         Stage::Bench,
@@ -239,7 +214,8 @@ pub fn run_quiescence_load(
         for _ in 0..cfg.probes {
             let mut k = Kernel::boot_image(&image).map_err(|e| format!("boot: {e}"))?;
             k.configure_smp(SmpConfig::with_cpus(cfg.cpus).with_seed(rng.next_u64()));
-            let entry = load_smp_load(&mut k, &cache)?;
+            let entry =
+                load_workload(&mut k, &cache, "smp/load.kc", SMP_LOAD_SRC, "smp_load_main")?;
             for _ in 0..load {
                 // A workload that outlives every capture attempt.
                 k.spawn_at(entry, &[1_000_000], "smp-load")

@@ -84,14 +84,28 @@ pub fn load_stress(kernel: &mut Kernel) -> Result<u64, String> {
 /// [`load_stress`] through a shared [`BuildCache`]: the evaluation
 /// driver loads this module into 64 kernels but compiles it once.
 pub fn load_stress_cached(kernel: &mut Kernel, cache: &BuildCache) -> Result<u64, String> {
-    let obj = compile_unit_cached("stress/stress.kc", STRESS_SRC, &Options::pre_post(), cache)
-        .map_err(|e| format!("stress compile: {e}"))?;
+    load_workload(kernel, cache, "stress/stress.kc", STRESS_SRC, "stress_main")
+}
+
+/// Compiles a workload module's `src` as unit `unit` through `cache`,
+/// loads it, and returns the address of its `entry` function. The unit
+/// name is part of the module's identity (its region names and text
+/// checksum), so each workload keeps its own.
+pub fn load_workload(
+    kernel: &mut Kernel,
+    cache: &BuildCache,
+    unit: &str,
+    src: &str,
+    entry: &str,
+) -> Result<u64, String> {
+    let obj = compile_unit_cached(unit, src, &Options::pre_post(), cache)
+        .map_err(|e| format!("{unit}: compile: {e}"))?;
     let module = kernel
         .insmod(&obj, false)
-        .map_err(|e| format!("stress load: {e}"))?;
+        .map_err(|e| format!("{unit}: insmod: {e}"))?;
     module
-        .symbol_addr("stress_main")
-        .ok_or_else(|| "stress_main missing".to_string())
+        .symbol_addr(entry)
+        .ok_or_else(|| format!("{unit}: {entry} missing"))
 }
 
 /// Runs `rounds` of the stress workload synchronously; Ok(()) on a clean

@@ -22,11 +22,10 @@ use ksplice_core::{
     RetryPolicy, SmpConfig, UpdateManager, UpdatePack, WatchPolicy,
 };
 use ksplice_eval::smp::SMP_LOAD_SRC;
-use ksplice_eval::{base_tree, diff_trees, par_map};
+use ksplice_eval::{base_tree, diff_trees, load_workload, par_map};
 use ksplice_kernel::{Kernel, KernelSnapshot};
 use ksplice_lang::{
-    build_tree_image_cached, compile_unit_cached, fnv1a, BuildCache, FuzzRng, Options, SourceTree,
-    FNV_OFFSET,
+    build_tree_image_cached, fnv1a, BuildCache, FuzzRng, Options, SourceTree, FNV_OFFSET,
 };
 use ksplice_trace::Tracer;
 
@@ -252,8 +251,16 @@ impl FleetContext {
                 .map_err(|e| format!("version {v} image: {e}"))?;
             let mut kernel =
                 Kernel::boot_image(&image).map_err(|e| format!("version {v} boot: {e}"))?;
+            // The SMP sweep's syscall loop: no cross-thread invariants,
+            // so N copies run indefinitely.
             let load_entry = if cfg.load_threads > 0 {
-                Some(load_workload(&mut kernel, &cache)?)
+                Some(load_workload(
+                    &mut kernel,
+                    &cache,
+                    "fleet/load.kc",
+                    SMP_LOAD_SRC,
+                    "smp_load_main",
+                )?)
             } else {
                 None
             };
@@ -571,21 +578,6 @@ impl FleetNode {
 
 fn report(update: String, verdict: Verdict) -> Payload {
     Payload::Report { update, verdict }
-}
-
-/// Compiles (through the shared cache) and loads the sustained syscall
-/// workload, returning its entry address. The source is the SMP sweep's
-/// `SMP_LOAD_SRC`: `sys_open`/read/write/close hammering with no
-/// cross-thread invariants, so N copies run indefinitely.
-fn load_workload(kernel: &mut Kernel, cache: &BuildCache) -> Result<u64, String> {
-    let obj = compile_unit_cached("fleet/load.kc", SMP_LOAD_SRC, &Options::pre_post(), cache)
-        .map_err(|e| format!("fleet load compile: {e}"))?;
-    let module = kernel
-        .insmod(&obj, false)
-        .map_err(|e| format!("fleet load insmod: {e}"))?;
-    module
-        .symbol_addr("smp_load_main")
-        .ok_or_else(|| "smp_load_main missing".to_string())
 }
 
 /// The whole simulated fleet: shared build context plus every node.

@@ -154,7 +154,7 @@ impl Default for NetFaults {
 
 impl NetFaults {
     /// Parses a comma-separated spec: `drop:PM`, `dup:PM`,
-    /// `corrupt:PM`, `delay:MIN..MAX` (e.g.
+    /// `corrupt:PM`, `delay:MIN..MAX` with `1 <= MIN <= MAX` (e.g.
     /// `drop:50,dup:20,corrupt:10,delay:1..4`).
     pub fn parse(spec: &str) -> Result<NetFaults, String> {
         let mut f = NetFaults::default();
@@ -170,14 +170,11 @@ impl NetFaults {
                     let (lo, hi) = val
                         .split_once("..")
                         .ok_or_else(|| format!("bad delay `{val}` (expected MIN..MAX)"))?;
-                    f.delay_min = lo
-                        .parse::<u64>()
-                        .map_err(|_| format!("bad delay min `{lo}`"))?
-                        .max(1);
-                    f.delay_max = hi
-                        .parse::<u64>()
-                        .map_err(|_| format!("bad delay max `{hi}`"))?
-                        .max(f.delay_min);
+                    f.delay_min = lo.parse().map_err(|_| format!("bad delay min `{lo}`"))?;
+                    f.delay_max = hi.parse().map_err(|_| format!("bad delay max `{hi}`"))?;
+                    if f.delay_min == 0 || f.delay_max < f.delay_min {
+                        return Err(format!("bad delay `{val}` (expected 1 <= MIN <= MAX)"));
+                    }
                 }
                 other => return Err(format!("unknown net fault `{other}`")),
             }
@@ -440,6 +437,8 @@ mod tests {
         assert_eq!(NetFaults::parse(&f.to_string()).unwrap(), f);
         assert!(NetFaults::parse("drop:1001").is_err());
         assert!(NetFaults::parse("warp:1").is_err());
+        assert!(NetFaults::parse("delay:5..1").is_err());
+        assert!(NetFaults::parse("delay:0..3").is_err());
         let p = Partition::parse("0..3@5..400").unwrap();
         assert_eq!((p.first, p.last, p.from_tick, p.heal_tick), (0, 3, 5, 400));
         assert!(Partition::parse("3..0@5..400").is_err());

@@ -106,12 +106,15 @@ impl Fault {
             };
             u64::from_str_radix(digits, radix).map_err(|_| format!("bad {what} `{a}` in `{spec}`"))
         };
+        let count = |what: &str| -> Result<u32, String> {
+            u32::try_from(num(what)?).map_err(|_| format!("{what} out of range in `{spec}`"))
+        };
         match site {
             "stack-busy" => Ok(Fault::StackBusy {
-                windows: num("windows")? as u32,
+                windows: count("windows")?,
             }),
             "module-load" => Ok(Fault::ModuleLoad {
-                count: num("count")? as u32,
+                count: count("count")?,
             }),
             "corrupt-text" => Ok(Fault::CorruptText {
                 addr: arg.map(|_| num("addr")).transpose()?,
@@ -120,10 +123,10 @@ impl Fault {
                 max_steps: num("steps")?,
             }),
             "probe-fail" => Ok(Fault::ProbeFail {
-                count: num("count")? as u32,
+                count: count("count")?,
             }),
             "barrier-stall" => Ok(Fault::BarrierStall {
-                count: num("count")? as u32,
+                count: count("count")?,
             }),
             other => Err(format!(
                 "unknown fault site `{other}` (expected stack-busy, module-load, corrupt-text, step-jitter, probe-fail or barrier-stall)"
@@ -375,6 +378,7 @@ mod tests {
         );
         assert!(Fault::parse("stack-busy").is_err());
         assert!(Fault::parse("stack-busy:x").is_err());
+        assert!(Fault::parse("stack-busy:4294967296").is_err());
         assert!(Fault::parse("quantum-bitflip:1").is_err());
     }
 

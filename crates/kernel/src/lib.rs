@@ -61,8 +61,8 @@ pub use loader::{
 };
 pub use mem::{MemFault, Memory, Perms, Region, KBASE, MEM_SIZE};
 pub use profiler::{
-    collapsed_stacks, hot_functions, quiescence_risk, samples_per_cpu, FrameSym, HotFunc,
-    Profiler, QuiesceRisk, Residency, Sample,
+    collapsed_stacks, hot_functions, quiescence_risk, FrameSym, HotFunc, Profiler, QuiesceRisk,
+    Residency, Sample,
 };
 pub use native::{native_addr, native_from_addr, Native, NATIVE_BASE, RETURN_SENTINEL};
 pub use smp::{Cpu, SmpConfig, StopMachineError, DEFAULT_SCHED_SEED};

@@ -316,21 +316,6 @@ pub fn hot_functions(
     out
 }
 
-/// Per-vCPU sample attribution: `counts[cpu]` is how many samples fired
-/// while a thread homed on that vCPU was running. The vector spans
-/// `0..=max cpu seen` (a uniprocessor profile yields one entry), so an
-/// idle vCPU in the middle of the range still gets its zero row.
-pub fn samples_per_cpu(samples: &[Sample]) -> Vec<u64> {
-    let Some(max_cpu) = samples.iter().map(|s| s.cpu).max() else {
-        return Vec::new();
-    };
-    let mut counts = vec![0u64; max_cpu as usize + 1];
-    for s in samples {
-        counts[s.cpu as usize] += 1;
-    }
-    counts
-}
-
 /// Renders samples as collapsed stacks (`root;...;leaf count` lines,
 /// one per distinct stack) — the flamegraph input format. Frames are
 /// annotated `name` or `name@arena`/`name@tramp` when not in original

@@ -55,16 +55,6 @@ impl ObjectSet {
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Object)> {
         self.objects.iter().map(|(k, v)| (k.as_str(), v))
     }
-
-    /// Unit names present in `self` but whose object differs from (or is
-    /// absent in) `other` — the raw material of pre-post differencing.
-    pub fn changed_units<'a>(&'a self, other: &ObjectSet) -> Vec<&'a str> {
-        self.objects
-            .iter()
-            .filter(|(name, obj)| other.get(name) != Some(obj))
-            .map(|(name, _)| name.as_str())
-            .collect()
-    }
 }
 
 impl FromIterator<Object> for ObjectSet {
@@ -97,21 +87,5 @@ mod tests {
         let set: ObjectSet = [obj("b.kc", 1), obj("a.kc", 2)].into_iter().collect();
         let names: Vec<&str> = set.iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["a.kc", "b.kc"]);
-    }
-
-    #[test]
-    fn changed_units_detects_differences() {
-        let pre: ObjectSet = [obj("a.kc", 1), obj("b.kc", 2)].into_iter().collect();
-        let mut post = pre.clone();
-        post.insert(obj("b.kc", 3));
-        assert_eq!(post.changed_units(&pre), vec!["b.kc"]);
-        assert_eq!(pre.changed_units(&pre), Vec::<&str>::new());
-    }
-
-    #[test]
-    fn changed_units_includes_new_files() {
-        let pre: ObjectSet = [obj("a.kc", 1)].into_iter().collect();
-        let post: ObjectSet = [obj("a.kc", 1), obj("new.kc", 9)].into_iter().collect();
-        assert_eq!(post.changed_units(&pre), vec!["new.kc"]);
     }
 }
