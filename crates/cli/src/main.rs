@@ -278,6 +278,16 @@ fn apply_options(args: &Args) -> Result<ApplyOptions, String> {
     })
 }
 
+/// `--watch-rounds`. Probes run only inside watch rounds, so zero rounds
+/// with a `--probe` is refused rather than committing unchecked.
+fn watch_rounds(args: &Args) -> Result<Option<u32>, String> {
+    let rounds = args.get("--watch-rounds", num)?;
+    if rounds == Some(0) && args.switch("--probe") {
+        return Err("--probe runs only in watch rounds, and --watch-rounds is 0".to_string());
+    }
+    Ok(rounds)
+}
+
 /// Boots the base tree's kernel on the vCPUs `opts` asks for.
 fn boot(opts: &ApplyOptions) -> Result<Kernel, String> {
     let mut kernel = Kernel::boot(&base_tree(), &Options::distro()).map_err(|e| e.to_string())?;
@@ -396,7 +406,7 @@ fn cmd_demo(args: &Args, tracer: &mut Tracer) -> Result<(), String> {
         .get("--cve", find_cve)?
         .map_or_else(|| find_cve("CVE-2006-2451"), Ok)?;
     let apply_opts = apply_options(args)?;
-    let watch_rounds: Option<u32> = args.get("--watch-rounds", num)?;
+    let watch_rounds = watch_rounds(args)?;
     let mut probes = args.get_all("--probe", HealthProbe::parse)?;
     let faults = args.get_all("--fault", Fault::parse)?;
     let fault_seed: Option<u64> = args.get("--fault-seed", num)?;
@@ -480,7 +490,7 @@ fn cmd_status(args: &Args, tracer: &mut Tracer) -> Result<(), String> {
             cases.push(find_cve(id)?);
         }
     }
-    let rounds = args.get("--watch-rounds", num)?.unwrap_or(1);
+    let rounds = watch_rounds(args)?.unwrap_or(1);
     let mut probes = args.get_all("--probe", HealthProbe::parse)?;
     let canaries = probes.len();
 
@@ -561,6 +571,14 @@ fn cmd_profile(args: &Args, tracer: &mut Tracer) -> Result<(), String> {
 /// oracle, or (`--replay <dir>`) a deterministic re-run of checked-in
 /// regression cases.
 fn cmd_fuzz(args: &Args, tracer: &mut Tracer) -> Result<(), String> {
+    // A replay re-runs the checked-in cases: only the topology flags
+    // `FuzzContext::new` reads apply to it.
+    if args.switch("--replay") {
+        let campaign = ["--seed", "--mutants", "--max-mutations", "--jobs", "--emit"];
+        if let Some(flag) = campaign.into_iter().find(|f| args.switch(f)) {
+            return Err(format!("{flag} has no effect with --replay"));
+        }
+    }
     let d = FuzzConfig::default();
     let workload = args.get("--workload", |s| {
         Workload::parse(s).ok_or_else(|| format!("bad value `{s}` (expected syscalls|stress|both)"))

@@ -380,38 +380,60 @@ fn a_fleet_of_zero_nodes_is_refused() {
 
 #[test]
 fn flag_errors_are_refused_before_any_work() {
-    // Each case names the flag the message must name. `--help` is not a
+    // Each case names the flags the message must name. `--help` is not a
     // flag of any command, so every command refuses it like a typo.
     let commands = [
         "create", "inspect", "demo", "eval", "profile", "fuzz", "rebase", "fleet", "status",
         "list", "report",
     ];
-    let mut cases: Vec<(Vec<&str>, &str)> = commands
+    let mut cases: Vec<(Vec<&str>, Vec<&str>)> = commands
         .iter()
-        .map(|&c| (vec![c, "--help"], "--help"))
+        .map(|&c| (vec![c, "--help"], vec!["--help"]))
         .collect();
     cases.extend([
-        (vec!["fuzz", "--seed"], "--seed"),
-        (vec!["fuzz", "--seed", "1", "--seed", "2"], "--seed"),
-        (vec!["rebase", "--out", "--json"], "--out"),
-        (vec!["profile", "--interval", "0"], "--interval"),
-        (vec!["demo", "--trace"], "--trace"),
-        (vec!["list", "extra"], "extra"),
+        (vec!["fuzz", "--seed"], vec!["--seed"]),
+        (vec!["fuzz", "--seed", "1", "--seed", "2"], vec!["--seed"]),
+        (vec!["rebase", "--out", "--json"], vec!["--out"]),
+        (vec!["profile", "--interval", "0"], vec!["--interval"]),
+        (vec!["demo", "--trace"], vec!["--trace"]),
+        (vec!["list", "extra"], vec!["extra"]),
     ]);
     for command in ["eval", "fuzz", "rebase", "fleet"] {
-        cases.push((vec![command, "--jobs", "0"], "--jobs"));
+        cases.push((vec![command, "--jobs", "0"], vec!["--jobs"]));
     }
     for command in ["demo", "eval", "status", "fuzz", "fleet"] {
-        cases.push((vec![command, "--cpus", "0"], "--cpus"));
+        cases.push((vec![command, "--cpus", "0"], vec!["--cpus"]));
+    }
+    // A replay ignores the campaign's flags, so it refuses them.
+    for (flag, value) in [
+        ("--seed", "1"),
+        ("--mutants", "5"),
+        ("--max-mutations", "2"),
+        ("--jobs", "2"),
+        ("--emit", "out"),
+    ] {
+        let args = vec!["fuzz", "--replay", "cases", flag, value];
+        cases.push((args, vec!["--replay", flag]));
+    }
+    // Probes run only in watch rounds, so zero rounds cannot check one.
+    for command in ["demo", "status"] {
+        let args = vec![
+            command,
+            "--watch-rounds",
+            "0",
+            "--probe",
+            "sys_getuid()=1000",
+        ];
+        cases.push((args, vec!["--watch-rounds", "--probe"]));
     }
     let dir = std::env::temp_dir().join(format!("ksplice-cli-flags-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for (args, flag) in &cases {
+    for (args, flags) in &cases {
         let out = ksplice().args(args).current_dir(&dir).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(
-            stderr.starts_with("ksplice: ") && stderr.contains(flag),
+            stderr.starts_with("ksplice: ") && flags.iter().all(|f| stderr.contains(f)),
             "{args:?}: {stderr}"
         );
         // Nothing was booted, built or run: no progress note, no report.

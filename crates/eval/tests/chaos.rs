@@ -11,7 +11,8 @@
 //!
 //! All randomness is a pure function of the schedule seed, so a failing
 //! schedule replays exactly. Every test runs at each vCPU count in
-//! [`CPUS`]: the contract must hold at every N. The smoke test
+//! [`CPUS`], with one syscall-load thread per vCPU for `stop_machine`
+//! to stop: the contract must hold at every N. The smoke test
 //! (`chaos_smoke_fixed_seed`) covers 3 CVEs with a fixed seed; the full
 //! sweep runs 48 schedules per N. With `--nocapture`, the sweep prints
 //! the fault-site × outcome table EXPERIMENTS.md records.
@@ -21,7 +22,8 @@ use ksplice_core::{
     ApplyOptions, BuildCache, HealthProbe, Ksplice, LifecycleError, RetryPolicy, SmpConfig,
     UpdateManager, UpdatePack, UpdateState, WatchPolicy,
 };
-use ksplice_eval::{base_tree, corpus, Cve};
+use ksplice_eval::smp::SMP_LOAD_SRC;
+use ksplice_eval::{base_tree, corpus, load_workload, Cve};
 use ksplice_kernel::{Fault, Kernel};
 use ksplice_lang::{build_tree_cached, Options};
 use ksplice_object::ObjectSet;
@@ -54,6 +56,7 @@ const SUBSET: [&str; 3] = ["CVE-2006-2451", "CVE-2008-0600", "CVE-2006-2934"];
 
 struct Fixture {
     image: ObjectSet,
+    cache: BuildCache,
     packs: Vec<(&'static str, UpdatePack)>,
 }
 
@@ -87,19 +90,39 @@ fn fixture() -> Fixture {
             (case.id, pack)
         })
         .collect();
-    Fixture { image, packs }
+    Fixture {
+        image,
+        cache,
+        packs,
+    }
 }
 
 /// The vCPU counts every test runs at.
 const CPUS: [u32; 3] = [1, 2, 4];
 
-/// A freshly booted kernel on `cpus` vCPUs. At N = 1 the topology is
-/// left as booted.
-fn boot(image: &ObjectSet, cpus: u32) -> Kernel {
-    let mut kernel = Kernel::boot_image(image).unwrap();
+/// A freshly booted kernel on `cpus` vCPUs running one syscall-load
+/// thread per vCPU, each spawned after a seeded skid and all settled
+/// into a seeded phase, as `run_quiescence_load` does. At N = 1 the
+/// topology is left as booted.
+fn boot(fx: &Fixture, cpus: u32, seed: u64) -> Kernel {
+    let mut rng = Rng::new(seed.wrapping_mul(0xd1b5_4a32_d192_ed03));
+    let mut kernel = Kernel::boot_image(&fx.image).unwrap();
     if cpus > 1 {
-        kernel.configure_smp(SmpConfig::with_cpus(cpus));
+        kernel.configure_smp(SmpConfig::with_cpus(cpus).with_seed(rng.next()));
     }
+    let entry = load_workload(
+        &mut kernel,
+        &fx.cache,
+        "chaos/load.kc",
+        SMP_LOAD_SRC,
+        "smp_load_main",
+    )
+    .unwrap();
+    for _ in 0..cpus {
+        kernel.spawn_at(entry, &[1_000_000], "chaos-load").unwrap();
+        kernel.run(257 + rng.below(509));
+    }
+    kernel.run(1_000 + rng.below(1_009));
     kernel
 }
 
@@ -136,14 +159,14 @@ fn draw_schedule(rng: &mut Rng) -> Schedule {
 /// Applies one pack under one schedule and enforces the clean-success /
 /// clean-abort invariant. Returns `(outcome, attempts)` for the table.
 fn run_schedule(
-    image: &ObjectSet,
+    fx: &Fixture,
     cpus: u32,
     id: &str,
     pack: &UpdatePack,
     seed: u64,
     schedule: &Schedule,
 ) -> (&'static str, u32) {
-    let mut kernel = boot(image, cpus);
+    let mut kernel = boot(fx, cpus, seed);
     kernel.faults.reseed(seed);
     for fault in &schedule.faults {
         // Arming can itself fail only for corrupt-text on an empty
@@ -245,7 +268,7 @@ fn chaos_sweep_every_outcome_is_clean() {
             let mut rng = Rng::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
             let schedule = draw_schedule(&mut rng);
             for (id, pack) in &fx.packs {
-                let (outcome, attempts) = run_schedule(&fx.image, cpus, id, pack, seed, &schedule);
+                let (outcome, attempts) = run_schedule(&fx, cpus, id, pack, seed, &schedule);
                 rows.push((cpus, fault_sites(&schedule), outcome, attempts));
             }
         }
@@ -260,19 +283,22 @@ fn chaos_sweep_every_outcome_is_clean() {
             "sweep produced no aborts at {cpus} vCPUs"
         );
     }
-    // Fault site × outcome summary, runs per vCPU count and max attempts
+    // Fault site × outcome summary: runs and max attempts per vCPU count
     // (EXPERIMENTS.md's table; visible with --nocapture).
-    let mut counts: std::collections::BTreeMap<(String, &'static str), ([usize; 3], u32)> =
+    let mut counts: std::collections::BTreeMap<(String, &'static str), [(usize, u32); 3]> =
         std::collections::BTreeMap::new();
     for (cpus, sites, outcome, attempts) in &rows {
         let e = counts.entry((sites.clone(), outcome)).or_default();
-        e.0[CPUS.iter().position(|n| n == cpus).unwrap()] += 1;
-        e.1 = (e.1).max(*attempts);
+        let at = &mut e[CPUS.iter().position(|n| n == cpus).unwrap()];
+        *at = (at.0 + 1, at.1.max(*attempts));
     }
-    println!("| fault schedule | outcome | runs at 1 / 2 / 4 vCPUs | max attempts |");
+    println!("| fault schedule | outcome | runs at 1 / 2 / 4 vCPUs | max attempts at 1 / 2 / 4 |");
     println!("|---|---|---|---|");
-    for ((sites, outcome), ([one, two, four], attempts)) in &counts {
-        println!("| `{sites}` | {outcome} | {one} / {two} / {four} | {attempts} |");
+    for ((sites, outcome), [one, two, four]) in &counts {
+        println!(
+            "| `{sites}` | {outcome} | {} / {} / {} | {} / {} / {} |",
+            one.0, two.0, four.0, one.1, two.1, four.1
+        );
     }
 }
 
@@ -300,7 +326,7 @@ fn chaos_smoke_fixed_seed() {
     ];
     for cpus in CPUS {
         for (i, ((id, pack), schedule)) in fx.packs.iter().zip(&schedules).enumerate() {
-            let (outcome, _) = run_schedule(&fx.image, cpus, id, pack, 42 + i as u64, schedule);
+            let (outcome, _) = run_schedule(&fx, cpus, id, pack, 42 + i as u64, schedule);
             let expected = ["abort:not-quiescent", "abort:link", "success"][i];
             assert_eq!(outcome, expected, "{id} at {cpus} vCPUs");
         }
@@ -327,7 +353,7 @@ fn chaos_probe_fault_rolls_back_checksum_clean() {
     };
 
     for cpus in CPUS {
-        let mut kernel = boot(&fx.image, cpus);
+        let mut kernel = boot(&fx, cpus, 99);
         kernel.faults.reseed(99);
         kernel.arm_fault(Fault::ProbeFail { count: 1 }).unwrap();
         let text_before = kernel.mem.text_checksum();
@@ -390,7 +416,7 @@ fn chaos_undo_is_clean_too() {
     for cpus in CPUS {
         for seed in 60..=71u64 {
             let mut rng = Rng::new(seed);
-            let mut kernel = boot(&fx.image, cpus);
+            let mut kernel = boot(&fx, cpus, seed);
             let mut ks = Ksplice::new();
             ks.apply(&mut kernel, pack, &ApplyOptions::default())
                 .unwrap();

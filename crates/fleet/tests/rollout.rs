@@ -313,6 +313,48 @@ fn loaded_smp_rollout_matches_the_pinned_digest() {
     );
 }
 
+/// The decode work of one fixed-seed rollout over 64 loaded 2-vCPU
+/// nodes at one worker, pinned across commits: basic blocks decoded,
+/// summed over every resident node kernel. Forks take what another fork
+/// of their version's snapshot already decoded, so this counts each
+/// block of unchanged text once per version, plus what each node decodes
+/// of the text its update changed or loaded. At one worker the count is
+/// deterministic; at more it depends on which worker decodes first.
+#[test]
+fn loaded_smp_rollout_decodes_the_pinned_block_count() {
+    let mut fleet = Fleet::new(FleetConfig {
+        nodes: 64,
+        cpus: 2,
+        load_threads: 2,
+        resident: true,
+        seed: 0x5eed_f1ee,
+        ..FleetConfig::default()
+    })
+    .expect("fleet boots");
+    let packset = build_packset(
+        "cve-2006-2451",
+        VERSION_NAMES.len(),
+        &[],
+        fleet.context().cache(),
+    )
+    .expect("packset builds");
+    let policy = RolloutPolicy {
+        jobs: 1,
+        ..RolloutPolicy::default()
+    };
+    let orch = RolloutOrchestrator::new(policy, packset, &fleet);
+    let mut transport = SimTransport::new(41);
+    let report = orch.run(&mut fleet, &mut transport, &mut Tracer::disabled());
+    assert_eq!(report.outcome, Outcome::Committed, "{}", report.render());
+    let decoded: u64 = (0..fleet.len() as u32)
+        .map(|id| {
+            let kernel = fleet.node(id).resident_kernel().expect("resident fleet");
+            kernel.vm_stats.blocks_decoded
+        })
+        .sum();
+    assert_eq!(decoded, 2_767, "the rollout decoded {decoded} blocks");
+}
+
 /// Runs one rollout of the CVE-2006-2451 fix over a lightly faulty
 /// transport and asserts that every node commits.
 fn assert_every_node_commits(cfg: FleetConfig, policy: RolloutPolicy) {

@@ -155,6 +155,9 @@ pub struct Kernel {
     /// Predecoded basic blocks keyed by entry address — the VM's
     /// icache (see `vm.rs`).
     pub(crate) block_cache: crate::vm::AddrMap<crate::vm::CachedBlock>,
+    /// The decoded blocks shared by every fork of the snapshot this
+    /// kernel was forked from; `None` on a booted kernel.
+    pub(crate) shared_blocks: Option<Arc<crate::vm::SharedBlocks>>,
     /// `mem.text_generation()` as of the last icache sweep; a
     /// difference means stale blocks may be cached.
     pub(crate) icache_clock: u64,
@@ -238,6 +241,7 @@ impl Kernel {
             faults: FaultPlan::default(),
             profiler: None,
             block_cache: crate::vm::AddrMap::default(),
+            shared_blocks: None,
             icache_clock: mem_text_gen,
             vm_stats: crate::vm::VmStats::default(),
         })
@@ -247,15 +251,17 @@ impl Kernel {
     /// table, modules, threads, clocks, allocator, PRNG, scheduler and
     /// fault state. See [`KernelSnapshot`].
     pub fn snapshot(&self) -> KernelSnapshot {
-        let frozen = self.copy();
+        let mut frozen = self.copy();
         // Hash the text here once, so no fork hashes it again.
         frozen.mem.text_checksum();
+        frozen.shared_blocks = Some(Arc::new(crate::vm::SharedBlocks::new(&frozen.mem)));
         KernelSnapshot { frozen }
     }
 
-    /// A copy of this kernel with an empty icache. Memory copies only
-    /// the pages ever written; the symbol table is frozen, so copies of
-    /// the copy share it.
+    /// A copy of this kernel with an empty icache, reading through the
+    /// same shared block table. Memory copies only the pages ever
+    /// written; the symbol table is frozen, so copies of the copy
+    /// share it.
     fn copy(&self) -> Kernel {
         let mem = self.mem.fork();
         let icache_clock = mem.text_generation();
@@ -286,6 +292,7 @@ impl Kernel {
             faults: self.faults.clone(),
             profiler: self.profiler.clone(),
             block_cache: crate::vm::AddrMap::default(),
+            shared_blocks: self.shared_blocks.clone(),
             icache_clock,
             vm_stats: self.vm_stats,
         }
@@ -909,9 +916,18 @@ impl Kernel {
 /// from — same bytes, regions, text generations, symbols, modules, free
 /// lists, threads, clocks, PRNG and scheduler state — so forking a
 /// never-run kernel is the same as a fresh [`Kernel::boot_image`] of its
-/// image. Only the icache starts empty: decoded blocks are a cache, and
-/// a fork that runs little would pay more to copy them than to decode
-/// what it needs.
+/// image. Only the fork's own icache starts empty: decoded blocks are a
+/// cache, and a fork that runs little would pay more to copy them than
+/// to fill what it needs.
+///
+/// It fills them from the snapshot, so decoding is paid once per
+/// snapshot, not once per fork: every fork reads through one
+/// append-only table of the blocks any fork decoded from text that
+/// still holds the snapshot's bytes, and publishes what it decodes
+/// there. Text a fork changed, and modules it loaded, decode privately.
+/// Only [`VmStats`](crate::VmStats)' decode counters show the table;
+/// which fork decoded a block first is a race when forks run on several
+/// threads.
 ///
 /// Forks are independent of the snapshot and of each other. The
 /// snapshot is `Send + Sync`, so worker threads fork one shared copy.

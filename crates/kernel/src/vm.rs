@@ -13,12 +13,19 @@
 //! exact: every architectural effect, oops message, profiler tick and
 //! step count is byte-identical to the historical decode-per-step
 //! interpreter.
+//!
+//! Forks of one [`crate::KernelSnapshot`] also share a second level:
+//! [`SharedBlocks`], the blocks any fork decoded from text it has not
+//! changed since the fork. A private miss takes the block from there
+//! or decodes it and publishes it; either way the block then lands in
+//! the fork's own icache, so everything above stays per-kernel.
 
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use ksplice_asm::{decode, predecode_block, BinOp, Instr};
 
 use crate::kernel::{Kernel, Oops, ThreadState};
+use crate::mem::Memory;
 use crate::native::{native_from_addr, NativeOutcome, NATIVE_BASE, RETURN_SENTINEL};
 
 /// Result of a single instruction step.
@@ -35,12 +42,15 @@ enum Step {
 /// memory bound — a longer run simply continues in the next block.
 const MAX_BLOCK_INSTRS: usize = 1024;
 
+/// A block's decoded instructions with their encoded lengths. Shared so
+/// the dispatcher can hold a block across steps while the caches and
+/// the kernel stay mutable.
+pub(crate) type Code = Arc<[(Instr, u8)]>;
+
 /// One predecoded basic block in the VM's icache.
 pub(crate) struct CachedBlock {
-    /// Decoded instructions with their encoded lengths. Shared so the
-    /// dispatcher can hold a block across steps while the cache and
-    /// the kernel stay mutable.
-    pub(crate) code: Arc<[(Instr, u8)]>,
+    /// The block's instructions.
+    pub(crate) code: Code,
     /// Start address of the executable region the block decodes from.
     pub(crate) region_start: u64,
     /// That region's write generation when the block was decoded.
@@ -54,6 +64,12 @@ pub struct VmStats {
     pub block_hits: u64,
     /// Basic blocks decoded and inserted into the cache.
     pub blocks_decoded: u64,
+    /// Basic blocks a fork took from the table its
+    /// [`KernelSnapshot`](crate::KernelSnapshot) shares instead of
+    /// decoding them. With forks on several workers this
+    /// and `blocks_decoded` depend on which worker decoded a block
+    /// first, so neither belongs in a deterministic output.
+    pub blocks_shared: u64,
     /// Icache flush sweeps (lazy after a text write, or explicit from
     /// the patching machinery inside a stop_machine window).
     pub icache_flushes: u64,
@@ -63,7 +79,7 @@ pub struct VmStats {
 
 /// The dispatcher's position inside a cached block: the block and the
 /// index of the next instruction to execute.
-type Cursor = Option<(Arc<[(Instr, u8)]>, usize)>;
+type Cursor = Option<(Code, usize)>;
 
 /// Multiply-mix hasher for address-keyed maps. Block-cache keys are
 /// instruction addresses — already well spread — and the lookup sits on
@@ -89,6 +105,48 @@ impl std::hash::Hasher for AddrHasher {
 /// A `HashMap` keyed by address, using [`AddrHasher`].
 pub(crate) type AddrMap<V> =
     std::collections::HashMap<u64, V, std::hash::BuildHasherDefault<AddrHasher>>;
+
+/// The decoded blocks every fork of one snapshot shares, keyed by entry
+/// address: an append-only table that forks fill as they run.
+///
+/// A block may come from or go to the table only while its region is
+/// the snapshot's own: the same bounds at the same write generation.
+/// Generations only grow and the bump allocator never hands a start
+/// out again (a zero-size region shares its start with the next one,
+/// hence the bounds), so such a region still holds the snapshot's
+/// bytes. Regions a fork wrote, unmapped or re-permissioned since the
+/// fork, and regions it mapped itself, fail that test and decode
+/// privately. The table therefore holds at most one block per
+/// instruction address of the snapshot's text.
+pub(crate) struct SharedBlocks {
+    /// The snapshot's executable regions: start → (end, generation).
+    regions: AddrMap<(u64, u64)>,
+    /// Blocks by entry address. An entry is never replaced or removed,
+    /// so a lock a panicking holder poisoned still guards a whole map.
+    blocks: RwLock<AddrMap<Code>>,
+}
+
+impl SharedBlocks {
+    /// An empty table for forks of a kernel whose memory is `mem`.
+    pub(crate) fn new(mem: &Memory) -> SharedBlocks {
+        let regions = mem
+            .regions()
+            .iter()
+            .filter(|r| r.perms.exec)
+            .filter_map(|r| Some((r.start, (r.start + r.size, mem.region_generation(r.start)?))))
+            .collect();
+        SharedBlocks {
+            regions,
+            blocks: RwLock::default(),
+        }
+    }
+
+    /// True when the region `start..end` at generation `gen` holds the
+    /// snapshot's bytes.
+    fn holds(&self, start: u64, end: u64, gen: u64) -> bool {
+        self.regions.get(&start) == Some(&(end, gen))
+    }
+}
 
 impl Kernel {
     /// Sweeps the decoded-block cache, evicting every block whose
@@ -187,10 +245,13 @@ impl Kernel {
         }
     }
 
-    /// The cached block starting at `ip`, decoding (and caching) it on
-    /// a miss. `None` when `ip` is not fetchable/decodable text — the
-    /// caller falls back to [`Kernel::step`] for the exact oops.
-    fn block_at(&mut self, ip: u64) -> Option<Arc<[(Instr, u8)]>> {
+    /// The cached block starting at `ip`. On a miss it comes from the
+    /// snapshot's [`SharedBlocks`] when the region still holds the
+    /// snapshot's bytes, else it is decoded (and published there if
+    /// it could have come from there); either way it is cached. `None`
+    /// when `ip` is not fetchable/decodable text — the caller falls
+    /// back to [`Kernel::step`] for the exact oops.
+    fn block_at(&mut self, ip: u64) -> Option<Code> {
         if let Some(b) = self.block_cache.get(&ip) {
             self.vm_stats.block_hits += 1;
             return Some(Arc::clone(&b.code));
@@ -203,13 +264,34 @@ impl Kernel {
             (r.start, r.start + r.size)
         };
         let gen = self.mem.region_generation(region_start)?;
-        let bytes = self.mem.fetch(ip, region_end - ip).ok()?;
-        let (decoded, _) = predecode_block(bytes, MAX_BLOCK_INSTRS);
-        if decoded.is_empty() {
-            return None;
-        }
-        let code: Arc<[(Instr, u8)]> = decoded.into();
-        self.vm_stats.blocks_decoded += 1;
+        let shared = self
+            .shared_blocks
+            .as_deref()
+            .filter(|s| s.holds(region_start, region_end, gen));
+        let published = shared.and_then(|s| {
+            let blocks = s.blocks.read().unwrap_or_else(PoisonError::into_inner);
+            blocks.get(&ip).cloned()
+        });
+        let code = match published {
+            Some(code) => {
+                self.vm_stats.blocks_shared += 1;
+                code
+            }
+            None => {
+                let bytes = self.mem.fetch(ip, region_end - ip).ok()?;
+                let (decoded, _) = predecode_block(bytes, MAX_BLOCK_INSTRS);
+                if decoded.is_empty() {
+                    return None;
+                }
+                let code: Code = decoded.into();
+                self.vm_stats.blocks_decoded += 1;
+                if let Some(s) = shared {
+                    let mut blocks = s.blocks.write().unwrap_or_else(PoisonError::into_inner);
+                    blocks.entry(ip).or_insert_with(|| Arc::clone(&code));
+                }
+                code
+            }
+        };
         self.block_cache.insert(
             ip,
             CachedBlock {

@@ -8,9 +8,14 @@
 //! live text, so many rounds decode to nonsense and oops; parity must
 //! hold for those too, which is precisely what the block cache could
 //! get wrong if eviction missed a write.
+//!
+//! Forks of one snapshot also share the blocks decoded from text that
+//! still holds the snapshot's bytes. The fork tests check both halves
+//! of that rule: a block is decoded once per snapshot, and text a fork
+//! wrote, re-permissioned or loaded itself never crosses to another.
 
 use ksplice_kernel::{Kernel, Perms, ThreadState};
-use ksplice_lang::{Options, SourceTree};
+use ksplice_lang::{compile_unit, Options, SourceTree};
 
 const SRC: &str = "int mix(int a, int b) { return a * 31 + (b ^ a) - b / 3; }\
      int work(int n) {\
@@ -207,7 +212,10 @@ fn random_text_writes_match_fresh_kernel() {
 /// of the snapshot must still see the original bytes. Each fork is
 /// checked against a kernel that was never forked but made the same
 /// calls (a thread's stack is recycled between calls, so history, not
-/// just the text, decides what garbage code reads).
+/// just the text, decides what garbage code reads). The writer decodes
+/// the text it wrote itself, though the shared table holds the old
+/// blocks; and a writer that decodes first, on a snapshot whose table
+/// is still empty, leaves nothing there that a later fork runs.
 #[test]
 fn a_fork_writing_text_never_leaves_a_sibling_running_stale_blocks() {
     let mut rng = 0x5eed_1cac_4e00_0001u64;
@@ -226,12 +234,26 @@ fn a_fork_writing_text_never_leaves_a_sibling_running_stale_blocks() {
         let writes = random_writes(&mut rng, &warm);
         let mut writer = snapshot.fork();
         call(&mut writer);
+        let shared = writer.vm_stats.blocks_shared;
         let got = record_call(&mut writer, &writes);
         let mut unforked = boot();
         call(&mut unforked);
         call(&mut unforked);
         let want = record_call(&mut unforked, &writes);
         assert_eq!(got, want, "round {round}: the writer runs its own bytes");
+        assert_eq!(
+            writer.vm_stats.blocks_shared, shared,
+            "round {round}: the writer took blocks of text it wrote from the table"
+        );
+
+        let cold = warm.snapshot();
+        let mut first_writer = cold.fork();
+        record_call(&mut first_writer, &writes);
+        assert_eq!(
+            record_call(&mut cold.fork(), &[]),
+            first_fork,
+            "round {round}: a later fork ran blocks of the writer's text"
+        );
 
         call(&mut sibling);
         call(&mut twin);
@@ -252,4 +274,80 @@ fn a_fork_writing_text_never_leaves_a_sibling_running_stale_blocks() {
             "round {round}: the snapshot changed"
         );
     }
+}
+
+/// After one fork runs `work`, a second fork of the same snapshot makes
+/// the same call without decoding a block: it takes every block the
+/// first decoded from the snapshot's table, and runs exactly as the
+/// first did.
+#[test]
+fn forks_of_one_snapshot_decode_each_block_once() {
+    let snapshot = boot().snapshot();
+    let mut first = snapshot.fork();
+    let want = record_call(&mut first, &[]);
+    let decoded = first.vm_stats.blocks_decoded;
+    assert!(decoded > 0, "the first fork decodes what it runs");
+    let mut second = snapshot.fork();
+    assert_eq!(record_call(&mut second, &[]), want);
+    assert_eq!(second.vm_stats.blocks_decoded, 0, "the second fork decoded");
+    assert_eq!(second.vm_stats.blocks_shared, decoded);
+    assert_eq!(second.vm_stats.block_hits, first.vm_stats.block_hits);
+}
+
+/// Two forks each load a different module. The bump allocator places
+/// both at the same addresses, but a region a fork mapped itself is
+/// its own: each fork runs its own module's bytes.
+#[test]
+fn forks_loading_different_modules_at_one_address_each_run_their_own() {
+    let snapshot = boot().snapshot();
+    let mut entries = Vec::new();
+    for (name, add) in [("mod_a.kc", 1), ("mod_b.kc", 2)] {
+        let src = format!("int bump(int x) {{ return x + {add}; }}");
+        let obj = compile_unit(name, &src, &Options::pre_post()).expect("module compiles");
+        let mut fork = snapshot.fork();
+        let entry = fork
+            .insmod(&obj, false)
+            .expect("module loads")
+            .symbol_addr("bump")
+            .expect("bump is defined");
+        assert_eq!(fork.call_at(entry, &[40]).expect("call"), 40 + add);
+        let shared = fork.vm_stats.blocks_shared;
+        assert_eq!(shared, 0, "{name} ran another fork's blocks");
+        entries.push(entry);
+    }
+    assert_eq!(entries[0], entries[1], "both modules land at one address");
+}
+
+/// A fork that takes a snapshot region's exec permission away and gives
+/// it back decodes that region privately from then on: it neither takes
+/// the table's blocks nor publishes its own.
+#[test]
+fn a_fork_that_flips_exec_decodes_the_region_privately() {
+    let flip = |k: &mut Kernel| {
+        let work = k.syms.lookup_global("work").expect("work").addr;
+        let text = k.mem.region_at(work, 1).expect("work is mapped").start;
+        assert!(k.mem.set_region_perms(text, Perms::DATA));
+        assert!(k.mem.set_region_perms(text, Perms::TEXT));
+    };
+    let snapshot = boot().snapshot();
+    let mut flipped = snapshot.fork();
+    flip(&mut flipped);
+    let mut twin = boot();
+    flip(&mut twin);
+    assert_eq!(record_call(&mut flipped, &[]), record_call(&mut twin, &[]));
+
+    let mut next = snapshot.fork();
+    record_call(&mut next, &[]);
+    assert_eq!(
+        next.vm_stats.blocks_shared, 0,
+        "the flipped fork published its blocks"
+    );
+    let mut late = snapshot.fork();
+    flip(&mut late);
+    record_call(&mut late, &[]);
+    assert_eq!(
+        late.vm_stats.blocks_shared, 0,
+        "the flipped fork took the table's blocks"
+    );
+    assert_eq!(late.vm_stats.blocks_decoded, next.vm_stats.blocks_decoded);
 }
