@@ -12,7 +12,6 @@
 //! so the same instruction stream assembled at different distances can
 //! legitimately produce different bytes (paper §4.3).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::instr::Instr;
@@ -94,8 +93,16 @@ pub struct Assembled {
     pub code: Vec<u8>,
     /// Linker patch points, in offset order.
     pub patches: Vec<PatchPoint>,
-    /// Byte offset of every bound label.
-    pub label_offsets: HashMap<Label, usize>,
+    /// Byte offset of each label, indexed by label number; `None` if
+    /// never bound.
+    labels: Vec<Option<usize>>,
+}
+
+impl Assembled {
+    /// The byte offset `label` was bound at, if it was bound.
+    pub fn label_offset(&self, label: Label) -> Option<usize> {
+        self.labels.get(label.0).copied().flatten()
+    }
 }
 
 /// Incremental assembler; see the module docs.
@@ -189,24 +196,20 @@ impl Assembler {
     pub fn finish(self) -> Result<Assembled, AsmError> {
         // Phase 1: decide each branch's form, iterating to a fixpoint.
         // Branches start short (when relaxing) and only ever grow, so the
-        // loop terminates.
+        // loop terminates. Each pass refills one offset table and one
+        // label table, indexed by item and by label number.
         let branch_count = self
             .items
             .iter()
             .filter(|i| matches!(i, Item::Branch { .. }))
             .count();
         let mut long = vec![!self.relax; branch_count];
-        let (offsets, labels) = loop {
-            let (offsets, labels, grew) = self.layout(&long)?;
-            if !grew.iter().any(|&g| g) {
-                break (offsets, labels);
-            }
-            for (l, g) in long.iter_mut().zip(&grew) {
-                *l |= *g;
-            }
-        };
+        let mut offsets = Vec::with_capacity(self.items.len());
+        let mut labels = vec![None; self.next_label];
+        while self.layout(&mut long, &mut offsets, &mut labels)? {}
 
         // Phase 2: emit.
+        let target = |label: &Label| label_at(&labels, *label);
         let mut code = Vec::new();
         let mut patches = Vec::new();
         let mut branch_idx = 0usize;
@@ -221,7 +224,7 @@ impl Assembler {
                     nop_fill(&mut code, pad);
                 }
                 Item::Branch { cond, label } => {
-                    let target = *labels.get(label).ok_or(AsmError::UnboundLabel(label.0))?;
+                    let target = target(label)?;
                     let is_long = long[branch_idx];
                     branch_idx += 1;
                     let len = branch_len(cond.is_some(), is_long);
@@ -242,7 +245,7 @@ impl Assembler {
                     instr.encode(&mut code);
                 }
                 Item::CallLabel(label) => {
-                    let target = *labels.get(label).ok_or(AsmError::UnboundLabel(label.0))?;
+                    let target = target(label)?;
                     let rel = target as i64 - (start + 5) as i64;
                     let rel = i32::try_from(rel).map_err(|_| AsmError::DisplacementOverflow)?;
                     Instr::Call32(rel).encode(&mut code);
@@ -269,20 +272,23 @@ impl Assembler {
         Ok(Assembled {
             code,
             patches,
-            label_offsets: labels,
+            labels,
         })
     }
 
-    /// Computes the offset of every item given the current branch forms.
-    /// Returns per-branch "must grow" flags for short branches whose
-    /// displacement does not fit in `i8`.
-    #[allow(clippy::type_complexity)]
+    /// One layout pass: refills `offsets` (every item's offset) and
+    /// `labels` (every bound label's offset) given the branch forms in
+    /// `long`, then grows each short branch whose displacement does not
+    /// fit in `i8`. Returns true if any branch grew, so another pass is
+    /// due.
     fn layout(
         &self,
-        long: &[bool],
-    ) -> Result<(Vec<usize>, HashMap<Label, usize>, Vec<bool>), AsmError> {
-        let mut offsets = Vec::with_capacity(self.items.len());
-        let mut labels: HashMap<Label, usize> = HashMap::new();
+        long: &mut [bool],
+        offsets: &mut Vec<usize>,
+        labels: &mut [Option<usize>],
+    ) -> Result<bool, AsmError> {
+        offsets.clear();
+        labels.fill(None);
         let mut pos = 0usize;
         let mut branch_idx = 0usize;
         for item in &self.items {
@@ -290,7 +296,8 @@ impl Assembler {
             match item {
                 Item::Fixed(i) => pos += i.len(),
                 Item::Bind(l) => {
-                    if labels.insert(*l, pos).is_some() {
+                    let slot = labels.get_mut(l.0).ok_or(AsmError::UnboundLabel(l.0))?;
+                    if slot.replace(pos).is_some() {
                         return Err(AsmError::Rebound(l.0));
                     }
                 }
@@ -306,26 +313,37 @@ impl Assembler {
                 Item::Patched { instr, .. } => pos += instr.len(),
             }
         }
-        // Check which short branches fit.
-        let mut grew = vec![false; long.len()];
+        // Grow each short branch whose displacement does not fit; the
+        // next pass lays the grown ones out.
+        let mut grew = false;
         let mut branch_idx = 0usize;
-        for (item, &start) in self.items.iter().zip(&offsets) {
+        for (item, &start) in self.items.iter().zip(offsets.iter()) {
             if let Item::Branch { cond, label } = item {
                 let idx = branch_idx;
                 branch_idx += 1;
                 if long[idx] {
                     continue;
                 }
-                let target = *labels.get(label).ok_or(AsmError::UnboundLabel(label.0))?;
+                let target = label_at(labels, *label)?;
                 let len = branch_len(cond.is_some(), false);
                 let rel = target as i64 - (start + len) as i64;
                 if i8::try_from(rel).is_err() {
-                    grew[idx] = true;
+                    long[idx] = true;
+                    grew = true;
                 }
             }
         }
-        Ok((offsets, labels, grew))
+        Ok(grew)
     }
+}
+
+/// The offset `label` is bound at in a pass's label table.
+fn label_at(labels: &[Option<usize>], label: Label) -> Result<usize, AsmError> {
+    labels
+        .get(label.0)
+        .copied()
+        .flatten()
+        .ok_or(AsmError::UnboundLabel(label.0))
 }
 
 fn branch_len(_conditional: bool, long: bool) -> usize {
@@ -424,7 +442,7 @@ mod tests {
         a.bind(l);
         a.emit(Instr::Hlt);
         let out = a.finish().unwrap();
-        assert_eq!(out.label_offsets[&l], 16);
+        assert_eq!(out.label_offset(l), Some(16));
         assert_eq!(crate::nop::nop_run_len(&out.code, 1), 15);
     }
 

@@ -343,6 +343,40 @@ fn report_rejects_a_deeply_nested_trace_line() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn create_refuses_a_patch_that_nests_too_deep() {
+    // 10,000 nested blocks or 100,000 parentheses: the compiler refuses
+    // the patched unit past its nesting bound instead of overflowing the
+    // stack (which aborted `create` with exit 134).
+    let dir = std::env::temp_dir().join(format!("ksplice-cli-nest-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let tree_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../eval/tree");
+    let blocks = format!("    {}{}", "{".repeat(10_000), "}".repeat(10_000));
+    let parens = format!(
+        "    slot = {}slot{};",
+        "(".repeat(100_000),
+        ")".repeat(100_000)
+    );
+    for (name, added) in [("blocks", blocks), ("parens", parens)] {
+        let patch_path = dir.join(format!("{name}.patch"));
+        std::fs::write(
+            &patch_path,
+            format!(
+                "--- a/drivers/dst_ca.kc\n+++ b/drivers/dst_ca.kc\n@@ -7,3 +7,4 @@\n \
+                 int ca_get_slot_info(int slot) {{\n     debug = debug + 1;\n+{added}\n     \
+                 if (slot > 7) {{\n"
+            ),
+        )
+        .unwrap();
+        let patch = patch_path.to_str().unwrap();
+        let args = [
+            "--quiet", "create", "--tree", tree_dir, "--patch", patch, "--id", "t",
+        ];
+        assert_refused(&args, "drivers/dst_ca.kc:8: nesting deeper than 128 levels");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Runs `ksplice` with `args` and requires exit 1 with a `ksplice:`
 /// error line on stderr (a runtime error, not a panic's 101).
 fn assert_refused(args: &[&str], message: &str) {

@@ -7,7 +7,7 @@
 //! `ksplice-create` produces twice (pre and post) and diffs (paper §3.2,
 //! Figure 1).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use ksplice_object::{Object, ObjectSet};
 
@@ -109,18 +109,22 @@ pub fn compile_unit_with(
     compile_parsed(unit, opt, headers)
 }
 
+/// Checks a parsed unit once, optimises it and generates its object.
 fn compile_parsed(
     mut unit: Unit,
     opt: &Options,
     headers: &HeaderContext,
 ) -> Result<Object, CompileError> {
-    let sema = check_unit_with(&unit, headers)?;
+    let mut sema = check_unit_with(&unit, headers)?;
     if opt.opt_level >= 1 {
         fold_unit(&mut unit, &sema);
         inline_unit(&mut unit, opt);
+        // Inlining drops the statics it absorbed everywhere; nothing else
+        // it does changes what the checker collected.
+        let kept: HashSet<&str> = unit.functions().map(|f| f.name.as_str()).collect();
+        sema.functions
+            .retain(|name, _| kept.contains(name.as_str()));
     }
-    // Re-derive name tables after inlining may have dropped functions.
-    let sema = check_unit_with(&unit, headers)?;
     gen_unit(&unit, &sema, opt)
 }
 

@@ -27,7 +27,7 @@ use ksplice_object::{
 };
 
 use crate::ast::*;
-use crate::sema::{decay, round_up, ConstVal, Locals, Sema, WORD};
+use crate::sema::{decay, round_up, ConstVal, Locals, Sema, MAX_SIZE, WORD};
 use crate::visit::{walk_stmts, Node};
 use crate::{CompileError, Options};
 
@@ -115,7 +115,7 @@ impl<'a> Gen<'a> {
     // ---- data ------------------------------------------------------------
 
     fn emit_global(&mut self, g: &Global) -> Result<(), CompileError> {
-        let size = self.sema.size_of(&g.ty);
+        let size = self.sema.size_of(&g.ty, g.line)?;
         let align = match g.ty {
             Type::Byte => 1,
             Type::Array(ref e, _) if **e == Type::Byte => 1,
@@ -171,7 +171,7 @@ impl<'a> Gen<'a> {
             }
             (t, Init::Scalar(e)) if t.is_scalar() => self.fill_scalar(t, e, buf, at, relocs, line),
             (Type::Array(elem, n), Init::List(items)) => {
-                let esize = self.sema.size_of(elem);
+                let esize = self.sema.size_of(elem, line)?;
                 if items.len() as u64 > *n {
                     return Err(self.err(line, "too many array initialisers"));
                 }
@@ -523,7 +523,7 @@ pub(crate) fn assemble_text(
     let mut placed: Vec<_> = funcs
         .iter()
         .map(|f| {
-            let off = out.label_offsets[&entries[f.name]] as u64;
+            let off = out.label_offset(entries[f.name]).expect("entry bound") as u64;
             (f.name.to_string(), f.global, off)
         })
         .collect();
@@ -602,7 +602,7 @@ impl FuncGen<'_, '_> {
     }
 
     fn run(&mut self) -> Result<(), CompileError> {
-        let frame = self.compute_frame_size();
+        let frame = self.compute_frame_size()?;
         let exit = self.asm.new_label();
         self.exit = Some(exit);
         // Prologue.
@@ -612,9 +612,9 @@ impl FuncGen<'_, '_> {
             self.asm.emit(Instr::AddI(Reg::SP, -frame));
         }
         // Spill arguments to their slots.
-        let params: Vec<(String, Type)> = self.func.params.clone();
-        for (i, (name, ty)) in params.iter().enumerate() {
-            let slot = self.alloc_slot(ty);
+        let func = self.func;
+        for (i, (name, ty)) in func.params.iter().enumerate() {
+            let slot = self.alloc_slot(ty, func.line)?;
             let reg = Reg::from_nibble(1 + i as u8);
             self.asm.emit(Instr::St(Reg::FP, reg, -slot));
             self.declare(
@@ -625,8 +625,7 @@ impl FuncGen<'_, '_> {
                 },
             );
         }
-        let body = self.func.body.clone();
-        self.gen_block(&body)?;
+        self.gen_block(&func.body)?;
         // Fall-off-the-end returns 0 (deterministically).
         self.asm.emit(Instr::MovRI32(Reg::R0, 0));
         self.asm.bind(exit);
@@ -636,9 +635,10 @@ impl FuncGen<'_, '_> {
         Ok(())
     }
 
-    /// Total frame bytes needed by every declaration in the function.
-    fn compute_frame_size(&self) -> i32 {
-        let mut total = self.func.params.len() as u64 * WORD;
+    /// Total frame bytes needed by every declaration in the function,
+    /// refused when the frame is larger than [`MAX_SIZE`].
+    fn compute_frame_size(&self) -> Result<i32, CompileError> {
+        let mut total = Ok(self.func.params.len() as u64 * WORD);
         walk_stmts(&self.func.body, &mut |n| {
             if let Node::Stmt(Stmt {
                 kind:
@@ -647,19 +647,39 @@ impl FuncGen<'_, '_> {
                         is_static: false,
                         ..
                     },
-                ..
+                line,
             }) = n
             {
-                total += round_up(self.g.sema.size_of(ty).max(WORD), WORD);
+                if let Ok(sum) = total {
+                    total = self
+                        .slot_size(ty, *line)
+                        .map(|slot| sum.saturating_add(slot));
+                }
             }
         });
-        total as i32
+        match total? {
+            sum if sum <= MAX_SIZE => Ok(sum as i32),
+            _ => Err(self.err(
+                self.func.line,
+                format!(
+                    "stack frame of `{}` is larger than {MAX_SIZE} bytes",
+                    self.func.name
+                ),
+            )),
+        }
     }
 
-    fn alloc_slot(&mut self, ty: &Type) -> i32 {
-        let size = round_up(self.g.sema.size_of(ty).max(WORD), WORD) as i32;
-        self.next_slot += size;
-        self.next_slot
+    /// The frame bytes a local of type `ty` takes: whole words, at least
+    /// one.
+    fn slot_size(&self, ty: &Type, line: u32) -> Result<u64, CompileError> {
+        Ok(round_up(self.g.sema.size_of(ty, line)?.max(WORD), WORD))
+    }
+
+    /// Allocates the next frame slot. [`FuncGen::compute_frame_size`]
+    /// bounded the sum of every slot, so the offset fits an `i32`.
+    fn alloc_slot(&mut self, ty: &Type, line: u32) -> Result<i32, CompileError> {
+        self.next_slot += self.slot_size(ty, line)? as i32;
+        Ok(self.next_slot)
     }
 
     fn declare(&mut self, name: &str, var: LocalVar) {
@@ -713,16 +733,14 @@ impl FuncGen<'_, '_> {
                 if *is_static {
                     let sym = format!("{name}.{}", self.g.static_counter);
                     self.g.static_counter += 1;
-                    let size = self.g.sema.size_of(ty);
+                    let size = self.g.sema.size_of(ty, s.line)?;
                     let (bytes, relocs) = match init {
                         None => (None, Vec::new()),
                         Some(e) => {
                             let mut buf = vec![0u8; size as usize];
                             let mut relocs = Vec::new();
-                            let line = e.line;
-                            let expr = e.clone();
                             self.g
-                                .fill_scalar(ty, &expr, &mut buf, 0, &mut relocs, line)?;
+                                .fill_scalar(ty, e, &mut buf, 0, &mut relocs, e.line)?;
                             (Some(buf), relocs)
                         }
                     };
@@ -743,7 +761,7 @@ impl FuncGen<'_, '_> {
                         },
                     );
                 } else {
-                    let slot = self.alloc_slot(ty);
+                    let slot = self.alloc_slot(ty, s.line)?;
                     if let Some(e) = init {
                         self.eval(e)?;
                         self.asm.emit(Instr::St(Reg::FP, Reg::R0, -slot));
@@ -908,7 +926,7 @@ impl FuncGen<'_, '_> {
                 Ok(())
             }
             ExprKind::Sizeof(ty) => {
-                let size = self.g.sema.size_of(ty);
+                let size = self.g.sema.size_of(ty, e.line)?;
                 self.emit_const(size as i64);
                 Ok(())
             }
@@ -919,7 +937,7 @@ impl FuncGen<'_, '_> {
             }
             ExprKind::Ident(name) => self.eval_ident(name, e.line),
             ExprKind::Unary(op, inner) => self.eval_unary(*op, inner, e.line),
-            ExprKind::Binary(op, l, r) => self.eval_binary(*op, l, r),
+            ExprKind::Binary(op, l, r) => self.eval_binary(*op, l, r, e.line),
             ExprKind::Call { callee, args } => self.eval_call(callee, args, e.line),
             ExprKind::Index(..) | ExprKind::Field(..) | ExprKind::PField(..) => {
                 let ty = self.g.sema.type_of(e, self)?;
@@ -1060,7 +1078,13 @@ impl FuncGen<'_, '_> {
         self.asm.bind(done);
     }
 
-    fn eval_binary(&mut self, op: BinaryOp, l: &Expr, r: &Expr) -> Result<(), CompileError> {
+    fn eval_binary(
+        &mut self,
+        op: BinaryOp,
+        l: &Expr,
+        r: &Expr,
+        line: u32,
+    ) -> Result<(), CompileError> {
         // Short-circuit forms get control flow.
         if matches!(op, BinaryOp::LAnd | BinaryOp::LOr) {
             let short = self.asm.new_label();
@@ -1092,7 +1116,7 @@ impl FuncGen<'_, '_> {
             };
         let scale = match (&op, &lt, &rt) {
             (BinaryOp::Add | BinaryOp::Sub, Type::Ptr(elem), t) if !matches!(t, Type::Ptr(_)) => {
-                Some(self.g.sema.size_of(elem))
+                Some(self.g.sema.size_of(elem, line)?)
             }
             _ => None,
         };
@@ -1116,7 +1140,7 @@ impl FuncGen<'_, '_> {
                 self.asm.emit(Instr::Bin(BinOp::Sub, Reg::R0, scratch));
                 if ptr_diff {
                     if let Type::Ptr(elem) = &lt {
-                        let size = self.g.sema.size_of(elem);
+                        let size = self.g.sema.size_of(elem, line)?;
                         if size > 1 {
                             self.asm.emit(Instr::MovRI32(scratch, size as i32));
                             self.asm.emit(Instr::Bin(BinOp::Div, Reg::R0, scratch));
@@ -1231,7 +1255,7 @@ impl FuncGen<'_, '_> {
             ExprKind::Index(base, idx) => {
                 let bt = decay(self.g.sema.type_of(base, self)?);
                 let elem_size = match &bt {
-                    Type::Ptr(elem) => self.g.sema.size_of(elem),
+                    Type::Ptr(elem) => self.g.sema.size_of(elem, e.line)?,
                     _ => WORD,
                 };
                 // Base address: pointers evaluate (load), arrays decay via

@@ -80,7 +80,10 @@ fn fold_stmt(s: &mut Stmt, sema: &Sema) {
 fn fold_expr(e: &mut Expr, sema: &Sema) {
     match &mut e.kind {
         ExprKind::Sizeof(ty) => {
-            e.kind = ExprKind::Num(sema.size_of(ty) as i64);
+            // The checker sized it; codegen reports a type it cannot.
+            if let Ok(size) = sema.size_of(ty, e.line) {
+                e.kind = ExprKind::Num(size as i64);
+            }
         }
         ExprKind::Unary(op, inner) => {
             fold_expr(inner, sema);

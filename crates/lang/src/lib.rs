@@ -75,7 +75,7 @@ pub use drift::{
 pub use inline::InlineReport;
 pub use lexer::lex;
 pub use mutate::{apply_mutation, generate_mutant, FuzzRng, MutateError, Mutation, MutatorKind};
-pub use parser::parse_unit;
+pub use parser::{parse_unit, MAX_DEPTH};
 pub use pretty::pretty_unit;
 pub use visit::{
     walk_expr_mut, walk_stmts_exprs_mut, walk_unit_blocks_mut, walk_unit_fn_exprs_mut, BlockCx,

@@ -5,6 +5,17 @@ use crate::lexer::lex;
 use crate::token::{Token, TokenKind};
 use crate::CompileError;
 
+/// The deepest nesting a unit may have: statements, expressions and a
+/// type's pointer stars, counted together along one path from a function
+/// down. Every pass after the parser (checker, folder, inliner, codegen,
+/// printer, even dropping the AST) recurses along such a path, so a unit
+/// nested past this is refused here rather than overflowing a worker
+/// thread's stack. A chain built in a loop (`a + b + c`, `p->a->b`,
+/// `f(x)(y)`) nests one level per link. 128 levels of every shape parse,
+/// print and compile on a 2 MiB thread in a debug build; the base tree
+/// nests under ten.
+pub const MAX_DEPTH: u32 = 128;
+
 /// Parses one compilation unit from source text.
 pub fn parse_unit(name: &str, src: &str) -> Result<Unit, CompileError> {
     let tokens = lex(name, src)?;
@@ -12,6 +23,7 @@ pub fn parse_unit(name: &str, src: &str) -> Result<Unit, CompileError> {
         unit: name.to_string(),
         tokens,
         pos: 0,
+        depth: 0,
     };
     let mut items = Vec::new();
     while !p.at(&TokenKind::Eof) {
@@ -25,8 +37,12 @@ pub fn parse_unit(name: &str, src: &str) -> Result<Unit, CompileError> {
 
 struct Parser {
     unit: String,
+    /// The unit's tokens, ending in `Eof`. The parser never backtracks,
+    /// so [`Parser::next`] moves each token's kind out as it consumes it.
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels of nesting open at the current token (see [`MAX_DEPTH`]).
+    depth: u32,
 }
 
 impl Parser {
@@ -42,12 +58,15 @@ impl Parser {
         self.tokens[self.pos].line
     }
 
+    /// Consumes the current token and returns its kind. The final `Eof`
+    /// is never consumed: it stays for every later peek.
     fn next(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos].kind.clone();
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
+            std::mem::replace(&mut self.tokens[self.pos - 1].kind, TokenKind::Eof)
+        } else {
+            TokenKind::Eof
         }
-        t
     }
 
     fn at(&self, kind: &TokenKind) -> bool {
@@ -73,6 +92,33 @@ impl Parser {
 
     fn err(&self, message: String) -> CompileError {
         CompileError::new(&self.unit, self.line(), message)
+    }
+
+    /// Opens one more level of nesting at the current token, refusing
+    /// to pass [`MAX_DEPTH`]. The caller closes what it opened with
+    /// [`Parser::close`]; an error ends the parse, so error paths need
+    /// not.
+    fn open(&mut self) -> Result<(), CompileError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    fn close(&mut self, levels: u32) {
+        self.depth -= levels;
+    }
+
+    /// Runs `parse` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        self.open()?;
+        let out = parse(self);
+        self.close(1);
+        out
     }
 
     fn ident(&mut self) -> Result<String, CompileError> {
@@ -141,7 +187,7 @@ impl Parser {
         let is_static = self.eat(&TokenKind::KwStatic);
         let is_inline = self.eat(&TokenKind::KwInline);
         let base = self.base_type()?;
-        let ty = self.pointer_suffix(base);
+        let ty = self.pointer_suffix(base)?;
         let name = self.ident()?;
         if self.at(&TokenKind::LParen) {
             let f = self.function_rest(name, is_static, is_inline, line)?;
@@ -174,7 +220,7 @@ impl Parser {
         let mut fields = Vec::new();
         while !self.eat(&TokenKind::RBrace) {
             let base = self.base_type()?;
-            let ty = self.pointer_suffix(base);
+            let ty = self.pointer_suffix(base)?;
             let fname = self.ident()?;
             let ty = self.array_suffix(ty)?;
             self.expect(&TokenKind::Semi)?;
@@ -196,11 +242,17 @@ impl Parser {
         }
     }
 
-    fn pointer_suffix(&mut self, mut ty: Type) -> Type {
-        while self.eat(&TokenKind::Star) {
+    /// Wraps `ty` in one pointer per `*`; each nests one level.
+    fn pointer_suffix(&mut self, mut ty: Type) -> Result<Type, CompileError> {
+        let mut stars = 0;
+        while self.at(&TokenKind::Star) {
+            self.open()?;
+            stars += 1;
+            self.next();
             ty = Type::ptr(ty);
         }
-        ty
+        self.close(stars);
+        Ok(ty)
     }
 
     fn array_suffix(&mut self, ty: Type) -> Result<Type, CompileError> {
@@ -250,7 +302,7 @@ impl Parser {
         if !self.at(&TokenKind::RParen) {
             loop {
                 let base = self.base_type()?;
-                let ty = self.pointer_suffix(base);
+                let ty = self.pointer_suffix(base)?;
                 if !ty.is_scalar() {
                     return Err(
                         self.err("parameters must be scalar (pass structs by pointer)".into())
@@ -304,7 +356,12 @@ impl Parser {
         ) || (self.at(&TokenKind::KwStruct) && matches!(self.peek2(), TokenKind::Ident(_)))
     }
 
+    /// One statement, nested one level below its enclosing statement.
     fn stmt(&mut self) -> Result<Stmt, CompileError> {
+        self.nested(Self::stmt_body)
+    }
+
+    fn stmt_body(&mut self) -> Result<Stmt, CompileError> {
         let line = self.line();
         if self.eat(&TokenKind::KwIf) {
             self.expect(&TokenKind::LParen)?;
@@ -387,7 +444,7 @@ impl Parser {
         if self.is_decl_start() {
             let is_static = self.eat(&TokenKind::KwStatic);
             let base = self.base_type()?;
-            let ty = self.pointer_suffix(base);
+            let ty = self.pointer_suffix(base)?;
             let name = self.ident()?;
             let ty = self.array_suffix(ty)?;
             let init = if self.eat(&TokenKind::Assign) {
@@ -427,12 +484,14 @@ impl Parser {
     // ---- expressions -----------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, CompileError> {
-        self.binary(0)
+        self.nested(|p| p.binary(0))
     }
 
     /// Precedence-climbing over binary operators. Level 0 is the loosest.
+    /// Each operator folded into `lhs` nests it one level deeper.
     fn binary(&mut self, min_level: u8) -> Result<Expr, CompileError> {
         let mut lhs = self.unary()?;
+        let mut links = 0;
         loop {
             let (op, level) = match self.peek() {
                 TokenKind::OrOr => (BinaryOp::LOr, 1),
@@ -459,10 +518,13 @@ impl Parser {
                 break;
             }
             let line = self.line();
+            self.open()?;
+            links += 1;
             self.next();
             let rhs = self.binary(level + 1)?;
             lhs = Expr::new(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), line);
         }
+        self.close(links);
         Ok(lhs)
     }
 
@@ -478,47 +540,54 @@ impl Parser {
         };
         if let Some(op) = op {
             self.next();
-            let operand = self.unary()?;
+            let operand = self.nested(Self::unary)?;
             return Ok(Expr::new(ExprKind::Unary(op, Box::new(operand)), line));
         }
         self.postfix()
     }
 
+    /// A primary expression and its postfix operators; each operator
+    /// nests the expression one level deeper.
     fn postfix(&mut self) -> Result<Expr, CompileError> {
         let mut e = self.primary()?;
+        let mut links = 0;
         loop {
             let line = self.line();
-            if self.eat(&TokenKind::LParen) {
-                let mut args = Vec::new();
-                if !self.at(&TokenKind::RParen) {
-                    loop {
-                        args.push(self.expr()?);
-                        if !self.eat(&TokenKind::Comma) {
-                            break;
+            if !matches!(
+                self.peek(),
+                TokenKind::LParen | TokenKind::LBracket | TokenKind::Dot | TokenKind::Arrow
+            ) {
+                self.close(links);
+                return Ok(e);
+            }
+            self.open()?;
+            links += 1;
+            let kind = match self.next() {
+                TokenKind::LParen => {
+                    let mut args = Vec::new();
+                    if !self.at(&TokenKind::RParen) {
+                        loop {
+                            args.push(self.expr()?);
+                            if !self.eat(&TokenKind::Comma) {
+                                break;
+                            }
                         }
                     }
-                }
-                self.expect(&TokenKind::RParen)?;
-                e = Expr::new(
+                    self.expect(&TokenKind::RParen)?;
                     ExprKind::Call {
                         callee: Box::new(e),
                         args,
-                    },
-                    line,
-                );
-            } else if self.eat(&TokenKind::LBracket) {
-                let idx = self.expr()?;
-                self.expect(&TokenKind::RBracket)?;
-                e = Expr::new(ExprKind::Index(Box::new(e), Box::new(idx)), line);
-            } else if self.eat(&TokenKind::Dot) {
-                let f = self.ident()?;
-                e = Expr::new(ExprKind::Field(Box::new(e), f), line);
-            } else if self.eat(&TokenKind::Arrow) {
-                let f = self.ident()?;
-                e = Expr::new(ExprKind::PField(Box::new(e), f), line);
-            } else {
-                return Ok(e);
-            }
+                    }
+                }
+                TokenKind::LBracket => {
+                    let idx = self.expr()?;
+                    self.expect(&TokenKind::RBracket)?;
+                    ExprKind::Index(Box::new(e), Box::new(idx))
+                }
+                TokenKind::Dot => ExprKind::Field(Box::new(e), self.ident()?),
+                _ => ExprKind::PField(Box::new(e), self.ident()?),
+            };
+            e = Expr::new(kind, line);
         }
     }
 
@@ -531,7 +600,7 @@ impl Parser {
             TokenKind::KwSizeof => {
                 self.expect(&TokenKind::LParen)?;
                 let base = self.base_type()?;
-                let ty = self.pointer_suffix(base);
+                let ty = self.pointer_suffix(base)?;
                 self.expect(&TokenKind::RParen)?;
                 Ok(Expr::new(ExprKind::Sizeof(ty), line))
             }

@@ -8,12 +8,18 @@
 //! link-time constants.
 
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 use crate::ast::*;
 use crate::CompileError;
 
 /// Word size in bytes: every scalar occupies one 64-bit word.
 pub const WORD: u64 = 8;
+
+/// The largest type, global or stack frame `kc` lays out, in bytes:
+/// codegen reaches fields, frame slots and array strides through signed
+/// 32-bit displacements and immediates.
+pub(crate) const MAX_SIZE: u64 = i32::MAX as u64;
 
 /// A computed struct layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,49 +59,46 @@ pub enum ConstVal {
 pub struct Sema {
     /// Unit path (for error messages).
     pub unit: String,
-    /// All visible struct layouts (headers + unit).
-    pub structs: BTreeMap<String, StructLayout>,
+    /// The headers' struct layouts, shared by every unit of a build.
+    header_structs: Arc<BTreeMap<String, StructLayout>>,
+    /// The unit's own struct layouts.
+    structs: BTreeMap<String, StructLayout>,
     /// Functions defined in this unit, with arity.
-    pub functions: BTreeMap<String, usize>,
+    pub(crate) functions: BTreeMap<String, usize>,
     /// Globals defined in this unit.
-    pub globals: BTreeMap<String, Type>,
-    /// Globals declared by headers (typed externals, no storage here).
-    pub header_globals: BTreeMap<String, Type>,
+    globals: BTreeMap<String, Type>,
+    /// Globals declared by headers (typed externals, no storage here),
+    /// shared by every unit of a build.
+    header_globals: Arc<BTreeMap<String, Type>>,
     /// Names declared `extern` in this unit.
-    pub externs: HashSet<String>,
+    externs: HashSet<String>,
     /// The subset of `externs` declared with a parameter list (functions).
-    pub extern_funcs: HashSet<String>,
+    pub(crate) extern_funcs: HashSet<String>,
 }
 
 impl Sema {
-    /// The size in bytes of a type.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown struct name; [`check_unit`] guarantees all
-    /// mentioned structs have layouts.
-    pub fn size_of(&self, ty: &Type) -> u64 {
-        match ty {
-            Type::Int | Type::Ptr(_) => WORD,
-            Type::Byte => 1,
-            Type::Struct(name) => {
-                self.structs
-                    .get(name)
-                    .unwrap_or_else(|| panic!("unknown struct `{name}` after checking"))
-                    .size
-            }
-            Type::Array(elem, n) => self.size_of(elem) * n,
-        }
+    /// The size in bytes of a type, refused at `line` when it names an
+    /// unknown struct or is larger than a `kc` object may be. The checker
+    /// sizes every type the unit declares, so only a type a header
+    /// declares can fail here.
+    pub fn size_of(&self, ty: &Type, line: u32) -> Result<u64, CompileError> {
+        let mut layout = |name: &str| match self.layout(name) {
+            Some(l) => Ok((l.size, l.align)),
+            None => Err(self.err(line, format!("unknown struct `{name}`"))),
+        };
+        size_align(ty, &self.unit, line, &mut layout).map(|(size, _)| size)
     }
 
-    /// Looks up a struct layout.
+    /// Looks up a struct layout, the unit's own or a header's.
     pub fn layout(&self, name: &str) -> Option<&StructLayout> {
-        self.structs.get(name)
+        self.structs
+            .get(name)
+            .or_else(|| self.header_structs.get(name))
     }
 
     /// Field offset and type within a named struct.
     pub fn field(&self, sname: &str, fname: &str) -> Option<(u64, &Type)> {
-        self.structs.get(sname)?.field(fname)
+        self.layout(sname)?.field(fname)
     }
 
     /// The type of a named global visible in this unit (unit definitions
@@ -110,18 +113,23 @@ impl Sema {
         CompileError::new(&self.unit, line, message)
     }
 
+    /// Checks that every struct `ty` names, pointees included, is known,
+    /// and that `ty` is not too large.
     fn check_type(&self, ty: &Type, line: u32) -> Result<(), CompileError> {
         match ty {
             Type::Int | Type::Byte => Ok(()),
             Type::Ptr(t) => self.check_type(t, line),
             Type::Struct(name) => {
-                if self.structs.contains_key(name) {
+                if self.layout(name).is_some() {
                     Ok(())
                 } else {
                     Err(self.err(line, format!("unknown struct `{name}`")))
                 }
             }
-            Type::Array(t, _) => self.check_type(t, line),
+            Type::Array(t, _) => {
+                self.check_type(t, line)?;
+                self.size_of(ty, line).map(drop)
+            }
         }
     }
 
@@ -326,25 +334,55 @@ impl Sema {
     }
 }
 
-/// Shared declarations parsed from `include/*.kh` headers.
-#[derive(Debug, Clone, Default)]
+/// Shared declarations parsed from `include/*.kh` headers, laid out once
+/// per build: every unit's [`Sema`] shares the header struct layouts and
+/// the header globals through an `Arc`.
+#[derive(Debug, Clone)]
 pub struct HeaderContext {
-    pub structs: Vec<StructDef>,
-    pub globals: Vec<(String, Type)>,
+    structs: HeaderStructs,
+    /// Header globals by name (a later declaration wins).
+    globals: Arc<BTreeMap<String, Type>>,
+}
+
+/// The headers' structs, as the units of a build see them.
+#[derive(Debug, Clone)]
+enum HeaderStructs {
+    /// Laid out once, shared by every unit.
+    LaidOut(Arc<BTreeMap<String, StructLayout>>),
+    /// The definitions, in header order, of structs that do not lay out
+    /// alone: two headers define one struct, or a header struct contains
+    /// itself, is too large or embeds a struct no header defines. Each
+    /// unit lays them out together with its own structs, so it reports
+    /// the error (or embeds the struct) exactly as if it had included
+    /// the headers.
+    PerUnit(Vec<StructDef>),
+}
+
+impl Default for HeaderContext {
+    /// No headers.
+    fn default() -> HeaderContext {
+        HeaderContext {
+            structs: HeaderStructs::LaidOut(Arc::default()),
+            globals: Arc::default(),
+        }
+    }
 }
 
 impl HeaderContext {
-    /// Builds a header context from parsed header units.
+    /// Builds a header context from parsed header units and lays out
+    /// their structs.
     ///
     /// Headers may contain struct definitions and uninitialised global
     /// declarations (which act as typed externals); anything else is
-    /// rejected.
+    /// rejected. A header struct's layout error is not an error here: it
+    /// is reported against each unit compiled with these headers.
     pub fn from_units(units: &[Unit]) -> Result<HeaderContext, CompileError> {
-        let mut ctx = HeaderContext::default();
+        let mut structs = Vec::new();
+        let mut globals = BTreeMap::new();
         for u in units {
             for item in &u.items {
                 match item {
-                    FileItem::Struct(s) => ctx.structs.push(s.clone()),
+                    FileItem::Struct(s) => structs.push(s.clone()),
                     FileItem::Global(g) => {
                         if g.init.is_some() {
                             return Err(CompileError::new(
@@ -353,7 +391,7 @@ impl HeaderContext {
                                 "headers may not initialise globals",
                             ));
                         }
-                        ctx.globals.push((g.name.clone(), g.ty.clone()));
+                        globals.insert(g.name.clone(), g.ty.clone());
                     }
                     FileItem::Extern { .. } => {}
                     FileItem::Func(f) => {
@@ -373,7 +411,18 @@ impl HeaderContext {
                 }
             }
         }
-        Ok(ctx)
+        // Lay the header structs out alone, once. A failure is no error
+        // yet (see `HeaderStructs::PerUnit`), so the unit it would name
+        // does not matter.
+        let none = BTreeMap::new();
+        let structs = match struct_defs("", &structs, &none).and_then(|d| lay_out("", &d, &none)) {
+            Ok(layouts) => HeaderStructs::LaidOut(Arc::new(layouts)),
+            Err(_) => HeaderStructs::PerUnit(structs),
+        };
+        Ok(HeaderContext {
+            structs,
+            globals: Arc::new(globals),
+        })
     }
 }
 
@@ -394,29 +443,28 @@ impl Sema {
     /// its items against them.
     fn new(unit: &Unit, headers: &HeaderContext) -> Result<Sema, CompileError> {
         let uname = unit.name.clone();
-        // Collect struct definitions: headers first, then the unit's own.
-        let mut defs: BTreeMap<String, StructDef> = BTreeMap::new();
-        for s in headers.structs.iter().chain(unit.structs()) {
-            if defs.insert(s.name.clone(), s.clone()).is_some() {
-                return Err(CompileError::new(
-                    &uname,
-                    s.line,
-                    format!("duplicate definition of struct `{}`", s.name),
-                ));
+        // Lay out the unit's own structs next to the headers' shared
+        // layouts or, when those do not lay out alone, with them.
+        let (header_structs, structs) = match &headers.structs {
+            HeaderStructs::LaidOut(shared) => {
+                let defs = struct_defs(&uname, unit.structs(), shared)?;
+                (Arc::clone(shared), lay_out(&uname, &defs, shared)?)
             }
-        }
-        // Compute layouts with cycle detection.
-        let mut structs = BTreeMap::new();
-        for name in defs.keys().cloned().collect::<Vec<_>>() {
-            let mut visiting = HashSet::new();
-            layout_of(&uname, &defs, &mut structs, &mut visiting, &name)?;
-        }
+            HeaderStructs::PerUnit(header_defs) => {
+                let none = Arc::default();
+                let all = header_defs.iter().chain(unit.structs());
+                let defs = struct_defs(&uname, all, &none)?;
+                let laid_out = lay_out(&uname, &defs, &none)?;
+                (none, laid_out)
+            }
+        };
         let mut sema = Sema {
             unit: uname.clone(),
+            header_structs,
             structs,
             functions: BTreeMap::new(),
             globals: BTreeMap::new(),
-            header_globals: headers.globals.iter().cloned().collect(),
+            header_globals: Arc::clone(&headers.globals),
             externs: HashSet::new(),
             extern_funcs: HashSet::new(),
         };
@@ -501,7 +549,9 @@ impl Sema {
             Some(Init::List(items)) => {
                 let max = match &g.ty {
                     Type::Array(_, n) => *n,
-                    Type::Struct(name) => self.structs[name].fields.len() as u64,
+                    Type::Struct(name) => {
+                        self.layout(name).expect("checked above").fields.len() as u64
+                    }
                     _ => return Err(self.err(g.line, "list initialiser on scalar global")),
                 };
                 if items.len() as u64 > max {
@@ -747,16 +797,53 @@ impl Locals for Scopes {
     }
 }
 
-/// Computes a struct layout with cycle detection.
+/// Indexes struct definitions by name, in order, refusing a name defined
+/// twice or already laid out in `taken`.
+fn struct_defs<'a>(
+    unit: &str,
+    structs: impl IntoIterator<Item = &'a StructDef>,
+    taken: &BTreeMap<String, StructLayout>,
+) -> Result<BTreeMap<&'a str, &'a StructDef>, CompileError> {
+    let mut defs = BTreeMap::new();
+    for s in structs {
+        if taken.contains_key(&s.name) || defs.insert(s.name.as_str(), s).is_some() {
+            return Err(CompileError::new(
+                unit,
+                s.line,
+                format!("duplicate definition of struct `{}`", s.name),
+            ));
+        }
+    }
+    Ok(defs)
+}
+
+/// Lays out every struct of `defs` in name order; a field may embed a
+/// struct of `defs` or one already laid out in `done_before`.
+fn lay_out(
+    unit: &str,
+    defs: &BTreeMap<&str, &StructDef>,
+    done_before: &BTreeMap<String, StructLayout>,
+) -> Result<BTreeMap<String, StructLayout>, CompileError> {
+    let mut done = BTreeMap::new();
+    for name in defs.keys() {
+        let mut visiting = HashSet::new();
+        layout_of(unit, defs, done_before, &mut done, &mut visiting, name)?;
+    }
+    Ok(done)
+}
+
+/// Lays out one struct (and the structs it embeds) into `done`, with
+/// cycle detection, and returns its size and alignment.
 fn layout_of(
     unit: &str,
-    defs: &BTreeMap<String, StructDef>,
+    defs: &BTreeMap<&str, &StructDef>,
+    done_before: &BTreeMap<String, StructLayout>,
     done: &mut BTreeMap<String, StructLayout>,
     visiting: &mut HashSet<String>,
     name: &str,
-) -> Result<StructLayout, CompileError> {
-    if let Some(l) = done.get(name) {
-        return Ok(l.clone());
+) -> Result<(u64, u64), CompileError> {
+    if let Some(l) = done.get(name).or_else(|| done_before.get(name)) {
+        return Ok((l.size, l.align));
     }
     let def = defs
         .get(name)
@@ -768,45 +855,69 @@ fn layout_of(
             format!("struct `{name}` recursively contains itself by value"),
         ));
     }
+    let too_large = || {
+        CompileError::new(
+            unit,
+            def.line,
+            format!("struct `{name}` is larger than {MAX_SIZE} bytes"),
+        )
+    };
     let mut offset = 0u64;
     let mut align = 1u64;
     let mut fields = Vec::new();
     for (fname, fty) in &def.fields {
-        let (fsize, falign) = type_size_align(unit, defs, done, visiting, fty)?;
+        let mut embedded = |n: &str| layout_of(unit, defs, done_before, done, visiting, n);
+        let (fsize, falign) = size_align(fty, unit, def.line, &mut embedded)?;
         offset = round_up(offset, falign);
         fields.push((fname.clone(), offset, fty.clone()));
+        // Both terms are at most MAX_SIZE, so the sum cannot wrap.
         offset += fsize;
+        if offset > MAX_SIZE {
+            return Err(too_large());
+        }
         align = align.max(falign);
     }
-    let layout = StructLayout {
-        size: round_up(offset.max(1), align),
-        align,
-        fields,
-    };
+    let size = round_up(offset.max(1), align);
+    if size > MAX_SIZE {
+        return Err(too_large());
+    }
     visiting.remove(name);
-    done.insert(name.to_string(), layout.clone());
-    Ok(layout)
+    done.insert(
+        name.to_string(),
+        StructLayout {
+            size,
+            align,
+            fields,
+        },
+    );
+    Ok((size, align))
 }
 
-fn type_size_align(
-    unit: &str,
-    defs: &BTreeMap<String, StructDef>,
-    done: &mut BTreeMap<String, StructLayout>,
-    visiting: &mut HashSet<String>,
+/// The size and alignment of `ty`, with `layout` giving each struct's:
+/// the one place `kc` sizes a type. An array's size is a checked product,
+/// and a type larger than [`MAX_SIZE`] is refused at `line`.
+fn size_align(
     ty: &Type,
+    unit: &str,
+    line: u32,
+    layout: &mut impl FnMut(&str) -> Result<(u64, u64), CompileError>,
 ) -> Result<(u64, u64), CompileError> {
-    Ok(match ty {
-        Type::Int | Type::Ptr(_) => (WORD, WORD),
-        Type::Byte => (1, 1),
-        Type::Struct(n) => {
-            let l = layout_of(unit, defs, done, visiting, n)?;
-            (l.size, l.align)
-        }
+    match ty {
+        Type::Int | Type::Ptr(_) => Ok((WORD, WORD)),
+        Type::Byte => Ok((1, 1)),
+        Type::Struct(name) => layout(name),
         Type::Array(elem, n) => {
-            let (s, a) = type_size_align(unit, defs, done, visiting, elem)?;
-            (s * n, a)
+            let (size, align) = size_align(elem, unit, line, layout)?;
+            match size.checked_mul(*n) {
+                Some(size) if size <= MAX_SIZE => Ok((size, align)),
+                _ => Err(CompileError::new(
+                    unit,
+                    line,
+                    format!("type {ty:?} is larger than {MAX_SIZE} bytes"),
+                )),
+            }
         }
-    })
+    }
 }
 
 pub(crate) fn round_up(v: u64, align: u64) -> u64 {

@@ -107,6 +107,49 @@ fn monolithic_intra_unit_calls_have_no_relocations() {
     assert!(text.relocs.is_empty(), "{:?}", text.relocs);
 }
 
+/// Names every symbol a relocation of `obj` refers to.
+fn reloc_targets(obj: &ksplice_object::Object) -> Vec<&str> {
+    obj.sections
+        .iter()
+        .flat_map(|s| &s.relocs)
+        .map(|r| obj.symbols[r.symbol].name.as_str())
+        .collect()
+}
+
+#[test]
+fn a_static_inlined_everywhere_leaves_nothing_behind() {
+    let src = "static int twice(int x) { return x + x; }\
+               int f(int a) { return twice(a) + 1; }\
+               int g(int b) { return twice(b); }";
+    for opt in [Options::pre_post(), Options::distro()] {
+        let obj = compile_unit("m.kc", src, &opt).unwrap();
+        assert!(obj.symbol_by_name("twice").is_none(), "{opt:?}");
+        assert!(obj.section_by_name(".text.twice").is_none(), "{opt:?}");
+        assert!(!reloc_targets(&obj).contains(&"twice"), "{opt:?}");
+        assert!(obj.symbol_by_name("f").is_some() && obj.symbol_by_name("g").is_some());
+    }
+}
+
+#[test]
+fn a_static_that_cannot_be_inlined_keeps_its_same_unit_call() {
+    // A loop makes `spin` no inlining candidate.
+    let src = "static int spin(int n) { int i; i = 0; while (i < n) { i = i + 1; } return i; }\
+               int f(int a) { return spin(a); }";
+    let obj = compile_unit("m.kc", src, &Options::pre_post()).unwrap();
+    let (_, sym) = obj.symbol_by_name("spin").unwrap();
+    assert_eq!((sym.binding, sym.kind), (Binding::Local, SymKind::Func));
+    assert!(obj.section_by_name(".text.spin").is_some());
+    let (_, f) = obj.section_by_name(".text.f").unwrap();
+    assert!(f
+        .relocs
+        .iter()
+        .any(|r| r.kind == RelocKind::Pcrel32 && obj.symbols[r.symbol].name == "spin"));
+    // Monolithic text keeps the call too, resolved at assembly time.
+    let obj = compile_unit("m.kc", src, &Options::distro()).unwrap();
+    assert!(obj.symbol_by_name("spin").unwrap().1.def.is_some());
+    assert!(!reloc_targets(&obj).contains(&"spin"));
+}
+
 #[test]
 fn function_symbols_carry_sizes() {
     let tree: SourceTree = [(
