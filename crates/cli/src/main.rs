@@ -35,8 +35,9 @@
 //! inside a process, `demo`/`eval` boot one and apply updates to it live.
 
 use std::collections::BTreeMap;
-use std::fmt::Display;
+use std::fmt::{Debug, Display};
 use std::num::{NonZeroU32, NonZeroU64, NonZeroUsize};
+use std::ops::RangeInclusive;
 use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -164,6 +165,19 @@ where
     T::Err: Display,
 {
     s.parse().map_err(|e| format!("bad value `{s}` ({e})"))
+}
+
+/// Reads a number within `range`.
+fn num_in<T: FromStr + PartialOrd + Debug>(s: &str, range: RangeInclusive<T>) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let n = num(s)?;
+    if range.contains(&n) {
+        Ok(n)
+    } else {
+        Err(format!("bad value `{s}` (outside {range:?})"))
+    }
 }
 
 /// Reads `argv` (the command name removed) against the command's usage
@@ -681,18 +695,24 @@ fn cmd_fleet(args: &Args, tracer: &mut Tracer) -> Result<(), String> {
     let d = FleetConfig::default();
     let cfg = FleetConfig {
         nodes: args.get("--nodes", num)?.unwrap_or(d.nodes),
-        versions: args.get("--versions", num)?.unwrap_or(d.versions),
+        versions: args
+            .get("--versions", |s| num_in(s, 1..=VERSION_NAMES.len()))?
+            .unwrap_or(d.versions),
         cpus: cpus(args, d.cpus)?,
         load_threads: args.get("--load", num)?.unwrap_or(d.load_threads),
         seed: args.get("--seed", num)?.unwrap_or(d.seed),
         resident: args.switch("--resident"),
         ..d
     };
-    let versions = cfg.versions.clamp(1, VERSION_NAMES.len());
+    let versions = cfg.versions;
     let d = RolloutPolicy::default();
     let policy = RolloutPolicy {
-        canary: args.get("--canary", num)?.unwrap_or(d.canary),
-        growth: args.get("--growth", num)?.unwrap_or(d.growth),
+        canary: args
+            .get("--canary", num::<NonZeroU32>)?
+            .map_or(d.canary, NonZeroU32::get),
+        growth: args
+            .get("--growth", |s| num_in(s, 2..=u32::MAX))?
+            .unwrap_or(d.growth),
         halt_per_mille: args
             .get("--halt-per-mille", num)?
             .unwrap_or(d.halt_per_mille),

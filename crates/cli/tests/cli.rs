@@ -397,6 +397,11 @@ fn malformed_retry_policies_are_refused() {
             "expected fixed:ATTEMPTS:DELAY",
         );
     }
+    // Zero attempts would still make one.
+    assert_refused(
+        &["demo", "--retry-policy", "fixed:0:5"],
+        "--retry-policy: bad attempts `0`",
+    );
 }
 
 #[test]
@@ -431,6 +436,12 @@ fn flag_errors_are_refused_before_any_work() {
         (vec!["profile", "--interval", "0"], vec!["--interval"]),
         (vec!["demo", "--trace"], vec!["--trace"]),
         (vec!["list", "extra"], vec!["extra"]),
+        // A rollout shape the orchestrator would silently substitute.
+        (vec!["fleet", "--canary", "0"], vec!["--canary"]),
+        (vec!["fleet", "--growth", "0"], vec!["--growth"]),
+        (vec!["fleet", "--growth", "1"], vec!["--growth"]),
+        (vec!["fleet", "--versions", "0"], vec!["--versions"]),
+        (vec!["fleet", "--versions", "4"], vec!["--versions"]),
     ]);
     for command in ["eval", "fuzz", "rebase", "fleet"] {
         cases.push((vec![command, "--jobs", "0"], vec!["--jobs"]));
@@ -491,11 +502,18 @@ fn malformed_fault_specs_are_refused() {
         ],
         "at most 6 arguments",
     );
-    // A count past u32::MAX is refused, not wrapped to zero.
-    assert_refused(
-        &["demo", "--fault", "stack-busy:4294967296"],
-        "out of range",
-    );
+    // A count past u32::MAX is refused, not wrapped to zero; so is a
+    // step jitter, whose budget arithmetic it would overflow.
+    for (spec, what) in [
+        ("stack-busy:4294967296", "windows"),
+        ("step-jitter:4294967296", "steps"),
+        ("step-jitter:18446744073709551615", "steps"),
+    ] {
+        assert_refused(
+            &["demo", "--watch-rounds", "1", "--fault", spec],
+            &format!("--fault: {what} out of range"),
+        );
+    }
     // A reversed delay range is refused, not rewritten to `5..5`.
     assert_refused(
         &["fleet", "--nodes", "2", "--faults", "delay:5..1"],

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeSet;
 
-use ksplice_lang::{build_tree_cached, build_tree_image_cached, BuildCache, Options, SourceTree};
+use ksplice_lang::{build_tree_cached, BuildCache, Options, SourceTree};
 use ksplice_patch::{make_multi_diff, Patch};
 use ksplice_trace::{Severity, Stage, Tracer};
 
@@ -190,9 +190,8 @@ fn create_inner(
     let build_opts = opts.build_options.clone().unwrap_or_else(Options::pre_post);
 
     // The pre tree is typically rebuilt verbatim for every update
-    // packaged against it — the whole-image memo collapses that to one
-    // lookup once the first build has run.
-    let (pre, pre_stats) = match build_tree_image_cached(source, &build_opts, cache) {
+    // packaged against it; once it has been built, every unit hits.
+    let (pre, pre_stats) = match build_tree_cached(source, &build_opts, cache) {
         Ok(built) => built,
         Err(error) => {
             return Err(fail(

@@ -35,8 +35,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ksplice_kernel::Kernel;
 use ksplice_lang::{
-    build_tree_image_cached, identifier_words, parse_unit, BuildCache, Function, Options,
-    SourceTree, Unit,
+    build_tree_cached, identifier_words, parse_unit, BuildCache, Function, Options, SourceTree,
+    Unit,
 };
 use ksplice_patch::{Hunk, HunkLine, Patch};
 use ksplice_trace::{Severity, Stage, Tracer};
@@ -561,7 +561,7 @@ pub fn rebase_update(
     let (orig_pack, _) =
         create_update_cached_traced(id, base, patch_text, &opts.create, cache, tracer)
             .map_err(|e| format!("{id}: original update does not build: {e}"))?;
-    let (image, _) = build_tree_image_cached(drifted, &Options::distro(), cache)
+    let (image, _) = build_tree_cached(drifted, &Options::distro(), cache)
         .map_err(|e| format!("{id}: drifted tree does not build: {e}"))?;
     let patch = Patch::parse(patch_text).map_err(|e| format!("{id}: bad patch: {e}"))?;
     let base_units = parse_patched_base_units(base, &patch)?;

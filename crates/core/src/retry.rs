@@ -7,6 +7,7 @@
 //! them.
 
 use std::fmt;
+use std::num::NonZeroU32;
 
 /// The schedule the apply/undo retry loops follow (see the module docs).
 ///
@@ -37,7 +38,8 @@ impl RetryPolicy {
     }
 
     /// Parses the CLI spelling of a policy, `fixed:ATTEMPTS:DELAY` (the
-    /// form [`fmt::Display`] prints).
+    /// form [`fmt::Display`] prints). ATTEMPTS is at least 1: the first
+    /// attempt is one of them.
     pub fn parse(spec: &str) -> Result<RetryPolicy, String> {
         let mut parts = spec.split(':');
         let (Some("fixed"), Some(attempts), Some(delay), None) =
@@ -46,12 +48,12 @@ impl RetryPolicy {
             return Err(format!("`{spec}`: expected fixed:ATTEMPTS:DELAY"));
         };
         let attempts = attempts
-            .parse()
+            .parse::<NonZeroU32>()
             .map_err(|_| format!("bad attempts `{attempts}` in `{spec}`"))?;
         let delay = delay
             .parse()
             .map_err(|_| format!("bad delay `{delay}` in `{spec}`"))?;
-        Ok(RetryPolicy::fixed(attempts, delay))
+        Ok(RetryPolicy::fixed(attempts.get(), delay))
     }
 }
 
@@ -86,6 +88,7 @@ mod tests {
             "fixed:x:100",
             "fixed:3:-1",
             "fixed:4294967296:100",
+            "fixed:0:5",
             "exp:3:1:2",
         ] {
             assert!(RetryPolicy::parse(bad).is_err(), "{bad:?} parsed");

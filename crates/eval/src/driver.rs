@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use ksplice_core::{create_update_cached_traced, ApplyOptions, BuildCache, CreateOptions, Ksplice, Tracer};
 use ksplice_kernel::Kernel;
-use ksplice_lang::{build_tree_image_cached, Options, SourceTree};
+use ksplice_lang::{build_tree_cached, Options, SourceTree};
 use ksplice_object::ObjectSet;
 use ksplice_patch::Patch;
 
@@ -111,7 +111,7 @@ fn baseline_stress_check(
 /// Builds the distro (run) kernel image through the cache, so 64 boots
 /// cost one compile of the tree.
 pub(crate) fn distro_image(base: &SourceTree, cache: &BuildCache) -> Result<ObjectSet, String> {
-    build_tree_image_cached(base, &Options::distro(), cache)
+    build_tree_cached(base, &Options::distro(), cache)
         .map(|(set, _)| set)
         .map_err(|e| format!("boot: {e}"))
 }

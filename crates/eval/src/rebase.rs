@@ -22,7 +22,7 @@ use ksplice_core::{
     diff_trees, rebase_update, BuildCache, CreateOptions, RebaseOptions, RebaseStatus, Tracer,
 };
 use ksplice_lang::{
-    build_tree_image_cached, canonicalize_tree, generate_drift, DriftClass, DriftLevel, DriftLog,
+    build_tree_cached, canonicalize_tree, generate_drift, DriftClass, DriftLevel, DriftLog,
     Options, SourceTree,
 };
 use ksplice_patch::Patch;
@@ -292,7 +292,7 @@ pub fn run_rebase_matrix(
     let mut drifted: Vec<(SourceTree, DriftLog)> = Vec::new();
     for &level in &cfg.levels {
         let (tree, log) = generate_drift(&canon, level, cfg.seed, &victims)?;
-        build_tree_image_cached(&tree, &Options::distro(), &cache)
+        build_tree_cached(&tree, &Options::distro(), &cache)
             .map_err(|e| format!("drifted tree {level} does not build: {e}"))?;
         drifted.push((tree, log));
     }

@@ -9,7 +9,7 @@ use ksplice_core::{
 use ksplice_eval::{canonical_base_tree, corpus, run_rebase_matrix, RebaseMatrixConfig};
 use ksplice_kernel::Kernel;
 use ksplice_lang::{
-    build_tree_image_cached, generate_drift, DriftClass, DriftLevel, DriftLog, FnFate, Options,
+    build_tree_cached, generate_drift, DriftClass, DriftLevel, DriftLog, FnFate, Options,
     SourceTree,
 };
 
@@ -87,7 +87,7 @@ fn auto_ported_packs_restore_drifted_image_on_undo() {
     for level in [DriftLevel::D2, DriftLevel::D3] {
         let (drifted, _log) = drifted_for(level, cfg.seed, &victims);
         let (image, _) =
-            build_tree_image_cached(&drifted, &Options::distro(), &cache).unwrap();
+            build_tree_cached(&drifted, &Options::distro(), &cache).unwrap();
         for case in corpus().iter().take(12) {
             let patched = if case.needs_custom_code() {
                 case.patched_tree_with_custom()

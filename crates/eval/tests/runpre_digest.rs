@@ -24,7 +24,7 @@ use ksplice_core::{
 };
 use ksplice_eval::{base_tree, corpus};
 use ksplice_kernel::Kernel;
-use ksplice_lang::{build_tree_image_cached, Options};
+use ksplice_lang::{build_tree_cached, Options};
 use ksplice_object::Object;
 
 /// FNV-1a digest of the corpus match results and the tamper sweep.
@@ -139,7 +139,7 @@ fn short_branch_fields(kernel: &Kernel, m: &UnitMatch) -> Vec<u64> {
 fn corpus_matches_and_tamper_sweep_reproduce_the_pinned_digest() {
     let cache = BuildCache::new();
     let base = base_tree();
-    let (image, _) = build_tree_image_cached(&base, &Options::distro(), &cache).unwrap();
+    let (image, _) = build_tree_cached(&base, &Options::distro(), &cache).unwrap();
     let mut kernel = Kernel::boot_image(&image).unwrap();
     let text = kernel.mem.text_checksum();
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);

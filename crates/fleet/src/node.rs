@@ -25,7 +25,7 @@ use ksplice_eval::smp::SMP_LOAD_SRC;
 use ksplice_eval::{base_tree, diff_trees, load_workload, par_map};
 use ksplice_kernel::{Kernel, KernelSnapshot};
 use ksplice_lang::{
-    build_tree_image_cached, fnv1a, BuildCache, FuzzRng, Options, SourceTree, FNV_OFFSET,
+    build_tree_cached, fnv1a, BuildCache, FuzzRng, Options, SourceTree, FNV_OFFSET,
 };
 use ksplice_trace::Tracer;
 
@@ -187,7 +187,7 @@ pub fn build_packset(
 pub struct FleetConfig {
     /// Number of simulated kernels.
     pub nodes: u32,
-    /// Base versions cycled across nodes (≤ [`VERSION_NAMES`] len).
+    /// Base versions cycled across nodes: 1 to [`VERSION_NAMES`] len.
     pub versions: usize,
     /// vCPUs per node kernel (PR 8's SMP substrate).
     pub cpus: u32,
@@ -245,9 +245,9 @@ impl FleetContext {
     fn new(cfg: &FleetConfig) -> Result<FleetContext, String> {
         let cache = BuildCache::new();
         let mut bases = Vec::new();
-        for v in 0..cfg.versions.clamp(1, VERSION_NAMES.len()) {
+        for v in 0..cfg.versions {
             let tree = version_tree(v);
-            let (image, _) = build_tree_image_cached(&tree, &Options::distro(), &cache)
+            let (image, _) = build_tree_cached(&tree, &Options::distro(), &cache)
                 .map_err(|e| format!("version {v} image: {e}"))?;
             let mut kernel =
                 Kernel::boot_image(&image).map_err(|e| format!("version {v} boot: {e}"))?;
@@ -593,15 +593,19 @@ impl Fleet {
     /// once, then `cfg.nodes`
     /// compact nodes with versions assigned round-robin and per-node
     /// seeds derived from the master seed. A fleet of zero nodes is an
-    /// error: a rollout has no canary to start from.
+    /// error: a rollout has no canary to start from. So is a version
+    /// count outside 1 to [`VERSION_NAMES`] len.
     pub fn new(cfg: FleetConfig) -> Result<Fleet, String> {
         if cfg.nodes == 0 {
             return Err("a fleet needs at least one node".to_string());
         }
-        let cfg = FleetConfig {
-            versions: cfg.versions.clamp(1, VERSION_NAMES.len()),
-            ..cfg
-        };
+        if !(1..=VERSION_NAMES.len()).contains(&cfg.versions) {
+            return Err(format!(
+                "a fleet runs 1 to {} base versions, not {}",
+                VERSION_NAMES.len(),
+                cfg.versions
+            ));
+        }
         let cx = FleetContext::new(&cfg)?;
         let nodes = (0..cfg.nodes)
             .map(|id| {

@@ -31,6 +31,19 @@ fn a_fleet_of_zero_nodes_is_refused() {
 }
 
 #[test]
+fn a_fleet_outside_the_base_versions_is_refused() {
+    for versions in [0, VERSION_NAMES.len() + 1] {
+        let err = Fleet::new(FleetConfig {
+            versions,
+            ..FleetConfig::default()
+        })
+        .err()
+        .expect("a version count outside 1..=3 must be refused");
+        assert!(err.contains("base versions"), "{err}");
+    }
+}
+
+#[test]
 fn clean_rollout_commits_the_whole_fleet() {
     let mut fleet = small_fleet(24, true);
     let packset = build_packset(

@@ -120,7 +120,7 @@ impl Fault {
                 addr: arg.map(|_| num("addr")).transpose()?,
             }),
             "step-jitter" => Ok(Fault::StepJitter {
-                max_steps: num("steps")?,
+                max_steps: count("steps")?.into(),
             }),
             "probe-fail" => Ok(Fault::ProbeFail {
                 count: count("count")?,
@@ -321,9 +321,12 @@ impl FaultPlan {
         if self.step_jitter_max == 0 || budget == 0 {
             return budget;
         }
-        let span = 2 * self.step_jitter_max + 1;
-        let offset = self.rng.below(span) as i64 - self.step_jitter_max as i64;
-        let jittered = (budget as i64 + offset).max(1) as u64;
+        // The span saturates and the sum is taken in `i128`, so no armed
+        // maximum and no budget can overflow.
+        let max = self.step_jitter_max;
+        let span = max.saturating_mul(2).saturating_add(1);
+        let offset = i128::from(self.rng.below(span)) - i128::from(max);
+        let jittered = (i128::from(budget) + offset).clamp(1, i128::from(u64::MAX)) as u64;
         self.fired.push(FiredFault {
             site: "step-jitter",
             detail: format!("{budget}->{jittered}"),
@@ -379,6 +382,7 @@ mod tests {
         assert!(Fault::parse("stack-busy").is_err());
         assert!(Fault::parse("stack-busy:x").is_err());
         assert!(Fault::parse("stack-busy:4294967296").is_err());
+        assert!(Fault::parse("step-jitter:4294967296").is_err());
         assert!(Fault::parse("quantum-bitflip:1").is_err());
     }
 
@@ -437,6 +441,17 @@ mod tests {
         let a_seq: Vec<u64> = (0..8).map(|_| a.jitter_budget(1_000)).collect();
         let c_seq: Vec<u64> = (0..8).map(|_| c.jitter_budget(1_000)).collect();
         assert_ne!(a_seq, c_seq);
+    }
+
+    #[test]
+    fn jitter_never_overflows() {
+        let mut plan = FaultPlan::new(42);
+        plan.arm_step_jitter(u64::MAX);
+        for budget in [1, 2_000, u64::MAX] {
+            for _ in 0..16 {
+                assert!(plan.jitter_budget(budget) >= 1, "budget {budget}");
+            }
+        }
     }
 
     #[test]

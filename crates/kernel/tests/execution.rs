@@ -386,6 +386,27 @@ fn semantics_identical_across_optimisation_levels() {
 }
 
 #[test]
+fn inlined_callee_reads_the_global_not_a_caller_local() {
+    // `f` declares a local `g`; inlining `get` into `f` must not bind
+    // `get`'s global `g` to it.
+    let src = "int g = 5;\
+               static int get() { return g; }\
+               int f() { int g; g = 7; return get(); }\
+               int h() { return get(); }";
+    for opt_level in [0u8, 2] {
+        let mut k = boot_with(
+            &[("m.kc", src)],
+            &Options {
+                opt_level,
+                ..Options::distro()
+            },
+        );
+        assert_eq!(call(&mut k, "f", &[]), 5, "f() at -O{opt_level}");
+        assert_eq!(call(&mut k, "h", &[]), 5, "h() at -O{opt_level}");
+    }
+}
+
+#[test]
 fn shadow_data_structures() {
     let mut k = boot(&[(
         "m.kc",

@@ -8,6 +8,7 @@
 //! Figure 1).
 
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 use ksplice_object::{Object, ObjectSet};
 
@@ -164,7 +165,9 @@ fn unit_fingerprint(path: &str, src: &str, opt_fp: u64, headers_fp: Option<u64>)
 /// without recompiling, and are byte-identical to a cold build. Returns
 /// the built set and this build's cache traffic.
 ///
-/// Headers are parsed lazily — a fully warm build never re-parses them.
+/// A hit puts the cached object itself into the set, so a fully warm
+/// build copies nothing. Headers are parsed lazily — a fully warm build
+/// never re-parses them.
 pub fn build_tree_cached(
     tree: &SourceTree,
     opt: &Options,
@@ -201,8 +204,12 @@ pub fn build_tree_cached(
             };
             compile_unit_with(path, src, opt, ctx)?
         };
-        stats.evictions += cache.store(key, obj.clone());
-        set.insert(obj);
+        // The cache and the set share a clone, not the compiled object:
+        // a clone allocates exactly each vector's length, so no cache
+        // entry keeps the compiler's spare capacity alive.
+        let shared = Arc::new(obj.clone());
+        stats.evictions += cache.store(key, Arc::clone(&shared));
+        set.insert(shared);
     }
     Ok((set, stats))
 }
@@ -218,54 +225,11 @@ pub fn compile_unit_cached(
 ) -> Result<Object, CompileError> {
     let key = unit_fingerprint(name, src, options_fingerprint(opt), None);
     if let Some(obj) = cache.lookup(key) {
-        return Ok(obj);
+        return Ok((*obj).clone());
     }
     let obj = compile_unit(name, src, opt)?;
-    cache.store(key, obj.clone());
+    cache.store(key, Arc::new(obj.clone()));
     Ok(obj)
-}
-
-/// The whole-image cache key: the build [`Options`] plus the
-/// fingerprint of every source file, folded in sorted path order. Two
-/// trees with identical contents under identical options key the same
-/// image.
-fn image_fingerprint(tree: &SourceTree, opt_fp: u64) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.u64_field(opt_fp);
-    for (path, src) in tree.iter() {
-        fp.str_field(path).str_field(src);
-    }
-    fp.finish()
-}
-
-/// [`build_tree_cached`] behind a whole-image memo: when the *entire
-/// tree* (every source file plus options) fingerprints to an image
-/// built before, the finished [`ObjectSet`] is returned without even
-/// consulting the per-unit cache. `ksplice-create` rebuilds the same
-/// pre tree for every update it packages, and the evaluation driver
-/// rebuilds the same distro tree per corpus entry — for those callers
-/// the whole build collapses to one lookup.
-///
-/// An image hit reports [`BuildStats`] as one unit-hit per object (and
-/// zero misses), exactly what a fully warm per-unit build would report,
-/// so cache accounting downstream is unchanged. A miss falls through to
-/// the per-unit path and stores the finished image.
-pub fn build_tree_image_cached(
-    tree: &SourceTree,
-    opt: &Options,
-    cache: &BuildCache,
-) -> Result<(ObjectSet, BuildStats), CompileError> {
-    let key = image_fingerprint(tree, options_fingerprint(opt));
-    if let Some(set) = cache.lookup_image(key) {
-        let stats = BuildStats {
-            hits: set.len() as u64,
-            ..BuildStats::default()
-        };
-        return Ok((set, stats));
-    }
-    let (set, stats) = build_tree_cached(tree, opt, cache)?;
-    cache.store_image(key, set.clone());
-    Ok((set, stats))
 }
 
 /// Computes, per compilation unit, which functions the optimiser inlines
@@ -475,6 +439,23 @@ mod tests {
         assert_eq!(s1.hits, 0);
         assert_eq!(s2.hits, 3, "warm build compiles nothing");
         assert_eq!(s2.misses, 0);
+    }
+
+    #[test]
+    fn cached_builds_share_their_objects() {
+        let mut tree = SourceTree::new();
+        tree.insert("include/defs.kh", "struct pair { int a; int b; };");
+        tree.insert("fs/a.kc", "int f(int x) { return x + 1; }");
+        tree.insert("arch/e.ks", "entry:\n    ret\n");
+        let cache = BuildCache::new();
+        let (cold, _) = build_tree_cached(&tree, &Options::pre_post(), &cache).unwrap();
+        let (warm, _) = build_tree_cached(&tree, &Options::pre_post(), &cache).unwrap();
+        let (again, _) = build_tree_cached(&tree, &Options::pre_post(), &cache).unwrap();
+        assert_eq!(cold.len(), 2);
+        for (name, obj) in cold.iter() {
+            assert!(std::ptr::eq(obj, warm.get(name).unwrap()), "{name} copied");
+            assert!(std::ptr::eq(obj, again.get(name).unwrap()), "{name} copied");
+        }
     }
 
     #[test]

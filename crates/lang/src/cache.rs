@@ -17,6 +17,13 @@
 //! bar, because pre-post differencing and run-pre matching consume these
 //! bytes.
 //!
+//! The cache has one tier, per-unit entries, and a hit shares its entry:
+//! [`BuildCache::lookup`] hands out the cached `Arc<Object>`, which the
+//! build puts into its [`ksplice_object::ObjectSet`] as it is. A fully
+//! warm build is one map lookup per unit and copies no object; objects
+//! are immutable once compiled, so every build that holds one sees the
+//! same bytes.
+//!
 //! The cache is shareable across threads (`&BuildCache`): the parallel
 //! evaluation driver hands one cache to every worker so the first worker
 //! to compile a unit pays for it and the rest hit. Capacity is bounded;
@@ -25,7 +32,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use ksplice_object::{Object, ObjectSet};
+use ksplice_object::Object;
 
 use crate::Options;
 
@@ -128,34 +135,15 @@ impl BuildStats {
     }
 }
 
-// Entries are shared so a hit clones the value after the lock is
-// released: workers sharing the cache never queue behind a deep copy.
 struct Entry {
     object: Arc<Object>,
     last_used: u64,
 }
 
-struct ImageEntry {
-    set: Arc<ObjectSet>,
-    last_used: u64,
-}
-
 struct Inner {
     map: HashMap<u64, Entry>,
-    /// Whole-image memoization: a finished [`ObjectSet`] per image
-    /// fingerprint (the set of unit content hashes plus options — see
-    /// `build_tree_image_cached`). Rebuilding an unchanged tree is the
-    /// pipeline's single most repeated operation (`ksplice-create`
-    /// rebuilds the same pre tree for every update it packages), and an
-    /// image hit skips even the per-unit cache traffic.
-    images: HashMap<u64, ImageEntry>,
     clock: u64,
-    totals: BuildStats,
 }
-
-/// Whole images kept (LRU). Images are big — a handful covers the
-/// pipeline's working set (the base tree under each compiler).
-const IMAGE_CAPACITY: usize = 32;
 
 /// A content-addressed, thread-safe, LRU-bounded cache of compiled
 /// per-unit objects. See the module docs for the keying discipline.
@@ -174,9 +162,7 @@ impl BuildCache {
         BuildCache {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
-                images: HashMap::new(),
                 clock: 0,
-                totals: BuildStats::default(),
             }),
         }
     }
@@ -187,26 +173,21 @@ impl BuildCache {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Looks up a fingerprint, refreshing its recency on hit.
-    pub fn lookup(&self, key: u64) -> Option<Object> {
+    /// Looks up a fingerprint, refreshing its recency on hit. A hit
+    /// shares the cached object.
+    pub fn lookup(&self, key: u64) -> Option<Arc<Object>> {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
-        let found = inner.map.get_mut(&key).map(|entry| {
+        inner.map.get_mut(&key).map(|entry| {
             entry.last_used = clock;
             Arc::clone(&entry.object)
-        });
-        match found {
-            Some(_) => inner.totals.hits += 1,
-            None => inner.totals.misses += 1,
-        }
-        drop(inner);
-        found.map(|object| (*object).clone())
+        })
     }
 
     /// Stores a compiled object, evicting the least-recently-used entry
     /// when at capacity. Returns how many entries were evicted (0 or 1).
-    pub fn store(&self, key: u64, object: Object) -> u64 {
+    pub fn store(&self, key: u64, object: Arc<Object>) -> u64 {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
@@ -220,59 +201,16 @@ impl BuildCache {
             {
                 inner.map.remove(&victim);
                 evicted = 1;
-                inner.totals.evictions += 1;
             }
         }
         inner.map.insert(
             key,
             Entry {
-                object: Arc::new(object),
+                object,
                 last_used: clock,
             },
         );
         evicted
-    }
-
-    /// Looks up a whole-image fingerprint, refreshing its recency on
-    /// hit. Image traffic is deliberately kept out of [`BuildStats`]
-    /// totals: a hit is reported by the caller as one unit-hit per
-    /// object so downstream accounting reads exactly like a fully warm
-    /// per-unit build.
-    pub fn lookup_image(&self, key: u64) -> Option<ObjectSet> {
-        let mut inner = self.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        let found = inner.images.get_mut(&key).map(|entry| {
-            entry.last_used = clock;
-            Arc::clone(&entry.set)
-        });
-        drop(inner);
-        found.map(|set| (*set).clone())
-    }
-
-    /// Stores a finished image, evicting the least-recently-used one at
-    /// capacity.
-    pub fn store_image(&self, key: u64, set: ObjectSet) {
-        let mut inner = self.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        if !inner.images.contains_key(&key) && inner.images.len() >= IMAGE_CAPACITY {
-            if let Some(&victim) = inner
-                .images
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k)
-            {
-                inner.images.remove(&victim);
-            }
-        }
-        inner.images.insert(
-            key,
-            ImageEntry {
-                set: Arc::new(set),
-                last_used: clock,
-            },
-        );
     }
 
     /// Number of cached objects.
@@ -283,19 +221,6 @@ impl BuildCache {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Lifetime hit/miss/evict totals across every build that used this
-    /// cache.
-    pub fn stats(&self) -> BuildStats {
-        self.lock().totals
-    }
-
-    /// Drops every entry (totals are kept — they are lifetime counters).
-    pub fn clear(&self) {
-        let mut inner = self.lock();
-        inner.map.clear();
-        inner.images.clear();
     }
 }
 
@@ -310,7 +235,6 @@ impl std::fmt::Debug for BuildCache {
         let inner = self.lock();
         f.debug_struct("BuildCache")
             .field("len", &inner.map.len())
-            .field("totals", &inner.totals)
             .finish()
     }
 }
@@ -320,8 +244,8 @@ mod tests {
     use super::*;
     use ksplice_object::Object;
 
-    fn obj(name: &str) -> Object {
-        Object::new(name)
+    fn obj(name: &str) -> Arc<Object> {
+        Arc::new(Object::new(name))
     }
 
     #[test]
@@ -387,13 +311,13 @@ mod tests {
     }
 
     #[test]
-    fn lookup_hit_and_miss_accounting() {
+    fn a_hit_shares_the_stored_object() {
         let cache = BuildCache::new();
         assert!(cache.lookup(1).is_none());
-        cache.store(1, obj("a"));
-        assert!(cache.lookup(1).is_some());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
+        let stored = obj("a");
+        cache.store(1, Arc::clone(&stored));
+        let hit = cache.lookup(1).expect("stored key hits");
+        assert!(Arc::ptr_eq(&hit, &stored));
         assert_eq!(cache.len(), 1);
     }
 
@@ -416,7 +340,6 @@ mod tests {
         assert!(cache.lookup(1).is_none(), "LRU entry evicted");
         assert!(cache.lookup(0).is_some());
         assert!(cache.lookup(new_key).is_some());
-        assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.len(), CAPACITY);
     }
 

@@ -18,13 +18,16 @@
 //! * call sites in `while`/`for` conditions or steps, or on the
 //!   short-circuit side of `&&`/`||`, are left alone (hoisting would
 //!   change evaluation);
+//! * a call is left alone when the callee's free names (the globals and
+//!   functions it uses) include a name the caller declares as a param or
+//!   local: inlined, the callee would read the caller's variable;
 //! * recursion is cut off by an inlining depth limit.
 //!
 //! A `static` function whose every use has been inlined away is dropped
 //! from the unit, as gcc drops it — so a patch to such a function changes
 //! *only* its inlined copies, the hardest case for a hot updater.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use crate::ast::*;
 use crate::visit::{walk_expr, walk_expr_mut, walk_stmts, Node};
@@ -41,39 +44,37 @@ pub type InlineReport = BTreeMap<String, Vec<String>>;
 /// Inlines calls within `unit` according to `opt`, dropping fully-inlined
 /// static functions, and reports what was inlined where.
 pub fn inline_unit(unit: &mut Unit, opt: &Options) -> InlineReport {
-    let mut report = InlineReport::new();
     if opt.opt_level == 0 {
-        return report;
+        return InlineReport::new();
     }
-    // Snapshot candidate bodies (pre-inlining, like gcc's early inliner).
-    let candidates: BTreeMap<String, Function> = unit
-        .functions()
-        .filter(|f| is_candidate(f, opt))
-        .map(|f| (f.name.clone(), f.clone()))
-        .collect();
-    let mut counter = 0u32;
+    let mut cx = Inliner {
+        // Snapshot candidate bodies (pre-inlining, like gcc's early inliner).
+        candidates: unit
+            .functions()
+            .filter(|f| is_candidate(f, opt))
+            .map(|f| (f.name.clone(), f.clone()))
+            .collect(),
+        caller: String::new(),
+        declared: HashSet::new(),
+        counter: 0,
+        any: false,
+        report: InlineReport::new(),
+    };
     for item in &mut unit.items {
         let FileItem::Func(f) = item else { continue };
-        let caller = f.name.clone();
+        cx.enter(f);
         let mut body = std::mem::take(&mut f.body);
         for _ in 0..MAX_DEPTH {
-            let mut any = false;
-            body = inline_block(
-                body,
-                &candidates,
-                &caller,
-                &mut counter,
-                &mut any,
-                &mut report,
-            );
-            if !any {
+            cx.any = false;
+            body = cx.block(body);
+            if !cx.any {
                 break;
             }
         }
         f.body = body;
     }
-    drop_dead_statics(unit, &report);
-    report
+    drop_dead_statics(unit, &cx.report);
+    cx.report
 }
 
 fn is_candidate(f: &Function, opt: &Options) -> bool {
@@ -112,235 +113,195 @@ fn is_candidate(f: &Function, opt: &Options) -> bool {
     ok && size <= budget
 }
 
-/// Inlines eligible calls in a statement list, returning the new list.
-fn inline_block(
-    body: Vec<Stmt>,
-    candidates: &BTreeMap<String, Function>,
-    caller: &str,
-    counter: &mut u32,
-    any: &mut bool,
-    report: &mut InlineReport,
-) -> Vec<Stmt> {
-    let mut out = Vec::with_capacity(body.len());
-    for mut s in body {
-        // First hoist calls out of this statement's hoistable expressions.
-        let mut prefix = Vec::new();
-        match &mut s.kind {
-            StmtKind::Decl { init: Some(e), .. }
-            | StmtKind::Expr(e)
-            | StmtKind::Return(Some(e)) => {
-                hoist_calls(
-                    e,
-                    candidates,
-                    caller,
-                    counter,
-                    &mut prefix,
-                    any,
-                    report,
-                    true,
-                );
-            }
-            StmtKind::Assign { target, value } => {
-                hoist_calls(
-                    target,
-                    candidates,
-                    caller,
-                    counter,
-                    &mut prefix,
-                    any,
-                    report,
-                    true,
-                );
-                hoist_calls(
-                    value,
-                    candidates,
-                    caller,
-                    counter,
-                    &mut prefix,
-                    any,
-                    report,
-                    true,
-                );
-            }
-            StmtKind::If { cond, .. } => {
-                hoist_calls(
-                    cond,
-                    candidates,
-                    caller,
-                    counter,
-                    &mut prefix,
-                    any,
-                    report,
-                    true,
-                );
-            }
-            // Loop conditions and steps are re-evaluated; leave them.
-            StmtKind::While { .. } | StmtKind::For { .. } => {}
-            _ => {}
-        }
-        // Then recurse into nested blocks.
-        s.kind = match s.kind {
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => StmtKind::If {
-                cond,
-                then_body: inline_block(then_body, candidates, caller, counter, any, report),
-                else_body: inline_block(else_body, candidates, caller, counter, any, report),
-            },
-            StmtKind::While { cond, body } => StmtKind::While {
-                cond,
-                body: inline_block(body, candidates, caller, counter, any, report),
-            },
-            StmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-            } => StmtKind::For {
-                init,
-                cond,
-                step,
-                body: inline_block(body, candidates, caller, counter, any, report),
-            },
-            StmtKind::Block(b) => {
-                StmtKind::Block(inline_block(b, candidates, caller, counter, any, report))
-            }
-            other => other,
-        };
-        out.extend(prefix);
-        out.push(s);
-    }
-    out
+/// One unit's inlining pass.
+struct Inliner {
+    /// Candidate callees, by name.
+    candidates: BTreeMap<String, Function>,
+    /// The function calls are being inlined into.
+    caller: String,
+    /// Every name the caller declares, params and locals alike.
+    declared: HashSet<String>,
+    /// Numbers each expansion's fresh names.
+    counter: u32,
+    /// Whether the current round inlined anything.
+    any: bool,
+    report: InlineReport,
 }
 
-/// Replaces eligible `Call` sub-expressions with fresh temporaries,
-/// appending the expanded callee bodies to `prefix`. `hoistable` is false
-/// under short-circuit right-hand sides.
-#[allow(clippy::too_many_arguments)]
-fn hoist_calls(
-    e: &mut Expr,
-    candidates: &BTreeMap<String, Function>,
-    caller: &str,
-    counter: &mut u32,
-    prefix: &mut Vec<Stmt>,
-    any: &mut bool,
-    report: &mut InlineReport,
-    hoistable: bool,
-) {
-    // Recurse first (innermost calls hoist first, preserving order).
-    match &mut e.kind {
-        ExprKind::Unary(_, i) => hoist_calls(
-            i, candidates, caller, counter, prefix, any, report, hoistable,
-        ),
-        ExprKind::Binary(op, l, r) => {
-            hoist_calls(
-                l, candidates, caller, counter, prefix, any, report, hoistable,
-            );
-            let rhs_hoistable = hoistable && !matches!(op, BinaryOp::LAnd | BinaryOp::LOr);
-            hoist_calls(
-                r,
-                candidates,
-                caller,
-                counter,
-                prefix,
-                any,
-                report,
-                rhs_hoistable,
-            );
-        }
-        ExprKind::Call { callee, args } => {
-            for a in args.iter_mut() {
-                hoist_calls(
-                    a, candidates, caller, counter, prefix, any, report, hoistable,
-                );
+impl Inliner {
+    /// Starts inlining into `f`.
+    fn enter(&mut self, f: &Function) {
+        self.caller = f.name.clone();
+        self.declared = f.params.iter().map(|(n, _)| n.clone()).collect();
+        walk_stmts(&f.body, &mut |n| {
+            if let Node::Stmt(Stmt {
+                kind: StmtKind::Decl { name, .. },
+                ..
+            }) = n
+            {
+                self.declared.insert(name.clone());
             }
-            hoist_calls(
-                callee, candidates, caller, counter, prefix, any, report, hoistable,
-            );
+        });
+    }
+
+    /// Inlines eligible calls in a statement list, returning the new list.
+    fn block(&mut self, body: Vec<Stmt>) -> Vec<Stmt> {
+        let mut out = Vec::with_capacity(body.len());
+        for mut s in body {
+            // First hoist calls out of this statement's hoistable
+            // expressions. Loop conditions and steps are re-evaluated, so
+            // they are left alone.
+            let mut prefix = Vec::new();
+            match &mut s.kind {
+                StmtKind::Decl { init: Some(e), .. }
+                | StmtKind::Expr(e)
+                | StmtKind::Return(Some(e))
+                | StmtKind::If { cond: e, .. } => self.hoist(e, &mut prefix, true),
+                StmtKind::Assign { target, value } => {
+                    self.hoist(target, &mut prefix, true);
+                    self.hoist(value, &mut prefix, true);
+                }
+                _ => {}
+            }
+            // Then recurse into nested blocks.
+            s.kind = match s.kind {
+                StmtKind::If {
+                    cond,
+                    then_body,
+                    else_body,
+                } => StmtKind::If {
+                    cond,
+                    then_body: self.block(then_body),
+                    else_body: self.block(else_body),
+                },
+                StmtKind::While { cond, body } => StmtKind::While {
+                    cond,
+                    body: self.block(body),
+                },
+                StmtKind::For {
+                    init,
+                    cond,
+                    step,
+                    body,
+                } => StmtKind::For {
+                    init,
+                    cond,
+                    step,
+                    body: self.block(body),
+                },
+                StmtKind::Block(b) => StmtKind::Block(self.block(b)),
+                other => other,
+            };
+            out.extend(prefix);
+            out.push(s);
         }
-        ExprKind::Index(b, i) => {
-            hoist_calls(
-                b, candidates, caller, counter, prefix, any, report, hoistable,
-            );
-            hoist_calls(
-                i, candidates, caller, counter, prefix, any, report, hoistable,
-            );
+        out
+    }
+
+    /// Replaces eligible `Call` sub-expressions with fresh temporaries,
+    /// appending the expanded callee bodies to `prefix`. `hoistable` is
+    /// false under short-circuit right-hand sides.
+    fn hoist(&mut self, e: &mut Expr, prefix: &mut Vec<Stmt>, hoistable: bool) {
+        // Recurse first (innermost calls hoist first, preserving order).
+        match &mut e.kind {
+            ExprKind::Unary(_, i) => self.hoist(i, prefix, hoistable),
+            ExprKind::Binary(op, l, r) => {
+                self.hoist(l, prefix, hoistable);
+                let rhs_hoistable = hoistable && !matches!(op, BinaryOp::LAnd | BinaryOp::LOr);
+                self.hoist(r, prefix, rhs_hoistable);
+            }
+            ExprKind::Call { callee, args } => {
+                for a in args.iter_mut() {
+                    self.hoist(a, prefix, hoistable);
+                }
+                self.hoist(callee, prefix, hoistable);
+            }
+            ExprKind::Index(b, i) => {
+                self.hoist(b, prefix, hoistable);
+                self.hoist(i, prefix, hoistable);
+            }
+            ExprKind::Field(b, _) | ExprKind::PField(b, _) => self.hoist(b, prefix, hoistable),
+            _ => {}
         }
-        ExprKind::Field(b, _) | ExprKind::PField(b, _) => hoist_calls(
-            b, candidates, caller, counter, prefix, any, report, hoistable,
-        ),
-        _ => {}
-    }
-    if !hoistable {
-        return;
-    }
-    // Now consider this node itself.
-    let ExprKind::Call { callee, args } = &e.kind else {
-        return;
-    };
-    let ExprKind::Ident(name) = &callee.kind else {
-        return;
-    };
-    let Some(f) = candidates.get(name) else {
-        return;
-    };
-    if f.name == caller || f.params.len() != args.len() {
-        return;
-    }
-    *any = true;
-    report
-        .entry(f.name.clone())
-        .or_default()
-        .push(caller.to_string());
-    let id = *counter;
-    *counter += 1;
-    let line = e.line;
-    let pfx = format!("__inl{id}_");
-    let ret = format!("{pfx}ret");
-    // Temporaries for the return slot and each argument.
-    prefix.push(Stmt::new(
-        StmtKind::Decl {
-            name: ret.clone(),
-            ty: Type::Int,
-            is_static: false,
-            init: Some(Expr::num(0, line)),
-        },
-        line,
-    ));
-    for ((pname, pty), arg) in f.params.iter().zip(args) {
+        if !hoistable {
+            return;
+        }
+        // Now consider this node itself.
+        let ExprKind::Call { callee, args } = &e.kind else {
+            return;
+        };
+        let ExprKind::Ident(name) = &callee.kind else {
+            return;
+        };
+        let Some(f) = self.candidates.get(name) else {
+            return;
+        };
+        if f.name == self.caller || f.params.len() != args.len() {
+            return;
+        }
+        let line = e.line;
+        let pfx = format!("__inl{}_", self.counter);
+        let ret = format!("{pfx}ret");
+        // Rename the body's locals/params and turn returns into
+        // `ret = ...; break;`, then wrap in a one-shot loop so early
+        // returns exit cleanly (candidates contain no loops of their own).
+        let mut body = f.body.clone();
+        let mut renames: BTreeMap<String, String> = f
+            .params
+            .iter()
+            .map(|(n, _)| (n.clone(), format!("{pfx}{n}")))
+            .collect();
+        for s in &mut body {
+            rename_stmt(s, &pfx, &mut renames, &ret);
+        }
+        // What renaming left alone is free in the callee and binds at the
+        // call site, where a caller's variable of the same name would
+        // capture it.
+        let mut captured = false;
+        walk_stmts(&body, &mut |n| {
+            captured |= matches!(n, Node::Expr(Expr { kind: ExprKind::Ident(id), .. })
+                if self.declared.contains(id));
+        });
+        if captured {
+            return;
+        }
+        self.any = true;
+        self.report
+            .entry(f.name.clone())
+            .or_default()
+            .push(self.caller.clone());
+        self.counter += 1;
+        // Temporaries for the return slot and each argument.
         prefix.push(Stmt::new(
             StmtKind::Decl {
-                name: format!("{pfx}{pname}"),
-                ty: pty.clone(),
+                name: ret.clone(),
+                ty: Type::Int,
                 is_static: false,
-                init: Some(arg.clone()),
+                init: Some(Expr::num(0, line)),
             },
             line,
         ));
+        for ((pname, pty), arg) in f.params.iter().zip(args) {
+            prefix.push(Stmt::new(
+                StmtKind::Decl {
+                    name: format!("{pfx}{pname}"),
+                    ty: pty.clone(),
+                    is_static: false,
+                    init: Some(arg.clone()),
+                },
+                line,
+            ));
+        }
+        body.push(Stmt::new(StmtKind::Break, line));
+        prefix.push(Stmt::new(
+            StmtKind::While {
+                cond: Expr::num(1, line),
+                body,
+            },
+            line,
+        ));
+        e.kind = ExprKind::Ident(ret);
     }
-    // Rename the body's locals/params and turn returns into
-    // `ret = ...; break;`, then wrap in a one-shot loop so early returns
-    // exit cleanly (candidates contain no loops of their own).
-    let mut body = f.body.clone();
-    let param_names: Vec<&str> = f.params.iter().map(|(n, _)| n.as_str()).collect();
-    let mut renames: BTreeMap<String, String> = param_names
-        .iter()
-        .map(|n| (n.to_string(), format!("{pfx}{n}")))
-        .collect();
-    for s in &mut body {
-        rename_stmt(s, &pfx, &mut renames, &ret);
-    }
-    body.push(Stmt::new(StmtKind::Break, line));
-    prefix.push(Stmt::new(
-        StmtKind::While {
-            cond: Expr::num(1, line),
-            body,
-        },
-        line,
-    ));
-    e.kind = ExprKind::Ident(ret);
 }
 
 /// Renames locals (declaring new names on the fly) and rewrites returns.
@@ -573,6 +534,22 @@ mod tests {
         );
         assert!(report.is_empty());
         assert!(u.function("one").is_some());
+    }
+
+    #[test]
+    fn caller_locals_do_not_capture_callee_globals() {
+        let mut u = parse_unit(
+            "t.kc",
+            "int g = 5;\
+             static int get() { return g; }\
+             int f() { int g; g = 7; return get(); }\
+             int h() { return get(); }",
+        )
+        .unwrap();
+        let report = inline_unit(&mut u, &opt2());
+        assert_eq!(report["get"], vec!["h".to_string()]);
+        // f still calls get out of line, so the static stays.
+        assert!(u.function("get").is_some());
     }
 
     #[test]

@@ -7,16 +7,19 @@
 //! objects, one per compilation unit.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::model::Object;
 
 /// A build's worth of object files, keyed by compilation-unit name.
 ///
 /// Iteration order is the sorted unit name order (a `BTreeMap`), so
-/// diffs are deterministic.
+/// diffs are deterministic. A set shares its objects: a build-cache hit
+/// and every clone of the set hold the same `Arc<Object>`, and the set
+/// gives out only `&Object`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ObjectSet {
-    objects: BTreeMap<String, Object>,
+    objects: BTreeMap<String, Arc<Object>>,
 }
 
 impl ObjectSet {
@@ -25,20 +28,17 @@ impl ObjectSet {
         ObjectSet::default()
     }
 
-    /// Inserts an object under its own compilation-unit name, replacing
-    /// any previous object of the same name.
-    pub fn insert(&mut self, object: Object) {
+    /// Inserts an object, owned or shared, under its own
+    /// compilation-unit name, replacing any previous object of the same
+    /// name.
+    pub fn insert(&mut self, object: impl Into<Arc<Object>>) {
+        let object = object.into();
         self.objects.insert(object.name.clone(), object);
     }
 
     /// Looks up a compilation unit by name.
     pub fn get(&self, name: &str) -> Option<&Object> {
-        self.objects.get(name)
-    }
-
-    /// Removes a compilation unit by name.
-    pub fn remove(&mut self, name: &str) -> Option<Object> {
-        self.objects.remove(name)
+        self.objects.get(name).map(Arc::as_ref)
     }
 
     /// Number of compilation units.
@@ -53,7 +53,7 @@ impl ObjectSet {
 
     /// Iterates compilation units in deterministic (sorted-name) order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Object)> {
-        self.objects.iter().map(|(k, v)| (k.as_str(), v))
+        self.objects.iter().map(|(k, v)| (k.as_str(), v.as_ref()))
     }
 }
 
