@@ -305,9 +305,7 @@ fn watch_rounds(args: &Args) -> Result<Option<u32>, String> {
 /// Boots the base tree's kernel on the vCPUs `opts` asks for.
 fn boot(opts: &ApplyOptions) -> Result<Kernel, String> {
     let mut kernel = Kernel::boot(&base_tree(), &Options::distro()).map_err(|e| e.to_string())?;
-    if opts.smp.cpus > 1 {
-        kernel.configure_smp(opts.smp.clone());
-    }
+    kernel.configure_smp(opts.smp.clone());
     Ok(kernel)
 }
 
@@ -694,7 +692,12 @@ fn cmd_rebase(args: &Args, tracer: &mut Tracer) -> Result<(), String> {
 fn cmd_fleet(args: &Args, tracer: &mut Tracer) -> Result<(), String> {
     let d = FleetConfig::default();
     let cfg = FleetConfig {
-        nodes: args.get("--nodes", num)?.unwrap_or(d.nodes),
+        nodes: args
+            .get("--nodes", |s| match num(s)? {
+                0 => Err("a fleet needs at least one node".to_string()),
+                n => Ok(n),
+            })?
+            .unwrap_or(d.nodes),
         versions: args
             .get("--versions", |s| num_in(s, 1..=VERSION_NAMES.len()))?
             .unwrap_or(d.versions),

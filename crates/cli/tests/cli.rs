@@ -442,6 +442,7 @@ fn flag_errors_are_refused_before_any_work() {
         (vec!["fleet", "--growth", "1"], vec!["--growth"]),
         (vec!["fleet", "--versions", "0"], vec!["--versions"]),
         (vec!["fleet", "--versions", "4"], vec!["--versions"]),
+        (vec!["fleet", "--nodes", "0"], vec!["--nodes"]),
     ]);
     for command in ["eval", "fuzz", "rebase", "fleet"] {
         cases.push((vec![command, "--jobs", "0"], vec!["--jobs"]));

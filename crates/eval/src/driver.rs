@@ -128,12 +128,7 @@ fn run_cve_with(
     tracer: &mut Tracer,
 ) -> Result<CveOutcome, String> {
     let mut kernel = Kernel::boot_image(image).map_err(|e| format!("boot: {e}"))?;
-    // Gated on cpus > 1 so the default path never re-homes threads —
-    // the N = 1 corpus output stays byte-identical to the historical
-    // uniprocessor driver.
-    if apply_opts.smp.cpus > 1 {
-        kernel.configure_smp(apply_opts.smp.clone());
-    }
+    kernel.configure_smp(apply_opts.smp.clone());
     let stress_entry = load_stress_cached(&mut kernel, cache)?;
 
     let exploit_before = run_exploit(&mut kernel, case);

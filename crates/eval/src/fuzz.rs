@@ -505,14 +505,6 @@ pub fn load_regression_dir(dir: &std::path::Path) -> Result<Vec<RegressionCase>,
     Ok(cases)
 }
 
-/// Applies the campaign vCPU topology to a freshly booted kernel, gated
-/// on N > 1 so uniprocessor campaigns never re-home threads.
-fn configure_kernel(kernel: &mut Kernel, opts: &ApplyOptions) {
-    if opts.smp.cpus > 1 {
-        kernel.configure_smp(opts.smp.clone());
-    }
-}
-
 /// Everything a campaign shares across mutants: the canonical pre tree
 /// and its parsed units, the booted pre kernel every subject forks, the
 /// build cache, the fixed workload script, and the exploit case used as
@@ -665,7 +657,7 @@ impl FuzzContext {
         let apply_opts = ApplyOptions::with_smp(SmpConfig::with_cpus(cfg.cpus));
         let pre_image = distro_image(&canon, &cache)?;
         let mut subject = Kernel::boot_image(&pre_image).map_err(|e| format!("pre boot: {e}"))?;
-        configure_kernel(&mut subject, &apply_opts);
+        subject.configure_smp(apply_opts.smp.clone());
         let prctl = find_cve("CVE-2006-2451")?;
 
         // The fixed sweep: every exported int-only function with at most
@@ -791,7 +783,7 @@ impl FuzzContext {
         for (image, (_, tag)) in images.iter().zip(&references) {
             let mut kernel =
                 Kernel::boot_image(image).map_err(|e| killed("post-boot", format!("{tag}{e}")))?;
-            configure_kernel(&mut kernel, &self.apply_opts);
+            kernel.configure_smp(self.apply_opts.smp.clone());
             kernels.push(kernel);
         }
         // Stage 3: the subject kernel, hot-patched from pre.

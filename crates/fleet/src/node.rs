@@ -358,6 +358,9 @@ impl FleetNode {
         let mut rng = FuzzRng::from_state(self.seed);
         let base = &cx.bases[self.version];
         let mut kernel = base.snapshot.fork();
+        // Configuring one vCPU would change no schedule, but the guard
+        // also gates the seed draw: without it every later draw from
+        // `rng`, and so the fleet's output, would move.
         if cfg.cpus > 1 {
             kernel.configure_smp(SmpConfig::with_cpus(cfg.cpus).with_seed(rng.next_u64()));
         }

@@ -82,6 +82,16 @@ impl Thread {
     pub fn fp(&self) -> u64 {
         self.regs[14]
     }
+
+    /// Wakes the thread if its sleep ends at or before tick `now`, and
+    /// reports whether it is runnable: the one wake rule of every
+    /// scheduling path.
+    fn wake(&mut self, now: u64) -> bool {
+        if matches!(self.state, ThreadState::Sleeping(until) if now >= until) {
+            self.state = ThreadState::Runnable;
+        }
+        self.state == ThreadState::Runnable
+    }
 }
 
 /// Why [`Kernel::run`] stopped.
@@ -136,9 +146,8 @@ pub struct Kernel {
     pub last_stop_machine_steps: u64,
     /// Count of `stop_machine` invocations.
     pub stop_machine_count: u64,
-    /// The SMP topology: vCPU count and scheduling seed. The
-    /// default (1 vCPU) is bit-exact with the historical sequential
-    /// scheduler; see [`Kernel::configure_smp`].
+    /// The SMP topology: vCPU count and scheduling seed; see
+    /// [`Kernel::configure_smp`] and `Kernel::round`.
     pub smp: SmpConfig,
     /// The vCPUs, each with its own run queue (`smp.cpus` entries).
     pub cpus: Vec<Cpu>,
@@ -178,7 +187,8 @@ impl Kernel {
     /// called right after boot, before workloads spawn; calling it on a
     /// running kernel re-homes live threads deterministically. `cpus`
     /// clamps to ≥ 1, and the scheduler rotation restarts from
-    /// `sched_seed`.
+    /// `sched_seed`. At one vCPU no schedule reads the run queues or
+    /// the seed, so configuring one vCPU changes no schedule.
     pub fn configure_smp(&mut self, mut smp: SmpConfig) {
         smp.cpus = smp.cpus.max(1);
         self.sched_rng = FuzzRng::from_state(smp.sched_seed.max(1));
@@ -372,128 +382,84 @@ impl Kernel {
         self.threads.iter_mut().find(|t| t.tid == tid)
     }
 
-    /// The preemptive scheduler: runs up to `max_steps` instructions in
-    /// quantum-sized slices. At one vCPU (the default) this is the
-    /// historical sequential round-robin, bit-exact; at `cpus > 1` it
-    /// is the interleaved SMP simulation of [`SmpConfig`] — each
-    /// scheduling round visits the vCPUs in a seeded rotation and runs
-    /// each vCPU's next runnable thread for one quantum.
+    /// The preemptive scheduler: runs up to `max_steps` instructions,
+    /// one `Kernel::round` per tick. Returns [`RunExit::Budget`] when
+    /// the budget runs out mid-round (without ticking), or when a round
+    /// ran nothing and the only live threads sleep forever (a vCPU
+    /// parked by [`Kernel::park_fault_vcpu`]), since ticking for them
+    /// would never spend the budget. Returns [`RunExit::AllExited`]
+    /// when no thread is runnable or sleeping.
     pub fn run(&mut self, max_steps: u64) -> RunExit {
-        if self.smp.cpus <= 1 {
-            self.run_uni(max_steps)
+        let mut budget = self.faults.jitter_budget(max_steps);
+        loop {
+            let Some(ran) = self.round(&mut budget) else {
+                return RunExit::Budget;
+            };
+            self.ticks += 1;
+            let live =
+                |t: &Thread| matches!(t.state, ThreadState::Runnable | ThreadState::Sleeping(_));
+            if !self.threads.iter().any(live) {
+                return RunExit::AllExited;
+            }
+            let wakes =
+                |t: &Thread| matches!(t.state, ThreadState::Sleeping(until) if until < u64::MAX);
+            if !ran && !self.threads.iter().any(wakes) {
+                return RunExit::Budget;
+            }
+        }
+    }
+
+    /// One scheduling round: the one place the kernel chooses which
+    /// thread runs next. Each slot of the round runs one thread for a
+    /// [`QUANTUM`], or what is left of `budget`. One slot rule per
+    /// topology:
+    ///
+    /// * At one vCPU the slots are the threads present when the round
+    ///   starts, in spawn order: each wakes if its sleep has ended, and
+    ///   runs if it is runnable. (Threads are only appended while a
+    ///   round runs, so the indices stay valid.)
+    /// * At N ≥ 2 the slots are the vCPUs, visited in a rotation led by
+    ///   one `sched_rng` draw: each runs its next runnable thread
+    ///   ([`Kernel::pick_next`]) and counts the steps in its `cycles`.
+    ///
+    /// The N ≥ 2 rule at one vCPU would be another schedule (one thread
+    /// per tick), and every single-CPU pin (fuzz digests, trace
+    /// timestamps) is recorded under the first rule (DESIGN §14).
+    ///
+    /// Returns `None` when `budget` ran out mid-round, else whether any
+    /// thread ran.
+    fn round(&mut self, budget: &mut u64) -> Option<bool> {
+        let smp = self.cpus.len() > 1;
+        let (slots, lead) = if smp {
+            let n = self.cpus.len();
+            (n, self.sched_rng.below(n as u64) as usize)
         } else {
-            self.run_smp(max_steps)
-        }
-    }
-
-    /// The uniprocessor scheduler (`cpus == 1`): a plain round-robin
-    /// over all threads in spawn order, every runnable thread each tick.
-    /// `run_smp` at N = 1 is a different schedule (one thread per tick,
-    /// rotation kept across calls), so every single-CPU artifact (fuzz
-    /// digests, trace timestamps) is pinned to this one (DESIGN §14).
-    fn run_uni(&mut self, max_steps: u64) -> RunExit {
-        let mut budget = self.faults.jitter_budget(max_steps);
-        loop {
-            let mut progressed = false;
-            let tids: Vec<u64> = self.threads.iter().map(|t| t.tid).collect();
-            for tid in tids {
-                // Wake sleepers whose deadline has passed.
-                let ticks = self.ticks;
-                if let Some(t) = self.thread_mut(tid) {
-                    if let ThreadState::Sleeping(until) = t.state {
-                        if ticks >= until {
-                            t.state = ThreadState::Runnable;
-                        }
-                    }
-                }
-                let runnable = matches!(
-                    self.thread(tid).map(|t| &t.state),
-                    Some(ThreadState::Runnable)
-                );
-                if !runnable {
-                    continue;
-                }
-                progressed = true;
-                let slice = QUANTUM.min(budget);
-                let used = self.run_slice(tid, slice);
-                budget -= used;
-                if budget == 0 {
-                    return RunExit::Budget;
-                }
-            }
-            self.ticks += 1;
-            let any_alive = self
-                .threads
-                .iter()
-                .any(|t| matches!(t.state, ThreadState::Runnable | ThreadState::Sleeping(_)));
-            if !any_alive {
-                return RunExit::AllExited;
-            }
-            if !progressed {
-                // Only sleepers remain; advance time — unless none of
-                // them can ever wake (a parked vCPU sleeps until
-                // `u64::MAX`), in which case ticking forever would
-                // never consume the budget.
-                if !self.any_finite_sleeper() {
-                    return RunExit::Budget;
-                }
+            (self.threads.len(), 0)
+        };
+        let mut ran = false;
+        for i in 0..slots {
+            let slot = (lead + i) % slots;
+            let picked = if smp {
+                self.pick_next(slot)
+            } else {
+                let now = self.ticks;
+                let t = &mut self.threads[slot];
+                t.wake(now).then_some(t.tid)
+            };
+            let Some(tid) = picked else {
                 continue;
+            };
+            ran = true;
+            let used = self.run_slice(tid, QUANTUM.min(*budget));
+            if smp {
+                self.cpus[slot].cycles += used;
+            }
+            *budget -= used;
+            if *budget == 0 {
+                return None;
             }
         }
-    }
-
-    /// Whether any live thread has a wake-up deadline that can
-    /// actually arrive. Threads parked by [`Kernel::park_fault_vcpu`]
-    /// sleep until `u64::MAX` and must not keep the tick loop alive.
-    fn any_finite_sleeper(&self) -> bool {
-        self.threads.iter().any(|t| {
-            matches!(t.state, ThreadState::Sleeping(until) if until < u64::MAX)
-        })
-    }
-
-    /// The interleaved SMP scheduler (`cpus > 1`). One host thread
-    /// plays every vCPU: each round starts from a seeded lead CPU and
-    /// gives each vCPU's next runnable thread one quantum, so the
-    /// global instruction interleaving is deterministic in
-    /// ([`SmpConfig::sched_seed`], workload) while still exhibiting the
-    /// cross-CPU overlap `stop_machine` has to fight.
-    fn run_smp(&mut self, max_steps: u64) -> RunExit {
-        let mut budget = self.faults.jitter_budget(max_steps);
-        let ncpus = self.cpus.len();
-        loop {
-            let mut progressed = false;
-            let lead = self.sched_rng.below(ncpus as u64) as usize;
-            for i in 0..ncpus {
-                let cpu = (lead + i) % ncpus;
-                let Some(tid) = self.pick_next(cpu) else {
-                    continue;
-                };
-                progressed = true;
-                let slice = QUANTUM.min(budget);
-                let used = self.run_slice(tid, slice);
-                self.cpus[cpu].cycles += used;
-                budget = budget.saturating_sub(used);
-                if budget == 0 {
-                    return RunExit::Budget;
-                }
-            }
-            self.ticks += 1;
-            let any_alive = self
-                .threads
-                .iter()
-                .any(|t| matches!(t.state, ThreadState::Runnable | ThreadState::Sleeping(_)));
-            if !any_alive {
-                return RunExit::AllExited;
-            }
-            if !progressed {
-                // Only sleepers remain; advance time (see run_uni for
-                // the forever-sleeper guard).
-                if !self.any_finite_sleeper() {
-                    return RunExit::Budget;
-                }
-                continue;
-            }
-        }
+        Some(ran)
     }
 
     /// Rotates vCPU `cpu`'s run queue to its next runnable thread:
@@ -502,21 +468,15 @@ impl Kernel {
     /// chosen thread moves to the back of the queue — round-robin —
     /// and becomes the vCPU's `current`.
     fn pick_next(&mut self, cpu: usize) -> Option<u64> {
-        let len = self.cpus[cpu].runq.len();
-        for _ in 0..len {
+        let now = self.ticks;
+        for _ in 0..self.cpus[cpu].runq.len() {
             let Some(tid) = self.cpus[cpu].runq.pop_front() else {
                 break;
             };
-            let ticks = self.ticks;
             let Some(t) = self.thread_mut(tid) else {
                 continue; // reaped elsewhere; drop the stale entry
             };
-            if let ThreadState::Sleeping(until) = t.state {
-                if ticks >= until {
-                    t.state = ThreadState::Runnable;
-                }
-            }
-            let runnable = matches!(t.state, ThreadState::Runnable);
+            let runnable = t.wake(now);
             self.cpus[cpu].runq.push_back(tid);
             if runnable {
                 self.cpus[cpu].current = Some(tid);
@@ -593,11 +553,7 @@ impl Kernel {
                     self.ticks += 1;
                     let now = self.ticks;
                     if let Some(t) = self.thread_mut(tid) {
-                        if let ThreadState::Sleeping(until) = t.state {
-                            if now >= until {
-                                t.state = ThreadState::Runnable;
-                            }
-                        }
+                        t.wake(now);
                     }
                 }
                 ThreadState::Runnable => {}
@@ -641,9 +597,11 @@ impl Kernel {
 
     /// `stop_machine`: captures all CPUs and runs `f` with the machine
     /// stopped (paper §5.2). At N ≥ 2 it first performs the barrier
-    /// rendezvous (every vCPU's current thread runs up to one more
-    /// quantum — "finish what you're doing and park in the stop
-    /// handler"). Returns `f`'s result and records the pause, which
+    /// rendezvous: one `Kernel::round` with no budget limit, so each
+    /// vCPU runs its next thread for one more quantum ("finish what
+    /// you're doing and park in the stop handler"). At one vCPU no
+    /// other thread runs while `f` does, so the capture takes no step.
+    /// Returns `f`'s result and records the pause, which
     /// [`Kernel::last_stop_machine`] exposes for the evaluation's "about
     /// 0.7 ms" measurement.
     ///
@@ -656,27 +614,12 @@ impl Kernel {
     ) -> Result<R, StopMachineError> {
         let start = Instant::now();
         let steps_before = self.steps;
-        // Capture. On a uniprocessor no other thread can run while `f`
-        // executes; we model the per-CPU check-in cost by spinning
-        // briefly per vCPU, as the real stop_machine busy-waits for
-        // every CPU.
-        for _ in 0..self.smp.cpus {
-            std::hint::black_box(0u64);
-        }
-        // Rendezvous (N ≥ 2): every vCPU finishes its current quantum
-        // before parking in the stop handler. These instructions are
-        // the simulated capture latency — and they genuinely move
-        // threads in and out of patch targets between retry attempts.
-        if self.smp.cpus > 1 {
-            let ncpus = self.cpus.len();
-            let lead = self.sched_rng.below(ncpus as u64) as usize;
-            for i in 0..ncpus {
-                let cpu = (lead + i) % ncpus;
-                if let Some(tid) = self.pick_next(cpu) {
-                    let used = self.run_slice(tid, QUANTUM);
-                    self.cpus[cpu].cycles += used;
-                }
-            }
+        // The rendezvous round's instructions are the simulated capture
+        // latency, and they move threads in and out of patch targets
+        // between retry attempts.
+        if self.cpus.len() > 1 {
+            let mut unbounded = u64::MAX;
+            self.round(&mut unbounded);
         }
         if let Some(cpu) = self.faults.barrier_stall(self.smp.cpus) {
             // The stalled vCPU never checked in: release the machine

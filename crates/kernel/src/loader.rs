@@ -131,60 +131,36 @@ fn perms_for(sec: &ksplice_object::Section) -> Perms {
     }
 }
 
-/// Allocates and copies one object's alloc sections; defines its symbols.
-/// Relocations are **not** applied here.
 /// Placed sections: name → (address, size).
 type PlacedSections = BTreeMap<String, (u64, u64)>;
 /// Defined symbols: (name, address, is_global, is_func, size).
 type PlacedSymbols = Vec<(String, u64, bool, bool, u64)>;
 
+/// Allocates and copies one object's alloc sections; defines its symbols.
+/// Relocations are **not** applied here. A section that does not fit
+/// fails the placement with [`LinkError::OutOfMemory`], leaving the
+/// regions of the sections before it mapped ([`load_module`] unmaps
+/// them).
 fn place_object(
     mem: &mut Memory,
     obj: &Object,
 ) -> Result<(PlacedSections, PlacedSymbols), LinkError> {
-    let mut sections = BTreeMap::new();
-    // One batched arena reservation for the whole object: same
-    // addresses as allocating section by section (the batch API runs
-    // the same bump cursor), but the region table grows once and an
-    // object that cannot fit is rejected before any region lands.
-    let alloc: Vec<&ksplice_object::Section> = obj
-        .sections
-        .iter()
-        .filter(|sec| sec.is_alloc() && sec.kind != SectionKind::Note)
-        .collect();
-    let names: Vec<String> = alloc
-        .iter()
-        .map(|sec| format!("{}:{}", obj.name, sec.name))
-        .collect();
-    let specs: Vec<(&str, u64, u64, Perms)> = alloc
-        .iter()
-        .zip(&names)
-        .map(|(sec, name)| {
-            (
-                name.as_str(),
-                sec.size.max(1),
-                sec.align.max(1) as u64,
-                perms_for(sec),
-            )
-        })
-        .collect();
-    let starts = mem.alloc_regions(&specs).ok_or_else(|| {
-        // Replay the cursor one section at a time to name the one that
-        // overflowed (and to leave the arena exactly as the historical
-        // per-section allocator would have).
-        for (sec, name) in alloc.iter().zip(&names) {
-            if mem
-                .alloc_region(name, sec.size.max(1), sec.align.max(1) as u64, perms_for(sec))
-                .is_none()
-            {
-                return LinkError::OutOfMemory {
-                    section: name.clone(),
-                };
-            }
+    // Every region first, in section order, so an object that cannot
+    // fit fails before any byte is written.
+    let mut placed = Vec::new();
+    for sec in &obj.sections {
+        if !sec.is_alloc() || sec.kind == SectionKind::Note {
+            continue;
         }
-        unreachable!("batched allocation failed but sections fit individually")
-    })?;
-    for (sec, &addr) in alloc.iter().zip(&starts) {
+        let name = format!("{}:{}", obj.name, sec.name);
+        let align = sec.align.max(1) as u64;
+        let Some(addr) = mem.alloc_region(&name, sec.size.max(1), align, perms_for(sec)) else {
+            return Err(LinkError::OutOfMemory { section: name });
+        };
+        placed.push((sec, addr));
+    }
+    let mut sections = BTreeMap::new();
+    for (sec, addr) in placed {
         if sec.kind == SectionKind::Progbits && !sec.data.is_empty() {
             mem.poke(addr, &sec.data)?;
         }

@@ -273,33 +273,6 @@ impl Memory {
         Some(start)
     }
 
-    /// Allocates several regions in one call, exactly as the same
-    /// sequence of [`Memory::alloc_region`] calls would (identical
-    /// addresses, order and names) but all-or-nothing: when any region
-    /// would not fit, nothing is allocated. The region table grows
-    /// once instead of per section, which is what the loader wants
-    /// when placing a multi-section object.
-    pub fn alloc_regions(&mut self, specs: &[(&str, u64, u64, Perms)]) -> Option<Vec<u64>> {
-        // Dry-run the bump cursor to prove everything fits.
-        let mut cursor = self.cursor;
-        for &(_, size, align, _) in specs {
-            let align = align.max(1);
-            debug_assert!(align.is_power_of_two());
-            let start = cursor.div_ceil(align) * align;
-            let end = start.checked_add(size)?;
-            if end > KBASE + MEM_SIZE {
-                return None;
-            }
-            cursor = end;
-        }
-        self.regions.reserve(specs.len());
-        let mut starts = Vec::with_capacity(specs.len());
-        for &(name, size, align, perms) in specs {
-            starts.push(self.alloc_region(name, size, align, perms).expect("dry run fit"));
-        }
-        Some(starts)
-    }
-
     /// The region containing `addr..addr+len`, if any.
     ///
     /// `regions` is always sorted by start address — the bump cursor only

@@ -21,17 +21,19 @@
 //!   function of ([`SmpConfig::sched_seed`], the workload), so a
 //!   failing schedule replays exactly.
 //! * [`crate::Kernel::stop_machine`] performs a **barrier
-//!   rendezvous** at N ≥ 2: every vCPU's current thread runs up to one
-//!   more quantum (the model of "finish what you're doing and park in
-//!   the stop handler") before the machine is considered captured.
+//!   rendezvous** at N ≥ 2: one more scheduling round, with no budget
+//!   limit, runs every vCPU's next thread for up to one quantum (the
+//!   model of "finish what you're doing and park in the stop handler")
+//!   before the machine is considered captured.
 //!   Those instructions are the real, measurable capture cost — and
 //!   they genuinely move threads in and out of patch-target functions
 //!   between retry attempts.
 //!
-//! `cpus = 1` (the default) is **bit-exact** with the historical
-//! uniprocessor scheduler: same step counts, same fault-PRNG draws,
-//! same trace timestamps. Everything multi-CPU is opt-in via
-//! [`SmpConfig`].
+//! The same round runs at `cpus = 1` (the default) under the
+//! historical uniprocessor rule, every runnable thread in spawn order,
+//! and is **bit-exact** with the historical scheduler: same step
+//! counts, same fault-PRNG draws, same trace timestamps. Everything
+//! multi-CPU is opt-in via [`SmpConfig`].
 //!
 //! See `docs/CONCURRENCY.md` for the full model, the barrier protocol
 //! state diagram, and the determinism guarantees.

@@ -407,6 +407,27 @@ fn inlined_callee_reads_the_global_not_a_caller_local() {
 }
 
 #[test]
+fn a_block_local_in_an_inlined_callee_ends_with_its_block() {
+    // `get`'s block-local `g` shadows the global only inside the block:
+    // the read after it is the global's, inlined or not.
+    let src = "int g = 5;\
+               static int get(int c) { if (c) { int g; g = 1; } return g; }\
+               int f() { return get(1); }";
+    for opt_level in [0u8, 2] {
+        let tree: SourceTree = [("m.kc".to_string(), src.to_string())]
+            .into_iter()
+            .collect();
+        let opts = Options {
+            opt_level,
+            ..Options::distro()
+        };
+        let mut k =
+            Kernel::boot(&tree, &opts).unwrap_or_else(|e| panic!("boot at -O{opt_level}: {e}"));
+        assert_eq!(call(&mut k, "f", &[]), 5, "f() at -O{opt_level}");
+    }
+}
+
+#[test]
 fn shadow_data_structures() {
     let mut k = boot(&[(
         "m.kc",

@@ -105,3 +105,80 @@ fn rmmod_unmaps_module_memory() {
     // Its kallsyms entries are gone.
     assert!(k.syms.lookup_name("mod_entry").is_empty());
 }
+
+/// A module whose second section does not fit is refused whole: the
+/// error names that section, no region of the module stays mapped, no
+/// byte of it is written, and the bump cursor ends where allocating the
+/// sections one by one leaves it, past the first section.
+#[test]
+fn a_module_that_overflows_the_arena_is_refused_whole() {
+    let mut k = boot("int f() { return 1; }");
+    let obj = ksplice_lang::compile_unit(
+        "mod.kc",
+        "int mod_entry() { return 42; }\nint mod_table = 7;",
+        &Options::distro(),
+    )
+    .unwrap();
+    let placed: Vec<_> = obj
+        .sections
+        .iter()
+        .filter(|s| s.is_alloc() && s.kind != ksplice_object::SectionKind::Note)
+        .collect();
+    assert!(placed.len() >= 2, "a two-section module: {placed:?}");
+    let (first, second) = (placed[0], placed[1]);
+    // Where section-by-section allocation from `cursor` puts the first
+    // section's end, and whether the second then fits below the top.
+    let top = ksplice_kernel::KBASE + ksplice_kernel::MEM_SIZE;
+    let align = |at: u64, a: u64| at.div_ceil(a.max(1)) * a.max(1);
+    let first_end = |cursor: u64| align(cursor, u64::from(first.align)) + first.size.max(1);
+    let second_fits =
+        |cursor: u64| align(first_end(cursor), u64::from(second.align)) + second.size.max(1) <= top;
+    // Fill the arena up to the highest cursor where the first section
+    // still fits and the second does not.
+    let cursor = k
+        .mem
+        .regions()
+        .iter()
+        .map(|r| r.start + r.size)
+        .max()
+        .unwrap();
+    let room = (0..4096)
+        .find(|&room| first_end(top - room) <= top && !second_fits(top - room))
+        .expect("some fill splits the two sections");
+    k.mem
+        .alloc_region("fill", top - room - cursor, 1, Perms::DATA)
+        .unwrap();
+    let regions = k.mem.regions().to_vec();
+    let text_gen = k.mem.text_generation();
+
+    let err = k.insmod(&obj, false).unwrap_err();
+    assert_eq!(
+        err,
+        ksplice_kernel::LinkError::OutOfMemory {
+            section: format!("{}:{}", obj.name, second.name),
+        }
+    );
+    assert_eq!(
+        k.mem.regions(),
+        &regions[..],
+        "no region of the module stays mapped"
+    );
+    // Unmapping a placed text section retires its generation.
+    assert_eq!(
+        k.mem.text_generation(),
+        text_gen + u64::from(first.flags.exec),
+    );
+    assert!(k.modules.iter().all(|m| m.name != obj.name));
+    // No byte was written where the first section was placed.
+    let at = align(top - room, u64::from(first.align));
+    let bytes = k.mem.peek(at, first.size).unwrap();
+    assert!(
+        bytes.iter().all(|&b| b == 0),
+        "a refused module wrote {bytes:?}"
+    );
+    assert_eq!(
+        k.mem.alloc_region("next", 0, 1, Perms::DATA),
+        Some(first_end(top - room)),
+        "the cursor stays past the first section"
+    );
+}

@@ -6,6 +6,8 @@
 //! migrate, the interleaving is a pure function of the scheduling seed,
 //! the rendezvous really runs every vCPU before the machine counts as
 //! captured, and a barrier timeout releases the machine untouched.
+//! `schedule_is_pinned` pins the whole schedule, at one vCPU and at
+//! several, across commits.
 
 use ksplice_kernel::{Fault, Kernel, RunExit, SmpConfig, StopMachineError, ThreadState, QUANTUM};
 use ksplice_lang::{Options, SourceTree};
@@ -187,4 +189,185 @@ fn configure_smp_rehomes_existing_threads() {
     }
     assert_eq!(k.cpus.len(), 4);
     assert!(k.cpus.iter().all(|c| c.runq.len() == 1));
+}
+
+/// The workload of the schedule pin: spinners that run until `halt`,
+/// sleepers, yielders and short jobs.
+const MIX: &str = "int go = 1;\n\
+int total;\n\
+int spinner(int k) {\n\
+    int i;\n\
+    i = 0;\n\
+    while (go) {\n\
+        i = i + k;\n\
+        total = total + 1;\n\
+    }\n\
+    return i;\n\
+}\n\
+int sleeper(int n) {\n\
+    int i;\n\
+    for (i = 0; i < n; i = i + 1) {\n\
+        msleep(i + 1);\n\
+        total = total + i;\n\
+    }\n\
+    return n;\n\
+}\n\
+int yielder(int n) {\n\
+    int i;\n\
+    for (i = 0; i < n; i = i + 1) {\n\
+        yield_cpu();\n\
+        total = total + 2;\n\
+    }\n\
+    return i;\n\
+}\n\
+int job(int n) {\n\
+    int s;\n\
+    int i;\n\
+    s = 0;\n\
+    for (i = 0; i < n; i = i + 1) {\n\
+        s = s + i * i;\n\
+    }\n\
+    return s;\n\
+}\n\
+int nap(int n) {\n\
+    msleep(n);\n\
+    return total;\n\
+}\n\
+int halt() {\n\
+    go = 0;\n\
+    return total;\n\
+}\n";
+
+/// Folds everything a schedule decides: the clocks, every thread's
+/// place, registers, cycles and state, and every vCPU's run-queue order
+/// and cycles.
+fn fold_kernel(fp: &mut ksplice_lang::Fingerprint, k: &Kernel) {
+    fp.u64_field(k.steps)
+        .u64_field(k.ticks)
+        .u64_field(k.last_stop_machine_steps);
+    for t in &k.threads {
+        fp.u64_field(t.tid)
+            .u64_field(u64::from(t.cpu))
+            .u64_field(t.ip)
+            .u64_field(t.cycles);
+        for r in t.regs {
+            fp.u64_field(r);
+        }
+        fp.str_field(&format!("{:?}", t.state));
+    }
+    for c in &k.cpus {
+        fp.u64_field(c.cycles).u64_field(c.runq.len() as u64);
+        for &tid in &c.runq {
+            fp.u64_field(tid);
+        }
+    }
+}
+
+fn fold_exit(fp: &mut ksplice_lang::Fingerprint, exit: RunExit) {
+    fp.str_field(match exit {
+        RunExit::Budget => "budget",
+        RunExit::AllExited => "all-exited",
+    });
+}
+
+/// The scheduler's output, pinned across commits: at 1 to 4 vCPUs and
+/// three scheduling seeds, a mixed workload runs through budgets that
+/// end mid-quantum, on a quantum boundary and far past it, with
+/// `stop_machine` captures and a synchronous call in between, until
+/// every thread has exited; then a lone sleeper and a parked vCPU run
+/// out the clock. `SCHEDULE_DIGEST` was recorded before `run`'s
+/// per-topology loops and the rendezvous were folded into one round,
+/// in debug and release.
+#[test]
+fn schedule_is_pinned() {
+    const SCHEDULE_DIGEST: u64 = 0x512c_4fce_20d9_cfd3;
+    let budgets = [
+        0,
+        1,
+        QUANTUM - 1,
+        QUANTUM,
+        QUANTUM + 1,
+        3 * QUANTUM + 7,
+        0,
+        500,
+        1_000,
+        5_000,
+    ];
+    let mut fp = ksplice_lang::Fingerprint::new();
+    for cpus in 1..=4u32 {
+        for seed in [1u64, 7, 0x5eed] {
+            let mut tree = SourceTree::new();
+            tree.insert("kernel/mix.kc", MIX);
+            let mut k = Kernel::boot(&tree, &Options::distro()).expect("boot");
+            k.configure_smp(SmpConfig::with_cpus(cpus).with_seed(seed));
+            for (entry, arg) in [
+                ("spinner", 1),
+                ("sleeper", 3),
+                ("yielder", 20),
+                ("job", 40),
+                ("spinner", 3),
+                ("sleeper", 5),
+                ("job", 200),
+                ("yielder", 7),
+            ] {
+                k.spawn(entry, &[arg]).unwrap();
+            }
+            for (i, &budget) in budgets.iter().enumerate() {
+                fold_exit(&mut fp, k.run(budget));
+                fold_kernel(&mut fp, &k);
+                match i {
+                    // Captures mid-workload: the rendezvous runs each
+                    // busy vCPU's next thread.
+                    2 | 5 | 8 => {
+                        let r = k.stop_machine(|k| k.steps).expect("capture");
+                        fp.u64_field(r);
+                    }
+                    // A synchronous call, then a late spawn that joins
+                    // the run queues mid-schedule.
+                    4 => {
+                        let total = k.call_function("job", &[9]).expect("call");
+                        fp.u64_field(total);
+                        k.spawn("sleeper", &[2]).unwrap();
+                    }
+                    _ => {}
+                }
+                fold_kernel(&mut fp, &k);
+            }
+            // Stop the spinners, then run everything out.
+            fp.u64_field(k.call_function("halt", &[]).expect("halt"));
+            for budget in [QUANTUM + 1, 20_000, 200_000] {
+                fold_exit(&mut fp, k.run(budget));
+                fold_kernel(&mut fp, &k);
+            }
+            fp.u64_field(k.reap_dead() as u64);
+            // A lone sleeper: one-step budgets until it sleeps, then zero
+            // budgets tick the clock until it wakes.
+            let napper = k.spawn("nap", &[3]).unwrap();
+            while k.thread(napper).unwrap().state == ThreadState::Runnable {
+                fold_exit(&mut fp, k.run(1));
+                fold_kernel(&mut fp, &k);
+            }
+            for _ in 0..4 {
+                fold_exit(&mut fp, k.run(0));
+                fold_kernel(&mut fp, &k);
+            }
+            fold_exit(&mut fp, k.run(10_000));
+            fold_kernel(&mut fp, &k);
+            fp.str_field(&format!("{:?}", k.thread(napper).map(|t| &t.state)));
+            // A parked vCPU sleeps forever: the run ticks once and stops.
+            k.arm_fault(Fault::parse("stack-busy:1").unwrap()).unwrap();
+            let entry = k.syms.lookup_global("job").unwrap().addr;
+            k.park_fault_vcpu(entry).expect("parked");
+            for budget in [0, 1_000] {
+                fold_exit(&mut fp, k.run(budget));
+                fold_kernel(&mut fp, &k);
+            }
+        }
+    }
+    assert_eq!(
+        fp.finish(),
+        SCHEDULE_DIGEST,
+        "the schedule moved: {:#018x}",
+        fp.finish()
+    );
 }

@@ -327,15 +327,10 @@ fn rename_stmt(s: &mut Stmt, pfx: &str, renames: &mut BTreeMap<String, String>, 
             else_body,
         } => {
             rename_expr(cond, renames);
-            for st in then_body.iter_mut().chain(else_body.iter_mut()) {
-                rename_stmt(st, pfx, renames, ret);
-            }
+            rename_block(then_body, pfx, renames, ret);
+            rename_block(else_body, pfx, renames, ret);
         }
-        StmtKind::Block(b) => {
-            for st in b {
-                rename_stmt(st, pfx, renames, ret);
-            }
-        }
+        StmtKind::Block(b) => rename_block(b, pfx, renames, ret),
         StmtKind::Return(value) => {
             let assigned = match value.take() {
                 Some(mut e) => {
@@ -359,6 +354,15 @@ fn rename_stmt(s: &mut Stmt, pfx: &str, renames: &mut BTreeMap<String, String>, 
         StmtKind::While { .. } | StmtKind::For { .. } | StmtKind::Break | StmtKind::Continue => {
             unreachable!("non-candidate body slipped through")
         }
+    }
+}
+
+/// Renames a nested block against its own copy of `renames`, so the
+/// names it declares end with it.
+fn rename_block(body: &mut [Stmt], pfx: &str, renames: &BTreeMap<String, String>, ret: &str) {
+    let mut scope = renames.clone();
+    for st in body {
+        rename_stmt(st, pfx, &mut scope, ret);
     }
 }
 
@@ -550,6 +554,23 @@ mod tests {
         assert_eq!(report["get"], vec!["h".to_string()]);
         // f still calls get out of line, so the static stays.
         assert!(u.function("get").is_some());
+    }
+
+    #[test]
+    fn a_block_local_ends_with_its_block() {
+        // `get`'s block-local `g` shadows the global only inside the
+        // block; once inlined, the read after the block is still `g`.
+        let mut u = parse_unit(
+            "t.kc",
+            "int g = 5;\
+             static int get(int c) { if (c) { int g; g = 1; } return g; }\
+             int f() { return get(1); }",
+        )
+        .unwrap();
+        let report = inline_unit(&mut u, &opt2());
+        assert_eq!(report["get"], vec!["f".to_string()]);
+        let text = crate::pretty::pretty_unit(&u);
+        assert!(text.contains("__inl0_ret = g;"), "{text}");
     }
 
     #[test]
