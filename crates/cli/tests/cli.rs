@@ -344,6 +344,36 @@ fn report_rejects_a_deeply_nested_trace_line() {
 }
 
 #[test]
+fn report_spans_survives_a_span_id_loop() {
+    // Span 5's child 7 has a child that reuses id 5: following parent ids
+    // alone loops forever (this overflowed the stack and aborted).
+    let dir = std::env::temp_dir().join(format!("ksplice-cli-loop-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("loop.jsonl");
+    let line = |seq: u64, id: u64, parent: u64| {
+        format!(
+            "{{\"v\":2,\"seq\":{seq},\"ts_steps\":{seq},\"stage\":\"apply\",\"severity\":\"info\",\
+             \"event\":\"span.begin\",\"fields\":{{\"span\":\"s{id}\",\"span_id\":{id},\"parent_id\":{parent}}}}}\n"
+        )
+    };
+    std::fs::write(&path, line(1, 5, 0) + &line(2, 7, 5) + &line(3, 5, 7)).unwrap();
+    let out = ksplice()
+        .args(["report", path.to_str().unwrap(), "--spans"])
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("spans:\ns5 [apply] 1..3"), "{stdout}");
+    assert_eq!(stdout.matches(" [apply] ").count(), 3, "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn create_refuses_a_patch_that_nests_too_deep() {
     // 10,000 nested blocks or 100,000 parentheses: the compiler refuses
     // the patched unit past its nesting bound instead of overflowing the

@@ -2,10 +2,14 @@
 //!
 //! For every corpus entry: boot the vulnerable kernel, (optionally) prove
 //! the exploit works, build the hot update with `ksplice-create`, apply
-//! it to the running kernel, run the correctness-checking stress test,
-//! prove the exploit is dead, and reverse the update. The aggregate
-//! report regenerates the paper's headline numbers, Figure 3 and
-//! Table 1.
+//! it to the running kernel through the lifecycle manager (pre-flight,
+//! apply, watch window, commit), run the correctness-checking stress
+//! test, prove the exploit is dead, and reverse the update. An exploit
+//! entry then re-applies its update under a probe that demands the
+//! vulnerable answer, which must roll it back to the exact text image.
+//! This is the one pass over the corpus: the aggregate report
+//! regenerates the paper's headline numbers, Figure 3 and Table 1, and
+//! counts the lifecycle verdicts.
 //!
 //! The driver is built for corpus throughput: one [`BuildCache`] is
 //! shared across every CVE so the base tree (both the distro boot image
@@ -19,7 +23,10 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use ksplice_core::{create_update_cached_traced, ApplyOptions, BuildCache, CreateOptions, Ksplice, Tracer};
+use ksplice_core::{
+    create_update_cached_traced, ApplyOptions, BuildCache, CreateOptions, LifecycleError, Tracer,
+    UpdateManager, UpdatePack, UpdateState,
+};
 use ksplice_kernel::Kernel;
 use ksplice_lang::{build_tree_cached, Options, SourceTree};
 use ksplice_object::ObjectSet;
@@ -27,6 +34,7 @@ use ksplice_patch::Patch;
 
 use crate::corpus::{corpus, CustomReason, Cve};
 use crate::exploits::run_exploit;
+use crate::lifecycle::{exploit_probe, shippable_update, still_vulnerable_probe};
 use crate::pool::par_map;
 use crate::stats::{corpus_stats, figure3_buckets, symbol_stats, CorpusStats, SymbolStats};
 use crate::stress::{load_stress_cached, run_stress};
@@ -47,7 +55,8 @@ pub struct CveOutcome {
     pub custom_reason: Option<CustomReason>,
     /// Did the plain patch apply without programmer involvement?
     pub plain_applied: bool,
-    /// Did the shippable patch (with custom code when needed) apply?
+    /// Did the shippable patch (with custom code when needed) pass the
+    /// pre-flight gate, apply, and commit after its watch window?
     pub applied: bool,
     /// Functions the shippable update replaced.
     pub replaced_fns: usize,
@@ -59,6 +68,11 @@ pub struct CveOutcome {
     pub exploit_after: Option<bool>,
     /// The update reversed cleanly afterwards.
     pub undo_ok: bool,
+    /// For exploit entries: re-applied under a probe demanding the
+    /// vulnerable answer, the update failed quarantine, was rolled back
+    /// and left the text checksum as it was just before. `None` for
+    /// entries with no exploit.
+    pub rollback_clean: Option<bool>,
     /// stop_machine pause for the apply (paper: ~0.7 ms).
     pub pause: Duration,
     /// stop_machine attempts before the safety check passed (§5.2).
@@ -144,32 +158,27 @@ fn run_cve_with(
     let patch_loc = Patch::parse(&plain_patch)
         .map(|p| p.changed_line_count())
         .map_err(|e| format!("{}: {e}", case.id))?;
-    let plain = create_update_cached_traced(
+    let plain_applied = create_update_cached_traced(
         case.id,
         base,
         &plain_patch,
         &CreateOptions::default(),
         cache,
         tracer,
-    );
-    let plain_applied = plain.is_ok();
+    )
+    .is_ok();
 
-    // The shippable update: with custom code (and the programmer's
-    // data-semantics sign-off) when the corpus says it is needed.
-    let (pack, _patched) = if case.needs_custom_code() {
-        let opts = CreateOptions {
-            accept_data_changes: true,
-            ..CreateOptions::default()
-        };
-        create_update_cached_traced(case.id, base, &case.full_patch_text(), &opts, cache, tracer)
-            .map_err(|e| format!("{}: create: {e}", case.id))?
-    } else {
-        plain.map_err(|e| format!("{}: create: {e}", case.id))?
-    };
+    let (pack, _) =
+        shippable_update(case, cache, tracer).map_err(|e| format!("{}: create: {e}", case.id))?;
 
-    let mut ks = Ksplice::new();
-    let report = ks
-        .apply_traced(&mut kernel, &pack, apply_opts, tracer)
+    // The managed apply: any lifecycle error (a pre-flight rejection, a
+    // failed apply or a failed watch window) fails the evaluation. The
+    // exploit, when there is one, is the health probe: a committed
+    // update means it was dead every round.
+    let mut probe = case.exploit.is_some().then(|| exploit_probe(case));
+    let mut mgr = UpdateManager::new();
+    let report = mgr
+        .apply_watched(&mut kernel, &pack, probe.as_mut_slice(), apply_opts, tracer)
         .map_err(|e| format!("{}: apply: {e}", case.id))?;
     // Both numbers come from the same ApplyReport: the pause and the
     // attempt count describe the same successful stop_machine window.
@@ -178,9 +187,14 @@ fn run_cve_with(
     let stress_ok = run_stress(&mut kernel, stress_entry, stress_rounds).is_ok();
     let exploit_after = run_exploit(&mut kernel, case);
 
-    let undo_report = ks.undo_any_traced(&mut kernel, case.id, apply_opts, tracer);
+    let undo_report = mgr.undo_any(&mut kernel, case.id, apply_opts, tracer);
     let undo_ok = undo_report.is_ok();
     let undo_attempts = undo_report.map(|r| r.attempts).unwrap_or(0);
+
+    let rollback_clean = case
+        .exploit
+        .is_some()
+        .then(|| failing_probe_rolls_back(&mut kernel, case, &pack, apply_opts, tracer));
 
     Ok(CveOutcome {
         id: case.id,
@@ -195,12 +209,33 @@ fn run_cve_with(
         exploit_before,
         exploit_after,
         undo_ok,
+        rollback_clean,
         pause,
         attempts: report.attempts,
         undo_attempts,
         helper_bytes: pack.helper_size(),
         primary_bytes: pack.primary_size(),
     })
+}
+
+/// The failing-probe leg: re-applies `pack` on the same kernel under a
+/// fresh manager and a probe that demands the *vulnerable* answer. The
+/// patched kernel fails it in the first round, so quarantine must roll
+/// the update back and restore the text checksum taken just before.
+fn failing_probe_rolls_back(
+    kernel: &mut Kernel,
+    case: &Cve,
+    pack: &UpdatePack,
+    apply_opts: &ApplyOptions,
+    tracer: &mut Tracer,
+) -> bool {
+    let text_before = kernel.mem.text_checksum();
+    let mut probe = [still_vulnerable_probe(case)];
+    let mut mgr = UpdateManager::new();
+    let applied = mgr.apply_watched(kernel, pack, &mut probe, apply_opts, tracer);
+    matches!(applied, Err(LifecycleError::Quarantine { .. }))
+        && mgr.state(case.id) == Some(UpdateState::RolledBack)
+        && kernel.mem.text_checksum() == text_before
 }
 
 /// The full evaluation: every CVE plus the aggregate statistics.
@@ -312,6 +347,23 @@ impl EvalReport {
         );
         let stress_fail = self.outcomes.iter().filter(|o| !o.stress_ok).count();
         let _ = writeln!(s, "stress-test failures:             {stress_fail}");
+        let _ = writeln!(
+            s,
+            "committed (pre-flight + watch):   {} of {}",
+            self.applied_total(),
+            self.outcomes.len()
+        );
+        let rollbacks: Vec<bool> = self
+            .outcomes
+            .iter()
+            .filter_map(|o| o.rollback_clean)
+            .collect();
+        let _ = writeln!(
+            s,
+            "failing-probe rollbacks restored: {} of {}",
+            rollbacks.iter().filter(|clean| **clean).count(),
+            rollbacks.len()
+        );
         let max_pause = self
             .outcomes
             .iter()
@@ -446,6 +498,7 @@ mod tests {
         assert!(o.applied && o.stress_ok && o.undo_ok);
         assert_eq!(o.exploit_before, Some(true));
         assert_eq!(o.exploit_after, Some(false));
+        assert_eq!(o.rollback_clean, Some(true));
         assert!(o.patch_loc <= 5);
     }
 

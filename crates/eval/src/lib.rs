@@ -16,10 +16,7 @@ pub mod stress;
 pub mod tree;
 
 pub use corpus::{corpus, find_cve, CustomCode, CustomReason, Cve, Edit, VulnClass};
-pub use lifecycle::{
-    exploit_probe, lifecycle_corpus_sweep, non_lifo_reversal_sweep, shippable_update,
-    LifecycleOutcome, DISJOINT_STACK,
-};
+pub use lifecycle::{exploit_probe, non_lifo_reversal_sweep, shippable_update, DISJOINT_STACK};
 pub use driver::{run_cve, run_full_evaluation, CveOutcome, EvalReport};
 pub use exploits::run_exploit;
 pub use fuzz::{

@@ -1,46 +1,30 @@
-//! Corpus-wide lifecycle sweeps: the pre-flight gate and quarantine
-//! watch window over every CVE, and randomized non-LIFO reversal of
-//! stacked updates.
+//! The lifecycle pieces of the evaluation: the shippable pack each
+//! corpus entry ships, the exploit-backed health probes, and randomized
+//! non-LIFO reversal of stacked updates.
 //!
-//! Two claims are exercised here, corpus-wide rather than on toy
-//! fixtures:
+//! The corpus-wide lifecycle claim (every shippable update passes the
+//! pre-flight gate, survives its quarantine watch window and commits;
+//! for the exploit-verified entries, a deliberately wrong health probe
+//! forces an automatic rollback that restores the exact pre-apply text
+//! image) is checked by the one corpus pass, [`run_full_evaluation`].
+//! The reversal claim is checked here: a stack of updates to disjoint
+//! units can be reversed in *any* order (trampoline chains are
+//! re-pointed, not unwound), and the kernel image comes back
+//! byte-for-byte.
 //!
-//! * every shippable corpus update passes the pre-flight gate, survives
-//!   its quarantine watch window, and commits — and for the
-//!   exploit-verified entries, a deliberately wrong health probe forces
-//!   an automatic rollback that restores the exact pre-apply text image;
-//! * a stack of updates to disjoint units can be reversed in *any*
-//!   order (trampoline chains are re-pointed, not unwound), and the
-//!   kernel image comes back byte-for-byte.
+//! [`run_full_evaluation`]: crate::driver::run_full_evaluation
 
 use ksplice_core::{
-    create_update_cached_traced, preflight, ApplyOptions, BuildCache, CreateError, CreateOptions,
-    HealthProbe, Ksplice, LifecycleError, Tracer, UpdateManager, UpdatePack, UpdateState,
-    WatchPolicy,
+    create_update_cached_traced, ApplyOptions, BuildCache, CreateError, CreateOptions, HealthProbe,
+    Ksplice, Tracer, UpdatePack,
 };
 use ksplice_kernel::Kernel;
 use ksplice_lang::SourceTree;
-use ksplice_object::ObjectSet;
 
-use crate::corpus::{corpus, find_cve, Cve};
+use crate::corpus::{find_cve, Cve};
 use crate::driver::distro_image;
 use crate::exploits::run_exploit;
 use crate::tree::base_tree;
-
-/// The lifecycle verdict for one corpus entry.
-#[derive(Debug, Clone)]
-pub struct LifecycleOutcome {
-    /// The CVE id.
-    pub id: &'static str,
-    /// The pre-flight gate accepted the pack against a fresh kernel.
-    pub preflight_ok: bool,
-    /// The update survived its watch window and committed.
-    pub committed: bool,
-    /// For exploit-verified entries: a probe demanding the *vulnerable*
-    /// behaviour forced an automatic rollback that restored the exact
-    /// pre-apply text checksum. `None` for entries with no exploit.
-    pub rollback_clean: Option<bool>,
-}
 
 /// Builds a corpus entry's shippable update against the base tree
 /// through a shared build cache: the security fix plus its custom code,
@@ -77,86 +61,17 @@ pub fn exploit_probe(case: &Cve) -> HealthProbe {
     }
 }
 
-/// Runs one corpus entry through the full lifecycle: pre-flight, apply,
-/// quarantine under its exploit probe (when it has one), commit — plus
-/// the failing-probe leg on a second kernel for exploit entries.
-fn lifecycle_one(
-    case: &Cve,
-    image: &ObjectSet,
-    cache: &BuildCache,
-    watch: &WatchPolicy,
-    tracer: &mut Tracer,
-) -> Result<LifecycleOutcome, String> {
-    let (pack, _) =
-        shippable_update(case, cache, tracer).map_err(|e| format!("{}: create: {e}", case.id))?;
-
-    // Leg 1: the healthy path. The exploit (when present) doubles as the
-    // health probe — a committed update means it was dead every round.
-    let mut kernel = Kernel::boot_image(image).map_err(|e| format!("{}: boot: {e}", case.id))?;
-    let mut mgr = UpdateManager::with_watch(watch.clone());
-    let preflight_ok = preflight(mgr.ksplice(), &kernel, &pack, tracer).is_ok();
-    let mut probes: Vec<HealthProbe> = Vec::new();
-    if case.exploit.is_some() {
-        probes.push(exploit_probe(case));
+/// The inverse of [`exploit_probe`]: healthy means the exploit still
+/// works, so a patched kernel fails it and quarantine must roll back.
+pub(crate) fn still_vulnerable_probe(case: &Cve) -> HealthProbe {
+    let c = case.clone();
+    HealthProbe::Custom {
+        name: format!("still-vulnerable:{}", c.id),
+        check: Box::new(move |k: &mut Kernel| match run_exploit(k, &c) {
+            Some(true) => Ok(()),
+            _ => Err("exploit no longer works".to_string()),
+        }),
     }
-    let committed = mgr
-        .apply_watched(&mut kernel, &pack, &mut probes, &ApplyOptions::default(), tracer)
-        .is_ok()
-        && mgr.state(case.id) == Some(UpdateState::Committed);
-
-    // Leg 2 (exploit entries only): a probe that demands the *vulnerable*
-    // answer fails on the patched kernel; quarantine must roll back and
-    // leave the text image exactly as it was before the apply.
-    let rollback_clean = if case.exploit.is_some() {
-        let mut kernel =
-            Kernel::boot_image(image).map_err(|e| format!("{}: boot: {e}", case.id))?;
-        let text_before = kernel.mem.text_checksum();
-        let c = case.clone();
-        let mut probes = vec![HealthProbe::Custom {
-            name: format!("still-vulnerable:{}", c.id),
-            check: Box::new(move |k: &mut Kernel| match run_exploit(k, &c) {
-                Some(true) => Ok(()),
-                _ => Err("exploit no longer works".to_string()),
-            }),
-        }];
-        let mut mgr = UpdateManager::with_watch(watch.clone());
-        let quarantined = matches!(
-            mgr.apply_watched(&mut kernel, &pack, &mut probes, &ApplyOptions::default(), tracer),
-            Err(LifecycleError::Quarantine { .. })
-        );
-        Some(
-            quarantined
-                && mgr.state(case.id) == Some(UpdateState::RolledBack)
-                && kernel.mem.text_checksum() == text_before,
-        )
-    } else {
-        None
-    };
-
-    Ok(LifecycleOutcome {
-        id: case.id,
-        preflight_ok,
-        committed,
-        rollback_clean,
-    })
-}
-
-/// Runs every corpus entry through the full lifecycle (pre-flight,
-/// watched apply, and for exploit entries the failing-probe rollback
-/// leg) with a shared build cache. Outcomes come back in corpus order.
-pub fn lifecycle_corpus_sweep(
-    watch: &WatchPolicy,
-    tracer: &mut Tracer,
-) -> Result<Vec<LifecycleOutcome>, String> {
-    let cases = corpus();
-    let base = base_tree();
-    let cache = BuildCache::new();
-    let image = distro_image(&base, &cache)?;
-    let mut out = Vec::with_capacity(cases.len());
-    for case in &cases {
-        out.push(lifecycle_one(case, &image, &cache, watch, tracer)?);
-    }
-    Ok(out)
 }
 
 /// The three exploit-verified corpus entries patching pairwise-disjoint

@@ -5,11 +5,12 @@ use ksplice_eval::{default_eval_jobs, run_full_evaluation, VulnClass};
 
 #[test]
 fn all_64_cves_hot_patch_successfully() {
+    let mut tracer = Tracer::new();
     let report = run_full_evaluation(
         8,
         default_eval_jobs(),
         &ApplyOptions::default(),
-        &mut Tracer::disabled(),
+        &mut tracer,
     )
     .expect("evaluation infrastructure");
     println!("{}", report.render());
@@ -34,6 +35,22 @@ fn all_64_cves_hot_patch_successfully() {
     for o in exploit_outcomes {
         assert_eq!(o.exploit_before, Some(true), "{}", o.id);
         assert_eq!(o.exploit_after, Some(false), "{}", o.id);
+    }
+
+    // The lifecycle: the pass applies every update through the manager,
+    // so any pre-flight rejection or failed watch window would have
+    // failed it. Every CVE committed, and only the four exploit entries'
+    // failing-probe legs triggered (and cleanly finished) a rollback.
+    assert_eq!(tracer.counter("watch.updates_committed"), 64);
+    assert_eq!(tracer.counter("watch.rollbacks_triggered"), 4);
+    for o in &report.outcomes {
+        assert!(o.applied, "{}: did not commit", o.id);
+        let expected = o.exploit_before.is_some().then_some(true);
+        assert_eq!(
+            o.rollback_clean, expected,
+            "{}: failing probe did not roll back checksum-clean",
+            o.id
+        );
     }
 
     // No stress-test regressions, every update reversible.

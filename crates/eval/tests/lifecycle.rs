@@ -1,41 +1,10 @@
-//! Corpus-wide lifecycle acceptance: every CVE passes the pre-flight
-//! gate and survives quarantine; failing probes force checksum-clean
-//! rollbacks; stacked updates reverse in random non-LIFO orders with
-//! the kernel image restored byte-for-byte.
+//! Non-LIFO reversal acceptance: stacked updates reverse in random
+//! orders with the kernel image restored byte-for-byte. (The corpus-wide
+//! lifecycle claims, pre-flight, the watch window and the failing-probe
+//! rollback, are asserted by `full_corpus.rs`, whose one pass applies
+//! every CVE through the lifecycle manager.)
 
-use ksplice_core::{Tracer, WatchPolicy};
-use ksplice_eval::{lifecycle_corpus_sweep, non_lifo_reversal_sweep, DISJOINT_STACK};
-
-#[test]
-fn every_cve_passes_preflight_and_survives_quarantine() {
-    // Short rounds keep the 64-entry sweep fast; the probes still run
-    // every round.
-    let watch = WatchPolicy {
-        rounds: 2,
-        steps_per_round: 200,
-    };
-    let outcomes = lifecycle_corpus_sweep(&watch, &mut Tracer::disabled()).unwrap();
-    assert_eq!(outcomes.len(), 64);
-    for o in &outcomes {
-        assert!(o.preflight_ok, "{}: preflight rejected a good pack", o.id);
-        assert!(o.committed, "{}: did not survive quarantine", o.id);
-    }
-    // The exploit-verified entries also ran the failing-probe leg: the
-    // automatic rollback must restore the exact pre-apply text image.
-    let rollbacks: Vec<_> = outcomes
-        .iter()
-        .filter(|o| o.rollback_clean.is_some())
-        .collect();
-    assert_eq!(rollbacks.len(), 4, "four exploit-verified entries");
-    for o in &rollbacks {
-        assert_eq!(
-            o.rollback_clean,
-            Some(true),
-            "{}: failing probe did not roll back checksum-clean",
-            o.id
-        );
-    }
-}
+use ksplice_eval::{non_lifo_reversal_sweep, DISJOINT_STACK};
 
 #[test]
 fn random_non_lifo_reversal_orders_restore_the_image() {

@@ -8,72 +8,15 @@
 
 use crate::ast::*;
 use crate::sema::{eval_binop, Sema};
+use crate::visit::walk_stmts_roots_mut;
 
-/// Folds constants in every function body of the unit.
+/// Folds constants in every function body of the unit, one statement
+/// root expression at a time, each bottom-up.
 pub fn fold_unit(unit: &mut Unit, sema: &Sema) {
     for item in &mut unit.items {
         if let FileItem::Func(f) = item {
-            for s in &mut f.body {
-                fold_stmt(s, sema);
-            }
+            walk_stmts_roots_mut(&mut f.body, &mut |e| fold_expr(e, sema));
         }
-    }
-}
-
-fn fold_stmt(s: &mut Stmt, sema: &Sema) {
-    match &mut s.kind {
-        StmtKind::Decl { init, .. } => {
-            if let Some(e) = init {
-                fold_expr(e, sema);
-            }
-        }
-        StmtKind::Expr(e) => fold_expr(e, sema),
-        StmtKind::Assign { target, value } => {
-            fold_expr(target, sema);
-            fold_expr(value, sema);
-        }
-        StmtKind::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            fold_expr(cond, sema);
-            for s in then_body.iter_mut().chain(else_body.iter_mut()) {
-                fold_stmt(s, sema);
-            }
-        }
-        StmtKind::While { cond, body } => {
-            fold_expr(cond, sema);
-            for s in body {
-                fold_stmt(s, sema);
-            }
-        }
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            if let Some(i) = init {
-                fold_stmt(i, sema);
-            }
-            if let Some(c) = cond {
-                fold_expr(c, sema);
-            }
-            if let Some(st) = step {
-                fold_stmt(st, sema);
-            }
-            for s in body {
-                fold_stmt(s, sema);
-            }
-        }
-        StmtKind::Return(Some(e)) => fold_expr(e, sema),
-        StmtKind::Block(body) => {
-            for s in body {
-                fold_stmt(s, sema);
-            }
-        }
-        StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => {}
     }
 }
 
@@ -174,6 +117,24 @@ mod tests {
             folded_return("int f() { return 1 / 0; }"),
             ExprKind::Binary(..)
         ));
+    }
+
+    #[test]
+    fn every_statement_root_folds() {
+        // Roots in a `for` header, a nested block and an `else` body.
+        let mut u = parse_unit(
+            "t.kc",
+            "int f(int x) { int s; s = 0;\
+             for (x = 2 * 3; x < 4 + 4; x = x + (1 << 1)) { { s = s + 5 * 5; } }\
+             if (x) { return 1; } else { return 6 * 7; } }",
+        )
+        .unwrap();
+        let sema = check_unit(&u).unwrap();
+        fold_unit(&mut u, &sema);
+        let text = crate::pretty::pretty_unit(&u);
+        for folded in ["x = 6", "x < 8", "x = x + 2", "s = s + 25", "return 42"] {
+            assert!(text.contains(folded), "{folded} in {text}");
+        }
     }
 
     #[test]

@@ -246,13 +246,9 @@ impl Inliner {
         // `ret = ...; break;`, then wrap in a one-shot loop so early
         // returns exit cleanly (candidates contain no loops of their own).
         let mut body = f.body.clone();
-        let mut renames: BTreeMap<String, String> = f
-            .params
-            .iter()
-            .map(|(n, _)| (n.clone(), format!("{pfx}{n}")))
-            .collect();
+        let mut scope: Vec<String> = f.params.iter().map(|(n, _)| n.clone()).collect();
         for s in &mut body {
-            rename_stmt(s, &pfx, &mut renames, &ret);
+            rename_stmt(s, &pfx, &mut scope, &ret);
         }
         // What renaming left alone is free in the callee and binds at the
         // call site, where a caller's variable of the same name would
@@ -304,37 +300,38 @@ impl Inliner {
     }
 }
 
-/// Renames locals (declaring new names on the fly) and rewrites returns.
-fn rename_stmt(s: &mut Stmt, pfx: &str, renames: &mut BTreeMap<String, String>, ret: &str) {
+/// Renames the names in `scope` (the callee's params and the locals
+/// declared so far, each renamed `{pfx}{name}`), declaring new names on
+/// the fly, and rewrites returns.
+fn rename_stmt(s: &mut Stmt, pfx: &str, scope: &mut Vec<String>, ret: &str) {
     let line = s.line;
     match &mut s.kind {
         StmtKind::Decl { name, init, .. } => {
             if let Some(e) = init {
-                rename_expr(e, renames);
+                rename_expr(e, pfx, scope);
             }
-            let new = format!("{pfx}{name}");
-            renames.insert(name.clone(), new.clone());
-            *name = new;
+            scope.push(name.clone());
+            *name = format!("{pfx}{name}");
         }
-        StmtKind::Expr(e) => rename_expr(e, renames),
+        StmtKind::Expr(e) => rename_expr(e, pfx, scope),
         StmtKind::Assign { target, value } => {
-            rename_expr(target, renames);
-            rename_expr(value, renames);
+            rename_expr(target, pfx, scope);
+            rename_expr(value, pfx, scope);
         }
         StmtKind::If {
             cond,
             then_body,
             else_body,
         } => {
-            rename_expr(cond, renames);
-            rename_block(then_body, pfx, renames, ret);
-            rename_block(else_body, pfx, renames, ret);
+            rename_expr(cond, pfx, scope);
+            rename_block(then_body, pfx, scope, ret);
+            rename_block(else_body, pfx, scope, ret);
         }
-        StmtKind::Block(b) => rename_block(b, pfx, renames, ret),
+        StmtKind::Block(b) => rename_block(b, pfx, scope, ret),
         StmtKind::Return(value) => {
             let assigned = match value.take() {
                 Some(mut e) => {
-                    rename_expr(&mut e, renames);
+                    rename_expr(&mut e, pfx, scope);
                     e
                 }
                 None => Expr::num(0, line),
@@ -357,22 +354,23 @@ fn rename_stmt(s: &mut Stmt, pfx: &str, renames: &mut BTreeMap<String, String>, 
     }
 }
 
-/// Renames a nested block against its own copy of `renames`, so the
-/// names it declares end with it.
-fn rename_block(body: &mut [Stmt], pfx: &str, renames: &BTreeMap<String, String>, ret: &str) {
-    let mut scope = renames.clone();
+/// Renames a nested block, then truncates `scope` back to its length on
+/// entry, so the names the block declares end with it.
+fn rename_block(body: &mut [Stmt], pfx: &str, scope: &mut Vec<String>, ret: &str) {
+    let outer = scope.len();
     for st in body {
-        rename_stmt(st, pfx, &mut scope, ret);
+        rename_stmt(st, pfx, scope, ret);
     }
+    scope.truncate(outer);
 }
 
-/// Renames every identifier in `renames`, direct callees included (an
+/// Renames every identifier in `scope`, direct callees included (an
 /// indirect call through a renamed local must follow it).
-fn rename_expr(e: &mut Expr, renames: &BTreeMap<String, String>) {
+fn rename_expr(e: &mut Expr, pfx: &str, scope: &[String]) {
     walk_expr_mut(e, &mut |e| {
         if let ExprKind::Ident(n) = &mut e.kind {
-            if let Some(new) = renames.get(n) {
-                *n = new.clone();
+            if scope.contains(n) {
+                *n = format!("{pfx}{n}");
             }
         }
     });

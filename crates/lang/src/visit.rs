@@ -109,35 +109,43 @@ pub(crate) fn walk_expr<'a>(e: &'a Expr, f: &mut impl FnMut(Node<'a>)) {
 /// Visits every expression in a statement list in pre-order (each node
 /// before its children), mutably.
 pub fn walk_stmts_exprs_mut(stmts: &mut [Stmt], f: &mut impl FnMut(&mut Expr)) {
+    walk_stmts_roots_mut(stmts, &mut |e| walk_expr_mut(e, f));
+}
+
+/// Visits the root expression of every statement in a statement list
+/// (a `for` loop's init and step included), mutably and in statement
+/// order: the expressions [`walk_stmts_exprs_mut`] descends from. The
+/// callback owns the descent into each root's subexpressions.
+pub(crate) fn walk_stmts_roots_mut(stmts: &mut [Stmt], f: &mut impl FnMut(&mut Expr)) {
     for s in stmts {
-        walk_stmt_exprs_mut(s, f);
+        walk_stmt_roots_mut(s, f);
     }
 }
 
-fn walk_stmt_exprs_mut(stmt: &mut Stmt, f: &mut impl FnMut(&mut Expr)) {
+fn walk_stmt_roots_mut(stmt: &mut Stmt, f: &mut impl FnMut(&mut Expr)) {
     match &mut stmt.kind {
         StmtKind::Decl { init, .. } => {
             if let Some(e) = init {
-                walk_expr_mut(e, f);
+                f(e);
             }
         }
-        StmtKind::Expr(e) => walk_expr_mut(e, f),
+        StmtKind::Expr(e) => f(e),
         StmtKind::Assign { target, value } => {
-            walk_expr_mut(target, f);
-            walk_expr_mut(value, f);
+            f(target);
+            f(value);
         }
         StmtKind::If {
             cond,
             then_body,
             else_body,
         } => {
-            walk_expr_mut(cond, f);
-            walk_stmts_exprs_mut(then_body, f);
-            walk_stmts_exprs_mut(else_body, f);
+            f(cond);
+            walk_stmts_roots_mut(then_body, f);
+            walk_stmts_roots_mut(else_body, f);
         }
         StmtKind::While { cond, body } => {
-            walk_expr_mut(cond, f);
-            walk_stmts_exprs_mut(body, f);
+            f(cond);
+            walk_stmts_roots_mut(body, f);
         }
         StmtKind::For {
             init,
@@ -146,23 +154,23 @@ fn walk_stmt_exprs_mut(stmt: &mut Stmt, f: &mut impl FnMut(&mut Expr)) {
             body,
         } => {
             if let Some(s) = init {
-                walk_stmt_exprs_mut(s, f);
+                walk_stmt_roots_mut(s, f);
             }
             if let Some(c) = cond {
-                walk_expr_mut(c, f);
+                f(c);
             }
             if let Some(s) = step {
-                walk_stmt_exprs_mut(s, f);
+                walk_stmt_roots_mut(s, f);
             }
-            walk_stmts_exprs_mut(body, f);
+            walk_stmts_roots_mut(body, f);
         }
         StmtKind::Return(e) => {
             if let Some(e) = e {
-                walk_expr_mut(e, f);
+                f(e);
             }
         }
         StmtKind::Break | StmtKind::Continue => {}
-        StmtKind::Block(body) => walk_stmts_exprs_mut(body, f),
+        StmtKind::Block(body) => walk_stmts_roots_mut(body, f),
     }
 }
 

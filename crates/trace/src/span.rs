@@ -8,6 +8,9 @@
 //! file round-trips the whole tree, and `ksplice report --spans` /
 //! `--timeline` can rebuild it offline.
 
+use std::collections::HashMap;
+use std::fmt::Write as _;
+
 use crate::event::{Event, Stage, Value};
 use crate::json;
 
@@ -97,35 +100,43 @@ fn stage_tid(stage: Stage) -> usize {
 /// Renders the events' span tree as an indented text outline — the
 /// `report --spans` view. Spans with no recorded parent are roots;
 /// children appear in begin order.
+///
+/// A trace file is outside input, so the walk keeps its own stack (a
+/// deep parent chain cannot overflow the thread's) and expands each
+/// parent id once: a repeated span id that closes a loop prints each
+/// span at most once, its children under the first span with that id.
 pub fn render_span_tree(events: &[Event]) -> String {
     let spans = replay(events);
     if spans.is_empty() {
         return "no spans recorded\n".to_string();
     }
-    let mut out = String::new();
-    fn emit(out: &mut String, spans: &[ReplaySpan], parent: u64, depth: usize) {
-        for s in spans.iter().filter(|s| s.parent == parent) {
-            let end = s.end.unwrap_or(s.start);
-            let args: String = s
-                .args
-                .iter()
-                .map(|(k, v)| format!(" {k}={v}"))
-                .collect();
-            out.push_str(&format!(
-                "{:indent$}{} [{}] {}..{} (+{} steps){}\n",
-                "",
-                s.name,
-                s.stage,
-                s.start,
-                end,
-                end.saturating_sub(s.start),
-                args,
-                indent = depth * 2
-            ));
-            emit(out, spans, s.id, depth + 1);
-        }
+    let mut children: HashMap<u64, Vec<usize>> = HashMap::new();
+    for (i, s) in spans.iter().enumerate() {
+        children.entry(s.parent).or_default().push(i);
     }
-    emit(&mut out, &spans, 0, 0);
+    let mut out = String::new();
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    let mut expand = |stack: &mut Vec<(usize, usize)>, parent: u64, depth: usize| {
+        if let Some(kids) = children.remove(&parent) {
+            stack.extend(kids.into_iter().rev().map(|i| (i, depth)));
+        }
+    };
+    expand(&mut stack, 0, 0);
+    while let Some((i, depth)) = stack.pop() {
+        let s = &spans[i];
+        let end = s.end.unwrap_or(s.start);
+        // Pushed rather than padded with `{:width$}`: a format width
+        // above `u16::MAX` panics, and a chain of spans can be that deep.
+        out.extend(std::iter::repeat_n(' ', depth * 2));
+        let (name, stage, start) = (&s.name, s.stage, s.start);
+        let steps = end.saturating_sub(start);
+        let _ = write!(out, "{name} [{stage}] {start}..{end} (+{steps} steps)");
+        for (k, v) in &s.args {
+            let _ = write!(out, " {k}={v}");
+        }
+        out.push('\n');
+        expand(&mut stack, s.id, depth + 1);
+    }
     out
 }
 
@@ -298,6 +309,47 @@ mod tests {
             .collect();
         let expected = [("inner", 40), ("mid", 60), ("outer", 70)];
         assert_eq!(ends, expected.map(|(n, d)| (n.to_string(), d)));
+    }
+
+    fn span_begin(ts: u64, id: u64, parent: u64) -> Event {
+        Event::from_json(&format!(
+            "{{\"v\":2,\"seq\":{ts},\"ts_steps\":{ts},\"stage\":\"apply\",\"severity\":\"info\",\
+             \"event\":\"span.begin\",\"fields\":{{\"span\":\"s{id}\",\"span_id\":{id},\"parent_id\":{parent}}}}}"
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn a_repeated_span_id_that_closes_a_loop_renders_each_span_once() {
+        // (5, 0), (7, 5), (5, 7): the second span 5 is a child of 7 and
+        // shares its id with 7's parent, so a walk that follows parent
+        // ids alone never ends.
+        let events = [
+            span_begin(1, 5, 0),
+            span_begin(2, 7, 5),
+            span_begin(3, 5, 7),
+        ];
+        assert_eq!(
+            render_span_tree(&events),
+            "s5 [apply] 1..3 (+2 steps)\n  s7 [apply] 2..3 (+1 steps)\n    s5 [apply] 3..3 (+0 steps)\n"
+        );
+    }
+
+    #[test]
+    fn a_deep_chain_renders_on_a_small_stack() {
+        let events: Vec<Event> = (1..=2_000).map(|id| span_begin(id, id, id - 1)).collect();
+        let text = std::thread::Builder::new()
+            .stack_size(64 * 1024)
+            .spawn(move || render_span_tree(&events))
+            .unwrap()
+            .join()
+            .unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2_000);
+        assert_eq!(
+            lines[1_999],
+            format!("{:1$}s2000 [apply] 2000..2000 (+0 steps)", "", 2 * 1_999)
+        );
     }
 
     #[test]
