@@ -315,17 +315,20 @@ fn note(tracer: &mut Tracer, name: &str, msg: String) {
 }
 
 /// Runs `case`'s exploit, if it has one, and notes `worked` or `failed`.
-fn note_exploit(kernel: &mut Kernel, case: &Cve, tracer: &mut Tracer, worked: &str, failed: &str) {
-    if case.exploit.is_some() {
-        let verdict = if run_exploit(kernel, case) == Some(true) {
-            worked
-        } else {
-            failed
-        };
+fn note_exploit(
+    kernel: &mut Kernel,
+    case: &Cve,
+    tracer: &mut Tracer,
+    worked: &str,
+    failed: &str,
+) -> Result<(), String> {
+    if let Some(succeeded) = run_exploit(kernel, case, &BuildCache::new())? {
+        let verdict = if succeeded { worked } else { failed };
         tracer.set_now(kernel.steps);
         let msg = format!("exploit for {}: {verdict}", case.id);
         note(tracer, "cli.exploit", msg);
     }
+    Ok(())
 }
 
 /// Reads a source tree from disk: every `.kc`/`.ks`/`.kh` file under
@@ -432,7 +435,7 @@ fn cmd_demo(args: &Args, tracer: &mut Tracer) -> Result<(), String> {
     );
     let mut kernel = boot(&apply_opts)?;
     tracer.set_now(kernel.steps);
-    note_exploit(&mut kernel, &case, tracer, "SUCCEEDS (vulnerable)", "fails");
+    note_exploit(&mut kernel, &case, tracer, "SUCCEEDS (vulnerable)", "fails")?;
     let (pack, _) =
         shippable_update(&case, &BuildCache::new(), tracer).map_err(|e| e.to_string())?;
     // Faults target the hot-update pipeline, so arm them only now —
@@ -476,7 +479,7 @@ fn cmd_demo(args: &Args, tracer: &mut Tracer) -> Result<(), String> {
             report.attempts
         ),
     );
-    note_exploit(&mut kernel, &case, tracer, "still succeeds!?", "DEFEATED");
+    note_exploit(&mut kernel, &case, tracer, "still succeeds!?", "DEFEATED")?;
     if args.switch("--undo") {
         let undo = mgr
             .undo_any(&mut kernel, case.id, &apply_opts, tracer)
@@ -573,7 +576,7 @@ fn cmd_profile(args: &Args, tracer: &mut Tracer) -> Result<(), String> {
         print!("{}", report.render());
     }
     if args.switch("--correlate") {
-        let corr = quiescence_correlation(&cfg, 60, 3, tracer)?;
+        let corr = quiescence_correlation(&cfg, tracer)?;
         print!("{}", corr.render());
     }
     Ok(())

@@ -374,6 +374,36 @@ fn report_spans_survives_a_span_id_loop() {
 }
 
 #[test]
+fn report_spans_shows_a_span_whose_parent_is_not_in_the_file() {
+    // One complete span cut from a longer run: its parent, span 3, is
+    // not in the file, so it is a root (it was dropped, and the report
+    // said no spans were recorded).
+    let dir = std::env::temp_dir().join(format!("ksplice-cli-orphan-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("orphan.jsonl");
+    let line = |seq: u64, event: &str| {
+        format!(
+            "{{\"v\":2,\"seq\":{seq},\"ts_steps\":{},\"stage\":\"apply\",\"severity\":\"info\",\
+             \"event\":\"{event}\",\"fields\":{{\"span\":\"s4\",\"span_id\":4,\"parent_id\":3}}}}\n",
+            seq * 10
+        )
+    };
+    std::fs::write(&path, line(1, "span.begin") + &line(2, "span.end")).unwrap();
+    let out = ksplice()
+        .args(["report", path.to_str().unwrap(), "--spans"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.ends_with("spans:\ns4 [apply] 10..20 (+10 steps)\n"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("no spans recorded"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn create_refuses_a_patch_that_nests_too_deep() {
     // 10,000 nested blocks or 100,000 parentheses: the compiler refuses
     // the patched unit past its nesting bound instead of overflowing the

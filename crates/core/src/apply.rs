@@ -210,6 +210,14 @@ pub enum ApplyError {
         /// The function with no match entry.
         fn_name: String,
     },
+    /// The loaded primary defines neither a replaced function's symbol
+    /// nor its section: the pack has no replacement code to redirect to.
+    MissingReplacement {
+        /// The function with no replacement code.
+        fn_name: String,
+        /// The replacement section the pack names for it.
+        section: String,
+    },
 }
 
 impl fmt::Display for ApplyError {
@@ -234,6 +242,9 @@ impl fmt::Display for ApplyError {
             ApplyError::Hook { kind, detail } => write!(f, "{kind} hook failed: {detail}"),
             ApplyError::MissingMatch { fn_name } => {
                 write!(f, "internal: no match entry for `{fn_name}`")
+            }
+            ApplyError::MissingReplacement { fn_name, section } => {
+                write!(f, "primary defines neither `{fn_name}` nor `{section}`")
             }
         }
     }
@@ -554,13 +565,19 @@ impl Ksplice {
                         },
                     });
                 }
-                let replacement_addr = loaded.symbol_addr(fn_name).unwrap_or_else(|| {
-                    loaded
-                        .section(sec_name)
-                        .map(|(a, _)| a)
-                        .expect("replacement section loaded")
-                });
-                let replacement_len = loaded.section(sec_name).map(|(_, l)| l).unwrap_or(0);
+                let section = loaded.section(sec_name);
+                let Some(replacement_addr) =
+                    loaded.symbol_addr(fn_name).or(section.map(|(a, _)| a))
+                else {
+                    return Err(Abort {
+                        fields: vec![function, ("msg", "no replacement code".into())],
+                        error: ApplyError::MissingReplacement {
+                            fn_name: fn_name.clone(),
+                            section: sec_name.clone(),
+                        },
+                    });
+                };
+                let replacement_len = section.map_or(0, |(_, l)| l);
                 sites.push(PatchSite {
                     unit: up.unit.clone(),
                     fn_name: fn_name.clone(),

@@ -315,6 +315,48 @@ fn wrong_source_aborts_via_run_pre_mismatch() {
     assert_eq!(tracer.counter("runpre.units_aborted"), 1);
 }
 
+/// `UpdatePack::parse` does not check a pack's replaced functions
+/// against its primary, and a bare apply runs no preflight. A pack that
+/// names a function its primary holds no code for (neither the symbol
+/// nor the section) is refused at the `sites` stage, after both modules
+/// loaded, and the abort leaves the kernel as it found it.
+#[test]
+fn a_replaced_function_missing_from_the_primary_aborts_at_sites() {
+    let src = tree(&[("kernel/sys.kc", SYS)]);
+    let mut kernel = Kernel::boot(&src, &Options::distro()).unwrap();
+    let fixed = SYS.replacen("fd > max_fd", "fd >= max_fd", 1);
+    let patch = diff_for(&src, "kernel/sys.kc", &fixed);
+    let (mut pack, _) = create_update("half", &src, &patch, &CreateOptions::default()).unwrap();
+    let fns = &mut pack.units[0].replaced_fns;
+    assert_eq!(fns.len(), 1, "only sys_write changed: {fns:?}");
+    fns.push((".text.sys_read".to_string(), "sys_read".to_string()));
+    let pack = UpdatePack::parse(&pack.to_bytes()).unwrap();
+
+    let text = kernel.mem.text_checksum();
+    let regions = kernel.mem.regions().to_vec();
+    let modules: Vec<String> = kernel.modules.iter().map(|m| m.name.clone()).collect();
+    let ring = RingSink::new(256);
+    let events = ring.handle();
+    let mut tracer = Tracer::new().with_sink(Box::new(ring));
+    let err = Ksplice::new()
+        .apply_traced(&mut kernel, &pack, &ApplyOptions::default(), &mut tracer)
+        .unwrap_err();
+    assert!(
+        matches!(&err, ApplyError::MissingReplacement { fn_name, section }
+            if fn_name == "sys_read" && section == ".text.sys_read"),
+        "{err}"
+    );
+    let aborts = events.named("apply.abort");
+    assert_eq!(aborts.len(), 1);
+    assert_eq!(aborts[0].str_field("stage"), Some("sites"));
+    assert_eq!(aborts[0].str_field("function"), Some("sys_read"));
+    assert_eq!(kernel.mem.text_checksum(), text);
+    assert_eq!(kernel.mem.regions(), regions);
+    let after: Vec<String> = kernel.modules.iter().map(|m| m.name.clone()).collect();
+    assert_eq!(after, modules);
+    assert_eq!(kernel.call_function("sys_write", &[4, 77]).unwrap(), 77);
+}
+
 #[test]
 fn different_compiler_version_aborts() {
     // The running kernel was built by "compiler v2"; ksplice-create uses

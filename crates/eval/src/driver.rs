@@ -37,7 +37,7 @@ use crate::exploits::run_exploit;
 use crate::lifecycle::{exploit_probe, shippable_update, still_vulnerable_probe};
 use crate::pool::par_map;
 use crate::stats::{corpus_stats, figure3_buckets, symbol_stats, CorpusStats, SymbolStats};
-use crate::stress::{load_stress_cached, run_stress};
+use crate::stress::{load_stress, run_stress};
 use crate::tree::base_tree;
 
 /// The result of running one CVE end to end.
@@ -118,7 +118,7 @@ fn baseline_stress_check(
     stress_rounds: u64,
 ) -> Result<(), String> {
     let mut kernel = Kernel::boot_image(image).map_err(|e| format!("boot: {e}"))?;
-    let entry = load_stress_cached(&mut kernel, cache)?;
+    let entry = load_stress(&mut kernel, cache)?;
     run_stress(&mut kernel, entry, stress_rounds.min(5)).map_err(|e| format!("baseline {e}"))
 }
 
@@ -143,13 +143,11 @@ fn run_cve_with(
 ) -> Result<CveOutcome, String> {
     let mut kernel = Kernel::boot_image(image).map_err(|e| format!("boot: {e}"))?;
     kernel.configure_smp(apply_opts.smp.clone());
-    let stress_entry = load_stress_cached(&mut kernel, cache)?;
+    let stress_entry = load_stress(&mut kernel, cache)?;
 
-    let exploit_before = run_exploit(&mut kernel, case);
-    if let Some(worked) = exploit_before {
-        if !worked {
-            return Err(format!("{}: exploit should work pre-patch", case.id));
-        }
+    let exploit_before = run_exploit(&mut kernel, case, cache)?;
+    if exploit_before == Some(false) {
+        return Err(format!("{}: exploit should work pre-patch", case.id));
     }
 
     // First, the §2 check: does the *plain* patch make it through
@@ -185,7 +183,7 @@ fn run_cve_with(
     let pause = report.pause;
 
     let stress_ok = run_stress(&mut kernel, stress_entry, stress_rounds).is_ok();
-    let exploit_after = run_exploit(&mut kernel, case);
+    let exploit_after = run_exploit(&mut kernel, case, cache)?;
 
     let undo_report = mgr.undo_any(&mut kernel, case.id, apply_opts, tracer);
     let undo_ok = undo_report.is_ok();

@@ -42,7 +42,7 @@ use crate::corpus::{find_cve, Cve};
 use crate::driver::distro_image;
 use crate::exploits::run_exploit;
 use crate::pool::{default_eval_jobs, par_map};
-use crate::stress::load_stress_cached;
+use crate::stress::load_stress;
 use crate::tree::canonical_base_tree;
 
 /// Which workload both kernels run between apply and comparison.
@@ -255,6 +255,7 @@ fn apply_aborted(e: ApplyError) -> Outcome {
         ApplyError::TooShort { .. } => "too-short",
         ApplyError::Hook { .. } => "hook",
         ApplyError::MissingMatch { .. } => "missing-match",
+        ApplyError::MissingReplacement { .. } => "missing-replacement",
     };
     Outcome::Aborted {
         class,
@@ -796,7 +797,7 @@ impl FuzzContext {
         if self.workload.includes_stress() {
             let mut at = [0; KERNELS.len()];
             for (k, kernel) in kernels.iter_mut().enumerate() {
-                at[k] = load_stress_cached(kernel, &self.cache).map_err(|e| Outcome::Infra {
+                at[k] = load_stress(kernel, &self.cache).map_err(|e| Outcome::Infra {
                     detail: format!("{} stress load: {e}", KERNELS[k]),
                 })?;
             }
@@ -871,10 +872,11 @@ impl FuzzContext {
     fn compare_state(&self, kernels: &mut [Kernel]) -> Result<(), Outcome> {
         // Stage 5: privilege-escalation behavior must match (all kernels
         // implement post semantics).
-        let exploits: Vec<_> = kernels
+        let exploits = kernels
             .iter_mut()
-            .map(|k| run_exploit(k, &self.prctl))
-            .collect();
+            .map(|k| run_exploit(k, &self.prctl, &self.cache))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|detail| Outcome::Infra { detail })?;
         let (reference, subject) = (exploits[0], exploits[SUBJECT]);
         if reference == exploits[1] && reference != subject {
             return Err(diverged(

@@ -19,7 +19,7 @@ use ksplice_core::{
     Ksplice, Tracer, UpdatePack,
 };
 use ksplice_kernel::Kernel;
-use ksplice_lang::SourceTree;
+use ksplice_lang::{FuzzRng, SourceTree};
 
 use crate::corpus::{find_cve, Cve};
 use crate::driver::distro_image;
@@ -50,11 +50,14 @@ pub fn shippable_update(
 }
 
 /// An exploit-backed health probe: healthy means the exploit is dead.
+/// The probe compiles its exploit once, into a cache of its own, however
+/// many watch rounds run it; an exploit that cannot run fails it.
 pub fn exploit_probe(case: &Cve) -> HealthProbe {
     let c = case.clone();
+    let cache = BuildCache::new();
     HealthProbe::Custom {
         name: format!("exploit:{}", c.id),
-        check: Box::new(move |k: &mut Kernel| match run_exploit(k, &c) {
+        check: Box::new(move |k: &mut Kernel| match run_exploit(k, &c, &cache)? {
             Some(true) => Err("exploit still succeeds".to_string()),
             _ => Ok(()),
         }),
@@ -65,9 +68,10 @@ pub fn exploit_probe(case: &Cve) -> HealthProbe {
 /// works, so a patched kernel fails it and quarantine must roll back.
 pub(crate) fn still_vulnerable_probe(case: &Cve) -> HealthProbe {
     let c = case.clone();
+    let cache = BuildCache::new();
     HealthProbe::Custom {
         name: format!("still-vulnerable:{}", c.id),
-        check: Box::new(move |k: &mut Kernel| match run_exploit(k, &c) {
+        check: Box::new(move |k: &mut Kernel| match run_exploit(k, &c, &cache)? {
             Some(true) => Ok(()),
             _ => Err("exploit no longer works".to_string()),
         }),
@@ -77,19 +81,6 @@ pub(crate) fn still_vulnerable_probe(case: &Cve) -> HealthProbe {
 /// The three exploit-verified corpus entries patching pairwise-disjoint
 /// compilation units — they stack and reverse independently.
 pub const DISJOINT_STACK: [&str; 3] = ["CVE-2006-2451", "CVE-2005-0750", "CVE-2005-4605"];
-
-/// A tiny deterministic generator for reversal orders: xorshift64 with
-/// the 13/7/17 shifts and a multiplicative output scramble (not the
-/// 12/25/27 xorshift64* of `FuzzRng`; the sweep's orders are pinned to
-/// this one).
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
 
 /// Applies [`DISJOINT_STACK`] to one kernel, then reverses the three
 /// updates in a `seed`-determined random order via non-LIFO undo.
@@ -114,9 +105,9 @@ pub fn non_lifo_reversal_sweep(seed: u64) -> Result<Vec<&'static str>, String> {
 
     // Fisher–Yates with the seeded generator.
     let mut order: Vec<&'static str> = DISJOINT_STACK.to_vec();
-    let mut state = seed | 1;
+    let mut rng = FuzzRng::from_state(seed | 1);
     for i in (1..order.len()).rev() {
-        let j = (xorshift(&mut state) % (i as u64 + 1)) as usize;
+        let j = rng.below(i as u64 + 1) as usize;
         order.swap(i, j);
     }
 

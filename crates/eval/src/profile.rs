@@ -25,12 +25,12 @@ use ksplice_kernel::{
     collapsed_stacks, hot_functions, quiescence_risk, Fault, HotFunc, Kernel, QuiesceRisk,
     Residency, Sample,
 };
-use ksplice_lang::BuildCache;
+use ksplice_lang::{BuildCache, FuzzRng};
 
 use crate::corpus::find_cve;
 use crate::driver::distro_image;
 use crate::lifecycle::shippable_update;
-use crate::stress::{load_stress_cached, run_stress, spawn_stress};
+use crate::stress::{load_stress, run_stress, spawn_stress};
 use crate::tree::base_tree;
 
 /// Sampling parameters for a profile run. Everything is deterministic:
@@ -219,7 +219,7 @@ pub fn run_profile(
     let cache = BuildCache::new();
     let image = distro_image(&base_tree(), &cache)?;
     let mut kernel = Kernel::boot_image(&image).map_err(|e| format!("boot: {e}"))?;
-    let entry = load_stress_cached(&mut kernel, &cache)?;
+    let entry = load_stress(&mut kernel, &cache)?;
 
     tracer.set_now(kernel.steps);
     let span = tracer.span_start(
@@ -408,31 +408,26 @@ impl QuiesceCorrelation {
     }
 }
 
-/// A tiny deterministic PRNG (plain xorshift64, 13/7/17 shifts, no
-/// output multiplier) for the jittered attempt schedule; the VM forbids
-/// wall-clock randomness by design.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
+/// Single-attempt applies per target in [`quiescence_correlation`].
+const CORRELATION_ATTEMPTS: u64 = 60;
+
+/// Seeded stack-busy fault windows each target absorbs in
+/// [`quiescence_correlation`].
+const SYNTHETIC_WINDOWS: u32 = 3;
 
 /// Measures, for each [`QUIESCE_TARGET_CVES`] update, how often a
 /// single-attempt apply aborts `NotQuiescent` while the stress workload
 /// runs — and pairs that with the profiler's on-stack ranking of the
-/// same functions under the same workload.
+/// same functions under the same workload. Each target makes 60
+/// attempts, each at a [`FuzzRng`]-jittered phase of the workload (the
+/// VM forbids wall-clock randomness by design).
 ///
-/// Each target also absorbs `synthetic` seeded stack-busy fault windows
-/// (the same count per target), so the retry/abandon machinery is
-/// exercised under an armed fault plan without changing which function
-/// ranks first on *real* aborts.
+/// Each target first absorbs 3 seeded stack-busy fault windows (the
+/// same count per target), so the retry/abandon machinery is exercised
+/// under an armed fault plan without changing which function ranks
+/// first on *real* aborts.
 pub fn quiescence_correlation(
     cfg: &ProfileConfig,
-    attempts: u64,
-    synthetic: u64,
     tracer: &mut Tracer,
 ) -> Result<QuiesceCorrelation, String> {
     let cache = BuildCache::new();
@@ -440,7 +435,7 @@ pub fn quiescence_correlation(
 
     // Side 1: the profiler's ranking, from a synchronous sampled run.
     let mut kernel = Kernel::boot_image(&image).map_err(|e| format!("boot: {e}"))?;
-    let entry = load_stress_cached(&mut kernel, &cache)?;
+    let entry = load_stress(&mut kernel, &cache)?;
     let samples = sample_phase(&mut kernel, entry, cfg)?;
     let mut cases = Vec::new();
     let mut targets = Vec::new();
@@ -463,7 +458,7 @@ pub fn quiescence_correlation(
         "quiescence",
         vec![
             ("targets", cases.len().into()),
-            ("attempts", attempts.into()),
+            ("attempts", CORRELATION_ATTEMPTS.into()),
         ],
     );
     let single = ApplyOptions::with_retry(RetryPolicy::fixed(1, 0));
@@ -474,7 +469,7 @@ pub fn quiescence_correlation(
             .map_err(|e| format!("{}: create: {e}", case.id))?;
 
         let mut k = Kernel::boot_image(&image).map_err(|e| format!("boot: {e}"))?;
-        let entry = load_stress_cached(&mut k, &cache)?;
+        let entry = load_stress(&mut k, &cache)?;
         // A workload that outlives every attempt.
         spawn_stress(&mut k, entry, 1_000_000)?;
         k.run(10_000); // let it settle into steady state
@@ -483,31 +478,30 @@ pub fn quiescence_correlation(
         // synthetic busy windows.
         let mut ks = Ksplice::new();
         let mut synthetic_aborts = 0u64;
-        if synthetic > 0 {
-            k.arm_fault(Fault::StackBusy {
-                windows: synthetic as u32,
-            })
-                .map_err(|e| format!("arm: {e}"))?;
-            for _ in 0..synthetic {
-                match ks.apply_traced(&mut k, &pack, &single, tracer) {
-                    Err(ApplyError::NotQuiescent { .. }) => synthetic_aborts += 1,
-                    Ok(_) => {
-                        return Err(format!(
-                            "{}: apply succeeded through an armed stack-busy window",
-                            case.id
-                        ))
-                    }
-                    Err(e) => return Err(format!("{}: synthetic apply: {e}", case.id)),
+        k.arm_fault(Fault::StackBusy {
+            windows: SYNTHETIC_WINDOWS,
+        })
+        .map_err(|e| format!("arm: {e}"))?;
+        for _ in 0..SYNTHETIC_WINDOWS {
+            match ks.apply_traced(&mut k, &pack, &single, tracer) {
+                Err(ApplyError::NotQuiescent { .. }) => synthetic_aborts += 1,
+                Ok(_) => {
+                    return Err(format!(
+                        "{}: apply succeeded through an armed stack-busy window",
+                        case.id
+                    ))
                 }
+                Err(e) => return Err(format!("{}: synthetic apply: {e}", case.id)),
             }
         }
 
-        let mut rng = cfg.seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut rng =
+            FuzzRng::from_state(cfg.seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let mut real_aborts = 0u64;
-        for _ in 0..attempts {
+        for _ in 0..CORRELATION_ATTEMPTS {
             // Jittered schedule: land the attempt at a pseudo-random
             // phase of the workload loop.
-            k.run(401 + xorshift(&mut rng) % 1009);
+            k.run(401 + rng.below(1009));
             match ks.apply_traced(&mut k, &pack, &single, tracer) {
                 Ok(_) => {
                     // Nothing ran since the apply window, so the ranges
@@ -529,7 +523,7 @@ pub fn quiescence_correlation(
                 ("function", fn_name.as_str().into()),
                 ("real_aborts", real_aborts.into()),
                 ("synthetic_aborts", synthetic_aborts.into()),
-                ("attempts", attempts.into()),
+                ("attempts", CORRELATION_ATTEMPTS.into()),
             ],
         );
         aborts.push(TargetAborts {
@@ -537,7 +531,7 @@ pub fn quiescence_correlation(
             cve: case.id.to_string(),
             real_aborts,
             synthetic_aborts,
-            attempts,
+            attempts: CORRELATION_ATTEMPTS,
         });
     }
     tracer.span_end(span);

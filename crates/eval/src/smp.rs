@@ -59,31 +59,31 @@ int smp_load_main(int rounds) {\n\
     return 0;\n\
 }\n";
 
+/// vCPUs each probed kernel runs.
+const LOAD_CPUS: u32 = 4;
+
+/// Master seed of a sweep: drives per-probe scheduler seeds and settle
+/// phases.
+const LOAD_SEED: u64 = 0x5eed_10ad;
+
+/// The corpus CVE each probe applies: it patches `sys_open`, which the
+/// load loop calls every round, so its quiescence degrades with load.
+const LOAD_CVE: &str = "CVE-2005-1263";
+
 /// Parameters of one [`run_quiescence_load`] sweep.
 #[derive(Debug, Clone)]
 pub struct SmpLoadConfig {
-    /// vCPUs the probed kernels run.
-    pub cpus: u32,
     /// Load levels to sweep: background stress threads per probe.
     pub load_levels: Vec<u32>,
     /// Single-attempt apply probes per load level.
     pub probes: u64,
-    /// Master seed: drives per-probe scheduler seeds and settle phases.
-    pub seed: u64,
-    /// The corpus CVE to apply. The default, CVE-2005-1263, patches
-    /// `sys_open` — the syscall the stress workload opens every round
-    /// with, so its quiescence genuinely degrades with load.
-    pub cve: &'static str,
 }
 
 impl Default for SmpLoadConfig {
     fn default() -> SmpLoadConfig {
         SmpLoadConfig {
-            cpus: 4,
             load_levels: vec![0, 1, 2, 4, 8],
             probes: 20,
-            seed: 0x5eed_10ad,
-            cve: "CVE-2005-1263",
         }
     }
 }
@@ -175,7 +175,7 @@ pub fn run_quiescence_load(
     cfg: &SmpLoadConfig,
     tracer: &mut Tracer,
 ) -> Result<QuiescenceReport, String> {
-    let case = find_cve(cfg.cve)?;
+    let case = find_cve(LOAD_CVE)?;
     let function = case.edited_fns[0].to_string();
     let cache = BuildCache::new();
     let image = distro_image(&base_tree(), &cache)?;
@@ -186,14 +186,14 @@ pub fn run_quiescence_load(
         Stage::Bench,
         "smp.quiescence",
         vec![
-            ("cpus", cfg.cpus.into()),
+            ("cpus", LOAD_CPUS.into()),
             ("levels", cfg.load_levels.len().into()),
             ("probes", cfg.probes.into()),
         ],
     );
     let single = ApplyOptions {
         retry: RetryPolicy::fixed(1, 0),
-        smp: SmpConfig::with_cpus(cfg.cpus),
+        smp: SmpConfig::with_cpus(LOAD_CPUS),
     };
     // The §5.2 drain policy: retry after a short delay, enough times
     // that real contention always yields a window eventually. At the
@@ -201,19 +201,19 @@ pub fn run_quiescence_load(
     // find `sys_open` on some stack, so the attempt budget is generous.
     let drain = ApplyOptions {
         retry: RetryPolicy::fixed(25, 3_000),
-        smp: SmpConfig::with_cpus(cfg.cpus),
+        smp: SmpConfig::with_cpus(LOAD_CPUS),
     };
 
     let mut rows = Vec::new();
     for &load in &cfg.load_levels {
         let mut rng =
-            FuzzRng::from_state(cfg.seed ^ (load as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            FuzzRng::from_state(LOAD_SEED ^ (load as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let mut aborts = 0u64;
         let mut drain_attempts = 0u64;
         let mut pause_steps = Vec::new();
         for _ in 0..cfg.probes {
             let mut k = Kernel::boot_image(&image).map_err(|e| format!("boot: {e}"))?;
-            k.configure_smp(SmpConfig::with_cpus(cfg.cpus).with_seed(rng.next_u64()));
+            k.configure_smp(SmpConfig::with_cpus(LOAD_CPUS).with_seed(rng.next_u64()));
             let entry =
                 load_workload(&mut k, &cache, "smp/load.kc", SMP_LOAD_SRC, "smp_load_main")?;
             for _ in 0..load {
@@ -267,7 +267,7 @@ pub fn run_quiescence_load(
     }
     tracer.span_end(span);
     Ok(QuiescenceReport {
-        cpus: cfg.cpus,
+        cpus: LOAD_CPUS,
         cve: case.id.to_string(),
         function,
         rows,
@@ -283,7 +283,6 @@ mod tests {
         let cfg = SmpLoadConfig {
             load_levels: vec![0, 4],
             probes: 6,
-            ..SmpLoadConfig::default()
         };
         let a = run_quiescence_load(&cfg, &mut Tracer::disabled()).unwrap();
         let b = run_quiescence_load(&cfg, &mut Tracer::disabled()).unwrap();

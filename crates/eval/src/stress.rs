@@ -11,7 +11,7 @@
 //! not a vibe.
 
 use ksplice_kernel::{CallError, Kernel};
-use ksplice_lang::{compile_unit_cached, BuildCache, Options};
+use ksplice_lang::{build_tree_cached, BuildCache, Options, SourceTree};
 
 /// The stress workload module source.
 pub const STRESS_SRC: &str = "\
@@ -76,21 +76,18 @@ int stress_main(int rounds) {\n\
     return 0;\n\
 }\n";
 
-/// Loads the stress module into a kernel, returning the entry address.
-pub fn load_stress(kernel: &mut Kernel) -> Result<u64, String> {
-    load_stress_cached(kernel, &BuildCache::new())
-}
-
-/// [`load_stress`] through a shared [`BuildCache`]: the evaluation
-/// driver loads this module into 64 kernels but compiles it once.
-pub fn load_stress_cached(kernel: &mut Kernel, cache: &BuildCache) -> Result<u64, String> {
+/// Loads the stress module into a kernel through `cache`, returning the
+/// entry address.
+pub fn load_stress(kernel: &mut Kernel, cache: &BuildCache) -> Result<u64, String> {
     load_workload(kernel, cache, "stress/stress.kc", STRESS_SRC, "stress_main")
 }
 
-/// Compiles a workload module's `src` as unit `unit` through `cache`,
-/// loads it, and returns the address of its `entry` function. The unit
-/// name is part of the module's identity (its region names and text
-/// checksum), so each workload keeps its own.
+/// Compiles a module's `src` as unit `unit` through `cache`, loads it,
+/// and returns the address of its `entry` function: the one loader of
+/// every module the evaluation builds from source. The unit builds as a
+/// one-unit tree, so it has a tree unit's cache key and a hit inserts
+/// the cached object itself. The unit name is part of the module's
+/// identity (its region names and text checksum), so each keeps its own.
 pub fn load_workload(
     kernel: &mut Kernel,
     cache: &BuildCache,
@@ -98,10 +95,15 @@ pub fn load_workload(
     src: &str,
     entry: &str,
 ) -> Result<u64, String> {
-    let obj = compile_unit_cached(unit, src, &Options::pre_post(), cache)
+    let mut tree = SourceTree::new();
+    tree.insert(unit, src);
+    let (set, _) = build_tree_cached(&tree, &Options::pre_post(), cache)
         .map_err(|e| format!("{unit}: compile: {e}"))?;
+    let obj = set
+        .get(unit)
+        .ok_or_else(|| format!("{unit}: not a .kc or .ks unit"))?;
     let module = kernel
-        .insmod(&obj, false)
+        .insmod(obj, false)
         .map_err(|e| format!("{unit}: insmod: {e}"))?;
     module
         .symbol_addr(entry)
@@ -136,7 +138,7 @@ mod tests {
     #[test]
     fn stress_passes_on_the_base_kernel() {
         let mut k = Kernel::boot(&base_tree(), &Options::distro()).unwrap();
-        let entry = load_stress(&mut k).unwrap();
+        let entry = load_stress(&mut k, &BuildCache::new()).unwrap();
         run_stress(&mut k, entry, 25).unwrap();
         assert!(k.oopses.is_empty());
     }
@@ -144,7 +146,7 @@ mod tests {
     #[test]
     fn stress_runs_as_background_thread() {
         let mut k = Kernel::boot(&base_tree(), &Options::distro()).unwrap();
-        let entry = load_stress(&mut k).unwrap();
+        let entry = load_stress(&mut k, &BuildCache::new()).unwrap();
         let tid = spawn_stress(&mut k, entry, 10).unwrap();
         k.run(50_000_000);
         assert_eq!(k.thread(tid).unwrap().state, ThreadState::Exited(0));

@@ -14,7 +14,7 @@ fn quiescence_ranking_matches_observed_abort_rates() {
         ..ProfileConfig::default()
     };
     let mut tracer = Tracer::new();
-    let corr = quiescence_correlation(&cfg, 60, 3, &mut tracer).unwrap();
+    let corr = quiescence_correlation(&cfg, &mut tracer).unwrap();
 
     // Every target absorbed its share of the seeded fault plan — the
     // synthetic windows exercise the abandon machinery equally, so they

@@ -71,7 +71,6 @@ fn loaded_aborts_are_real_and_drain_to_success() {
     let cfg = SmpLoadConfig {
         load_levels: vec![0, 6],
         probes: 8,
-        ..SmpLoadConfig::default()
     };
     let report = run_quiescence_load(&cfg, &mut Tracer::disabled()).expect("sweep");
     assert_eq!(report.cpus, 4);

@@ -15,7 +15,7 @@
 //! wrote, re-permissioned or loaded itself never crosses to another.
 
 use ksplice_kernel::{Kernel, Perms, ThreadState};
-use ksplice_lang::{compile_unit, Options, SourceTree};
+use ksplice_lang::{compile_unit, FuzzRng, Options, SourceTree};
 
 const SRC: &str = "int mix(int a, int b) { return a * 31 + (b ^ a) - b / 3; }\
      int work(int n) {\
@@ -29,15 +29,6 @@ const CALL_LIMIT: u64 = 200_000;
 fn boot() -> Kernel {
     let tree: SourceTree = [("m.kc".to_string(), SRC.to_string())].into_iter().collect();
     Kernel::boot(&tree, &Options::distro()).expect("boot")
-}
-
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
 }
 
 /// One write into executable text: `store` rounds first flip the
@@ -134,7 +125,7 @@ fn record_call(k: &mut Kernel, writes: &[TextWrite]) -> CallRecord {
 /// One to three random writes over live text: real code fragments
 /// spliced from elsewhere in the image, or garbage. All boots of the
 /// same tree lay text out identically, so `probe` may be any of them.
-fn random_writes(rng: &mut u64, probe: &Kernel) -> Vec<TextWrite> {
+fn random_writes(rng: &mut FuzzRng, probe: &Kernel) -> Vec<TextWrite> {
     let text: Vec<(u64, u64)> = probe
         .mem
         .regions()
@@ -143,23 +134,23 @@ fn random_writes(rng: &mut u64, probe: &Kernel) -> Vec<TextWrite> {
         .map(|r| (r.start, r.size))
         .collect();
     assert!(!text.is_empty(), "no executable regions to write into");
-    let n_writes = 1 + (xorshift(rng) % 3) as usize;
+    let n_writes = 1 + rng.below(3) as usize;
     let mut writes = Vec::new();
     for _ in 0..n_writes {
-        let (start, size) = text[(xorshift(rng) as usize) % text.len()];
-        let off = xorshift(rng) % (size - 8);
-        let bytes = if xorshift(rng).is_multiple_of(2) {
+        let (start, size) = text[rng.below(text.len() as u64) as usize];
+        let off = rng.below(size - 8);
+        let bytes = if rng.below(2) == 0 {
             // Splice a real code fragment from another text offset.
-            let (s2, z2) = text[(xorshift(rng) as usize) % text.len()];
-            let o2 = xorshift(rng) % (z2 - 8);
+            let (s2, z2) = text[rng.below(text.len() as u64) as usize];
+            let o2 = rng.below(z2 - 8);
             probe.mem.peek(s2 + o2, 8).unwrap().to_vec()
         } else {
-            xorshift(rng).to_le_bytes().to_vec()
+            rng.next_u64().to_le_bytes().to_vec()
         };
         writes.push(TextWrite {
             addr: start + off,
             bytes,
-            via_store: xorshift(rng).is_multiple_of(2),
+            via_store: rng.below(2) == 0,
             region_start: start,
         });
     }
@@ -168,7 +159,7 @@ fn random_writes(rng: &mut u64, probe: &Kernel) -> Vec<TextWrite> {
 
 #[test]
 fn random_text_writes_match_fresh_kernel() {
-    let mut rng = 0x9e3779b97f4a7c15u64;
+    let mut rng = FuzzRng::from_state(0x9e37_79b9_7f4a_7c15);
     let mut saw_oops = false;
     let mut saw_clean = false;
     for round in 0..24 {
@@ -218,7 +209,7 @@ fn random_text_writes_match_fresh_kernel() {
 /// is still empty, leaves nothing there that a later fork runs.
 #[test]
 fn a_fork_writing_text_never_leaves_a_sibling_running_stale_blocks() {
-    let mut rng = 0x5eed_1cac_4e00_0001u64;
+    let mut rng = FuzzRng::from_state(0x5eed_1cac_4e00_0001);
     let call = |k: &mut Kernel| {
         k.call_function_limited("work", &[9], CALL_LIMIT)
             .expect("call on pristine text")

@@ -214,24 +214,6 @@ pub fn build_tree_cached(
     Ok((set, stats))
 }
 
-/// [`compile_unit`] through a shared [`BuildCache`], keyed like a tree
-/// unit that sees no headers: a module loaded into many kernels compiles
-/// once.
-pub fn compile_unit_cached(
-    name: &str,
-    src: &str,
-    opt: &Options,
-    cache: &BuildCache,
-) -> Result<Object, CompileError> {
-    let key = unit_fingerprint(name, src, options_fingerprint(opt), None);
-    if let Some(obj) = cache.lookup(key) {
-        return Ok((*obj).clone());
-    }
-    let obj = compile_unit(name, src, opt)?;
-    cache.store(key, Arc::new(obj.clone()));
-    Ok(obj)
-}
-
 /// Computes, per compilation unit, which functions the optimiser inlines
 /// where under the given options — the measurement behind the paper's
 /// §6.3 inlining statistics (20 of 64 patches modify an inlined function;

@@ -67,7 +67,7 @@ pub use ast::{
 /// same function, kept until a benchmark change folds the two names.
 pub use build::build_tree_cached as build_tree_image_cached;
 pub use build::{
-    build_tree, build_tree_cached, compile_unit, compile_unit_cached, compile_unit_with,
+    build_tree, build_tree_cached, compile_unit, compile_unit_with,
     parse_headers, tree_function_index, tree_inline_report, SourceTree,
 };
 pub use cache::{fnv1a, options_fingerprint, BuildCache, BuildStats, Fingerprint, FNV_OFFSET};

@@ -154,9 +154,9 @@ impl std::fmt::Display for MutateError {
 impl std::error::Error for MutateError {}
 
 /// The deterministic xorshift64* generator: the fuzzer, the drift
-/// generator, the SMP load sweep, the kernel's scheduler rotation, fault
-/// plan and `random` native, and the fleet's transport and wave planner
-/// all draw from it.
+/// generator, the SMP load, quiescence and reversal experiments, the
+/// kernel's scheduler rotation, fault plan and `random` native, and the
+/// fleet's transport and wave planner all draw from it.
 #[derive(Debug, Clone)]
 pub struct FuzzRng {
     state: u64,

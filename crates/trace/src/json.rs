@@ -4,7 +4,8 @@
 //! small recursive-descent parser covering exactly what the JSONL sink
 //! emits: objects whose values are strings, integers, booleans, null, or
 //! nested objects/arrays of the same. Floats are parsed to their integer
-//! truncation (the sink never writes them). Nesting deeper than
+//! truncation (the sink never writes them), and a number is typed by its
+//! value: `U64` unless it is negative. Nesting deeper than
 //! [`MAX_DEPTH`] is an error, so a malformed trace file cannot overflow
 //! the stack.
 
@@ -290,16 +291,20 @@ impl Parser<'_> {
         {
             self.at += 1;
         }
+        // Typed by value, not spelling: only a negative value is `I64`, so
+        // `-0`, `4e2` and `-0.5` read (and write back) as `U64` like `0`.
         let text = &self.input[start..self.at];
         if let Ok(v) = text.parse::<u64>() {
             return Ok(JsonValue::U64(v));
         }
         if let Ok(v) = text.parse::<i64>() {
-            return Ok(JsonValue::I64(v));
+            return Ok(u64::try_from(v).map_or(JsonValue::I64(v), JsonValue::U64));
         }
-        text.parse::<f64>()
-            .map(|f| JsonValue::I64(f as i64))
-            .map_err(|_| format!("bad number `{text}`"))
+        let f: f64 = text.parse().map_err(|_| format!("bad number `{text}`"))?;
+        Ok(match f as i64 {
+            v if v < 0 => JsonValue::I64(v),
+            _ => JsonValue::U64(f as u64),
+        })
     }
 }
 
@@ -325,6 +330,22 @@ mod tests {
         assert_eq!(o[2], ("c".to_string(), JsonValue::Bool(true)));
         assert_eq!(o[3], ("d".to_string(), JsonValue::Str("x\ny".to_string())));
         assert!(matches!(o[4].1, JsonValue::Object(_)));
+    }
+
+    #[test]
+    fn numbers_are_typed_by_value() {
+        let v = parse_json_object("[4e2,-0,-0.5,0.5,-4e2,-1.5,-7,18446744073709551615]").unwrap();
+        let expected = [
+            JsonValue::U64(400),
+            JsonValue::U64(0),
+            JsonValue::U64(0),
+            JsonValue::U64(0),
+            JsonValue::I64(-400),
+            JsonValue::I64(-1),
+            JsonValue::I64(-7),
+            JsonValue::U64(u64::MAX),
+        ];
+        assert_eq!(v.as_array().unwrap(), expected);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! file round-trips the whole tree, and `ksplice report --spans` /
 //! `--timeline` can rebuild it offline.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use crate::event::{Event, Stage, Value};
@@ -98,8 +98,10 @@ fn stage_tid(stage: Stage) -> usize {
 }
 
 /// Renders the events' span tree as an indented text outline — the
-/// `report --spans` view. Spans with no recorded parent are roots;
-/// children appear in begin order.
+/// `report --spans` view; empty when the events hold no span. A span is
+/// a root when its parent id is 0 or names no span in the events (a
+/// trace cut from a longer run); roots and each span's children appear
+/// in begin order.
 ///
 /// A trace file is outside input, so the walk keeps its own stack (a
 /// deep parent chain cannot overflow the thread's) and expands each
@@ -107,12 +109,11 @@ fn stage_tid(stage: Stage) -> usize {
 /// span at most once, its children under the first span with that id.
 pub fn render_span_tree(events: &[Event]) -> String {
     let spans = replay(events);
-    if spans.is_empty() {
-        return "no spans recorded\n".to_string();
-    }
+    let ids: HashSet<u64> = spans.iter().map(|s| s.id).collect();
     let mut children: HashMap<u64, Vec<usize>> = HashMap::new();
     for (i, s) in spans.iter().enumerate() {
-        children.entry(s.parent).or_default().push(i);
+        let parent = if ids.contains(&s.parent) { s.parent } else { 0 };
+        children.entry(parent).or_default().push(i);
     }
     let mut out = String::new();
     let mut stack: Vec<(usize, usize)> = Vec::new();
@@ -333,6 +334,33 @@ mod tests {
             render_span_tree(&events),
             "s5 [apply] 1..3 (+2 steps)\n  s7 [apply] 2..3 (+1 steps)\n    s5 [apply] 3..3 (+0 steps)\n"
         );
+    }
+
+    #[test]
+    fn a_span_whose_parent_is_not_in_the_trace_is_a_root() {
+        let end = Event::from_json(
+            "{\"v\":2,\"seq\":2,\"ts_steps\":9,\"stage\":\"apply\",\"severity\":\"info\",\
+             \"event\":\"span.end\",\"fields\":{\"span\":\"s4\",\"span_id\":4,\"parent_id\":3}}",
+        )
+        .unwrap();
+        assert_eq!(
+            render_span_tree(&[span_begin(1, 4, 3), end]),
+            "s4 [apply] 1..9 (+8 steps)\n"
+        );
+        // Orphans and true roots interleave in begin order, each with
+        // its children under it.
+        let events = [
+            span_begin(1, 2, 0),
+            span_begin(2, 6, 5),
+            span_begin(3, 7, 6),
+            span_begin(4, 3, 2),
+        ];
+        assert_eq!(
+            render_span_tree(&events),
+            "s2 [apply] 1..4 (+3 steps)\n  s3 [apply] 4..4 (+0 steps)\n\
+             s6 [apply] 2..4 (+2 steps)\n  s7 [apply] 3..4 (+1 steps)\n"
+        );
+        assert_eq!(render_span_tree(&[]), "");
     }
 
     #[test]

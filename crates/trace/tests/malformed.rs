@@ -6,9 +6,9 @@
 //! tree, and a v2 trace whose repeated span id closes a loop) is cut at
 //! every char boundary and has each byte replaced, one at a time, by
 //! each byte of a small alphabet. Every variant goes through
-//! `Event::from_json`; each one that parses takes its line's place in
-//! the trace, and the trace is rendered through `render_span_tree` and
-//! `chrome_trace_json`.
+//! `Event::from_json`; each one that parses must read back unchanged
+//! from its own `to_json`, takes its line's place in the trace, and the
+//! trace is rendered through `render_span_tree` and `chrome_trace_json`.
 
 use ksplice_trace::{chrome_trace_json, render_span_tree, Event};
 
@@ -87,6 +87,11 @@ fn damaged_lines_read_or_refuse_and_their_traces_render() {
                     continue;
                 };
                 parsed += 1;
+                assert_eq!(
+                    Event::from_json(&event.to_json()).as_ref(),
+                    Ok(&event),
+                    "{variant}"
+                );
                 let mut damaged = events.clone();
                 damaged[k] = event;
                 render(&damaged);

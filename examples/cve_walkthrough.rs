@@ -10,7 +10,7 @@
 use ksplice::core::{create_update, ApplyOptions, CreateOptions, Ksplice};
 use ksplice::eval::{base_tree, corpus, load_stress, run_exploit, run_stress};
 use ksplice::kernel::Kernel;
-use ksplice::lang::Options;
+use ksplice::lang::{BuildCache, Options};
 
 fn main() {
     let case = corpus()
@@ -21,10 +21,13 @@ fn main() {
 
     println!("[1/5] booting the vulnerable kernel...");
     let mut kernel = Kernel::boot(&base_tree(), &Options::distro()).expect("boot");
-    let stress = load_stress(&mut kernel).expect("stress module");
+    // One build cache: each workload module compiles once, however often
+    // it loads.
+    let cache = BuildCache::new();
+    let stress = load_stress(&mut kernel, &cache).expect("stress module");
 
     println!("[2/5] running the exploit as an unprivileged task...");
-    let worked = run_exploit(&mut kernel, &case) == Some(true);
+    let worked = run_exploit(&mut kernel, &case, &cache).expect("exploit runs") == Some(true);
     println!(
         "      uid 1000 -> uid 0 via prctl(99): {}",
         if worked { "EXPLOIT SUCCEEDS" } else { "failed" }
@@ -56,7 +59,7 @@ fn main() {
     println!("      all invariants hold; {} oopses", kernel.oopses.len());
 
     println!("[5/5] re-running the exploit...");
-    let worked = run_exploit(&mut kernel, &case) == Some(true);
+    let worked = run_exploit(&mut kernel, &case, &cache).expect("exploit runs") == Some(true);
     println!(
         "      uid 1000 -> uid 0 via prctl(99): {}",
         if worked {

@@ -3,7 +3,7 @@
 use ksplice::core::{create_update, ApplyOptions, CreateOptions, Ksplice};
 use ksplice::eval::{base_tree, corpus, load_stress, spawn_stress};
 use ksplice::kernel::{Kernel, ThreadState};
-use ksplice::lang::{Options, SourceTree};
+use ksplice::lang::{BuildCache, Options, SourceTree};
 use ksplice::patch::make_diff;
 
 #[test]
@@ -11,7 +11,7 @@ fn update_applies_while_stress_workload_is_running() {
     // The paper's operational claim: updates land on a *busy* kernel with
     // only a sub-millisecond pause; running work continues unharmed.
     let mut kernel = Kernel::boot(&base_tree(), &Options::distro()).unwrap();
-    let stress = load_stress(&mut kernel).unwrap();
+    let stress = load_stress(&mut kernel, &BuildCache::new()).unwrap();
     let tid = spawn_stress(&mut kernel, stress, 60).unwrap();
     kernel.run(20_000); // mid-workload
 
@@ -79,7 +79,7 @@ fn multi_unit_patch_replaces_functions_in_both_units() {
 #[test]
 fn patched_kernel_survives_many_syscall_rounds() {
     let mut kernel = Kernel::boot(&base_tree(), &Options::distro()).unwrap();
-    let stress = load_stress(&mut kernel).unwrap();
+    let stress = load_stress(&mut kernel, &BuildCache::new()).unwrap();
     let case = corpus()
         .into_iter()
         .find(|c| c.id == "CVE-2008-0600")
