@@ -357,10 +357,16 @@ fn branch_len(_conditional: bool, long: bool) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{decode_all, Reg};
+    use crate::{decode, nop_len_at, Reg};
 
-    fn decode_stream(code: &[u8]) -> Vec<Instr> {
-        decode_all(code).expect("assembled code must decode")
+    fn decode_stream(mut code: &[u8]) -> Vec<Instr> {
+        let mut out = Vec::new();
+        while !code.is_empty() {
+            let (instr, len) = decode(code).expect("assembled code must decode");
+            out.push(instr);
+            code = &code[len..];
+        }
+        out
     }
 
     #[test]
@@ -443,7 +449,11 @@ mod tests {
         a.emit(Instr::Hlt);
         let out = a.finish().unwrap();
         assert_eq!(out.label_offset(l), Some(16));
-        assert_eq!(crate::nop::nop_run_len(&out.code, 1), 15);
+        let mut at = 1;
+        while let Some(len) = nop_len_at(&out.code, at) {
+            at += len;
+        }
+        assert_eq!(at, 16);
     }
 
     #[test]

@@ -1,25 +1,15 @@
-//! PC-relative operand discovery and branch equivalence.
+//! PC-relative branch decoding.
 //!
 //! Run-pre matching must "verify that relative jumps in the run and the pre
 //! code point to corresponding locations even though they use different
-//! relative jump offsets" (paper §4.3). These helpers expose, for any
-//! instruction, whether it carries a PC-relative operand, where that
-//! operand lives in the encoding, and what absolute target it denotes.
+//! relative jump offsets" (paper §4.3). [`branch_info`] exposes, for any
+//! instruction, whether it is a PC-relative control transfer, its kind and
+//! condition, and the absolute target it denotes, whichever of the `rel8`
+//! and `rel32` forms it uses; run-pre matching compares the kind and
+//! condition and maps the targets through its own offset map.
 
 use crate::instr::Instr;
 use crate::{decode, Cond, DecodeError};
-
-/// Location and width of a PC-relative operand within an instruction
-/// encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PcrelOperand {
-    /// Byte offset of the displacement field from the instruction start.
-    pub field_offset: usize,
-    /// Width of the displacement field: 1 (`rel8`) or 4 (`rel32`).
-    pub field_width: usize,
-    /// Total instruction length.
-    pub instr_len: usize,
-}
 
 /// A decoded control transfer with a PC-relative target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,25 +23,6 @@ pub struct BranchInfo {
     pub target: u64,
     /// Total instruction length.
     pub instr_len: usize,
-}
-
-/// If the instruction at `bytes[0]` carries a PC-relative operand, returns
-/// its location; otherwise `None`. Errors propagate from the decoder.
-pub fn pcrel_operand(bytes: &[u8]) -> Result<Option<PcrelOperand>, DecodeError> {
-    let (instr, len) = decode(bytes)?;
-    Ok(match instr {
-        Instr::Jmp8(_) | Instr::Jcc8(..) => Some(PcrelOperand {
-            field_offset: 1,
-            field_width: 1,
-            instr_len: len,
-        }),
-        Instr::Jmp32(_) | Instr::Jcc32(..) | Instr::Call32(_) => Some(PcrelOperand {
-            field_offset: 1,
-            field_width: 4,
-            instr_len: len,
-        }),
-        _ => None,
-    })
 }
 
 /// If the instruction at `bytes[0]`, located at absolute address `addr`,
@@ -77,13 +48,6 @@ pub fn branch_info(bytes: &[u8], addr: u64) -> Result<Option<BranchInfo>, Decode
     })
 }
 
-/// True if two PC-relative branches are semantically equivalent: same kind
-/// (call vs jump), same condition, same absolute target — regardless of
-/// whether each used the `rel8` or `rel32` form.
-pub fn branches_equivalent(a: &BranchInfo, b: &BranchInfo) -> bool {
-    a.cond == b.cond && a.is_call == b.is_call && a.target == b.target
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,7 +63,8 @@ mod tests {
         let near = Instr::Jmp32(57).to_bytes();
         let b = branch_info(&near, 50).unwrap().unwrap();
         assert_eq!(b.target, 112);
-        assert!(branches_equivalent(&a, &b));
+        assert_eq!((a.cond, a.is_call), (b.cond, b.is_call));
+        assert_eq!((a.instr_len, b.instr_len), (2, 5));
     }
 
     #[test]
@@ -108,7 +73,8 @@ mod tests {
         let y = Instr::Jcc8(Cond::Nz, 0).to_bytes();
         let a = branch_info(&x, 0).unwrap().unwrap();
         let b = branch_info(&y, 0).unwrap().unwrap();
-        assert!(!branches_equivalent(&a, &b));
+        assert_eq!((a.cond, b.cond), (Some(Cond::Z), Some(Cond::Nz)));
+        assert_eq!(a.target, b.target);
     }
 
     #[test]
@@ -118,27 +84,17 @@ mod tests {
         let a = branch_info(&c, 0).unwrap().unwrap();
         let b = branch_info(&j, 0).unwrap().unwrap();
         assert_eq!(a.target, b.target);
-        assert!(!branches_equivalent(&a, &b));
+        assert_eq!((a.cond, b.cond), (None, None));
+        assert!(a.is_call && !b.is_call);
     }
 
     #[test]
     fn non_branches_have_no_info() {
         let m = Instr::MovRI32(crate::Reg::R0, 5).to_bytes();
         assert!(branch_info(&m, 0).unwrap().is_none());
-        assert!(pcrel_operand(&m).unwrap().is_none());
         // Indirect calls are not PC-relative.
         let ic = Instr::CallR(crate::Reg::R3).to_bytes();
         assert!(branch_info(&ic, 0).unwrap().is_none());
-    }
-
-    #[test]
-    fn pcrel_field_locations() {
-        let j8 = Instr::Jcc8(Cond::L, -4).to_bytes();
-        let op = pcrel_operand(&j8).unwrap().unwrap();
-        assert_eq!((op.field_offset, op.field_width, op.instr_len), (1, 1, 2));
-        let c32 = Instr::Call32(0).to_bytes();
-        let op = pcrel_operand(&c32).unwrap().unwrap();
-        assert_eq!((op.field_offset, op.field_width, op.instr_len), (1, 4, 5));
     }
 
     #[test]

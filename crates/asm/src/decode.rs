@@ -149,20 +149,6 @@ pub fn decode(bytes: &[u8]) -> Result<(Instr, usize), DecodeError> {
     Ok((instr, len))
 }
 
-/// Decodes an entire byte slice into a sequence of instructions.
-///
-/// Fails if any instruction is undecodable or the slice ends
-/// mid-instruction.
-pub fn decode_all(mut bytes: &[u8]) -> Result<Vec<Instr>, DecodeError> {
-    let mut out = Vec::new();
-    while !bytes.is_empty() {
-        let (i, len) = decode(bytes)?;
-        out.push(i);
-        bytes = &bytes[len..];
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,21 +178,5 @@ mod tests {
     fn bad_binop_index() {
         let bytes = [OP_BIN, 99, 0x01];
         assert_eq!(decode(&bytes), Err(DecodeError::BadBinOp(99)));
-    }
-
-    #[test]
-    fn decode_all_stream() {
-        let mut buf = Vec::new();
-        let prog = [
-            Instr::Push(Reg::FP),
-            Instr::MovRR(Reg::FP, Reg::SP),
-            Instr::MovRI32(Reg::R0, 1),
-            Instr::Pop(Reg::FP),
-            Instr::Ret,
-        ];
-        for i in &prog {
-            i.encode(&mut buf);
-        }
-        assert_eq!(decode_all(&buf).unwrap(), prog);
     }
 }

@@ -55,18 +55,6 @@ impl Cond {
         }
     }
 
-    /// The condition testing the opposite outcome.
-    pub fn negate(self) -> Cond {
-        match self {
-            Cond::Z => Cond::Nz,
-            Cond::Nz => Cond::Z,
-            Cond::L => Cond::Ge,
-            Cond::Le => Cond::G,
-            Cond::G => Cond::Le,
-            Cond::Ge => Cond::L,
-        }
-    }
-
     /// The mnemonic suffix, e.g. `"z"` for [`Cond::Z`].
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -238,14 +226,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cond_roundtrip_and_negation() {
+    fn cond_roundtrip() {
         for c in Cond::ALL {
             assert_eq!(Cond::from_index(c.index()), Some(c));
-            assert_eq!(c.negate().negate(), c);
-            // A condition and its negation never agree.
-            for &(zf, lf) in &[(false, false), (true, false), (false, true)] {
-                assert_ne!(c.eval(zf, lf), c.negate().eval(zf, lf));
-            }
         }
         assert_eq!(Cond::from_index(6), None);
     }

@@ -39,7 +39,6 @@
 mod asmbuilder;
 mod branch;
 mod decode;
-mod disasm;
 mod encode;
 mod instr;
 mod nop;
@@ -47,11 +46,10 @@ mod predecode;
 mod reg;
 
 pub use asmbuilder::{AsmError, Assembled, Assembler, Label, PatchPoint};
-pub use branch::{branch_info, branches_equivalent, pcrel_operand, BranchInfo, PcrelOperand};
-pub use decode::{decode, decode_all, decode_len, DecodeError};
-pub use disasm::{disassemble, disassemble_one};
+pub use branch::{branch_info, BranchInfo};
+pub use decode::{decode, decode_len, DecodeError};
 pub use instr::{BinOp, Cond, Instr};
-pub use nop::{nop_fill, nop_len_at, nop_run_len, MAX_NOP_LEN};
+pub use nop::{nop_fill, nop_len_at, MAX_NOP_LEN};
 pub use predecode::{ends_block, predecode_block};
 pub use reg::Reg;
 

@@ -52,19 +52,18 @@ pub fn nop_fill(out: &mut Vec<u8>, mut bytes: usize) {
     }
 }
 
-/// Total number of leading padding bytes at `code[at..]` formed by
-/// consecutive canonical no-ops.
-pub fn nop_run_len(code: &[u8], at: usize) -> usize {
-    let mut total = 0;
-    while let Some(len) = nop_len_at(code, at + total) {
-        total += len;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bytes of canonical no-ops back to back from `code[at..]`.
+    fn run_len(code: &[u8], at: usize) -> usize {
+        let mut total = 0;
+        while let Some(len) = nop_len_at(code, at + total) {
+            total += len;
+        }
+        total
+    }
 
     #[test]
     fn fill_exact_lengths() {
@@ -72,7 +71,7 @@ mod tests {
             let mut buf = Vec::new();
             nop_fill(&mut buf, want);
             assert_eq!(buf.len(), want);
-            assert_eq!(nop_run_len(&buf, 0), want);
+            assert_eq!(run_len(&buf, 0), want);
         }
     }
 
@@ -95,10 +94,9 @@ mod tests {
     #[test]
     fn out_of_bounds_is_none() {
         assert_eq!(nop_len_at(&[0x90], 5), None);
-        assert_eq!(nop_run_len(&[], 0), 0);
+        assert_eq!(nop_len_at(&[], 0), None);
         // `at` exactly at the end of the buffer: an empty rest, not a nop.
         assert_eq!(nop_len_at(&[0x90], 1), None);
-        assert_eq!(nop_run_len(&[0x90], 1), 0);
     }
 
     #[test]
@@ -123,7 +121,6 @@ mod tests {
         assert_eq!(nop_len_at(&code, 2), Some(4));
         code.pop();
         assert_eq!(nop_len_at(&code, 2), None);
-        assert_eq!(nop_run_len(&code, 2), 0);
     }
 
     #[test]
@@ -147,9 +144,9 @@ mod tests {
         code.push(0x90);
         nop_fill(&mut code, 3);
         code.push(0x01); // hlt / non-nop opcode terminates the run
-        assert_eq!(nop_run_len(&code, 0), 13);
+        assert_eq!(run_len(&code, 0), 13);
         // A run started mid-sequence only counts the remaining nops.
-        assert_eq!(nop_run_len(&code, 9), 4);
+        assert_eq!(run_len(&code, 9), 4);
     }
 
     #[test]
@@ -159,10 +156,10 @@ mod tests {
         // boundary instead of erroring.
         let mut code = vec![0x01];
         nop_fill(&mut code, 12);
-        assert_eq!(nop_run_len(&code, 1), 12);
-        assert_eq!(nop_run_len(&code, code.len()), 0);
+        assert_eq!(run_len(&code, 1), 12);
+        assert_eq!(run_len(&code, code.len()), 0);
         // Truncated trailing nop: the run stops before it.
         code.extend_from_slice(&[0x0e, 5, 0x00]);
-        assert_eq!(nop_run_len(&code, 1), 12);
+        assert_eq!(run_len(&code, 1), 12);
     }
 }

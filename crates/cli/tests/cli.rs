@@ -215,7 +215,7 @@ fn create_rejects_nonapplying_patch() {
 
 #[test]
 fn report_timeline_is_valid_chrome_trace_json() {
-    use ksplice_core::trace::{parse_json_object, JsonValue};
+    use ksplice_core::trace::{parse_json_object, Value};
 
     let dir = std::env::temp_dir().join(format!("ksplice-cli-trace-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -261,23 +261,23 @@ fn report_timeline_is_valid_chrome_trace_json() {
     let doc = parse_json_object(&text).expect("timeline is valid JSON");
     let events = doc
         .get("traceEvents")
-        .and_then(JsonValue::as_array)
+        .and_then(Value::as_array)
         .expect("traceEvents array");
     assert!(!events.is_empty());
     let mut names = Vec::new();
     for ev in events {
-        let ph = ev.get("ph").and_then(JsonValue::as_str).expect("ph");
+        let ph = ev.get("ph").and_then(Value::as_str).expect("ph");
         assert!(ph == "X" || ph == "i", "unexpected phase {ph:?}");
-        assert!(ev.get("ts").and_then(JsonValue::as_u64).is_some());
+        assert!(ev.get("ts").and_then(Value::as_u64).is_some());
         if ph == "X" {
             // Complete (span) events carry a duration and their span id.
-            assert!(ev.get("dur").and_then(JsonValue::as_u64).unwrap_or(0) >= 1);
+            assert!(ev.get("dur").and_then(Value::as_u64).unwrap_or(0) >= 1);
             assert!(ev
                 .get("args")
                 .and_then(|a| a.get("span_id"))
-                .and_then(JsonValue::as_u64)
+                .and_then(Value::as_u64)
                 .is_some());
-            names.push(ev.get("name").and_then(JsonValue::as_str).unwrap().to_string());
+            names.push(ev.get("name").and_then(Value::as_str).unwrap().to_string());
         }
     }
     // The span hierarchy the demo lifecycle is expected to produce.
@@ -356,20 +356,30 @@ fn report_spans_survives_a_span_id_loop() {
              \"event\":\"span.begin\",\"fields\":{{\"span\":\"s{id}\",\"span_id\":{id},\"parent_id\":{parent}}}}}\n"
         )
     };
-    std::fs::write(&path, line(1, 5, 0) + &line(2, 7, 5) + &line(3, 5, 7)).unwrap();
-    let out = ksplice()
-        .args(["report", path.to_str().unwrap(), "--spans"])
-        .output()
-        .unwrap();
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let spans = |trace: String| {
+        std::fs::write(&path, trace).unwrap();
+        let out = ksplice()
+            .args(["report", path.to_str().unwrap(), "--spans"])
+            .output()
+            .unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let stdout = spans(line(1, 5, 0) + &line(2, 7, 5) + &line(3, 5, 7));
     assert!(stdout.contains("spans:\ns5 [apply] 1..3"), "{stdout}");
     assert_eq!(stdout.matches(" [apply] ").count(), 3, "{stdout}");
+    // A span that is its own parent: no root reaches it (it printed
+    // `no spans recorded`).
+    let stdout = spans(line(1, 5, 5));
+    assert!(
+        stdout.ends_with("spans:\ns5 [apply] 1..1 (+0 steps)\n"),
+        "{stdout}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

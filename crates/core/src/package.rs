@@ -17,7 +17,7 @@
 
 use std::collections::BTreeSet;
 
-use ksplice_object::{Object, ObjectSet, SectionKind, SymKind, Symbol};
+use ksplice_object::{Object, ObjectSet, ParseError, Reader, SectionKind, SymKind, Symbol, Writer};
 
 use crate::differ::{BuildDiff, UnitDiff};
 
@@ -68,61 +68,53 @@ impl UpdatePack {
 impl UpdatePack {
     const MAGIC: &'static [u8; 4] = b"KUPD";
 
-    /// Serializes the pack to its on-disk representation.
+    /// Serializes the pack to its on-disk representation: the magic,
+    /// then the id, each unit's name, helper and primary objects and
+    /// replaced `(section, function)` pairs, all as [`Writer::blob`]s
+    /// behind `u32` counts.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(Self::MAGIC);
-        write_str(&mut out, &self.id);
-        out.extend_from_slice(&(self.units.len() as u32).to_le_bytes());
+        let mut w = Writer::default();
+        w.bytes(Self::MAGIC);
+        w.blob(self.id.as_bytes());
+        w.u32(self.units.len() as u32);
         for u in &self.units {
-            write_str(&mut out, &u.unit);
-            write_blob(&mut out, &u.helper.to_bytes());
-            write_blob(&mut out, &u.primary.to_bytes());
-            out.extend_from_slice(&(u.replaced_fns.len() as u32).to_le_bytes());
+            w.blob(u.unit.as_bytes());
+            w.blob(&u.helper.to_bytes());
+            w.blob(&u.primary.to_bytes());
+            w.u32(u.replaced_fns.len() as u32);
             for (sec, f) in &u.replaced_fns {
-                write_str(&mut out, sec);
-                write_str(&mut out, f);
+                w.blob(sec.as_bytes());
+                w.blob(f.as_bytes());
             }
         }
-        out
+        w.into_bytes()
     }
 
     /// Parses a pack written by [`UpdatePack::to_bytes`].
     pub fn parse(bytes: &[u8]) -> Result<UpdatePack, String> {
-        let mut at = 0usize;
-        let take = |at: &mut usize, n: usize| -> Result<&[u8], String> {
-            let s = bytes
-                .get(*at..*at + n)
-                .ok_or_else(|| "truncated update pack".to_string())?;
-            *at += n;
-            Ok(s)
+        // The pack's own framing running short is a truncated pack; an
+        // object inside it reports its own errors.
+        let frame = |e: ParseError| match e {
+            ParseError::Truncated => "truncated update pack".to_string(),
+            e => e.to_string(),
         };
-        if take(&mut at, 4)? != Self::MAGIC {
+        let object = |b: &[u8]| Object::parse(b).map_err(|e| e.to_string());
+        let mut r = Reader::new(bytes);
+        if r.take(4).map_err(frame)? != Self::MAGIC {
             return Err("not a ksplice update pack".to_string());
         }
-        let read_u32 = |at: &mut usize| -> Result<u32, String> {
-            Ok(u32::from_le_bytes(take(at, 4)?.try_into().unwrap()))
-        };
-        let read_str = |at: &mut usize| -> Result<String, String> {
-            let n = read_u32(at)? as usize;
-            String::from_utf8(take(at, n)?.to_vec()).map_err(|e| e.to_string())
-        };
-        let read_blob = |at: &mut usize| -> Result<Vec<u8>, String> {
-            let n = read_u32(at)? as usize;
-            Ok(take(at, n)?.to_vec())
-        };
-        let id = read_str(&mut at)?;
-        let nunits = read_u32(&mut at)?;
+        let id = r.str().map_err(frame)?.to_string();
+        let nunits = r.u32().map_err(frame)?;
         let mut units = Vec::new();
         for _ in 0..nunits {
-            let unit = read_str(&mut at)?;
-            let helper = Object::parse(&read_blob(&mut at)?).map_err(|e| e.to_string())?;
-            let primary = Object::parse(&read_blob(&mut at)?).map_err(|e| e.to_string())?;
-            let nfns = read_u32(&mut at)?;
+            let unit = r.str().map_err(frame)?.to_string();
+            let helper = object(r.blob().map_err(frame)?)?;
+            let primary = object(r.blob().map_err(frame)?)?;
+            let nfns = r.u32().map_err(frame)?;
             let mut replaced_fns = Vec::new();
             for _ in 0..nfns {
-                let sec = read_str(&mut at)?;
-                let f = read_str(&mut at)?;
+                let sec = r.str().map_err(frame)?.to_string();
+                let f = r.str().map_err(frame)?.to_string();
                 replaced_fns.push((sec, f));
             }
             units.push(UnitPack {
@@ -132,7 +124,7 @@ impl UpdatePack {
                 replaced_fns,
             });
         }
-        if at != bytes.len() {
+        if r.remaining() != 0 {
             return Err("trailing bytes in update pack".to_string());
         }
         Ok(UpdatePack {
@@ -141,16 +133,6 @@ impl UpdatePack {
             diff: BuildDiff::default(),
         })
     }
-}
-
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn write_blob(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
 }
 
 /// Builds the per-unit packs from a diff plus the two builds.

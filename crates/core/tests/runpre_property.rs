@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use ksplice_asm::{decode_len, nop_run_len, pcrel_operand};
+use ksplice_asm::{decode, nop_len_at, Instr};
 use ksplice_core::{match_unit, FnMatch, MatchError, UnitMatch};
 use ksplice_kernel::Kernel;
 use ksplice_lang::{build_tree, Options, SourceTree};
@@ -92,16 +92,24 @@ fn short_branches(kernel: &Kernel, f: &FnMatch) -> Vec<(u64, u64)> {
     let mut out = Vec::new();
     let mut at = 0;
     while at < code.len() {
-        let len = decode_len(&code[at..]).unwrap();
-        if let Some(op) = pcrel_operand(&code[at..]).unwrap() {
-            if op.field_width == 1 {
-                let field = f.run_addr + (at + op.field_offset) as u64;
-                out.push((field, f.run_addr + (at + len) as u64));
-            }
+        let (instr, len) = decode(&code[at..]).unwrap();
+        if matches!(instr, Instr::Jmp8(_) | Instr::Jcc8(..)) {
+            // The rel8 field follows the opcode byte.
+            let field = f.run_addr + (at + 1) as u64;
+            out.push((field, f.run_addr + (at + len) as u64));
         }
         at += len;
     }
     out
+}
+
+/// True if `code` is canonical no-ops back to back, end to end.
+fn all_nops(code: &[u8]) -> bool {
+    let mut at = 0;
+    while let Some(len) = nop_len_at(code, at) {
+        at += len;
+    }
+    at == code.len()
 }
 
 /// Matches with `addr` holding `byte`, then restores the original.
@@ -195,8 +203,7 @@ fn tampering_never_panics() {
                         Ok(m) => {
                             let gap = old_target.wrapping_sub(target);
                             let into_padding = target < old_target
-                                && nop_run_len(kernel.mem.peek(target, gap).unwrap(), 0) as u64
-                                    == gap;
+                                && all_nops(kernel.mem.peek(target, gap).unwrap());
                             assert!(
                                 into_padding,
                                 "seed {seed} field {field:#x} rel {rel:#04x}: accepted a moved branch"

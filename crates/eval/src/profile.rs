@@ -19,7 +19,7 @@
 
 use std::collections::BTreeSet;
 
-use ksplice_core::trace::{Severity, Stage, Tracer};
+use ksplice_core::trace::{Severity, Stage, Tracer, Value};
 use ksplice_core::{ApplyError, ApplyOptions, Ksplice, RetryPolicy, TRAMPOLINE_LEN};
 use ksplice_kernel::{
     collapsed_stacks, hot_functions, quiescence_risk, Fault, HotFunc, Kernel, QuiesceRisk,
@@ -67,6 +67,8 @@ impl Default for ProfileConfig {
 pub struct ProfilePhase {
     /// Samples recorded in this phase.
     pub samples: usize,
+    /// Sampler fires lost to [`ProfileConfig::max_samples`].
+    pub dropped: u64,
     /// Hot-function table, hottest first.
     pub hot: Vec<HotFunc>,
     /// Collapsed-stack lines (`root;...;leaf count`), flamegraph-ready.
@@ -98,7 +100,11 @@ pub struct ProfileReport {
 impl ProfileReport {
     /// Renders a hot-function table for one phase.
     fn render_phase(out: &mut String, title: &str, phase: &ProfilePhase) {
-        out.push_str(&format!("{title} ({} samples)\n", phase.samples));
+        out.push_str(&format!("{title} ({} samples", phase.samples));
+        if phase.dropped > 0 {
+            out.push_str(&format!(", {} dropped over the cap", phase.dropped));
+        }
+        out.push_str(")\n");
         out.push_str(&format!(
             "  {:<24} {:<6} {:>6} {:>9}\n",
             "FUNCTION", "WHERE", "SELF", "ON-STACK"
@@ -143,68 +149,62 @@ impl ProfileReport {
         out
     }
 
-    /// The report as a JSON object (used by `profile --json`).
+    /// The report as a JSON object (used by `profile --json`). A
+    /// phase's `dropped` count is written only when nonzero.
     pub fn to_json(&self) -> String {
-        use ksplice_core::trace::json_escape;
         let phase = |p: &ProfilePhase| {
-            let hot: Vec<String> = p
-                .hot
-                .iter()
-                .map(|h| {
-                    format!(
-                        "{{\"function\":{},\"unit\":{},\"where\":\"{}\",\"self\":{},\"on_stack\":{}}}",
-                        json_escape(&h.function),
-                        json_escape(&h.unit),
-                        h.residency.label(),
-                        h.self_samples,
-                        h.on_stack_samples
-                    )
-                })
-                .collect();
-            format!("{{\"samples\":{},\"hot\":[{}]}}", p.samples, hot.join(","))
+            let hot = p.hot.iter().map(|h| {
+                Value::object([
+                    ("function", h.function.as_str().into()),
+                    ("unit", h.unit.as_str().into()),
+                    ("where", h.residency.label().into()),
+                    ("self", h.self_samples.into()),
+                    ("on_stack", h.on_stack_samples.into()),
+                ])
+            });
+            let mut entries = vec![("samples", p.samples.into())];
+            if p.dropped > 0 {
+                entries.push(("dropped", p.dropped.into()));
+            }
+            entries.push(("hot", Value::Array(hot.collect())));
+            Value::object(entries)
         };
-        let migrated: Vec<String> = self
-            .migrated
-            .iter()
-            .map(|m| json_escape(m))
-            .collect();
-        let risk: Vec<String> = self
-            .risk
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"function\":{},\"on_stack\":{},\"samples\":{}}}",
-                    json_escape(&r.function),
-                    r.on_stack,
-                    r.samples
-                )
-            })
-            .collect();
-        format!(
-            "{{\"id\":{},\"interval\":{},\"attempts\":{},\"pre\":{},\"post\":{},\"migrated\":[{}],\"risk\":[{}]}}",
-            json_escape(&self.id),
-            self.interval,
-            self.attempts,
-            phase(&self.pre),
-            phase(&self.post),
-            migrated.join(","),
-            risk.join(",")
-        )
+        let risk = self.risk.iter().map(|r| {
+            Value::object([
+                ("function", r.function.as_str().into()),
+                ("on_stack", r.on_stack.into()),
+                ("samples", r.samples.into()),
+            ])
+        });
+        Value::object([
+            ("id", self.id.as_str().into()),
+            ("interval", self.interval.into()),
+            ("attempts", self.attempts.into()),
+            ("pre", phase(&self.pre)),
+            ("post", phase(&self.post)),
+            (
+                "migrated",
+                Value::Array(self.migrated.iter().map(|m| m.as_str().into()).collect()),
+            ),
+            ("risk", Value::Array(risk.collect())),
+        ])
+        .to_json()
     }
 }
 
 /// Samples one stress phase: arms the profiler, runs the workload
-/// synchronously, and returns the recorded samples.
+/// synchronously, and returns the recorded samples and the dropped
+/// count.
 fn sample_phase(
     kernel: &mut Kernel,
     entry: u64,
     cfg: &ProfileConfig,
-) -> Result<Vec<Sample>, String> {
+) -> Result<(Vec<Sample>, u64), String> {
     kernel.start_sampling(cfg.interval, cfg.max_samples);
     let run = run_stress(kernel, entry, cfg.rounds);
-    let samples = kernel.stop_sampling();
+    let sampled = kernel.stop_sampling();
     run?;
-    Ok(samples)
+    Ok(sampled)
 }
 
 /// Profiles one CVE's update end to end: sample the stress workload on
@@ -229,7 +229,7 @@ pub fn run_profile(
     );
 
     // Phase 1: the unpatched kernel under the workload.
-    let pre_samples = sample_phase(&mut kernel, entry, cfg)?;
+    let (pre_samples, pre_dropped) = sample_phase(&mut kernel, entry, cfg)?;
     tracer.set_now(kernel.steps);
     tracer.count("profile.samples_recorded", pre_samples.len() as u64);
     let pre_hot = hot_functions(&kernel, &pre_samples, &[]);
@@ -267,7 +267,7 @@ pub fn run_profile(
         .unwrap_or_default();
 
     // Phase 2: the patched kernel under the same workload.
-    let post_samples = sample_phase(&mut kernel, entry, cfg)?;
+    let (post_samples, post_dropped) = sample_phase(&mut kernel, entry, cfg)?;
     tracer.set_now(kernel.steps);
     tracer.count("profile.samples_recorded", post_samples.len() as u64);
     let post_hot = hot_functions(&kernel, &post_samples, &trampolines);
@@ -308,11 +308,13 @@ pub fn run_profile(
         interval: cfg.interval,
         pre: ProfilePhase {
             samples: pre_samples.len(),
+            dropped: pre_dropped,
             hot: pre_hot,
             folded: pre_folded,
         },
         post: ProfilePhase {
             samples: post_samples.len(),
+            dropped: post_dropped,
             hot: post_hot,
             folded: post_folded,
         },
@@ -436,7 +438,7 @@ pub fn quiescence_correlation(
     // Side 1: the profiler's ranking, from a synchronous sampled run.
     let mut kernel = Kernel::boot_image(&image).map_err(|e| format!("boot: {e}"))?;
     let entry = load_stress(&mut kernel, &cache)?;
-    let samples = sample_phase(&mut kernel, entry, cfg)?;
+    let (samples, _) = sample_phase(&mut kernel, entry, cfg)?;
     let mut cases = Vec::new();
     let mut targets = Vec::new();
     for id in QUIESCE_TARGET_CVES {
@@ -547,6 +549,73 @@ pub fn quiescence_correlation(
 mod tests {
     use super::*;
 
+    /// A report whose strings hold a quote, a backslash, control
+    /// characters and non-ASCII text, in every place a string goes.
+    fn hand_built_report() -> ProfileReport {
+        let hot = |function: &str, unit: &str, residency, self_samples, on_stack_samples| HotFunc {
+            function: function.to_string(),
+            unit: unit.to_string(),
+            residency,
+            self_samples,
+            on_stack_samples,
+        };
+        let risk = |function: &str, on_stack| QuiesceRisk {
+            function: function.to_string(),
+            on_stack,
+            samples: 120,
+        };
+        ProfileReport {
+            id: "CVE-\"quoted\" \\ naïve".to_string(),
+            interval: 97,
+            pre: ProfilePhase {
+                samples: 120,
+                dropped: 0,
+                hot: vec![
+                    hot("sys_open", "fs/open.kc", Residency::Original, 40, 90),
+                    hot("tab\tfn\u{1}", "ünït\n.kc", Residency::Native, 0, 3),
+                    hot("?", "?", Residency::Unknown, 1, 1),
+                ],
+                folded: String::new(),
+            },
+            post: ProfilePhase {
+                samples: 7,
+                dropped: 0,
+                hot: vec![
+                    hot(
+                        "sys_open",
+                        "ksplice_1_primary_fs/open.kc",
+                        Residency::PatchArena,
+                        5,
+                        7,
+                    ),
+                    hot("sys_open", "fs/open.kc", Residency::Trampoline, 2, 2),
+                ],
+                folded: String::new(),
+            },
+            migrated: vec!["sys_open".to_string(), "€ \"x\" \\ \r\u{1f}".to_string()],
+            attempts: 2,
+            risk: vec![risk("sys_open", 90), risk("del\u{7f} \"é\"", 0)],
+        }
+    }
+
+    #[test]
+    fn to_json_of_a_hand_built_report_is_pinned() {
+        assert_eq!(
+            hand_built_report().to_json(),
+            concat!(
+                "{\"id\":\"CVE-\\\"quoted\\\" \\\\ naïve\",\"interval\":97,\"attempts\":2",
+                ",\"pre\":{\"samples\":120,\"hot\":[{\"function\":\"sys_open\",\"unit\":\"fs/open.kc\",\"where\":\"orig\",\"self\":40,\"on_stack\":90}",
+                ",{\"function\":\"tab\\tfn\\u0001\",\"unit\":\"ünït\\n.kc\",\"where\":\"native\",\"self\":0,\"on_stack\":3}",
+                ",{\"function\":\"?\",\"unit\":\"?\",\"where\":\"?\",\"self\":1,\"on_stack\":1}]}",
+                ",\"post\":{\"samples\":7,\"hot\":[{\"function\":\"sys_open\",\"unit\":\"ksplice_1_primary_fs/open.kc\",\"where\":\"arena\",\"self\":5,\"on_stack\":7}",
+                ",{\"function\":\"sys_open\",\"unit\":\"fs/open.kc\",\"where\":\"tramp\",\"self\":2,\"on_stack\":2}]}",
+                ",\"migrated\":[\"sys_open\",\"€ \\\"x\\\" \\\\ \\r\\u001f\"]",
+                ",\"risk\":[{\"function\":\"sys_open\",\"on_stack\":90,\"samples\":120}",
+                ",{\"function\":\"del\u{7f} \\\"é\\\"\",\"on_stack\":0,\"samples\":120}]}",
+            )
+        );
+    }
+
     #[test]
     fn profile_shows_hot_path_migrating_into_arena() {
         let cfg = ProfileConfig {
@@ -579,6 +648,25 @@ mod tests {
     }
 
     #[test]
+    fn a_phase_cut_short_by_the_sample_cap_reports_what_it_dropped() {
+        let cfg = ProfileConfig {
+            max_samples: 10,
+            rounds: 2,
+            ..ProfileConfig::default()
+        };
+        let report = run_profile("CVE-2005-1263", &cfg, &mut Tracer::disabled()).unwrap();
+        let dropped = report.pre.dropped;
+        assert_eq!(report.pre.samples, 10);
+        assert!(dropped > 0);
+        let text = report.render();
+        let line = format!("pre-apply (10 samples, {dropped} dropped over the cap)\n");
+        assert!(text.contains(&line), "{text}");
+        let json = report.to_json();
+        let phase = format!("\"pre\":{{\"samples\":10,\"dropped\":{dropped},\"hot\":[");
+        assert!(json.contains(&phase), "{json}");
+    }
+
+    #[test]
     fn profile_is_deterministic() {
         let cfg = ProfileConfig {
             rounds: 10,
@@ -590,14 +678,11 @@ mod tests {
         assert_eq!(a.to_json(), b.to_json());
         // The JSON report parses back through the crate's own parser.
         let doc = ksplice_core::trace::parse_json_object(&a.to_json()).unwrap();
-        assert_eq!(
-            doc.get("id").and_then(ksplice_core::trace::JsonValue::as_str),
-            Some("CVE-2006-1863")
-        );
+        assert_eq!(doc.get("id").and_then(Value::as_str), Some("CVE-2006-1863"));
         assert!(doc
             .get("pre")
             .and_then(|p| p.get("samples"))
-            .and_then(ksplice_core::trace::JsonValue::as_u64)
+            .and_then(Value::as_u64)
             .is_some());
     }
 }

@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use ksplice_asm::{decode_len, pcrel_operand};
+use ksplice_asm::{decode, Instr};
 use ksplice_core::{
     create_update_cached, match_unit_traced, BuildCache, CreateOptions, MatchError, Tracer,
     UnitMatch,
@@ -120,11 +120,10 @@ fn short_branch_fields(kernel: &Kernel, m: &UnitMatch) -> Vec<u64> {
     for f in m.fn_addrs.values() {
         let code = kernel.mem.peek(f.run_addr, f.run_len).unwrap();
         let mut at = 0;
-        while let Ok(len) = decode_len(&code[at..]) {
-            if let Ok(Some(op)) = pcrel_operand(&code[at..]) {
-                if op.field_width == 1 {
-                    out.push(f.run_addr + (at + op.field_offset) as u64);
-                }
+        while let Ok((instr, len)) = decode(&code[at..]) {
+            if matches!(instr, Instr::Jmp8(_) | Instr::Jcc8(..)) {
+                // The rel8 field follows the opcode byte.
+                out.push(f.run_addr + (at + 1) as u64);
             }
             at += len;
             if at >= code.len() {

@@ -226,6 +226,21 @@ impl Contact {
     }
 }
 
+/// The committed, quarantined and failed members among `ids`, by their
+/// deliver contact; a member not yet terminal counts in none.
+fn tally(members: &[Member], ids: &[NodeId]) -> (usize, usize, usize) {
+    let (mut committed, mut quarantined, mut failed) = (0, 0, 0);
+    for &id in ids {
+        match &members[id as usize].deliver {
+            c if c.committed() => committed += 1,
+            Contact::Done(Verdict::Quarantined { .. }) => quarantined += 1,
+            Contact::Done(_) => failed += 1,
+            Contact::Pending | Contact::InFlight { .. } => {}
+        }
+    }
+    (committed, quarantined, failed)
+}
+
 /// Orchestrator-side record for one node.
 #[derive(Debug, Clone)]
 struct Member {
@@ -574,15 +589,7 @@ impl RolloutOrchestrator {
                 {
                     return;
                 }
-                let (mut committed, mut quarantined, mut failed) = (0usize, 0usize, 0usize);
-                for &id in &members {
-                    match &self.members[id as usize].deliver {
-                        c if c.committed() => committed += 1,
-                        Contact::Done(Verdict::Quarantined { .. }) => quarantined += 1,
-                        Contact::Done(_) => failed += 1,
-                        _ => unreachable!("gate requires terminal members"),
-                    }
-                }
+                let (committed, quarantined, failed) = tally(&self.members, &members);
                 self.rows[w].gated_tick = Some(self.now);
                 let per_mille = ((quarantined + failed) * 1000 / members.len()) as u32;
                 tracer.emit(
@@ -671,22 +678,12 @@ impl RolloutOrchestrator {
         tracer: &mut Tracer,
     ) -> RolloutReport {
         for row in &mut self.rows {
-            let (mut committed, mut quarantined, mut failed, mut resends) = (0, 0, 0, 0u64);
-            for &id in &self.waves[row.wave] {
-                let m = &self.members[id as usize];
-                resends += m.resends;
-                match &m.deliver {
-                    c if c.committed() => committed += 1,
-                    Contact::Done(Verdict::Quarantined { .. }) => quarantined += 1,
-                    Contact::Done(Verdict::RolledBack { .. }) => {}
-                    Contact::Done(_) => failed += 1,
-                    _ => {}
-                }
-            }
-            row.committed = committed;
-            row.quarantined = quarantined;
-            row.failed = failed;
-            row.resends = resends;
+            let wave = &self.waves[row.wave];
+            (row.committed, row.quarantined, row.failed) = tally(&self.members, wave);
+            row.resends = wave
+                .iter()
+                .map(|&id| self.members[id as usize].resends)
+                .sum();
         }
         let uncontacted = self
             .members

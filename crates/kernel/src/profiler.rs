@@ -162,21 +162,6 @@ impl Profiler {
             self.dropped += 1;
         }
     }
-
-    /// The configured sampling interval in steps.
-    pub fn interval(&self) -> u64 {
-        self.interval
-    }
-
-    /// Samples recorded so far.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
-    }
-
-    /// Fires lost to the `max_samples` cap.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
 }
 
 impl Kernel {
@@ -187,17 +172,13 @@ impl Kernel {
         self.profiler = Some(Profiler::new(interval, max_samples));
     }
 
-    /// Disarms the sampler and returns the collected samples.
-    pub fn stop_sampling(&mut self) -> Vec<Sample> {
+    /// Disarms the sampler and returns the collected samples and the
+    /// number of fires lost to the `max_samples` cap.
+    pub fn stop_sampling(&mut self) -> (Vec<Sample>, u64) {
         self.profiler
             .take()
-            .map(|p| p.samples)
+            .map(|p| (p.samples, p.dropped))
             .unwrap_or_default()
-    }
-
-    /// True while the sampler is armed.
-    pub fn is_sampling(&self) -> bool {
-        self.profiler.is_some()
     }
 
     /// Records one sample for `tid` (called from the step loop).
@@ -416,7 +397,7 @@ mod tests {
             let mut k = Kernel::boot(&spin_tree(), &Options::distro()).unwrap();
             k.start_sampling(97, 10_000);
             k.call_function("spin_main", &[50]).unwrap();
-            k.stop_sampling()
+            k.stop_sampling().0
         };
         let a = run();
         let b = run();
@@ -439,16 +420,17 @@ mod tests {
     fn sampler_respects_cap_and_interval() {
         let mut k = Kernel::boot(&spin_tree(), &Options::distro()).unwrap();
         k.start_sampling(10, 5);
+        let start = k.steps;
         k.call_function("spin_main", &[50]).unwrap();
-        let p = k.profiler.as_ref().unwrap();
-        assert_eq!(p.samples().len(), 5);
-        assert!(p.dropped() > 0);
-        assert_eq!(p.interval(), 10);
-        let samples = k.stop_sampling();
-        assert!(!k.is_sampling());
+        let fired = (k.steps - start) / 10;
+        let (samples, dropped) = k.stop_sampling();
+        assert!(k.profiler.is_none());
         assert_eq!(samples.len(), 5);
-        // Sample timestamps advance with the step clock.
-        assert!(samples.windows(2).all(|w| w[0].steps < w[1].steps));
+        assert!(dropped > 0);
+        assert_eq!(samples.len() as u64 + dropped, fired);
+        // Sample timestamps advance with the step clock, one interval
+        // apart.
+        assert!(samples.windows(2).all(|w| w[1].steps - w[0].steps == 10));
     }
 
     #[test]
@@ -456,7 +438,7 @@ mod tests {
         let mut k = Kernel::boot(&spin_tree(), &Options::distro()).unwrap();
         k.start_sampling(31, 100_000);
         k.call_function("spin_main", &[80]).unwrap();
-        let samples = k.stop_sampling();
+        let (samples, _) = k.stop_sampling();
         let range = |name: &str| {
             let s = k.syms.lookup_global(name).unwrap();
             (name.to_string(), s.addr, s.size.max(1))
@@ -488,7 +470,7 @@ mod tests {
         let mut k = Kernel::boot(&spin_tree(), &Options::distro()).unwrap();
         k.start_sampling(53, 10_000);
         k.call_function("spin_main", &[30]).unwrap();
-        let samples = k.stop_sampling();
+        let (samples, _) = k.stop_sampling();
         let folded = collapsed_stacks(&k, &samples, &[]);
         // `middle` is inlined in distro mode, so the dominant stack is
         // spin_main calling (inlined middle →) leaf, root-first.

@@ -9,7 +9,8 @@
 //! The string table is a length-prefixed pool; names elsewhere in the file
 //! are `u32` byte offsets into it, exactly like ELF's `.strtab`/`st_name`
 //! scheme. The reader validates every offset, count and enum tag, so
-//! parsing untrusted bytes can fail but never panic.
+//! parsing untrusted bytes can fail but never panic. [`Writer`] and
+//! [`Reader`] frame the bytes; KUPD update packs are framed by them too.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -37,6 +38,8 @@ pub enum ParseError {
     BadTag(&'static str, u8),
     /// Trailing bytes after the object body.
     TrailingBytes(usize),
+    /// A blob read as text ([`Reader::str`]) is not UTF-8.
+    Utf8(std::str::Utf8Error),
 }
 
 impl fmt::Display for ParseError {
@@ -49,16 +52,18 @@ impl fmt::Display for ParseError {
             ParseError::BadUtf8(o) => write!(f, "invalid UTF-8 in string table at {o}"),
             ParseError::BadTag(what, b) => write!(f, "invalid {what} tag {b:#04x}"),
             ParseError::TrailingBytes(n) => write!(f, "{n} trailing bytes after object body"),
+            ParseError::Utf8(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for ParseError {}
 
-/// Write-side string pool with deduplication.
+/// Write-side string pool with deduplication: each string is a blob at
+/// the offset names refer to it by.
 #[derive(Default)]
 struct StrTab {
-    bytes: Vec<u8>,
+    pool: Writer,
     index: HashMap<String, u32>,
 }
 
@@ -67,79 +72,101 @@ impl StrTab {
         if let Some(&off) = self.index.get(s) {
             return off;
         }
-        let off = self.bytes.len() as u32;
-        self.bytes
-            .extend_from_slice(&(s.len() as u32).to_le_bytes());
-        self.bytes.extend_from_slice(s.as_bytes());
+        let off = self.pool.out.len() as u32;
+        self.pool.blob(s.as_bytes());
         self.index.insert(s.to_string(), off);
         off
     }
 }
 
-struct Writer {
+/// The byte framing of KELF objects and of the KUPD update packs that
+/// carry them: integers little-endian, and a blob as its length (a
+/// `u32`) followed by its bytes.
+#[derive(Default)]
+pub struct Writer {
     out: Vec<u8>,
 }
 
 impl Writer {
-    fn u8(&mut self, v: u8) {
+    /// The bytes written so far.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.out
+    }
+    pub fn u8(&mut self, v: u8) {
         self.out.push(v);
     }
-    fn u16(&mut self, v: u16) {
+    pub fn u16(&mut self, v: u16) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
-    fn u32(&mut self, v: u32) {
+    pub fn u32(&mut self, v: u32) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
-    fn u64(&mut self, v: u64) {
+    pub fn u64(&mut self, v: u64) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
-    fn i64(&mut self, v: i64) {
+    pub fn i64(&mut self, v: i64) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
-    fn bytes(&mut self, b: &[u8]) {
+    /// Writes `b` with no length.
+    pub fn bytes(&mut self, b: &[u8]) {
         self.out.extend_from_slice(b);
+    }
+    /// Writes `b` as a blob, which [`Reader::blob`] reads.
+    pub fn blob(&mut self, b: &[u8]) {
+        self.u32(b.len() as u32);
+        self.bytes(b);
     }
 }
 
-struct Reader<'a> {
+/// The reader of what [`Writer`] writes. Every read checks its length
+/// against the input, so untrusted bytes yield an error, never a panic.
+pub struct Reader<'a> {
     data: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(data: &'a [u8]) -> Reader<'a> {
+    /// A reader at the start of `data`.
+    pub fn new(data: &'a [u8]) -> Reader<'a> {
         Reader { data, pos: 0 }
     }
 
-    fn remaining(&self) -> usize {
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ParseError> {
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], ParseError> {
         let end = self.pos.checked_add(n).ok_or(ParseError::Truncated)?;
         let s = self.data.get(self.pos..end).ok_or(ParseError::Truncated)?;
         self.pos = end;
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, ParseError> {
+    pub fn u8(&mut self) -> Result<u8, ParseError> {
         Ok(self.take(1)?[0])
     }
-    fn u16(&mut self) -> Result<u16, ParseError> {
+    pub fn u16(&mut self) -> Result<u16, ParseError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
-    fn u32(&mut self) -> Result<u32, ParseError> {
+    pub fn u32(&mut self) -> Result<u32, ParseError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
-    fn u64(&mut self) -> Result<u64, ParseError> {
+    pub fn u64(&mut self) -> Result<u64, ParseError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn i64(&mut self) -> Result<i64, ParseError> {
+    pub fn i64(&mut self) -> Result<i64, ParseError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn blob(&mut self) -> Result<&'a [u8], ParseError> {
+    /// Reads a blob written by [`Writer::blob`].
+    pub fn blob(&mut self) -> Result<&'a [u8], ParseError> {
         let len = self.u32()? as usize;
         self.take(len)
+    }
+    /// Reads a blob that must be UTF-8 text.
+    pub fn str(&mut self) -> Result<&'a str, ParseError> {
+        std::str::from_utf8(self.blob()?).map_err(ParseError::Utf8)
     }
 }
 
@@ -149,16 +176,12 @@ struct Strings<'a> {
 }
 
 impl<'a> Strings<'a> {
+    /// The blob at byte offset `off` of the pool, as text.
     fn get(&self, off: u32) -> Result<String, ParseError> {
-        let at = off as usize;
-        let len_bytes = self
-            .pool
-            .get(at..at + 4)
-            .ok_or(ParseError::BadStringOffset(off))?;
-        let len = u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize;
         let body = self
             .pool
-            .get(at + 4..at + 4 + len)
+            .get(off as usize..)
+            .and_then(|entry| Reader::new(entry).blob().ok())
             .ok_or(ParseError::BadStringOffset(off))?;
         String::from_utf8(body.to_vec()).map_err(|_| ParseError::BadUtf8(off))
     }
@@ -181,11 +204,10 @@ impl Object {
             .map(|s| strtab.intern(&s.name))
             .collect();
 
-        let mut w = Writer { out: Vec::new() };
+        let mut w = Writer::default();
         w.bytes(MAGIC);
         w.u16(VERSION);
-        w.u32(strtab.bytes.len() as u32);
-        w.bytes(&strtab.bytes);
+        w.blob(&strtab.pool.out);
         w.u32(name_off);
         w.u32(self.sections.len() as u32);
         for (sec, &n) in self.sections.iter().zip(&sec_names) {
@@ -198,8 +220,7 @@ impl Object {
             w.u8(sec.flags.to_byte());
             w.u32(sec.align);
             w.u64(sec.size);
-            w.u32(sec.data.len() as u32);
-            w.bytes(&sec.data);
+            w.blob(&sec.data);
             w.u32(sec.relocs.len() as u32);
             for r in &sec.relocs {
                 w.u64(r.offset);
@@ -231,7 +252,7 @@ impl Object {
                 }
             }
         }
-        w.out
+        w.into_bytes()
     }
 
     /// Parses an object from its binary file representation.
@@ -252,10 +273,7 @@ impl Object {
         if version != VERSION {
             return Err(ParseError::BadVersion(version));
         }
-        let pool_len = r.u32()? as usize;
-        let strings = Strings {
-            pool: r.take(pool_len)?,
-        };
+        let strings = Strings { pool: r.blob()? };
         let name = strings.get(r.u32()?)?;
         let nsections = r.u32()?;
         let mut sections = Vec::with_capacity(nsections.min(1 << 16) as usize);

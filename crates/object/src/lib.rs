@@ -11,7 +11,9 @@
 //! The crate provides:
 //!
 //! * the in-memory model ([`Object`], [`Section`], [`Symbol`], [`Reloc`]),
-//! * a binary writer/reader ([`Object::to_bytes`], [`Object::parse`]),
+//! * a binary writer/reader ([`Object::to_bytes`], [`Object::parse`])
+//!   and the byte framing under it ([`Writer`], [`Reader`]), which
+//!   update packs share,
 //! * relocation arithmetic shared by the module loader and run-pre
 //!   matching ([`reloc`]), and
 //! * [`ObjectSet`], the archive a full kernel build produces (one
@@ -35,7 +37,7 @@ mod model;
 pub mod reloc;
 
 pub use archive::ObjectSet;
-pub use io::ParseError;
+pub use io::{ParseError, Reader, Writer};
 pub use model::{
     Binding, Object, Reloc, RelocKind, Section, SectionFlags, SectionKind, SymKind, Symbol,
     SymbolDef, ValidateError,

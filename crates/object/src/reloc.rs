@@ -1,15 +1,16 @@
 //! Relocation arithmetic.
 //!
 //! Three parties share these rules: the module loader (applying
-//! relocations when code is linked into the kernel), `ksplice-create`
-//! (leaving them *unapplied* in the pre/post objects), and run-pre
-//! matching, which runs the arithmetic **backwards** to recover a symbol's
-//! address from already-relocated run bytes: `S = val + P_run − A` for
-//! PC-relative fields (paper §4.3, Figure 2).
+//! relocations when code is linked into the kernel, through
+//! [`stored_value`]), `ksplice-create` (leaving them *unapplied* in the
+//! pre/post objects), and run-pre matching, which runs the arithmetic
+//! **backwards** to recover a symbol's address from already-relocated
+//! run bytes: `S = val + P_run − A` for PC-relative fields (paper §4.3,
+//! Figure 2).
 
 use crate::model::RelocKind;
 
-/// Errors applying or reading a relocation field.
+/// Errors computing or reading a relocation field.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RelocError {
     /// The field lies outside the section data.
@@ -63,29 +64,6 @@ pub fn stored_value(kind: RelocKind, s: u64, a: i64, p: u64) -> Result<u64, Relo
     }
 }
 
-/// Patches the relocation field at `offset` within `data`.
-///
-/// `section_addr` is the absolute load address of the section, so the
-/// field's own address is `section_addr + offset`.
-pub fn apply(
-    kind: RelocKind,
-    data: &mut [u8],
-    offset: u64,
-    section_addr: u64,
-    s: u64,
-    a: i64,
-) -> Result<(), RelocError> {
-    let p = section_addr.wrapping_add(offset);
-    let value = stored_value(kind, s, a, p)?;
-    let w = kind.width();
-    let len = data.len();
-    let field = data
-        .get_mut(offset as usize..offset as usize + w)
-        .ok_or(RelocError::OutOfBounds { offset, len })?;
-    field.copy_from_slice(&value.to_le_bytes()[..w]);
-    Ok(())
-}
-
 /// Reads the raw value of a relocation field.
 pub fn read_field(kind: RelocKind, data: &[u8], offset: u64) -> Result<u64, RelocError> {
     let w = kind.width();
@@ -134,11 +112,20 @@ mod tests {
         assert_eq!(s, 0xf011_1107);
     }
 
+    /// `data` with the field at `offset` holding `stored_value`'s
+    /// result, as the loader writes it.
+    fn relocated(kind: RelocKind, len: usize, offset: u64, p: u64, s: u64, a: i64) -> Vec<u8> {
+        let value = stored_value(kind, s, a, p).unwrap();
+        let mut data = vec![0u8; len];
+        let at = offset as usize;
+        data[at..at + kind.width()].copy_from_slice(&value.to_le_bytes()[..kind.width()]);
+        data
+    }
+
     #[test]
-    fn apply_then_recover_pcrel() {
-        let mut data = vec![0u8; 16];
+    fn store_then_recover_pcrel() {
         let (s, a, base, off) = (0x4000_1234u64, -4i64, 0x4100_0000u64, 8u64);
-        apply(RelocKind::Pcrel32, &mut data, off, base, s, a).unwrap();
+        let data = relocated(RelocKind::Pcrel32, 16, off, base + off, s, a);
         let val = read_field(RelocKind::Pcrel32, &data, off).unwrap();
         assert_eq!(
             recover_symbol_value(RelocKind::Pcrel32, val, base + off, a),
@@ -147,42 +134,38 @@ mod tests {
     }
 
     #[test]
-    fn apply_then_recover_abs64() {
-        let mut data = vec![0u8; 16];
+    fn store_then_recover_abs64() {
         let (s, a) = (0xdead_beef_0000u64, 16i64);
-        apply(RelocKind::Abs64, &mut data, 0, 0, s, a).unwrap();
+        let data = relocated(RelocKind::Abs64, 16, 0, 0, s, a);
         let val = read_field(RelocKind::Abs64, &data, 0).unwrap();
         assert_eq!(recover_symbol_value(RelocKind::Abs64, val, 0, a), s);
     }
 
     #[test]
     fn abs32_overflow_rejected() {
-        let mut data = vec![0u8; 8];
-        let err = apply(RelocKind::Abs32, &mut data, 0, 0, u64::MAX / 2, 0).unwrap_err();
+        let err = stored_value(RelocKind::Abs32, u64::MAX / 2, 0, 0).unwrap_err();
         assert!(matches!(err, RelocError::Overflow { .. }));
     }
 
     #[test]
     fn pcrel_overflow_rejected() {
-        let mut data = vec![0u8; 8];
         // Distance of 2^40 cannot fit a 32-bit displacement.
-        let err = apply(RelocKind::Pcrel32, &mut data, 0, 1u64 << 40, 0, 0).unwrap_err();
+        let err = stored_value(RelocKind::Pcrel32, 0, 0, 1u64 << 40).unwrap_err();
         assert!(matches!(err, RelocError::Overflow { .. }));
     }
 
     #[test]
     fn out_of_bounds_field() {
-        let mut data = vec![0u8; 3];
-        let err = apply(RelocKind::Abs32, &mut data, 0, 0, 1, 0).unwrap_err();
+        let data = vec![0u8; 3];
+        let err = read_field(RelocKind::Abs32, &data, 0).unwrap_err();
         assert!(matches!(err, RelocError::OutOfBounds { .. }));
         assert!(read_field(RelocKind::Abs64, &data, 0).is_err());
     }
 
     #[test]
     fn negative_pcrel_field_sign_extends() {
-        let mut data = vec![0u8; 4];
         // Target below the field: stored displacement is negative.
-        apply(RelocKind::Pcrel32, &mut data, 0, 0x1000, 0x800, -4).unwrap();
+        let data = relocated(RelocKind::Pcrel32, 4, 0, 0x1000, 0x800, -4);
         let val = read_field(RelocKind::Pcrel32, &data, 0).unwrap();
         assert_eq!(
             recover_symbol_value(RelocKind::Pcrel32, val, 0x1000, -4),

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::json::{self, parse_json_object, JsonValue};
+use crate::json::{self, parse_json_object};
 
 /// Which pipeline stage emitted an event.
 ///
@@ -127,7 +127,9 @@ impl fmt::Display for Severity {
     }
 }
 
-/// A typed field value.
+/// A typed field value, and the one JSON value of the trace formats:
+/// [`crate::parse_json_object`] reads into it and [`Value::to_json`]
+/// writes every compact JSON document the crates emit.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// An unsigned count, address, or step reading.
@@ -138,9 +140,31 @@ pub enum Value {
     Bool(bool),
     /// Free text: names, details, messages.
     Str(String),
+    /// A JSON object; entries keep their order.
+    Object(Vec<(String, Value)>),
+    /// A JSON array (the Chrome-trace `traceEvents` list is one).
+    Array(Vec<Value>),
 }
 
 impl Value {
+    /// An object of `entries`, in order.
+    pub fn object<'a>(entries: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+        Value::Object(
+            entries
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// Looks up a key in an `Object`; `None` for other variants.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Object(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     /// The value as a `u64`; in-range `I64`s convert.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
@@ -166,23 +190,60 @@ impl Value {
         }
     }
 
-    fn to_json(&self) -> String {
+    /// The array elements, for `Array` only.
+    pub fn as_array(&self) -> Option<&[Value]> {
         match self {
-            Value::U64(v) => v.to_string(),
-            Value::I64(v) => v.to_string(),
-            Value::Bool(b) => b.to_string(),
-            Value::Str(s) => json::escape(s),
+            Value::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The value as compact JSON: no whitespace, object entries in
+    /// order, strings escaped by [`crate::json_escape`].
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Value::U64(v) => out.push_str(&v.to_string()),
+            Value::I64(v) => out.push_str(&v.to_string()),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Str(s) => out.push_str(&json::escape(s)),
+            Value::Object(entries) => {
+                out.push('{');
+                for (i, (k, v)) in entries.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    out.push_str(&json::escape(k));
+                    out.push(':');
+                    v.write_json(out);
+                }
+                out.push('}');
+            }
+            Value::Array(items) => {
+                out.push('[');
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    v.write_json(out);
+                }
+                out.push(']');
+            }
         }
     }
 }
 
+/// A string prints as its text, anything else as its JSON.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::U64(v) => write!(f, "{v}"),
-            Value::I64(v) => write!(f, "{v}"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Str(s) => write!(f, "{s}"),
+            Value::Str(s) => f.write_str(s),
+            other => f.write_str(&other.to_json()),
         }
     }
 }
@@ -278,24 +339,16 @@ impl Event {
     /// One JSON object, no trailing newline. Stable field order:
     /// v, seq, ts_steps, stage, severity, event, fields.
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"v\":{EVENT_SCHEMA_VERSION},\"seq\":{},\"ts_steps\":{},\"stage\":\"{}\",\"severity\":\"{}\",\"event\":{},\"fields\":{{",
-            self.seq,
-            self.ts_steps,
-            self.stage.as_str(),
-            self.severity.as_str(),
-            json::escape(&self.name),
-        );
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&json::escape(k));
-            s.push(':');
-            s.push_str(&v.to_json());
-        }
-        s.push_str("}}");
-        s
+        Value::object([
+            ("v", EVENT_SCHEMA_VERSION.into()),
+            ("seq", self.seq.into()),
+            ("ts_steps", self.ts_steps.into()),
+            ("stage", self.stage.as_str().into()),
+            ("severity", self.severity.as_str().into()),
+            ("event", self.name.as_str().into()),
+            ("fields", Value::Object(self.fields.clone())),
+        ])
+        .to_json()
     }
 
     /// Parses one line of [`Event::to_json`] output (the `ksplice report`
@@ -303,11 +356,11 @@ impl Event {
     /// Lines without a `"v"` key are read as schema v1; versions newer
     /// than [`EVENT_SCHEMA_VERSION`] are rejected.
     pub fn from_json(line: &str) -> Result<Event, String> {
-        let JsonValue::Object(top) = parse_json_object(line)? else {
+        let Value::Object(top) = parse_json_object(line)? else {
             return Err("event line is not a JSON object".to_string());
         };
         let get = |key: &str| top.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        if let Some(JsonValue::U64(v)) = get("v") {
+        if let Some(Value::U64(v)) = get("v") {
             if *v > EVENT_SCHEMA_VERSION {
                 return Err(format!(
                     "event schema v{v} is newer than supported v{EVENT_SCHEMA_VERSION}"
@@ -315,37 +368,28 @@ impl Event {
             }
         }
         let stage_str = match get("stage") {
-            Some(JsonValue::Str(s)) => s.as_str(),
+            Some(Value::Str(s)) => s.as_str(),
             _ => return Err("missing stage".to_string()),
         };
         let stage = Stage::parse(stage_str).ok_or_else(|| format!("bad stage `{stage_str}`"))?;
         let sev_str = match get("severity") {
-            Some(JsonValue::Str(s)) => s.as_str(),
+            Some(Value::Str(s)) => s.as_str(),
             _ => return Err("missing severity".to_string()),
         };
         let severity =
             Severity::parse(sev_str).ok_or_else(|| format!("bad severity `{sev_str}`"))?;
         let name = match get("event") {
-            Some(JsonValue::Str(s)) => s.clone(),
+            Some(Value::Str(s)) => s.clone(),
             _ => return Err("missing event name".to_string()),
         };
         let num = |key: &str| match get(key) {
-            Some(JsonValue::U64(v)) => *v,
+            Some(Value::U64(v)) => *v,
             _ => 0,
         };
-        let mut fields = Vec::new();
-        if let Some(JsonValue::Object(fs)) = get("fields") {
-            for (k, v) in fs {
-                let value = match v {
-                    JsonValue::U64(n) => Value::U64(*n),
-                    JsonValue::I64(n) => Value::I64(*n),
-                    JsonValue::Bool(b) => Value::Bool(*b),
-                    JsonValue::Str(s) => Value::Str(s.clone()),
-                    JsonValue::Object(_) | JsonValue::Array(_) => continue,
-                };
-                fields.push((k.clone(), value));
-            }
-        }
+        let fields = match get("fields") {
+            Some(Value::Object(fs)) => fs.clone(),
+            _ => Vec::new(),
+        };
         Ok(Event {
             seq: num("seq"),
             ts_steps: num("ts_steps"),
@@ -429,6 +473,18 @@ mod tests {
         assert!(line.contains("\"busy_fn\":\"worker \\\"x\\\"\""), "{line}");
         assert!(Event::from_json("not json").is_err());
         assert!(Event::from_json("{\"stage\":\"nope\"}").is_err());
+    }
+
+    #[test]
+    fn a_nested_field_is_kept_and_prints_as_json() {
+        let line = "{\"v\":2,\"seq\":1,\"ts_steps\":5,\"stage\":\"apply\",\"severity\":\"info\",\
+                    \"event\":\"x\",\"fields\":{\"n\":{\"a\":[1,-2,\"q\\\"\"]},\"k\":3}}";
+        let e = Event::from_json(line).unwrap();
+        assert_eq!(e.to_json(), line);
+        assert_eq!(
+            e.render_human(),
+            "[         5 apply  info ] x n={\"a\":[1,-2,\"q\\\"\"]} k=3"
+        );
     }
 
     #[test]

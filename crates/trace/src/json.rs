@@ -1,15 +1,17 @@
-//! Minimal JSON writer/reader for the trace formats.
+//! JSON escaping and reading for the trace formats.
 //!
 //! The crate is zero-dependency, so it carries its own escaping and a
-//! small recursive-descent parser covering exactly what the JSONL sink
-//! emits: objects whose values are strings, integers, booleans, null, or
-//! nested objects/arrays of the same. Floats are parsed to their integer
-//! truncation (the sink never writes them), and a number is typed by its
-//! value: `U64` unless it is negative. Nesting deeper than
-//! [`MAX_DEPTH`] is an error, so a malformed trace file cannot overflow
-//! the stack.
+//! small recursive-descent parser into [`Value`], the one JSON value the
+//! crate has (its writer is [`Value::to_json`]): objects whose values
+//! are strings, integers, booleans, null, or nested objects/arrays of
+//! the same. Floats are parsed to their integer truncation (the sink
+//! never writes them), and a number is typed by its value: `U64` unless
+//! it is negative. Nesting deeper than [`MAX_DEPTH`] is an error, so a
+//! malformed trace file cannot overflow the stack.
 
 use std::fmt::Write as _;
+
+use crate::event::Value;
 
 /// Escapes a string into a quoted JSON string literal.
 pub fn escape(s: &str) -> String {
@@ -32,65 +34,12 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// A parsed JSON value (the subset the trace formats use).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// A non-negative integer.
-    U64(u64),
-    /// A negative integer.
-    I64(i64),
-    /// `true` or `false`.
-    Bool(bool),
-    /// A string.
-    Str(String),
-    /// Objects keep insertion order.
-    Object(Vec<(String, JsonValue)>),
-    /// Arrays (the Chrome-trace `traceEvents` list uses them).
-    Array(Vec<JsonValue>),
-}
-
-impl JsonValue {
-    /// Looks up a key in an `Object`; `None` for other variants.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(entries) => {
-                entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
-            _ => None,
-        }
-    }
-
-    /// The value as a `u64`, if it is one.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The array elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
 /// The deepest object/array nesting the parser accepts. A Chrome trace
 /// nests four levels; anything past this is not a trace file.
 pub(crate) const MAX_DEPTH: usize = 64;
 
 /// Parses one JSON object from a string (whole-input).
-pub fn parse_json_object(input: &str) -> Result<JsonValue, String> {
+pub fn parse_json_object(input: &str) -> Result<Value, String> {
     let mut p = Parser {
         input,
         at: 0,
@@ -120,10 +69,7 @@ impl Parser<'_> {
 
     /// Parses a nested object or array, refusing to open one more level
     /// than [`MAX_DEPTH`].
-    fn nested(
-        &mut self,
-        parse: fn(&mut Self) -> Result<JsonValue, String>,
-    ) -> Result<JsonValue, String> {
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
         if self.depth == MAX_DEPTH {
             return Err(format!(
                 "nesting deeper than {MAX_DEPTH} levels at byte {}",
@@ -156,15 +102,15 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, String> {
+    fn value(&mut self) -> Result<Value, String> {
         self.skip_ws();
         match self.peek() {
             Some(b'{') => self.nested(Self::object),
             Some(b'[') => self.nested(Self::array),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::U64(0)),
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::U64(0)),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!(
                 "unexpected `{}` at byte {}",
@@ -174,7 +120,7 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, text: &str, v: JsonValue) -> Result<JsonValue, String> {
+    fn literal(&mut self, text: &str, v: Value) -> Result<Value, String> {
         if self.input[self.at..].starts_with(text) {
             self.at += text.len();
             Ok(v)
@@ -183,13 +129,13 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, String> {
+    fn object(&mut self) -> Result<Value, String> {
         self.expect(b'{')?;
         let mut entries = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.at += 1;
-            return Ok(JsonValue::Object(entries));
+            return Ok(Value::Object(entries));
         }
         loop {
             self.skip_ws();
@@ -203,20 +149,20 @@ impl Parser<'_> {
                 Some(b',') => self.at += 1,
                 Some(b'}') => {
                     self.at += 1;
-                    return Ok(JsonValue::Object(entries));
+                    return Ok(Value::Object(entries));
                 }
                 _ => return Err(format!("expected `,` or `}}` at byte {}", self.at)),
             }
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, String> {
+    fn array(&mut self) -> Result<Value, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.at += 1;
-            return Ok(JsonValue::Array(items));
+            return Ok(Value::Array(items));
         }
         loop {
             items.push(self.value()?);
@@ -225,7 +171,7 @@ impl Parser<'_> {
                 Some(b',') => self.at += 1,
                 Some(b']') => {
                     self.at += 1;
-                    return Ok(JsonValue::Array(items));
+                    return Ok(Value::Array(items));
                 }
                 _ => return Err(format!("expected `,` or `]` at byte {}", self.at)),
             }
@@ -282,7 +228,7 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, String> {
+    fn number(&mut self) -> Result<Value, String> {
         let start = self.at;
         if self.peek() == Some(b'-') {
             self.at += 1;
@@ -295,15 +241,15 @@ impl Parser<'_> {
         // `-0`, `4e2` and `-0.5` read (and write back) as `U64` like `0`.
         let text = &self.input[start..self.at];
         if let Ok(v) = text.parse::<u64>() {
-            return Ok(JsonValue::U64(v));
+            return Ok(Value::U64(v));
         }
         if let Ok(v) = text.parse::<i64>() {
-            return Ok(u64::try_from(v).map_or(JsonValue::I64(v), JsonValue::U64));
+            return Ok(u64::try_from(v).map_or(Value::I64(v), Value::U64));
         }
         let f: f64 = text.parse().map_err(|_| format!("bad number `{text}`"))?;
         Ok(match f as i64 {
-            v if v < 0 => JsonValue::I64(v),
-            _ => JsonValue::U64(f as u64),
+            v if v < 0 => Value::I64(v),
+            _ => Value::U64(f as u64),
         })
     }
 }
@@ -324,26 +270,26 @@ mod tests {
             "{\"a\":1,\"b\":-2,\"c\":true,\"d\":\"x\\ny\",\"e\":{\"f\":99},\"g\":null}",
         )
         .unwrap();
-        let JsonValue::Object(o) = v else { panic!() };
-        assert_eq!(o[0], ("a".to_string(), JsonValue::U64(1)));
-        assert_eq!(o[1], ("b".to_string(), JsonValue::I64(-2)));
-        assert_eq!(o[2], ("c".to_string(), JsonValue::Bool(true)));
-        assert_eq!(o[3], ("d".to_string(), JsonValue::Str("x\ny".to_string())));
-        assert!(matches!(o[4].1, JsonValue::Object(_)));
+        let Value::Object(o) = v else { panic!() };
+        assert_eq!(o[0], ("a".to_string(), Value::U64(1)));
+        assert_eq!(o[1], ("b".to_string(), Value::I64(-2)));
+        assert_eq!(o[2], ("c".to_string(), Value::Bool(true)));
+        assert_eq!(o[3], ("d".to_string(), Value::Str("x\ny".to_string())));
+        assert!(matches!(o[4].1, Value::Object(_)));
     }
 
     #[test]
     fn numbers_are_typed_by_value() {
         let v = parse_json_object("[4e2,-0,-0.5,0.5,-4e2,-1.5,-7,18446744073709551615]").unwrap();
         let expected = [
-            JsonValue::U64(400),
-            JsonValue::U64(0),
-            JsonValue::U64(0),
-            JsonValue::U64(0),
-            JsonValue::I64(-400),
-            JsonValue::I64(-1),
-            JsonValue::I64(-7),
-            JsonValue::U64(u64::MAX),
+            Value::U64(400),
+            Value::U64(0),
+            Value::U64(0),
+            Value::U64(0),
+            Value::I64(-400),
+            Value::I64(-1),
+            Value::I64(-7),
+            Value::U64(u64::MAX),
         ];
         assert_eq!(v.as_array().unwrap(), expected);
     }
@@ -388,14 +334,14 @@ mod tests {
         let s: String = "naïve \"ksplice\" \\ — ".repeat(50_000);
         assert!(s.len() > 1_000_000);
         let v = parse_json_object(&format!("{{\"k\":{}}}", escape(&s))).unwrap();
-        assert_eq!(v.get("k").and_then(JsonValue::as_str), Some(s.as_str()));
+        assert_eq!(v.get("k").and_then(Value::as_str), Some(s.as_str()));
     }
 
     #[test]
     fn escape_parse_roundtrip_unicode() {
         let s = "naïve — \"quoted\" \t done";
         let v = parse_json_object(&format!("{{\"k\":{}}}", escape(s))).unwrap();
-        let JsonValue::Object(o) = v else { panic!() };
-        assert_eq!(o[0].1, JsonValue::Str(s.to_string()));
+        let Value::Object(o) = v else { panic!() };
+        assert_eq!(o[0].1, Value::Str(s.to_string()));
     }
 }

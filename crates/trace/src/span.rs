@@ -12,7 +12,6 @@ use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use crate::event::{Event, Stage, Value};
-use crate::json;
 
 /// Identifies one span within a tracer. Id 0 is reserved for "no span"
 /// (the value returned by a disabled tracer, and the parent id of
@@ -97,16 +96,24 @@ fn stage_tid(stage: Stage) -> usize {
     Stage::ALL.iter().position(|s| *s == stage).unwrap_or(0)
 }
 
+/// Lines deeper than this many levels are indented as this many and
+/// marked with their depth, so the outline's size stays linear in the
+/// number of spans however long a parent chain is.
+const MAX_INDENT_LEVELS: usize = 64;
+
 /// Renders the events' span tree as an indented text outline — the
 /// `report --spans` view; empty when the events hold no span. A span is
 /// a root when its parent id is 0 or names no span in the events (a
 /// trace cut from a longer run); roots and each span's children appear
-/// in begin order.
+/// in begin order. A line more than 64 levels deep is indented as 64
+/// and starts with `(depth N) `.
 ///
 /// A trace file is outside input, so the walk keeps its own stack (a
-/// deep parent chain cannot overflow the thread's) and expands each
-/// parent id once: a repeated span id that closes a loop prints each
-/// span at most once, its children under the first span with that id.
+/// deep parent chain cannot overflow the thread's), expands each parent
+/// id once and prints each span once: a repeated span id that closes a
+/// loop puts its children under the first span with that id, and a
+/// span on a parent-id cycle that no root reaches starts one more
+/// root, in begin order, once the walk from the roots is done.
 pub fn render_span_tree(events: &[Event]) -> String {
     let spans = replay(events);
     let ids: HashSet<u64> = spans.iter().map(|s| s.id).collect();
@@ -116,6 +123,8 @@ pub fn render_span_tree(events: &[Event]) -> String {
         children.entry(parent).or_default().push(i);
     }
     let mut out = String::new();
+    let mut printed = vec![false; spans.len()];
+    let mut unreached = 0..spans.len();
     let mut stack: Vec<(usize, usize)> = Vec::new();
     let mut expand = |stack: &mut Vec<(usize, usize)>, parent: u64, depth: usize| {
         if let Some(kids) = children.remove(&parent) {
@@ -123,12 +132,24 @@ pub fn render_span_tree(events: &[Event]) -> String {
         }
     };
     expand(&mut stack, 0, 0);
-    while let Some((i, depth)) = stack.pop() {
+    loop {
+        let (i, depth) = match stack.pop() {
+            Some(next) => next,
+            None => match unreached.find(|&i| !printed[i]) {
+                Some(i) => (i, 0),
+                None => break,
+            },
+        };
+        if std::mem::replace(&mut printed[i], true) {
+            continue;
+        }
         let s = &spans[i];
         let end = s.end.unwrap_or(s.start);
-        // Pushed rather than padded with `{:width$}`: a format width
-        // above `u16::MAX` panics, and a chain of spans can be that deep.
-        out.extend(std::iter::repeat_n(' ', depth * 2));
+        let indent = 2 * depth.min(MAX_INDENT_LEVELS);
+        let _ = write!(out, "{:indent$}", "");
+        if depth > MAX_INDENT_LEVELS {
+            let _ = write!(out, "(depth {depth}) ");
+        }
         let (name, stage, start) = (&s.name, s.stage, s.start);
         let steps = end.saturating_sub(start);
         let _ = write!(out, "{name} [{stage}] {start}..{end} (+{steps} steps)");
@@ -146,42 +167,44 @@ pub fn render_span_tree(events: &[Event]) -> String {
 /// (`"ph":"X"`) event on its stage's track, each non-span event an
 /// instant (`"ph":"i"`). One step is rendered as one microsecond.
 pub fn chrome_trace_json(events: &[Event]) -> String {
-    let spans = replay(events);
-    let mut entries: Vec<String> = Vec::new();
-    for s in &spans {
-        let mut args = format!("\"span_id\":{},\"parent_id\":{}", s.id, s.parent);
-        for (k, v) in &s.args {
-            let rendered = match v {
-                Value::Str(t) => json::escape(t),
-                other => other.to_string(),
-            };
-            args.push_str(&format!(",{}:{rendered}", json::escape(k)));
-        }
-        entries.push(format!(
-            "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{{args}}}}}",
-            json::escape(&s.name),
-            s.stage,
-            s.start,
-            s.end.unwrap_or(s.start).saturating_sub(s.start).max(1),
-            stage_tid(s.stage),
-        ));
+    let mut entries = Vec::new();
+    for s in replay(events) {
+        let mut args = vec![
+            ("span_id".to_string(), Value::U64(s.id)),
+            ("parent_id".to_string(), Value::U64(s.parent)),
+        ];
+        args.extend(s.args);
+        let dur = s.end.unwrap_or(s.start).saturating_sub(s.start).max(1);
+        entries.push(Value::object([
+            ("name", s.name.into()),
+            ("cat", s.stage.as_str().into()),
+            ("ph", "X".into()),
+            ("ts", s.start.into()),
+            ("dur", dur.into()),
+            ("pid", 1u64.into()),
+            ("tid", stage_tid(s.stage).into()),
+            ("args", Value::Object(args)),
+        ]));
     }
     for e in events {
         if e.name == "span.begin" || e.name == "span.end" {
             continue;
         }
-        entries.push(format!(
-            "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{}}}",
-            json::escape(&e.name),
-            e.stage,
-            e.ts_steps,
-            stage_tid(e.stage),
-        ));
+        entries.push(Value::object([
+            ("name", e.name.as_str().into()),
+            ("cat", e.stage.as_str().into()),
+            ("ph", "i".into()),
+            ("s", "t".into()),
+            ("ts", e.ts_steps.into()),
+            ("pid", 1u64.into()),
+            ("tid", stage_tid(e.stage).into()),
+        ]));
     }
-    format!(
-        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}",
-        entries.join(",")
-    )
+    Value::object([
+        ("displayTimeUnit", "ms".into()),
+        ("traceEvents", Value::Array(entries)),
+    ])
+    .to_json()
 }
 
 /// The fields a `span.begin` event carries ahead of the caller's own.
@@ -364,19 +387,78 @@ mod tests {
     }
 
     #[test]
+    fn a_span_on_a_cycle_no_root_reaches_is_printed_once() {
+        // A span that is its own parent, and two spans that are each
+        // other's: no root leads to them.
+        assert_eq!(
+            render_span_tree(&[span_begin(1, 5, 5)]),
+            "s5 [apply] 1..1 (+0 steps)\n"
+        );
+        assert_eq!(
+            render_span_tree(&[span_begin(1, 5, 7), span_begin(2, 7, 5)]),
+            "s5 [apply] 1..2 (+1 steps)\n  s7 [apply] 2..2 (+0 steps)\n"
+        );
+        // After the walk from the roots, in begin order.
+        let events = [
+            span_begin(1, 8, 9),
+            span_begin(2, 9, 8),
+            span_begin(3, 1, 0),
+        ];
+        assert_eq!(
+            render_span_tree(&events),
+            "s1 [apply] 3..3 (+0 steps)\n\
+             s8 [apply] 1..3 (+2 steps)\n  s9 [apply] 2..3 (+1 steps)\n"
+        );
+    }
+
+    #[test]
     fn a_deep_chain_renders_on_a_small_stack() {
-        let events: Vec<Event> = (1..=2_000).map(|id| span_begin(id, id, id - 1)).collect();
+        // At two spaces of indent per level, this chain's outline would
+        // be about 2.5 GB.
+        const N: u64 = 50_000;
+        let events: Vec<Event> = (1..=N).map(|id| span_begin(id, id, id - 1)).collect();
         let text = std::thread::Builder::new()
             .stack_size(64 * 1024)
             .spawn(move || render_span_tree(&events))
             .unwrap()
             .join()
             .unwrap();
+        assert!(text.len() < 200 * N as usize, "{} bytes", text.len());
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2_000);
+        assert_eq!(lines.len(), N as usize);
+        let cap = MAX_INDENT_LEVELS;
         assert_eq!(
-            lines[1_999],
-            format!("{:1$}s2000 [apply] 2000..2000 (+0 steps)", "", 2 * 1_999)
+            lines[cap],
+            format!(
+                "{:1$}s{2} [apply] {2}..{3} (+{4} steps)",
+                "",
+                2 * cap,
+                cap + 1,
+                N,
+                N - cap as u64 - 1
+            )
+        );
+        assert_eq!(
+            lines[cap + 1],
+            format!(
+                "{:1$}(depth {2}) s{3} [apply] {3}..{4} (+{5} steps)",
+                "",
+                2 * cap,
+                cap + 1,
+                cap + 2,
+                N,
+                N - cap as u64 - 2
+            )
+        );
+        assert_eq!(
+            lines[N as usize - 1],
+            format!(
+                "{:1$}(depth {2}) s{3} [apply] {3}..{3} (+0 steps)",
+                "",
+                2 * cap,
+                N - 1,
+                N
+            )
         );
     }
 

@@ -42,8 +42,8 @@
 //! assert_eq!(kernel.call_function("check", &[4]).unwrap() as i64, -9);
 //! ```
 
-/// K64 instruction set: encode/decode/disassemble, branch and no-op
-/// knowledge for run-pre matching.
+/// K64 instruction set: encoding, decoding and an assembler, plus the
+/// instruction lengths, branch targets and no-ops run-pre matching needs.
 pub use ksplice_asm as asm;
 /// The Ksplice system: differencing, matching, packaging, apply/undo.
 pub use ksplice_core as core;
