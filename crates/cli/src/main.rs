@@ -59,7 +59,7 @@ use ksplice_fleet::{
     build_packset, Fleet, FleetConfig, NetFaults, Outcome, Partition, RolloutOrchestrator,
     RolloutPolicy, SimTransport, VERSION_NAMES,
 };
-use ksplice_kernel::{Fault, Kernel};
+use ksplice_kernel::{Fault, Kernel, SITES};
 use ksplice_lang::{DriftLevel, Options, SourceTree};
 
 type Run = fn(&Args, &mut Tracer) -> Result<(), String>;
@@ -102,10 +102,18 @@ fn usage() -> String {
     for (name, _, spec) in COMMANDS {
         text += format!("\n  {name:<7} {spec}").trim_end();
     }
-    text + "\n\n  retry-policy spec: fixed:ATTEMPTS:DELAY (DELAY kernel steps between attempts)\
-            \n  fault sites (dev): stack-busy:N | module-load:N | corrupt-text[:0xADDR] |\
-            \n  step-jitter:N | probe-fail:N | barrier-stall:N\
-            \n  probe spec: canary call + expected result, e.g. sys_getuid()=1000; with\
+    // The fault sites render from the fault table, wrapped at 80 columns.
+    let sites: Vec<String> = SITES.iter().map(|(site, _, _)| site.usage()).collect();
+    let mut faults = String::from("\n ");
+    for word in format!("fault sites (dev): {}", sites.join(" | ")).split_whitespace() {
+        if faults.len() - faults.rfind('\n').unwrap_or(0) + word.len() > 80 {
+            faults += "\n ";
+        }
+        faults = faults + " " + word;
+    }
+    text + "\n\n  retry-policy spec: fixed:ATTEMPTS:DELAY (DELAY kernel steps between attempts)"
+        + &faults
+        + "\n  probe spec: canary call + expected result, e.g. sys_getuid()=1000; with\
             \n  --watch-rounds the update is quarantined and auto-rolled-back on failure"
 }
 

@@ -483,6 +483,31 @@ fn corrupt_text_outside_the_arena_is_refused() {
 }
 
 #[test]
+fn repeated_fault_counts_saturate_instead_of_wrapping() {
+    // The two counts sum to 2^32 windows: wrapped to zero, the update
+    // would commit at once; saturated, every attempt finds it busy.
+    assert_refused(
+        &[
+            "demo",
+            "--fault",
+            "stack-busy:4294967295",
+            "--fault",
+            "stack-busy:1",
+        ],
+        "update abandoned",
+    );
+}
+
+#[test]
+fn usage_names_every_fault_site() {
+    let out = ksplice().output().unwrap();
+    let usage = String::from_utf8_lossy(&out.stderr);
+    for (site, _, _) in ksplice_kernel::SITES {
+        assert!(usage.contains(&site.usage()), "{usage}");
+    }
+}
+
+#[test]
 fn a_fleet_of_zero_nodes_is_refused() {
     assert_refused(&["fleet", "--nodes", "0"], "at least one node");
 }

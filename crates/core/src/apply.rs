@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use ksplice_asm::Instr;
 use ksplice_kernel::{
-    apply_reloc_at, Kernel, LinkError, LoadedModule, SmpConfig, StopMachineError,
+    apply_reloc_at, Kernel, LinkError, LoadedModule, Site, SmpConfig, StopMachineError,
 };
 use ksplice_lang::HookKind;
 use ksplice_object::{Object, RelocKind, SectionKind};
@@ -1292,22 +1292,25 @@ pub(crate) fn verify_text_restored(
 
 /// Returns the thread and name of a function some live thread is inside,
 /// if any — the §5.2 safety condition over instruction pointers and
-/// return addresses. An armed stack-busy fault reports a synthetic
-/// occupant first, exercising the retry/abandon machinery on demand.
+/// return addresses. An armed [`Site::StackBusy`] fault reports a
+/// synthetic occupant first, exercising the retry/abandon machinery on
+/// demand.
 fn busy_function(kernel: &mut Kernel, ranges: &[(u64, u64, String)]) -> Option<(u64, String)> {
+    let (addr, target) = ranges
+        .first()
+        .map_or((0, "<fault-injected>"), |(a, _, name)| (*a, name.as_str()));
     if kernel.num_cpus() > 1 {
-        // At N ≥ 2 an armed stack-busy fault is realized *physically*:
+        // At N ≥ 2 an armed busy-stack fault is realized *physically*:
         // a vCPU thread is parked at the target's entry (and released
         // once the armed windows run out), so the generic scan below
         // finds a genuine instruction pointer — no synthetic verdict.
         // The window bookkeeping and fired log march exactly as at
         // N = 1; with no fault armed this costs one integer compare.
-        let addr = ranges.first().map(|&(a, _, _)| a).unwrap_or(0);
         if kernel.park_fault_vcpu(addr).is_some() {
-            kernel.faults.stack_check_busy(ranges);
+            kernel.faults.fire(Site::StackBusy, |_| target.to_string());
         }
-    } else if let Some(hit) = kernel.faults.stack_check_busy(ranges) {
-        return Some(hit);
+    } else if kernel.faults.fire(Site::StackBusy, |_| target.to_string()) {
+        return Some((0, target.to_string()));
     }
     for (tid, backtrace) in kernel.all_backtraces() {
         for addr in backtrace {

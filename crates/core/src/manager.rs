@@ -31,7 +31,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use ksplice_kernel::{native_addr, Kernel};
+use ksplice_kernel::{native_addr, Kernel, Site};
 use ksplice_trace::{Severity, Stage, Tracer};
 
 use crate::apply::{
@@ -795,11 +795,11 @@ impl UpdateManager {
     }
 }
 
-/// Runs one probe. An armed [`ksplice_kernel::Fault::ProbeFail`] is
-/// consulted first, so fault injection can force a failure regardless of
-/// what the kernel would answer.
+/// Runs one probe. An armed [`Site::ProbeFail`] fault is consulted
+/// first, so fault injection can force a failure regardless of what the
+/// kernel would answer.
 fn run_probe(kernel: &mut Kernel, probe: &mut HealthProbe) -> Result<(), String> {
-    if kernel.faults.probe_fails(probe.name()) {
+    if kernel.faults.fire(Site::ProbeFail, |_| probe.name().into()) {
         return Err("injected probe failure".to_string());
     }
     match probe {

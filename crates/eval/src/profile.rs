@@ -22,8 +22,8 @@ use std::collections::BTreeSet;
 use ksplice_core::trace::{Severity, Stage, Tracer, Value};
 use ksplice_core::{ApplyError, ApplyOptions, Ksplice, RetryPolicy, TRAMPOLINE_LEN};
 use ksplice_kernel::{
-    collapsed_stacks, hot_functions, quiescence_risk, Fault, HotFunc, Kernel, QuiesceRisk,
-    Residency, Sample,
+    collapsed_stacks, hot_functions, quiescence_risk, HotFunc, Kernel, QuiesceRisk, Residency,
+    Sample,
 };
 use ksplice_lang::{BuildCache, FuzzRng};
 
@@ -343,10 +343,6 @@ pub struct TargetAborts {
     pub cve: String,
     /// `NotQuiescent` aborts from real single-attempt applies.
     pub real_aborts: u64,
-    /// Aborts forced by the seeded stack-busy fault plan (equal per
-    /// target, so they exercise the machinery without biasing the
-    /// ranking).
-    pub synthetic_aborts: u64,
     /// Real apply attempts made.
     pub attempts: u64,
 }
@@ -357,6 +353,8 @@ pub struct TargetAborts {
 pub struct QuiesceCorrelation {
     /// Profiler-derived risk over the target functions, riskiest first.
     pub risk: Vec<QuiesceRisk>,
+    /// Sampler fires the risk side lost to [`ProfileConfig::max_samples`].
+    pub dropped: u64,
     /// Observed aborts per target, most aborts first.
     pub aborts: Vec<TargetAborts>,
 }
@@ -385,17 +383,22 @@ impl QuiesceCorrelation {
     pub fn render(&self) -> String {
         let mut out = String::from("quiescence risk vs observed aborts\n");
         out.push_str(&format!(
-            "  {:<18} {:>9} {:>12} {:>10}\n",
-            "FUNCTION", "ON-STACK", "REAL-ABORTS", "SYNTHETIC"
+            "  {:<18} {:>9} {:>12}\n",
+            "FUNCTION", "ON-STACK", "REAL-ABORTS"
         ));
         for r in &self.risk {
             let a = self.aborts.iter().find(|a| a.function == r.function);
             out.push_str(&format!(
-                "  {:<18} {:>8.1}% {:>12} {:>10}\n",
+                "  {:<18} {:>8.1}% {:>12}\n",
                 r.function,
                 r.frequency() * 100.0,
                 a.map(|a| a.real_aborts).unwrap_or(0),
-                a.map(|a| a.synthetic_aborts).unwrap_or(0),
+            ));
+        }
+        if self.dropped > 0 {
+            out.push_str(&format!(
+                "  (ON-STACK: {} samples dropped over the cap)\n",
+                self.dropped
             ));
         }
         out.push_str(&format!(
@@ -413,21 +416,12 @@ impl QuiesceCorrelation {
 /// Single-attempt applies per target in [`quiescence_correlation`].
 const CORRELATION_ATTEMPTS: u64 = 60;
 
-/// Seeded stack-busy fault windows each target absorbs in
-/// [`quiescence_correlation`].
-const SYNTHETIC_WINDOWS: u32 = 3;
-
 /// Measures, for each [`QUIESCE_TARGET_CVES`] update, how often a
 /// single-attempt apply aborts `NotQuiescent` while the stress workload
 /// runs — and pairs that with the profiler's on-stack ranking of the
 /// same functions under the same workload. Each target makes 60
 /// attempts, each at a [`FuzzRng`]-jittered phase of the workload (the
 /// VM forbids wall-clock randomness by design).
-///
-/// Each target first absorbs 3 seeded stack-busy fault windows (the
-/// same count per target), so the retry/abandon machinery is exercised
-/// under an armed fault plan without changing which function ranks
-/// first on *real* aborts.
 pub fn quiescence_correlation(
     cfg: &ProfileConfig,
     tracer: &mut Tracer,
@@ -438,7 +432,7 @@ pub fn quiescence_correlation(
     // Side 1: the profiler's ranking, from a synchronous sampled run.
     let mut kernel = Kernel::boot_image(&image).map_err(|e| format!("boot: {e}"))?;
     let entry = load_stress(&mut kernel, &cache)?;
-    let (samples, _) = sample_phase(&mut kernel, entry, cfg)?;
+    let (samples, dropped) = sample_phase(&mut kernel, entry, cfg)?;
     let mut cases = Vec::new();
     let mut targets = Vec::new();
     for id in QUIESCE_TARGET_CVES {
@@ -476,27 +470,7 @@ pub fn quiescence_correlation(
         spawn_stress(&mut k, entry, 1_000_000)?;
         k.run(10_000); // let it settle into steady state
 
-        // The seeded fault plan: every target absorbs the same number of
-        // synthetic busy windows.
         let mut ks = Ksplice::new();
-        let mut synthetic_aborts = 0u64;
-        k.arm_fault(Fault::StackBusy {
-            windows: SYNTHETIC_WINDOWS,
-        })
-        .map_err(|e| format!("arm: {e}"))?;
-        for _ in 0..SYNTHETIC_WINDOWS {
-            match ks.apply_traced(&mut k, &pack, &single, tracer) {
-                Err(ApplyError::NotQuiescent { .. }) => synthetic_aborts += 1,
-                Ok(_) => {
-                    return Err(format!(
-                        "{}: apply succeeded through an armed stack-busy window",
-                        case.id
-                    ))
-                }
-                Err(e) => return Err(format!("{}: synthetic apply: {e}", case.id)),
-            }
-        }
-
         let mut rng =
             FuzzRng::from_state(cfg.seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let mut real_aborts = 0u64;
@@ -524,7 +498,6 @@ pub fn quiescence_correlation(
             vec![
                 ("function", fn_name.as_str().into()),
                 ("real_aborts", real_aborts.into()),
-                ("synthetic_aborts", synthetic_aborts.into()),
                 ("attempts", CORRELATION_ATTEMPTS.into()),
             ],
         );
@@ -532,7 +505,6 @@ pub fn quiescence_correlation(
             function: fn_name,
             cve: case.id.to_string(),
             real_aborts,
-            synthetic_aborts,
             attempts: CORRELATION_ATTEMPTS,
         });
     }
@@ -542,7 +514,11 @@ pub fn quiescence_correlation(
             .cmp(&a.real_aborts)
             .then_with(|| a.function.cmp(&b.function))
     });
-    Ok(QuiesceCorrelation { risk, aborts })
+    Ok(QuiesceCorrelation {
+        risk,
+        dropped,
+        aborts,
+    })
 }
 
 #[cfg(test)]

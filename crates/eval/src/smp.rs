@@ -1,7 +1,7 @@
 //! The quiescence-under-load experiment (paper §5 / §6.3, for real).
 //!
 //! Every earlier abort measurement in this repo was either synthetic
-//! (an armed stack-busy fault) or a uniprocessor race against a
+//! (an armed `Site::StackBusy` fault) or a uniprocessor race against a
 //! *paused* workload. With the SMP substrate the experiment becomes
 //! honest: N vCPUs run the POSIX stress workload concurrently while
 //! `ksplice-apply` tries to capture the machine, so the §5.2 stack

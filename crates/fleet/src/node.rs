@@ -148,7 +148,8 @@ impl PackSet {
 /// Builds the fleet update for the first `versions` base versions.
 /// Versions listed in `poison_versions` get the poisoned build — the
 /// "safe on one base version, misbehaves on another" shape the staged
-/// rollout must contain.
+/// rollout must contain. `versions` must be at least 1, as
+/// [`PackSet::from_packs`] requires.
 pub fn build_packset(
     update_id: &str,
     versions: usize,
@@ -156,7 +157,6 @@ pub fn build_packset(
     cache: &BuildCache,
 ) -> Result<PackSet, String> {
     let mut packs = Vec::new();
-    let mut checksums = Vec::new();
     for v in 0..versions {
         let pre = version_tree(v);
         let post = patched_tree(&pre, poison_versions.contains(&v));
@@ -170,16 +170,9 @@ pub fn build_packset(
             &mut Tracer::disabled(),
         )
         .map_err(|e| format!("{update_id} v{v}: create: {e}"))?;
-        let bytes = pack.to_bytes();
-        checksums.push(fnv1a(FNV_OFFSET, &bytes));
-        packs.push(bytes);
+        packs.push(pack.to_bytes());
     }
-    Ok(PackSet {
-        update_id: update_id.to_string(),
-        canaries: default_canaries(),
-        packs,
-        checksums,
-    })
+    Ok(PackSet::from_packs(update_id, default_canaries(), packs))
 }
 
 /// Fleet-wide configuration.

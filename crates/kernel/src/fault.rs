@@ -8,76 +8,147 @@
 //! either succeed cleanly or abort cleanly — never half-apply.
 //!
 //! Everything is deterministic: faults fire a caller-chosen number of
-//! times, and any randomness (byte picks, step jitter) comes from a
-//! seeded xorshift64* generator owned by the plan, so a failing chaos
-//! schedule replays exactly from its seed.
+//! times, and any randomness (byte picks, step jitter, stalled vCPUs)
+//! comes from a seeded xorshift64* generator owned by the plan, so a
+//! failing chaos schedule replays exactly from its seed.
 //!
-//! Sites and what they force:
-//!
-//! * [`Fault::StackBusy`] — the §5.2 stack safety check reports a
-//!   synthetic busy thread for the next *n* stop_machine windows, as if
-//!   a sleeping thread kept the target function on its stack. Forces
-//!   `NotQuiescent` retries (and abandonment when *n* reaches the retry
-//!   policy's attempt budget).
-//! * [`Fault::ModuleLoad`] — the next *n* module loads fail with an
-//!   out-of-memory link error, as if `vmalloc` failed mid-apply. Forces
-//!   the load-helpers / load-primaries rollback paths.
-//! * [`Fault::CorruptText`] — flips one byte of mapped kernel text
-//!   (seed-chosen when no address is given), the "wrong kernel / wrong
-//!   compiler / unexpected modification" scenario §4 exists to catch.
-//!   Forces a run-pre `Mismatch` abort when the flipped byte lies in a
-//!   matched function.
-//! * [`Fault::StepJitter`] — perturbs every `Kernel::run` budget by a
-//!   seeded amount up to ±`max_steps`, so retry delays never land on
-//!   the exact schedule the caller asked for. Stresses the retry loop's
-//!   timing assumptions without changing its outcome invariants.
-//! * [`Fault::ProbeFail`] — the next *n* watch-window health probes
-//!   report failure regardless of what the probed kernel actually
-//!   returns, as if a canary regressed after apply. Forces the update
-//!   lifecycle manager's automatic-rollback path.
-//! * [`Fault::BarrierStall`] — the next *n* `stop_machine` barrier
-//!   rendezvous fail: a seed-chosen vCPU never checks in, as if an
-//!   interrupt-disabled spin kept it from the stop handler. Forces the
-//!   barrier-timeout abort path (retryable, like `NotQuiescent`).
+//! Each site is one row of [`SITES`], which says what the site forces.
+//! Parsing and printing a [`Fault`] render from that table, every fault
+//! but a text corruption is armed through [`FaultPlan::arm`], and every
+//! counted site fires through [`FaultPlan::fire`].
 
 use std::fmt;
 
 use ksplice_lang::FuzzRng;
 
-/// One armed perturbation (see the module docs for the forced outcomes).
+/// A fault-injection site: the index of its row in [`SITES`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Site {
+    /// Consulted by the §5.2 stack check in each stop_machine window.
+    StackBusy,
+    /// Consulted by `Kernel::insmod_with` on every module load.
+    ModuleLoad,
+    /// Acts once, as `Kernel::arm_fault` arms it.
+    CorruptText,
+    /// Consulted by `Kernel::run` on every call.
+    StepJitter,
+    /// Consulted before every watch-window health probe.
+    ProbeFail,
+    /// Consulted by `Kernel::stop_machine` after the rendezvous.
+    BarrierStall,
+}
+
+/// What follows a site's name in its spelling. A count or bound is at
+/// most `u32::MAX` and is named in errors by its string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SiteArg {
+    /// `:N` firings; arming again adds to those left, saturating.
+    Count(&'static str),
+    /// `:N`, a bound; arming again keeps the larger.
+    Max(&'static str),
+    /// Nothing, or `:ADDR` in `0x` hex or decimal.
+    Addr,
+}
+
+/// The fault table: each site, its spelling (the `--fault` syntax and
+/// the [`FiredFault::site`] it logs) and its argument, in [`Site`]
+/// order. [`Fault::parse`], `Display for Fault`, the unknown-site error
+/// and the CLI usage all render from it.
+pub const SITES: [(Site, &str, SiteArg); 6] = [
+    // The stack check finds the target busy for the next N windows, as
+    // if a sleeping thread kept it on its stack: `NotQuiescent` retries,
+    // and abandonment once N reaches the retry policy's attempts. At one
+    // vCPU the check reports a synthetic thread 0; at two or more a real
+    // thread is parked at the target's entry (`Kernel::park_fault_vcpu`)
+    // until the windows run out.
+    (Site::StackBusy, "stack-busy", SiteArg::Count("windows")),
+    // The next N module loads fail with an out-of-memory link error, as
+    // if `vmalloc` failed mid-apply: the load-helpers and
+    // load-primaries rollback paths.
+    (Site::ModuleLoad, "module-load", SiteArg::Count("count")),
+    // Inverts one byte of mapped kernel text as it is armed, at ADDR or
+    // at a seeded pick among the executable bytes: the "wrong kernel or
+    // unexpected modification" case §4 exists to catch, a run-pre
+    // `Mismatch` abort when the byte lies in a matched function.
+    (Site::CorruptText, "corrupt-text", SiteArg::Addr),
+    // Moves every `Kernel::run` budget by a seeded amount of up to ±N
+    // steps (never below 1), so retry delays never land on the exact
+    // schedule the caller asked for.
+    (Site::StepJitter, "step-jitter", SiteArg::Max("steps")),
+    // The next N watch-window health probes fail whatever the kernel
+    // answers, as if a canary regressed after apply: the lifecycle
+    // manager's automatic rollback.
+    (Site::ProbeFail, "probe-fail", SiteArg::Count("count")),
+    // The next N stop_machine rendezvous time out: a seed-chosen vCPU
+    // never checks in, as if an interrupt-disabled spin kept it from
+    // the stop handler. A retryable abort, like `NotQuiescent`.
+    (Site::BarrierStall, "barrier-stall", SiteArg::Count("count")),
+];
+
+impl Site {
+    /// The site's spelling.
+    pub fn name(self) -> &'static str {
+        SITES[self as usize].1
+    }
+
+    /// The site's argument.
+    fn arg(self) -> SiteArg {
+        SITES[self as usize].2
+    }
+
+    /// The site's entry in a usage line: `name:N` or `name[:0xADDR]`.
+    pub fn usage(self) -> String {
+        match self.arg() {
+            SiteArg::Addr => format!("{}[:0xADDR]", self.name()),
+            SiteArg::Count(_) | SiteArg::Max(_) => format!("{}:N", self.name()),
+        }
+    }
+
+    /// The fault arming this site with `arg`, which [`Fault::parse`]
+    /// checked against the site's row.
+    fn fault(self, arg: Option<u64>) -> Fault {
+        let n = arg.unwrap_or(0);
+        let count = n as u32;
+        match self {
+            Site::StackBusy => Fault::StackBusy { windows: count },
+            Site::ModuleLoad => Fault::ModuleLoad { count },
+            Site::CorruptText => Fault::CorruptText { addr: arg },
+            Site::StepJitter => Fault::StepJitter { max_steps: n },
+            Site::ProbeFail => Fault::ProbeFail { count },
+            Site::BarrierStall => Fault::BarrierStall { count },
+        }
+    }
+}
+
+/// One armed perturbation: a [`Site`] and its argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// Report a synthetic busy thread from the next `windows`
-    /// stop_machine stack checks.
+    /// [`Site::StackBusy`].
     StackBusy {
         /// How many consecutive stop_machine windows fail the check.
         windows: u32,
     },
-    /// Fail the next `count` module loads with an out-of-memory error.
+    /// [`Site::ModuleLoad`].
     ModuleLoad {
         /// How many consecutive loads fail.
         count: u32,
     },
-    /// Flip one byte of mapped kernel text. `addr` pins the byte;
-    /// `None` lets the plan's seeded generator pick an executable
-    /// region byte.
+    /// [`Site::CorruptText`].
     CorruptText {
         /// Address of the byte to flip, or `None` for a seeded pick.
         addr: Option<u64>,
     },
-    /// Perturb every `Kernel::run` step budget by up to `max_steps`
-    /// in either direction (budgets never drop below 1).
+    /// [`Site::StepJitter`].
     StepJitter {
         /// Maximum absolute perturbation per `run` call.
         max_steps: u64,
     },
-    /// Fail the next `count` watch-window health probes.
+    /// [`Site::ProbeFail`].
     ProbeFail {
         /// How many consecutive probes report failure.
         count: u32,
     },
-    /// Fail the next `count` `stop_machine` barrier rendezvous: a
-    /// seed-chosen vCPU never checks in.
+    /// [`Site::BarrierStall`].
     BarrierStall {
         /// How many consecutive rendezvous time out.
         count: u32,
@@ -85,66 +156,64 @@ pub enum Fault {
 }
 
 impl Fault {
-    /// Parses the CLI / chaos-schedule spelling of a fault:
-    ///
-    /// * `stack-busy:N` — fail the next N stack checks
-    /// * `module-load:N` — fail the next N module loads
-    /// * `corrupt-text` / `corrupt-text:0xADDR` — flip a text byte
-    /// * `step-jitter:N` — jitter run budgets by up to ±N steps
-    /// * `probe-fail:N` — fail the next N watch-window health probes
-    /// * `barrier-stall:N` — time out the next N stop_machine barriers
+    /// Parses the CLI / chaos-schedule spelling of a fault: a site's
+    /// name from [`SITES`], then its argument as [`Site::usage`] spells
+    /// it.
     pub fn parse(spec: &str) -> Result<Fault, String> {
-        let (site, arg) = match spec.split_once(':') {
+        let (name, arg) = match spec.split_once(':') {
             Some((s, a)) => (s, Some(a)),
             None => (spec, None),
         };
+        let Some(&(site, _, kind)) = SITES.iter().find(|row| row.1 == name) else {
+            let [rest @ .., last] = SITES.map(|row| row.1);
+            return Err(format!(
+                "unknown fault site `{name}` (expected {} or {last})",
+                rest.join(", ")
+            ));
+        };
         let num = |what: &str| -> Result<u64, String> {
-            let a = arg.ok_or_else(|| format!("fault `{site}` needs `{site}:<{what}>`"))?;
+            let a = arg.ok_or_else(|| format!("fault `{name}` needs `{name}:<{what}>`"))?;
             let (digits, radix) = match a.strip_prefix("0x") {
                 Some(hex) => (hex, 16),
                 None => (a, 10),
             };
             u64::from_str_radix(digits, radix).map_err(|_| format!("bad {what} `{a}` in `{spec}`"))
         };
-        let count = |what: &str| -> Result<u32, String> {
-            u32::try_from(num(what)?).map_err(|_| format!("{what} out of range in `{spec}`"))
+        let arg = match kind {
+            SiteArg::Addr => arg.map(|_| num("addr")).transpose()?,
+            SiteArg::Count(what) | SiteArg::Max(what) => {
+                let n = num(what)?;
+                if n > u64::from(u32::MAX) {
+                    return Err(format!("{what} out of range in `{spec}`"));
+                }
+                Some(n)
+            }
         };
-        match site {
-            "stack-busy" => Ok(Fault::StackBusy {
-                windows: count("windows")?,
-            }),
-            "module-load" => Ok(Fault::ModuleLoad {
-                count: count("count")?,
-            }),
-            "corrupt-text" => Ok(Fault::CorruptText {
-                addr: arg.map(|_| num("addr")).transpose()?,
-            }),
-            "step-jitter" => Ok(Fault::StepJitter {
-                max_steps: count("steps")?.into(),
-            }),
-            "probe-fail" => Ok(Fault::ProbeFail {
-                count: count("count")?,
-            }),
-            "barrier-stall" => Ok(Fault::BarrierStall {
-                count: count("count")?,
-            }),
-            other => Err(format!(
-                "unknown fault site `{other}` (expected stack-busy, module-load, corrupt-text, step-jitter, probe-fail or barrier-stall)"
-            )),
+        Ok(site.fault(arg))
+    }
+
+    /// The site this fault arms and its argument, `None` only for a
+    /// seeded text corruption.
+    fn parts(self) -> (Site, Option<u64>) {
+        match self {
+            Fault::StackBusy { windows } => (Site::StackBusy, Some(windows.into())),
+            Fault::ModuleLoad { count } => (Site::ModuleLoad, Some(count.into())),
+            Fault::CorruptText { addr } => (Site::CorruptText, addr),
+            Fault::StepJitter { max_steps } => (Site::StepJitter, Some(max_steps)),
+            Fault::ProbeFail { count } => (Site::ProbeFail, Some(count.into())),
+            Fault::BarrierStall { count } => (Site::BarrierStall, Some(count.into())),
         }
     }
 }
 
 impl fmt::Display for Fault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Fault::StackBusy { windows } => write!(f, "stack-busy:{windows}"),
-            Fault::ModuleLoad { count } => write!(f, "module-load:{count}"),
-            Fault::CorruptText { addr: Some(a) } => write!(f, "corrupt-text:{a:#x}"),
-            Fault::CorruptText { addr: None } => write!(f, "corrupt-text"),
-            Fault::StepJitter { max_steps } => write!(f, "step-jitter:{max_steps}"),
-            Fault::ProbeFail { count } => write!(f, "probe-fail:{count}"),
-            Fault::BarrierStall { count } => write!(f, "barrier-stall:{count}"),
+        let (site, arg) = self.parts();
+        f.write_str(site.name())?;
+        match (site.arg(), arg) {
+            (_, None) => Ok(()),
+            (SiteArg::Addr, Some(addr)) => write!(f, ":{addr:#x}"),
+            (_, Some(n)) => write!(f, ":{n}"),
         }
     }
 }
@@ -154,24 +223,25 @@ impl fmt::Display for Fault {
 pub struct FiredFault {
     /// The site that fired, in [`Fault::parse`] spelling.
     pub site: &'static str,
-    /// Site-specific detail: the busy window index, the failed module
-    /// name, the flipped address, or the jittered budget.
+    /// Site-specific detail: the busy function, the failed module or
+    /// probe, the flipped address, the jittered budget or the stalled
+    /// vCPU.
     pub detail: String,
 }
 
 /// The armed fault state of one [`crate::Kernel`].
 ///
-/// A fresh plan is inert: every `should_*` probe answers "no fault" at
-/// zero cost on the hot path. Arming is additive; [`FaultPlan::disarm`]
-/// clears everything armed but keeps the fired log.
+/// A fresh plan is inert: every consultation answers "no fault" with
+/// one compare on the hot path. Arming accumulates;
+/// [`FaultPlan::disarm`] clears everything armed but keeps the fired
+/// log.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     rng: FuzzRng,
-    stack_busy_windows: u32,
-    module_load_failures: u32,
-    step_jitter_max: u64,
-    probe_failures: u32,
-    barrier_stalls: u32,
+    /// One armed value per site, indexed by [`Site`]: the firings left
+    /// at a count, the bound at a maximum (a text corruption arms
+    /// nothing).
+    armed: [u64; SITES.len()],
     fired: Vec<FiredFault>,
 }
 
@@ -186,11 +256,7 @@ impl FaultPlan {
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
             rng: FuzzRng::from_state(seed.max(1)),
-            stack_busy_windows: 0,
-            module_load_failures: 0,
-            step_jitter_max: 0,
-            probe_failures: 0,
-            barrier_stalls: 0,
+            armed: [0; SITES.len()],
             fired: Vec::new(),
         }
     }
@@ -203,20 +269,12 @@ impl FaultPlan {
 
     /// True when nothing is armed.
     pub fn is_inert(&self) -> bool {
-        self.stack_busy_windows == 0
-            && self.module_load_failures == 0
-            && self.step_jitter_max == 0
-            && self.probe_failures == 0
-            && self.barrier_stalls == 0
+        self.armed.iter().all(|&n| n == 0)
     }
 
     /// Clears everything armed; the fired log survives.
     pub fn disarm(&mut self) {
-        self.stack_busy_windows = 0;
-        self.module_load_failures = 0;
-        self.step_jitter_max = 0;
-        self.probe_failures = 0;
-        self.barrier_stalls = 0;
+        self.armed = [0; SITES.len()];
     }
 
     /// Every fault that fired so far, in firing order.
@@ -224,113 +282,54 @@ impl FaultPlan {
         &self.fired
     }
 
-    pub(crate) fn arm_stack_busy(&mut self, windows: u32) {
-        self.stack_busy_windows += windows;
+    /// What is armed at `site`: the firings left at a count, the bound
+    /// at a maximum.
+    pub(crate) fn armed(&self, site: Site) -> u64 {
+        self.armed[site as usize]
     }
 
-    pub(crate) fn arm_module_load(&mut self, count: u32) {
-        self.module_load_failures += count;
-    }
-
-    pub(crate) fn arm_step_jitter(&mut self, max_steps: u64) {
-        self.step_jitter_max = self.step_jitter_max.max(max_steps);
-    }
-
-    pub(crate) fn arm_probe_fail(&mut self, count: u32) {
-        self.probe_failures += count;
-    }
-
-    pub(crate) fn arm_barrier_stall(&mut self, count: u32) {
-        self.barrier_stalls += count;
-    }
-
-    /// How many stack-busy windows remain armed. The kernel's physical
-    /// fault realization (`park_fault_vcpu`) uses this to decide when
-    /// to release its parked vCPU without burning a window.
-    pub fn stack_busy_pending(&self) -> u32 {
-        self.stack_busy_windows
-    }
-
-    /// Consulted by `Kernel::stop_machine` after the rendezvous.
-    /// Returns the seed-chosen vCPU (`0..ncpus`) that failed to check
-    /// in, burning one armed stall; `None` when nothing is armed.
-    pub fn barrier_stall(&mut self, ncpus: u32) -> Option<u32> {
-        if self.barrier_stalls == 0 {
-            return None;
+    /// Arms `fault` as its row says: a count adds to the firings left,
+    /// saturating, and a maximum keeps the larger bound. A text
+    /// corruption arms nothing here; `Kernel::arm_fault` flips its byte.
+    pub(crate) fn arm(&mut self, fault: Fault) {
+        let (site, arg) = fault.parts();
+        let (slot, n) = (&mut self.armed[site as usize], arg.unwrap_or(0));
+        match site.arg() {
+            SiteArg::Count(_) => *slot = slot.saturating_add(n),
+            SiteArg::Max(_) => *slot = (*slot).max(n),
+            SiteArg::Addr => {}
         }
-        self.barrier_stalls -= 1;
-        let cpu = self.rng.below(ncpus.max(1) as u64) as u32;
-        self.fired.push(FiredFault {
-            site: "barrier-stall",
-            detail: format!("cpu{cpu}"),
-        });
-        Some(cpu)
     }
 
-    /// Consulted by the update lifecycle manager before each health
-    /// probe. Returns true (and burns one armed failure) when the probe
-    /// named `probe` must report failure.
-    pub fn probe_fails(&mut self, probe: &str) -> bool {
-        if self.probe_failures == 0 {
+    /// Fires a counted site. When `site` has a firing left, burns it,
+    /// logs a [`FiredFault`] with the detail `detail` renders (which may
+    /// draw from the plan's seeded generator) and returns true. An
+    /// unarmed site costs one compare and draws nothing.
+    pub fn fire(&mut self, site: Site, detail: impl FnOnce(&mut FuzzRng) -> String) -> bool {
+        let left = &mut self.armed[site as usize];
+        if *left == 0 {
             return false;
         }
-        self.probe_failures -= 1;
-        self.fired.push(FiredFault {
-            site: "probe-fail",
-            detail: probe.to_string(),
-        });
-        true
-    }
-
-    /// Consulted by the §5.2 stack safety check. Returns the synthetic
-    /// busy report `(tid 0, fn_name)` and burns one armed window, or
-    /// `None` when no stack-busy fault is armed.
-    pub fn stack_check_busy(&mut self, ranges: &[(u64, u64, String)]) -> Option<(u64, String)> {
-        if self.stack_busy_windows == 0 {
-            return None;
-        }
-        self.stack_busy_windows -= 1;
-        let name = ranges
-            .first()
-            .map(|(_, _, n)| n.clone())
-            .unwrap_or_else(|| "<fault-injected>".to_string());
-        self.fired.push(FiredFault {
-            site: "stack-busy",
-            detail: name.clone(),
-        });
-        Some((0, name))
-    }
-
-    /// Consulted by the module loader. Returns true (and burns one
-    /// armed failure) when the load of `module` must fail.
-    pub fn module_load_fails(&mut self, module: &str) -> bool {
-        if self.module_load_failures == 0 {
-            return false;
-        }
-        self.module_load_failures -= 1;
-        self.fired.push(FiredFault {
-            site: "module-load",
-            detail: module.to_string(),
-        });
+        debug_assert!(matches!(site.arg(), SiteArg::Count(_)));
+        *left -= 1;
+        let detail = detail(&mut self.rng);
+        self.record(site, detail);
         true
     }
 
     /// Consulted by `Kernel::run`. Returns the (possibly perturbed)
     /// step budget; inert plans return `budget` unchanged.
     pub fn jitter_budget(&mut self, budget: u64) -> u64 {
-        if self.step_jitter_max == 0 || budget == 0 {
+        let max = self.armed(Site::StepJitter);
+        if max == 0 || budget == 0 {
             return budget;
         }
         // The span saturates and the sum is taken in `i128`, so no armed
         // maximum and no budget can overflow.
-        let max = self.step_jitter_max;
         let span = max.saturating_mul(2).saturating_add(1);
         let offset = i128::from(self.rng.below(span)) - i128::from(max);
         let jittered = (i128::from(budget) + offset).clamp(1, i128::from(u64::MAX)) as u64;
-        self.fired.push(FiredFault {
-            site: "step-jitter",
-            detail: format!("{budget}->{jittered}"),
-        });
+        self.record(Site::StepJitter, format!("{budget}->{jittered}"));
         jittered
     }
 
@@ -351,14 +350,20 @@ impl FaultPlan {
         None
     }
 
-    pub(crate) fn record(&mut self, site: &'static str, detail: String) {
-        self.fired.push(FiredFault { site, detail });
+    /// Logs one firing of `site`.
+    pub(crate) fn record(&mut self, site: Site, detail: String) {
+        self.fired.push(FiredFault {
+            site: site.name(),
+            detail,
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Kernel;
+    use ksplice_lang::{Options, SourceTree};
 
     #[test]
     fn parse_roundtrip() {
@@ -387,49 +392,80 @@ mod tests {
     }
 
     #[test]
-    fn stack_busy_burns_armed_windows() {
-        let mut plan = FaultPlan::new(7);
-        plan.arm_stack_busy(2);
-        let ranges = vec![(0x1000u64, 16u64, "target_fn".to_string())];
-        assert_eq!(
-            plan.stack_check_busy(&ranges),
-            Some((0, "target_fn".to_string()))
-        );
-        assert!(plan.stack_check_busy(&ranges).is_some());
-        assert_eq!(plan.stack_check_busy(&ranges), None);
-        assert_eq!(plan.fired().len(), 2);
-        assert!(plan.is_inert());
+    fn every_site_round_trips_and_each_counted_site_fires_its_armed_count() {
+        // Each row: a spec, and the detail its consumer logs at each
+        // firing, one per armed count. `barrier-stall` draws its vCPU
+        // from the plan's generator (as `stop_machine` does at 4 vCPUs),
+        // so its details pin the seed-7 draws.
+        let rows: [(&str, &[&str]); 7] = [
+            ("stack-busy:2", &["target_fn", "target_fn"]),
+            ("module-load:1", &["m1"]),
+            ("corrupt-text", &[]),
+            ("corrupt-text:0xf0001000", &[]),
+            ("step-jitter:500", &[]),
+            ("probe-fail:2", &["canary:sys_getuid", "exploit"]),
+            ("barrier-stall:2", &["cpu2", "cpu2"]),
+        ];
+        for (site, name, _) in SITES {
+            assert_eq!(SITES[site as usize].0, site, "rows are in `Site` order");
+            assert!(rows.iter().any(|r| r.0.split(':').next() == Some(name)));
+        }
+        for (spec, details) in rows {
+            let fault = Fault::parse(spec).unwrap();
+            assert_eq!(fault.to_string(), spec);
+            let (site, _) = fault.parts();
+            if !matches!(site.arg(), SiteArg::Count(_)) {
+                continue;
+            }
+            let mut plan = FaultPlan::new(7);
+            plan.arm(fault);
+            assert!(!plan.is_inert(), "{spec}");
+            let mut fire = |detail: &str| {
+                plan.fire(site, |rng| match site {
+                    Site::BarrierStall => format!("cpu{}", rng.below(4)),
+                    _ => detail.to_string(),
+                })
+            };
+            for detail in details {
+                assert!(fire(detail), "{spec}: {detail}");
+            }
+            assert!(!fire("spent"), "{spec} fired past its count");
+            let logged: Vec<(&str, &str)> = plan
+                .fired()
+                .iter()
+                .map(|f| (f.site, f.detail.as_str()))
+                .collect();
+            let expected: Vec<(&str, &str)> = details.iter().map(|&d| (site.name(), d)).collect();
+            assert_eq!(logged, expected, "{spec}");
+            assert!(plan.is_inert(), "{spec}");
+        }
     }
 
     #[test]
-    fn module_load_failures_are_counted() {
-        let mut plan = FaultPlan::new(7);
-        plan.arm_module_load(1);
-        assert!(plan.module_load_fails("m1"));
-        assert!(!plan.module_load_fails("m2"));
-        assert_eq!(plan.fired()[0].detail, "m1");
-    }
-
-    #[test]
-    fn probe_failures_burn_one_per_probe() {
-        let mut plan = FaultPlan::new(7);
-        plan.arm_probe_fail(2);
-        assert!(!plan.is_inert());
-        assert!(plan.probe_fails("canary:sys_getuid"));
-        assert!(plan.probe_fails("exploit"));
-        assert!(!plan.probe_fails("canary:sys_getuid"));
-        assert_eq!(plan.fired().len(), 2);
-        assert_eq!(plan.fired()[0].site, "probe-fail");
-        assert_eq!(plan.fired()[0].detail, "canary:sys_getuid");
-        assert!(plan.is_inert());
+    fn repeated_counts_saturate_instead_of_wrapping() {
+        let mut tree = SourceTree::new();
+        tree.insert("init.kc", "int f() { return 0; }");
+        let mut k = Kernel::boot(&tree, &Options::distro()).unwrap();
+        for site in ["stack-busy", "module-load", "probe-fail", "barrier-stall"] {
+            // `u32::MAX` twice, then `u32::MAX` and 1: a wrapping sum
+            // would leave too few firings, or none.
+            for second in ["4294967295", "1"] {
+                k.faults.disarm();
+                for count in ["4294967295", second] {
+                    let fault = Fault::parse(&format!("{site}:{count}")).unwrap();
+                    k.arm_fault(fault).unwrap();
+                }
+                assert!(!k.faults.is_inert(), "{site}:{second}");
+            }
+        }
     }
 
     #[test]
     fn jitter_is_deterministic_and_bounded() {
         let mut a = FaultPlan::new(42);
-        a.arm_step_jitter(100);
+        a.arm(Fault::StepJitter { max_steps: 100 });
         let mut b = FaultPlan::new(42);
-        b.arm_step_jitter(100);
+        b.arm(Fault::StepJitter { max_steps: 100 });
         for _ in 0..50 {
             let x = a.jitter_budget(1_000);
             assert_eq!(x, b.jitter_budget(1_000));
@@ -437,7 +473,7 @@ mod tests {
         }
         // A different seed produces a different schedule.
         let mut c = FaultPlan::new(43);
-        c.arm_step_jitter(100);
+        c.arm(Fault::StepJitter { max_steps: 100 });
         let a_seq: Vec<u64> = (0..8).map(|_| a.jitter_budget(1_000)).collect();
         let c_seq: Vec<u64> = (0..8).map(|_| c.jitter_budget(1_000)).collect();
         assert_ne!(a_seq, c_seq);
@@ -446,31 +482,14 @@ mod tests {
     #[test]
     fn jitter_never_overflows() {
         let mut plan = FaultPlan::new(42);
-        plan.arm_step_jitter(u64::MAX);
+        plan.arm(Fault::StepJitter {
+            max_steps: u64::MAX,
+        });
         for budget in [1, 2_000, u64::MAX] {
             for _ in 0..16 {
                 assert!(plan.jitter_budget(budget) >= 1, "budget {budget}");
             }
         }
-    }
-
-    #[test]
-    fn barrier_stalls_burn_and_pick_a_cpu() {
-        let mut plan = FaultPlan::new(7);
-        plan.arm_barrier_stall(2);
-        assert!(!plan.is_inert());
-        let a = plan.barrier_stall(4).unwrap();
-        let b = plan.barrier_stall(4).unwrap();
-        assert!(a < 4 && b < 4);
-        assert_eq!(plan.barrier_stall(4), None);
-        assert!(plan.is_inert());
-        assert_eq!(plan.fired().len(), 2);
-        assert_eq!(plan.fired()[0].site, "barrier-stall");
-        // Deterministic: same seed, same picks.
-        let mut again = FaultPlan::new(7);
-        again.arm_barrier_stall(2);
-        assert_eq!(again.barrier_stall(4), Some(a));
-        assert_eq!(again.barrier_stall(4), Some(b));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use ksplice_lang::{build_tree, FuzzRng, Options, SourceTree};
 use ksplice_object::{Object, ObjectSet};
 
-use crate::fault::{Fault, FaultPlan};
+use crate::fault::{Fault, FaultPlan, Site};
 use crate::kallsyms::Kallsyms;
 use crate::loader::{load_kernel_image, load_module, LinkError, LoadedModule};
 use crate::mem::{Memory, Perms};
@@ -153,8 +153,8 @@ pub struct Kernel {
     pub cpus: Vec<Cpu>,
     /// Seeded generator for the per-round rotation draw (`cpus > 1` only).
     sched_rng: FuzzRng,
-    /// The physically parked fault thread realizing an armed stack-busy
-    /// fault at N ≥ 2 (see [`Kernel::park_fault_vcpu`]).
+    /// The physically parked fault thread realizing an armed
+    /// [`Site::StackBusy`] fault at N ≥ 2 (see [`Kernel::park_fault_vcpu`]).
     fault_parker: Option<u64>,
     /// Armed fault-injection state (inert by default; see [`FaultPlan`]).
     pub faults: FaultPlan,
@@ -606,7 +606,7 @@ impl Kernel {
     /// 0.7 ms" measurement.
     ///
     /// Fails with [`StopMachineError::BarrierTimeout`] when an armed
-    /// `barrier-stall` fault makes a vCPU miss the rendezvous; the
+    /// [`Site::BarrierStall`] fault makes a vCPU miss the rendezvous; the
     /// machine is released untouched (`f` never runs, no text written).
     pub fn stop_machine<R>(
         &mut self,
@@ -621,12 +621,16 @@ impl Kernel {
             let mut unbounded = u64::MAX;
             self.round(&mut unbounded);
         }
-        if let Some(cpu) = self.faults.barrier_stall(self.smp.cpus) {
+        let mut stalled = 0;
+        if self.faults.fire(Site::BarrierStall, |rng| {
+            stalled = rng.below(u64::from(self.smp.cpus.max(1))) as u32;
+            format!("cpu{stalled}")
+        }) {
             // The stalled vCPU never checked in: release the machine
             // without running `f`. The pause still counted.
             self.last_stop_machine = Some(start.elapsed());
             self.last_stop_machine_steps = self.steps - steps_before;
-            return Err(StopMachineError::BarrierTimeout { cpu });
+            return Err(StopMachineError::BarrierTimeout { cpu: stalled });
         }
         let r = f(self);
         self.last_stop_machine = Some(start.elapsed());
@@ -635,14 +639,15 @@ impl Kernel {
         Ok(r)
     }
 
-    /// Physically realizes an armed stack-busy fault at N ≥ 2: parks a
-    /// real vCPU thread at `addr` (the entry of the patch target), so
-    /// the §5.2 stack check finds a genuine instruction pointer inside
-    /// the function — no synthetic verdict involved. The parked thread
-    /// sleeps forever and is reaped when the fault's windows are
-    /// exhausted. Returns the parked tid while the fault is live.
+    /// Physically realizes an armed [`Site::StackBusy`] fault at N ≥ 2:
+    /// parks a real vCPU thread at `addr` (the entry of the patch
+    /// target), so the §5.2 stack check finds a genuine instruction
+    /// pointer inside the function — no synthetic verdict involved. The
+    /// parked thread sleeps forever and is reaped when the fault's
+    /// windows are exhausted. Returns the parked tid while the fault is
+    /// live.
     pub fn park_fault_vcpu(&mut self, addr: u64) -> Option<u64> {
-        if self.faults.stack_busy_pending() == 0 {
+        if self.faults.armed(Site::StackBusy) == 0 {
             // Windows exhausted: release the parked vCPU so the next
             // capture attempt finds the machine quiescent.
             if let Some(tid) = self.fault_parker.take() {
@@ -722,7 +727,7 @@ impl Kernel {
         defer_unresolved: bool,
         register_symbols: bool,
     ) -> Result<LoadedModule, LinkError> {
-        if self.faults.module_load_fails(&obj.name) {
+        if self.faults.fire(Site::ModuleLoad, |_| obj.name.clone()) {
             // Simulated vmalloc exhaustion mid-load (fault injection).
             return Err(LinkError::OutOfMemory {
                 section: format!("{}:fault-injected", obj.name),
@@ -764,62 +769,37 @@ impl Kernel {
         true
     }
 
-    /// Arms one fault (see [`Fault`] for the sites). Countable faults
-    /// (stack-busy windows, module-load failures) accumulate; text
-    /// corruption happens immediately — one byte of mapped kernel text
-    /// is inverted (at `addr` if given, else a seeded pick) and the
-    /// flipped address is recorded in [`FaultPlan::fired`]. Returns the
+    /// Arms one fault through `FaultPlan::arm`, except a text
+    /// corruption, which happens now: one byte of mapped kernel text is
+    /// inverted (at `addr` if given, else a seeded pick) and the flipped
+    /// address is recorded in [`FaultPlan::fired`]. Returns the
     /// corrupted address for `CorruptText`, `None` otherwise; `Err` only
     /// when a text corruption finds no byte to flip.
     pub fn arm_fault(&mut self, fault: Fault) -> Result<Option<u64>, String> {
-        match fault {
-            Fault::StackBusy { windows } => {
-                self.faults.arm_stack_busy(windows);
-                Ok(None)
-            }
-            Fault::ModuleLoad { count } => {
-                self.faults.arm_module_load(count);
-                Ok(None)
-            }
-            Fault::StepJitter { max_steps } => {
-                self.faults.arm_step_jitter(max_steps);
-                Ok(None)
-            }
-            Fault::ProbeFail { count } => {
-                self.faults.arm_probe_fail(count);
-                Ok(None)
-            }
-            Fault::BarrierStall { count } => {
-                self.faults.arm_barrier_stall(count);
-                Ok(None)
-            }
-            Fault::CorruptText { addr } => {
-                let addr = match addr {
-                    Some(a) => a,
-                    None => {
-                        let exec: Vec<(u64, u64)> = self
-                            .mem
-                            .regions()
-                            .iter()
-                            .filter(|r| r.perms.exec)
-                            .map(|r| (r.start, r.size))
-                            .collect();
-                        self.faults
-                            .pick_text_byte(&exec)
-                            .ok_or_else(|| "no executable text to corrupt".to_string())?
-                    }
-                };
-                let byte = self
+        let Fault::CorruptText { addr } = fault else {
+            self.faults.arm(fault);
+            return Ok(None);
+        };
+        let addr = match addr {
+            Some(a) => a,
+            None => {
+                let exec: Vec<(u64, u64)> = self
                     .mem
-                    .peek(addr, 1)
-                    .map_err(|e| format!("corrupt-text at {addr:#x}: {e}"))?[0];
-                self.mem
-                    .poke(addr, &[!byte])
-                    .map_err(|e| format!("corrupt-text at {addr:#x}: {e}"))?;
-                self.faults.record("corrupt-text", format!("{addr:#x}"));
-                Ok(Some(addr))
+                    .regions()
+                    .iter()
+                    .filter(|r| r.perms.exec)
+                    .map(|r| (r.start, r.size))
+                    .collect();
+                self.faults
+                    .pick_text_byte(&exec)
+                    .ok_or_else(|| "no executable text to corrupt".to_string())?
             }
-        }
+        };
+        let err = |e| format!("{} at {addr:#x}: {e}", Site::CorruptText.name());
+        let byte = self.mem.peek(addr, 1).map_err(err)?[0];
+        self.mem.poke(addr, &[!byte]).map_err(err)?;
+        self.faults.record(Site::CorruptText, format!("{addr:#x}"));
+        Ok(Some(addr))
     }
 
     /// kmalloc: first-fit from the free list.

@@ -50,7 +50,7 @@ mod vm;
 pub use differential::{
     diff_images, is_arena_addr, normalize_call, normalize_diag, RegionDelta, TraceEntry,
 };
-pub use fault::{Fault, FaultPlan, FiredFault};
+pub use fault::{Fault, FaultPlan, FiredFault, Site, SiteArg, SITES};
 pub use kallsyms::{KSym, Kallsyms};
 pub use kernel::{
     BootError, CallError, Kernel, KernelSnapshot, Oops, RunExit, SpawnError, Thread, ThreadState,

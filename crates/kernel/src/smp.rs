@@ -113,7 +113,7 @@ pub enum StopMachineError {
     /// vCPU `cpu` never checked in at the rendezvous barrier within the
     /// timeout. In the simulation an honest rendezvous always succeeds
     /// within one quantum per CPU, so this only fires through an armed
-    /// `barrier-stall` fault (see [`crate::Fault::BarrierStall`]).
+    /// [`crate::Site::BarrierStall`] fault.
     BarrierTimeout {
         /// The vCPU that failed to check in.
         cpu: u32,

@@ -9,7 +9,9 @@
 //! `schedule_is_pinned` pins the whole schedule, at one vCPU and at
 //! several, across commits.
 
-use ksplice_kernel::{Fault, Kernel, RunExit, SmpConfig, StopMachineError, ThreadState, QUANTUM};
+use ksplice_kernel::{
+    Fault, Kernel, RunExit, Site, SmpConfig, StopMachineError, ThreadState, QUANTUM,
+};
 use ksplice_lang::{Options, SourceTree};
 
 const SPIN: &str = "int go = 1;\n\
@@ -169,10 +171,7 @@ fn parked_vcpu_is_a_real_thread_and_is_released_with_the_fault() {
     // Same fault, same parker — no second thread.
     assert_eq!(k.park_fault_vcpu(addr), Some(tid));
     // Burn the fault's only window, as the stack check does.
-    assert!(k
-        .faults
-        .stack_check_busy(&[(addr, addr + 64, "target".into())])
-        .is_some());
+    assert!(k.faults.fire(Site::StackBusy, |_| "target".into()));
     // Windows exhausted: the parker is reaped and the machine is clean.
     assert_eq!(k.park_fault_vcpu(addr), None);
     assert!(k.thread(tid).is_none(), "parker reaped");
