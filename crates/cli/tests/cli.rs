@@ -322,6 +322,39 @@ fn profile_is_deterministic_across_processes() {
 }
 
 #[test]
+fn profile_correlate_keeps_its_measured_aborts_out_of_quiet_output() {
+    // The correlation's single-attempt applies abort by design; those
+    // aborts are its measurement, not errors for the operator.
+    let out = ksplice()
+        .args([
+            "--quiet",
+            "profile",
+            "--cve",
+            "CVE-2005-1263",
+            "--correlate",
+            "--rounds",
+            "10",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = format!(
+        "{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(text.contains("rankings agree"), "{text}");
+    assert!(
+        !text.lines().any(|l| l.contains("error]")),
+        "error events in quiet output:\n{text}"
+    );
+}
+
+#[test]
 fn report_rejects_a_deeply_nested_trace_line() {
     // A million unclosed brackets: the parser refuses past its nesting
     // limit instead of overflowing the stack.

@@ -73,6 +73,31 @@ impl ResolvedHooks {
     }
 }
 
+/// Lifecycle state of one applied update: the one record of where it
+/// stands, kept on its [`AppliedUpdate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UpdateState {
+    /// Applied, inside the watch window; not yet trusted.
+    Quarantined,
+    /// Applied for good: a raw apply, or a clean watch window.
+    Committed,
+    /// Automatically reversed after a failed health probe.
+    RolledBack,
+    /// Reversed on operator request.
+    Reversed,
+}
+
+impl fmt::Display for UpdateState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
+            UpdateState::Quarantined => "quarantined",
+            UpdateState::Committed => "committed",
+            UpdateState::RolledBack => "rolled-back",
+            UpdateState::Reversed => "reversed",
+        })
+    }
+}
+
 /// A successfully applied update.
 #[derive(Debug, Clone)]
 pub struct AppliedUpdate {
@@ -89,8 +114,19 @@ pub struct AppliedUpdate {
     /// dependency check walks these to find references that point into
     /// an older update's loaded code.
     pub fulfilled_relocs: Vec<(String, u64)>,
-    /// Set once reversed; a reversed update stays in history.
-    pub reversed: bool,
+    /// Where the update stands. A reversed update stays in history.
+    pub state: UpdateState,
+}
+
+impl AppliedUpdate {
+    /// True while its trampolines are in the kernel: quarantined or
+    /// committed.
+    pub fn is_live(&self) -> bool {
+        matches!(
+            self.state,
+            UpdateState::Quarantined | UpdateState::Committed
+        )
+    }
 }
 
 /// Apply-time policy.
@@ -351,7 +387,8 @@ impl std::error::Error for UndoError {}
 /// The Ksplice core state for one kernel.
 #[derive(Debug, Default, Clone)]
 pub struct Ksplice {
-    /// Applied updates, oldest first (reversed ones remain, flagged).
+    /// Applied updates, oldest first, each with its lifecycle state
+    /// (reversed ones remain).
     pub updates: Vec<AppliedUpdate>,
     /// Monotonic counter for module naming.
     counter: u64,
@@ -365,10 +402,11 @@ impl Ksplice {
 
     /// The live (applied, not reversed) updates, oldest first.
     pub fn live_updates(&self) -> impl Iterator<Item = &AppliedUpdate> {
-        self.updates.iter().filter(|u| !u.reversed)
+        self.updates.iter().filter(|u| u.is_live())
     }
 
-    /// `ksplice-apply`: applies a pack to the running kernel.
+    /// `ksplice-apply`: applies a pack to the running kernel and records
+    /// it [`UpdateState::Committed`].
     pub fn apply(
         &mut self,
         kernel: &mut Kernel,
@@ -709,12 +747,13 @@ impl Ksplice {
             primary_modules: std::mem::take(&mut unwind.primaries),
             hooks,
             fulfilled_relocs,
-            reversed: false,
+            state: UpdateState::Committed,
         });
         Ok(report)
     }
 
-    /// `ksplice-undo`: reverses any live update by id — newest or not.
+    /// `ksplice-undo`: reverses any live update by id — newest or not —
+    /// and marks its record [`UpdateState::Reversed`].
     pub fn undo_any(
         &mut self,
         kernel: &mut Kernel,
@@ -810,7 +849,7 @@ impl Ksplice {
         let text_before = kernel.mem.text_checksum();
         // The newest live update with this id, should a raw caller have
         // applied one id twice.
-        let Some(idx) = self.updates.iter().rposition(|u| !u.reversed && u.id == id) else {
+        let Some(idx) = self.updates.iter().rposition(|u| u.is_live() && u.id == id) else {
             return Err(UndoError::NotUndoable {
                 id: id.to_string(),
                 reason: "no live update with this id".to_string(),
@@ -938,7 +977,7 @@ impl Ksplice {
         for name in &update.primary_modules {
             kernel.rmmod(name);
         }
-        self.updates[idx].reversed = true;
+        self.updates[idx].state = UpdateState::Reversed;
         Ok(UndoReport {
             id: id.to_string(),
             attempts: captured.attempts,
@@ -956,7 +995,7 @@ impl Ksplice {
         let update = &self.updates[idx];
         let mut later = self.updates[idx + 1..]
             .iter()
-            .filter(|u| !u.reversed)
+            .filter(|u| u.is_live())
             .peekable();
         if later.peek().is_none() {
             // The newest live update: nothing can depend on it.
@@ -1019,7 +1058,7 @@ impl Ksplice {
             .iter()
             .enumerate()
             .skip(idx + 1)
-            .filter(|(_, later)| !later.reversed)
+            .filter(|(_, later)| later.is_live())
             .find_map(|(update, later)| {
                 let pos = later.sites.iter().position(|t| {
                     t.site_addr == site.replacement_addr && t.fn_name == site.fn_name

@@ -66,11 +66,11 @@ pub mod runpre;
 
 pub use apply::{
     AppliedUpdate, ApplyError, ApplyOptions, ApplyReport, Ksplice, PatchSite, ResolvedHooks,
-    UndoError, UndoReport, TRAMPOLINE_LEN,
+    UndoError, UndoReport, UpdateState, TRAMPOLINE_LEN,
 };
 pub use manager::{
     preflight, HealthProbe, LifecycleError, PreflightError, ProbeCheck, UpdateManager,
-    UpdateState, UpdateStatus, WatchPolicy,
+    WatchPolicy,
 };
 pub use retry::RetryPolicy;
 pub use create::{

@@ -36,6 +36,7 @@ use ksplice_trace::{Severity, Stage, Tracer};
 
 use crate::apply::{
     verify_text_restored, ApplyError, ApplyOptions, ApplyReport, Ksplice, UndoError, UndoReport,
+    UpdateState,
 };
 use crate::package::UpdatePack;
 use crate::runpre::pre_functions;
@@ -434,30 +435,6 @@ impl Default for WatchPolicy {
     }
 }
 
-/// Lifecycle state of one update under management.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdateState {
-    /// Applied, inside the watch window; not yet trusted.
-    Quarantined,
-    /// Survived a clean watch window.
-    Committed,
-    /// Automatically reversed after a failed health probe.
-    RolledBack,
-    /// Reversed on operator request.
-    Reversed,
-}
-
-impl fmt::Display for UpdateState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            UpdateState::Quarantined => "quarantined",
-            UpdateState::Committed => "committed",
-            UpdateState::RolledBack => "rolled-back",
-            UpdateState::Reversed => "reversed",
-        })
-    }
-}
-
 /// Errors from the managed apply path.
 #[derive(Debug)]
 pub enum LifecycleError {
@@ -466,7 +443,7 @@ pub enum LifecycleError {
     /// The underlying apply failed (and cleaned up after itself).
     Apply(ApplyError),
     /// A watch-window probe failed and the update was automatically
-    /// rolled back; the kernel text is back to its pre-apply image.
+    /// rolled back.
     Quarantine {
         /// The rolled-back update.
         id: String,
@@ -478,6 +455,9 @@ pub enum LifecycleError {
         reason: String,
         /// The automatic rollback's report.
         undo: Box<UndoReport>,
+        /// The manager's rollback check: the kernel text hashes as it
+        /// did just before the apply.
+        restored: bool,
     },
     /// A probe failed *and* the automatic rollback could not complete;
     /// the update is still live and still quarantined. The operator must
@@ -524,23 +504,11 @@ impl fmt::Display for LifecycleError {
 
 impl std::error::Error for LifecycleError {}
 
-/// One row of [`UpdateManager::status`].
-#[derive(Debug, Clone)]
-pub struct UpdateStatus {
-    /// Update id.
-    pub id: String,
-    /// Lifecycle state.
-    pub state: UpdateState,
-    /// Patch sites the update holds (held, if reversed).
-    pub sites: usize,
-}
-
-/// The lifecycle layer over [`Ksplice`]: owns the core state plus the
-/// per-update lifecycle states and the watch policy.
+/// The lifecycle layer over [`Ksplice`]: owns the core state, whose
+/// records carry each update's lifecycle state, and the watch policy.
 #[derive(Debug, Default)]
 pub struct UpdateManager {
     ks: Ksplice,
-    states: BTreeMap<String, UpdateState>,
     watch: WatchPolicy,
 }
 
@@ -568,42 +536,28 @@ impl UpdateManager {
         &self.watch
     }
 
-    /// The lifecycle state of an update this manager applied.
+    /// The lifecycle state of the newest update this manager applied
+    /// under `id`.
     pub fn state(&self, id: &str) -> Option<UpdateState> {
-        self.states.get(id).copied()
+        let newest = self.ks.updates.iter().rev().find(|u| u.id == id)?;
+        Some(newest.state)
     }
 
-    /// Lifecycle status of every update, oldest first.
-    pub fn status(&self) -> Vec<UpdateStatus> {
-        self.ks
-            .updates
-            .iter()
-            .map(|u| UpdateStatus {
-                id: u.id.clone(),
-                state: self.states.get(&u.id).copied().unwrap_or(if u.reversed {
-                    UpdateState::Reversed
-                } else {
-                    UpdateState::Committed
-                }),
-                sites: u.sites.len(),
-            })
-            .collect()
-    }
-
-    /// Human-readable status table (`ksplice status`).
+    /// Human-readable status table (`ksplice status`): one row per
+    /// applied update, oldest first.
     pub fn render_status(&self) -> String {
-        let rows = self.status();
+        let rows = &self.ks.updates;
         if rows.is_empty() {
             return "no updates\n".to_string();
         }
         let idw = rows.iter().map(|r| r.id.len()).max().unwrap_or(2).max(2);
         let mut out = format!("{:<idw$}  {:<11}  {:>5}\n", "ID", "STATE", "SITES");
-        for r in &rows {
+        for r in rows {
             out.push_str(&format!(
                 "{:<idw$}  {:<11}  {:>5}\n",
                 r.id,
-                r.state.to_string(),
-                r.sites
+                r.state,
+                r.sites.len()
             ));
         }
         out
@@ -647,8 +601,7 @@ impl UpdateManager {
             .ks
             .apply_traced(kernel, pack, opts, tracer)
             .map_err(LifecycleError::Apply)?;
-        self.states
-            .insert(pack.id.clone(), UpdateState::Quarantined);
+        self.ks.updates[report.index].state = UpdateState::Quarantined;
         let watch_span = tracer.span_start(
             Stage::Watch,
             "watch",
@@ -743,15 +696,15 @@ impl UpdateManager {
                         }
                     };
                     tracer.set_now(kernel.steps);
-                    verify_text_restored(kernel, tracer, Stage::Watch, text_before);
-                    self.states
-                        .insert(pack.id.clone(), UpdateState::RolledBack);
+                    let restored = verify_text_restored(kernel, tracer, Stage::Watch, text_before);
+                    self.ks.updates[report.index].state = UpdateState::RolledBack;
                     break 'watch Err(LifecycleError::Quarantine {
                         id: pack.id.clone(),
                         probe: probe_name,
                         round,
                         reason,
                         undo: Box::new(undo),
+                        restored,
                     });
                 }
                 tracer.emit(
@@ -766,7 +719,7 @@ impl UpdateManager {
         tracer.set_now(kernel.steps);
         tracer.span_end(watch_span);
         watched?;
-        self.states.insert(pack.id.clone(), UpdateState::Committed);
+        self.ks.updates[report.index].state = UpdateState::Committed;
         tracer.count("watch.updates_committed", 1);
         tracer.emit(
             Stage::Watch,
@@ -780,8 +733,8 @@ impl UpdateManager {
         Ok(report)
     }
 
-    /// Reverses any live update — newest or not — via
-    /// [`Ksplice::undo_any_traced`], recording the lifecycle state.
+    /// Reverses any live update — newest or not — through
+    /// [`Ksplice::undo_any_traced`], which marks its record reversed.
     pub fn undo_any(
         &mut self,
         kernel: &mut Kernel,
@@ -789,9 +742,7 @@ impl UpdateManager {
         opts: &ApplyOptions,
         tracer: &mut Tracer,
     ) -> Result<UndoReport, UndoError> {
-        let report = self.ks.undo_any_traced(kernel, id, opts, tracer)?;
-        self.states.insert(id.to_string(), UpdateState::Reversed);
-        Ok(report)
+        self.ks.undo_any_traced(kernel, id, opts, tracer)
     }
 }
 

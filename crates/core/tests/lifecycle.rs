@@ -135,11 +135,16 @@ fn failing_probe_triggers_checksum_verified_rollback() {
         .unwrap_err();
     match &err {
         LifecycleError::Quarantine {
-            id, probe, round, ..
+            id,
+            probe,
+            round,
+            restored,
+            ..
         } => {
             assert_eq!(id, "fix");
             assert_eq!(probe, "canary:sys_write");
             assert_eq!(*round, 1);
+            assert!(*restored, "the manager's rollback check failed");
         }
         other => panic!("expected Quarantine, got {other}"),
     }
@@ -601,4 +606,68 @@ fn manager_undo_any_updates_status() {
     assert!(report.render().contains("site(s) restored"));
     assert_eq!(mgr.state("fix"), Some(UpdateState::Reversed));
     assert!(mgr.render_status().contains("reversed"));
+}
+
+/// The STATE column of `render_status`, one entry per row.
+fn status_states(mgr: &UpdateManager) -> Vec<String> {
+    mgr.render_status()
+        .lines()
+        .skip(1)
+        .map(|row| row.split_whitespace().nth(1).unwrap_or("").to_string())
+        .collect()
+}
+
+/// A re-applied id shows one row per apply, each with its own state:
+/// the rolled-back attempt stays rolled back once the same pack commits.
+#[test]
+fn reapply_after_quarantine_keeps_the_rolled_back_row() {
+    let src = tree(&[("kernel/sys.kc", SYS)]);
+    let mut kernel = Kernel::boot(&src, &Options::distro()).unwrap();
+    let patch = diff_for(&src, "kernel/sys.kc", SYS_FIXED);
+    let (pack, _) = create_update("fix", &src, &patch, &CreateOptions::default()).unwrap();
+    kernel.arm_fault(Fault::ProbeFail { count: 1 }).unwrap();
+
+    let mut mgr = UpdateManager::new();
+    let apply = |mgr: &mut UpdateManager, kernel: &mut Kernel| {
+        let mut probes = vec![HealthProbe::canary("sys_write", &[3, 55], 55)];
+        mgr.apply_watched(
+            kernel,
+            &pack,
+            &mut probes,
+            &ApplyOptions::default(),
+            &mut Tracer::disabled(),
+        )
+    };
+    let err = apply(&mut mgr, &mut kernel).unwrap_err();
+    assert!(
+        matches!(err, LifecycleError::Quarantine { restored: true, .. }),
+        "{err}"
+    );
+    apply(&mut mgr, &mut kernel).expect("the fault is spent; the re-apply commits");
+
+    assert_eq!(status_states(&mgr), ["rolled-back", "committed"]);
+    assert_eq!(mgr.state("fix"), Some(UpdateState::Committed));
+    assert_eq!(mgr.ksplice().live_updates().count(), 1);
+}
+
+/// The same for an operator undo: the reversed apply stays reversed.
+#[test]
+fn reapply_after_undo_keeps_the_reversed_row() {
+    let src = tree(&[("kernel/sys.kc", SYS)]);
+    let mut kernel = Kernel::boot(&src, &Options::distro()).unwrap();
+    let patch = diff_for(&src, "kernel/sys.kc", SYS_FIXED);
+    let (pack, _) = create_update("fix", &src, &patch, &CreateOptions::default()).unwrap();
+    let opts = ApplyOptions::default();
+
+    let mut mgr = UpdateManager::new();
+    mgr.apply_watched(&mut kernel, &pack, &mut [], &opts, &mut Tracer::disabled())
+        .unwrap();
+    mgr.undo_any(&mut kernel, "fix", &opts, &mut Tracer::disabled())
+        .unwrap();
+    mgr.apply_watched(&mut kernel, &pack, &mut [], &opts, &mut Tracer::disabled())
+        .unwrap();
+
+    assert_eq!(status_states(&mgr), ["reversed", "committed"]);
+    assert_eq!(mgr.state("fix"), Some(UpdateState::Committed));
+    assert_eq!(mgr.ksplice().live_updates().count(), 1);
 }

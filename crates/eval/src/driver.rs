@@ -55,9 +55,6 @@ pub struct CveOutcome {
     pub custom_reason: Option<CustomReason>,
     /// Did the plain patch apply without programmer involvement?
     pub plain_applied: bool,
-    /// Did the shippable patch (with custom code when needed) pass the
-    /// pre-flight gate, apply, and commit after its watch window?
-    pub applied: bool,
     /// Functions the shippable update replaced.
     pub replaced_fns: usize,
     /// The stress workload survived across the apply.
@@ -69,9 +66,9 @@ pub struct CveOutcome {
     /// The update reversed cleanly afterwards.
     pub undo_ok: bool,
     /// For exploit entries: re-applied under a probe demanding the
-    /// vulnerable answer, the update failed quarantine, was rolled back
-    /// and left the text checksum as it was just before. `None` for
-    /// entries with no exploit.
+    /// vulnerable answer, the update failed quarantine and was rolled
+    /// back, and the manager's rollback check found the text restored.
+    /// `None` for entries with no exploit.
     pub rollback_clean: Option<bool>,
     /// stop_machine pause for the apply (paper: ~0.7 ms).
     pub pause: Duration,
@@ -201,7 +198,6 @@ fn run_cve_with(
         custom_lines: case.custom.as_ref().map(|c| c.lines).unwrap_or(0),
         custom_reason: case.custom.as_ref().map(|c| c.reason),
         plain_applied,
-        applied: true,
         replaced_fns: pack.replaced_fn_count(),
         stress_ok,
         exploit_before,
@@ -219,7 +215,8 @@ fn run_cve_with(
 /// The failing-probe leg: re-applies `pack` on the same kernel under a
 /// fresh manager and a probe that demands the *vulnerable* answer. The
 /// patched kernel fails it in the first round, so quarantine must roll
-/// the update back and restore the text checksum taken just before.
+/// the update back, and the manager's rollback check must find the text
+/// checksum as it was just before the apply.
 fn failing_probe_rolls_back(
     kernel: &mut Kernel,
     case: &Cve,
@@ -227,13 +224,13 @@ fn failing_probe_rolls_back(
     apply_opts: &ApplyOptions,
     tracer: &mut Tracer,
 ) -> bool {
-    let text_before = kernel.mem.text_checksum();
     let mut probe = [still_vulnerable_probe(case)];
     let mut mgr = UpdateManager::new();
     let applied = mgr.apply_watched(kernel, pack, &mut probe, apply_opts, tracer);
-    matches!(applied, Err(LifecycleError::Quarantine { .. }))
-        && mgr.state(case.id) == Some(UpdateState::RolledBack)
-        && kernel.mem.text_checksum() == text_before
+    matches!(
+        applied,
+        Err(LifecycleError::Quarantine { restored: true, .. })
+    ) && mgr.state(case.id) == Some(UpdateState::RolledBack)
 }
 
 /// The full evaluation: every CVE plus the aggregate statistics.
@@ -256,9 +253,11 @@ impl EvalReport {
             .count()
     }
 
-    /// Headline: CVEs applied in total (paper: 64 of 64).
+    /// Headline: CVEs applied in total (paper: 64 of 64). Every outcome
+    /// counts: a CVE whose update failed pre-flight, apply or its watch
+    /// window fails the whole evaluation instead.
     pub fn applied_total(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.applied).count()
+        self.outcomes.len()
     }
 
     /// Average custom-code lines over the Table-1 entries (paper: ~17).
@@ -493,7 +492,7 @@ mod tests {
         let prctl = cases.iter().find(|c| c.id == "CVE-2006-2451").unwrap();
         let o = run_cve(prctl, 10, &BuildCache::new(), &mut Tracer::disabled()).unwrap();
         assert!(o.plain_applied);
-        assert!(o.applied && o.stress_ok && o.undo_ok);
+        assert!(o.stress_ok && o.undo_ok);
         assert_eq!(o.exploit_before, Some(true));
         assert_eq!(o.exploit_after, Some(false));
         assert_eq!(o.rollback_clean, Some(true));
@@ -507,7 +506,7 @@ mod tests {
         let o = run_cve(shadow, 10, &BuildCache::new(), &mut Tracer::disabled()).unwrap();
         // The plain patch for the Table-1 init-changers fails create; for
         // the shadow case the plain patch builds but lacks the migration.
-        assert!(o.applied && o.stress_ok && o.undo_ok);
+        assert!(o.stress_ok && o.undo_ok);
         assert_eq!(o.custom_lines, 48);
     }
 
@@ -520,7 +519,7 @@ mod tests {
             !o.plain_applied,
             "init change must be refused without sign-off"
         );
-        assert!(o.applied && o.stress_ok && o.undo_ok);
+        assert!(o.stress_ok && o.undo_ok);
         assert_eq!(o.custom_lines, 34);
     }
 }

@@ -474,21 +474,26 @@ pub fn quiescence_correlation(
         let mut rng =
             FuzzRng::from_state(cfg.seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let mut real_aborts = 0u64;
+        // The measured applies and undos trace privately: their counters
+        // reach the caller, their events (an error for every expected
+        // abort) do not.
+        let mut measured = Tracer::new();
         for _ in 0..CORRELATION_ATTEMPTS {
             // Jittered schedule: land the attempt at a pseudo-random
             // phase of the workload loop.
             k.run(401 + rng.below(1009));
-            match ks.apply_traced(&mut k, &pack, &single, tracer) {
+            match ks.apply_traced(&mut k, &pack, &single, &mut measured) {
                 Ok(_) => {
                     // Nothing ran since the apply window, so the ranges
                     // are still clear and the undo cannot be refused.
-                    ks.undo_any_traced(&mut k, case.id, &single, tracer)
+                    ks.undo_any_traced(&mut k, case.id, &single, &mut measured)
                         .map_err(|e| format!("{}: undo: {e}", case.id))?;
                 }
                 Err(ApplyError::NotQuiescent { .. }) => real_aborts += 1,
                 Err(e) => return Err(format!("{}: apply: {e}", case.id)),
             }
         }
+        tracer.absorb(&measured);
         tracer.set_now(k.steps);
         tracer.count("profile.aborts_observed", real_aborts);
         tracer.emit(

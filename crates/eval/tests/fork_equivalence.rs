@@ -235,7 +235,7 @@ fn state(k: &Kernel) -> String {
         .map(|c| (&c.runq, c.cycles, c.current))
         .collect();
     format!(
-        "image={:#x} text={:#x} text_gen={} steps={} ticks={} syms={} smp={:?} stop_machines={}\n\
+        "image={:#x} text={:#x} text_gen={} steps={} ticks={} syms={} cpus={} stop_machines={}\n\
          modules={modules:?}\nrunqs={runqs:?}\nklog={:?}\noopses={oopses:#?}\nthreads={threads:#?}",
         k.mem.image_checksum(),
         k.mem.text_checksum(),
@@ -243,7 +243,7 @@ fn state(k: &Kernel) -> String {
         k.steps,
         k.ticks,
         k.syms.len(),
-        k.smp,
+        k.cpus.len(),
         k.stop_machine_count,
         k.klog,
     )

@@ -9,13 +9,14 @@
 //! update once per version through the shared build cache.
 //!
 //! Nodes are cheap when idle: a [`FleetNode`] holds only compact state
-//! (version, committed ids, checksums, its pack cache) and *materializes*
-//! a kernel runtime on contact — a fork of the per-version post-boot
-//! snapshot, optional multi-vCPU workload threads, seeded settle — then
-//! drops it again unless the fleet is configured resident. Rollback of a
-//! non-resident node rehydrates deterministically (same seeds, same op
-//! order), re-applies its committed updates from the pack cache, and
-//! reverses the target checksum-verified.
+//! (version, baseline checksum, and one list of applied updates that is
+//! also its pack cache) and *materializes* a kernel runtime on contact —
+//! a fork of the per-version post-boot snapshot, optional multi-vCPU
+//! workload threads, seeded settle — then drops it again unless the
+//! fleet is configured resident. Rollback of a non-resident node
+//! rehydrates deterministically (same seeds, same op order), re-applies
+//! its committed updates from the pack cache, and reverses the target
+//! checksum-verified.
 
 use ksplice_core::{
     create_update_cached_traced, ApplyOptions, CreateOptions, HealthProbe, LifecycleError,
@@ -284,13 +285,12 @@ pub struct FleetNode {
     pub id: NodeId,
     /// Base version index into [`VERSION_NAMES`].
     pub version: usize,
-    /// Ids of updates currently committed, oldest first.
-    pub committed: Vec<String>,
     /// Text checksum of the freshly settled kernel, recorded at first
     /// materialization — the mass-rollback reference image.
     pub baseline_text: u64,
-    /// Per committed update: the delivered pack bytes (the node's local
-    /// pack cache, needed to rehydrate) and the pre-apply text checksum.
+    /// Per committed update, oldest first: its id, the delivered pack
+    /// bytes (the node's local pack cache, needed to rehydrate) and the
+    /// pre-apply text checksum.
     applied: Vec<(String, Vec<u8>, u64)>,
     /// Updates revoked by a rollback order. A Deliver that arrives after
     /// its Rollback (reordered by a partition heal) must not resurrect
@@ -305,7 +305,6 @@ impl FleetNode {
         FleetNode {
             id,
             version,
-            committed: Vec::new(),
             baseline_text: 0,
             applied: Vec::new(),
             revoked: Vec::new(),
@@ -329,8 +328,14 @@ impl FleetNode {
         self.runtime.as_ref().map(|rt| &rt.kernel)
     }
 
-    /// The pre-apply text checksum recorded for a committed update.
-    pub fn pre_apply_checksum(&self, update: &str) -> Option<u64> {
+    /// Ids of the updates currently committed, oldest first.
+    pub fn committed(&self) -> Vec<&str> {
+        self.applied.iter().map(|(id, _, _)| id.as_str()).collect()
+    }
+
+    /// The pre-apply text checksum recorded for a committed update, or
+    /// `None` when the node does not hold it.
+    fn pre_apply_checksum(&self, update: &str) -> Option<u64> {
         self.applied
             .iter()
             .find(|(id, _, _)| id == update)
@@ -438,7 +443,7 @@ impl FleetNode {
             return report(update, Verdict::RolledBack { restored: true });
         }
         // Duplicate deliveries are idempotent: re-ack, never re-apply.
-        if self.committed.contains(&update) {
+        if self.pre_apply_checksum(&update).is_some() {
             return report(update, Verdict::AlreadyApplied);
         }
         if fnv1a(FNV_OFFSET, &pack_bytes) != checksum {
@@ -495,7 +500,6 @@ impl FleetNode {
             &mut Tracer::disabled(),
         ) {
             Ok(rep) => {
-                self.committed.push(update.clone());
                 self.applied.push((update.clone(), pack_bytes, pre));
                 report(
                     update,
@@ -505,10 +509,9 @@ impl FleetNode {
                     },
                 )
             }
-            Err(LifecycleError::Quarantine { probe, .. }) => {
-                let restored = rt.kernel.mem.text_checksum() == pre;
-                report(update, Verdict::Quarantined { probe, restored })
-            }
+            Err(LifecycleError::Quarantine {
+                probe, restored, ..
+            }) => report(update, Verdict::Quarantined { probe, restored }),
             Err(LifecycleError::RollbackFailed { reason, .. }) => report(
                 update,
                 Verdict::ApplyFailed {
@@ -534,9 +537,9 @@ impl FleetNode {
             self.revoked.push(update.clone());
         }
         // Never applied (or already reversed): trivially rolled back.
-        if !self.committed.contains(&update) {
+        let Some(pre) = self.pre_apply_checksum(&update) else {
             return report(update, Verdict::RolledBack { restored: true });
-        }
+        };
         if let Err(e) = self.materialize(cx, cfg) {
             return report(
                 update,
@@ -546,9 +549,6 @@ impl FleetNode {
                 },
             );
         }
-        let pre = self
-            .pre_apply_checksum(&update)
-            .expect("committed updates record pre-apply checksums");
         let opts = self.apply_options(cfg);
         let rt = self.runtime.as_mut().expect("materialized");
         match rt
@@ -557,7 +557,6 @@ impl FleetNode {
         {
             Ok(_) => {
                 let restored = rt.kernel.mem.text_checksum() == pre;
-                self.committed.retain(|id| id != &update);
                 self.applied.retain(|(id, _, _)| id != &update);
                 report(update, Verdict::RolledBack { restored })
             }

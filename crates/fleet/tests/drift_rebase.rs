@@ -68,7 +68,7 @@ fn node_partitioned_across_the_whole_rollout_converges_after_heal() {
         // not satisfied by the other eleven.
         let node = fleet.node(5);
         assert!(
-            node.committed.iter().any(|u| u == "cve-2006-2451"),
+            node.committed().contains(&"cve-2006-2451"),
             "node 5 (version {}) missing the update after heal",
             node.version
         );
@@ -156,7 +156,7 @@ fn drifted_stratum_converges_only_via_a_rebased_pack() {
     for id in 0..fleet.len() as u32 {
         let node = fleet.node(id);
         assert!(
-            node.committed.iter().any(|u| u == "cve-2006-2451"),
+            node.committed().contains(&"cve-2006-2451"),
             "node {id} (version {}) missing the update",
             node.version
         );

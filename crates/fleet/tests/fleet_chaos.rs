@@ -78,7 +78,7 @@ fn poisoned_pack_is_confined_to_the_canary_cohort() {
         let mut contacted = 0;
         for id in 0..fleet.len() as u32 {
             let node = fleet.node(id);
-            assert!(node.committed.is_empty(), "node {id} kept the poison");
+            assert!(node.committed().is_empty(), "node {id} kept the poison");
             if let Some(text) = node.resident_text_checksum() {
                 contacted += 1;
                 assert_eq!(
@@ -146,7 +146,7 @@ fn missed_canary_triggers_checksum_verified_mass_rollback() {
     );
     for id in 0..fleet.len() as u32 {
         let node = fleet.node(id);
-        assert!(node.committed.is_empty(), "node {id} kept the update");
+        assert!(node.committed().is_empty(), "node {id} kept the update");
         if let Some(text) = node.resident_text_checksum() {
             assert_eq!(text, node.baseline_text, "node {id} not restored");
         }

@@ -70,7 +70,7 @@ fn clean_rollout_commits_the_whole_fleet() {
     for id in 0..24 {
         let node = fleet.node(id);
         assert!(
-            node.committed.iter().any(|u| u == "cve-2006-2451"),
+            node.committed().contains(&"cve-2006-2451"),
             "node {id} (version {}) missing the update",
             node.version
         );
@@ -174,7 +174,7 @@ fn version_specific_pack_halts_at_a_stratified_canary() {
     assert_eq!(report.rollback_clean, report.rolled_back);
     for &id in &canary {
         let node = fleet.node(id);
-        assert!(node.committed.is_empty(), "node {id} still patched");
+        assert!(node.committed().is_empty(), "node {id} still patched");
         assert_eq!(
             node.resident_text_checksum(),
             Some(node.baseline_text),
@@ -312,7 +312,7 @@ fn loaded_smp_rollout_matches_the_pinned_digest() {
         let kernel = node.resident_kernel().expect("resident fleet");
         text.push_str(&format!(
             "node{id}:{}:{:#x}:{:#x}:{}:{};",
-            node.committed.join(","),
+            node.committed().join(","),
             node.baseline_text,
             kernel.mem.image_checksum(),
             kernel.steps,

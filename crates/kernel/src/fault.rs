@@ -252,10 +252,11 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// An inert plan whose seeded generator starts from `seed`.
+    /// An inert plan whose seeded generator starts from `seed`
+    /// ([`FuzzRng::new`]: seed 0 replays the default plan's schedule).
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
-            rng: FuzzRng::from_state(seed.max(1)),
+            rng: FuzzRng::new(seed),
             armed: [0; SITES.len()],
             fired: Vec::new(),
         }
@@ -264,7 +265,7 @@ impl FaultPlan {
     /// Re-seeds the plan's generator (chaos schedules do this so every
     /// schedule replays from its own seed regardless of arming order).
     pub fn reseed(&mut self, seed: u64) {
-        self.rng = FuzzRng::from_state(seed.max(1));
+        self.rng = FuzzRng::new(seed);
     }
 
     /// True when nothing is armed.
@@ -504,5 +505,17 @@ mod tests {
             );
         }
         assert!(plan.pick_text_byte(&[]).is_none());
+    }
+
+    #[test]
+    fn seed_zero_replays_the_default_plan() {
+        let ranges = [(0xf000_0000u64, 0x1_0000u64)];
+        let pick = |mut plan: FaultPlan| plan.pick_text_byte(&ranges).unwrap();
+        let zero = pick(FaultPlan::new(0));
+        assert_ne!(zero, pick(FaultPlan::new(1)));
+        assert_eq!(zero, pick(FaultPlan::default()));
+        let mut reseeded = FaultPlan::new(5);
+        reseeded.reseed(0);
+        assert_eq!(zero, pick(reseeded));
     }
 }

@@ -146,10 +146,8 @@ pub struct Kernel {
     pub last_stop_machine_steps: u64,
     /// Count of `stop_machine` invocations.
     pub stop_machine_count: u64,
-    /// The SMP topology: vCPU count and scheduling seed; see
+    /// The vCPUs, each with its own run queue; at least one. See
     /// [`Kernel::configure_smp`] and `Kernel::round`.
-    pub smp: SmpConfig,
-    /// The vCPUs, each with its own run queue (`smp.cpus` entries).
     pub cpus: Vec<Cpu>,
     /// Seeded generator for the per-round rotation draw (`cpus > 1` only).
     sched_rng: FuzzRng,
@@ -187,14 +185,13 @@ impl Kernel {
     /// called right after boot, before workloads spawn; calling it on a
     /// running kernel re-homes live threads deterministically. `cpus`
     /// clamps to ≥ 1, and the scheduler rotation restarts from
-    /// `sched_seed`. At one vCPU no schedule reads the run queues or
-    /// the seed, so configuring one vCPU changes no schedule.
-    pub fn configure_smp(&mut self, mut smp: SmpConfig) {
-        smp.cpus = smp.cpus.max(1);
-        self.sched_rng = FuzzRng::from_state(smp.sched_seed.max(1));
-        self.cpus = (0..smp.cpus).map(Cpu::new).collect();
-        let n = smp.cpus as u64;
-        self.smp = smp;
+    /// `sched_seed` ([`FuzzRng::new`]'s zero-seed rule). At one vCPU no
+    /// schedule reads the run queues or the seed, so configuring one vCPU
+    /// changes no schedule.
+    pub fn configure_smp(&mut self, smp: SmpConfig) {
+        self.sched_rng = FuzzRng::new(smp.sched_seed);
+        self.cpus = (0..smp.cpus.max(1)).map(Cpu::new).collect();
+        let n = self.cpus.len() as u64;
         for t in &mut self.threads {
             t.cpu = ((t.tid - 1) % n) as u32;
         }
@@ -206,7 +203,7 @@ impl Kernel {
 
     /// The number of vCPUs this kernel schedules across.
     pub fn num_cpus(&self) -> u32 {
-        self.smp.cpus
+        self.cpus.len() as u32
     }
 
     /// Boots a prebuilt kernel image.
@@ -244,7 +241,6 @@ impl Kernel {
             last_stop_machine: None,
             last_stop_machine_steps: 0,
             stop_machine_count: 0,
-            smp: SmpConfig::default(),
             cpus: vec![Cpu::new(0)],
             sched_rng: FuzzRng::from_state(crate::smp::DEFAULT_SCHED_SEED),
             fault_parker: None,
@@ -295,7 +291,6 @@ impl Kernel {
             last_stop_machine: self.last_stop_machine,
             last_stop_machine_steps: self.last_stop_machine_steps,
             stop_machine_count: self.stop_machine_count,
-            smp: self.smp.clone(),
             cpus: self.cpus.clone(),
             sched_rng: self.sched_rng.clone(),
             fault_parker: self.fault_parker,
@@ -623,7 +618,7 @@ impl Kernel {
         }
         let mut stalled = 0;
         if self.faults.fire(Site::BarrierStall, |rng| {
-            stalled = rng.below(u64::from(self.smp.cpus.max(1))) as u32;
+            stalled = rng.below(self.cpus.len() as u64) as u32;
             format!("cpu{stalled}")
         }) {
             // The stalled vCPU never checked in: release the machine
